@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"rdmasem/internal/fabric"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden experiment outputs")
@@ -62,6 +64,30 @@ func TestGoldenOutputs(t *testing.T) {
 			}
 			if !bytes.Equal(buf.Bytes(), want) {
 				t.Fatalf("output diverged from %s\n%s", path, diffHint(want, buf.Bytes()))
+			}
+		})
+	}
+}
+
+// TestEveryExperimentRunsUnderFaults runs the whole sweep on a lossy fabric:
+// every driver must survive dropped segments (retransmitting, remapping or
+// reporting the loss), never abort the run. Passing -engine-workers also
+// shards each experiment, where lossy fabric is most likely to expose a
+// shard race.
+func TestEveryExperimentRunsUnderFaults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full lossy sweep")
+	}
+	plan, err := fabric.ParseFaultPlan("seed=1,drop=0.01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Faults: plan, EngineWorkers: *engineWorkersFlag}
+	for _, id := range List() {
+		t.Run(id, func(t *testing.T) {
+			t.Parallel()
+			if _, err := Run(id, goldenScale, opts); err != nil {
+				t.Fatalf("run: %v", err)
 			}
 		})
 	}

@@ -152,12 +152,6 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// observed is the surface shared by sim.Resource and sim.Pipe that telemetry
-// attachment needs.
-type observed interface {
-	Observe(sim.AcquireFunc)
-}
-
 // attachTelemetry hooks every queueing resource of the machine into the
 // registry: each reports a wait-time histogram (queueing delay before
 // service) and a service-time histogram (occupancy) under its component
@@ -165,24 +159,16 @@ type observed interface {
 // compute, so timing is unchanged.
 func (m *Machine) attachTelemetry(reg *telemetry.Registry) {
 	label := m.Label()
-	attach := func(component string, o observed) {
-		wait := reg.Hist(label, component, "wait")
-		service := reg.Hist(label, component, "service")
-		o.Observe(func(arrival, start, end sim.Time) {
-			wait.Observe(start - arrival)
-			service.Observe(end - start)
-		})
-	}
-	attach("qpi", m.qpi)
-	attach("nic/pcie-rd", m.nic.PCIeDown())
-	attach("nic/pcie-wr", m.nic.PCIeUp())
+	m.qpi.Observe(reg.QueueHook(label, "qpi"))
+	m.nic.PCIeDown().Observe(reg.QueueHook(label, "nic/pcie-rd"))
+	m.nic.PCIeUp().Observe(reg.QueueHook(label, "nic/pcie-wr"))
 	for p := 0; p < m.nic.Ports(); p++ {
-		attach(fmt.Sprintf("nic/port%d/exec", p), m.nic.Port(p).Exec())
-		attach(fmt.Sprintf("nic/port%d/atomic", p), m.nic.Port(p).Atomic())
+		m.nic.Port(p).Exec().Observe(reg.QueueHook(label, fmt.Sprintf("nic/port%d/exec", p)))
+		m.nic.Port(p).Atomic().Observe(reg.QueueHook(label, fmt.Sprintf("nic/port%d/atomic", p)))
 	}
 	for p, ep := range m.endpoints {
-		attach(fmt.Sprintf("fab/p%d/tx", p), ep.Tx())
-		attach(fmt.Sprintf("fab/p%d/rx", p), ep.Rx())
+		ep.Tx().Observe(reg.QueueHook(label, fmt.Sprintf("fab/p%d/tx", p)))
+		ep.Rx().Observe(reg.QueueHook(label, fmt.Sprintf("fab/p%d/rx", p)))
 	}
 }
 
@@ -324,14 +310,7 @@ func (m *Machine) Fabric() *fabric.Fabric { return m.fab }
 func (m *Machine) CM() *sim.Resource {
 	if m.cm == nil {
 		m.cm = sim.NewResource(fmt.Sprintf("m%d/cm", m.id))
-		if m.reg != nil {
-			wait := m.reg.Hist(m.Label(), "cm", "wait")
-			service := m.reg.Hist(m.Label(), "cm", "service")
-			m.cm.Observe(func(arrival, start, end sim.Time) {
-				wait.Observe(start - arrival)
-				service.Observe(end - start)
-			})
-		}
+		m.cm.Observe(m.reg.QueueHook(m.Label(), "cm"))
 	}
 	return m.cm
 }

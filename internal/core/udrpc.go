@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"rdmasem/internal/sim"
@@ -66,15 +67,29 @@ func (s *UDRPCServer) NewUDRPCClient(client *verbs.Context, port int, clientMR *
 	return &UDRPCClient{server: s, qp: qp, mr: clientMR}, nil
 }
 
+// UDRPCTimeout is how long a UD RPC client waits for the response before it
+// re-sends the request. UD has no acknowledgements, so a datagram lost on
+// either leg is noticed only by this timer.
+const UDRPCTimeout = 16 * sim.Microsecond
+
+// UDRPCRetries is how many times one call re-sends its request before it
+// fails with ErrUDRPCRetries.
+const UDRPCRetries = 7
+
+// ErrUDRPCRetries reports a UD RPC call whose request or response was lost
+// on every attempt; Call returns it with the time the last timer expired.
+var ErrUDRPCRetries = errors.New("core: ud rpc retry budget exhausted")
+
 // Call performs one datagram request/response exchange. Both directions are
 // single UD sends; the handler runs under the server CPU at its service
-// time. UD is unreliable, but the exchange pre-posts both receive buffers,
-// so within the simulation no datagram is ever dropped.
+// time. The exchange pre-posts both receive buffers, so a datagram is lost
+// only to a lossy fabric. The client then re-sends the request every
+// UDRPCTimeout, up to UDRPCRetries times. The server runs the handler once
+// per call and answers a repeated request with the result it already has.
 func (c *UDRPCClient) Call(now sim.Time, reqSize, respSize int, handler func(at sim.Time) uint64) (uint64, sim.Time, error) {
 	s := c.server
-	if err := s.qp.PostRecv(verbs.RecvWR{
-		SGE: verbs.SGE{Addr: s.mr.Addr(), Length: reqSize, MR: s.mr},
-	}); err != nil {
+	req := verbs.RecvWR{SGE: verbs.SGE{Addr: s.mr.Addr(), Length: reqSize, MR: s.mr}}
+	if err := s.qp.PostRecv(req); err != nil {
 		return 0, 0, err
 	}
 	if err := c.qp.PostRecv(verbs.RecvWR{
@@ -82,32 +97,45 @@ func (c *UDRPCClient) Call(now sim.Time, reqSize, respSize int, handler func(at 
 	}); err != nil {
 		return 0, 0, err
 	}
-	// Request datagram (inline when small: the fast path Herd uses).
-	if _, dropped, err := c.qp.Send(now, s.qp.Handle(),
-		[]verbs.SGE{{Addr: c.mr.Addr(), Length: reqSize, MR: c.mr}}, reqSize <= verbs.MaxInline); err != nil {
-		return 0, 0, err
-	} else if dropped {
-		return 0, 0, fmt.Errorf("core: ud rpc request dropped")
-	}
-	cqe, ok := s.qp.RecvCQ().PollOne(sim.MaxTime)
-	if !ok {
-		return 0, 0, fmt.Errorf("core: ud rpc request did not arrive")
-	}
-	t := s.cpu.Delay(cqe.Time, s.service)
 	var result uint64
-	if handler != nil {
-		result = handler(t)
+	handled := false
+	for attempt := 0; attempt <= UDRPCRetries; attempt++ {
+		// Request datagram (inline when small: the fast path Herd uses). A
+		// lost request leaves the server's receive buffer posted.
+		sent := now + sim.Duration(attempt)*UDRPCTimeout
+		if _, dropped, err := c.qp.Send(sent, s.qp.Handle(),
+			[]verbs.SGE{{Addr: c.mr.Addr(), Length: reqSize, MR: c.mr}}, reqSize <= verbs.MaxInline); err != nil {
+			return 0, 0, err
+		} else if dropped {
+			continue
+		}
+		cqe, ok := s.qp.RecvCQ().PollOne(sim.MaxTime)
+		if !ok {
+			return 0, 0, fmt.Errorf("core: ud rpc request did not arrive")
+		}
+		t := s.cpu.Delay(cqe.Time, s.service)
+		if !handled {
+			if handler != nil {
+				result = handler(t)
+			}
+			handled = true
+		}
+		// Response datagram. A lost response leaves the client's receive
+		// buffer posted; the server re-arms its own for the repeat request.
+		if _, dropped, err := s.qp.Send(t, c.qp.Handle(),
+			[]verbs.SGE{{Addr: s.mr.Addr(), Length: respSize, MR: s.mr}}, respSize <= verbs.MaxInline); err != nil {
+			return 0, 0, err
+		} else if dropped {
+			if err := s.qp.PostRecv(req); err != nil {
+				return 0, 0, err
+			}
+			continue
+		}
+		rcqe, ok := c.qp.RecvCQ().PollOne(sim.MaxTime)
+		if !ok {
+			return 0, 0, fmt.Errorf("core: ud rpc response did not arrive")
+		}
+		return result, rcqe.Time, nil
 	}
-	// Response datagram.
-	if _, dropped, err := s.qp.Send(t, c.qp.Handle(),
-		[]verbs.SGE{{Addr: s.mr.Addr(), Length: respSize, MR: s.mr}}, respSize <= verbs.MaxInline); err != nil {
-		return 0, 0, err
-	} else if dropped {
-		return 0, 0, fmt.Errorf("core: ud rpc response dropped")
-	}
-	rcqe, ok := c.qp.RecvCQ().PollOne(sim.MaxTime)
-	if !ok {
-		return 0, 0, fmt.Errorf("core: ud rpc response did not arrive")
-	}
-	return result, rcqe.Time, nil
+	return 0, now + sim.Duration(UDRPCRetries+1)*UDRPCTimeout, ErrUDRPCRetries
 }

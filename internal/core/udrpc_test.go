@@ -1,8 +1,11 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
+	"rdmasem/internal/cluster"
+	"rdmasem/internal/fabric"
 	"rdmasem/internal/sim"
 	"rdmasem/internal/verbs"
 )
@@ -158,6 +161,71 @@ func TestUDRPCLockMutualExclusion(t *testing.T) {
 				t.Fatal("UD RPC lock critical sections overlap")
 			}
 		}
+	}
+}
+
+// newLossyUDRPC builds a UD RPC server on machine 0 and one client on
+// machine 1 of a cluster whose fabric drops each segment with probability
+// drop.
+func newLossyUDRPC(t *testing.T, drop float64) (*cluster.Cluster, *UDRPCClient) {
+	t.Helper()
+	cfg := cluster.DefaultConfig()
+	cfg.Machines = 2
+	cfg.Faults = &fabric.FaultPlan{Seed: 1, Drop: drop}
+	cl, err := cluster.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, client := verbs.NewContext(cl.Machine(0)), verbs.NewContext(cl.Machine(1))
+	srv, err := NewUDRPCServer(server, 1, server.MustRegisterMR(cl.Machine(0).MustAlloc(1, 4096, 0)), 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := srv.NewUDRPCClient(client, 1, client.MustRegisterMR(cl.Machine(1).MustAlloc(1, 4096, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl, c
+}
+
+// Under heavy loss every call still completes: lost requests and lost
+// responses are both retransmitted, and the handler runs exactly once per
+// call. An exhausted retry budget is a typed error.
+func TestUDRPCRetransmitsUnderLoss(t *testing.T) {
+	cl, c := newLossyUDRPC(t, 0.2)
+	const calls = 300
+	handled := 0
+	now := sim.Time(0)
+	for i := 0; i < calls; i++ {
+		got, done, err := c.Call(now, 16, 8, func(sim.Time) uint64 {
+			handled++
+			return uint64(i)
+		})
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		if got != uint64(i) || done <= now {
+			t.Fatalf("call %d returned %d at %v (posted %v)", i, got, done, now)
+		}
+		now = done
+	}
+	if handled != calls {
+		t.Fatalf("handler ran %d times for %d calls", handled, calls)
+	}
+	reqDrops := cl.Machine(1).Endpoint(1).FaultStats().Drops
+	respDrops := cl.Machine(0).Endpoint(1).FaultStats().Drops
+	if reqDrops == 0 || respDrops == 0 {
+		t.Fatalf("the plan lost %d requests and %d responses; both legs must be exercised", reqDrops, respDrops)
+	}
+
+	_, dead := newLossyUDRPC(t, 1)
+	ran := false
+	_, at, err := dead.Call(0, 16, 8, func(sim.Time) uint64 { ran = true; return 0 })
+	if !errors.Is(err, ErrUDRPCRetries) {
+		t.Fatalf("err = %v, want ErrUDRPCRetries", err)
+	}
+	if ran || at != sim.Duration(UDRPCRetries+1)*UDRPCTimeout {
+		t.Fatalf("handler ran=%v, gave up at %v", ran, at)
 	}
 }
 

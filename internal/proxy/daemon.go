@@ -79,14 +79,7 @@ func NewDaemon(table *Table) (*Daemon, error) {
 		bounce:  bounce,
 		tp:      tp,
 	}
-	if reg := local.Telemetry(); reg != nil {
-		wait := reg.Hist(local.Label(), "proxyd/ipc", "wait")
-		service := reg.Hist(local.Label(), "proxyd/ipc", "service")
-		d.ipc.Observe(func(arrival, start, end sim.Time) {
-			wait.Observe(start - arrival)
-			service.Observe(end - start)
-		})
-	}
+	d.ipc.Observe(local.Telemetry().QueueHook(local.Label(), "proxyd/ipc"))
 	return d, nil
 }
 

@@ -58,16 +58,6 @@ func (h *Histogram) Stats() (count int64, sum, min, max sim.Duration) {
 	return h.count, sim.Duration(h.sum), sim.Duration(h.min), sim.Duration(h.max)
 }
 
-// Mean returns the exact mean observation (0 when empty).
-func (h *Histogram) Mean() sim.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return sim.Duration(h.sum / h.count)
-}
-
 // Quantile estimates the q-quantile (q in [0,1]) from the buckets: the rank
 // is located in cumulative bucket counts and interpolated linearly across
 // the bucket's value range, then clamped to the exact [min, max]. Empty

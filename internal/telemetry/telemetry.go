@@ -1,10 +1,10 @@
 // Package telemetry is the deterministic, virtual-time metrics subsystem of
-// the simulator: counters, gauges and log-bucketed latency histograms keyed
-// by (experiment, machine, component, stage), plus a timeline recorder that
+// the simulator: counters and log-bucketed latency histograms keyed by
+// (experiment, machine, component, stage), plus a timeline recorder that
 // turns per-op stage walks into Chrome trace_event spans (timeline.go).
 //
 // The layer is strictly passive. Producers — the op-pipeline engine's stage
-// observer bridge, the sim.Resource/sim.Pipe acquire hooks, the folded
+// recorder, the sim.Resource/sim.Pipe acquire hooks (QueueHook), the folded
 // rnic/fabric counters — only read simulation state, never advance virtual
 // time, so a run's results are byte-identical with or without telemetry
 // attached (the golden-output regression enforces this, as it does for
@@ -13,8 +13,7 @@
 //
 // Values recorded under one key merge by addition (counters, histogram
 // buckets), so concurrent sweep points produce the same snapshot at any
-// worker-pool width; only Gauge is last-write-wins and reserved for
-// single-threaded use.
+// worker-pool width.
 package telemetry
 
 import (
@@ -56,7 +55,6 @@ type Registry struct {
 	mu         sync.Mutex
 	experiment string
 	counters   map[Key]int64
-	gauges     map[Key]float64
 	hists      map[Key]*Histogram
 }
 
@@ -64,7 +62,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[Key]int64),
-		gauges:   make(map[Key]float64),
 		hists:    make(map[Key]*Histogram),
 	}
 }
@@ -78,13 +75,6 @@ func (r *Registry) SetExperiment(id string) {
 	r.mu.Unlock()
 }
 
-// Experiment returns the current experiment label.
-func (r *Registry) Experiment() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.experiment
-}
-
 func (r *Registry) key(machine, component, stage string) Key {
 	return Key{Experiment: r.experiment, Machine: machine, Component: component, Stage: stage}
 }
@@ -93,14 +83,6 @@ func (r *Registry) key(machine, component, stage string) Key {
 func (r *Registry) Count(machine, component, stage string, delta int64) {
 	r.mu.Lock()
 	r.counters[r.key(machine, component, stage)] += delta
-	r.mu.Unlock()
-}
-
-// Gauge sets the gauge under the given key. Gauges are last-write-wins; use
-// them only from single-threaded contexts (examples, end-of-run summaries).
-func (r *Registry) Gauge(machine, component, stage string, v float64) {
-	r.mu.Lock()
-	r.gauges[r.key(machine, component, stage)] = v
 	r.mu.Unlock()
 }
 
@@ -119,21 +101,26 @@ func (r *Registry) Hist(machine, component, stage string) *Histogram {
 	return h
 }
 
-// Observe records one duration into the histogram under the given key.
-func (r *Registry) Observe(machine, component, stage string, d sim.Duration) {
-	r.Hist(machine, component, stage).Observe(d)
+// QueueHook returns an acquire observer for one queueing resource: each
+// placement lands its queueing wait in the (machine, component, "wait")
+// histogram and its occupancy in (machine, component, "service"). A nil
+// registry returns nil, which sim.Resource.Observe treats as detached.
+func (r *Registry) QueueHook(machine, component string) sim.AcquireFunc {
+	if r == nil {
+		return nil
+	}
+	wait := r.Hist(machine, component, "wait")
+	service := r.Hist(machine, component, "service")
+	return func(arrival, start, end sim.Time) {
+		wait.Observe(start - arrival)
+		service.Observe(end - start)
+	}
 }
 
 // CounterEntry is one counter in a snapshot.
 type CounterEntry struct {
 	Key
 	Value int64
-}
-
-// GaugeEntry is one gauge in a snapshot.
-type GaugeEntry struct {
-	Key
-	Value float64
 }
 
 // HistEntry is one histogram in a snapshot, with its quantiles resolved.
@@ -149,13 +136,12 @@ type HistEntry struct {
 // by key.
 type Snapshot struct {
 	Counters []CounterEntry
-	Gauges   []GaugeEntry
 	Hists    []HistEntry
 }
 
 // Empty reports whether the snapshot holds no metrics at all.
 func (s Snapshot) Empty() bool {
-	return len(s.Counters) == 0 && len(s.Gauges) == 0 && len(s.Hists) == 0
+	return len(s.Counters) == 0 && len(s.Hists) == 0
 }
 
 // Snapshot returns a sorted copy of the registry's current contents.
@@ -172,7 +158,6 @@ func (r *Registry) Take() Snapshot {
 	defer r.mu.Unlock()
 	s := r.snapshotLocked()
 	r.counters = make(map[Key]int64)
-	r.gauges = make(map[Key]float64)
 	r.hists = make(map[Key]*Histogram)
 	return s
 }
@@ -181,9 +166,6 @@ func (r *Registry) snapshotLocked() Snapshot {
 	var s Snapshot
 	for k, v := range r.counters {
 		s.Counters = append(s.Counters, CounterEntry{Key: k, Value: v})
-	}
-	for k, v := range r.gauges {
-		s.Gauges = append(s.Gauges, GaugeEntry{Key: k, Value: v})
 	}
 	for k, h := range r.hists {
 		count, sum, min, max := h.Stats()
@@ -196,7 +178,6 @@ func (r *Registry) snapshotLocked() Snapshot {
 		})
 	}
 	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Key.less(s.Counters[j].Key) })
-	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Key.less(s.Gauges[j].Key) })
 	sort.Slice(s.Hists, func(i, j int) bool { return s.Hists[i].Key.less(s.Hists[j].Key) })
 	return s
 }
@@ -232,16 +213,6 @@ func (s Snapshot) Render(w io.Writer) {
 			})
 		}
 		fmt.Fprintf(w, "# counters%s\n", experimentSuffix(s.Counters[0].Experiment))
-		renderRows(w, rows)
-	}
-	if len(s.Gauges) > 0 {
-		rows := [][]string{{"machine", "component", "gauge", "value"}}
-		for _, g := range s.Gauges {
-			rows = append(rows, []string{
-				orDash(g.Machine), g.Component, g.Stage, fmt.Sprintf("%.4g", g.Value),
-			})
-		}
-		fmt.Fprintf(w, "# gauges%s\n", experimentSuffix(s.Gauges[0].Experiment))
 		renderRows(w, rows)
 	}
 }

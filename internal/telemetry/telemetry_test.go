@@ -19,9 +19,6 @@ func TestHistogramExactStats(t *testing.T) {
 	if count != 5 || sum != 150 || min != 10 || max != 50 {
 		t.Fatalf("stats = %d/%d/%d/%d, want 5/150/10/50", count, sum, min, max)
 	}
-	if h.Mean() != 30 {
-		t.Fatalf("mean = %v, want 30", h.Mean())
-	}
 }
 
 func TestHistogramQuantiles(t *testing.T) {
@@ -117,19 +114,15 @@ func TestBucketBounds(t *testing.T) {
 func TestRegistrySnapshotSortedAndKeyed(t *testing.T) {
 	r := NewRegistry()
 	r.SetExperiment("figX")
-	if r.Experiment() != "figX" {
-		t.Fatal("experiment label not set")
-	}
 	r.Count("m1", "nic", "doorbells", 2)
 	r.Count("m0", "nic", "doorbells", 5)
 	r.Count("m0", "nic", "doorbells", 1) // accumulate
-	r.Gauge("m0", "port0/exec", "utilization", 0.25)
-	r.Observe("m0", "verbs/WRITE", "executed", 120)
-	r.Observe("m0", "verbs/WRITE", "executed", 130)
+	r.Hist("m0", "verbs/WRITE", "executed").Observe(120)
+	r.Hist("m0", "verbs/WRITE", "executed").Observe(130)
 
 	s := r.Snapshot()
-	if len(s.Counters) != 2 || len(s.Gauges) != 1 || len(s.Hists) != 1 {
-		t.Fatalf("snapshot sizes %d/%d/%d", len(s.Counters), len(s.Gauges), len(s.Hists))
+	if len(s.Counters) != 2 || len(s.Hists) != 1 {
+		t.Fatalf("snapshot sizes %d/%d", len(s.Counters), len(s.Hists))
 	}
 	if s.Counters[0].Machine != "m0" || s.Counters[0].Value != 6 {
 		t.Fatalf("counter sort/accumulate wrong: %+v", s.Counters[0])
@@ -149,8 +142,25 @@ func TestRegistrySnapshotSortedAndKeyed(t *testing.T) {
 	if !r.Snapshot().Empty() {
 		t.Fatal("registry not reset after Take")
 	}
-	if r.Experiment() != "figX" {
-		t.Fatal("experiment label must survive Take")
+	r.Count("m0", "nic", "doorbells", 1)
+	if got := r.Snapshot().Counters[0].Experiment; got != "figX" {
+		t.Fatalf("experiment label %q must survive Take", got)
+	}
+}
+
+func TestQueueHook(t *testing.T) {
+	var none *Registry
+	if none.QueueHook("m0", "qpi") != nil {
+		t.Fatal("a nil registry must return a nil (detached) hook")
+	}
+	r := NewRegistry()
+	r.QueueHook("m0", "qpi")(100, 130, 180)
+	wait, service := r.Hist("m0", "qpi", "wait"), r.Hist("m0", "qpi", "service")
+	if c, sum, _, _ := wait.Stats(); c != 1 || sum != 30 {
+		t.Fatalf("wait = %d/%v, want 1/30", c, sum)
+	}
+	if c, sum, _, _ := service.Stats(); c != 1 || sum != 50 {
+		t.Fatalf("service = %d/%v, want 1/50", c, sum)
 	}
 }
 
@@ -177,7 +187,7 @@ func TestRegistryConcurrentDeterministic(t *testing.T) {
 				// Each worker handles its slice of the same global work set.
 				for i := w; i < total; i += workers {
 					r.Count("m0", "nic", "doorbells", 1)
-					r.Observe("m0", "verbs/READ", "e2e", sim.Duration(i%4096))
+					r.Hist("m0", "verbs/READ", "e2e").Observe(sim.Duration(i % 4096))
 				}
 			}()
 		}
@@ -207,13 +217,12 @@ func TestSnapshotRender(t *testing.T) {
 	}
 
 	r := NewRegistry()
-	r.Observe("m0", "verbs/WRITE", "executed", 500)
+	r.Hist("m0", "verbs/WRITE", "executed").Observe(500)
 	r.Count("", "fabric", "segments", 9)
-	r.Gauge("m0", "qpi", "utilization", 0.5)
 	buf.Reset()
 	r.Snapshot().Render(&buf)
 	out := buf.String()
-	for _, want := range []string{"stage histograms", "verbs/WRITE", "executed", "counters", "fabric", "segments", "9", "gauges", "0.5"} {
+	for _, want := range []string{"stage histograms", "verbs/WRITE", "executed", "counters", "fabric", "segments", "9"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}

@@ -1,10 +1,11 @@
-// The telemetry bridge of the op-pipeline engine: when the owning cluster
-// has a metrics registry or timeline attached (cluster.Config.Telemetry /
-// Config.Timeline), every QP carries a stageMetrics listener that converts
-// the engine's one stage walk into per-opcode stage-to-stage latency
-// histograms and Chrome trace-event spans. The bridge sits beside the
-// user-attachable StageObserver (Trace) — both hear the same walk, neither
-// influences it.
+// The stage recorder of the op-pipeline engine: the one consumer of the
+// stage walk. A QP carries a stageRecorder when its cluster has a metrics
+// registry or timeline attached (cluster.Config.Telemetry / Config.Timeline),
+// and for the duration of a traced post (PostSendTraced, SendTraced). The
+// recorder brackets each WR, drops out-of-order stage crossings, and hands
+// every accepted stage as one span to up to three optional sinks: the
+// registry's per-opcode stage histograms, the Chrome trace-event Timeline,
+// and an attached *Trace. None of them influences the walk.
 package verbs
 
 import (
@@ -14,14 +15,15 @@ import (
 	"rdmasem/internal/telemetry"
 )
 
-// stageMetrics accumulates one QP's stage walks into the telemetry layer.
-// The engine brackets each WR with begin/end (postList), and every observe()
-// between the brackets lands one histogram sample and, with a timeline
-// attached, one contiguous span — so the spans of an op tile its end-to-end
-// latency exactly.
-type stageMetrics struct {
-	reg     *telemetry.Registry
-	tl      *telemetry.Timeline
+// stageRecorder turns one QP's stage walks into spans. The engine brackets
+// each WR with begin/end (postList), and every observe() between the
+// brackets lands one span (start = previous boundary, dur = time since it)
+// in each attached sink — so the spans of an op tile its end-to-end latency
+// exactly.
+type stageRecorder struct {
+	reg     *telemetry.Registry // stage and e2e histograms, else nil
+	tl      *telemetry.Timeline // Chrome trace-event spans, else nil
+	tr      *Trace              // the traced post's span list, else nil
 	machine string
 	pid     int64
 	tid     int64
@@ -52,10 +54,10 @@ var verbsComponents = [int(OpSend) + 1]string{
 	OpSend:     "verbs/SEND",
 }
 
-// newStageMetrics builds the bridge for one QP. Either of reg and tl may be
-// nil; the corresponding sink is skipped.
-func newStageMetrics(reg *telemetry.Registry, tl *telemetry.Timeline, machine string, pid int64, qp uint64, kind string) *stageMetrics {
-	m := &stageMetrics{
+// newStageRecorder builds the recorder for one QP. Either of reg and tl may
+// be nil; the corresponding sink is skipped.
+func newStageRecorder(reg *telemetry.Registry, tl *telemetry.Timeline, machine string, pid int64, qp uint64, kind string) *stageRecorder {
+	m := &stageRecorder{
 		reg:     reg,
 		tl:      tl,
 		machine: machine,
@@ -70,7 +72,7 @@ func newStageMetrics(reg *telemetry.Registry, tl *telemetry.Timeline, machine st
 
 // hist resolves (and caches) the histogram for one (opcode, stage) stream.
 // slot is the stage index, or e2eSlot for the end-to-end stream.
-func (m *stageMetrics) hist(op Opcode, slot int, stage string) *telemetry.Histogram {
+func (m *stageRecorder) hist(op Opcode, slot int, stage string) *telemetry.Histogram {
 	h := m.hists[op][slot]
 	if h == nil {
 		h = m.reg.Hist(m.machine, verbsComponents[op], stage)
@@ -82,7 +84,7 @@ func (m *stageMetrics) hist(op Opcode, slot int, stage string) *telemetry.Histog
 // begin opens the bracket for one WR posted at the given time. The first WR
 // of a doorbell list owns the list-shared stages (doorbell MMIO, batched WQE
 // fetch); later WRs begin after them.
-func (m *stageMetrics) begin(op Opcode, at sim.Time) {
+func (m *stageRecorder) begin(op Opcode, at sim.Time) {
 	m.opcode = op
 	m.opSeq++
 	m.start = at
@@ -90,17 +92,16 @@ func (m *stageMetrics) begin(op Opcode, at sim.Time) {
 	m.active = true
 }
 
-// stage records one stage boundary: a histogram sample of the latency since
-// the previous boundary and a span covering it. Out-of-order timestamps
-// (e.g. UD's local completion racing the remote delivery) are skipped rather
-// than recorded as negative.
-func (m *stageMetrics) stage(st Stage, at sim.Time) {
+// stage records one stage boundary as a span covering the time since the
+// previous boundary. Out-of-order timestamps (e.g. UD's local completion
+// racing the remote delivery) are skipped rather than recorded as negative.
+func (m *stageRecorder) stage(st Stage, at sim.Time) {
 	if !m.active || at < m.prev {
 		return
 	}
-	name := st.String()
+	name, dur := st.String(), at-m.prev
 	if m.reg != nil {
-		m.hist(m.opcode, int(st), name).Observe(at - m.prev)
+		m.hist(m.opcode, int(st), name).Observe(dur)
 	}
 	if m.tl != nil {
 		m.tl.Record(telemetry.Span{
@@ -109,23 +110,30 @@ func (m *stageMetrics) stage(st Stage, at sim.Time) {
 			PID:   m.pid,
 			TID:   m.tid,
 			Start: m.prev,
-			Dur:   at - m.prev,
+			Dur:   dur,
 			Op:    m.opSeq,
 		})
+	}
+	if m.tr != nil {
+		m.tr.Spans = append(m.tr.Spans, TraceSpan{Stage: st, Start: m.prev, Dur: dur})
 	}
 	m.prev = at
 }
 
 // end closes the bracket at the WR's completion time: the tail (CQE
-// generation) becomes the final stage sample/span and the whole walk lands
-// in the e2e histogram.
-func (m *stageMetrics) end(at sim.Time) {
+// generation) becomes the final span, the whole walk lands in the e2e
+// histogram, and a trace keeps the completion time even when it precedes
+// the responder's spans (UC WRITE, UD SEND).
+func (m *stageRecorder) end(at sim.Time) {
 	if !m.active {
 		return
 	}
 	m.stage(StageCompleted, at)
 	if m.reg != nil && at >= m.start {
 		m.hist(m.opcode, e2eSlot, "e2e").Observe(at - m.start)
+	}
+	if m.tr != nil {
+		m.tr.End = at
 	}
 	m.active = false
 }

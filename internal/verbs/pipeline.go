@@ -7,8 +7,9 @@
 // RC, UC and UD queue pairs all post through postList/executeOne below; the
 // transport only selects branch points inside the walk (which metadata is
 // touched, how the pipeline stage is priced, when the requester considers
-// the operation complete). Observers subscribe to stage transitions without
-// forking the timing code: Trace is just one listener.
+// the operation complete). One stage recorder per QP (metrics.go) consumes
+// the walk and fans each stage span out to the histograms, the timeline and
+// a traced post's Trace; none of them forks the timing code.
 package verbs
 
 import (
@@ -20,18 +21,10 @@ import (
 	"rdmasem/internal/topo"
 )
 
-// StageObserver receives a notification each time an operation crosses a
-// pipeline stage boundary. Observers are passive: they must not mutate
-// simulation state, and the walk's timing is identical with or without one
-// attached.
-type StageObserver interface {
-	ObserveStage(s Stage, at sim.Time)
-}
-
 // PostObserver receives one notification per doorbell list after the list
 // finishes executing: the posting time, the list's WR count and total payload
-// bytes, and the completion time of its last WR. Like StageObserver it is
-// strictly passive — it must not mutate simulation state, and the walk's
+// bytes, and the completion time of its last WR. Like the stage recorder it
+// is strictly passive — it must not mutate simulation state, and the walk's
 // timing and allocations are identical with or without one attached. This is
 // the measurement feed the adaptive per-QP controllers hang off the post
 // path.
@@ -41,7 +34,7 @@ type PostObserver interface {
 
 // qpState is the queue-pair state shared by connected (QP) and datagram
 // (UDQP) queue pairs: identity, port/core binding, the per-QP processing
-// pipeline, the completion/receive queues, and the attached stage observer.
+// pipeline, the completion/receive queues, and the stage recorder.
 type qpState struct {
 	id        uint64
 	ctx       *Context
@@ -52,14 +45,13 @@ type qpState struct {
 	sendCQ    *CQ
 	recvCQ    *CQ
 	recvQ     []RecvWR
-	srq       *SRQ          // shared receive queue; inbound SENDs drain it instead of recvQ
-	obs       StageObserver // active stage listener, else nil
-	post      PostObserver  // per-post listener (adaptive controller), else nil
-	met       *stageMetrics // telemetry bridge, else nil (cluster had no registry/timeline)
-	state     State         // READY until reliability retries exhaust (or ForceError)
-	policy    RetryPolicy   // reliability knobs; only read on a faulty fabric
-	stats     QPStats       // reliability tally; all zero on a lossless fabric
-	scratch   opScratch     // per-QP freelists for the allocation-free hot path
+	srq       *SRQ           // shared receive queue; inbound SENDs drain it instead of recvQ
+	post      PostObserver   // per-post listener (adaptive controller), else nil
+	rec       *stageRecorder // the stage walk's one consumer, else nil (no telemetry, no trace)
+	state     State          // READY until reliability retries exhaust (or ForceError)
+	policy    RetryPolicy    // reliability knobs; only read on a faulty fabric
+	stats     QPStats        // reliability tally; all zero on a lossless fabric
+	scratch   opScratch      // per-QP freelists for the allocation-free hot path
 
 	// Connection-recovery state (see recovery.go). crashable is precomputed
 	// at construction so the hot path pays exactly one boolean test when the
@@ -160,48 +152,33 @@ func newQPState(ctx *Context, t Transport, port int, kind string) qpState {
 		crashable: ctx.machine.Fabric().Params().Faults.HasCrashes(),
 	}
 	if reg, tl := ctx.machine.Telemetry(), ctx.machine.Timeline(); reg != nil || tl != nil {
-		s.met = newStageMetrics(reg, tl, ctx.machine.Label(), ctx.machine.TimelinePID(), id, kind)
-		if reg != nil {
-			wait := reg.Hist(ctx.machine.Label(), kind+"/pipeline", "wait")
-			service := reg.Hist(ctx.machine.Label(), kind+"/pipeline", "service")
-			s.pipeline.Observe(func(arrival, start, end sim.Time) {
-				wait.Observe(start - arrival)
-				service.Observe(end - start)
-			})
-		}
+		label := ctx.machine.Label()
+		s.rec = newStageRecorder(reg, tl, label, ctx.machine.TimelinePID(), id, kind)
+		s.pipeline.Observe(reg.QueueHook(label, kind+"/pipeline"))
 	}
 	return s
 }
 
-// observe forwards a stage transition to the attached observer, if any, and
-// to the telemetry bridge.
+// observe hands a stage transition to the stage recorder, if any.
 func (s *qpState) observe(st Stage, at sim.Time) {
-	if s.obs != nil {
-		s.obs.ObserveStage(st, at)
-	}
-	if s.met != nil {
-		s.met.stage(st, at)
+	if s.rec != nil {
+		s.rec.stage(st, at)
 	}
 }
 
-// metBegin opens the telemetry bracket for one WR (no-op without telemetry).
-func (s *qpState) metBegin(op Opcode, at sim.Time) {
-	if s.met != nil {
-		s.met.begin(op, at)
+// recBegin opens the recorder's bracket for one WR (no-op without one).
+func (s *qpState) recBegin(op Opcode, at sim.Time) {
+	if s.rec != nil {
+		s.rec.begin(op, at)
 	}
 }
 
-// metEnd closes the telemetry bracket at the WR's completion time.
-func (s *qpState) metEnd(at sim.Time) {
-	if s.met != nil {
-		s.met.end(at)
+// recEnd closes the recorder's bracket at the WR's completion time.
+func (s *qpState) recEnd(at sim.Time) {
+	if s.rec != nil {
+		s.rec.end(at)
 	}
 }
-
-// SetStageObserver attaches (or, with nil, detaches) a stage listener. The
-// observer sees every stage of every operation posted on this QP until
-// detached; it has no effect on timing.
-func (s *qpState) SetStageObserver(o StageObserver) { s.obs = o }
 
 // SetPostObserver attaches (or, with nil, detaches) a per-post listener. The
 // observer sees every successfully executed doorbell list posted on this QP
@@ -318,9 +295,9 @@ func postList(src, dst *qpState, now sim.Time, wrs []*SendWR) ([]Completion, []b
 		}
 	}
 	// The first WR of the list owns the list-shared stages (doorbell MMIO,
-	// batched WQE fetch) in the telemetry decomposition; later WRs open their
+	// batched WQE fetch) in the stage decomposition; later WRs open their
 	// bracket at the per-WR loop below.
-	src.metBegin(wrs[0].Opcode, now)
+	src.recBegin(wrs[0].Opcode, now)
 	t := nic.Doorbell(now, len(wrs), inlineBytes)
 	src.observe(StagePosted, t)
 	if src.transport != UD && !allInline {
@@ -343,13 +320,13 @@ func postList(src, dst *qpState, now sim.Time, wrs []*SendWR) ([]Completion, []b
 	}
 	for i, wr := range wrs {
 		if i > 0 {
-			src.metBegin(wr.Opcode, t)
+			src.recBegin(wr.Opcode, t)
 		}
 		c, dropped, err := executeOne(src, dst, t, wr)
 		if err != nil {
 			return comps, drops, err
 		}
-		src.metEnd(c.Done)
+		src.recEnd(c.Done)
 		comps = append(comps, c)
 		if src.transport == UD {
 			drops = append(drops, dropped)

@@ -8,6 +8,7 @@ import (
 	"rdmasem/internal/cluster"
 	"rdmasem/internal/mem"
 	"rdmasem/internal/sim"
+	"rdmasem/internal/telemetry"
 )
 
 // TestPostSendListPartialBatch pins the doorbell-list error contract: a
@@ -113,15 +114,58 @@ func randomWR(rng *rand.Rand, tr Transport, e *pairEnv) *SendWR {
 	return wr
 }
 
+// newTestCluster is a two-machine cluster with the given telemetry sinks
+// attached (either may be nil).
+func newTestCluster(t *testing.T, reg *telemetry.Registry, tl *telemetry.Timeline) *cluster.Cluster {
+	t.Helper()
+	cfg := cluster.DefaultConfig()
+	cfg.Machines = 2
+	cfg.Telemetry = reg
+	cfg.Timeline = tl
+	cl, err := cluster.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl
+}
+
+// checkTraceMatchesTimeline asserts that a traced op's spans are the spans
+// the timeline recorded for the same walk: the op-th op of QP qp.
+func checkTraceMatchesTimeline(t *testing.T, step int, tr *Trace, tl *telemetry.Timeline, qp uint64, op int64) {
+	t.Helper()
+	var got []telemetry.Span
+	for _, sp := range tl.Spans() {
+		if sp.TID == int64(qp) && sp.Op == op {
+			got = append(got, sp)
+		}
+	}
+	if len(got) != len(tr.Spans) {
+		t.Fatalf("step %d: timeline has %d spans, trace %d", step, len(got), len(tr.Spans))
+	}
+	for i, sp := range tr.Spans {
+		if got[i].Name != sp.Stage.String() || got[i].Start != sp.Start || got[i].Dur != sp.Dur {
+			t.Fatalf("step %d span %d: timeline %s@%v+%v, trace %s@%v+%v",
+				step, i, got[i].Name, got[i].Start, got[i].Dur, sp.Stage, sp.Start, sp.Dur)
+		}
+	}
+}
+
 // TestTracedMatchesUntraced is the engine-equivalence property: the same
 // random WR sequence replayed on identical fresh clusters must produce
-// bit-identical completion times whether posted plainly, traced, or as a
-// singleton doorbell list. There is only one stage walk; observation and
-// batching must not perturb it.
+// bit-identical completion times whether posted plainly, traced, traced with
+// metrics and a timeline attached, or as a singleton doorbell list. There is
+// only one stage walk; observation and batching must not perturb it, and the
+// one recorder hands the trace and the timeline the same spans.
 func TestTracedMatchesUntraced(t *testing.T) {
 	for _, tr := range []Transport{RC, UC} {
 		t.Run(tr.String(), func(t *testing.T) {
 			plain, traced, listed := newPair(t), newPair(t), newPair(t)
+			tl := telemetry.NewTimeline(0)
+			mcl := newTestCluster(t, telemetry.NewRegistry(), tl)
+			metered := &pairEnv{cl: mcl, ctxA: NewContext(mcl.Machine(0)), ctxB: NewContext(mcl.Machine(1))}
+			metered.qpA, metered.qpB = MustConnect(metered.ctxA, 1, metered.ctxB, 1, tr)
+			metered.mrA = metered.ctxA.MustRegisterMR(mcl.Machine(0).MustAlloc(1, 1<<20, 0))
+			metered.mrB = metered.ctxB.MustRegisterMR(mcl.Machine(1).MustAlloc(1, 1<<20, 0))
 			if tr == UC {
 				plain.qpA, plain.qpB = MustConnect(plain.ctxA, 1, plain.ctxB, 1, UC)
 				traced.qpA, traced.qpB = MustConnect(traced.ctxA, 1, traced.ctxB, 1, UC)
@@ -135,7 +179,7 @@ func TestTracedMatchesUntraced(t *testing.T) {
 				}
 				wantSend := wrOn(plain).Opcode == OpSend
 				if wantSend {
-					for _, e := range []*pairEnv{plain, traced, listed} {
+					for _, e := range []*pairEnv{plain, traced, listed, metered} {
 						if err := e.qpB.PostRecv(RecvWR{SGE: SGE{Addr: e.mrB.Addr(), Length: 1 << 20, MR: e.mrB}}); err != nil {
 							t.Fatal(err)
 						}
@@ -159,6 +203,17 @@ func TestTracedMatchesUntraced(t *testing.T) {
 				if got, _ := trace.At(StageCompleted); got != cp.Done {
 					t.Fatalf("step %d: trace completion %v != %v", step, got, cp.Done)
 				}
+				cm, mtrace, err := metered.qpA.PostSendTraced(now, wrOn(metered))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, _ := mtrace.At(StageCompleted); cm.Done != cp.Done || got != cp.Done {
+					t.Fatalf("step %d: metered completion %v, trace %v, want %v", step, cm.Done, got, cp.Done)
+				}
+				checkTraceMatchesTimeline(t, step, mtrace, tl, metered.qpA.ID(), int64(step+1))
+				if b := mtrace.Decompose(); tr == RC && b.RNICToSocket+b.Network+b.SocketToMemory+b.Completion != mtrace.Total() {
+					t.Fatalf("step %d: RC decomposition %+v does not sum to total %v", step, b, mtrace.Total())
+				}
 				now = cp.Done + sim.Time(100+step*7)
 			}
 		})
@@ -166,15 +221,10 @@ func TestTracedMatchesUntraced(t *testing.T) {
 }
 
 // TestUDTracedMatchesUntraced is the datagram leg of the equivalence
-// property, including the drop path.
+// property, including the drop path; the metered variant also runs with
+// metrics and a timeline attached.
 func TestUDTracedMatchesUntraced(t *testing.T) {
-	mkUD := func() (*pairEnv, *UDQP, *UDQP) {
-		cfg := cluster.DefaultConfig()
-		cfg.Machines = 2
-		cl, err := cluster.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+	mkUD := func(cl *cluster.Cluster) (*pairEnv, *UDQP, *UDQP) {
 		ctxA, ctxB := NewContext(cl.Machine(0)), NewContext(cl.Machine(1))
 		e := &pairEnv{cl: cl, ctxA: ctxA, ctxB: ctxB}
 		e.mrA = ctxA.MustRegisterMR(cl.Machine(0).MustAlloc(1, 1<<20, 0))
@@ -189,8 +239,10 @@ func TestUDTracedMatchesUntraced(t *testing.T) {
 		}
 		return e, qa, qb
 	}
-	e1, s1, r1 := mkUD()
-	e2, s2, r2 := mkUD()
+	tl := telemetry.NewTimeline(0)
+	e1, s1, r1 := mkUD(newTestCluster(t, nil, nil))
+	e2, s2, r2 := mkUD(newTestCluster(t, nil, nil))
+	e3, s3, r3 := mkUD(newTestCluster(t, telemetry.NewRegistry(), tl))
 	now := sim.Time(0)
 	for step := 0; step < 40; step++ {
 		rng := rand.New(rand.NewSource(int64(step)))
@@ -202,6 +254,9 @@ func TestUDTracedMatchesUntraced(t *testing.T) {
 				t.Fatal(err)
 			}
 			if err := r2.PostRecv(RecvWR{SGE: SGE{Addr: e2.mrB.Addr(), Length: 1 << 20, MR: e2.mrB}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := r3.PostRecv(RecvWR{SGE: SGE{Addr: e3.mrB.Addr(), Length: 1 << 20, MR: e3.mrB}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -222,6 +277,14 @@ func TestUDTracedMatchesUntraced(t *testing.T) {
 		if got, _ := trace.At(StageCompleted); got != c2.Done {
 			t.Fatalf("step %d: trace completion %v != %v", step, got, c2.Done)
 		}
+		c3, d3, mtrace, err := s3.SendTraced(now, r3.Handle(), []SGE{{Addr: e3.mrA.Addr(), Length: size, MR: e3.mrA}}, inline)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := mtrace.At(StageCompleted); c3.Done != c1.Done || d3 != d1 || got != c1.Done {
+			t.Fatalf("step %d: metered %v/%v, trace %v, want %v/%v", step, c3.Done, d3, got, c1.Done, d1)
+		}
+		checkTraceMatchesTimeline(t, step, mtrace, tl, s3.ID(), int64(step+1))
 		now = c1.Done + sim.Time(250)
 	}
 }

@@ -43,51 +43,46 @@ func (s Stage) String() string {
 	}
 }
 
-// TraceEvent is one timestamped stage completion.
-type TraceEvent struct {
+// TraceSpan is one stage of a traced op: the stage that ended, when the
+// previous stage ended, and how long this one took. They are the spans the
+// timeline records for the same op.
+type TraceSpan struct {
 	Stage Stage
-	At    sim.Time
+	Start sim.Time
+	Dur   sim.Duration
 }
 
 // Trace records the stage timeline of one work request. Obtain one with
 // QP.PostSendTraced or UDQP.SendTraced; it is the tool behind the paper's
 // Section III-D decomposition T(RNIC->Socket) + T(Socket->Memory) +
-// T(Network). A Trace is a passive StageObserver on the op-pipeline engine:
-// it listens to the one shared stage walk rather than duplicating it.
+// T(Network). A Trace is a sink of the QP's stage recorder (metrics.go): it
+// holds the spans the recorder accepted, plus the completion time the
+// requester saw. The two differ when the completion precedes the responder
+// (UC WRITE, UD SEND): End is then earlier than the last span's end, and no
+// span covers the CQE.
 type Trace struct {
 	Start  sim.Time
+	End    sim.Time // the completion time (Completion.Done)
 	Opcode Opcode
-	Events []TraceEvent
+	Spans  []TraceSpan
 }
 
-// ObserveStage implements StageObserver.
-func (t *Trace) ObserveStage(stage Stage, at sim.Time) { t.mark(stage, at) }
-
-func (t *Trace) mark(stage Stage, at sim.Time) {
-	if t == nil {
-		return
-	}
-	t.Events = append(t.Events, TraceEvent{Stage: stage, At: at})
-}
-
-// At returns the completion time of a stage, or false if it never ran (e.g.
-// no gather on an inline write).
+// At returns the time a stage ended, or false if it never ran (e.g. no
+// gather on an inline write). StageCompleted is always the completion time.
 func (t *Trace) At(stage Stage) (sim.Time, bool) {
-	for _, e := range t.Events {
-		if e.Stage == stage {
-			return e.At, true
+	if stage == StageCompleted {
+		return t.End, true
+	}
+	for _, s := range t.Spans {
+		if s.Stage == stage {
+			return s.Start + s.Dur, true
 		}
 	}
 	return 0, false
 }
 
 // Total returns the end-to-end latency.
-func (t *Trace) Total() sim.Duration {
-	if end, ok := t.At(StageCompleted); ok {
-		return end - t.Start
-	}
-	return 0
-}
+func (t *Trace) Total() sim.Duration { return t.End - t.Start }
 
 // Breakdown is the paper's Section III-D latency decomposition.
 type Breakdown struct {
@@ -97,67 +92,69 @@ type Breakdown struct {
 	Completion     sim.Duration // CQE generation
 }
 
-// Decompose groups the stage timeline into the paper's three terms (plus
-// CQE cost). Stages that did not run contribute zero.
+// Decompose sums the span durations into the paper's three terms (plus CQE
+// cost). Stages that did not run contribute zero.
 func (t *Trace) Decompose() Breakdown {
-	prev := t.Start
-	step := func(stage Stage) sim.Duration {
-		at, ok := t.At(stage)
-		if !ok || at < prev {
-			return 0
-		}
-		d := at - prev
-		prev = at
-		return d
-	}
 	var b Breakdown
-	b.RNICToSocket += step(StagePosted)
-	b.RNICToSocket += step(StageWQEFetched)
-	b.RNICToSocket += step(StageGathered)
-	b.Network += step(StagePipelined)
-	b.Network += step(StageExecuted)
-	b.Network += step(StageArrived)
-	b.SocketToMemory += step(StageResponded)
-	b.Completion += step(StageCompleted)
+	for _, s := range t.Spans {
+		switch s.Stage {
+		case StagePosted, StageWQEFetched, StageGathered:
+			b.RNICToSocket += s.Dur
+		case StagePipelined, StageExecuted, StageArrived:
+			b.Network += s.Dur
+		case StageResponded:
+			b.SocketToMemory += s.Dur
+		default:
+			b.Completion += s.Dur
+		}
+	}
 	return b
 }
 
 // Render prints the timeline with per-stage deltas.
 func (t *Trace) Render(w io.Writer) {
 	fmt.Fprintf(w, "%s trace (total %v)\n", t.Opcode, t.Total())
-	prev := t.Start
-	for _, e := range t.Events {
-		fmt.Fprintf(w, "  %-13s +%-8v @%v\n", e.Stage, e.At-prev, e.At)
-		prev = e.At
+	for _, s := range t.Spans {
+		fmt.Fprintf(w, "  %-13s +%-8v @%v\n", s.Stage, s.Dur, s.Start+s.Dur)
+	}
+}
+
+// attachTrace makes tr the stage recorder's trace sink and returns the
+// function that detaches it. A QP without telemetry gets a recorder with only
+// the trace sink, dropped again on detach.
+func (s *qpState) attachTrace(tr *Trace) (detach func()) {
+	saved := s.rec
+	if saved == nil {
+		s.rec = &stageRecorder{}
+	}
+	s.rec.tr = tr
+	return func() {
+		s.rec.tr = nil
+		s.rec = saved
 	}
 }
 
 // PostSendTraced posts one work request and additionally returns its stage
-// timeline. Tracing attaches a Trace as the QP's stage observer for the
-// duration of the post; it does not change timing.
+// timeline. Tracing does not change timing.
 func (q *QP) PostSendTraced(now sim.Time, wr *SendWR) (Completion, *Trace, error) {
 	tr := &Trace{Start: now, Opcode: wr.Opcode}
-	q.SetStageObserver(tr)
-	defer q.SetStageObserver(nil)
+	defer q.attachTrace(tr)()
 	comp, err := q.PostSend(now, wr)
 	if err != nil {
 		return Completion{}, nil, err
 	}
-	tr.mark(StageCompleted, comp.Done)
 	return comp, tr, nil
 }
 
 // SendTraced is UDQP.Send with the stage timeline of the datagram attached.
-// The final StageCompleted event is the local send completion (UD never
-// waits for the receiver). Tracing does not change timing.
+// The trace's End is the local send completion (UD never waits for the
+// receiver). Tracing does not change timing.
 func (q *UDQP) SendTraced(now sim.Time, dst AH, sgl []SGE, inline bool) (Completion, bool, *Trace, error) {
 	tr := &Trace{Start: now, Opcode: OpSend}
-	q.SetStageObserver(tr)
-	defer q.SetStageObserver(nil)
+	defer q.attachTrace(tr)()
 	comp, dropped, err := q.Send(now, dst, sgl, inline)
 	if err != nil {
 		return Completion{}, false, nil, err
 	}
-	tr.mark(StageCompleted, comp.Done)
 	return comp, dropped, tr, nil
 }
