@@ -90,7 +90,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	scale := fs.Float64("scale", 1.0, "sweep scale in (0,1]")
 	format := fs.String("format", "text", "output format: text, csv, chart")
 	parallel := fs.Int("parallel", 0, "sweep-point workers per experiment (0 = GOMAXPROCS)")
-	engineWorkers := fs.Int("engine-workers", 1, "sharded-kernel workers inside each experiment (>= 1)")
+	engineWorkers := fs.Int("engine-workers", 1, "sharded-kernel workers inside each experiment (0 = 1, serial)")
 	faults := fs.String("faults", "", "lossy-fabric plan, e.g. seed=1,drop=0.01 (empty = lossless)")
 	connModes := fs.String("conn-modes", "", "comma-separated qpsweep serving modes (per-conn,srq,pool,proxy); empty = all")
 	qpPool := fs.Int("qp-pool", 0, "physical-QP pool width of qpsweep's pool/proxy modes (0 = default 64)")
@@ -115,10 +115,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case "text", "csv", "chart":
 	default:
 		fmt.Fprintf(stderr, "rdmabench: unknown -format %q (want text, csv or chart)\n", *format)
-		return 2
-	}
-	if *engineWorkers < 1 {
-		fmt.Fprintf(stderr, "rdmabench: -engine-workers must be >= 1, got %d\n", *engineWorkers)
 		return 2
 	}
 

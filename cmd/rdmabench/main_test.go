@@ -23,8 +23,7 @@ func TestFlagValidation(t *testing.T) {
 		{"scale NaN", []string{"-exp", "fig1", "-scale", "NaN"}, "-scale must be in (0,1]"},
 		{"unknown format", []string{"-exp", "fig1", "-format", "yaml"}, `unknown -format "yaml"`},
 		{"bad faults plan", []string{"-exp", "fig1", "-faults", "bogus"}, "rdmabench"},
-		{"zero engine workers", []string{"-exp", "fig1", "-engine-workers", "0"}, "-engine-workers must be >= 1"},
-		{"negative engine workers", []string{"-exp", "fig1", "-engine-workers", "-2"}, "-engine-workers must be >= 1"},
+		{"negative engine workers", []string{"-exp", "fig1", "-engine-workers", "-2"}, "engine workers must be >= 0 (0 = serial), got -2"},
 		{"negative parallel", []string{"-exp", "fig1", "-parallel", "-3"}, "parallel must be >= 0"},
 		{"unknown conn mode", []string{"-exp", "qpsweep", "-conn-modes", "per-conn,bogus"}, `unknown connection mode "bogus"`},
 		{"negative qp pool", []string{"-exp", "qpsweep", "-qp-pool", "-8"}, "QP pool must be at least 1"},
@@ -85,8 +84,9 @@ func TestUnknownExperimentExitsOne(t *testing.T) {
 }
 
 // TestEngineWorkersOutputIdentity: the sharded kernel's CLI-level contract —
-// the rendered report is byte-identical whether the engine runs serial or on
-// 4 workers (host-timing progress lines stripped).
+// the rendered report is byte-identical whether the engine runs serial (0
+// and 1 both mean serial) or on 4 workers (host-timing progress lines
+// stripped).
 func TestEngineWorkersOutputIdentity(t *testing.T) {
 	render := func(workers string) string {
 		var stdout, stderr bytes.Buffer
@@ -104,6 +104,9 @@ func TestEngineWorkersOutputIdentity(t *testing.T) {
 		return strings.Join(lines, "\n")
 	}
 	serial, parallel := render("1"), render("4")
+	if zero := render("0"); zero != serial {
+		t.Fatalf("-engine-workers 0 is not serial:\nzero:\n%s\nserial:\n%s", zero, serial)
+	}
 	if serial != parallel {
 		t.Fatalf("-engine-workers changed rendered output:\nserial:\n%s\nworkers=4:\n%s", serial, parallel)
 	}

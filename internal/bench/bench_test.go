@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -37,8 +38,16 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run("fig1", 2, Options{}); err == nil {
 		t.Error("scale > 1 must fail")
 	}
-	if err := (Options{Parallel: -1}).Validate(); err == nil {
-		t.Error("negative parallelism must fail")
+	// Negative counts are typed errors; zero is the default (the zero
+	// Options value is valid).
+	for _, o := range []Options{{Parallel: -1}, {EngineWorkers: -1}, {QPPool: -1}} {
+		var oe *OptionError
+		if err := o.Validate(); !errors.As(err, &oe) || oe.Value != -1 {
+			t.Errorf("%+v: err = %v, want an *OptionError for -1", o, err)
+		}
+	}
+	if err := (Options{}).Validate(); err != nil {
+		t.Errorf("zero Options: %v", err)
 	}
 }
 

@@ -25,7 +25,8 @@ type Options struct {
 	// Parallel is how many sweep points run at once (0 = GOMAXPROCS). A
 	// Timeline forces 1: its process groups are numbered in
 	// cluster-construction order. EngineWorkers is the sharded-kernel worker
-	// count inside each point (< 1 = 1). Neither changes any output.
+	// count inside each point (0 = 1, serial). Neither changes any output,
+	// and neither may be negative.
 	Parallel      int
 	EngineWorkers int
 
@@ -41,6 +42,17 @@ type Options struct {
 func (o Options) Validate() error {
 	_, err := o.resolve()
 	return err
+}
+
+// OptionError reports a numeric option outside its allowed range.
+type OptionError struct {
+	Option string // the option, as the CLI flag help names it
+	Rule   string // the allowed range
+	Value  int
+}
+
+func (e *OptionError) Error() string {
+	return fmt.Sprintf("bench: %s must be %s, got %d", e.Option, e.Rule, e.Value)
 }
 
 // run is one experiment execution: the resolved options, the counters of the
@@ -80,10 +92,13 @@ func (o Options) resolve() (*run, error) {
 		return nil, err
 	}
 	if o.Parallel < 0 {
-		return nil, fmt.Errorf("bench: parallel must be >= 0 (0 = GOMAXPROCS), got %d", o.Parallel)
+		return nil, &OptionError{"parallel", ">= 0 (0 = GOMAXPROCS)", o.Parallel}
+	}
+	if o.EngineWorkers < 0 {
+		return nil, &OptionError{"engine workers", ">= 0 (0 = serial)", o.EngineWorkers}
 	}
 	if o.QPPool < 0 {
-		return nil, fmt.Errorf("bench: QP pool must be at least 1, got %d", o.QPPool)
+		return nil, &OptionError{"QP pool", "at least 1", o.QPPool}
 	}
 	r := &run{
 		parallel: o.Parallel,

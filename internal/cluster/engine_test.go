@@ -19,24 +19,13 @@ func testCluster(t *testing.T, machines int, tl *telemetry.Timeline) *Cluster {
 	return cl
 }
 
-func TestEngineLookaheadFromFabric(t *testing.T) {
-	cl := testCluster(t, 2, nil)
-	want := cl.Config().Fabric.Propagation + cl.Config().Fabric.SwitchLatency
-	if got := cl.Lookahead(); got != want {
-		t.Fatalf("cluster lookahead %v, want %v", got, want)
-	}
-	eng := cl.NewEngine(4)
-	if eng.Lookahead() != want {
-		t.Fatalf("engine lookahead %v, want %v", eng.Lookahead(), want)
-	}
-	if eng.Workers() != 4 {
-		t.Fatalf("workers=%d, want 4", eng.Workers())
-	}
-}
-
 // TestEngineTimelinePin: trace spans carry a global record sequence, so a
-// cluster with a Timeline attached must force serial dispatch.
+// cluster with a Timeline attached must force serial dispatch; without one
+// the engine keeps the requested width.
 func TestEngineTimelinePin(t *testing.T) {
+	if got := testCluster(t, 2, nil).NewEngine(4).Workers(); got != 4 {
+		t.Fatalf("workers=%d, want 4", got)
+	}
 	cl := testCluster(t, 2, telemetry.NewTimeline(1024))
 	if got := cl.NewEngine(8).Workers(); got != 1 {
 		t.Fatalf("timeline-attached engine runs %d workers, want 1", got)

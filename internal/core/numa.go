@@ -101,16 +101,9 @@ func NewEngine(local *verbs.Context, peers []*verbs.Context, mode Mode) (*Engine
 	for pi, peer := range peers {
 		e.qps[pi] = make(map[topo.SocketID]map[topo.SocketID]*verbs.QP)
 		switch mode {
-		case Basic:
-			for s := 0; s < sockets; s++ {
-				ls := topo.SocketID(s)
-				qp, _, err := verbs.Connect(local, local.Machine().SocketPort(ls), peer, peer.Machine().SocketPort(ls), verbs.RC)
-				if err != nil {
-					return nil, err
-				}
-				e.qps[pi][ls] = map[topo.SocketID]*verbs.QP{ls: qp}
-			}
-		case Matched:
+		case Basic, Matched:
+			// One QP per socket along matched ports; the modes differ only
+			// in how route picks among them.
 			for s := 0; s < sockets; s++ {
 				ls := topo.SocketID(s)
 				qp, _, err := verbs.Connect(local, local.Machine().SocketPort(ls), peer, peer.Machine().SocketPort(ls), verbs.RC)
@@ -155,37 +148,23 @@ func (e *Engine) QPCount() int {
 func (e *Engine) ProxyStats() (proxied, direct int64) { return e.proxied, e.direct }
 
 // route picks the QP for a request from the given core socket to remote
-// memory on the given peer, returning the QP and the extra virtual-time cost
-// of the proxy hop (zero for direct paths).
+// memory on the given peer (see QP), returning the QP and the extra
+// virtual-time cost of the proxy hop (zero for direct paths).
 func (e *Engine) route(core topo.SocketID, peer int, remoteAddr mem.Addr) (*verbs.QP, sim.Duration, error) {
-	bySock, ok := e.qps[peer]
-	if !ok {
+	if _, ok := e.qps[peer]; !ok {
 		return nil, 0, fmt.Errorf("core: unknown peer %d", peer)
 	}
 	rs, err := e.peers[peer].Machine().Space().SocketOf(remoteAddr)
 	if err != nil {
 		return nil, 0, err
 	}
-	switch e.mode {
-	case Basic:
-		// Post from the core's own port, ignore the remote memory socket.
-		e.direct++
-		c := core % topo.SocketID(len(bySock))
-		return bySock[c][c], 0, nil
-	case Matched:
-		qp := bySock[rs][rs]
-		if core == rs {
-			e.direct++
-			return qp, 0, nil
-		}
-		// Proxy socket: hand the request to the core on socket rs via the
-		// shared-memory queues; that core posts on its own matched QP.
+	qp, extra := e.QP(core, peer, rs)
+	if extra > 0 {
 		e.proxied++
-		return qp, e.proxyIPC, nil
-	default: // AllToAll
+	} else {
 		e.direct++
-		return bySock[core][rs], 0, nil
 	}
+	return qp, extra, nil
 }
 
 // Write performs a NUMA-routed remote write of the local SGEs to remoteAddr.
@@ -198,9 +177,13 @@ func (e *Engine) Write(now sim.Time, core topo.SocketID, sgl []verbs.SGE, peer i
 		return 0, err
 	}
 	if extra > 0 {
-		if staged, cost, ok := e.stage(qp.PortSocket(), sgl); ok {
-			sgl = staged
-			extra += cost
+		// Only Matched takes the proxy hop, and it has a bounce MR on
+		// every socket.
+		b := e.bounce[qp.PortSocket()]
+		if total, ok := proxy.Stage(b, sgl); ok {
+			e.asgl[0] = verbs.SGE{Addr: b.Addr(), Length: total, MR: b}
+			sgl = e.asgl[:]
+			extra += e.local.Machine().Topology().Params.MemcpyTime(total, true)
 		}
 	}
 	e.wr = verbs.SendWR{
@@ -214,31 +197,6 @@ func (e *Engine) Write(now sim.Time, core topo.SocketID, sgl []verbs.SGE, peer i
 		return 0, err
 	}
 	return comp.Done, nil
-}
-
-// stage copies a small payload into the proxy socket's bounce buffer,
-// returning the substituted SGL and the copy's CPU cost.
-func (e *Engine) stage(proxySocket topo.SocketID, sgl []verbs.SGE) ([]verbs.SGE, sim.Duration, bool) {
-	total := 0
-	for _, s := range sgl {
-		total += s.Length
-	}
-	b := e.bounce[proxySocket]
-	if b == nil || total > maxProxyPayload {
-		return nil, 0, false
-	}
-	dst := b.Region().Bytes()
-	off := 0
-	for _, s := range sgl {
-		src, err := s.MR.Region().Slice(s.Addr, s.Length)
-		if err != nil {
-			return nil, 0, false
-		}
-		copy(dst[off:], src)
-		off += s.Length
-	}
-	tp := e.local.Machine().Topology().Params
-	return []verbs.SGE{{Addr: b.Addr(), Length: total, MR: b}}, tp.MemcpyTime(total, true), true
 }
 
 // Read performs a NUMA-routed remote read into the local SGEs.
@@ -282,13 +240,15 @@ func (e *Engine) FetchAdd(now sim.Time, core topo.SocketID, scratch verbs.SGE, p
 	return comp.OldValue, comp.Done, nil
 }
 
-// QP exposes the QP the engine would use for a (core, peer, remote socket)
-// triple — used by the applications that need to post custom WRs (batched
-// SGL writes) over NUMA-routed connections.
+// QP exposes the QP the engine uses for a (core, peer, remote socket)
+// triple, and the proxy hop's extra cost (zero for direct paths) — also used
+// by the applications that need to post custom WRs (batched SGL writes) over
+// NUMA-routed connections.
 func (e *Engine) QP(core topo.SocketID, peer int, remoteSocket topo.SocketID) (*verbs.QP, sim.Duration) {
 	bySock := e.qps[peer]
 	switch e.mode {
 	case Basic:
+		// Post from the core's own port, ignore the remote memory socket.
 		c := core % topo.SocketID(len(bySock))
 		return bySock[c][c], 0
 	case Matched:
@@ -296,8 +256,11 @@ func (e *Engine) QP(core topo.SocketID, peer int, remoteSocket topo.SocketID) (*
 		if core == remoteSocket {
 			return qp, 0
 		}
+		// Proxy socket: hand the request to the core on the remote socket
+		// via the shared-memory queues; that core posts on its own matched
+		// QP.
 		return qp, e.proxyIPC
-	default:
+	default: // AllToAll
 		return bySock[core][remoteSocket], 0
 	}
 }

@@ -145,7 +145,7 @@ func (d *Daemon) Post(now sim.Time, conn int, wr *verbs.SendWR) (Delivery, error
 	svc := d.tp.AtomicBounce // dequeue + validate: one shared line touched
 	post := wr
 	if wr.Opcode == verbs.OpSend || wr.Opcode == verbs.OpWrite {
-		if total, ok := d.stage(wr.SGL); ok {
+		if total, ok := Stage(d.bounce, wr.SGL); ok {
 			svc += d.tp.MemcpyTime(total, true)
 			d.scratch = *wr
 			d.sgl[0] = verbs.SGE{Addr: d.bounce.Addr(), Length: total, MR: d.bounce}
@@ -167,11 +167,12 @@ func (d *Daemon) Post(now sim.Time, conn int, wr *verbs.SendWR) (Delivery, error
 	return del, err
 }
 
-// stage copies the SGL's payload into the bounce buffer if it fits,
-// returning the total length. The copy happens at call time (virtual time
-// only orders it); a payload that does not fit is left to the NIC to gather
-// from the client's own MR.
-func (d *Daemon) stage(sgl []verbs.SGE) (int, bool) {
+// Stage copies the SGL's payload into a bounce MR if it fits one proxy
+// message (MaxPayload), returning the total length. The copy happens at call
+// time (virtual time only orders it); a payload that does not fit is left to
+// the NIC to gather from the client's own MR. Both proxy hops stage this
+// way: the per-node daemon and the per-socket hop of internal/core.
+func Stage(bounce *verbs.MR, sgl []verbs.SGE) (int, bool) {
 	total := 0
 	for _, s := range sgl {
 		total += s.Length
@@ -179,7 +180,7 @@ func (d *Daemon) stage(sgl []verbs.SGE) (int, bool) {
 	if total > MaxPayload {
 		return 0, false
 	}
-	dst := d.bounce.Region().Bytes()
+	dst := bounce.Region().Bytes()
 	off := 0
 	for _, s := range sgl {
 		src, err := s.MR.Region().Slice(s.Addr, s.Length)

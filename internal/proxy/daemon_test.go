@@ -120,7 +120,7 @@ func TestDaemonTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	reg.Take().Render(&buf)
+	reg.Snapshot().Render(&buf)
 	if !bytes.Contains(buf.Bytes(), []byte("proxyd/ipc")) {
 		t.Fatalf("telemetry snapshot missing proxyd/ipc:\n%s", buf.String())
 	}

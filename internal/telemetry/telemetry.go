@@ -148,21 +148,6 @@ func (s Snapshot) Empty() bool {
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.snapshotLocked()
-}
-
-// Take returns a sorted copy of the registry's contents and resets it (the
-// experiment label survives). The harness calls this between experiments.
-func (r *Registry) Take() Snapshot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := r.snapshotLocked()
-	r.counters = make(map[Key]int64)
-	r.hists = make(map[Key]*Histogram)
-	return s
-}
-
-func (r *Registry) snapshotLocked() Snapshot {
 	var s Snapshot
 	for k, v := range r.counters {
 		s.Counters = append(s.Counters, CounterEntry{Key: k, Value: v})

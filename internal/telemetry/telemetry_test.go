@@ -134,18 +134,6 @@ func TestRegistrySnapshotSortedAndKeyed(t *testing.T) {
 	if h.Experiment != "figX" || h.Count != 2 || h.Min != 120 || h.Max != 130 {
 		t.Fatalf("hist entry wrong: %+v", h)
 	}
-
-	// Take drains; a second snapshot is empty.
-	if took := r.Take(); took.Empty() {
-		t.Fatal("take returned empty snapshot")
-	}
-	if !r.Snapshot().Empty() {
-		t.Fatal("registry not reset after Take")
-	}
-	r.Count("m0", "nic", "doorbells", 1)
-	if got := r.Snapshot().Counters[0].Experiment; got != "figX" {
-		t.Fatalf("experiment label %q must survive Take", got)
-	}
 }
 
 func TestQueueHook(t *testing.T) {

@@ -291,7 +291,7 @@ func runEngineWorkload(t *testing.T, workers int) engineObservation {
 	obs := engineObservation{res: eng.Run(500 * sim.Microsecond)}
 	cl.FoldTelemetry()
 	var buf bytes.Buffer
-	reg.Take().Render(&buf)
+	reg.Snapshot().Render(&buf)
 	obs.metrics = buf.String()
 	for i := 0; i < cl.Size(); i++ {
 		obs.nics = append(obs.nics, cl.Machine(i).NIC().Counters())

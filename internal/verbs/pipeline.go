@@ -7,9 +7,12 @@
 // RC, UC and UD queue pairs all post through postList/executeOne below; the
 // transport only selects branch points inside the walk (which metadata is
 // touched, how the pipeline stage is priced, when the requester considers
-// the operation complete). One stage recorder per QP (metrics.go) consumes
-// the walk and fans each stage span out to the histograms, the timeline and
-// a traced post's Trace; none of them forks the timing code.
+// the operation complete). Connected transports hand the wire -> responder
+// -> ACK phase to the reliability engine (reliability.go) on every fabric; a
+// lossless fabric is its no-loss case, not a second copy of the walk. One
+// stage recorder per QP (metrics.go) consumes the walk and fans each stage
+// span out to the histograms, the timeline and a traced post's Trace; none
+// of them forks the timing code.
 package verbs
 
 import (
@@ -49,14 +52,19 @@ type qpState struct {
 	post      PostObserver   // per-post listener (adaptive controller), else nil
 	rec       *stageRecorder // the stage walk's one consumer, else nil (no telemetry, no trace)
 	state     State          // READY until reliability retries exhaust (or ForceError)
-	policy    RetryPolicy    // reliability knobs; only read on a faulty fabric
+	policy    RetryPolicy    // reliability knobs; inert on a lossless fabric
 	stats     QPStats        // reliability tally; all zero on a lossless fabric
 	scratch   opScratch      // per-QP freelists for the allocation-free hot path
 
-	// Connection-recovery state (see recovery.go). crashable is precomputed
-	// at construction so the hot path pays exactly one boolean test when the
-	// fault plan schedules no crashes.
-	crashable     bool          // fault plan has crash windows: check at post
+	// Fault-plan facts, read once at construction so the hot path pays one
+	// boolean test each. lossy decides the only three points where the
+	// reliability engine's no-loss case differs from a quiet plan: PathMTU
+	// segmentation, the reliability tallies, and RNR back-off (a lossless RC
+	// SEND into an empty receive queue returns ErrRNR instead).
+	lossy     bool // a fault plan is attached to the fabric
+	crashable bool // fault plan has crash windows: check at post
+
+	// Connection-recovery state (see recovery.go).
 	logReplay     bool          // capture failed WRs for replay
 	replayLog     []replayEntry // failed WRs awaiting replay, in failure order
 	replayApplied bool          // transient: next WR replays an applied failure
@@ -139,6 +147,7 @@ func (s *opScratch) respSegments(n int) []int {
 // from the machine's cluster-wide allocator.
 func newQPState(ctx *Context, t Transport, port int, kind string) qpState {
 	id := ctx.machine.NextQPID()
+	fab := ctx.machine.Fabric()
 	s := qpState{
 		id:        id,
 		ctx:       ctx,
@@ -149,7 +158,8 @@ func newQPState(ctx *Context, t Transport, port int, kind string) qpState {
 		sendCQ:    NewCQ(),
 		recvCQ:    NewCQ(),
 		policy:    DefaultRetryPolicy(),
-		crashable: ctx.machine.Fabric().Params().Faults.HasCrashes(),
+		lossy:     fab.FaultsEnabled(),
+		crashable: fab.Params().Faults.HasCrashes(),
 	}
 	if reg, tl := ctx.machine.Telemetry(), ctx.machine.Timeline(); reg != nil || tl != nil {
 		label := ctx.machine.Label()
@@ -449,10 +459,7 @@ func executeOne(src, dst *qpState, t sim.Time, wr *SendWR) (Completion, bool, er
 	t = port.Execute(t, exSvc, meta.Service)
 	src.observe(StageExecuted, t)
 
-	// Wire to the responder.
-	srcEP := m.Endpoint(src.port)
-	dstEP := dst.ctx.machine.Endpoint(dst.port)
-	fab := m.Fabric()
+	// Request bytes on the wire to the responder.
 	outbound := 0
 	switch wr.Opcode {
 	case OpWrite, OpSend:
@@ -462,49 +469,45 @@ func executeOne(src, dst *qpState, t sim.Time, wr *SendWR) (Completion, bool, er
 	case OpFetchAdd:
 		outbound = 8
 	}
-	sendDone := t // local NIC is finished once the EU emits the packet
-
 	if ud {
 		// An unreliable datagram completes locally once it is on the wire;
-		// no acknowledgement will ever come back.
-		localDone := sendDone + CQECost
-		cqe := src.sendCQ.push(CQE{Opcode: OpSend, Time: localDone, Bytes: total})
-		var arrive sim.Time
-		if fab.FaultsEnabled() {
-			// A lossy fabric may eat the datagram in flight; UD has no
-			// recovery, so the loss is silent. Each datagram is offered to
-			// the fault stream exactly once — UD can drop, never duplicate.
-			src.noteSegment(false)
-			var v fabric.Verdict
-			arrive, v = fab.Deliver(t, srcEP, dstEP, outbound)
-			if v != fabric.Delivered {
-				src.stats.SilentDrops++
-				nic.Rel().SilentDrops++
-				src.observe(StageArrived, arrive)
-				return Completion{Opcode: OpSend, Done: cqe.Time, Bytes: total}, true, nil
-			}
-		} else {
-			arrive = fab.Send(t, srcEP, dstEP, outbound)
-		}
+		// no acknowledgement will ever come back. A lossy fabric may eat it
+		// in flight; UD has no recovery, so the loss is silent. Each
+		// datagram is offered to the fabric exactly once — UD can drop,
+		// never duplicate.
+		cqe := src.sendCQ.push(CQE{Opcode: OpSend, Time: t + CQECost, Bytes: total})
+		comp := Completion{Opcode: OpSend, Done: cqe.Time, Bytes: total}
+		src.noteSegment(false)
+		arrive, v := m.Fabric().Deliver(t, m.Endpoint(src.port), dst.ctx.machine.Endpoint(dst.port), outbound)
 		src.observe(StageArrived, arrive)
+		if v != fabric.Delivered {
+			src.noteSilentDrop()
+			return comp, true, nil
+		}
 		delivered, dropped, err := deliverDatagram(src, dst, arrive, wr, total)
 		if err != nil {
 			return Completion{}, false, err
 		}
 		src.observe(StageResponded, delivered)
-		return Completion{Opcode: OpSend, Done: cqe.Time, Bytes: total}, dropped, nil
+		return comp, dropped, nil
 	}
 
-	var done sim.Time
-	var old uint64
-	if fab.FaultsEnabled() {
-		// Lossy fabric: the wire -> responder -> ACK phase runs under the
-		// reliability engine (RC recovers, UC fires and forgets).
+	// The wire -> responder -> ACK phase runs under the reliability engine
+	// on every fabric. An unreliable connection has no acknowledgement, so
+	// the send completes locally as soon as the message is on the wire; the
+	// responder-side costs are still charged (the data lands), the
+	// requester just does not wait for them.
+	done, old := t, uint64(0)
+	if src.transport == UC {
+		if err := executeUC(src, dst, t, wr, outbound); err != nil {
+			return Completion{}, false, err
+		}
+	} else {
 		var status CompletionStatus
-		var rerr error
-		done, old, status, rerr = executeReliable(src, dst, t, wr, total, outbound, sendDone)
-		if rerr != nil {
-			return Completion{}, false, rerr
+		var err error
+		done, old, status, err = executeReliable(src, dst, t, wr, total, outbound)
+		if err != nil {
+			return Completion{}, false, err
 		}
 		if status != StatusOK {
 			// Retry budget exhausted: the WR completes with an error CQE
@@ -515,25 +518,6 @@ func executeOne(src, dst *qpState, t sim.Time, wr *SendWR) (Completion, bool, er
 			cqe := src.sendCQ.push(CQE{WRID: wr.ID, Opcode: wr.Opcode, Time: done, Bytes: total, Status: status})
 			return Completion{WRID: cqe.WRID, Opcode: cqe.Opcode, Done: cqe.Time, Bytes: cqe.Bytes, Status: cqe.Status}, false, nil
 		}
-		src.observe(StageResponded, done)
-	} else {
-		t = fab.Send(t, srcEP, dstEP, outbound)
-		src.observe(StageArrived, t)
-
-		// Responder side.
-		var rerr error
-		done, old, rerr = respond(src, dst, t, wr, total)
-		if rerr != nil {
-			return Completion{}, false, rerr
-		}
-		src.observe(StageResponded, done)
-	}
-	if src.transport == UC && wr.Opcode == OpWrite {
-		// Unreliable connection: no acknowledgement exists, so the send
-		// completes locally as soon as the datagram is on the wire. The
-		// responder-side costs above were still charged (the write lands),
-		// the requester just does not wait for them.
-		done = sendDone
 	}
 
 	if wr.Unsignaled {
@@ -546,129 +530,6 @@ func executeOne(src, dst *qpState, t sim.Time, wr *SendWR) (Completion, bool, er
 	done += CQECost
 	cqe := src.sendCQ.push(CQE{WRID: wr.ID, Opcode: wr.Opcode, Time: done, Bytes: total, OldValue: old})
 	return Completion{WRID: cqe.WRID, Opcode: cqe.Opcode, Done: cqe.Time, Bytes: cqe.Bytes, OldValue: cqe.OldValue}, false, nil
-}
-
-// respond models the responder NIC for connected transports and applies the
-// data effects, returning the time the requester-side completion condition
-// is met (ACK or response received) before CQE generation.
-func respond(src, dst *qpState, arrive sim.Time, wr *SendWR, total int) (sim.Time, uint64, error) {
-	rm := dst.ctx.machine
-	rnicDev := rm.NIC()
-	rport := rnicDev.Port(dst.port)
-	rtp := rm.Topology().Params
-	rp := rnicDev.Params()
-	fab := src.ctx.machine.Fabric()
-	srcEP := src.ctx.machine.Endpoint(src.port)
-	dstEP := rm.Endpoint(dst.port)
-
-	// Responder metadata: the peer QP context plus the target MR/pages.
-	meta := rnicDev.TouchQP(dst.id)
-	if wr.Opcode.OneSided() {
-		rmr, err := dst.ctx.LookupMR(wr.RemoteKey)
-		if err != nil {
-			return 0, 0, err
-		}
-		meta = meta.Add(rnicDev.TouchMR(rmr.id))
-		meta = meta.Add(rnicDev.Translate(wr.RemoteAddr, remoteSpan(wr)))
-	}
-
-	crossesQPI := false
-	if wr.Opcode.OneSided() {
-		if sock, err := rm.Space().SocketOf(wr.RemoteAddr); err == nil {
-			crossesQPI = sock != rm.PortSocket(dst.port)
-		}
-	}
-	if crossesQPI {
-		// Cross-socket DMA at the responder serializes on the interconnect
-		// path and occupies the responder engine for longer.
-		meta.Service += 3 * rtp.QPILatency
-	}
-
-	switch wr.Opcode {
-	case OpWrite:
-		t := rport.Execute(arrive+meta.Latency, rp.RespWrite, meta.Service)
-		// The ACK leaves once the NIC has accepted the payload; the DMA to
-		// host memory still occupies the PCIe/QPI pipes (contention) but
-		// completes asynchronously with respect to the requester.
-		ack := fab.Send(t, dstEP, srcEP, 0)
-		cross := 0
-		if crossesQPI {
-			cross = 1
-			ack += rtp.QPILatency
-		}
-		rnicDev.ScatterDMA(t, []int{total}, cross, rm.QPI(), rtp.QPILatency)
-		if err := applyWrite(dst, wr); err != nil {
-			return 0, 0, err
-		}
-		return ack, 0, nil
-
-	case OpRead:
-		// Translation-miss handling overlaps the long host DMA read on the
-		// response path, so only half the miss occupancy hits the engine.
-		t := rport.Execute(arrive+meta.Latency, rp.RespRead, meta.Service/2)
-		// DMA read from host DRAM: high latency, pipelined occupancy.
-		rcross := 0
-		if crossesQPI {
-			rcross = 1
-		}
-		t = rnicDev.GatherDMA(t, []int{total}, rcross, rm.QPI(), rtp.QPILatency) + rp.PCIeReadLatency
-		t = fab.Send(t, dstEP, srcEP, total)
-		// Scatter into local buffers at the requester. READ has no gather
-		// phase, so the requester QP's size-vector scratch is free here.
-		sizes := src.scratch.ints(len(wr.SGL))
-		cross := 0
-		for i, s := range wr.SGL {
-			sizes[i] = s.Length
-			if s.MR.region.Socket() != src.PortSocket() {
-				cross++
-			}
-		}
-		nic := src.ctx.machine.NIC()
-		t = nic.ScatterDMA(t, sizes, cross, src.ctx.machine.QPI(), src.ctx.machine.Topology().Params.QPILatency)
-		if err := applyRead(dst, wr); err != nil {
-			return 0, 0, err
-		}
-		return t, 0, nil
-
-	case OpCompSwap, OpFetchAdd:
-		t := rport.ExecuteAtomic(arrive + meta.Latency)
-		// Locked PCIe read-modify-write against host memory.
-		rcross := 0
-		if crossesQPI {
-			rcross = 1
-		}
-		t = rnicDev.GatherDMA(t, []int{8}, rcross, rm.QPI(), rtp.QPILatency) + rp.PCIeReadLatency
-		rnicDev.ScatterDMA(t, []int{8}, rcross, rm.QPI(), rtp.QPILatency)
-		old, err := applyAtomic(dst, wr)
-		if err != nil {
-			return 0, 0, err
-		}
-		t = fab.Send(t, dstEP, srcEP, 8)
-		return t, old, nil
-
-	case OpSend:
-		if dst.recvEmpty() {
-			return 0, 0, ErrRNR
-		}
-		recv := dst.frontRecv()
-		if recv.SGE.Length < total {
-			return 0, 0, fmt.Errorf("%w: receive buffer %d < payload %d", ErrBadSGL, recv.SGE.Length, total)
-		}
-		dst.popRecv()
-		t := rport.Execute(arrive+meta.Latency, rp.RespWrite, meta.Service)
-		rcross := 0
-		if recv.SGE.MR.region.Socket() != rm.PortSocket(dst.port) {
-			rcross = 1
-		}
-		dmaEnd := rnicDev.ScatterDMA(t, []int{total}, rcross, rm.QPI(), rtp.QPILatency)
-		if err := applySend(dst, wr, recv); err != nil {
-			return 0, 0, err
-		}
-		dst.recvCQ.push(CQE{WRID: recv.ID, Opcode: OpSend, Time: dmaEnd + CQECost, Bytes: total})
-		ack := fab.Send(t, dstEP, srcEP, 0)
-		return ack, 0, nil
-	}
-	return 0, 0, fmt.Errorf("verbs: unknown opcode %v", wr.Opcode)
 }
 
 // deliverDatagram models the receiver of a UD send: there is no
@@ -700,21 +561,23 @@ func deliverDatagram(src, dst *qpState, arrive sim.Time, wr *SendWR, total int) 
 	return dmaEnd, false, nil
 }
 
-// applyWrite gathers the SGL bytes and stores them contiguously at the
-// remote address. The staging buffer comes from the responder QP's scratch
-// pool; Space.WriteAt copies out of it before returning.
-func applyWrite(dst *qpState, wr *SendWR) error {
-	buf := dst.scratch.bytes(wr.TotalLength())
+// applyWrite gathers the first n SGL bytes — the whole payload, or the
+// prefix a torn UC WRITE landed — and stores them contiguously at the remote
+// address. The staging buffer comes from the responder QP's scratch pool;
+// Space.WriteAt copies out of it before returning.
+func applyWrite(dst *qpState, wr *SendWR, n int) error {
+	buf := dst.scratch.bytes(n)
 	for _, s := range wr.SGL {
+		if len(buf) >= n {
+			break
+		}
 		b, err := s.MR.region.Slice(s.Addr, s.Length)
 		if err != nil {
 			return err
 		}
-		buf = append(buf, b...)
+		buf = append(buf, b[:min(s.Length, n-len(buf))]...)
 	}
-	err := dst.ctx.machine.Space().WriteAt(wr.RemoteAddr, buf)
-	dst.scratch.payload = buf[:0]
-	return err
+	return dst.ctx.machine.Space().WriteAt(wr.RemoteAddr, buf)
 }
 
 // applyRead loads the remote bytes and scatters them into the SGL, staging

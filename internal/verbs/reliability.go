@@ -1,8 +1,6 @@
-// The RC reliability layer: what makes the R in "Reliable Connection" real
-// when the fabric is lossy. On a lossless fabric (no FaultPlan attached)
-// none of this code runs and every verb takes the untouched single-message
-// path of pipeline.go, bit for bit. With a FaultPlan attached, connected
-// transports push their wire phase through this engine instead:
+// The connected-transport reliability engine: the wire -> responder -> ACK
+// phase of every RC and UC work request, on every fabric. It is what makes
+// the R in "Reliable Connection" real when the fabric is lossy:
 //
 //   - messages are segmented at PathMTU and stamped with per-QP packet
 //     sequence numbers (PSNs);
@@ -19,6 +17,14 @@
 //     and never re-apply data effects (acks are regenerated instead), so a
 //     successful completion always implies exactly-once memory effects.
 //
+// A lossless fabric (no FaultPlan attached) is the engine's no-loss case:
+// every frame arrives, so one round runs and no recovery path is taken. The
+// QP's lossy flag, read once at construction, decides the only three points
+// where that case differs from an attached plan that never fires: each
+// message is one frame (no PathMTU segmentation), the reliability tallies
+// stay zero, and an RC SEND into an empty receive queue returns ErrRNR to
+// the poster instead of backing off.
+//
 // UC and UD have no reliability machinery, as the spec requires: their
 // segments draw the same fault stream but losses are silent — a torn UC
 // WRITE applies only the contiguous prefix that arrived, a UC/UD SEND with
@@ -32,14 +38,14 @@ import (
 	"rdmasem/internal/sim"
 )
 
-// PathMTU is the wire segment size of connected transports: messages larger
-// than this are split into multiple packets, each drawing its own fate from
-// the fault plan. It matches UDMTU, the datagram limit.
+// PathMTU is the wire segment size of connected transports on a lossy
+// fabric: messages larger than this are split into multiple packets, each
+// drawing its own fate from the fault plan. It matches UDMTU, the datagram
+// limit.
 const PathMTU = 4096
 
 // CompletionStatus reports how a work request finished. The zero value is
-// success, so lossless-path completions are unchanged by the reliability
-// layer's existence.
+// success, the only status a lossless fabric produces.
 type CompletionStatus int
 
 // Completion statuses, mirroring the ibverbs wc_status values the paper's
@@ -149,23 +155,27 @@ func (s *qpState) SetRetryPolicy(p RetryPolicy) {
 // IBV_QPS_ERR, used to drain a connection). Subsequent posts flush.
 func (s *qpState) ForceError() { s.state = StateError }
 
-// segmentSizes splits outbound payload bytes into PathMTU segments. Every
-// message is at least one packet (READ requests and 0-byte ACK-only wires
-// still put a frame on the wire). The result lives in the given QP scratch
-// pool — the request buffer normally, the response buffer when resp is set,
-// because the requester holds its request segmentation across recovery
-// rounds while response legs come and go (and on a loopback pair the two
-// directions share one pool).
-func segmentSizes(scratch *opScratch, outbound int, resp bool) []int {
+// segmentSizes splits outbound payload bytes into the message's wire frames:
+// PathMTU segments on a lossy fabric, a single frame on a lossless one. Every
+// message is at least one frame (READ requests and 0-byte ACK-only wires
+// still put a frame on the wire). The result lives in the QP's scratch pool —
+// the request buffer normally, the response buffer when resp is set, because
+// the requester holds its request segmentation across recovery rounds while
+// response legs come and go (and on a loopback pair the two directions share
+// one pool). A request segmentation also assigns the message's PSN window.
+func (s *qpState) segmentSizes(outbound int, resp bool) []int {
 	n := 1
-	if outbound > PathMTU {
+	if s.lossy && outbound > PathMTU {
 		n = (outbound + PathMTU - 1) / PathMTU
 	}
 	var sizes []int
 	if resp {
-		sizes = scratch.respSegments(n)
+		sizes = s.scratch.respSegments(n)
 	} else {
-		sizes = scratch.segments(n)
+		sizes = s.scratch.segments(n)
+		if s.lossy {
+			s.stats.SendPSN += uint64(n)
+		}
 	}
 	for i := 0; i < n-1; i++ {
 		sizes[i] = PathMTU
@@ -174,8 +184,11 @@ func segmentSizes(scratch *opScratch, outbound int, resp bool) []int {
 	return sizes
 }
 
-// noteSegment tallies one wire segment at the requester.
+// noteSegment tallies one wire segment at the requester (lossy fabrics only).
 func (s *qpState) noteSegment(retransmit bool) {
+	if !s.lossy {
+		return
+	}
 	s.stats.Segments++
 	rel := s.ctx.machine.NIC().Rel()
 	rel.Segments++
@@ -185,19 +198,26 @@ func (s *qpState) noteSegment(retransmit bool) {
 	}
 }
 
-// executeReliable runs the wire -> responder -> ACK phase of one connected
-// (RC or UC) work request on a faulty fabric, starting when the requester's
-// execution unit emits the first segment. It returns the requester-side
-// completion-condition time (pre-CQE), the atomic old value, and the
-// completion status. RC recovers losses as described in the package comment;
-// UC sends its segments exactly once and completes locally.
+// noteSilentDrop tallies one UC/UD message lost with no recovery (lossy
+// fabrics only).
+func (s *qpState) noteSilentDrop() {
+	if s.lossy {
+		s.stats.SilentDrops++
+		s.ctx.machine.NIC().Rel().SilentDrops++
+	}
+}
+
+// executeReliable runs the wire -> responder -> ACK phase of one RC work
+// request, starting when the requester's execution unit emits the first
+// segment. It returns the requester-side completion-condition time
+// (pre-CQE), the atomic old value, and the completion status, recovering
+// losses as described in the package comment. The request records the
+// arrived stage the first time it is wholly at the responder, and the
+// responded stage when its ACK or response lands.
 //
 // A returned error is a hard modelling failure (e.g. an undersized receive
-// buffer), identical in meaning to the lossless path's errors.
-func executeReliable(src, dst *qpState, emit sim.Time, wr *SendWR, total, outbound int, sendDone sim.Time) (sim.Time, uint64, CompletionStatus, error) {
-	if src.transport == UC {
-		return executeUCLossy(src, dst, emit, wr, total, outbound, sendDone)
-	}
+// buffer, or ErrRNR on a lossless fabric).
+func executeReliable(src, dst *qpState, emit sim.Time, wr *SendWR, total, outbound int) (sim.Time, uint64, CompletionStatus, error) {
 	m := src.ctx.machine
 	fab := m.Fabric()
 	srcEP := m.Endpoint(src.port)
@@ -205,23 +225,21 @@ func executeReliable(src, dst *qpState, emit sim.Time, wr *SendWR, total, outbou
 	nic := m.NIC()
 	pol := src.policy
 
-	sizes := segmentSizes(&src.scratch, outbound, false)
+	sizes := src.segmentSizes(outbound, false)
 	nseg := len(sizes)
-	// Assign this message's PSN window.
-	src.stats.SendPSN += uint64(nseg)
 
 	attempts := 0       // recovery rounds consumed (NAK + timeout)
 	rnrAttempts := 0    // RNR recovery rounds consumed
 	consecTimeouts := 0 // consecutive timeout recoveries, drives backoff
 	firstUnacked := 0   // go-back-N resend point
 	round := 0          // transmission rounds completed
+	arrived := false    // the arrived stage is recorded
 	// applied: the responder has executed the request. A replayed WR whose
 	// effects already landed before its connection died (see recovery.go)
 	// seeds this true, so the whole replay runs as a duplicate round — the
 	// responder regenerates its acknowledgement and never re-touches memory.
 	applied := src.replayApplied
 	src.replayApplied = false
-	var respDone sim.Time // responder completion-condition basis (ACK emission)
 	var old uint64
 
 	t := emit
@@ -277,19 +295,27 @@ func executeReliable(src, dst *qpState, emit sim.Time, wr *SendWR, total, outbou
 
 		if lost < 0 {
 			// Every outstanding segment arrived in order.
+			if !arrived {
+				src.observe(StageArrived, lastOK)
+				arrived = true
+			}
+			// In a pure duplicate round the responder recognises the PSNs,
+			// discards the payload and regenerates its response at once;
+			// otherwise it executes the request.
+			resp := response{at: lastOK}
 			if !applied {
 				dst.stats.ExpectedPSN = src.stats.SendPSN
-				d, o, rnr, err := respondReliable(src, dst, lastOK, wr, total)
+				r, err := executeResponder(src, dst, lastOK, wr, total)
 				if err != nil {
 					return 0, 0, StatusOK, err
 				}
-				if rnr {
+				if r.rnr {
 					// Receiver not ready: RNR NAK back to the requester.
 					rnrAttempts++
 					if rnrAttempts > pol.RNRRetryCount {
-						return fail(d, StatusRNRRetryExceeded)
+						return fail(r.at, StatusRNRRetryExceeded)
 					}
-					nArr, nv := fab.Deliver(d, dstEP, srcEP, 0)
+					nArr, nv := fab.Deliver(r.at, dstEP, srcEP, 0)
 					if nv == fabric.Delivered {
 						src.stats.RNRNaks++
 						nic.Rel().RNRNaks++
@@ -302,22 +328,19 @@ func executeReliable(src, dst *qpState, emit sim.Time, wr *SendWR, total, outbou
 					continue
 				}
 				applied = true
-				respDone, old = d, o
-			} else {
-				// Pure duplicate round: the responder recognises the PSNs,
-				// discards the payload and regenerates its response.
-				respDone = lastOK
+				resp, old = r, r.old
 			}
 
 			// Response / ACK leg. READs and atomics carry payload back;
 			// WRITE and SEND draw a bare ACK.
-			done, delivered := deliverResponse(src, dst, respDone, wr, total)
+			done, delivered := deliverResponse(src, dst, resp, wr, total)
 			if delivered {
 				if wr.Opcode == OpRead {
 					if err := applyRead(dst, wr); err != nil {
 						return 0, 0, StatusOK, err
 					}
 				}
+				src.observe(StageResponded, done)
 				return done, old, StatusOK, nil
 			}
 			// Lost ACK/response: fall through to timeout recovery; the
@@ -359,9 +382,10 @@ func executeReliable(src, dst *qpState, emit sim.Time, wr *SendWR, total, outbou
 // deliverResponse moves the responder's answer back to the requester: the
 // read payload (segmented), the 8-byte atomic response, or a bare ACK. It
 // returns the requester-side completion-condition time and whether every
-// segment survived the fabric. For READs the requester-side scatter DMA is
-// charged on success, mirroring the lossless respond().
-func deliverResponse(src, dst *qpState, from sim.Time, wr *SendWR, total int) (sim.Time, bool) {
+// segment survived the fabric. The response's lag is added after the last
+// segment lands, and for READs the requester-side scatter DMA is charged on
+// success.
+func deliverResponse(src, dst *qpState, resp response, wr *SendWR, total int) (sim.Time, bool) {
 	fab := src.ctx.machine.Fabric()
 	srcEP := src.ctx.machine.Endpoint(src.port)
 	dstEP := dst.ctx.machine.Endpoint(dst.port)
@@ -373,17 +397,17 @@ func deliverResponse(src, dst *qpState, from sim.Time, wr *SendWR, total int) (s
 	case OpCompSwap, OpFetchAdd:
 		respBytes = 8
 	}
-	t := from
-	for _, size := range segmentSizes(&src.scratch, respBytes, true) {
+	t := resp.at
+	for _, size := range src.segmentSizes(respBytes, true) {
 		arr, v := fab.Deliver(t, dstEP, srcEP, size)
 		if v != fabric.Delivered {
-			return arr, false
+			return arr + resp.lag, false
 		}
 		t = arr
 	}
 	if wr.Opcode == OpRead {
-		// Scatter into the local SGL buffers, as on the lossless path. READ
-		// has no gather phase, so the requester's size-vector scratch is free.
+		// Scatter into the local SGL buffers. READ has no gather phase, so
+		// the requester's size-vector scratch is free.
 		sizes := src.scratch.ints(len(wr.SGL))
 		cross := 0
 		for i, s := range wr.SGL {
@@ -395,90 +419,89 @@ func deliverResponse(src, dst *qpState, from sim.Time, wr *SendWR, total int) (s
 		m := src.ctx.machine
 		t = m.NIC().ScatterDMA(t, sizes, cross, m.QPI(), m.Topology().Params.QPILatency)
 	}
-	return t, true
+	return t + resp.lag, true
 }
 
-// respondReliable is the responder-side execution of one fully received RC
-// request: the costs and data effects of the lossless respond(), minus the
-// ACK/response wire leg (the caller owns that, because it can be lost). The
-// rnr result reports a SEND with no posted receive WR; data effects happen
-// exactly once, on this call.
-func respondReliable(src, dst *qpState, arrive sim.Time, wr *SendWR, total int) (ackBase sim.Time, old uint64, rnr bool, err error) {
+// response is the responder's answer to one fully received request.
+type response struct {
+	at  sim.Time     // the ACK, NAK or response leaves the responder NIC
+	lag sim.Duration // wait after the ACK lands: a cross-socket WRITE's QPI hop
+	old uint64       // the atomic's old value
+	rnr bool         // a SEND found no posted receive WR
+}
+
+// executeResponder is the responder NIC's execution of one request whose
+// first n payload bytes arrived (the whole message, or a torn UC WRITE's
+// prefix): its costs and its data effects, which happen exactly once, on
+// this call. The ACK/response wire leg belongs to the caller, because it can
+// be lost.
+func executeResponder(src, dst *qpState, arrive sim.Time, wr *SendWR, n int) (response, error) {
 	rm := dst.ctx.machine
 	rnicDev := rm.NIC()
 	rport := rnicDev.Port(dst.port)
 	rtp := rm.Topology().Params
 	rp := rnicDev.Params()
 
+	// Responder metadata: the peer QP context plus the target MR/pages.
 	meta := rnicDev.TouchQP(dst.id)
+	cross := 0 // 1 when a one-sided target sits across QPI from the port
 	if wr.Opcode.OneSided() {
 		rmr, err := dst.ctx.LookupMR(wr.RemoteKey)
 		if err != nil {
-			return 0, 0, false, err
+			return response{}, err
 		}
 		meta = meta.Add(rnicDev.TouchMR(rmr.id))
-		meta = meta.Add(rnicDev.Translate(wr.RemoteAddr, remoteSpan(wr)))
-	}
-	crossesQPI := false
-	if wr.Opcode.OneSided() {
-		if sock, err := rm.Space().SocketOf(wr.RemoteAddr); err == nil {
-			crossesQPI = sock != rm.PortSocket(dst.port)
+		meta = meta.Add(rnicDev.Translate(wr.RemoteAddr, n))
+		if sock, err := rm.Space().SocketOf(wr.RemoteAddr); err == nil && sock != rm.PortSocket(dst.port) {
+			// Cross-socket DMA at the responder serializes on the
+			// interconnect path and occupies the responder engine longer.
+			cross = 1
+			meta.Service += 3 * rtp.QPILatency
 		}
-	}
-	if crossesQPI {
-		meta.Service += 3 * rtp.QPILatency
 	}
 
 	switch wr.Opcode {
 	case OpWrite:
 		t := rport.Execute(arrive+meta.Latency, rp.RespWrite, meta.Service)
-		cross := 0
-		ackLag := sim.Duration(0)
-		if crossesQPI {
-			cross = 1
-			ackLag = rtp.QPILatency
-		}
-		rnicDev.ScatterDMA(t, []int{total}, cross, rm.QPI(), rtp.QPILatency)
-		if err := applyWrite(dst, wr); err != nil {
-			return 0, 0, false, err
-		}
-		return t + ackLag, 0, false, nil
+		// The ACK leaves once the NIC has accepted the payload; the DMA to
+		// host memory still occupies the PCIe/QPI pipes (contention) but
+		// completes asynchronously with respect to the requester. A
+		// cross-socket target holds the completion one QPI hop after the
+		// ACK lands.
+		rnicDev.ScatterDMA(t, []int{n}, cross, rm.QPI(), rtp.QPILatency)
+		return response{at: t, lag: sim.Duration(cross) * rtp.QPILatency}, applyWrite(dst, wr, n)
 
 	case OpRead:
+		// Translation-miss handling overlaps the long host DMA read on the
+		// response path, so only half the miss occupancy hits the engine.
 		t := rport.Execute(arrive+meta.Latency, rp.RespRead, meta.Service/2)
-		rcross := 0
-		if crossesQPI {
-			rcross = 1
-		}
-		t = rnicDev.GatherDMA(t, []int{total}, rcross, rm.QPI(), rtp.QPILatency) + rp.PCIeReadLatency
-		return t, 0, false, nil
+		// DMA read from host DRAM: high latency, pipelined occupancy.
+		t = rnicDev.GatherDMA(t, []int{n}, cross, rm.QPI(), rtp.QPILatency) + rp.PCIeReadLatency
+		return response{at: t}, nil
 
 	case OpCompSwap, OpFetchAdd:
 		t := rport.ExecuteAtomic(arrive + meta.Latency)
-		rcross := 0
-		if crossesQPI {
-			rcross = 1
-		}
-		t = rnicDev.GatherDMA(t, []int{8}, rcross, rm.QPI(), rtp.QPILatency) + rp.PCIeReadLatency
-		rnicDev.ScatterDMA(t, []int{8}, rcross, rm.QPI(), rtp.QPILatency)
+		// Locked PCIe read-modify-write against host memory.
+		t = rnicDev.GatherDMA(t, []int{8}, cross, rm.QPI(), rtp.QPILatency) + rp.PCIeReadLatency
+		rnicDev.ScatterDMA(t, []int{8}, cross, rm.QPI(), rtp.QPILatency)
 		old, err := applyAtomic(dst, wr)
-		if err != nil {
-			return 0, 0, false, err
-		}
-		return t, old, false, nil
+		return response{at: t, old: old}, err
 
 	case OpSend:
 		if dst.recvEmpty() {
-			// RNR NAK leaves after the responder engine has looked at the
-			// request. An exhausted SRQ is the same receiver-not-ready
-			// condition as an empty per-QP receive queue: RC backs off and
-			// retries, it never drops.
+			if src.transport == RC && !src.lossy {
+				return response{}, ErrRNR
+			}
+			// The RNR NAK (or UC's silent discard) comes after the
+			// responder engine has looked at the request. An exhausted SRQ
+			// is the same receiver-not-ready condition as an empty per-QP
+			// receive queue: RC backs off and retries, it never drops.
 			t := rport.Execute(arrive+meta.Latency, rp.RespWrite, meta.Service)
-			return t, 0, true, nil
+			return response{at: t, rnr: true}, nil
 		}
 		recv := dst.frontRecv()
-		if recv.SGE.Length < total {
-			return 0, 0, false, fmt.Errorf("%w: receive buffer %d < payload %d", ErrBadSGL, recv.SGE.Length, total)
+		if recv.SGE.Length < n {
+			return response{}, fmt.Errorf("%w: receive buffer %d < payload %d", ErrBadSGL, recv.SGE.Length, n)
 		}
 		dst.popRecv()
 		t := rport.Execute(arrive+meta.Latency, rp.RespWrite, meta.Service)
@@ -486,120 +509,62 @@ func respondReliable(src, dst *qpState, arrive sim.Time, wr *SendWR, total int) 
 		if recv.SGE.MR.region.Socket() != rm.PortSocket(dst.port) {
 			rcross = 1
 		}
-		dmaEnd := rnicDev.ScatterDMA(t, []int{total}, rcross, rm.QPI(), rtp.QPILatency)
+		dmaEnd := rnicDev.ScatterDMA(t, []int{n}, rcross, rm.QPI(), rtp.QPILatency)
 		if err := applySend(dst, wr, recv); err != nil {
-			return 0, 0, false, err
+			return response{}, err
 		}
-		dst.recvCQ.push(CQE{WRID: recv.ID, Opcode: OpSend, Time: dmaEnd + CQECost, Bytes: total})
-		return t, 0, false, nil
+		dst.recvCQ.push(CQE{WRID: recv.ID, Opcode: OpSend, Time: dmaEnd + CQECost, Bytes: n})
+		return response{at: t}, nil
 	}
-	return 0, 0, false, fmt.Errorf("verbs: unknown opcode %v", wr.Opcode)
+	return response{}, fmt.Errorf("verbs: unknown opcode %v", wr.Opcode)
 }
 
-// executeUCLossy is the unreliable-connection wire phase on a faulty fabric:
-// segments are sent exactly once, losses are silent. A torn WRITE applies
+// executeUC is the unreliable-connection wire phase: segments are sent
+// exactly once, losses are silent, and nothing ever comes back, so the
+// requester completes locally at emit whatever happens. A torn WRITE applies
 // only the contiguous prefix of segments that arrived before the first loss
 // (the responder loses message sync at the gap); a SEND with any lost
-// segment vanishes without consuming a receive WR. The requester completes
-// locally either way — nothing ever comes back on UC.
-func executeUCLossy(src, dst *qpState, emit sim.Time, wr *SendWR, total, outbound int, sendDone sim.Time) (sim.Time, uint64, CompletionStatus, error) {
+// segment, or with no posted receive WR, vanishes without a receive
+// completion.
+func executeUC(src, dst *qpState, emit sim.Time, wr *SendWR, outbound int) error {
 	m := src.ctx.machine
 	fab := m.Fabric()
 	srcEP := m.Endpoint(src.port)
 	dstEP := dst.ctx.machine.Endpoint(dst.port)
 
-	sizes := segmentSizes(&src.scratch, outbound, false)
-	src.stats.SendPSN += uint64(len(sizes))
+	sizes := src.segmentSizes(outbound, false)
 	arrived := 0
 	prefixBytes := 0
-	intact := true
 	var lastArr sim.Time
 	for _, size := range sizes {
 		src.noteSegment(false)
 		arr, v := fab.Deliver(emit, srcEP, dstEP, size)
 		if v != fabric.Delivered {
-			intact = false
 			break
 		}
 		arrived++
 		prefixBytes += size
 		lastArr = arr
 	}
+	intact := arrived == len(sizes)
 	if !intact {
-		src.stats.SilentDrops++
-		m.NIC().Rel().SilentDrops++
+		src.noteSilentDrop()
 	}
-
-	switch wr.Opcode {
-	case OpWrite:
-		if arrived > 0 {
-			dst.stats.ExpectedPSN += uint64(arrived)
-			if err := ucLandWrite(src, dst, lastArr, wr, prefixBytes); err != nil {
-				return 0, 0, StatusOK, err
-			}
-		}
-	case OpSend:
-		if intact {
-			dst.stats.ExpectedPSN += uint64(arrived)
-			if _, _, rnr, err := respondReliable(src, dst, lastArr, wr, total); err != nil {
-				return 0, 0, StatusOK, err
-			} else if rnr {
-				// No posted receive: the datagram is silently discarded.
-				src.stats.SilentDrops++
-				m.NIC().Rel().SilentDrops++
-			}
-		}
+	if arrived == 0 || (wr.Opcode == OpSend && !intact) {
+		return nil
 	}
-	return sendDone, 0, StatusOK, nil
-}
-
-// ucLandWrite charges the responder-side landing of the first n bytes of a
-// UC WRITE and applies them — the whole message when intact, a torn prefix
-// otherwise.
-func ucLandWrite(src, dst *qpState, arrive sim.Time, wr *SendWR, n int) error {
-	rm := dst.ctx.machine
-	rnicDev := rm.NIC()
-	rtp := rm.Topology().Params
-	meta := rnicDev.TouchQP(dst.id)
-	rmr, err := dst.ctx.LookupMR(wr.RemoteKey)
+	src.observe(StageArrived, lastArr)
+	if src.lossy {
+		dst.stats.ExpectedPSN += uint64(arrived)
+	}
+	r, err := executeResponder(src, dst, lastArr, wr, prefixBytes)
 	if err != nil {
 		return err
 	}
-	meta = meta.Add(rnicDev.TouchMR(rmr.id))
-	meta = meta.Add(rnicDev.Translate(wr.RemoteAddr, n))
-	cross := 0
-	if sock, err := rm.Space().SocketOf(wr.RemoteAddr); err == nil && sock != rm.PortSocket(dst.port) {
-		cross = 1
-		meta.Service += 3 * rtp.QPILatency
+	if r.rnr {
+		// No posted receive: the message is silently discarded.
+		src.noteSilentDrop()
 	}
-	t := rnicDev.Port(dst.port).Execute(arrive+meta.Latency, rnicDev.Params().RespWrite, meta.Service)
-	rnicDev.ScatterDMA(t, []int{n}, cross, rm.QPI(), rtp.QPILatency)
-	return applyWritePrefix(dst, wr, n)
-}
-
-// applyWritePrefix stores the first n gathered bytes at the remote address:
-// the memory effect of a torn UC WRITE.
-func applyWritePrefix(dst *qpState, wr *SendWR, n int) error {
-	if n <= 0 {
-		return nil
-	}
-	if n > wr.TotalLength() {
-		n = wr.TotalLength()
-	}
-	buf := dst.scratch.bytes(n)
-	for _, s := range wr.SGL {
-		if len(buf) >= n {
-			break
-		}
-		b, err := s.MR.region.Slice(s.Addr, s.Length)
-		if err != nil {
-			return err
-		}
-		take := s.Length
-		if len(buf)+take > n {
-			take = n - len(buf)
-		}
-		buf = append(buf, b[:take]...)
-	}
-	return dst.ctx.machine.Space().WriteAt(wr.RemoteAddr, buf)
+	src.observe(StageResponded, r.at)
+	return nil
 }

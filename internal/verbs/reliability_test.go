@@ -141,11 +141,78 @@ func TestReliableReadAndAtomics(t *testing.T) {
 	}
 }
 
-// TestQuietPlanMatchesLossless: an attached-but-never-firing plan routes
-// through the reliability engine yet produces the same data effects and
-// successful completion as the lossless path — the engine adds no cost of
-// its own beyond the fault draw.
+// TestQuietPlanMatchesLossless: a lossless fabric is the reliability
+// engine's no-loss case. For every RC opcode at up to PathMTU, plus a
+// cross-socket WRITE (its ACK lands one QPI hop before the completion), an
+// attached-but-never-firing plan yields the same completion and the same
+// stage spans, arrived included, as the lossless fabric; only the
+// reliability tallies differ. A multi-segment WRITE under the quiet plan
+// lands its data in PathMTU segments without drawing recovery machinery.
 func TestQuietPlanMatchesLossless(t *testing.T) {
+	lossless, quietEnv := newLossyPair(t, nil, RC), newLossyPair(t, quietPlan(), RC)
+	// A target MR on the responder's other socket: port 1 sits on socket 1.
+	far := func(e *pairEnv) *MR { return e.ctxB.MustRegisterMR(e.cl.Machine(1).MustAlloc(0, PathMTU, 0)) }
+	farL, farQ := far(lossless), far(quietEnv)
+	if farL.Region().Socket() == lossless.qpB.PortSocket() {
+		t.Fatal("the far MR shares the responder port's socket")
+	}
+	atomic := func(e *pairEnv, op Opcode) *SendWR {
+		return &SendWR{Opcode: op, SGL: []SGE{{Addr: e.mrA.Addr(), Length: 8, MR: e.mrA}},
+			RemoteAddr: e.mrB.Addr() + 64, RemoteKey: e.mrB.RKey(), CompareAdd: 3, Swap: 9}
+	}
+	cases := []struct {
+		name string
+		wr   func(e *pairEnv, far *MR) *SendWR
+	}{
+		{"WRITE", func(e *pairEnv, _ *MR) *SendWR { return writeWR(e, 256) }},
+		{"WRITE cross-socket", func(e *pairEnv, far *MR) *SendWR {
+			wr := writeWR(e, 256)
+			wr.RemoteAddr, wr.RemoteKey = far.Addr(), far.RKey()
+			return wr
+		}},
+		{"WRITE PathMTU", func(e *pairEnv, _ *MR) *SendWR { return writeWR(e, PathMTU) }},
+		{"READ", func(e *pairEnv, _ *MR) *SendWR {
+			wr := writeWR(e, PathMTU)
+			wr.Opcode = OpRead
+			return wr
+		}},
+		{"CMP_SWAP", func(e *pairEnv, _ *MR) *SendWR { return atomic(e, OpCompSwap) }},
+		{"FETCH_ADD", func(e *pairEnv, _ *MR) *SendWR { return atomic(e, OpFetchAdd) }},
+		{"SEND", func(e *pairEnv, _ *MR) *SendWR {
+			if err := e.qpB.PostRecv(RecvWR{SGE: SGE{Addr: e.mrB.Addr(), Length: 512, MR: e.mrB}}); err != nil {
+				t.Fatal(err)
+			}
+			return &SendWR{Opcode: OpSend, SGL: []SGE{{Addr: e.mrA.Addr(), Length: 512, MR: e.mrA}}}
+		}},
+	}
+	now := sim.Time(0)
+	for _, c := range cases {
+		cl, trL, err := lossless.qpA.PostSendTraced(now, c.wr(lossless, farL))
+		if err != nil {
+			t.Fatalf("%s lossless: %v", c.name, err)
+		}
+		cq, trQ, err := quietEnv.qpA.PostSendTraced(now, c.wr(quietEnv, farQ))
+		if err != nil {
+			t.Fatalf("%s quiet: %v", c.name, err)
+		}
+		if cl != cq {
+			t.Fatalf("%s: lossless completion %+v, quiet %+v", c.name, cl, cq)
+		}
+		if fmt.Sprint(trL.Spans) != fmt.Sprint(trQ.Spans) {
+			t.Fatalf("%s: stage spans differ\nlossless %v\nquiet    %v", c.name, trL.Spans, trQ.Spans)
+		}
+		if _, ok := trQ.At(StageArrived); !ok {
+			t.Fatalf("%s: no arrived stage: %v", c.name, trQ.Spans)
+		}
+		now = cl.Done + sim.Time(sim.Microsecond)
+	}
+	if st := lossless.qpA.Stats(); st != (QPStats{}) {
+		t.Fatalf("lossless fabric drew reliability tallies: %+v", st)
+	}
+	if st := quietEnv.qpA.Stats(); st.Segments != uint64(len(cases)) {
+		t.Fatalf("quiet plan: %d segments for %d one-segment messages", st.Segments, len(cases))
+	}
+
 	quiet := newLossyPair(t, quietPlan(), RC)
 	const size = 3 * PathMTU
 	fillPattern(quiet.mrA.Region().Bytes()[:size], 5)

@@ -10,10 +10,10 @@
 //   - hand-out is deterministic FIFO in responder arrival order (the event
 //     kernel is single threaded per shard, and every QP attached to one SRQ
 //     shares its machine and therefore its shard — see AttachSRQ);
-//   - an empty SRQ is "receiver not ready", never a drop, on connected
-//     transports: ErrRNR on a lossless fabric, an RNR NAK + RNR-timer retry
-//     under the reliability layer (reliability.go), exactly as when a QP's
-//     own receive queue underflows. Only UD keeps its silent datagram drop;
+//   - an empty SRQ is "receiver not ready", never a drop, on RC: ErrRNR on a
+//     lossless fabric, an RNR NAK + RNR-timer retry on a lossy one
+//     (reliability.go), exactly as when a QP's own receive queue underflows.
+//     UC and UD, which have no acknowledgements, drop the message silently;
 //   - the receive completion still lands on the *consuming* QP's receive CQ,
 //     as on real hardware, so pollers learn which connection the message
 //     arrived on.
@@ -100,10 +100,9 @@ func (s *qpState) AttachSRQ(srq *SRQ) error {
 func (s *qpState) SRQ() *SRQ { return s.srq }
 
 // The receive-source indirection: every consumer of inbound SENDs (the
-// lossless responder, the reliability layer's responder, the UD datagram
-// receiver) goes through these three accessors, so SRQ-attached and plain
-// QPs share one code path. Without an SRQ they are exactly the historical
-// slice operations on recvQ.
+// connected-transport responder and the UD datagram receiver) goes through
+// these three accessors, so SRQ-attached and plain QPs share one code path.
+// Without an SRQ they are exactly the historical slice operations on recvQ.
 
 // recvEmpty reports whether the QP has no receive buffer available — the
 // receiver-not-ready condition.

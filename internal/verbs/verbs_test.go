@@ -722,10 +722,12 @@ func newPairQuiet() *pairEnv {
 }
 
 // UC writes complete locally (no ACK exists on unreliable connections), so
-// their completion beats the RC round trip while the data still lands.
+// their completion beats the RC round trip while the data still lands. A UC
+// SEND completes locally as well, and with no posted receive it is dropped
+// silently: no error (RC would report ErrRNR) and no receive completion.
 func TestUCWriteCompletesLocally(t *testing.T) {
 	e := newPair(t)
-	ucA, _, err := Connect(e.ctxA, 1, e.ctxB, 1, UC)
+	ucA, ucB, err := Connect(e.ctxA, 1, e.ctxB, 1, UC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -760,5 +762,27 @@ func TestUCWriteCompletesLocally(t *testing.T) {
 	}
 	if string(e.mrB.Region().Bytes()[:8]) != "uc write" {
 		t.Fatal("UC write data did not land")
+	}
+
+	if err := ucB.PostRecv(RecvWR{ID: 5, SGE: SGE{Addr: e.mrB.Addr() + 4096, Length: 64, MR: e.mrB}}); err != nil {
+		t.Fatal(err)
+	}
+	at := rcComp.Done
+	for _, posted := range []bool{true, false} {
+		at += 100 * sim.Microsecond
+		comp, tr, err := ucA.PostSendTraced(at, &SendWR{Opcode: OpSend, SGL: []SGE{{Addr: e.mrA.Addr(), Length: 64, MR: e.mrA}}})
+		if err != nil {
+			t.Fatalf("UC SEND (receive posted: %v): %v", posted, err)
+		}
+		if sent, _ := tr.At(StageExecuted); comp.Done != sent+CQECost {
+			t.Fatalf("UC SEND completed at %v, want the local send time %v plus the CQE", comp.Done, sent)
+		}
+		got := ucB.RecvCQ().Poll(sim.MaxTime, 2)
+		if posted && (len(got) != 1 || got[0].WRID != 5 || string(e.mrB.Region().Bytes()[4096:4104]) != "uc write") {
+			t.Fatalf("UC SEND with a posted receive: CQEs %+v", got)
+		}
+		if !posted && len(got) != 0 {
+			t.Fatalf("UC SEND with no posted receive produced CQEs %+v", got)
+		}
 	}
 }
