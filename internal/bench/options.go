@@ -58,13 +58,13 @@ func (e *OptionError) Error() string {
 // run is one experiment execution: the resolved options, the counters of the
 // clusters already settled, and the clusters built since. Each sweep point
 // runs on its own copy (see points), which shares everything but the list of
-// unsettled clusters.
+// unsettled clusters and the telemetry registry, a fork of the run's.
 type run struct {
 	scale    float64
 	parallel int // sweep points run at once
 	workers  int // sharded-kernel workers per engine
 	faults   *fabric.FaultPlan
-	reg      *telemetry.Registry // nil unless Options.Metrics
+	reg      *telemetry.Registry // nil unless Options.Metrics; a point's own fork
 	tl       *telemetry.Timeline
 
 	connModes     []string

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -52,6 +53,36 @@ func TestTelemetryPassiveAcrossAllExperiments(t *testing.T) {
 			}
 			if !bytes.Equal(buf.Bytes(), want) {
 				t.Fatalf("telemetry attachment changed the output of %s\n%s", id, diffHint(want, buf.Bytes()))
+			}
+		})
+	}
+}
+
+// TestMetricsIdenticalAtAnyWidth pins the fork/absorb contract of the run
+// registry: a run's snapshot is the same whether its points and engine shards
+// run one at a time or four at once. Points record into their own forks and
+// shards into machine-disjoint histograms, so under -race this also shows
+// that no two goroutines ever write one histogram.
+func TestMetricsIdenticalAtAnyWidth(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full experiment sweep, twice")
+	}
+	for _, id := range List() {
+		t.Run(id, func(t *testing.T) {
+			t.Parallel()
+			narrow, err := Run(id, goldenScale, Options{Metrics: true, Parallel: 1, EngineWorkers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wide, err := Run(id, goldenScale, Options{Metrics: true, Parallel: 4, EngineWorkers: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(narrow.Metrics, wide.Metrics) {
+				var a, b bytes.Buffer
+				narrow.Metrics.Render(&a)
+				wide.Metrics.Render(&b)
+				t.Fatalf("metrics differ at width 4\n%s", diffHint(a.Bytes(), b.Bytes()))
 			}
 		})
 	}

@@ -33,7 +33,11 @@ type Config struct {
 	// histograms, and FoldTelemetry folds the NIC/fabric counters in. nil —
 	// the default — collects nothing and changes nothing: telemetry is
 	// passive, so results are byte-identical either way (the same contract
-	// Faults keeps).
+	// Faults keeps). Registry histograms take no lock: clusters that simulate
+	// concurrently need separate registries (forks of one, see
+	// telemetry.Registry.Fork), while one cluster's engine shards may share
+	// it, because every histogram key names a machine and shards are
+	// machine-disjoint.
 	Telemetry *telemetry.Registry
 	// Timeline optionally records every operation's stage walk as Chrome
 	// trace-event spans (one process group per cluster, one thread per QP).

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"math/bits"
-	"sync"
 
 	"rdmasem/internal/sim"
 )
@@ -18,9 +17,10 @@ const histBuckets = 64
 // Quantiles interpolate linearly inside a bucket and are exact at the
 // recorded min and max.
 //
-// A Histogram is safe for concurrent use.
+// A Histogram has one writer at a time and takes no lock: each concurrently
+// simulating cluster records into its own registry fork, and forks meet only
+// in Registry.Absorb, under the absorbing registry's lock.
 type Histogram struct {
-	mu      sync.Mutex
 	count   int64
 	sum     int64
 	min     int64
@@ -38,7 +38,6 @@ func (h *Histogram) Observe(d sim.Duration) {
 	if v < 0 {
 		v = 0
 	}
-	h.mu.Lock()
 	if h.count == 0 || v < h.min {
 		h.min = v
 	}
@@ -48,13 +47,10 @@ func (h *Histogram) Observe(d sim.Duration) {
 	h.count++
 	h.sum += v
 	h.buckets[bucketOf(v)]++
-	h.mu.Unlock()
 }
 
 // Stats returns the exact count, sum, min and max of the observations.
 func (h *Histogram) Stats() (count int64, sum, min, max sim.Duration) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.count, sim.Duration(h.sum), sim.Duration(h.min), sim.Duration(h.max)
 }
 
@@ -63,8 +59,6 @@ func (h *Histogram) Stats() (count int64, sum, min, max sim.Duration) {
 // the bucket's value range, then clamped to the exact [min, max]. Empty
 // histograms report 0.
 func (h *Histogram) Quantile(q float64) sim.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.count == 0 {
 		return 0
 	}
@@ -131,24 +125,18 @@ func bucketBounds(i int) (lo, hi int64) {
 
 // Merge folds another histogram's observations into h.
 func (h *Histogram) Merge(o *Histogram) {
-	o.mu.Lock()
-	count, sum, min, max := o.count, o.sum, o.min, o.max
-	buckets := o.buckets
-	o.mu.Unlock()
-	if count == 0 {
+	if o.count == 0 {
 		return
 	}
-	h.mu.Lock()
-	if h.count == 0 || min < h.min {
-		h.min = min
+	if h.count == 0 || o.min < h.min {
+		h.min = o.min
 	}
-	if max > h.max {
-		h.max = max
+	if o.max > h.max {
+		h.max = o.max
 	}
-	h.count += count
-	h.sum += sum
-	for i, n := range buckets {
+	h.count += o.count
+	h.sum += o.sum
+	for i, n := range o.buckets {
 		h.buckets[i] += n
 	}
-	h.mu.Unlock()
 }

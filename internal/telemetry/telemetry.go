@@ -11,9 +11,12 @@
 // fabric.FaultPlan). With no registry attached nothing is allocated and
 // every hook is a nil check.
 //
-// Values recorded under one key merge by addition (counters, histogram
-// buckets), so concurrent sweep points produce the same snapshot at any
-// worker-pool width.
+// Histograms take no lock, so every concurrent writer records into its own
+// registry: a sweep point forks the run's registry (Registry.Fork), and when
+// the point settles its fork is absorbed back (Registry.Absorb). Values under
+// one key merge by addition (counters, histogram count, sum and buckets) and
+// by min/max, so the run's snapshot is the same at any worker-pool width and
+// in any absorb order.
 package telemetry
 
 import (
@@ -47,12 +50,13 @@ func (k Key) less(o Key) bool {
 	return k.Stage < o.Stage
 }
 
-// Registry collects metrics from every layer of one process. It is safe for
-// concurrent use: sweep workers simulating disjoint clusters feed one shared
-// registry, and because all updates commute the final snapshot is identical
-// at any pool width.
+// Registry collects the metrics of one run from every layer. Its lock guards
+// only the maps and counters; the histograms it hands out have one writer at
+// a time. Clusters that simulate concurrently therefore record into separate
+// forks of one registry, which Absorb folds back in any order with the same
+// result.
 type Registry struct {
-	mu         sync.Mutex
+	mu         sync.Mutex // guards experiment, counters and the hists map
 	experiment string
 	counters   map[Key]int64
 	hists      map[Key]*Histogram
@@ -86,13 +90,48 @@ func (r *Registry) Count(machine, component, stage string, delta int64) {
 	r.mu.Unlock()
 }
 
+// Fork returns an empty registry with r's experiment label, for one
+// concurrent writer to record into until Absorb folds it back into r. A nil
+// registry forks to nil.
+func (r *Registry) Fork() *Registry {
+	if r == nil {
+		return nil
+	}
+	f := NewRegistry()
+	r.mu.Lock()
+	f.experiment = r.experiment
+	r.mu.Unlock()
+	return f
+}
+
+// Absorb adds o's counters and histograms into r under r's lock. Nothing may
+// still write to o. Either registry may be nil.
+func (r *Registry) Absorb(o *Registry) {
+	if r == nil || o == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for k, v := range o.counters {
+		r.counters[k] += v
+	}
+	for k, h := range o.hists {
+		r.hist(k).Merge(h)
+	}
+}
+
 // Hist returns the histogram under the given key, creating it on first use.
-// The returned pointer is stable until the next Take, so hot paths resolve
-// their streams once and observe lock-free of the registry map.
+// The returned pointer is stable for the registry's life, so hot paths
+// resolve their streams once and observe without touching the registry map.
 func (r *Registry) Hist(machine, component, stage string) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	k := r.key(machine, component, stage)
+	return r.hist(r.key(machine, component, stage))
+}
+
+// hist returns the histogram under k, creating it on first use. r.mu must be
+// held.
+func (r *Registry) hist(k Key) *Histogram {
 	h := r.hists[k]
 	if h == nil {
 		h = &Histogram{}

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -161,39 +162,99 @@ func TestRegistryHistPointerStable(t *testing.T) {
 	}
 }
 
+// TestRegistryConcurrentDeterministic drives the fork/absorb contract the
+// bench sweep pool relies on: each goroutine records into its own fork, and
+// the forks absorbed back in either order render byte-identically to one
+// goroutine recording everything.
 func TestRegistryConcurrentDeterministic(t *testing.T) {
-	const total = 4000
-	run := func(workers int) Snapshot {
-		r := NewRegistry()
-		r.SetExperiment("conc")
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			w := w
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				// Each worker handles its slice of the same global work set.
-				for i := w; i < total; i += workers {
-					r.Count("m0", "nic", "doorbells", 1)
-					r.Hist("m0", "verbs/READ", "e2e").Observe(sim.Duration(i % 4096))
-				}
-			}()
-		}
-		wg.Wait()
-		return r.Snapshot()
-	}
-	a, b := run(1), Snapshot{}
-	// All work on one goroutine vs four: byte-identical rendering.
-	for i := 0; i < 3; i++ {
-		b = run(4)
-		var wa, wb bytes.Buffer
-		a.Render(&wa)
-		b.Render(&wb)
-		if wa.String() != wb.String() {
-			t.Fatalf("snapshot differs across worker counts:\n%s\nvs\n%s", wa.String(), wb.String())
+	const total, workers = 4000, 4
+	record := func(r *Registry, w, stride int) {
+		for i := w; i < total; i += stride {
+			r.Count("m0", "nic", "doorbells", 1)
+			r.Hist("m0", "verbs/READ", "e2e").Observe(sim.Duration(i % 4096))
 		}
 	}
-	_ = b
+	render := func(r *Registry) string {
+		var b bytes.Buffer
+		r.Snapshot().Render(&b)
+		return b.String()
+	}
+	serial := NewRegistry()
+	serial.SetExperiment("conc")
+	record(serial, 0, 1)
+	want := render(serial)
+
+	parent := NewRegistry()
+	parent.SetExperiment("conc")
+	forks := make([]*Registry, workers)
+	var wg sync.WaitGroup
+	for w := range forks {
+		forks[w] = parent.Fork()
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			record(forks[w], w, workers)
+		}(w)
+	}
+	wg.Wait()
+	forward, backward := parent, parent.Fork()
+	for w := range forks {
+		forward.Absorb(forks[w])
+		backward.Absorb(forks[workers-1-w])
+	}
+	for _, r := range []*Registry{forward, backward} {
+		if got := render(r); got != want {
+			t.Fatalf("absorbed forks differ from one writer:\n%s\nvs\n%s", got, want)
+		}
+	}
+}
+
+func TestForkAbsorb(t *testing.T) {
+	var none *Registry
+	if none.Fork() != nil {
+		t.Fatal("a nil registry must fork to nil")
+	}
+	none.Absorb(NewRegistry())
+	r := NewRegistry()
+	r.SetExperiment("figX")
+	r.Absorb(nil)
+	r.Count("m0", "nic", "doorbells", 3)
+	r.Hist("m0", "qpi", "wait").Observe(100)
+	before := r.Snapshot()
+
+	r.Absorb(r.Fork())
+	if after := r.Snapshot(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("absorbing an empty fork changed the registry:\n%+v\nvs\n%+v", after, before)
+	}
+
+	f := r.Fork()
+	f.Count("m0", "nic", "doorbells", 4)
+	f.Count("m1", "nic", "doorbells", 2)
+	f.Hist("m0", "qpi", "wait").Observe(5)
+	f.Hist("m0", "qpi", "wait").Observe(3000)
+	f.Hist("m1", "qpi", "wait").Observe(7)
+	r.Absorb(f)
+
+	s := r.Snapshot()
+	for _, c := range s.Counters {
+		if c.Experiment != "figX" {
+			t.Fatalf("fork lost the experiment label: %+v", c)
+		}
+	}
+	if len(s.Counters) != 2 || s.Counters[0].Value != 7 || s.Counters[1].Value != 2 {
+		t.Fatalf("counters did not add: %+v", s.Counters)
+	}
+	var want Histogram
+	for _, v := range []sim.Duration{100, 5, 3000} {
+		want.Observe(v)
+	}
+	if got := *r.Hist("m0", "qpi", "wait"); got != want {
+		t.Fatalf("merged histogram %+v, want %+v", got, want)
+	}
+	if len(s.Hists) != 2 || s.Hists[0].Count != 3 || s.Hists[0].Sum != 3105 ||
+		s.Hists[0].Min != 5 || s.Hists[0].Max != 3000 || s.Hists[1].Count != 1 {
+		t.Fatalf("merged snapshot wrong: %+v", s.Hists)
+	}
 }
 
 func TestSnapshotRender(t *testing.T) {

@@ -42,7 +42,7 @@ type stageRecorder struct {
 
 // e2eSlot is the hists column of the end-to-end stream, one past the
 // pipeline stages.
-const e2eSlot = int(StageCompleted) + 1
+const e2eSlot = StageCompleted + 1
 
 // verbsComponents interns the "verbs/<opcode>" telemetry component names so
 // resolving a stream never concatenates (a test pins them to Opcode.String).
@@ -71,12 +71,17 @@ func newStageRecorder(reg *telemetry.Registry, tl *telemetry.Timeline, machine s
 }
 
 // hist resolves (and caches) the histogram for one (opcode, stage) stream.
-// slot is the stage index, or e2eSlot for the end-to-end stream.
-func (m *stageRecorder) hist(op Opcode, slot int, stage string) *telemetry.Histogram {
-	h := m.hists[op][slot]
+// st is the stage, or e2eSlot for the end-to-end stream; the stream's name
+// is resolved only on a cache miss.
+func (m *stageRecorder) hist(op Opcode, st Stage) *telemetry.Histogram {
+	h := m.hists[op][st]
 	if h == nil {
-		h = m.reg.Hist(m.machine, verbsComponents[op], stage)
-		m.hists[op][slot] = h
+		name := "e2e"
+		if st != e2eSlot {
+			name = st.String()
+		}
+		h = m.reg.Hist(m.machine, verbsComponents[op], name)
+		m.hists[op][st] = h
 	}
 	return h
 }
@@ -99,13 +104,13 @@ func (m *stageRecorder) stage(st Stage, at sim.Time) {
 	if !m.active || at < m.prev {
 		return
 	}
-	name, dur := st.String(), at-m.prev
+	dur := at - m.prev
 	if m.reg != nil {
-		m.hist(m.opcode, int(st), name).Observe(dur)
+		m.hist(m.opcode, st).Observe(dur)
 	}
 	if m.tl != nil {
 		m.tl.Record(telemetry.Span{
-			Name:  name,
+			Name:  st.String(),
 			Cat:   m.opcode.String(),
 			PID:   m.pid,
 			TID:   m.tid,
@@ -130,7 +135,7 @@ func (m *stageRecorder) end(at sim.Time) {
 	}
 	m.stage(StageCompleted, at)
 	if m.reg != nil && at >= m.start {
-		m.hist(m.opcode, e2eSlot, "e2e").Observe(at - m.start)
+		m.hist(m.opcode, e2eSlot).Observe(at - m.start)
 	}
 	if m.tr != nil {
 		m.tr.End = at
