@@ -106,11 +106,18 @@ func Run(id string, scale float64, opts Options) (*Report, error) {
 		r.reg = telemetry.NewRegistry()
 		r.reg.SetExperiment(id)
 	}
+	return r.report(d)
+}
+
+// report runs d and returns its report with the run's counters. Every
+// cluster the run built is settled, and so released, by the time it
+// returns, whether d succeeded or not.
+func (r *run) report(d driver) (*Report, error) {
 	rep, err := d(r)
+	r.settle()
 	if err != nil {
 		return nil, err
 	}
-	r.settle()
 	rep.Faults, rep.Rel = r.tally.faults, r.tally.rel
 	if r.reg != nil {
 		rep.Metrics = r.reg.Snapshot()
@@ -157,8 +164,8 @@ func (r *run) newPair(remoteBytes int) (*pairEnv, error) {
 	}
 	// Spans beyond 1 MB use sparse backing: the full virtual extent drives
 	// the translation cache, the bytes alias a 1 MB physical buffer. The
-	// pair's workloads only time their accesses, and a dense default pair
-	// would zero 8 MB of host memory per sweep point.
+	// pair's workloads only time their accesses, and a dense pair would
+	// fault in every page its random sweeps touch (see mem.AllocSparse).
 	alloc := func(m int, size int) (*mem.Region, error) {
 		if size > 1<<20 {
 			return cl.Machine(m).Space().AllocSparse(1, size, 1<<20)

@@ -181,10 +181,10 @@ func (r *run) build(cfg cluster.Config) (*cluster.Cluster, error) {
 }
 
 // settle adds the counters of the clusters r built to the run's tally, folds
-// them into the registry when metrics are on, and lets the clusters go. Call
-// it once nothing simulates them any more: points does so when a point
-// returns, and a point that measures on several clusters in turn calls it
-// between them, so only one is ever live.
+// them into the registry when metrics are on, and releases the clusters'
+// memory. Call it once nothing simulates them any more: points does so when
+// a point returns, and a point that measures on several clusters in turn
+// calls it between them, so only one is ever live.
 func (r *run) settle() {
 	var faults fabric.FaultStats
 	var rel rnic.RelCounters
@@ -194,6 +194,7 @@ func (r *run) settle() {
 		for i := 0; i < cl.Size(); i++ {
 			rel.Add(*cl.Machine(i).NIC().Rel())
 		}
+		cl.Release()
 	}
 	r.clusters = nil
 	r.tally.mu.Lock()

@@ -9,10 +9,10 @@ import (
 
 // points runs fn for every index in [0, n) and returns the results in index
 // order. Up to r.parallel points run at once, each on its own copy of r that
-// settles as soon as the point returns, so a finished point's clusters are
-// garbage at once. Each copy records its telemetry into its own fork of the
-// run's registry, absorbed after the point settles, so no two points ever
-// write one histogram. Points must be independent: each builds its own clusters
+// settles as soon as the point returns, so a finished point's clusters hand
+// their memory back at once. Each copy records its telemetry into its own
+// fork of the run's registry, absorbed after the point settles, so no two
+// points ever write one histogram. Points must be independent: each builds its own clusters
 // through the run it is handed and writes only its own result. Clusters are
 // hermetic (no package-level state anywhere under internal/sim,
 // internal/cluster or internal/verbs), so points race only on wall-clock and

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"rdmasem/internal/cluster"
+	"rdmasem/internal/mem"
 )
 
 // testRun resolves the default options at the given sweep width.
@@ -114,6 +116,50 @@ func TestSweepPointsOwnTheirClusters(t *testing.T) {
 			t.Fatalf("width %d: a point building on its parent run went unnoticed", width)
 		}
 		r.clusters = nil
+	}
+}
+
+// TestRunReleasesEveryCluster: by the time a run returns, every cluster it
+// built, in a sweep point or on the run itself, has released its memory: no
+// region keeps its bytes or its mapping.
+func TestRunReleasesEveryCluster(t *testing.T) {
+	for _, width := range []int{1, 4} {
+		var mu sync.Mutex
+		var regions []*mem.Region
+		keep := func(env *pairEnv) {
+			mu.Lock()
+			defer mu.Unlock()
+			regions = append(regions, env.mrA.Region(), env.mrB.Region(), env.staging.Region())
+		}
+		_, err := testRun(t, width).report(func(r *run) (*Report, error) {
+			env, err := r.newPair(1 << 20)
+			if err != nil {
+				return nil, err
+			}
+			keep(env)
+			_, err = points(r, 4, func(p *run, i int) (int, error) {
+				env, err := p.newPair(1 << 22)
+				if err == nil {
+					keep(env)
+				}
+				return i, err
+			})
+			return &Report{}, err
+		})
+		if err != nil {
+			t.Fatalf("width %d: %v", width, err)
+		}
+		if len(regions) != 15 {
+			t.Fatalf("width %d: kept %d regions, want 15", width, len(regions))
+		}
+		for _, rg := range regions {
+			if rg.Bytes() != nil {
+				t.Fatalf("width %d: %d-byte region at %#x not released", width, rg.Size(), rg.Addr())
+			}
+			if _, err := rg.Slice(rg.Addr(), 8); !errors.Is(err, mem.ErrReleased) {
+				t.Fatalf("width %d: access after release: %v", width, err)
+			}
+		}
 	}
 }
 

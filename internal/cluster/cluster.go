@@ -238,6 +238,17 @@ func (c *Cluster) FoldTelemetry() {
 	ffold("crash-drops", fs.CrashDrops)
 }
 
+// Release hands back the host memory behind every machine's simulated
+// memory (mem.Space.Release). Call it once nothing simulates the cluster any
+// more; later accesses to its memory return mem.ErrReleased. A cluster that
+// is dropped unreleased gives its memory back when the garbage collector
+// finalizes its regions.
+func (c *Cluster) Release() {
+	for _, m := range c.machines {
+		m.space.Release()
+	}
+}
+
 // Config returns the cluster configuration.
 func (c *Cluster) Config() Config { return c.cfg }
 

@@ -7,10 +7,28 @@
 // Data movement through this package is real: RDMA verbs copy actual bytes
 // between Spaces, which lets the application-level tests check correctness
 // of hashtable contents, shuffle output, join results and log records.
+//
+// A region's bytes come from one of two backings, chosen by build and size.
+// On unix builds other than AIX, without the race detector, a region of at
+// least 64 KiB is an anonymous private mapping: the kernel zero-fills each
+// page the first time an op touches it, so host CPU and RSS follow the bytes
+// a run writes, not the bytes it registers (real RNICs register memory they
+// never fault in either). Every other region is a Go slice. Race builds
+// always use Go slices, because the race detector watches only Go-heap and
+// data addresses and would silently stop checking accesses to mapped bytes.
+//
+// Mapped memory is not the garbage collector's to reclaim. Space.Release
+// hands every region's bytes back once nothing simulates the space any
+// more, and a finalizer on each mapped region does so for spaces that are
+// dropped without it. After Release every access returns ErrReleased, in
+// every build. A slice from Bytes or Slice is valid only while its Region
+// is reachable and unreleased.
 package mem
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 
 	"rdmasem/internal/topo"
@@ -19,6 +37,13 @@ import (
 // PageSize is the translation granularity used by MR registration and the
 // RNIC's SRAM translation cache (standard 4 KB pages).
 const PageSize = 4096
+
+// mapMin is the smallest backing that is mapped rather than taken from the
+// Go heap (where the build maps at all; see mapAnon).
+const mapMin = 64 << 10
+
+// ErrReleased is returned for any access to a region of a released Space.
+var ErrReleased = errors.New("mem: region released")
 
 // Addr is a virtual address within one machine's Space.
 type Addr uint64
@@ -34,10 +59,12 @@ func (a Addr) Page() uint64 { return uint64(a) / PageSize }
 // Figure 6 region) without the host memory: addresses and page numbers are
 // real, the bytes wrap.
 type Region struct {
-	addr    Addr
-	socket  topo.SocketID
-	buf     []byte
-	virtual int // sparse: virtual size; 0 for dense regions
+	addr   Addr
+	socket topo.SocketID
+	size   int    // the region's extent; the virtual span when sparse
+	buf    []byte // nil once released
+	sparse bool
+	mapped bool // buf is an anonymous mapping, unmapped by free
 }
 
 // Addr returns the region's base address.
@@ -45,24 +72,18 @@ func (r *Region) Addr() Addr { return r.addr }
 
 // Size returns the region length in bytes (the virtual span for sparse
 // regions).
-func (r *Region) Size() int {
-	if r.virtual > 0 {
-		return r.virtual
-	}
-	return len(r.buf)
-}
-
-// Sparse reports whether the region aliases a small physical backing.
-func (r *Region) Sparse() bool { return r.virtual > 0 }
+func (r *Region) Size() int { return r.size }
 
 // Socket returns the NUMA socket whose DRAM backs the region.
 func (r *Region) Socket() topo.SocketID { return r.socket }
 
 // End returns the first address past the region.
-func (r *Region) End() Addr { return r.addr + Addr(r.Size()) }
+func (r *Region) End() Addr { return r.addr + Addr(r.size) }
 
-// Bytes returns the backing storage. Mutating it is equivalent to local CPU
-// stores into the region.
+// Bytes returns the backing storage, or nil once the region's Space is
+// released. Mutating it is equivalent to local CPU stores into the region.
+// The slice is valid only while the Region is reachable: hold the Region
+// (or the MR that registers it) for as long as the slice is used.
 func (r *Region) Bytes() []byte { return r.buf }
 
 // Contains reports whether [addr, addr+size) lies inside the region.
@@ -72,16 +93,51 @@ func (r *Region) Contains(addr Addr, size int) bool {
 
 // Slice returns the size bytes starting at addr, which must lie within the
 // region. For sparse regions the returned bytes alias the wrapped physical
-// backing.
+// backing, so an access may be no larger than the backing. The slice is
+// valid only while the Region is reachable (see Bytes).
 func (r *Region) Slice(addr Addr, size int) ([]byte, error) {
 	if !r.Contains(addr, size) {
-		return nil, fmt.Errorf("mem: [%#x,+%d) outside region [%#x,+%d)", addr, size, r.addr, r.Size())
+		return nil, fmt.Errorf("mem: [%#x,+%d) outside region [%#x,+%d)", addr, size, r.addr, r.size)
+	}
+	if r.buf == nil {
+		return nil, fmt.Errorf("mem: access [%#x,+%d): %w", addr, size, ErrReleased)
 	}
 	off := int(addr - r.addr)
-	if r.virtual > 0 && len(r.buf) > size {
-		off %= len(r.buf) - size
+	if r.sparse {
+		switch n := len(r.buf); {
+		case size > n:
+			return nil, fmt.Errorf("mem: access [%#x,+%d) exceeds the %d-byte backing of sparse region [%#x,+%d)", addr, size, n, r.addr, r.size)
+		case size < n:
+			off %= n - size
+		default:
+			off = 0
+		}
 	}
 	return r.buf[off : off+size], nil
+}
+
+// back gives r n bytes of zeroed backing, mapped when n is at least mapMin
+// and the build maps memory, and from the Go heap otherwise.
+func (r *Region) back(n int) {
+	if n >= mapMin {
+		if r.buf = mapAnon(n); r.buf != nil {
+			r.mapped = true
+			runtime.SetFinalizer(r, (*Region).free)
+			return
+		}
+	}
+	r.buf = make([]byte, n)
+}
+
+// free returns the region's backing: unmaps it (and drops the finalizer
+// that would) if mapped, else leaves it to the garbage collector.
+func (r *Region) free() {
+	if r.mapped {
+		runtime.SetFinalizer(r, nil)
+		unmap(r.buf)
+		r.mapped = false
+	}
+	r.buf = nil
 }
 
 // Space is one machine's memory: a bump allocator per socket plus an index of
@@ -136,7 +192,8 @@ func (s *Space) Alloc(socket topo.SocketID, size int, align uint64) (*Region, er
 		return nil, fmt.Errorf("mem: socket %d out of memory (%d bytes requested)", socket, size)
 	}
 	s.next[int(socket)] = base + uint64(size)
-	r := &Region{addr: Addr(base), socket: socket, buf: make([]byte, size)}
+	r := &Region{addr: Addr(base), socket: socket, size: size}
+	r.back(size)
 	s.insert(r)
 	return r, nil
 }
@@ -145,6 +202,14 @@ func (s *Space) Alloc(socket topo.SocketID, size int, align uint64) (*Region, er
 // bytes of physical storage (both page aligned). Use it for timing-only
 // benchmarks over huge registered regions; reads and writes alias into the
 // backing.
+//
+// Sparse regions are the one exception to demand-zero backing. A dense
+// mapped region pays a page fault for every page an op first touches, and
+// the random-access sweeps fault in most of their span: on a 2-CPU x86-64
+// VM, backing the microbenchmark pair's regions densely made fig6 at scale
+// 0.25 cost 1.30 s of CPU instead of 0.56 s (system time 0.73 s instead of
+// 0.07 s, nearly all page faults) and raised its peak RSS from 9.9 to
+// 20.7 MB. A sparse region touches at most its backing.
 func (s *Space) AllocSparse(socket topo.SocketID, virtualSize, backing int) (*Region, error) {
 	if socket < 0 || int(socket) >= s.sockets {
 		return nil, fmt.Errorf("mem: socket %d out of range [0,%d)", socket, s.sockets)
@@ -158,7 +223,8 @@ func (s *Space) AllocSparse(socket topo.SocketID, virtualSize, backing int) (*Re
 		return nil, fmt.Errorf("mem: socket %d out of address space for sparse %d", socket, virtualSize)
 	}
 	s.next[int(socket)] = base + uint64(virtualSize)
-	r := &Region{addr: Addr(base), socket: socket, buf: make([]byte, backing), virtual: virtualSize}
+	r := &Region{addr: Addr(base), socket: socket, size: virtualSize, sparse: true}
+	r.back(backing)
 	s.insert(r)
 	return r, nil
 }
@@ -171,6 +237,17 @@ func (s *Space) insert(r *Region) {
 	s.regions[i] = r
 }
 
+// Release hands back the bytes of every region in the space: mapped
+// backings are unmapped, the rest are left to the garbage collector. Call it
+// once nothing simulates the space any more. Addresses still resolve, but
+// every later Slice, ReadAt or WriteAt returns ErrReleased and Bytes returns
+// nil. Releasing twice is harmless.
+func (s *Space) Release() {
+	for _, r := range s.regions {
+		r.free()
+	}
+}
+
 // Resolve returns the region containing [addr, addr+size).
 func (s *Space) Resolve(addr Addr, size int) (*Region, error) {
 	i := sort.Search(len(s.regions), func(i int) bool { return s.regions[i].addr > addr })
@@ -179,7 +256,7 @@ func (s *Space) Resolve(addr Addr, size int) (*Region, error) {
 	}
 	r := s.regions[i-1]
 	if !r.Contains(addr, size) {
-		return nil, fmt.Errorf("mem: access [%#x,+%d) escapes region [%#x,+%d)", addr, size, r.addr, len(r.buf))
+		return nil, fmt.Errorf("mem: access [%#x,+%d) escapes region [%#x,+%d)", addr, size, r.addr, r.size)
 	}
 	return r, nil
 }
@@ -219,11 +296,4 @@ func (s *Space) WriteAt(addr Addr, p []byte) error {
 	}
 	copy(dst, p)
 	return nil
-}
-
-// Regions returns the live regions in address order.
-func (s *Space) Regions() []*Region {
-	out := make([]*Region, len(s.regions))
-	copy(out, s.regions)
-	return out
 }

@@ -2,7 +2,10 @@ package mem
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -222,23 +225,25 @@ func TestReadBackProperty(t *testing.T) {
 	}
 }
 
-func TestRegionsSortedCopy(t *testing.T) {
+// TestResolveSortedIndex: regions allocated out of address order still
+// resolve, because the index stays sorted by base address.
+func TestResolveSortedIndex(t *testing.T) {
 	s := newSpace(t)
-	s.Alloc(1, 64, 0)
-	s.Alloc(0, 64, 0)
-	s.Alloc(0, 64, 0)
-	rs := s.Regions()
-	if len(rs) != 3 {
-		t.Fatalf("got %d regions", len(rs))
-	}
-	for i := 1; i < len(rs); i++ {
-		if rs[i-1].Addr() >= rs[i].Addr() {
-			t.Fatal("regions not sorted")
+	var regions []*Region
+	for _, sock := range []topo.SocketID{1, 0, 1, 0, 0} {
+		r, err := s.Alloc(sock, 64, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
+		regions = append(regions, r)
 	}
-	rs[0] = nil // mutating the copy must not corrupt the space
-	if s.Regions()[0] == nil {
-		t.Fatal("Regions returned internal slice")
+	for i, r := range regions {
+		for _, addr := range []Addr{r.Addr(), r.End() - 1} {
+			got, err := s.Resolve(addr, 1)
+			if err != nil || got != r {
+				t.Fatalf("region %d: Resolve(%#x) = %p, %v; want %p", i, addr, got, err, r)
+			}
+		}
 	}
 }
 
@@ -250,9 +255,6 @@ func TestAllocSparse(t *testing.T) {
 	r, err := s.AllocSparse(1, 1<<30, 1<<20)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !r.Sparse() {
-		t.Fatal("region should report sparse")
 	}
 	if r.Size() != 1<<30 {
 		t.Fatalf("virtual size %d", r.Size())
@@ -302,10 +304,197 @@ func TestAllocSparseValidation(t *testing.T) {
 	}
 }
 
+// TestDenseRegionNotSparse: a dense region's backing spans its whole extent,
+// so an access at its end lands at its end rather than wrapping.
 func TestDenseRegionNotSparse(t *testing.T) {
 	s, _ := NewSpace(1, 1<<20)
 	r, _ := s.Alloc(0, 4096, 0)
-	if r.Sparse() {
-		t.Fatal("dense region misreported as sparse")
+	if len(r.Bytes()) != r.Size() {
+		t.Fatalf("dense backing %d bytes for a %d-byte region", len(r.Bytes()), r.Size())
+	}
+	if err := s.WriteAt(r.End()-8, []byte("dense!!!")); err != nil {
+		t.Fatal(err)
+	}
+	if got := string(r.Bytes()[r.Size()-8:]); got != "dense!!!" {
+		t.Fatalf("end of region holds %q", got)
+	}
+}
+
+// TestSparseAccessBounds: an access larger than a sparse region's backing is
+// an error, not a slice panic, and a rejected access reports the region's
+// virtual size.
+func TestSparseAccessBounds(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		off     Addr
+		size    int
+		wantErr string // "" = the access succeeds
+	}{
+		{"larger than backing", 4096, 2 << 20, "exceeds the 1048576-byte backing"},
+		{"backing plus one", 0, 1<<20 + 1, "exceeds the 1048576-byte backing"},
+		{"whole backing off base", 4096, 1 << 20, ""},
+		{"whole backing at end", 7 << 20, 1 << 20, ""},
+		{"past the virtual end", 8<<20 - 4, 8, "escapes region [0x1000,+8388608)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := NewSpace(1, 1<<30)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := s.AllocSparse(0, 8<<20, 1<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = s.WriteAt(r.Addr()+tc.off, make([]byte, tc.size))
+			switch {
+			case tc.wantErr == "" && err != nil:
+				t.Fatalf("unexpected error: %v", err)
+			case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+				t.Fatalf("error %v, want one containing %q", err, tc.wantErr)
+			}
+			if err := s.ReadAt(r.Addr()+tc.off, make([]byte, tc.size)); (err == nil) != (tc.wantErr == "") {
+				t.Fatalf("ReadAt disagrees with WriteAt: %v", err)
+			}
+		})
+	}
+}
+
+// mapsMemory reports whether this build backs large regions with mappings.
+func mapsMemory() bool {
+	b := mapAnon(mapMin)
+	if b != nil {
+		unmap(b)
+	}
+	return b != nil
+}
+
+// TestBackingBySize: regions from mapMin bytes up are mapped where the build
+// maps memory; smaller ones and every region of other builds are Go slices.
+func TestBackingBySize(t *testing.T) {
+	s := newSpace(t)
+	maps := mapsMemory()
+	for _, tc := range []struct {
+		size   int
+		mapped bool
+	}{
+		{mapMin - PageSize, false},
+		{mapMin, maps},
+		{64 << 20, maps},
+	} {
+		r, err := s.Alloc(0, tc.size, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.mapped != tc.mapped {
+			t.Errorf("%d-byte region: mapped=%v, want %v", tc.size, r.mapped, tc.mapped)
+		}
+	}
+	sp, err := s.AllocSparse(1, 256<<20, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sp.mapped != maps {
+		t.Errorf("sparse backing: mapped=%v, want %v", sp.mapped, maps)
+	}
+	s.Release()
+}
+
+// TestLargeAllocReadsZero: a fresh region reads as zero everywhere, whichever
+// backing it got.
+func TestLargeAllocReadsZero(t *testing.T) {
+	s := newSpace(t)
+	r, err := s.Alloc(0, 16<<20, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Release()
+	got := make([]byte, 64<<10)
+	for off := 0; off < r.Size(); off += 4 << 20 {
+		if err := s.ReadAt(r.Addr()+Addr(off), got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, make([]byte, len(got))) {
+			t.Fatalf("fresh region not zero at +%d", off)
+		}
+	}
+	if b := r.Bytes(); b[0] != 0 || b[len(b)-1] != 0 {
+		t.Fatal("fresh region not zero at its ends")
+	}
+}
+
+// TestRoundTripAtRegionEnds: bytes written at both ends of a large dense
+// region and of a sparse region read back intact.
+func TestRoundTripAtRegionEnds(t *testing.T) {
+	s, err := NewSpace(2, 1<<32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Release()
+	dense, err := s.Alloc(0, 4<<20, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparse, err := s.AllocSparse(1, 1<<30, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*Region{dense, sparse} {
+		for i, addr := range []Addr{r.Addr(), r.End() - 16} {
+			msg := []byte(fmt.Sprintf("end %d of %#x", i, r.Addr()))[:16]
+			if err := s.WriteAt(addr, msg); err != nil {
+				t.Fatal(err)
+			}
+			got := make([]byte, len(msg))
+			if err := s.ReadAt(addr, got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, msg) {
+				t.Fatalf("round trip at %#x: got %q, want %q", addr, got, msg)
+			}
+		}
+	}
+}
+
+// TestReleaseContract: after Release, every access to every kind of region
+// fails with ErrReleased and Bytes is nil; addresses still resolve, and
+// releasing again, or releasing an empty space, is a no-op.
+func TestReleaseContract(t *testing.T) {
+	var empty Space
+	empty.Release()
+	s := newSpace(t)
+	s.Release()
+	small, _ := s.Alloc(0, 256, 0)
+	large, _ := s.Alloc(0, 1<<20, 0)
+	sparse, err := s.AllocSparse(1, 256<<20, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*Region{small, large, sparse} {
+		if err := s.WriteAt(r.Addr(), []byte("live")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		s.Release()
+		for _, r := range []*Region{small, large, sparse} {
+			if r.Bytes() != nil {
+				t.Fatalf("release %d: %d-byte region still has bytes", i, r.Size())
+			}
+			if r.mapped {
+				t.Fatalf("release %d: %d-byte region still mapped", i, r.Size())
+			}
+			if _, err := r.Slice(r.Addr(), 4); !errors.Is(err, ErrReleased) {
+				t.Fatalf("release %d: Slice err = %v", i, err)
+			}
+			if err := s.ReadAt(r.Addr(), make([]byte, 4)); !errors.Is(err, ErrReleased) {
+				t.Fatalf("release %d: ReadAt err = %v", i, err)
+			}
+			if err := s.WriteAt(r.Addr(), []byte("dead")); !errors.Is(err, ErrReleased) {
+				t.Fatalf("release %d: WriteAt err = %v", i, err)
+			}
+			if got, err := s.Resolve(r.Addr(), r.Size()); err != nil || got != r {
+				t.Fatalf("release %d: Resolve = %p, %v", i, got, err)
+			}
+		}
 	}
 }
