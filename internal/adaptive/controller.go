@@ -1,8 +1,8 @@
-// Package adaptive is the online counterpart of core.Plan: per-QP
+// Package adaptive applies the paper's Table I guidance online: per-QP
 // controllers that retune the paper's optimizations — batching strategy,
 // consolidation θ, doorbell list depth — from measured behavior instead of a
-// hand-written workload description (ROADMAP item 4; RDMAbox's adaptive IO
-// merging is the model).
+// hand-written workload description (RDMAbox's adaptive IO merging is the
+// model).
 //
 // The controller divides virtual time into fixed epochs. Every runtime
 // operation first advances the controller to the current epoch; an epoch

@@ -301,68 +301,3 @@ func (e *Engine) AppendPayload(now sim.Time, payloads [][]byte) (uint64, sim.Tim
 
 // Stats reports batches appended and CPU burned.
 func (e *Engine) Stats() (appends int64, cpu sim.Duration) { return e.appends, e.cpu }
-
-// Reader scans the global log over one-sided RDMA READs — the recovery path
-// of the paper's scenario (III): a replica replays the totally ordered
-// records without involving the log host's CPU.
-type Reader struct {
-	log     *Log
-	qp      *verbs.QP
-	buf     *verbs.MR
-	perRead int // records fetched per READ
-}
-
-// NewReader creates a reader on the given machine socket that fetches
-// perRead records per RDMA READ.
-func NewReader(m *cluster.Machine, socket topo.SocketID, l *Log, perRead int) (*Reader, error) {
-	if perRead < 1 {
-		return nil, fmt.Errorf("dlog: perRead must be >= 1")
-	}
-	ctx := verbs.NewContext(m)
-	port := m.SocketPort(socket)
-	qp, _, err := verbs.Connect(ctx, port, l.ctx, l.ctx.Machine().SocketPort(l.ctx.Machine().Topology().NICSocket()), verbs.RC)
-	if err != nil {
-		return nil, err
-	}
-	buf, err := m.Alloc(socket, perRead*l.cfg.RecordSize, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &Reader{log: l, qp: qp, buf: ctx.MustRegisterMR(buf), perRead: perRead}, nil
-}
-
-// Replay reads records [from, to) in perRead-sized READs, invoking fn for
-// each record with its sequence number. It returns the completion time of
-// the scan.
-func (r *Reader) Replay(now sim.Time, from, to uint64, fn func(seq uint64, record []byte) error) (sim.Time, error) {
-	if to < from {
-		return 0, fmt.Errorf("dlog: bad replay range [%d,%d)", from, to)
-	}
-	rs := r.log.cfg.RecordSize
-	for seq := from; seq < to; seq += uint64(r.perRead) {
-		n := int(to - seq)
-		if n > r.perRead {
-			n = r.perRead
-		}
-		comp, err := r.qp.PostSend(now, &verbs.SendWR{
-			Opcode:     verbs.OpRead,
-			SGL:        []verbs.SGE{{Addr: r.buf.Addr(), Length: n * rs, MR: r.buf}},
-			RemoteAddr: r.log.logMR.Addr() + mem.Addr(int(seq)*rs),
-			RemoteKey:  r.log.logMR.RKey(),
-		})
-		if err == nil {
-			err = comp.Err()
-		}
-		if err != nil {
-			return 0, fmt.Errorf("dlog: replay READ at seq %d failed: %w", seq, err)
-		}
-		now = comp.Done
-		for i := 0; i < n; i++ {
-			rec := r.buf.Region().Bytes()[i*rs : (i+1)*rs]
-			if err := fn(seq+uint64(i), rec); err != nil {
-				return 0, err
-			}
-		}
-	}
-	return now, nil
-}

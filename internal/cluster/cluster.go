@@ -273,19 +273,6 @@ func (c *Cluster) Machines() []*Machine {
 // Fabric returns the shared switch fabric.
 func (c *Cluster) Fabric() *fabric.Fabric { return c.fab }
 
-// Reset clears all queues, caches and link state across the cluster, keeping
-// memory contents and registrations (used between measurement phases).
-func (c *Cluster) Reset() {
-	c.fab.Reset()
-	for _, m := range c.machines {
-		m.nic.Reset()
-		m.qpi.Reset()
-		if m.cm != nil {
-			m.cm.Reset()
-		}
-	}
-}
-
 // ID returns the machine's index within its cluster.
 func (m *Machine) ID() int { return m.id }
 

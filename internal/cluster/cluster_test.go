@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"testing"
-
-	"rdmasem/internal/sim"
-)
+import "testing"
 
 func TestDefaultConfigBuildsPaperTestbed(t *testing.T) {
 	c, err := New(DefaultConfig())
@@ -114,26 +110,5 @@ func TestAllocRoutesToSocket(t *testing.T) {
 	}
 	if _, err := m.Alloc(9, 64, 0); err == nil {
 		t.Fatal("expected bad-socket error")
-	}
-}
-
-func TestClusterReset(t *testing.T) {
-	c, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := c.Machine(0)
-	m.NIC().Translate(4096, 64)
-	m.QPI().Delay(0, 1024)
-	c.Fabric().Send(0, m.Endpoint(0), c.Machine(1).Endpoint(0), 4096)
-	c.Reset()
-	if m.NIC().TranslationCache().Len() != 0 {
-		t.Fatal("NIC cache survived reset")
-	}
-	if m.QPI().Busy() != 0 {
-		t.Fatal("QPI survived reset")
-	}
-	if m.Endpoint(0).TxUtilization(sim.Second) != 0 {
-		t.Fatal("fabric link survived reset")
 	}
 }

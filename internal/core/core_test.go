@@ -148,25 +148,6 @@ func TestBatcherSPStagingOverflow(t *testing.T) {
 	}
 }
 
-func TestAdviseTableI(t *testing.T) {
-	cases := []struct {
-		h    Hints
-		want Strategy
-	}{
-		{Hints{MinimalChanges: true, FragmentBytes: 64, BatchSize: 4}, Doorbell},
-		{Hints{CPUConstrained: true, FragmentBytes: 64, BatchSize: 4}, SGL},
-		{Hints{CPUConstrained: true, FragmentBytes: 4096, BatchSize: 4}, Doorbell},
-		{Hints{FragmentBytes: 64, BatchSize: 8}, SGL},
-		{Hints{FragmentBytes: 64, BatchSize: 32}, SP},
-		{Hints{FragmentBytes: 4096, BatchSize: 4}, SP},
-	}
-	for i, c := range cases {
-		if got := Advise(c.h); got != c.want {
-			t.Errorf("case %d: Advise(%+v)=%v, want %v", i, c.h, got, c.want)
-		}
-	}
-}
-
 func TestConsolidatorFlushesAtTheta(t *testing.T) {
 	e := newEnv(t)
 	c, err := NewConsolidator(ConsolidatorConfig{

@@ -228,64 +228,3 @@ func TestConsolidatorRetuneValidation(t *testing.T) {
 		t.Fatalf("failed retunes must not change theta, got %d", got)
 	}
 }
-
-func TestBatchGainMonotonePerStrategy(t *testing.T) {
-	for _, s := range []Strategy{SP, Doorbell, SGL} {
-		if g := batchGain(s, 1); g != 1 {
-			t.Fatalf("%s: gain at n=1 is %v, want 1 (no batch, no gain)", s, g)
-		}
-		prev := 1.0
-		for n := 2; n <= 64; n++ {
-			g := batchGain(s, n)
-			if g < prev {
-				t.Fatalf("%s: gain not monotone at n=%d (%v < %v)", s, n, g, prev)
-			}
-			prev = g
-		}
-	}
-	// The old discontinuities, pinned shut: Doorbell at n=2 gets a modest
-	// MMIO saving, not the full 1.5x asymptote; the 8x pipeline cap is flat
-	// across the n=8/n=9 boundary.
-	if g := batchGain(Doorbell, 2); g <= 1 || g >= 1.3 {
-		t.Fatalf("Doorbell gain at n=2 is %v, want a small step above 1", g)
-	}
-	if g := batchGain(Doorbell, 64); g >= 1.5 {
-		t.Fatalf("Doorbell gain must stay under its 1.5x asymptote, got %v", g)
-	}
-	if batchGain(SGL, 8) != 8 || batchGain(SGL, 9) != 8 {
-		t.Fatal("pipeline gain must be exactly 8x at both sides of the cap")
-	}
-}
-
-func TestPlanBoostMonotoneInBatchableOps(t *testing.T) {
-	// Three workload shapes, each pinning one strategy family across the
-	// whole sweep (Table I): boost must be non-decreasing in BatchableOps.
-	shapes := []struct {
-		name string
-		mk   func(n int) Workload
-	}{
-		{"doorbell", func(n int) Workload {
-			return Workload{AccessBytes: 64, BatchableOps: n, Rewritable: false}
-		}},
-		{"sgl", func(n int) Workload {
-			return Workload{AccessBytes: 64, BatchableOps: n, CPUBudget: false, Rewritable: true}
-		}},
-		{"sp", func(n int) Workload {
-			return Workload{AccessBytes: 1024, BatchableOps: n, CPUBudget: true, Rewritable: true}
-		}},
-	}
-	for _, sh := range shapes {
-		prev := 0.0
-		for n := 1; n <= 32; n++ {
-			r, err := Plan(sh.mk(n))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r.ExpectedBoost < prev {
-				t.Fatalf("%s: boost dropped at BatchableOps=%d (%v < %v)",
-					sh.name, n, r.ExpectedBoost, prev)
-			}
-			prev = r.ExpectedBoost
-		}
-	}
-}

@@ -262,31 +262,3 @@ func (b *Batcher) writeSGL(now sim.Time, frags []Fragment, remoteAddr mem.Addr) 
 	}
 	return BatchResult{Done: comp.Done, CPU: cpu, Requests: 1}, nil
 }
-
-// Hints describes a workload for strategy selection.
-type Hints struct {
-	BatchSize      int  // fragments per batch
-	FragmentBytes  int  // typical fragment size
-	CPUConstrained bool // caller cannot spare gather cycles
-	MinimalChanges bool // caller cannot restructure buffers (programmability)
-}
-
-// Advise codifies Table I: Doorbell when the code cannot change, SP for
-// maximum throughput when CPU is available, SGL otherwise — but SGL only in
-// its effective range (fragments under ~512 B, Section III-A's scalability
-// caveat).
-func Advise(h Hints) Strategy {
-	if h.MinimalChanges {
-		return Doorbell
-	}
-	if h.CPUConstrained {
-		if h.FragmentBytes <= 512 {
-			return SGL
-		}
-		return Doorbell
-	}
-	if h.FragmentBytes <= 512 && h.BatchSize <= 16 {
-		return SGL
-	}
-	return SP
-}

@@ -86,7 +86,7 @@ func (in *inbox) merge(arrival sim.Time, src int) {
 }
 
 // Deliveries reports how many segments have been merged into this endpoint's
-// inbox since the last Reset.
+// inbox.
 func (e *Endpoint) Deliveries() uint64 { return e.inbox.seq }
 
 // MergeHash reports the running order-witness hash of the endpoint's inbox:
@@ -186,16 +186,4 @@ func (f *Fabric) Send(now sim.Time, from, to *Endpoint, payload int) sim.Time {
 	to.inbox.merge(rxArrival, from.id)
 	_, rxEnd := to.rx.Transfer(rxArrival, wire)
 	return rxEnd
-}
-
-// Reset clears all link queues, inboxes and fault streams (between
-// experiment runs).
-func (f *Fabric) Reset() {
-	for _, e := range f.endpoints {
-		e.tx.Reset()
-		e.rx.Reset()
-		e.faultSeq = 0
-		e.faults = FaultStats{}
-		e.inbox = inbox{}
-	}
 }

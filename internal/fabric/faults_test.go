@@ -114,7 +114,7 @@ func TestDeliverLosslessMatchesSend(t *testing.T) {
 }
 
 // TestDeliverDeterminism: the same plan over the same traffic produces the
-// same verdict sequence, and Reset replays it.
+// same verdict sequence.
 func TestDeliverDeterminism(t *testing.T) {
 	plan := &FaultPlan{Seed: 42, Drop: 0.2, Corrupt: 0.1, DelayP: 0.3, Delay: 500}
 	run := func() ([]Verdict, []sim.Time) {
@@ -182,7 +182,8 @@ func TestDeliverChargesPipes(t *testing.T) {
 }
 
 // TestDeliverDelay: delayed segments arrive later than clean ones but are
-// still delivered, and Reset replays the identical delay stream.
+// still delivered, and a fresh fabric on the same plan replays the
+// identical delay stream.
 func TestDeliverDelay(t *testing.T) {
 	plan := &FaultPlan{Seed: 3, DelayP: 1, Delay: 10 * sim.Microsecond}
 	f := lossy(t, plan)
@@ -200,13 +201,11 @@ func TestDeliverDelay(t *testing.T) {
 	if f.FaultStats().Delays == 0 {
 		t.Fatal("delay not tallied")
 	}
-	f.Reset()
-	if f.FaultStats() != (FaultStats{}) {
-		t.Fatal("Reset must clear fault stats")
-	}
-	replay, _ := f.Deliver(0, a, b, 64)
+	f2 := lossy(t, plan)
+	a2, b2 := f2.Register("a"), f2.Register("b")
+	replay, _ := f2.Deliver(0, a2, b2, 64)
 	if replay != delayed {
-		t.Fatalf("post-Reset replay %v != %v", replay, delayed)
+		t.Fatalf("fresh-fabric replay %v != %v", replay, delayed)
 	}
 }
 

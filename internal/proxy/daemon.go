@@ -130,6 +130,9 @@ func (d *Daemon) Stats() (staged, direct int64) { return d.staged, d.direct }
 //
 // The caller's WR is not mutated; staged posts build a private copy.
 func (d *Daemon) Post(now sim.Time, conn int, wr *verbs.SendWR) (Delivery, error) {
+	if wr == nil {
+		return Delivery{}, verbs.ErrNilWR
+	}
 	if d.armed && now >= d.failAt {
 		if d.standby == nil {
 			return Delivery{}, fmt.Errorf("proxy: daemon dead at %v with no standby", now)

@@ -8,21 +8,20 @@ import (
 	"rdmasem/internal/verbs"
 )
 
-// FuzzConnTableDemux drives an arbitrary interleaving of single posts,
-// batched posts and pooled-QP failures through a connection table and
-// checks the demux invariants that make QP sharing safe:
+// FuzzConnTableDemux drives an arbitrary interleaving of single posts and
+// pooled-QP failures through a connection table and checks the demux
+// invariants that make QP sharing safe:
 //
 //   - exactly-once: every posted WR produces exactly one delivery, flushed
 //     or completed — none lost, none duplicated;
 //   - no cross-delivery: a delivery's connection always matches the WR ID
 //     the owning connection posted (the ID encodes the origin);
 //   - per-connection order: each connection sees its completions in its
-//     posting order, even when its WRs are spread over several batches.
+//     posting order, across pooled-QP failures.
 //
-// Byte protocol: 0xFF errors out the next pooled QP (round robin), 0xFE
-// flushes the pending batch, a byte with the high bit posts one WR
-// immediately, anything else appends a WR to the pending batch; the low
-// bits pick the connection.
+// Byte protocol: 0xFF errors out the next pooled QP (round robin), 0xFE is
+// a no-op, and any other byte posts one WR on the connection its low bits
+// pick.
 func FuzzConnTableDemux(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add([]byte{0x80, 0x81, 0xFE, 0, 1, 2, 0xFE})
@@ -40,7 +39,6 @@ func FuzzConnTableDemux(f *testing.F) {
 		seq := make([]uint64, conns)   // per-conn posted sequence
 		got := make([][]uint64, conns) // per-conn delivered WR IDs, in order
 		deadQP := 0
-		var batch []proxy.ConnWR
 		var posted, delivered uint64
 
 		checkDel := func(d proxy.Delivery) {
@@ -60,46 +58,21 @@ func FuzzConnTableDemux(f *testing.F) {
 			wr := e.sendWR(id, 32)
 			return wr
 		}
-		flush := func() {
-			if len(batch) == 0 {
-				return
-			}
-			dels, err := e.table.PostBatch(0, batch)
-			if err != nil && !errors.Is(err, verbs.ErrQPError) {
-				t.Fatalf("batch: %v", err)
-			}
-			if len(dels) != len(batch) {
-				t.Fatalf("batch of %d produced %d deliveries", len(batch), len(dels))
-			}
-			for _, d := range dels {
-				checkDel(d)
-			}
-			batch = batch[:0]
-		}
-
 		for _, b := range data {
 			switch {
 			case b == 0xFF:
 				e.pool[deadQP%poolSize].ForceError()
 				deadQP++
-			case b == 0xFE:
-				flush()
-			case b&0x80 != 0:
-				// A single post rings its doorbell now; anything still in
-				// the assembly batch must go first to keep posting order.
-				flush()
+			case b == 0xFE: // no-op
+			default:
 				conn := int(b) % conns
 				del, err := e.table.Post(0, conn, makeWR(conn))
 				if err != nil && !errors.Is(err, verbs.ErrQPError) {
 					t.Fatalf("post: %v", err)
 				}
 				checkDel(del)
-			default:
-				conn := int(b) % conns
-				batch = append(batch, proxy.ConnWR{Conn: conn, WR: makeWR(conn)})
 			}
 		}
-		flush()
 
 		if posted != delivered {
 			t.Fatalf("posted %d, delivered %d: completions lost or duplicated", posted, delivered)

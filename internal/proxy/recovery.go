@@ -57,7 +57,7 @@ type poolRecState struct {
 }
 
 // EnableRecovery arms the table with a recovery policy: every pooled QP
-// starts capturing failed WRs for replay, and Post/PostBatch run a recovery
+// starts capturing failed WRs for replay, and Post runs a recovery
 // episode instead of surfacing ErrQPError. The TTR histogram registers under
 // component "proxy/recovery" when the local machine has telemetry attached.
 func (t *Table) EnableRecovery(p RecoveryPolicy) error {
@@ -132,25 +132,26 @@ func (t *Table) survivors(qi int) []int {
 	return out
 }
 
-// recover runs one recovery episode for dead pool member qi. fail is when
-// the failure surfaced; failed holds the error-status completions of the
-// WRs captured in the dead QP's replay log, in the same order (their tags
-// are still pending — recovery, not the failing post, delivers them).
+// recover runs one recovery episode for dead pool member qi. failed is the
+// error-status completion of the one WR the failing post captured in the
+// dead QP's replay log; its tag is still pending — recovery, not the
+// failing post, delivers it — and its Done is when the failure surfaced.
 //
 // With Remap, the member's connections spread across the survivors
-// immediately and the captured WRs replay there; the reconnect walk then
-// only gates when the connections come home. Without Remap the WRs wait for
-// the reconnect itself. Either way every captured WR is delivered exactly
+// immediately and the captured WR replays there; the reconnect walk then
+// only gates when the connections come home. Without Remap the WR waits for
+// the reconnect itself. Either way the captured WR is delivered exactly
 // once: with its replayed completion on success, or with an authoritative
 // error status when recovery gave up (reconnect budget exhausted with no
 // survivor, or the replay failing again).
-func (t *Table) recover(fail sim.Time, qi int, failed []verbs.Completion) ([]Delivery, error) {
+func (t *Table) recover(qi int, failed verbs.Completion) (Delivery, error) {
 	rec := t.rec
+	fail := failed.Done
 	t.recStats.Episodes++
 	t.recQP[qi].reconnected = false
 	entries := t.pool[qi].TakeReplayLog()
-	if len(entries) != len(failed) {
-		return nil, fmt.Errorf("proxy: replay log holds %d WRs but %d failed completions surfaced", len(entries), len(failed))
+	if len(entries) != 1 {
+		return Delivery{}, fmt.Errorf("proxy: replay log holds %d WRs but one failed completion surfaced", len(entries))
 	}
 
 	if rec.Remap {
@@ -199,50 +200,41 @@ func (t *Table) recover(fail sim.Time, qi int, failed []verbs.Completion) ([]Del
 		t.recStats.GiveUps++
 	}
 
-	// Replay each captured WR on its connection's current QP: a survivor
+	// Replay the captured WR on its connection's current QP: a survivor
 	// when remapped, the reconnected member otherwise.
-	var out []Delivery
-	for i := range entries {
-		e := &entries[i]
-		conn := int(e.WR.ID>>32) - 1
-		target, at := t.conns[conn].qp, fail
-		if target == qi {
-			if !reconnected {
-				// Nowhere to replay: deliver the original failure.
-				del, derr := t.deliver(failed[i])
-				if derr != nil {
-					return out, derr
-				}
-				out = append(out, del)
-				continue
-			}
-			at = up
+	e := &entries[0]
+	conn := int(e.WR.ID>>32) - 1
+	target, at := t.conns[conn].qp, fail
+	if target == qi {
+		if !reconnected {
+			// Nowhere to replay: deliver the original failure.
+			return t.deliver(failed)
 		}
-		comp, err := t.pool[target].PostReplay(at, &e.WR, e.Applied)
-		t.recStats.Replayed++
-		if err != nil && !errors.Is(err, verbs.ErrQPError) {
-			return out, err
-		}
-		if err != nil {
-			// The replay failed too (the survivor died under us, or the
-			// reconnected member broke again). Its capture in the target's
-			// log is dropped — this WR is delivered now, with the replay's
-			// authoritative error status — and the target's next post will
-			// open its own episode.
-			t.recStats.ReplayFailures++
-			t.pool[target].TakeReplayLog()
-		}
-		del, derr := t.deliver(comp)
-		if derr != nil {
-			return out, derr
-		}
-		if del.Completion.Status == verbs.StatusOK {
-			t.ttr.Observe(del.Completion.Done - fail)
-			if t.ttrReg != nil {
-				t.ttrReg.Observe(del.Completion.Done - fail)
-			}
-		}
-		out = append(out, del)
+		at = up
 	}
-	return out, nil
+	comp, err := t.pool[target].PostReplay(at, &e.WR, e.Applied)
+	t.recStats.Replayed++
+	if err != nil && !errors.Is(err, verbs.ErrQPError) {
+		return Delivery{}, err
+	}
+	if err != nil {
+		// The replay failed too (the survivor died under us, or the
+		// reconnected member broke again). Its capture in the target's log
+		// is dropped — this WR is delivered now, with the replay's
+		// authoritative error status — and the target's next post will
+		// open its own episode.
+		t.recStats.ReplayFailures++
+		t.pool[target].TakeReplayLog()
+	}
+	del, derr := t.deliver(comp)
+	if derr != nil {
+		return Delivery{}, derr
+	}
+	if del.Completion.Status == verbs.StatusOK {
+		t.ttr.Observe(del.Completion.Done - fail)
+		if t.ttrReg != nil {
+			t.ttrReg.Observe(del.Completion.Done - fail)
+		}
+	}
+	return del, nil
 }

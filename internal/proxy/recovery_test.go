@@ -181,38 +181,31 @@ func TestRecoveryGiveUp(t *testing.T) {
 	}
 }
 
-// TestRecoveryBatch: a batch spanning dead and healthy pooled QPs comes back
-// fully OK — the healthy share directly, the dead share via remap+replay —
-// with no error reported.
+// TestRecoveryBatch: a round of posts over every connection, spanning dead
+// and healthy pooled QPs, comes back fully OK — the healthy share directly,
+// the dead member's first WR via remap+replay and its second on the
+// survivor it was remapped to — with no error reported.
 func TestRecoveryBatch(t *testing.T) {
 	e := newTableEnv(t, 2, 4)
 	if err := e.table.EnableRecovery(proxy.DefaultRecoveryPolicy()); err != nil {
 		t.Fatal(err)
 	}
 	e.pool[0].ForceError()
-	posts := make([]proxy.ConnWR, 4)
 	for conn := 0; conn < 4; conn++ {
-		posts[conn] = proxy.ConnWR{Conn: conn, WR: e.writeWR(uint64(930+conn), 64)}
-	}
-	dels, err := e.table.PostBatch(0, posts)
-	if err != nil {
-		t.Fatalf("recovered batch returned %v", err)
-	}
-	if len(dels) != 4 {
-		t.Fatalf("%d deliveries, want 4", len(dels))
-	}
-	byConn := map[int]verbs.Completion{}
-	for _, d := range dels {
-		byConn[d.Conn] = d.Completion
-	}
-	for conn := 0; conn < 4; conn++ {
-		if c := byConn[conn]; c.Status != verbs.StatusOK || c.WRID != uint64(930+conn) {
-			t.Fatalf("conn %d completion %+v", conn, c)
+		del, err := e.table.Post(0, conn, e.writeWR(uint64(930+conn), 64))
+		if err != nil {
+			t.Fatalf("conn %d: recovered post returned %v", conn, err)
+		}
+		if c := del.Completion; del.Conn != conn || c.Status != verbs.StatusOK || c.WRID != uint64(930+conn) {
+			t.Fatalf("conn %d delivery %+v", conn, del)
 		}
 	}
 	st := e.table.RecoveryStats()
-	if st.Episodes != 1 || st.Replayed != 2 || st.Remaps != 2 {
+	if st.Episodes != 1 || st.Replayed != 1 || st.Remaps != 2 {
 		t.Fatalf("recovery stats %+v", st)
+	}
+	if ts := e.table.Stats(); ts.Posted != 4 || ts.Delivered != 4 || ts.Flushed != 0 {
+		t.Fatalf("table stats %+v", ts)
 	}
 }
 

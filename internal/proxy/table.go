@@ -26,11 +26,6 @@ type Table struct {
 	pending map[uint64]pendingWR
 	stats   TableStats
 
-	// scratch for the batched post path (reused across PostBatch calls; the
-	// kernel is single threaded per shard, so one batch is in flight at most).
-	groups [][]int
-	seen   map[*verbs.SendWR]struct{}
-
 	// recovery state, nil/empty until EnableRecovery (see recovery.go).
 	rec      *RecoveryPolicy
 	recStats RecoveryStats
@@ -66,12 +61,6 @@ type Delivery struct {
 	Completion verbs.Completion
 }
 
-// ConnWR names one logical connection's work request in a batched post.
-type ConnWR struct {
-	Conn int
-	WR   *verbs.SendWR
-}
-
 // NewTable builds a connection table over the given QP pool serving the
 // given number of logical connections. All pooled QPs must be connected and
 // share one (local, remote) machine pair — the per-node table serves one
@@ -98,8 +87,6 @@ func NewTable(pool []*verbs.QP, conns int) (*Table, error) {
 		pool:    pool,
 		conns:   make([]connState, conns),
 		pending: make(map[uint64]pendingWR),
-		groups:  make([][]int, len(pool)),
-		seen:    make(map[*verbs.SendWR]struct{}),
 	}
 	for c := range t.conns {
 		t.conns[c].qp = c % len(pool)
@@ -180,6 +167,9 @@ func (t *Table) Post(now sim.Time, conn int, wr *verbs.SendWR) (Delivery, error)
 	if conn < 0 || conn >= len(t.conns) {
 		return Delivery{}, fmt.Errorf("proxy: connection %d out of range [0,%d)", conn, len(t.conns))
 	}
+	if wr == nil {
+		return Delivery{}, verbs.ErrNilWR
+	}
 	qi := t.connQP(now, conn)
 	qp := t.pool[qi]
 	userID := wr.ID
@@ -192,133 +182,18 @@ func (t *Table) Post(now sim.Time, conn int, wr *verbs.SendWR) (Delivery, error)
 		return Delivery{}, err
 	}
 	if err != nil && t.rec != nil {
-		dels, rerr := t.recover(comp.Done, qi, []verbs.Completion{comp})
+		del, rerr := t.recover(qi, comp)
 		if rerr != nil {
 			return Delivery{}, rerr
 		}
-		if len(dels) != 1 {
-			return Delivery{}, fmt.Errorf("proxy: recovery of one WR produced %d deliveries", len(dels))
+		if del.Completion.Status != verbs.StatusOK {
+			return del, verbs.ErrQPError
 		}
-		if dels[0].Completion.Status != verbs.StatusOK {
-			return dels[0], verbs.ErrQPError
-		}
-		return dels[0], nil
+		return del, nil
 	}
 	del, derr := t.deliver(comp)
 	if derr != nil {
 		return Delivery{}, derr
 	}
 	return del, err
-}
-
-// PostBatch posts work requests from many logical connections in one call,
-// grouping each pooled QP's share into a single doorbell list (preserving
-// per-connection order) and demuxing every completion back to its owner.
-// Deliveries are returned grouped by pooled QP in ascending pool index;
-// within one connection they preserve posting order.
-//
-// A pooled QP in the error state flushes its share — those deliveries carry
-// StatusFlushed and the call reports verbs.ErrQPError — while the other
-// pooled QPs' shares execute normally: statuses are authoritative per
-// delivery. Each ConnWR must reference a distinct *SendWR (as in a real
-// doorbell list, one WQE per entry).
-func (t *Table) PostBatch(now sim.Time, posts []ConnWR) ([]Delivery, error) {
-	for i := range t.groups {
-		t.groups[i] = t.groups[i][:0]
-	}
-	clear(t.seen)
-	for i, p := range posts {
-		if p.Conn < 0 || p.Conn >= len(t.conns) {
-			return nil, fmt.Errorf("proxy: connection %d out of range [0,%d)", p.Conn, len(t.conns))
-		}
-		if p.WR == nil {
-			return nil, fmt.Errorf("proxy: nil WR for connection %d", p.Conn)
-		}
-		if _, dup := t.seen[p.WR]; dup {
-			return nil, fmt.Errorf("proxy: duplicate *SendWR in batch (connection %d)", p.Conn)
-		}
-		t.seen[p.WR] = struct{}{}
-		qi := t.connQP(now, p.Conn)
-		t.groups[qi] = append(t.groups[qi], i)
-	}
-
-	var out []Delivery
-	var qpErr error
-	for qi, idxs := range t.groups {
-		if len(idxs) == 0 {
-			continue
-		}
-		wrs := make([]*verbs.SendWR, len(idxs))
-		userIDs := make([]uint64, len(idxs))
-		tags := make([]uint64, len(idxs))
-		for j, i := range idxs {
-			p := posts[i]
-			userIDs[j] = p.WR.ID
-			tags[j] = t.stamp(p.Conn, p.WR.ID)
-			p.WR.ID = tags[j]
-			wrs[j] = p.WR
-		}
-		comps, err := t.pool[qi].PostSendList(now, wrs)
-		for j, wr := range wrs {
-			wr.ID = userIDs[j]
-		}
-		if err != nil && !errors.Is(err, verbs.ErrQPError) {
-			// Validation or hard modelling error: the completed prefix (if
-			// any) is delivered, the rest never reached the wire.
-			for _, tag := range tags[len(comps):] {
-				t.unstamp(tag)
-			}
-			for _, c := range comps {
-				del, derr := t.deliver(c)
-				if derr != nil {
-					return out, derr
-				}
-				out = append(out, del)
-			}
-			return out, err
-		}
-		if err != nil && t.rec != nil {
-			// Recovery episode for this group: deliver the OK prefix as
-			// usual, then hand the failed tail (whose tags are still
-			// pending, in failure order) to the recovery walk.
-			var failed []verbs.Completion
-			failAt := now
-			for _, c := range comps {
-				if c.Status == verbs.StatusOK {
-					del, derr := t.deliver(c)
-					if derr != nil {
-						return out, derr
-					}
-					out = append(out, del)
-					continue
-				}
-				failed = append(failed, c)
-				if c.Done > failAt {
-					failAt = c.Done
-				}
-			}
-			dels, rerr := t.recover(failAt, qi, failed)
-			if rerr != nil {
-				return out, rerr
-			}
-			for _, del := range dels {
-				if del.Completion.Status != verbs.StatusOK {
-					qpErr = verbs.ErrQPError
-				}
-				out = append(out, del)
-			}
-			continue
-		}
-		if err != nil {
-			qpErr = err
-		}
-		for _, c := range comps {
-			del, derr := t.deliver(c)
-			if derr != nil {
-				return out, derr
-			}
-			out = append(out, del)
-		}
-	}
-	return out, qpErr
 }

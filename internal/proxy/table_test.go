@@ -140,108 +140,65 @@ func TestTableDemuxRestoresIDs(t *testing.T) {
 }
 
 // TestPooledQPErrorFlushesOwnConnsOnly is the blast-radius property: a
-// pooled QP in the error state flushes exactly its own connections'
-// outstanding WRs with StatusFlushed; connections mapped to healthy pooled
-// QPs complete normally in the same batch.
+// pooled QP in the error state flushes exactly its own connections' WRs
+// with StatusFlushed; connections mapped to healthy pooled QPs complete
+// normally in the same round of posts.
 func TestPooledQPErrorFlushesOwnConnsOnly(t *testing.T) {
 	e := newTableEnv(t, 2, 4)
 	e.stock(t, 8)
 	e.pool[0].ForceError()
-	wrs := make([]*verbs.SendWR, 4)
-	posts := make([]proxy.ConnWR, 4)
 	for conn := 0; conn < 4; conn++ {
-		wrs[conn] = e.sendWR(uint64(500+conn), 64)
-		posts[conn] = proxy.ConnWR{Conn: conn, WR: wrs[conn]}
-	}
-	dels, err := e.table.PostBatch(0, posts)
-	if !errors.Is(err, verbs.ErrQPError) {
-		t.Fatalf("err=%v, want ErrQPError", err)
-	}
-	if len(dels) != 4 {
-		t.Fatalf("%d deliveries, want 4", len(dels))
-	}
-	byConn := map[int]verbs.Completion{}
-	for _, d := range dels {
-		byConn[d.Conn] = d.Completion
-	}
-	for _, conn := range []int{0, 2} { // mapped to the dead pool[0]
-		if c := byConn[conn]; c.Status != verbs.StatusFlushed || c.WRID != uint64(500+conn) {
-			t.Fatalf("conn %d completion %+v, want StatusFlushed with its own WRID", conn, c)
+		del, err := e.table.Post(0, conn, e.sendWR(uint64(500+conn), 64))
+		if del.Conn != conn || del.Completion.WRID != uint64(500+conn) {
+			t.Fatalf("conn %d got delivery %+v, want its own WRID", conn, del)
 		}
-	}
-	for _, conn := range []int{1, 3} { // mapped to the healthy pool[1]
-		if c := byConn[conn]; c.Status != verbs.StatusOK || c.WRID != uint64(500+conn) {
-			t.Fatalf("conn %d completion %+v, want StatusOK with its own WRID", conn, c)
+		if conn%2 == 0 { // mapped to the dead pool[0]
+			if !errors.Is(err, verbs.ErrQPError) || del.Completion.Status != verbs.StatusFlushed {
+				t.Fatalf("dead-conn %d post: del=%+v err=%v, want StatusFlushed with ErrQPError", conn, del, err)
+			}
+		} else { // mapped to the healthy pool[1]
+			if err != nil || del.Completion.Status != verbs.StatusOK {
+				t.Fatalf("live-conn %d post: del=%+v err=%v, want StatusOK", conn, del, err)
+			}
 		}
 	}
 	st := e.table.Stats()
 	if st.Posted != 4 || st.Delivered != 4 || st.Flushed != 2 {
 		t.Fatalf("stats %+v, want 4 posted / 4 delivered / 2 flushed", st)
 	}
-	// The single-post path reports the same split.
-	delDead, err := e.table.Post(0, 2, e.sendWR(7, 64))
-	if !errors.Is(err, verbs.ErrQPError) || delDead.Completion.Status != verbs.StatusFlushed {
-		t.Fatalf("dead-conn post: del=%+v err=%v", delDead, err)
-	}
-	delLive, err := e.table.Post(0, 3, e.sendWR(8, 64))
-	if err != nil || delLive.Completion.Status != verbs.StatusOK {
-		t.Fatalf("live-conn post: del=%+v err=%v", delLive, err)
-	}
 }
 
-// TestPostBatchRejectsDuplicateWR: one *SendWR per batch entry, like one
-// WQE per doorbell slot — aliasing would corrupt the tag demux.
-func TestPostBatchRejectsDuplicateWR(t *testing.T) {
+// TestNilWRIsAnError: every post entry point rejects a nil work request
+// with verbs.ErrNilWR, leaves no pending state and posts nothing.
+func TestNilWRIsAnError(t *testing.T) {
 	e := newTableEnv(t, 2, 4)
 	e.stock(t, 4)
-	wr := e.sendWR(1, 64)
-	if _, err := e.table.PostBatch(0, []proxy.ConnWR{{Conn: 0, WR: wr}, {Conn: 1, WR: wr}}); err == nil {
-		t.Fatal("duplicate *SendWR must be rejected")
-	}
-	if _, err := e.table.PostBatch(0, []proxy.ConnWR{{Conn: 0, WR: nil}}); err == nil {
-		t.Fatal("nil WR must be rejected")
-	}
-	if _, err := e.table.PostBatch(0, []proxy.ConnWR{{Conn: 9, WR: wr}}); err == nil {
-		t.Fatal("out-of-range conn must be rejected")
-	}
-	if st := e.table.Stats(); st.Posted != 0 {
-		t.Fatalf("rejected batches must leave no pending state: %+v", st)
-	}
-}
-
-// TestPostBatchGroupsPerQP: a batch groups each pooled QP's share into one
-// doorbell list, preserving per-connection posting order.
-func TestPostBatchGroupsPerQP(t *testing.T) {
-	e := newTableEnv(t, 2, 4)
-	e.stock(t, 8)
-	posts := []proxy.ConnWR{
-		{Conn: 0, WR: e.sendWR(10, 64)},
-		{Conn: 1, WR: e.sendWR(11, 64)},
-		{Conn: 2, WR: e.sendWR(12, 64)},
-		{Conn: 0, WR: e.sendWR(13, 64)},
-	}
-	base := e.cl.Machine(0).NIC().Counters().Doorbells
-	dels, err := e.table.PostBatch(0, posts)
+	d, err := proxy.NewDaemon(e.table)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(dels) != 4 {
-		t.Fatalf("%d deliveries, want 4", len(dels))
+	cases := []struct {
+		name string
+		post func() error
+	}{
+		{"QP.PostSend", func() error { _, err := e.pool[0].PostSend(0, nil); return err }},
+		{"QP.PostSendTraced", func() error { _, _, err := e.pool[0].PostSendTraced(0, nil); return err }},
+		{"QP.PostSendList", func() error {
+			_, err := e.pool[0].PostSendList(0, []*verbs.SendWR{e.sendWR(1, 64), nil})
+			return err
+		}},
+		{"Table.Post", func() error { _, err := e.table.Post(0, 0, nil); return err }},
+		{"Daemon.Post", func() error { _, err := d.Post(0, 0, nil); return err }},
 	}
-	// Deliveries are grouped by pool index: pool[0] serves conns 0 and 2,
-	// pool[1] serves conn 1; conn 0's two WRs stay in posting order.
-	want := []struct {
-		conn int
-		wrid uint64
-	}{{0, 10}, {2, 12}, {0, 13}, {1, 11}}
-	for i, w := range want {
-		if dels[i].Conn != w.conn || dels[i].Completion.WRID != w.wrid {
-			t.Fatalf("delivery %d = conn %d wrid %d, want conn %d wrid %d",
-				i, dels[i].Conn, dels[i].Completion.WRID, w.conn, w.wrid)
+	for _, c := range cases {
+		if err := c.post(); !errors.Is(err, verbs.ErrNilWR) {
+			t.Errorf("%s(nil) returned %v, want ErrNilWR", c.name, err)
 		}
 	}
-	after := e.cl.Machine(0).NIC().Counters().Doorbells
-	if after-base != 2 {
-		t.Fatalf("%d doorbells for the batch, want 2 (one per pooled QP)", after-base)
+	if st := e.table.Stats(); st != (proxy.TableStats{}) {
+		t.Fatalf("rejected posts left table state behind: %+v", st)
+	}
+	if db := e.cl.Machine(0).NIC().Counters().Doorbells; db != 0 {
+		t.Fatalf("rejected posts rang %d doorbells", db)
 	}
 }

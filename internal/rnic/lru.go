@@ -44,17 +44,11 @@ func NewLRU(capacity int) *LRU {
 		tail:     lruNil,
 		free:     lruNil,
 	}
-	c.chainFree()
-	return c
-}
-
-// chainFree links every node into the free list.
-func (c *LRU) chainFree() {
-	c.free = lruNil
-	for i := len(c.nodes) - 1; i >= 0; i-- {
+	for i := len(c.nodes) - 1; i >= 0; i-- { // every node starts on the free list
 		c.nodes[i].next = c.free
 		c.free = int32(i)
 	}
+	return c
 }
 
 // Access touches key, returning true on a hit. On a miss the key is inserted
@@ -147,14 +141,4 @@ func (c *LRU) HitRate() float64 {
 		return 0
 	}
 	return float64(c.hits) / float64(total)
-}
-
-// Reset empties the cache and clears statistics. The entries map and node
-// slice are reused, so sweep points that reset caches between runs do not
-// churn the heap.
-func (c *LRU) Reset() {
-	clear(c.entries)
-	c.head, c.tail = lruNil, lruNil
-	c.chainFree()
-	c.hits, c.misses = 0, 0
 }

@@ -74,19 +74,6 @@ func TestLRUSequentialScanLargerThanCache(t *testing.T) {
 	}
 }
 
-func TestLRUReset(t *testing.T) {
-	c := NewLRU(4)
-	c.Access(1)
-	c.Access(2)
-	c.Reset()
-	if c.Len() != 0 || c.Hits() != 0 || c.Misses() != 0 {
-		t.Fatal("reset did not clear state")
-	}
-	if c.HitRate() != 0 {
-		t.Fatal("hit rate after reset should be 0")
-	}
-}
-
 // Property: Len never exceeds capacity, and the most recently accessed key is
 // always resident (capacity >= 1).
 func TestLRUInvariantsProperty(t *testing.T) {
@@ -146,8 +133,7 @@ func TestLRURetainsMostRecentProperty(t *testing.T) {
 }
 
 // The steady-state hot path is allocation-free: once the node pool is carved
-// out at construction, neither hits, nor evicting misses, nor Reset touch
-// the heap.
+// out at construction, neither hits nor evicting misses touch the heap.
 func TestLRUSteadyStateAllocFree(t *testing.T) {
 	c := NewLRU(16)
 	for k := uint64(0); k < 16; k++ {
@@ -160,30 +146,6 @@ func TestLRUSteadyStateAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Access allocates %.1f/op, want 0", allocs)
-	}
-	allocs = testing.AllocsPerRun(100, func() {
-		c.Reset()
-		for k := uint64(0); k < 16; k++ {
-			c.Access(k)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Reset+refill allocates %.1f/op, want 0", allocs)
-	}
-}
-
-func BenchmarkLRUResetRefill(b *testing.B) {
-	c := NewLRU(1024)
-	for k := uint64(0); k < 1024; k++ {
-		c.Access(k)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Reset()
-		for k := uint64(0); k < 256; k++ {
-			c.Access(k)
-		}
 	}
 }
 

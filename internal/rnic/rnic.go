@@ -326,18 +326,3 @@ func (p *Port) Exec() *sim.Resource { return p.exec }
 
 // Atomic exposes the atomic-unit resource for utilization reporting.
 func (p *Port) Atomic() *sim.Resource { return p.atomic }
-
-// Reset clears all queues, caches and stage counters (between experiment
-// runs).
-func (n *NIC) Reset() {
-	n.counters = StageCounters{}
-	n.pcieDown.Reset()
-	n.pcieUp.Reset()
-	n.xlate.Reset()
-	n.qpCache.Reset()
-	n.mrCache.Reset()
-	for _, p := range n.ports {
-		p.exec.Reset()
-		p.atomic.Reset()
-	}
-}

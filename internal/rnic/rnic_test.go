@@ -193,22 +193,6 @@ func TestAtomicUnitRate(t *testing.T) {
 	}
 }
 
-func TestResetClearsEverything(t *testing.T) {
-	n := newNIC(t)
-	n.Translate(0, 64)
-	n.TouchQP(1)
-	n.TouchMR(1)
-	n.Port(0).Execute(0, 100, 0)
-	n.PCIeDown().Delay(0, 64)
-	n.Reset()
-	if n.TranslationCache().Len() != 0 || n.QPCache().Len() != 0 || n.MRCache().Len() != 0 {
-		t.Fatal("caches not cleared")
-	}
-	if n.Port(0).Exec().Busy() != 0 || n.PCIeDown().Busy() != 0 {
-		t.Fatal("resources not cleared")
-	}
-}
-
 func TestDoorbellPanicsOnZeroWQEs(t *testing.T) {
 	n := newNIC(t)
 	defer func() {

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -97,7 +96,6 @@ func (k *Kernel) Run(horizon Time) Result {
 		c.posted, c.completed = 0, 0
 		c.latencySum, c.latencyMax = 0, 0
 		c.latencyMin = MaxTime
-		c.latencies = nil
 		c.cpuBusy = 0
 	}
 
@@ -121,10 +119,6 @@ func (k *Kernel) Run(horizon Time) Result {
 		if c.completed > 0 {
 			s.LatencyAvg = c.latencySum / Duration(c.completed)
 			s.LatencyMin = c.latencyMin
-		}
-		if c.RecordLatencies {
-			sort.Slice(c.latencies, func(a, b int) bool { return c.latencies[a] < c.latencies[b] })
-			s.Latencies = c.latencies
 		}
 		res.Clients[i] = s
 		res.Completed += c.completed
@@ -290,9 +284,6 @@ func runShard(sd *shardDef, horizon Time) {
 					}
 					if lat < c.latencyMin {
 						c.latencyMin = lat
-					}
-					if c.RecordLatencies {
-						c.latencies = append(c.latencies, lat)
 					}
 				}
 				c.outstanding.push(complete)

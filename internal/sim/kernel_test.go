@@ -30,44 +30,67 @@ func buildClients(n, groups int) (clients []*Client, feet [][]int) {
 	return clients, feet
 }
 
+// recordLatencies wraps every client's Op so each op logs complete - post
+// into that client's own slice, in dispatch order. A client runs on one
+// shard, so the slices need no lock at any worker count.
+func recordLatencies(clients []*Client) [][]Duration {
+	lats := make([][]Duration, len(clients))
+	for i, c := range clients {
+		i, op := i, c.Op
+		c.Op = func(post Time) Time {
+			complete := op(post)
+			lats[i] = append(lats[i], complete-post)
+			return complete
+		}
+	}
+	return lats
+}
+
 // runKernel builds fresh clients, registers them with their footprints and
-// runs at the given worker count.
-func runKernel(t *testing.T, workers, n, groups int, record bool) Result {
+// runs at the given worker count, returning the result and every client's
+// per-op latencies.
+func runKernel(t *testing.T, workers, n, groups int) (Result, [][]Duration) {
 	t.Helper()
 	clients, feet := buildClients(n, groups)
+	lats := recordLatencies(clients)
 	k := NewKernel(workers)
 	for i, c := range clients {
-		c.RecordLatencies = record
 		k.Add(c, feet[i]...)
 	}
-	return k.Run(Millisecond)
+	return k.Run(Millisecond), lats
 }
 
 // TestKernelMatchesRunClosedLoop: with every client in one shard, the kernel
 // must reproduce the classic single-heap loop bit for bit — same stats, same
-// dispatch sequence.
+// per-op latencies, same dispatch sequence.
 func TestKernelMatchesRunClosedLoop(t *testing.T) {
-	build := func() []*Client {
+	build := func() ([]*Client, [][]Duration) {
 		r := NewResource("eu")
 		rng := rand.New(rand.NewSource(7))
 		op := func(post Time) Time {
 			return r.Delay(post, Duration(100+rng.Intn(100)))
 		}
-		return []*Client{
-			{Op: op, PostCost: 30, Window: 8, RecordLatencies: true},
-			{Op: op, PostCost: 50, Window: 2, RecordLatencies: true},
-			{Op: op, PostCost: 70, Window: 4, RecordLatencies: true},
+		clients := []*Client{
+			{Op: op, PostCost: 30, Window: 8},
+			{Op: op, PostCost: 50, Window: 2},
+			{Op: op, PostCost: 70, Window: 4},
 		}
+		return clients, recordLatencies(clients)
 	}
-	want := RunClosedLoop(build(), Millisecond)
+	loopClients, wantLats := build()
+	want := RunClosedLoop(loopClients, Millisecond)
 
 	k := NewKernel(4)
-	for _, c := range build() {
+	kernelClients, gotLats := build()
+	for _, c := range kernelClients {
 		k.Add(c, 0, 1) // shared machines: one shard
 	}
 	got := k.Run(Millisecond)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("kernel result diverged from RunClosedLoop:\nwant %+v\ngot  %+v", want, got)
+	}
+	if len(wantLats[0]) == 0 || !reflect.DeepEqual(wantLats, gotLats) {
+		t.Fatal("kernel per-op latencies diverged from RunClosedLoop")
 	}
 }
 
@@ -109,17 +132,20 @@ func TestKernelDispatchOrderMatchesLoop(t *testing.T) {
 }
 
 // TestKernelWorkerCountInvariance: disjoint footprint groups must produce
-// identical results (including recorded latency distributions) at every
-// worker count.
+// identical results (including every op's latency, in dispatch order) at
+// every worker count.
 func TestKernelWorkerCountInvariance(t *testing.T) {
-	want := runKernel(t, 1, 24, 6, true)
+	want, wantLats := runKernel(t, 1, 24, 6)
 	if want.Completed == 0 {
 		t.Fatal("no ops completed")
 	}
 	for _, workers := range []int{2, 4, 8, 64} {
-		got := runKernel(t, workers, 24, 6, true)
+		got, gotLats := runKernel(t, workers, 24, 6)
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("workers=%d diverged from serial run", workers)
+		}
+		if !reflect.DeepEqual(wantLats, gotLats) {
+			t.Fatalf("workers=%d per-op latencies diverged from serial run", workers)
 		}
 	}
 }

@@ -14,9 +14,6 @@ type Client struct {
 	PostCost Duration // CPU issue cost per operation; must be > 0
 	Window   int      // maximum outstanding operations; must be >= 1
 	MaxOps   int64    // stop after this many posts; 0 means until horizon
-	// RecordLatencies keeps every completion latency so the result can
-	// report percentiles; leave false for long runs to save memory.
-	RecordLatencies bool
 
 	// state
 	nextPost    Time
@@ -26,8 +23,7 @@ type Client struct {
 	latencySum  Duration
 	latencyMax  Duration
 	latencyMin  Duration
-	latencies   []Duration // populated when RecordLatencies is set
-	cpuBusy     Duration   // CPU time charged via PostCost and ChargeCPU
+	cpuBusy     Duration // CPU time charged via PostCost and ChargeCPU
 }
 
 // ChargeCPU adds extra CPU busy time to the client's accounting (used by ops
@@ -43,32 +39,6 @@ type ClientStats struct {
 	LatencyMin Duration
 	LatencyMax Duration
 	CPUBusy    Duration
-	Latencies  []Duration // sorted; only with RecordLatencies
-}
-
-// Percentile returns the p-quantile (0..1) of the recorded latencies, or 0
-// when none were recorded. The quantile is linearly interpolated between the
-// two nearest order statistics (the "R-7" estimator), so Percentile(0.5) of
-// {10, 20} is 15, not 10.
-func (s ClientStats) Percentile(p float64) Duration {
-	if len(s.Latencies) == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	rank := p * float64(len(s.Latencies)-1)
-	lo := int(rank)
-	if lo >= len(s.Latencies)-1 {
-		return s.Latencies[len(s.Latencies)-1]
-	}
-	frac := rank - float64(lo)
-	a, b := s.Latencies[lo], s.Latencies[lo+1]
-	// Round half up so the interpolated Duration is the nearest nanosecond.
-	return a + Duration(frac*float64(b-a)+0.5)
 }
 
 // Result summarizes a closed-loop run.

@@ -200,69 +200,3 @@ func TestResultAggregation(t *testing.T) {
 		t.Fatalf("TotalCPUBusy=%v, want 12", got)
 	}
 }
-
-func TestRecordLatenciesPercentiles(t *testing.T) {
-	lat := Duration(0)
-	op := func(post Time) Time {
-		lat += 100
-		return post + lat
-	}
-	c := &Client{Op: op, PostCost: 10, Window: 1, MaxOps: 100, RecordLatencies: true}
-	res := RunClosedLoop([]*Client{c}, Second)
-	s := res.Clients[0]
-	if len(s.Latencies) != 100 {
-		t.Fatalf("recorded %d latencies", len(s.Latencies))
-	}
-	if s.Percentile(0) != 100 || s.Percentile(1) != 10000 {
-		t.Fatalf("extremes %v/%v", s.Percentile(0), s.Percentile(1))
-	}
-	p50 := s.Percentile(0.5)
-	if p50 < 4000 || p50 > 6000 {
-		t.Fatalf("p50=%v", p50)
-	}
-	// Out-of-range quantiles clamp.
-	if s.Percentile(-1) != s.Percentile(0) || s.Percentile(2) != s.Percentile(1) {
-		t.Fatal("quantile clamping broken")
-	}
-	// Without the flag, nothing is recorded.
-	c2 := &Client{Op: fixedOp(100), PostCost: 10, Window: 1, MaxOps: 5}
-	res2 := RunClosedLoop([]*Client{c2}, Second)
-	if res2.Clients[0].Latencies != nil {
-		t.Fatal("latencies recorded without the flag")
-	}
-	if res2.Clients[0].Percentile(0.5) != 0 {
-		t.Fatal("percentile without records should be 0")
-	}
-}
-
-func TestPercentileInterpolates(t *testing.T) {
-	// Even-length set: the median falls between two order statistics and
-	// must be interpolated, not truncated to the lower one.
-	s := ClientStats{Latencies: []Duration{10, 20, 30, 40}}
-	if got := s.Percentile(0.5); got != 25 {
-		t.Fatalf("p50 of {10,20,30,40} = %v, want 25", got)
-	}
-	// p99 of 1..100: rank 98.01 -> 99 + 0.01*(100-99) = 99.01, rounds to 99.
-	lats := make([]Duration, 100)
-	for i := range lats {
-		lats[i] = Duration(i + 1)
-	}
-	s = ClientStats{Latencies: lats}
-	if got := s.Percentile(0.99); got != 99 {
-		t.Fatalf("p99 of 1..100 = %v, want 99", got)
-	}
-	// p50 of 1..100: rank 49.5 -> midway between 50 and 51, rounds up to 51.
-	if got := s.Percentile(0.5); got != 51 {
-		t.Fatalf("p50 of 1..100 = %v, want 51", got)
-	}
-	// Fractional interpolation rounds half up on the nanosecond grid.
-	s = ClientStats{Latencies: []Duration{0, 1}}
-	if got := s.Percentile(0.5); got != 1 {
-		t.Fatalf("p50 of {0,1} = %v, want 1 (round half up)", got)
-	}
-	// Single sample: every quantile is that sample.
-	s = ClientStats{Latencies: []Duration{42}}
-	if s.Percentile(0) != 42 || s.Percentile(0.5) != 42 || s.Percentile(1) != 42 {
-		t.Fatal("single-sample quantiles should all be the sample")
-	}
-}

@@ -27,7 +27,6 @@ type interval struct {
 // threaded over virtual time by design.
 type Resource struct {
 	name      string
-	strict    bool       // strict FIFO: no gap-filling, later calls queue at the tail
 	intervals []interval // sorted, non-overlapping, non-adjacent
 	busy      Duration   // accumulated service time, for utilization
 	served    int64      // number of Acquire calls
@@ -42,23 +41,12 @@ type Resource struct {
 type AcquireFunc func(arrival, start, end Time)
 
 // Observe attaches fn as the resource's acquire observer (nil detaches).
-// The observer survives Reset, so measurement phases that clear queue state
-// keep reporting to the same telemetry streams.
 func (r *Resource) Observe(fn AcquireFunc) { r.onAcquire = fn }
 
 // NewResource returns an idle gap-filling resource with the given diagnostic
 // name.
 func NewResource(name string) *Resource {
 	return &Resource{name: name}
-}
-
-// NewFIFOResource returns a resource with strict FIFO discipline: every
-// request starts no earlier than all previously scheduled work, regardless
-// of its arrival time. Use this for units that process requests strictly in
-// order, like the RNIC's atomic unit — a lock release CAS must wait behind
-// the competitor CASes already queued there.
-func NewFIFOResource(name string) *Resource {
-	return &Resource{name: name, strict: true}
 }
 
 // Name returns the diagnostic name given at construction.
@@ -90,11 +78,6 @@ func (r *Resource) place(arrival Time, service Duration) Time {
 	if n == 0 || arrival >= r.intervals[n-1].end {
 		r.insertAt(n, arrival, service)
 		return arrival
-	}
-	if r.strict {
-		start := r.intervals[n-1].end
-		r.insertAt(n, start, service)
-		return start
 	}
 	// Find the first interval ending after arrival.
 	i := sort.Search(n, func(k int) bool { return r.intervals[k].end > arrival })
@@ -185,13 +168,6 @@ func (r *Resource) Utilization(horizon Time) float64 {
 	return u
 }
 
-// Reset returns the resource to its initial idle state.
-func (r *Resource) Reset() {
-	r.intervals = r.intervals[:0]
-	r.busy = 0
-	r.served = 0
-}
-
 // Pipe models a bandwidth-limited channel (a wire, a PCIe lane bundle, a
 // memory channel): transfers serialize, and each transfer of n bytes occupies
 // the pipe for n/bandwidth plus a fixed per-transfer overhead.
@@ -233,7 +209,7 @@ func (p *Pipe) Delay(arrival Time, size int) Time {
 
 // Observe attaches fn as the pipe's transfer observer (nil detaches); each
 // Transfer reports its arrival, service start and completion. Like
-// Resource.Observe, attachment never changes timing and survives Reset.
+// Resource.Observe, attachment never changes timing.
 func (p *Pipe) Observe(fn AcquireFunc) { p.res.Observe(fn) }
 
 // Bytes reports the cumulative bytes transferred.
@@ -244,9 +220,3 @@ func (p *Pipe) Busy() Duration { return p.res.Busy() }
 
 // Utilization reports the busy fraction of [0, horizon].
 func (p *Pipe) Utilization(horizon Time) float64 { return p.res.Utilization(horizon) }
-
-// Reset returns the pipe to its initial idle state.
-func (p *Pipe) Reset() {
-	p.res.Reset()
-	p.bytes = 0
-}

@@ -55,32 +55,6 @@ func Max(a, b Time) Time {
 	return b
 }
 
-// Min returns the earlier of two times.
-func Min(a, b Time) Time {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// PerSecond converts an operation service time into a rate (operations per
-// second). It is the inverse of ServiceFor.
-func PerSecond(service Duration) float64 {
-	if service <= 0 {
-		return 0
-	}
-	return float64(Second) / float64(service)
-}
-
-// ServiceFor converts a rate in operations per second into the service time
-// of one operation. It is the inverse of PerSecond.
-func ServiceFor(opsPerSecond float64) Duration {
-	if opsPerSecond <= 0 {
-		return 0
-	}
-	return Duration(float64(Second) / opsPerSecond)
-}
-
 // TransferTime returns the serialization delay of size bytes over a link of
 // the given bandwidth in bytes per second.
 func TransferTime(size int, bytesPerSecond float64) Duration {

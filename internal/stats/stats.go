@@ -172,11 +172,3 @@ func formatNum(x float64) string {
 	}
 	return fmt.Sprintf("%g", x)
 }
-
-// Ratio returns a/b guarding against division by zero.
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
-}

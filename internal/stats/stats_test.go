@@ -87,15 +87,6 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
-func TestRatio(t *testing.T) {
-	if Ratio(6, 3) != 2 {
-		t.Fatal("ratio broken")
-	}
-	if Ratio(6, 0) != 0 {
-		t.Fatal("division by zero must yield 0")
-	}
-}
-
 func TestFormatNum(t *testing.T) {
 	if formatNum(4) != "4" {
 		t.Fatalf("got %q", formatNum(4))

@@ -21,13 +21,15 @@ import (
 	"rdmasem/internal/verbs"
 )
 
-// engineObservation is everything a run exposes: the closed-loop result
-// (with full latency records), the rendered telemetry snapshot, per-NIC
+// engineObservation is everything a run exposes: the closed-loop result,
+// the per-op latencies of the recorded clients, the rendered telemetry
+// snapshot, per-NIC
 // stage and reliability counters, the fabric fault tallies, every
 // endpoint's inbox witness (delivery count + merge-order hash), and the
 // connection-serving layer's demux/SRQ/daemon tallies.
 type engineObservation struct {
 	res        sim.Result
+	lats       [][]sim.Duration
 	metrics    string
 	nics       []rnic.StageCounters
 	faults     fabric.FaultStats
@@ -79,6 +81,19 @@ func runEngineWorkload(t *testing.T, workers int) engineObservation {
 		t.Fatal(err)
 	}
 	eng := cl.NewEngine(workers)
+	// record wraps an op so each call logs complete - post into its own
+	// slice of lats. A client runs on one shard, so at any worker count each
+	// slice has one writer.
+	var lats [][]sim.Duration
+	record := func(op sim.Op) sim.Op {
+		i := len(lats)
+		lats = append(lats, nil)
+		return func(post sim.Time) sim.Time {
+			complete := op(post)
+			lats[i] = append(lats[i], complete-post)
+			return complete
+		}
+	}
 	for p := 0; p < pairs; p++ {
 		ma, mb := cl.Machine(2*p), cl.Machine(2*p+1)
 		ctxA, ctxB := verbs.NewContext(ma), verbs.NewContext(mb)
@@ -102,14 +117,14 @@ func runEngineWorkload(t *testing.T, workers int) engineObservation {
 			RemoteKey:  mrB.RKey(),
 		}
 		eng.Add(&sim.Client{
-			PostCost: 200, Window: 2, RecordLatencies: true,
-			Op: func(post sim.Time) sim.Time {
+			PostCost: 200, Window: 2,
+			Op: record(func(post sim.Time) sim.Time {
 				c, err := qp.PostSend(post, write)
 				if err != nil {
 					panic(err)
 				}
 				return c.Done
-			},
+			}),
 		}, ma, mb)
 		eng.Add(&sim.Client{
 			PostCost: 300, Window: 1,
@@ -159,32 +174,33 @@ func runEngineWorkload(t *testing.T, workers int) engineObservation {
 			SGL:    []verbs.SGE{{Addr: mrC.Addr() + mem.Addr(cli*256), Length: 96, MR: mrC}},
 		}
 		turn := 0
-		eng.Add(&sim.Client{
-			PostCost: 250, Window: 1, RecordLatencies: cli == 0,
-			Op: func(post sim.Time) sim.Time {
-				conn := conns[turn%len(conns)]
-				turn++
-				if err := srq.PostRecv(verbs.RecvWR{SGE: verbs.SGE{
-					Addr: mrD.Addr() + mem.Addr(conn*256), Length: 256, MR: mrD,
-				}}); err != nil {
-					panic(err)
-				}
-				var del proxy.Delivery
-				var err error
-				if cli == 2 {
-					del, err = daemon.Post(post, conn, wr)
-				} else {
-					del, err = table.Post(post, conn, wr)
-				}
-				if err != nil && !errors.Is(err, verbs.ErrQPError) {
-					panic(err)
-				}
-				if del.Completion.Done > post {
-					return del.Completion.Done
-				}
-				return post
-			},
-		}, mc, md)
+		op := func(post sim.Time) sim.Time {
+			conn := conns[turn%len(conns)]
+			turn++
+			if err := srq.PostRecv(verbs.RecvWR{SGE: verbs.SGE{
+				Addr: mrD.Addr() + mem.Addr(conn*256), Length: 256, MR: mrD,
+			}}); err != nil {
+				panic(err)
+			}
+			var del proxy.Delivery
+			var err error
+			if cli == 2 {
+				del, err = daemon.Post(post, conn, wr)
+			} else {
+				del, err = table.Post(post, conn, wr)
+			}
+			if err != nil && !errors.Is(err, verbs.ErrQPError) {
+				panic(err)
+			}
+			if del.Completion.Done > post {
+				return del.Completion.Done
+			}
+			return post
+		}
+		if cli == 0 {
+			op = record(op)
+		}
+		eng.Add(&sim.Client{PostCost: 250, Window: 1, Op: op}, mc, md)
 	}
 
 	// Sixth pair: self-healing connections on the flapping fabric. Two
@@ -288,7 +304,7 @@ func runEngineWorkload(t *testing.T, workers int) engineObservation {
 		},
 	}, mg, mh)
 
-	obs := engineObservation{res: eng.Run(500 * sim.Microsecond)}
+	obs := engineObservation{res: eng.Run(500 * sim.Microsecond), lats: lats}
 	cl.FoldTelemetry()
 	var buf bytes.Buffer
 	reg.Snapshot().Render(&buf)
@@ -325,6 +341,11 @@ func TestEngineWorkerCountDeterminism(t *testing.T) {
 	want := runEngineWorkload(t, 1)
 	if want.res.Completed == 0 {
 		t.Fatal("no ops completed")
+	}
+	for i, l := range want.lats {
+		if len(l) == 0 {
+			t.Fatalf("recorded client %d logged no latencies", i)
+		}
 	}
 	if want.faults.Segments == 0 || want.faults.Drops == 0 {
 		t.Fatalf("fault plan inactive (%+v); the property must hold under loss", want.faults)
@@ -366,6 +387,9 @@ func TestEngineWorkerCountDeterminism(t *testing.T) {
 		got := runEngineWorkload(t, workers)
 		if !reflect.DeepEqual(want.res, got.res) {
 			t.Fatalf("workers=%d: results diverged", workers)
+		}
+		if !reflect.DeepEqual(want.lats, got.lats) {
+			t.Fatalf("workers=%d: per-op latencies diverged", workers)
 		}
 		if want.metrics != got.metrics {
 			t.Fatalf("workers=%d: telemetry snapshots diverged", workers)

@@ -110,6 +110,9 @@ func (q *QP) PostSendList(now sim.Time, wrs []*SendWR) ([]Completion, error) {
 // validate checks transport legality and SGL/MR bounds before any timing or
 // data effects happen.
 func (q *QP) validate(wr *SendWR) error {
+	if wr == nil {
+		return ErrNilWR
+	}
 	switch wr.Opcode {
 	case OpRead, OpCompSwap, OpFetchAdd:
 		if q.transport != RC {

@@ -36,7 +36,7 @@ type replayEntry struct {
 
 // SetReplayLog enables (or disables) capture of failed WRs for replay.
 // Entries accumulate in failure order — error-status completions first,
-// then the flushed remainder — which is exactly the order Replay reposts.
+// then the flushed remainder — which is the order TakeReplayLog returns.
 func (s *qpState) SetReplayLog(on bool) { s.logReplay = on }
 
 // ReplayLogLen reports how many failed WRs are waiting for replay.
@@ -129,31 +129,4 @@ func (q *QP) PostReplay(now sim.Time, wr *SendWR, applied bool) (Completion, err
 	q.replayApplied = false
 	q.stats.Replayed++
 	return comp, err
-}
-
-// Replay reposts the logged failed WRs in failure order on the (presumably
-// reconnected) QP, draining the log first so re-failures re-capture cleanly.
-// Each WR carries its original ID — a proxy tag stamped before the failure
-// survives the replay — and seeds the reliability layer with its applied
-// flag, so a WR whose effects already landed is recovered as a duplicate:
-// acknowledged again, never re-executed. The completions are returned in
-// post order; a replay that fails again (for atomics, with OldValue zero —
-// the original response is gone and the model keeps no responder response
-// cache) returns the error alongside the completions so far.
-func (q *QP) Replay(now sim.Time) ([]Completion, error) {
-	entries := q.TakeReplayLog()
-	if len(entries) == 0 {
-		return nil, nil
-	}
-	var comps []Completion
-	t := now
-	for i := range entries {
-		comp, err := q.PostReplay(t, &entries[i].WR, entries[i].Applied)
-		if err != nil {
-			return append(comps, comp), err
-		}
-		comps = append(comps, comp)
-		t = comp.Done
-	}
-	return comps, nil
 }

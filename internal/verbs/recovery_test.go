@@ -121,12 +121,22 @@ func TestReplayExactlyOnceUnapplied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comps, err := e.qpA.Replay(up)
-	if err != nil {
-		t.Fatal(err)
+	entries := e.qpA.TakeReplayLog()
+	if len(entries) != 2 || e.qpA.ReplayLogLen() != 0 {
+		t.Fatalf("took %d replay entries, %d left in the log", len(entries), e.qpA.ReplayLogLen())
 	}
-	if len(comps) != 2 {
-		t.Fatalf("replayed %d completions", len(comps))
+	var comps []Completion
+	at := up
+	for i := range entries {
+		if entries[i].Applied {
+			t.Fatalf("entry %d marked applied against a crashed responder", i)
+		}
+		c, err := e.qpA.PostReplay(at, &entries[i].WR, entries[i].Applied)
+		if err != nil {
+			t.Fatal(err)
+		}
+		comps = append(comps, c)
+		at = c.Done
 	}
 	for i, c := range comps {
 		if c.Status != StatusOK {
@@ -147,8 +157,8 @@ func TestReplayExactlyOnceUnapplied(t *testing.T) {
 	if st.Replayed != 2 || e.qpA.ReplayLogLen() != 0 {
 		t.Fatalf("replay accounting %+v, log %d", st, e.qpA.ReplayLogLen())
 	}
-	if _, err := e.qpA.Replay(0); err != nil {
-		t.Fatal("empty replay must be a no-op")
+	if got := e.qpA.TakeReplayLog(); got != nil {
+		t.Fatalf("drained log handed out %d more entries", len(got))
 	}
 }
 

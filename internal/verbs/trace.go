@@ -137,6 +137,9 @@ func (s *qpState) attachTrace(tr *Trace) (detach func()) {
 // PostSendTraced posts one work request and additionally returns its stage
 // timeline. Tracing does not change timing.
 func (q *QP) PostSendTraced(now sim.Time, wr *SendWR) (Completion, *Trace, error) {
+	if wr == nil {
+		return Completion{}, nil, ErrNilWR
+	}
 	tr := &Trace{Start: now, Opcode: wr.Opcode}
 	defer q.attachTrace(tr)()
 	comp, err := q.PostSend(now, wr)

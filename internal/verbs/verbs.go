@@ -61,6 +61,7 @@ var (
 	ErrRNR          = errors.New("verbs: receiver not ready (no posted receive)")
 	ErrAtomicSize   = errors.New("verbs: atomic operations are 8 bytes")
 	ErrQPError      = errors.New("verbs: queue pair is in error state")
+	ErrNilWR        = errors.New("verbs: nil work request")
 )
 
 // Context is an opened device on one machine: the registry of MRs and the
