@@ -19,13 +19,10 @@ import (
 	"rdmasem/internal/workload"
 )
 
-func measure(level hashtable.Level, theta int, horizon sim.Duration) (float64, error) {
+const keySpace = 1 << 14
+
+func measure(dist *workload.ZipfDist, level hashtable.Level, theta int, horizon sim.Duration) (float64, error) {
 	cl, err := cluster.New(cluster.DefaultConfig())
-	if err != nil {
-		return 0, err
-	}
-	const keySpace = 1 << 14
-	z, err := workload.NewZipf(keySpace, 0.99, 42)
 	if err != nil {
 		return 0, err
 	}
@@ -35,7 +32,7 @@ func measure(level hashtable.Level, theta int, horizon sim.Duration) (float64, e
 		ValueSize: 64,
 		Theta:     theta,
 		BlockBits: 4,
-		HotKeys:   z.HotSet(keySpace / 8),
+		HotKeys:   dist.HotSet(keySpace / 8),
 	})
 	if err != nil {
 		return 0, err
@@ -48,10 +45,7 @@ func measure(level hashtable.Level, theta int, horizon sim.Duration) (float64, e
 		if err != nil {
 			return 0, err
 		}
-		keys, err := workload.NewZipf(keySpace, 0.99, int64(100+i))
-		if err != nil {
-			return 0, err
-		}
+		keys := dist.New(int64(100 + i))
 		clients = append(clients, &sim.Client{
 			PostCost: 200,
 			Window:   4,
@@ -82,15 +76,19 @@ func main() {
 
 func run(w io.Writer, horizon sim.Duration) error {
 	fmt.Fprintln(w, "disaggregated hashtable, 8 front-ends, zipf(0.99) 100% writes")
-	basic, err := measure(hashtable.Basic, 4, horizon)
+	dist, err := workload.NewZipfDist(keySpace, 0.99)
 	if err != nil {
 		return err
 	}
-	numa, err := measure(hashtable.NUMA, 4, horizon)
+	basic, err := measure(dist, hashtable.Basic, 4, horizon)
 	if err != nil {
 		return err
 	}
-	reorder, err := measure(hashtable.Reorder, 16, horizon)
+	numa, err := measure(dist, hashtable.NUMA, 4, horizon)
+	if err != nil {
+		return err
+	}
+	reorder, err := measure(dist, hashtable.Reorder, 16, horizon)
 	if err != nil {
 		return err
 	}

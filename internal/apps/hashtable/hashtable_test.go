@@ -378,11 +378,11 @@ func TestGetAllocFree(t *testing.T) {
 func TestOptimizationLevelsOrdering(t *testing.T) {
 	run := func(level Level, theta int) float64 {
 		cl := newCluster(t, 5)
-		z, err := workload.NewZipf(1<<12, 0.99, 42)
+		dist, err := workload.NewZipfDist(1<<12, 0.99)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := defaultConfig(level, z.HotSet(1<<10))
+		cfg := defaultConfig(level, dist.HotSet(1<<10))
 		cfg.Theta = theta
 		b, err := NewBackend(cl.Machine(0), cfg)
 		if err != nil {
@@ -396,11 +396,7 @@ func TestOptimizationLevelsOrdering(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				keys, err := workload.NewZipf(1<<12, 0.99, int64(100+mi*2+s))
-				if err != nil {
-					t.Fatal(err)
-				}
-				keys.SetScramble(true)
+				keys := dist.New(int64(100 + mi*2 + s))
 				clients = append(clients, &sim.Client{
 					PostCost: 200,
 					Window:   8,

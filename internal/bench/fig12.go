@@ -16,23 +16,27 @@ func init() {
 	register("fig13", fig13HashtableConsolidation)
 }
 
+// hashtableKeySpace is the key space of every hashtable experiment; the
+// experiments build their zipf(0.99) distribution over it once, with
+// hashtableDist, and share it read-only across their points.
+const hashtableKeySpace = 1 << 14
+
+func hashtableDist() (*workload.ZipfDist, error) {
+	return workload.NewZipfDist(hashtableKeySpace, 0.99)
+}
+
 // hashtableMOPS runs the disaggregated hashtable under a zipf(0.99) 100%
-// write workload with the given number of front-ends (spread over 7 client
-// machines x 2 sockets, as on the paper's 8-machine testbed).
-func hashtableMOPS(r *run, level hashtable.Level, theta, frontEnds int, hotFrac float64, h sim.Duration) (float64, error) {
+// write workload drawn from dist with the given number of front-ends (spread
+// over 7 client machines x 2 sockets, as on the paper's 8-machine testbed).
+func hashtableMOPS(r *run, dist *workload.ZipfDist, level hashtable.Level, theta, frontEnds int, hotFrac float64, h sim.Duration) (float64, error) {
 	cl, err := r.newCluster(cluster.DefaultConfig())
 	if err != nil {
 		return 0, err
 	}
-	const keySpace = 1 << 14
-	z, err := workload.NewZipf(keySpace, 0.99, 42)
-	if err != nil {
-		return 0, err
-	}
-	hot := z.HotSet(int(float64(keySpace) * hotFrac))
+	hot := dist.HotSet(int(float64(hashtableKeySpace) * hotFrac))
 	cfg := hashtable.Config{
 		Level:     level,
-		KeySpace:  keySpace,
+		KeySpace:  hashtableKeySpace,
 		ValueSize: 64,
 		Theta:     theta,
 		BlockBits: 4,
@@ -53,10 +57,7 @@ func hashtableMOPS(r *run, level hashtable.Level, theta, frontEnds int, hotFrac 
 		if err != nil {
 			return 0, err
 		}
-		keys, err := workload.NewZipf(keySpace, 0.99, int64(1000+i))
-		if err != nil {
-			return 0, err
-		}
+		keys := dist.New(int64(1000 + i))
 		eng.Add(&sim.Client{
 			PostCost: 200,
 			Window:   4,
@@ -79,6 +80,10 @@ func fig12HashtableBreakdown(r *run) (*Report, error) {
 	h := r.horizon(5 * sim.Millisecond)
 	const hotFrac = 1.0 / 8
 	const maxFE = 14
+	dist, err := hashtableDist()
+	if err != nil {
+		return nil, err
+	}
 	levels := []struct {
 		label string
 		level hashtable.Level
@@ -91,7 +96,7 @@ func fig12HashtableBreakdown(r *run) (*Report, error) {
 	}
 	ms, err := points(r, maxFE*len(levels), func(r *run, i int) (float64, error) {
 		l := levels[i%len(levels)]
-		return hashtableMOPS(r, l.level, l.theta, i/len(levels)+1, hotFrac, h)
+		return hashtableMOPS(r, dist, l.level, l.theta, i/len(levels)+1, hotFrac, h)
 	})
 	if err != nil {
 		return nil, err
@@ -119,11 +124,15 @@ func fig13HashtableConsolidation(r *run) (*Report, error) {
 	figB := stats.NewFigure("Fig 13b: throughput vs batch size (hot=1/8)", "theta", "throughput (MOPS)")
 	denoms := []int{4, 8, 16, 32}
 	thetas := []int{1, 2, 4, 8, 16}
+	dist, err := hashtableDist()
+	if err != nil {
+		return nil, err
+	}
 	ms, err := points(r, len(denoms)+len(thetas), func(r *run, i int) (float64, error) {
 		if i < len(denoms) {
-			return hashtableMOPS(r, hashtable.Reorder, 16, frontEnds, 1.0/float64(denoms[i]), h)
+			return hashtableMOPS(r, dist, hashtable.Reorder, 16, frontEnds, 1.0/float64(denoms[i]), h)
 		}
-		return hashtableMOPS(r, hashtable.Reorder, thetas[i-len(denoms)], frontEnds, 1.0/8, h)
+		return hashtableMOPS(r, dist, hashtable.Reorder, thetas[i-len(denoms)], frontEnds, 1.0/8, h)
 	})
 	if err != nil {
 		return nil, err

@@ -21,8 +21,12 @@ func ycsbMixed(r *run) (*Report, error) {
 	h := r.horizon(5 * sim.Millisecond)
 	levels := []hashtable.Level{hashtable.NUMA, hashtable.Reorder}
 	readPcts := []int{0, 50, 95}
+	dist, err := hashtableDist()
+	if err != nil {
+		return nil, err
+	}
 	ms, err := points(r, len(levels)*len(readPcts), func(r *run, i int) (float64, error) {
-		return ycsbMOPS(r, levels[i/len(readPcts)], readPcts[i%len(readPcts)], h)
+		return ycsbMOPS(r, dist, levels[i/len(readPcts)], readPcts[i%len(readPcts)], h)
 	})
 	if err != nil {
 		return nil, err
@@ -42,26 +46,21 @@ func ycsbMixed(r *run) (*Report, error) {
 	}, nil
 }
 
-// ycsbMOPS runs one optimization level at one read percentage on its own
-// cluster and returns the aggregate throughput.
-func ycsbMOPS(r *run, level hashtable.Level, readPct int, h sim.Duration) (float64, error) {
-	const keySpace = 1 << 14
+// ycsbMOPS runs one optimization level at one read percentage, with keys
+// drawn from dist, on its own cluster and returns the aggregate throughput.
+func ycsbMOPS(r *run, dist *workload.ZipfDist, level hashtable.Level, readPct int, h sim.Duration) (float64, error) {
 	const frontEnds = 8
 	cl, err := r.newCluster(cluster.DefaultConfig())
 	if err != nil {
 		return 0, err
 	}
-	z, err := workload.NewZipf(keySpace, 0.99, 42)
-	if err != nil {
-		return 0, err
-	}
 	backend, err := hashtable.NewBackend(cl.Machine(0), hashtable.Config{
 		Level:     level,
-		KeySpace:  keySpace,
+		KeySpace:  hashtableKeySpace,
 		ValueSize: 64,
 		Theta:     16,
 		BlockBits: 4,
-		HotKeys:   z.HotSet(keySpace / 8),
+		HotKeys:   dist.HotSet(hashtableKeySpace / 8),
 	})
 	if err != nil {
 		return 0, err
@@ -73,10 +72,7 @@ func ycsbMOPS(r *run, level hashtable.Level, readPct int, h sim.Duration) (float
 		if err != nil {
 			return 0, err
 		}
-		keys, err := workload.NewZipf(keySpace, 0.99, int64(1000+i))
-		if err != nil {
-			return 0, err
-		}
+		keys := dist.New(int64(1000 + i))
 		rng := rand.New(rand.NewSource(int64(50 + i)))
 		val := make([]byte, 64)
 		out := make([]byte, 64)

@@ -33,13 +33,10 @@ func TestFourApplicationsOnOneCluster(t *testing.T) {
 	}
 
 	// 1. Hashtable: backend on machine 0, one front-end on machine 1.
-	z, err := workload.NewZipf(1<<10, 0.99, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dist := mustZipfDist(t, 1<<10)
 	backend, err := hashtable.NewBackend(cl.Machine(0), hashtable.Config{
 		Level: hashtable.Reorder, KeySpace: 1 << 10, ValueSize: 64,
-		Theta: 4, BlockBits: 4, HotKeys: z.HotSet(128),
+		Theta: 4, BlockBits: 4, HotKeys: dist.HotSet(128),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +71,7 @@ func TestFourApplicationsOnOneCluster(t *testing.T) {
 	// one closed loop.
 	val := make([]byte, 64)
 	stream := workload.NewStream(mustUniform(t, 1<<30, 5), scfg.ValueSize)
-	putKeys := mustZipf(t, 1<<10, 7)
+	putKeys := dist.New(7)
 	clients := []*sim.Client{
 		{PostCost: 200, Window: 2, MaxOps: 400, Op: func(post sim.Time) sim.Time {
 			k := putKeys.Next()
@@ -147,15 +144,15 @@ func TestFourApplicationsOnOneCluster(t *testing.T) {
 // demands bit-identical aggregate results — the property that makes every
 // figure in the repository reproducible.
 func TestWholeStackDeterminism(t *testing.T) {
+	dist := mustZipfDist(t, 1<<12)
 	run := func() string {
 		cl, err := cluster.New(cluster.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		z := mustZipf(t, 1<<12, 42)
 		backend, err := hashtable.NewBackend(cl.Machine(0), hashtable.Config{
 			Level: hashtable.Reorder, KeySpace: 1 << 12, ValueSize: 64,
-			Theta: 8, BlockBits: 4, HotKeys: z.HotSet(512),
+			Theta: 8, BlockBits: 4, HotKeys: dist.HotSet(512),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -167,7 +164,7 @@ func TestWholeStackDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			keys := mustZipf(t, 1<<12, int64(100+i))
+			keys := dist.New(int64(100 + i))
 			clients = append(clients, &sim.Client{
 				PostCost: 200, Window: 4,
 				Op: func(post sim.Time) sim.Time {
@@ -272,13 +269,13 @@ func TestEngineModesAgreeOnData(t *testing.T) {
 	}
 }
 
-func mustZipf(t *testing.T, n uint64, seed int64) *workload.Zipf {
+func mustZipfDist(t *testing.T, n uint64) *workload.ZipfDist {
 	t.Helper()
-	z, err := workload.NewZipf(n, 0.99, seed)
+	d, err := workload.NewZipfDist(n, 0.99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return z
+	return d
 }
 
 func mustUniform(t *testing.T, n uint64, seed int64) *workload.Uniform {

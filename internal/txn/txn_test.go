@@ -361,13 +361,14 @@ func TestNoDoubleCommitProperty(t *testing.T) {
 	var commits []commitRec
 	values := map[commitRec]uint64{} // (key, preVersion) -> value seed
 
+	dist, err := workload.NewZipfDist(keySpace, 0.99)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var clients []*sim.Client
 	for i := 0; i < 6; i++ {
 		c := mustClient(t, i, cl, 1+i, s)
-		z, err := workload.NewZipf(keySpace, 0.99, int64(31+i))
-		if err != nil {
-			t.Fatal(err)
-		}
+		z := dist.New(int64(31 + i))
 		buf := make([]byte, 16)
 		val := make([]byte, 16)
 		var tx *Txn
@@ -481,6 +482,10 @@ func TestNoDoubleCommitProperty(t *testing.T) {
 // lossy fabric, so retransmissions are in play — and demands bit-identical
 // stats, fingerprints and log heads.
 func TestDeterminismAcrossEngineWorkers(t *testing.T) {
+	dist, err := workload.NewZipfDist(64, 0.99)
+	if err != nil {
+		t.Fatal(err)
+	}
 	signature := func(workers int) string {
 		cfg := cluster.DefaultConfig()
 		cfg.Machines = 12
@@ -505,10 +510,7 @@ func TestDeterminismAcrossEngineWorkers(t *testing.T) {
 					t.Fatal(err)
 				}
 				tclients = append(tclients, c)
-				z, err := workload.NewZipf(64, 0.99, int64(7+island*2+ci))
-				if err != nil {
-					t.Fatal(err)
-				}
+				z := dist.New(int64(7 + island*2 + ci))
 				buf := make([]byte, 32)
 				val := make([]byte, 32)
 				client := &sim.Client{

@@ -5,47 +5,55 @@
 package workload
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 )
 
-// Zipf generates keys in [0, n) with the YCSB zipfian distribution
+// ZipfDist is the YCSB zipfian distribution over [0, n)
 // (theta-parameterized, matching "Zipf distribution with parameter 0.99" in
 // Section IV-B), scattered over the key space so that hot keys are not
-// clustered at low indices.
-type Zipf struct {
-	rng      *rand.Rand
-	n        uint64
-	theta    float64
-	alpha    float64
-	zetan    float64
-	eta      float64
-	zeta2    float64
-	scramble bool
+// clustered at low indices. It is immutable once built: one distribution
+// serves every generator of an experiment, from any number of goroutines.
+type ZipfDist struct {
+	n     uint64
+	alpha float64
+	zetan float64
+	eta   float64
+	// rank1 bounds the draws that land on rank 1: 1 + 0.5^theta.
+	rank1 float64
+	// mul scrambles rank r to key r*mul mod n; it is coprime to n, so the
+	// scramble is a bijection on [0, n).
+	mul uint64
 }
 
-// NewZipf creates a zipfian generator over [0, n) with the given theta
-// (0 < theta < 1; YCSB uses 0.99) and seed. Keys are scrambled with a
-// Fibonacci hash so the hot set spreads across the key space.
-func NewZipf(n uint64, theta float64, seed int64) (*Zipf, error) {
+// fibonacci is the 64-bit Fibonacci hashing constant the key scramble
+// starts from.
+const fibonacci = 0x9E3779B97F4A7C15
+
+// NewZipfDist builds the zipfian distribution over [0, n) with the given
+// theta (0 < theta < 1; YCSB uses 0.99). It sums the O(n) generalized
+// harmonic number once; generators drawn from it with New cost O(1).
+func NewZipfDist(n uint64, theta float64) (*ZipfDist, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("workload: zipf needs a positive key space")
 	}
 	if theta <= 0 || theta >= 1 {
 		return nil, fmt.Errorf("workload: zipf theta must be in (0,1), got %v", theta)
 	}
-	z := &Zipf{
-		rng:      rand.New(rand.NewSource(seed)),
-		n:        n,
-		theta:    theta,
-		scramble: true,
+	d := &ZipfDist{n: n}
+	d.zetan = zeta(n, theta)
+	zeta2 := zeta(2, theta)
+	d.alpha = 1.0 / (1.0 - theta)
+	d.eta = (1 - math.Pow(2.0/float64(n), 1-theta)) / (1 - zeta2/d.zetan)
+	d.rank1 = 1.0 + math.Pow(0.5, theta)
+	d.mul = fibonacci % n
+	for gcd(d.mul, n) != 1 {
+		d.mul++
 	}
-	z.zetan = zeta(n, theta)
-	z.zeta2 = zeta(2, theta)
-	z.alpha = 1.0 / (1.0 - theta)
-	z.eta = (1 - math.Pow(2.0/float64(n), 1-theta)) / (1 - z.zeta2/z.zetan)
-	return z, nil
+	return d, nil
 }
 
 // zeta computes the generalized harmonic number sum_{i=1..n} 1/i^theta.
@@ -57,50 +65,67 @@ func zeta(n uint64, theta float64) float64 {
 	return sum
 }
 
-// SetScramble toggles key scrambling (rank order when off: key 0 hottest).
-func (z *Zipf) SetScramble(on bool) { z.scramble = on }
+func gcd(a, b uint64) uint64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
+
+// scramble maps a popularity rank to its key. For a power-of-two n it
+// equals the plain Fibonacci hash (rank*fibonacci) % n.
+func (d *ZipfDist) scramble(rank uint64) uint64 {
+	hi, lo := bits.Mul64(rank, d.mul)
+	return bits.Rem64(hi, lo, d.n)
+}
+
+// New returns a generator drawing from d with its own seeded source.
+func (d *ZipfDist) New(seed int64) *Zipf {
+	return &Zipf{dist: d, rng: rand.New(rand.NewSource(seed))}
+}
+
+// HotSet returns the m hottest keys (after scrambling), which the hashtable
+// uses to seed its hot entry area during warm-up. The keys are distinct.
+func (d *ZipfDist) HotSet(m int) []uint64 {
+	if m <= 0 {
+		return nil
+	}
+	if uint64(m) > d.n {
+		m = int(d.n)
+	}
+	out := make([]uint64, m)
+	for i := range out {
+		out[i] = d.scramble(uint64(i))
+	}
+	return out
+}
+
+// Zipf draws keys from a shared ZipfDist with its own random source; it is
+// not safe for concurrent use, but generators of one distribution are
+// independent of each other.
+type Zipf struct {
+	dist *ZipfDist
+	rng  *rand.Rand
+}
 
 // Next draws the next key.
 func (z *Zipf) Next() uint64 {
+	d := z.dist
 	u := z.rng.Float64()
-	uz := u * z.zetan
+	uz := u * d.zetan
 	var rank uint64
 	switch {
 	case uz < 1.0:
 		rank = 0
-	case uz < 1.0+math.Pow(0.5, z.theta):
+	case uz < d.rank1:
 		rank = 1
 	default:
-		rank = uint64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
+		rank = uint64(float64(d.n) * math.Pow(d.eta*u-d.eta+1, d.alpha))
 	}
-	if rank >= z.n {
-		rank = z.n - 1
+	if rank >= d.n {
+		rank = d.n - 1
 	}
-	if !z.scramble {
-		return rank
-	}
-	return (rank * 0x9E3779B97F4A7C15) % z.n
-}
-
-// HotSet returns the m hottest keys (after scrambling), which the hashtable
-// uses to seed its hot entry area during warm-up.
-func (z *Zipf) HotSet(m int) []uint64 {
-	if m <= 0 {
-		return nil
-	}
-	if uint64(m) > z.n {
-		m = int(z.n)
-	}
-	out := make([]uint64, m)
-	for i := range out {
-		rank := uint64(i)
-		if z.scramble {
-			out[i] = (rank * 0x9E3779B97F4A7C15) % z.n
-		} else {
-			out[i] = rank
-		}
-	}
-	return out
+	return d.scramble(rank)
 }
 
 // Uniform generates uniformly distributed keys in [0, n).
@@ -109,10 +134,13 @@ type Uniform struct {
 	n   uint64
 }
 
-// NewUniform creates a uniform generator over [0, n).
+// NewUniform creates a uniform generator over [0, n), 0 < n < 1<<63.
 func NewUniform(n uint64, seed int64) (*Uniform, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("workload: uniform needs a positive key space")
+	}
+	if n >= 1<<63 {
+		return nil, fmt.Errorf("workload: uniform key space %d exceeds 1<<63-1", n)
 	}
 	return &Uniform{rng: rand.New(rand.NewSource(seed)), n: n}, nil
 }
@@ -127,9 +155,16 @@ type KV struct {
 }
 
 // FillValue writes a recognizable, key-derived pattern into buf so data
-// integrity can be checked end to end.
+// integrity can be checked end to end: byte i is byte(key>>(8*(i%8)))^byte(i),
+// the definition CheckValue reads back. Whole words are written eight bytes
+// at a time: at a multiple of 8, byte(i) <= 248, so adding 0..7 to each lane
+// never carries.
 func FillValue(buf []byte, key uint64) {
-	for i := range buf {
+	i := 0
+	for ; i+8 <= len(buf); i += 8 {
+		binary.LittleEndian.PutUint64(buf[i:], key^(uint64(byte(i))*0x0101010101010101+0x0706050403020100))
+	}
+	for ; i < len(buf); i++ {
 		buf[i] = byte(key>>(8*(i%8))) ^ byte(i)
 	}
 }
