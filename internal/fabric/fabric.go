@@ -64,24 +64,24 @@ type Endpoint struct {
 // delivery sequence at every worker count.
 type inbox struct {
 	seq  uint64 // deliveries merged into this endpoint
-	hash uint64 // FNV-1a fold over (arrival, source, seq)
+	hash uint64 // word-wide FNV-style fold over (arrival, source, seq)
 }
 
 const fnvOffset64 = 14695981039346656037
 const fnvPrime64 = 1099511628211
 
-// merge folds one delivery into the witness.
+// merge folds one delivery into the witness: one xor-multiply step per
+// word, not per byte. The witness only has to tell merge orders apart, so
+// the byte-wise avalanche of FNV-1a buys nothing here.
 func (in *inbox) merge(arrival sim.Time, src int) {
 	in.seq++
 	h := in.hash
 	if h == 0 {
 		h = fnvOffset64
 	}
-	for _, x := range [3]uint64{uint64(arrival), uint64(src), in.seq} {
-		for s := 0; s < 64; s += 8 {
-			h = (h ^ (x >> s & 0xff)) * fnvPrime64
-		}
-	}
+	h = (h ^ uint64(arrival)) * fnvPrime64
+	h = (h ^ uint64(src)) * fnvPrime64
+	h = (h ^ in.seq) * fnvPrime64
 	in.hash = h
 }
 

@@ -8,19 +8,31 @@ package rnic
 // The recency order is an intrusive doubly-linked list over a preallocated
 // node slice (indices, not pointers), so steady-state Access never allocates:
 // a miss either reuses the evicted node or takes one from the free list that
-// was carved out up front.
+// was carved out up front. Keys are found through an open-addressed index
+// owned by the cache: a power-of-two slot table of at least twice the
+// capacity, probed linearly from a fixed mixer and kept tombstone-free by
+// backward-shift deletion. Which keys hit depends only on the recency list,
+// never on where the index happens to place them.
 //
 // LRU is not safe for concurrent use; the simulation kernel is single
 // threaded over virtual time.
 type LRU struct {
 	capacity int
-	entries  map[uint64]int32 // key -> node index
+	slots    []lruSlot // open-addressed key index, len is a power of two
+	mask     uint64    // len(slots) - 1
 	nodes    []lruNode
 	head     int32 // most recent, or lruNil
 	tail     int32 // least recent, or lruNil
 	free     int32 // next unused node, chained through next
 	hits     int64
 	misses   int64
+}
+
+// lruSlot is one index entry: node is the node index + 1, so the zero slot
+// is empty.
+type lruSlot struct {
+	key  uint64
+	node int32
 }
 
 type lruNode struct {
@@ -30,15 +42,33 @@ type lruNode struct {
 
 const lruNil = int32(-1)
 
+// lruMix is the murmur3 fmix64 finalizer: every key bit reaches the low
+// bits the index masks, so page numbers (k<<12) spread like small integers.
+func lruMix(k uint64) uint64 {
+	k ^= k >> 33
+	k *= 0xff51afd7ed558ccd
+	k ^= k >> 33
+	k *= 0xc4ceb9fe1a85ec53
+	k ^= k >> 33
+	return k
+}
+
 // NewLRU returns an empty cache with the given capacity. Capacity 0 yields a
 // cache that always misses (useful for ablations).
 func NewLRU(capacity int) *LRU {
 	if capacity < 0 {
 		capacity = 0
 	}
+	// At least 2x capacity, and always an empty slot to end a chain even
+	// while an evicting miss briefly indexes capacity+1 keys.
+	size := 1
+	for size < 2*capacity || size <= capacity+1 {
+		size <<= 1
+	}
 	c := &LRU{
 		capacity: capacity,
-		entries:  make(map[uint64]int32, capacity),
+		slots:    make([]lruSlot, size),
+		mask:     uint64(size - 1),
 		nodes:    make([]lruNode, capacity),
 		head:     lruNil,
 		tail:     lruNil,
@@ -54,8 +84,9 @@ func NewLRU(capacity int) *LRU {
 // Access touches key, returning true on a hit. On a miss the key is inserted
 // (evicting the LRU entry if the cache is full).
 func (c *LRU) Access(key uint64) bool {
-	if i, ok := c.entries[key]; ok {
-		c.moveToFront(i)
+	s := c.probe(key)
+	if v := c.slots[s].node; v != 0 {
+		c.moveToFront(v - 1)
 		c.hits++
 		return true
 	}
@@ -63,20 +94,51 @@ func (c *LRU) Access(key uint64) bool {
 	if c.capacity == 0 {
 		return false
 	}
+	evict := c.free == lruNil
 	var i int32
-	if c.free != lruNil {
-		i = c.free
-		c.free = c.nodes[i].next
-	} else {
+	if evict {
 		// Full: reuse the coldest node in place.
 		i = c.tail
-		delete(c.entries, c.nodes[i].key)
 		c.unlink(i)
+	} else {
+		i = c.free
+		c.free = c.nodes[i].next
+	}
+	// Index the new key in the empty slot the probe ended on before the
+	// eviction: the table always has room for capacity+1 keys, and the
+	// backward shift keeps every remaining chain, the new one included,
+	// intact.
+	c.slots[s] = lruSlot{key: key, node: i + 1}
+	if evict {
+		c.remove(c.nodes[i].key)
 	}
 	c.nodes[i].key = key
 	c.pushFront(i)
-	c.entries[key] = i
 	return false
+}
+
+// probe returns the slot holding key, or the empty slot that ends its chain.
+func (c *LRU) probe(key uint64) uint64 {
+	s := lruMix(key) & c.mask
+	for c.slots[s].node != 0 && c.slots[s].key != key {
+		s = (s + 1) & c.mask
+	}
+	return s
+}
+
+// remove deletes a resident key from the index by backward shift: each later
+// entry of the chain whose home lies at or before the hole moves into it, so
+// no tombstone is left behind.
+func (c *LRU) remove(key uint64) {
+	hole := c.probe(key)
+	for s := (hole + 1) & c.mask; c.slots[s].node != 0; s = (s + 1) & c.mask {
+		home := lruMix(c.slots[s].key) & c.mask
+		if (s-home)&c.mask >= (s-hole)&c.mask {
+			c.slots[hole] = c.slots[s]
+			hole = s
+		}
+	}
+	c.slots[hole] = lruSlot{}
 }
 
 // unlink removes node i from the recency list.
@@ -116,29 +178,13 @@ func (c *LRU) moveToFront(i int32) {
 	c.pushFront(i)
 }
 
-// Contains reports residency without touching recency or statistics.
-func (c *LRU) Contains(key uint64) bool {
-	_, ok := c.entries[key]
-	return ok
+// contains reports residency without touching recency or statistics.
+func (c *LRU) contains(key uint64) bool {
+	return c.slots[c.probe(key)].node != 0
 }
-
-// Len returns the number of resident entries.
-func (c *LRU) Len() int { return len(c.entries) }
-
-// Cap returns the configured capacity.
-func (c *LRU) Cap() int { return c.capacity }
 
 // Hits returns the number of Access calls that hit.
 func (c *LRU) Hits() int64 { return c.hits }
 
 // Misses returns the number of Access calls that missed.
 func (c *LRU) Misses() int64 { return c.misses }
-
-// HitRate returns hits/(hits+misses), or 0 before any access.
-func (c *LRU) HitRate() float64 {
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(total)
-}

@@ -164,16 +164,6 @@ func (n *NIC) Port(i int) *Port {
 // Ports returns the number of ports.
 func (n *NIC) Ports() int { return len(n.ports) }
 
-// TranslationCache exposes the page-translation cache (for tests and
-// ablation benchmarks).
-func (n *NIC) TranslationCache() *LRU { return n.xlate }
-
-// QPCache exposes the QP-context cache.
-func (n *NIC) QPCache() *LRU { return n.qpCache }
-
-// MRCache exposes the MR-record cache.
-func (n *NIC) MRCache() *LRU { return n.mrCache }
-
 // Doorbell charges the CPU-side MMIO that hands nWQE work-queue entries to
 // the NIC, plus inlineBytes of payload carried inside the MMIO write. It
 // returns the time at which the doorbell has landed on the device. A

@@ -73,10 +73,20 @@ func (r *Resource) Acquire(arrival Time, service Duration) (start, end Time) {
 // records it. A zero-length service passes through the queue: it lands at
 // the first idle instant at or after arrival.
 func (r *Resource) place(arrival Time, service Duration) Time {
-	// Fast path: after the last busy span.
 	n := len(r.intervals)
 	if n == 0 || arrival >= r.intervals[n-1].end {
-		r.insertAt(n, arrival, service)
+		// Direct tail path, the common case: at or after the last busy
+		// span there is nothing to search and nothing to shift, so extend
+		// that span or append one here rather than in insertAt.
+		if service == 0 {
+			return arrival
+		}
+		if n > 0 && r.intervals[n-1].end == arrival {
+			r.intervals[n-1].end = arrival + service
+		} else {
+			r.intervals = append(r.intervals, interval{arrival, arrival + service})
+		}
+		r.fold()
 		return arrival
 	}
 	// Find the first interval ending after arrival.
@@ -125,15 +135,21 @@ func (r *Resource) insertAt(i int, start Time, service Duration) {
 		copy(r.intervals[i+1:], r.intervals[i:])
 		r.intervals[i] = interval{start, end}
 	}
-	if len(r.intervals) > maxIntervals {
-		// Fold the oldest half into one solid span: conservative (gaps
-		// there become busy), bounded memory.
-		half := len(r.intervals) / 2
-		solid := interval{r.intervals[0].start, r.intervals[half-1].end}
-		rest := r.intervals[half-1:]
-		rest[0] = solid
-		r.intervals = append(r.intervals[:0], rest...)
+	r.fold()
+}
+
+// fold bounds the interval list: past maxIntervals, the oldest half becomes
+// one solid span. That is conservative (gaps there become busy) and keeps
+// memory bounded.
+func (r *Resource) fold() {
+	if len(r.intervals) <= maxIntervals {
+		return
 	}
+	half := len(r.intervals) / 2
+	solid := interval{r.intervals[0].start, r.intervals[half-1].end}
+	rest := r.intervals[half-1:]
+	rest[0] = solid
+	r.intervals = append(r.intervals[:0], rest...)
 }
 
 // Delay is a convenience wrapper that returns only the completion time.

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -250,5 +252,120 @@ func TestGapFillingAgainstReference(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refResource is the plain gap-filling placement that Resource must match:
+// any arrival before the tail binary-searches all spans, and every
+// placement, the tail included, is recorded by insertAt.
+type refResource struct {
+	intervals []interval
+}
+
+func (r *refResource) place(arrival Time, service Duration) Time {
+	n := len(r.intervals)
+	if n == 0 || arrival >= r.intervals[n-1].end {
+		r.insertAt(n, arrival, service)
+		return arrival
+	}
+	i := sort.Search(n, func(k int) bool { return r.intervals[k].end > arrival })
+	for ; i <= n; i++ {
+		gapStart := arrival
+		if i > 0 && r.intervals[i-1].end > gapStart {
+			gapStart = r.intervals[i-1].end
+		}
+		gapEnd := MaxTime
+		if i < n {
+			gapEnd = r.intervals[i].start
+		}
+		if gapEnd-gapStart > service || (gapEnd == MaxTime && gapEnd-gapStart >= service) {
+			r.insertAt(i, gapStart, service)
+			return gapStart
+		}
+		if service > 0 && gapEnd-gapStart == service {
+			r.insertAt(i, gapStart, service)
+			return gapStart
+		}
+	}
+	panic("unreachable")
+}
+
+func (r *refResource) insertAt(i int, start Time, service Duration) {
+	if service == 0 {
+		return
+	}
+	end := start + service
+	mergePrev := i > 0 && r.intervals[i-1].end == start
+	mergeNext := i < len(r.intervals) && r.intervals[i].start == end
+	switch {
+	case mergePrev && mergeNext:
+		r.intervals[i-1].end = r.intervals[i].end
+		r.intervals = append(r.intervals[:i], r.intervals[i+1:]...)
+	case mergePrev:
+		r.intervals[i-1].end = end
+	case mergeNext:
+		r.intervals[i].start = start
+	default:
+		r.intervals = append(r.intervals, interval{})
+		copy(r.intervals[i+1:], r.intervals[i:])
+		r.intervals[i] = interval{start, end}
+	}
+	if len(r.intervals) > maxIntervals {
+		half := len(r.intervals) / 2
+		solid := interval{r.intervals[0].start, r.intervals[half-1].end}
+		rest := r.intervals[half-1:]
+		rest[0] = solid
+		r.intervals = append(r.intervals[:0], rest...)
+	}
+}
+
+// TestResourceMatchesReferenceAcrossFolds: thousands of seeded acquires,
+// enough to fold the interval list many times, place exactly where the
+// reference does and leave an identical interval list after every call. The
+// arrivals mix the four placement cases: past the tail (adjacent or with a
+// gap), inside the last span, deep out of order, and zero-length.
+func TestResourceMatchesReferenceAcrossFolds(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		r := NewResource("r")
+		ref := &refResource{}
+		folds, tails := 0, 0
+		for i := 0; i < 6000; i++ {
+			service := Duration(1 + rng.Intn(40))
+			var arrival Time
+			n := len(ref.intervals)
+			switch c := rng.Intn(20); {
+			case n == 0 || c < 8: // past the tail: adjacent or after a gap
+				arrival = r.NextFree() + Time(rng.Intn(3)*rng.Intn(30))
+				tails++
+			case c < 12: // inside the last span
+				last := ref.intervals[n-1]
+				arrival = last.start + Time(rng.Int63n(int64(last.end-last.start)))
+			case c < 17: // deep out of order, possibly before every span
+				first := ref.intervals[0].start
+				arrival = first - 50 + Time(rng.Int63n(int64(r.NextFree()-first)+50))
+				if arrival < 0 {
+					arrival = 0
+				}
+			default: // zero-length, anywhere up to just past the tail
+				service = 0
+				arrival = Time(rng.Int63n(int64(r.NextFree()) + 10))
+			}
+			wantStart := ref.place(arrival, service)
+			start, end := r.Acquire(arrival, service)
+			if start != wantStart || end != wantStart+service {
+				t.Fatalf("seed %d acquire %d (%d,+%d): got [%d,%d), reference [%d,%d)",
+					seed, i, arrival, service, start, end, wantStart, wantStart+service)
+			}
+			if !slices.Equal(r.intervals, ref.intervals) {
+				t.Fatalf("seed %d acquire %d (%d,+%d): intervals diverge from the reference", seed, i, arrival, service)
+			}
+			if len(ref.intervals) < n-1 { // a gap fill drops one span, a fold many
+				folds++
+			}
+		}
+		if folds < 5 || tails < 1000 {
+			t.Fatalf("seed %d: %d folds and %d tail placements; the stream no longer crosses the fold boundary", seed, folds, tails)
+		}
 	}
 }
