@@ -270,8 +270,14 @@ func customPairLatency(r *run, cfg cluster.Config) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	la, _ := cl.Machine(0).Alloc(1, 1<<16, 0)
-	ra, _ := cl.Machine(1).Alloc(1, 1<<16, 0)
+	la, err := cl.Machine(0).Alloc(1, 1<<16, 0)
+	if err != nil {
+		return 0, err
+	}
+	ra, err := cl.Machine(1).Alloc(1, 1<<16, 0)
+	if err != nil {
+		return 0, err
+	}
 	mrA, mrB := ctxA.MustRegisterMR(la), ctxB.MustRegisterMR(ra)
 	wr := &verbs.SendWR{
 		Opcode:     verbs.OpWrite,
@@ -282,14 +288,11 @@ func customPairLatency(r *run, cfg cluster.Config) (float64, error) {
 	if _, err := qp.PostSend(0, wr); err != nil {
 		return 0, err
 	}
-	lat := sim.RunOnce(func(t sim.Time) sim.Time {
-		c, err := qp.PostSend(t, wr)
-		if err != nil {
-			panic(err)
-		}
-		return c.Done
-	}, sim.Millisecond)
-	return lat.Micros(), nil
+	c, err := qp.PostSend(sim.Millisecond, wr)
+	if err != nil {
+		return 0, err
+	}
+	return (c.Done - sim.Millisecond).Micros(), nil
 }
 
 // customPlacementLatency measures best- or worst-placement write latency.
@@ -308,8 +311,14 @@ func customPlacementLatency(r *run, cfg cluster.Config, worst bool) (float64, er
 		qp.BindCore(0)
 		lSock, rSock = 0, 0
 	}
-	la, _ := cl.Machine(0).Alloc(topoSock(lSock), 1<<16, 0)
-	ra, _ := cl.Machine(1).Alloc(topoSock(rSock), 1<<16, 0)
+	la, err := cl.Machine(0).Alloc(topoSock(lSock), 1<<16, 0)
+	if err != nil {
+		return 0, err
+	}
+	ra, err := cl.Machine(1).Alloc(topoSock(rSock), 1<<16, 0)
+	if err != nil {
+		return 0, err
+	}
 	mrA, mrB := ctxA.MustRegisterMR(la), ctxB.MustRegisterMR(ra)
 	wr := &verbs.SendWR{
 		Opcode:     verbs.OpWrite,
@@ -320,12 +329,9 @@ func customPlacementLatency(r *run, cfg cluster.Config, worst bool) (float64, er
 	if _, err := qp.PostSend(0, wr); err != nil {
 		return 0, err
 	}
-	lat := sim.RunOnce(func(t sim.Time) sim.Time {
-		c, err := qp.PostSend(t, wr)
-		if err != nil {
-			panic(err)
-		}
-		return c.Done
-	}, sim.Millisecond)
-	return lat.Micros(), nil
+	c, err := qp.PostSend(sim.Millisecond, wr)
+	if err != nil {
+		return 0, err
+	}
+	return (c.Done - sim.Millisecond).Micros(), nil
 }

@@ -39,13 +39,11 @@ func fig01PacketThrottling(r *run) (*Report, error) {
 		if _, err := env.qpA.PostSend(0, wr); err != nil {
 			return point{}, err
 		}
-		lat := sim.RunOnce(func(t sim.Time) sim.Time {
-			c, err := env.qpA.PostSend(t, wr)
-			if err != nil {
-				panic(err)
-			}
-			return c.Done
-		}, sim.Millisecond)
+		c, err := env.qpA.PostSend(sim.Millisecond, wr)
+		if err != nil {
+			return point{}, err
+		}
+		lat := c.Done - sim.Millisecond
 
 		// Fresh environment for the closed-loop throughput run: reusing
 		// the latency env would leak queued resource history into it.

@@ -78,14 +78,12 @@ func placementCase(r *run, lCoreAlt, lMemAlt, rPortAlt, rMemAlt bool, h sim.Dura
 			return 0, err
 		}
 		if !throughput {
-			lat := sim.RunOnce(func(t sim.Time) sim.Time {
-				c, err := qpA.PostSend(t, wr)
-				if err != nil {
-					panic(err)
-				}
-				return c.Done
-			}, 100*sim.Microsecond)
-			return lat.Micros(), nil
+			start := 100 * sim.Microsecond
+			c, err := qpA.PostSend(start, wr)
+			if err != nil {
+				return 0, err
+			}
+			return (c.Done - start).Micros(), nil
 		}
 		res := measure(func(t sim.Time) sim.Time {
 			c, err := qpA.PostSend(t, wr)

@@ -45,21 +45,42 @@ func BenchmarkClosedLoop(b *testing.B) {
 
 // BenchmarkKernelDispatch isolates pure scheduler cost: 16 clients with
 // constant-latency ops (no shared resources), so every nanosecond and every
-// allocation is queue bookkeeping — the completion window and the ready-client
-// merge — not model work. This is the number that shows the container/heap
-// interface boxing (one heap allocation per posted op) and its removal.
+// allocation is queue bookkeeping — the completion windows and the shard's
+// client heap — not model work. This is the number that shows the
+// container/heap interface boxing (one heap allocation per posted op) and its
+// removal.
 func BenchmarkKernelDispatch(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		clients := make([]*Client, 16)
-		for c := range clients {
-			lat := Duration(1500 + 100*c)
-			clients[c] = &Client{
-				Op:       func(t Time) Time { return t + lat },
-				PostCost: 100,
-				Window:   8,
-			}
-		}
-		RunClosedLoop(clients, Millisecond)
+		RunClosedLoop(dispatchClients(), Millisecond)
 	}
+}
+
+// BenchmarkKernelDispatchHomes is BenchmarkKernelDispatch with footprints:
+// the 16 clients post from 8 home machines and all share machine 0, so they
+// form one shard with several home machines.
+func BenchmarkKernelDispatchHomes(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k := NewKernel(1)
+		for c, cl := range dispatchClients() {
+			k.Add(cl, c%8, 0)
+		}
+		k.Run(Millisecond)
+	}
+}
+
+// dispatchClients returns the 16 constant-latency clients of the dispatch
+// benchmarks.
+func dispatchClients() []*Client {
+	clients := make([]*Client, 16)
+	for c := range clients {
+		lat := Duration(1500 + 100*c)
+		clients[c] = &Client{
+			Op:       func(t Time) Time { return t + lat },
+			PostCost: 100,
+			Window:   8,
+		}
+	}
+	return clients
 }

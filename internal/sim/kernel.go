@@ -10,13 +10,13 @@ import (
 // with a footprint — the set of machines whose queueing resources their Op
 // closures may touch, home machine first. The kernel unions overlapping
 // footprints into shards: groups of machines (and their clients) that can
-// only interact with each other. Each shard runs its own per-machine event
-// queues under a deterministic fabric-boundary merge (see mergeHeap), and
-// distinct shards run concurrently on up to Workers host threads.
+// only interact with each other. Each shard dispatches its clients from one
+// typed heap (see shard), and distinct shards run concurrently on up to
+// Workers host threads.
 //
 // Determinism contract: results are byte-identical at any worker count.
-// Within a shard, dispatch follows the exact (virtual time, client index)
-// order of the classic single-heap loop. Across shards there is nothing to
+// Within a shard, dispatch follows the exact (virtual time, registration
+// index) order, which the goldens pin. Across shards there is nothing to
 // order — a shard is closed under its declared footprints, so no event ever
 // crosses a shard boundary and no cross-machine lookahead window (the
 // minimum fabric latency) ever has to be respected. The per-endpoint inbox
@@ -66,14 +66,6 @@ func (k *Kernel) Add(c *Client, machines ...int) {
 	foot := make([]int, len(machines))
 	copy(foot, machines)
 	k.foot = append(k.foot, foot)
-}
-
-// shardDef is one shard: the clients of one footprint-connected machine
-// group, in original registration order.
-type shardDef struct {
-	clients []*Client
-	idx     []int // original registration indices
-	home    []int // home machine per client (all zero for a global shard)
 }
 
 // Run drives all registered clients to the horizon and returns the combined
@@ -127,22 +119,21 @@ func (k *Kernel) Run(horizon Time) Result {
 }
 
 // partition unions overlapping footprints and groups clients into shards,
-// ordered by each shard's first-registered client. A global client (no
-// footprint) forces a single shard.
-func (k *Kernel) partition() []*shardDef {
+// ordered by each shard's first-registered client, each shard's clients in
+// registration order. A global client (no footprint) forces a single shard.
+func (k *Kernel) partition() []*shard {
 	if len(k.clients) == 0 {
 		return nil
 	}
 	if k.global {
-		sd := &shardDef{
-			clients: k.clients,
+		sd := &shard{
+			clients: append([]*Client(nil), k.clients...), // the heap reorders it
 			idx:     make([]int, len(k.clients)),
-			home:    make([]int, len(k.clients)),
 		}
 		for i := range sd.idx {
 			sd.idx[i] = i
 		}
-		return []*shardDef{sd}
+		return []*shard{sd}
 	}
 	// Union-find over machine ids (ids are sparse; index through a map).
 	parent := map[int]int{}
@@ -171,19 +162,18 @@ func (k *Kernel) partition() []*shardDef {
 			union(foot[0], m)
 		}
 	}
-	byRoot := map[int]*shardDef{}
-	var shards []*shardDef
+	byRoot := map[int]*shard{}
+	var shards []*shard
 	for i, c := range k.clients {
 		root := find(k.foot[i][0])
 		sd := byRoot[root]
 		if sd == nil {
-			sd = &shardDef{}
+			sd = &shard{}
 			byRoot[root] = sd
 			shards = append(shards, sd) // first client wins: registration order
 		}
 		sd.clients = append(sd.clients, c)
 		sd.idx = append(sd.idx, i)
-		sd.home = append(sd.home, k.foot[i][0])
 	}
 	return shards
 }
@@ -192,7 +182,7 @@ func (k *Kernel) partition() []*shardDef {
 // state (that is the footprint contract), so workers only write disjoint
 // client records; a panic inside a shard is re-raised in the caller, first
 // shard first, so failures are reported deterministically.
-func (k *Kernel) runParallel(shards []*shardDef, horizon Time) {
+func (k *Kernel) runParallel(shards []*shard, horizon Time) {
 	workers := k.workers
 	if workers > len(shards) {
 		workers = len(shards)
@@ -224,77 +214,42 @@ func (k *Kernel) runParallel(shards []*shardDef, horizon Time) {
 	}
 }
 
-// runShard drives one shard to the horizon: per-machine client queues under
-// the deterministic merge. The inner loop keeps dispatching from the machine
-// holding the globally earliest client for as long as that machine's front
-// stays strictly earliest, so a machine bursting through its own work (the
-// common closed-loop shape: a client re-arms every PostCost nanoseconds
-// while cross-machine round trips take microseconds) never touches the
-// merge heap at all.
-func runShard(sd *shardDef, horizon Time) {
-	// Group the shard's clients into per-machine queues, machines ordered by
-	// first appearance (the order never affects dispatch — the merge key is
-	// global — only heap shapes).
-	queueOf := map[int]*clientQueue{}
-	var mqs []*clientQueue
-	for i, c := range sd.clients {
-		q := queueOf[sd.home[i]]
-		if q == nil {
-			q = &clientQueue{}
-			queueOf[sd.home[i]] = q
-			mqs = append(mqs, q)
+// runShard drives one shard to the horizon. Each step dispatches the heap's
+// root — the client with the least (nextAction, registration index) — then
+// sifts it back down, or evicts it once it reaches the horizon or its MaxOps
+// budget.
+func runShard(sd *shard, horizon Time) {
+	sd.init()
+	for len(sd.clients) > 0 {
+		c := sd.clients[0]
+		t := c.nextAction()
+		if t >= horizon || (c.MaxOps > 0 && c.posted >= c.MaxOps) {
+			sd.popTop()
+			continue
 		}
-		q.cs = append(q.cs, c)
-		q.idx = append(q.idx, sd.idx[i])
-	}
-	for _, q := range mqs {
-		q.init()
-	}
-	merge := mergeHeap{mqs: mqs}
-	merge.init()
-
-	for merge.len() > 0 {
-		mq := merge.top()
-		secondT, secondI := merge.secondKey()
-		for {
-			c := mq.cs[0]
-			t := c.nextAction()
-			if t >= horizon || (c.MaxOps > 0 && c.posted >= c.MaxOps) {
-				mq.popTop()
-				if mq.len() == 0 {
-					merge.popTop()
-					break
-				}
-			} else {
-				// Retire anything that has already completed by t.
-				for len(c.outstanding) > 0 && c.outstanding[0] <= t {
-					c.outstanding.pop()
-				}
-				complete := c.Op(t)
-				if complete < t {
-					panic("sim: op completed before it was posted")
-				}
-				c.posted++
-				if complete <= horizon {
-					c.completed++
-					lat := complete - t
-					c.latencySum += lat
-					if lat > c.latencyMax {
-						c.latencyMax = lat
-					}
-					if lat < c.latencyMin {
-						c.latencyMin = lat
-					}
-				}
-				c.outstanding.push(complete)
-				c.nextPost = t + c.PostCost
-				c.cpuBusy += c.PostCost
-				mq.fixTop()
+		// Retire anything that has already completed by t.
+		for len(c.outstanding) > 0 && c.outstanding[0] <= t {
+			c.outstanding.pop()
+		}
+		complete := c.Op(t)
+		if complete < t {
+			panic("sim: op completed before it was posted")
+		}
+		c.posted++
+		if complete <= horizon {
+			c.completed++
+			lat := complete - t
+			c.latencySum += lat
+			if lat > c.latencyMax {
+				c.latencyMax = lat
 			}
-			if ft, fi := mq.frontKey(); !keyLess(ft, fi, secondT, secondI) {
-				merge.fixTop()
-				break
+			if lat < c.latencyMin {
+				c.latencyMin = lat
 			}
 		}
+		c.outstanding.push(complete)
+		c.nextPost = t + c.PostCost
+		c.cpuBusy += c.PostCost
+		sd.fixTop()
 	}
 }

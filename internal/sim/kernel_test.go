@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -60,9 +61,260 @@ func runKernel(t *testing.T, workers, n, groups int) (Result, [][]Duration) {
 	return k.Run(Millisecond), lats
 }
 
-// TestKernelMatchesRunClosedLoop: with every client in one shard, the kernel
-// must reproduce the classic single-heap loop bit for bit — same stats, same
-// per-op latencies, same dispatch sequence.
+// dispatchSpec is one client of a reference check. Its op holds the
+// resource of each footprint machine in turn, the home machine's for service
+// and the others' for half as long, so clients sharing a machine observe each
+// other's dispatch order through gap-filling placement.
+type dispatchSpec struct {
+	foot     []int // nil: a global client; global clients share one resource
+	window   int
+	postCost Duration
+	maxOps   int64
+	service  Duration
+}
+
+// dispatchEvent is one dispatched op: its client, post and completion times.
+type dispatchEvent struct {
+	client         int
+	post, complete Time
+}
+
+// shardOf groups clients the naive way and names each group by its
+// first-registered client. Every machine starts with its own label, and each
+// footprint pulls its machines down to their least label until nothing
+// changes. A global client puts everyone in one group.
+func shardOf(specs []dispatchSpec) []int {
+	out := make([]int, len(specs))
+	label := map[int]int{}
+	for _, s := range specs {
+		if s.foot == nil {
+			return out
+		}
+		for _, m := range s.foot {
+			label[m] = m
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, s := range specs {
+			least := label[s.foot[0]]
+			for _, m := range s.foot {
+				least = min(least, label[m])
+			}
+			for _, m := range s.foot {
+				if label[m] != least {
+					label[m], changed = least, true
+				}
+			}
+		}
+	}
+	first := map[int]int{}
+	for i, s := range specs {
+		l := label[s.foot[0]]
+		if _, ok := first[l]; !ok {
+			first[l] = i
+		}
+		out[i] = first[l]
+	}
+	return out
+}
+
+// buildDispatch returns fresh clients for specs over fresh resources. Each op
+// appends to logs[shardOf(specs)[i]], so one group's sequence is written by
+// one shard only.
+func buildDispatch(specs []dispatchSpec, logs [][]dispatchEvent) []*Client {
+	group := shardOf(specs)
+	res := map[int]*Resource{}
+	clients := make([]*Client, len(specs))
+	for i, s := range specs {
+		path := s.foot
+		if path == nil {
+			path = []int{-1}
+		}
+		held := make([]*Resource, len(path))
+		for j, m := range path {
+			if res[m] == nil {
+				res[m] = NewResource("m")
+			}
+			held[j] = res[m]
+		}
+		svc, log := s.service, &logs[group[i]]
+		clients[i] = &Client{
+			PostCost: s.postCost,
+			Window:   s.window,
+			MaxOps:   s.maxOps,
+			Op: func(post Time) Time {
+				t := held[0].Delay(post, svc)
+				for _, r := range held[1:] {
+					t = r.Delay(t, svc/2)
+				}
+				*log = append(*log, dispatchEvent{i, post, t})
+				return t
+			},
+		}
+	}
+	return clients
+}
+
+// referenceRun is the dispatch rule at its plainest: every step scans all
+// clients for the least (next action, index) among those still running and
+// dispatches it. It keeps its own client state and reads only the clients'
+// configuration and Op.
+func referenceRun(clients []*Client, horizon Time) Result {
+	type state struct {
+		nextPost Time
+		out      []Time // outstanding completions, unordered
+		sum      Duration
+		stats    ClientStats
+	}
+	st := make([]state, len(clients))
+	for {
+		best, bestT := -1, Time(0)
+		for i, c := range clients {
+			s := &st[i]
+			t := s.nextPost
+			if len(s.out) >= c.Window {
+				t = max(t, slices.Min(s.out))
+			}
+			if t >= horizon || (c.MaxOps > 0 && s.stats.Posted >= c.MaxOps) {
+				continue
+			}
+			if best < 0 || t < bestT {
+				best, bestT = i, t
+			}
+		}
+		if best < 0 {
+			break
+		}
+		c, s, t := clients[best], &st[best], bestT
+		s.out = slices.DeleteFunc(s.out, func(done Time) bool { return done <= t })
+		complete := c.Op(t)
+		s.stats.Posted++
+		if lat := complete - t; complete <= horizon {
+			if s.stats.Completed == 0 || lat < s.stats.LatencyMin {
+				s.stats.LatencyMin = lat
+			}
+			s.stats.LatencyMax = max(s.stats.LatencyMax, lat)
+			s.stats.Completed++
+			s.sum += lat
+		}
+		s.out = append(s.out, complete)
+		s.nextPost = t + c.PostCost
+		s.stats.CPUBusy += c.PostCost
+	}
+	res := Result{Horizon: horizon, Clients: make([]ClientStats, len(clients))}
+	for i, s := range st {
+		if s.stats.Completed > 0 {
+			s.stats.LatencyAvg = s.sum / Duration(s.stats.Completed)
+		}
+		res.Clients[i] = s.stats
+		res.Completed += s.stats.Completed
+	}
+	return res
+}
+
+// checkAgainstReference runs specs through the kernel at the given worker
+// count and through referenceRun, and fails unless every shard's dispatch
+// sequence (with each op's latency) and the Result agree. It returns the
+// reference's sequences.
+func checkAgainstReference(t *testing.T, specs []dispatchSpec, workers int, horizon Time) [][]dispatchEvent {
+	t.Helper()
+	wantLogs := make([][]dispatchEvent, len(specs))
+	want := referenceRun(buildDispatch(specs, wantLogs), horizon)
+	gotLogs := make([][]dispatchEvent, len(specs))
+	k := NewKernel(workers)
+	for i, c := range buildDispatch(specs, gotLogs) {
+		k.Add(c, specs[i].foot...)
+	}
+	got := k.Run(horizon)
+	for g := range wantLogs {
+		if !reflect.DeepEqual(wantLogs[g], gotLogs[g]) {
+			n := min(len(wantLogs[g]), len(gotLogs[g]))
+			at := 0
+			for at < n && wantLogs[g][at] == gotLogs[g][at] {
+				at++
+			}
+			t.Fatalf("workers=%d: shard of client %d diverged at op %d of %d/%d (reference/kernel)",
+				workers, g, at, len(wantLogs[g]), len(gotLogs[g]))
+		}
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("workers=%d: result diverged:\nreference %+v\nkernel    %+v", workers, want, got)
+	}
+	return wantLogs
+}
+
+// TestKernelMatchesReference: the kernel dispatches exactly as referenceRun.
+// Clients 0-3 chain four home machines into one shard and clients 4-5 form
+// a second; windows, post costs and MaxOps budgets are mixed, and equal post
+// costs from time zero make equal-time ties that only the index breaks.
+func TestKernelMatchesReference(t *testing.T) {
+	chained := []dispatchSpec{
+		{foot: []int{0, 1}, window: 1, postCost: 50, service: 120},
+		{foot: []int{1, 2}, window: 4, postCost: 50, service: 90},
+		{foot: []int{2, 3}, window: 2, postCost: 50, maxOps: 40, service: 150},
+		{foot: []int{3}, window: 8, postCost: 70, service: 60},
+		{foot: []int{5, 6}, window: 3, postCost: 50, service: 200},
+		{foot: []int{6}, window: 1, postCost: 50, maxOps: 25, service: 80},
+	}
+	global := slices.Clone(chained)
+	global[4].foot = nil
+	for name, specs := range map[string][]dispatchSpec{"chained": chained, "global": global} {
+		logs := checkAgainstReference(t, specs, 1, 100*Microsecond)
+		checkAgainstReference(t, specs, 4, 100*Microsecond)
+		ties := 0
+		for _, log := range logs {
+			for j := 1; j < len(log); j++ {
+				if log[j].post == log[j-1].post {
+					ties++
+				}
+			}
+		}
+		if ties == 0 {
+			t.Fatalf("%s: no equal-time dispatches; the index tiebreak went unexercised", name)
+		}
+	}
+}
+
+// FuzzKernelDispatch decodes a client set (count, footprints with their home
+// machines, windows, post costs, MaxOps budgets and service times) and
+// checks the kernel against referenceRun at one and three workers.
+func FuzzKernelDispatch(f *testing.F) {
+	f.Add([]byte{4, 0, 1, 1, 10, 2, 100, 1, 2, 2, 10, 0, 50, 2, 1, 3, 10, 5, 150, 3, 0, 0, 20, 0, 80})
+	f.Add([]byte{3, 8, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0})
+	f.Add([]byte{6, 0, 1, 0, 0, 1, 60, 2, 1, 3, 0, 1, 60, 4, 1, 5, 0, 1, 60, 6, 2, 7, 3, 0, 9, 7, 0, 1, 1, 2, 30, 5, 1, 0, 2, 7, 200})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		specs := make([]dispatchSpec, 1+next()%8)
+		for i := range specs {
+			// Home machine 8 stands for a global client.
+			if home := next() % 9; home < 8 {
+				foot := []int{home}
+				for extra := next() % 3; extra > 0; extra-- {
+					foot = append(foot, next()%8)
+				}
+				specs[i].foot = foot
+			}
+			specs[i].window = 1 + next()%4
+			specs[i].postCost = Duration(10 * (1 + next()%8))
+			specs[i].maxOps = int64(next() % 12)
+			specs[i].service = Duration(next())
+		}
+		checkAgainstReference(t, specs, 1, 20*Microsecond)
+		checkAgainstReference(t, specs, 3, 20*Microsecond)
+	})
+}
+
+// TestKernelMatchesRunClosedLoop: clients that share a footprint form one
+// shard, and that shard must reproduce RunClosedLoop (the same clients
+// registered globally) bit for bit — same stats, same per-op latencies.
 func TestKernelMatchesRunClosedLoop(t *testing.T) {
 	build := func() ([]*Client, [][]Duration) {
 		r := NewResource("eu")
@@ -95,7 +347,7 @@ func TestKernelMatchesRunClosedLoop(t *testing.T) {
 }
 
 // TestKernelDispatchOrderMatchesLoop: ops log their dispatch sequence; a
-// single-shard kernel must replay the classic loop's exact order.
+// footprinted single-shard kernel must replay RunClosedLoop's exact order.
 func TestKernelDispatchOrderMatchesLoop(t *testing.T) {
 	type ev struct {
 		client int

@@ -98,7 +98,8 @@ func (c *Client) nextAction() Time {
 // dispatch is strictly sequential in time order.
 //
 // RunClosedLoop is the single-shard configuration of the sharded Kernel —
-// every client registered with no footprint, so nothing runs concurrently.
+// every client registered with no footprint, so all of them dispatch from
+// one heap and nothing runs concurrently.
 // Clients whose ops are confined to declared machine footprints can run
 // through a Kernel (or cluster.Engine) instead and use multiple cores.
 func RunClosedLoop(clients []*Client, horizon Time) Result {
@@ -107,15 +108,4 @@ func RunClosedLoop(clients []*Client, horizon Time) Result {
 		k.Add(c)
 	}
 	return k.Run(horizon)
-}
-
-// RunOnce runs a single synchronous operation sequence: it executes op at
-// time start and returns its latency. It is a convenience for pure latency
-// probes that need no contention.
-func RunOnce(op Op, start Time) Duration {
-	end := op(start)
-	if end < start {
-		panic("sim: op completed before it was posted")
-	}
-	return end - start
 }

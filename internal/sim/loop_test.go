@@ -175,12 +175,6 @@ func TestClosedLoopCapacityProperty(t *testing.T) {
 	}
 }
 
-func TestRunOnce(t *testing.T) {
-	if got := RunOnce(fixedOp(1234), 100); got != 1234 {
-		t.Fatalf("latency=%v, want 1234", got)
-	}
-}
-
 func TestResultAggregation(t *testing.T) {
 	res := Result{
 		Horizon:   Second,

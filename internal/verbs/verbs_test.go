@@ -472,24 +472,20 @@ func TestFigure1Calibration(t *testing.T) {
 	e.qpA.PostSend(0, readWR())
 
 	base := sim.Time(sim.Millisecond)
-	wlat := sim.RunOnce(func(t0 sim.Time) sim.Time {
-		c, err := e.qpA.PostSend(t0, writeWR())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c.Done
-	}, base)
+	c, err := e.qpA.PostSend(base, writeWR())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wlat := c.Done - base
 	if wlat < 900 || wlat > 1500 {
 		t.Errorf("32B write latency %v, want ~1.16us", wlat)
 	}
 
-	rlat := sim.RunOnce(func(t0 sim.Time) sim.Time {
-		c, err := e.qpA.PostSend(t0, readWR())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c.Done
-	}, base*2)
+	c, err = e.qpA.PostSend(base*2, readWR())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rlat := c.Done - base*2
 	if rlat < 1700 || rlat > 2400 {
 		t.Errorf("32B read latency %v, want ~2.0us", rlat)
 	}
