@@ -538,7 +538,6 @@ func TestPostSendAllocFreeWithObserver(t *testing.T) {
 			t.Fatal(err)
 		}
 		now = c.Done
-		e.qpA.SendCQ().PollOne(now)
 	}
 	post()
 	if allocs := testing.AllocsPerRun(200, post); allocs != 0 {

@@ -1,21 +1,24 @@
 // Package join implements the paper's third case study (Section IV-D): a
 // distributed hash join in two phases. The partition phase shuffles both
 // relations to their owner executors over the RDMA shuffle operator (SGL
-// batching, Section IV-C); the build-probe phase builds a concurrent hash
-// map (the TBB stand-in in internal/chash) from the inner relation's
-// partition and probes it with the outer relation's tuples.
+// batching, Section IV-C); the build-probe phase builds a hash table from
+// the inner relation's partition and probes it with the outer relation's
+// tuples. The paper uses a TBB concurrent_hash_map; here each executor
+// builds a private Go map of key -> count in its own goroutine, because no
+// two executors ever share a table and the join reports only match counts.
 //
 // Execution time is virtual: the partition phase runs on the simulated
 // cluster, the build-probe phase is charged per tuple from the local-memory
-// cost model. The data movement is real, so the join result can be checked
-// against a nested-loop reference.
+// cost model, not from the Go map. The data movement is real, so the join
+// result can be checked against a nested-loop reference. Run only reads its
+// relations, so concurrent runs may share them.
 package join
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 
-	"rdmasem/internal/chash"
 	"rdmasem/internal/cluster"
 	"rdmasem/internal/core"
 	"rdmasem/internal/mem"
@@ -80,20 +83,28 @@ func Run(cl *cluster.Cluster, cfg Config, inner, outer []workload.Tuple) (Result
 // builds and probes locally.
 func runSingle(cl *cluster.Cluster, cfg Config, inner, outer []workload.Tuple) Result {
 	tp := cl.Machine(0).Topology().Params
-	var elapsed sim.Duration
 	// Partitioning degenerates to a scan, but the hash map work stands.
-	elapsed += sim.Duration(len(inner)+len(outer)) * cfg.PartitionCost
-	m := chash.New(1)
-	var matches int64
+	elapsed := sim.Duration(len(inner)+len(outer)) * cfg.PartitionCost
+	counts := make(map[uint64]int32, len(inner))
 	for _, t := range inner {
-		m.Insert(t.Key, t.Payload)
-		elapsed += cfg.BuildCost + tp.LocalAccessTime(topo.Write, topo.Rand, tupleBytes, false)
+		counts[t.Key]++
 	}
+	var matches int64
 	for _, t := range outer {
-		matches += int64(m.Probe(t.Key))
-		elapsed += cfg.ProbeCost + tp.LocalAccessTime(topo.Read, topo.Rand, tupleBytes, false)
+		matches += int64(counts[t.Key])
 	}
+	elapsed += sim.Duration(len(inner))*buildCost(cfg, tp) + sim.Duration(len(outer))*probeCost(cfg, tp)
 	return Result{Matches: matches, Elapsed: elapsed, CPU: elapsed}
+}
+
+// buildCost is the virtual cost of inserting one tuple into the hash table.
+func buildCost(cfg Config, tp topo.Params) sim.Duration {
+	return cfg.BuildCost + tp.LocalAccessTime(topo.Write, topo.Rand, tupleBytes, false)
+}
+
+// probeCost is the virtual cost of probing the hash table with one tuple.
+func probeCost(cfg Config, tp topo.Params) sim.Duration {
+	return cfg.ProbeCost + tp.LocalAccessTime(topo.Read, topo.Rand, tupleBytes, false)
 }
 
 // ownerOf routes a key to its owning executor.
@@ -232,13 +243,12 @@ func runDistributed(cl *cluster.Cluster, cfg Config, inner, outer []workload.Tup
 	var clients []*sim.Client
 	for _, ex := range execs {
 		ex := ex
-		stream := append(append([]workload.Tuple{}, perExec(inner, ex.id)...), perExec(outer, ex.id)...)
-		innerCount := len(perExec(inner, ex.id))
+		innerPart, outerPart := perExec(inner, ex.id), perExec(outer, ex.id)
 		pos := 0
 		clients = append(clients, &sim.Client{
 			PostCost: 50,
 			Window:   4,
-			MaxOps:   int64(len(stream)),
+			MaxOps:   int64(len(innerPart) + len(outerPart)),
 			Op: func(post sim.Time) sim.Time {
 				if ex.err != nil {
 					// A previous op failed (QP in error state): burn the
@@ -247,8 +257,13 @@ func runDistributed(cl *cluster.Cluster, cfg Config, inner, outer []workload.Tup
 					pos++
 					return post
 				}
-				t := stream[pos]
-				isInner := pos < innerCount
+				isInner := pos < len(innerPart)
+				var t workload.Tuple
+				if isInner {
+					t = innerPart[pos]
+				} else {
+					t = outerPart[pos-len(innerPart)]
+				}
 				pos++
 				d, err := ex.partitionOne(post, cfg, ringBytes, execs, t, isInner)
 				if err != nil {
@@ -286,21 +301,17 @@ func runDistributed(cl *cluster.Cluster, cfg Config, inner, outer []workload.Tup
 	var wg sync.WaitGroup
 	times := make([]sim.Duration, len(execs))
 	matches := make([]int64, len(execs))
-	errs := make([]error, len(execs))
 	for i, ex := range execs {
 		wg.Add(1)
 		go func(i int, ex *executorState) {
 			defer wg.Done()
-			times[i], matches[i], errs[i] = ex.buildProbe(cfg, tp, ringBytes, len(execs))
+			times[i], matches[i] = ex.buildProbe(cfg, tp, ringBytes)
 		}(i, ex)
 	}
 	wg.Wait()
 	var total Result
 	var worst sim.Duration
 	for i := range execs {
-		if errs[i] != nil {
-			return Result{}, errs[i]
-		}
 		total.Matches += matches[i]
 		if times[i] > worst {
 			worst = times[i]
@@ -330,12 +341,12 @@ func (ex *executorState) partitionOne(now sim.Time, cfg Config, ringBytes int, e
 		ex.outHead = 0
 	}
 	buf := ex.outMR.Region().Bytes()[ex.outHead : ex.outHead+tupleBytes]
-	putU64(buf, t.Key)
+	binary.LittleEndian.PutUint64(buf, t.Key)
 	tag := t.Payload &^ 1
 	if isInner {
 		tag |= 1
 	}
-	putU64(buf[8:], tag)
+	binary.LittleEndian.PutUint64(buf[8:], tag)
 	frag := core.Fragment{Addr: ex.outMR.Addr() + mem.Addr(ex.outHead), Length: tupleBytes}
 	ex.outHead += tupleBytes
 
@@ -400,44 +411,33 @@ func (ex *executorState) deliverLocal(src *executorState, entry []byte, ringByte
 	return 80
 }
 
-// buildProbe builds the hash map from received inner tuples and probes with
-// the outer ones, returning the phase's virtual duration and match count.
-func (ex *executorState) buildProbe(cfg Config, tp topo.Params, ringBytes, executors int) (sim.Duration, int64, error) {
-	m := chash.New(16)
-	var elapsed sim.Duration
-	var matches int64
-	var outers []workload.Tuple
-	for src := 0; src < executors; src++ {
-		base := src * ringBytes
-		for i := 0; i < ex.recvCnt[src]; i++ {
-			b := ex.inMR.Region().Bytes()[base+i*tupleBytes : base+(i+1)*tupleBytes]
-			key := getU64(b)
-			tag := getU64(b[8:])
-			if tag&1 == 1 {
-				m.Insert(key, tag)
-				elapsed += cfg.BuildCost + tp.LocalAccessTime(topo.Write, topo.Rand, tupleBytes, false)
+// buildProbe builds the executor's private key -> count table from the
+// received inner tuples and probes it with the outer keys, returning the
+// phase's virtual duration and match count.
+func (ex *executorState) buildProbe(cfg Config, tp topo.Params, ringBytes int) (sim.Duration, int64) {
+	received := 0
+	for _, n := range ex.recvCnt {
+		received += n
+	}
+	counts := make(map[uint64]int32, received)
+	outers := make([]uint64, 0, received)
+	ring := ex.inMR.Region().Bytes()
+	for src, n := range ex.recvCnt {
+		b := ring[src*ringBytes:]
+		for i := 0; i < n; i++ {
+			key := binary.LittleEndian.Uint64(b[i*tupleBytes:])
+			if binary.LittleEndian.Uint64(b[i*tupleBytes+8:])&1 == 1 {
+				counts[key]++
 			} else {
-				outers = append(outers, workload.Tuple{Key: key, Payload: tag})
+				outers = append(outers, key)
 			}
 		}
 	}
-	for _, t := range outers {
-		matches += int64(m.Probe(t.Key))
-		elapsed += cfg.ProbeCost + tp.LocalAccessTime(topo.Read, topo.Rand, tupleBytes, false)
+	var matches int64
+	for _, key := range outers {
+		matches += int64(counts[key])
 	}
-	return elapsed, matches, nil
-}
-
-func putU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func getU64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
+	inners := received - len(outers)
+	elapsed := sim.Duration(inners)*buildCost(cfg, tp) + sim.Duration(len(outers))*probeCost(cfg, tp)
+	return elapsed, matches
 }

@@ -1,6 +1,7 @@
 package join
 
 import (
+	"slices"
 	"testing"
 
 	"rdmasem/internal/cluster"
@@ -32,9 +33,16 @@ func nestedLoop(inner, outer []workload.Tuple) int64 {
 
 func relations(n int, seed int64) (inner, outer []workload.Tuple) {
 	// A small key space forces plenty of matches.
-	return workload.Relation(n, uint64(n/4+16), seed),
-		workload.Relation(n, uint64(n/4+16), seed+1)
+	return keyedRelations(n, uint64(n/4+16), seed)
 }
+
+func keyedRelations(n int, keys uint64, seed int64) (inner, outer []workload.Tuple) {
+	return workload.Relation(n, keys, seed), workload.Relation(n, keys, seed+1)
+}
+
+// keySpaces are the reference tests' key spaces for n tuples: the default,
+// and a duplicate-heavy one where each build key repeats about 8 times.
+func keySpaces(n int) []uint64 { return []uint64{uint64(n/4 + 16), uint64(n / 8)} }
 
 func TestValidation(t *testing.T) {
 	cl := newCluster(t)
@@ -56,40 +64,61 @@ func TestValidation(t *testing.T) {
 }
 
 func TestSingleMachineMatchesReference(t *testing.T) {
-	cl := newCluster(t)
-	inner, outer := relations(512, 3)
-	cfg := DefaultConfig()
-	cfg.Executors = 1
-	res, err := Run(cl, cfg, inner, outer)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := nestedLoop(inner, outer); res.Matches != want {
-		t.Fatalf("matches=%d, want %d", res.Matches, want)
-	}
-	if res.Elapsed <= 0 {
-		t.Fatal("single-machine join must take time")
+	for _, keys := range keySpaces(512) {
+		cl := newCluster(t)
+		inner, outer := keyedRelations(512, keys, 3)
+		cfg := DefaultConfig()
+		cfg.Executors = 1
+		res, err := Run(cl, cfg, inner, outer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := nestedLoop(inner, outer); res.Matches != want {
+			t.Fatalf("keys=%d: matches=%d, want %d", keys, res.Matches, want)
+		}
+		if res.Elapsed <= 0 {
+			t.Fatal("single-machine join must take time")
+		}
 	}
 }
 
 func TestDistributedMatchesReference(t *testing.T) {
-	for _, execs := range []int{2, 4, 8} {
-		for _, numa := range []bool{true, false} {
-			cl := newCluster(t)
-			inner, outer := relations(1024, 7)
-			cfg := DefaultConfig()
-			cfg.Executors = execs
-			cfg.NUMA = numa
-			res, err := Run(cl, cfg, inner, outer)
-			if err != nil {
-				t.Fatalf("execs=%d numa=%v: %v", execs, numa, err)
+	for _, keys := range keySpaces(1024) {
+		for _, execs := range []int{2, 4, 8} {
+			for _, numa := range []bool{true, false} {
+				cl := newCluster(t)
+				inner, outer := keyedRelations(1024, keys, 7)
+				cfg := DefaultConfig()
+				cfg.Executors = execs
+				cfg.NUMA = numa
+				res, err := Run(cl, cfg, inner, outer)
+				if err != nil {
+					t.Fatalf("keys=%d execs=%d numa=%v: %v", keys, execs, numa, err)
+				}
+				if want := nestedLoop(inner, outer); res.Matches != want {
+					t.Fatalf("keys=%d execs=%d numa=%v: matches=%d, want %d", keys, execs, numa, res.Matches, want)
+				}
+				if res.Partition <= 0 || res.Elapsed <= res.Partition {
+					t.Fatalf("phases look wrong: %+v", res)
+				}
 			}
-			if want := nestedLoop(inner, outer); res.Matches != want {
-				t.Fatalf("execs=%d numa=%v: matches=%d, want %d", execs, numa, res.Matches, want)
-			}
-			if res.Partition <= 0 || res.Elapsed <= res.Partition {
-				t.Fatalf("phases look wrong: %+v", res)
-			}
+		}
+	}
+}
+
+// TestRunLeavesRelationsUnchanged: Run only reads its relations, so the
+// sweep points of one experiment can share them, concurrently.
+func TestRunLeavesRelationsUnchanged(t *testing.T) {
+	inner, outer := relations(2048, 23)
+	wantInner, wantOuter := slices.Clone(inner), slices.Clone(outer)
+	for _, execs := range []int{1, 4} {
+		cfg := DefaultConfig()
+		cfg.Executors = execs
+		if _, err := Run(newCluster(t), cfg, inner, outer); err != nil {
+			t.Fatalf("execs=%d: %v", execs, err)
+		}
+		if !slices.Equal(inner, wantInner) || !slices.Equal(outer, wantOuter) {
+			t.Fatalf("execs=%d: Run modified its input relations", execs)
 		}
 	}
 }

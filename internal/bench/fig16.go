@@ -18,9 +18,18 @@ func init() {
 	register("fig18", fig18CPUCost)
 }
 
-// joinRun executes one distributed join configuration over relations of n
-// tuples each.
-func joinRun(r *run, executors, batch int, numa bool, n int) (join.Result, error) {
+// joinRelations are the inner and outer relations of one join input size.
+// The join only reads them, so an experiment builds each pair once and every
+// sweep point shares it, concurrently under -parallel.
+type joinRelations struct{ inner, outer []workload.Tuple }
+
+// newJoinRelations builds the n-tuple relation pair the join experiments run.
+func newJoinRelations(n int) joinRelations {
+	return joinRelations{workload.Relation(n, uint64(n), 11), workload.Relation(n, uint64(n), 13)}
+}
+
+// joinRun executes one distributed join configuration over rel.
+func joinRun(r *run, executors, batch int, numa bool, rel joinRelations) (join.Result, error) {
 	cl, err := r.newCluster(cluster.DefaultConfig())
 	if err != nil {
 		return join.Result{}, err
@@ -29,9 +38,7 @@ func joinRun(r *run, executors, batch int, numa bool, n int) (join.Result, error
 	cfg.Executors = executors
 	cfg.Batch = batch
 	cfg.NUMA = numa
-	inner := workload.Relation(n, uint64(n), 11)
-	outer := workload.Relation(n, uint64(n), 13)
-	return join.Run(cl, cfg, inner, outer)
+	return join.Run(cl, cfg, rel.inner, rel.outer)
 }
 
 // fig16JoinBatching reproduces Figure 16: (a) execution time over batch size
@@ -43,6 +50,7 @@ func fig16JoinBatching(r *run) (*Report, error) {
 	if n < 1<<14 {
 		n = 1 << 14
 	}
+	rel := newJoinRelations(n)
 	figA := stats.NewFigure(fmt.Sprintf("Fig 16a: join time vs batch size (%d tuples/relation)", n), "batch", "time (ms)")
 	type cellA struct {
 		label string
@@ -64,7 +72,7 @@ func fig16JoinBatching(r *run) (*Report, error) {
 	}
 	msA, err := points(r, len(cellsA), func(r *run, i int) (float64, error) {
 		c := cellsA[i]
-		res, err := joinRun(r, c.theta, c.batch, c.numa, n)
+		res, err := joinRun(r, c.theta, c.batch, c.numa, rel)
 		if err != nil {
 			return 0, err
 		}
@@ -81,7 +89,7 @@ func fig16JoinBatching(r *run) (*Report, error) {
 	execsList := []int{1, 2, 4, 8, 12, 16}
 	batchesB := []int{4, 16}
 	msB, err := points(r, len(execsList)*len(batchesB), func(r *run, i int) (float64, error) {
-		res, err := joinRun(r, execsList[i/len(batchesB)], batchesB[i%len(batchesB)], true, n)
+		res, err := joinRun(r, execsList[i/len(batchesB)], batchesB[i%len(batchesB)], true, rel)
 		if err != nil {
 			return 0, err
 		}
@@ -119,6 +127,10 @@ func fig17JoinScale(r *run) (*Report, error) {
 		base = 1 << 13
 	}
 	mults := []int{1, 2, 4} // the paper's 2^24..2^26 ratio ladder
+	rels := make([]joinRelations, len(mults))
+	for i, mult := range mults {
+		rels[i] = newJoinRelations(base * mult)
+	}
 	configs := []struct {
 		label      string
 		execs, lam int
@@ -132,7 +144,7 @@ func fig17JoinScale(r *run) (*Report, error) {
 	}
 	ms, err := points(r, len(mults)*len(configs), func(r *run, i int) (float64, error) {
 		cfg := configs[i%len(configs)]
-		res, err := joinRun(r, cfg.execs, cfg.lam, cfg.numa, base*mults[i/len(configs)])
+		res, err := joinRun(r, cfg.execs, cfg.lam, cfg.numa, rels[i/len(configs)])
 		if err != nil {
 			return 0, err
 		}

@@ -221,8 +221,7 @@ func (k *Kernel) runParallel(shards []*shard, horizon Time) {
 func runShard(sd *shard, horizon Time) {
 	sd.init()
 	for len(sd.clients) > 0 {
-		c := sd.clients[0]
-		t := c.nextAction()
+		c, t := sd.clients[0], sd.keys[0]
 		if t >= horizon || (c.MaxOps > 0 && c.posted >= c.MaxOps) {
 			sd.popTop()
 			continue

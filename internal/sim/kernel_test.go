@@ -276,6 +276,42 @@ func TestKernelMatchesReference(t *testing.T) {
 	}
 }
 
+// TestShardKeyCacheInvariant: the shard heap's cached dispatch keys stay
+// exact. Inside every op, each non-root key equals its client's nextAction,
+// and the root's key is the time it was dispatched at. Windows, post costs
+// and MaxOps budgets are mixed, so sifts and evictions both move keys.
+func TestShardKeyCacheInvariant(t *testing.T) {
+	r := NewResource("eu")
+	sd := &shard{}
+	ops := 0
+	for i := 0; i < 7; i++ {
+		c := &Client{
+			PostCost: Duration(30 + 20*(i%3)),
+			Window:   1 + i%4,
+			MaxOps:   int64(i%2) * 60,
+		}
+		svc := Duration(40 + 25*i)
+		c.Op = func(post Time) Time {
+			ops++
+			if sd.clients[0] != c || sd.keys[0] != post {
+				t.Fatalf("op %d: client %d dispatched at %v is not the root (root key %v)", ops, i, post, sd.keys[0])
+			}
+			for j := 1; j < len(sd.clients); j++ {
+				if got, want := sd.keys[j], sd.clients[j].nextAction(); got != want {
+					t.Fatalf("op %d: cached key of heap slot %d is %v, nextAction %v", ops, j, got, want)
+				}
+			}
+			return r.Delay(post, svc)
+		}
+		sd.clients = append(sd.clients, c)
+		sd.idx = append(sd.idx, i)
+	}
+	runShard(sd, 50*Microsecond)
+	if ops < 300 {
+		t.Fatalf("only %d ops dispatched; the invariant went unexercised", ops)
+	}
+}
+
 // FuzzKernelDispatch decodes a client set (count, footprints with their home
 // machines, windows, post costs, MaxOps budgets and service times) and
 // checks the kernel against referenceRun at one and three workers.

@@ -9,6 +9,11 @@ type Op func(post Time) (complete Time)
 // Client is one closed-loop load generator: it issues operations back to
 // back, keeping at most Window operations in flight, spending PostCost of
 // its own (CPU) time per issue.
+//
+// The dispatch heap caches each client's next-action time and refreshes
+// only the client just dispatched. An Op may therefore change its own
+// client's Window or PostCost, but never another client's Window, PostCost
+// or window state.
 type Client struct {
 	Op       Op
 	PostCost Duration // CPU issue cost per operation; must be > 0

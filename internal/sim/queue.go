@@ -69,18 +69,26 @@ func keyLess(t1 Time, i1 int, t2 Time, i2 int) bool {
 // a typed min-heap ordered by (nextAction, registration index). partition
 // loads the clients once; runShard only ever reorders the root (after a
 // dispatch) or evicts it (horizon or MaxOps reached), so there is no push.
+//
+// Each client's nextAction is cached in keys, because only the root's key
+// changes per step: a dispatch moves the root's nextPost and window, and no
+// Op may change another client's dispatch inputs (see Client). fixTop
+// refreshes the root's key, so a compare reads two cached times instead of
+// chasing two clients' outstanding heaps.
 type shard struct {
 	clients []*Client
-	idx     []int // registration indices, parallel to clients
+	idx     []int  // registration indices, parallel to clients
+	keys    []Time // cached nextAction of each client, parallel to clients
 }
 
 func (s *shard) less(i, j int) bool {
-	return keyLess(s.clients[i].nextAction(), s.idx[i], s.clients[j].nextAction(), s.idx[j])
+	return keyLess(s.keys[i], s.idx[i], s.keys[j], s.idx[j])
 }
 
 func (s *shard) swap(i, j int) {
 	s.clients[i], s.clients[j] = s.clients[j], s.clients[i]
 	s.idx[i], s.idx[j] = s.idx[j], s.idx[i]
+	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }
 
 func (s *shard) down(i int) {
@@ -102,15 +110,22 @@ func (s *shard) down(i int) {
 	}
 }
 
-// init establishes the heap order over the loaded clients.
+// init caches every client's key and establishes the heap order.
 func (s *shard) init() {
+	s.keys = make([]Time, len(s.clients))
+	for i, c := range s.clients {
+		s.keys[i] = c.nextAction()
+	}
 	for i := len(s.clients)/2 - 1; i >= 0; i-- {
 		s.down(i)
 	}
 }
 
 // fixTop restores heap order after the root's next action advanced.
-func (s *shard) fixTop() { s.down(0) }
+func (s *shard) fixTop() {
+	s.keys[0] = s.clients[0].nextAction()
+	s.down(0)
+}
 
 // popTop evicts the root.
 func (s *shard) popTop() {
@@ -118,6 +133,7 @@ func (s *shard) popTop() {
 	s.swap(0, last)
 	s.clients = s.clients[:last]
 	s.idx = s.idx[:last]
+	s.keys = s.keys[:last]
 	if last > 0 {
 		s.down(0)
 	}

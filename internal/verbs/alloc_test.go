@@ -10,11 +10,11 @@ import (
 
 // CI-enforced allocation budgets for the pooled op-pipeline hot path. These
 // fail if a change re-introduces per-op heap traffic that the per-QP scratch
-// pools (opScratch), the CQ dequeue reuse, or the interned telemetry streams
-// were added to eliminate.
+// pools (opScratch), the send-completion clamp, or the interned telemetry
+// streams were added to eliminate.
 
 // TestPostSendSteadyStateAllocFree pins the RC PostSend hot path — posted WR
-// through completion, CQE drained — to zero allocations per operation.
+// through completion — to zero allocations per operation.
 func TestPostSendSteadyStateAllocFree(t *testing.T) {
 	e := newPair(t)
 	wr := &SendWR{
@@ -30,9 +30,8 @@ func TestPostSendSteadyStateAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		now = c.Done
-		e.qpA.SendCQ().PollOne(now)
 	}
-	post() // warm the scratch pools and CQ backing array
+	post() // warm the scratch pools
 	if allocs := testing.AllocsPerRun(200, post); allocs != 0 {
 		t.Fatalf("steady-state RC WRITE PostSend allocates %.2f/op, want 0", allocs)
 	}
@@ -84,7 +83,6 @@ func TestTelemetryObservePathAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		now = c.Done
-		qpA.SendCQ().PollOne(now)
 	}
 	post() // resolve the histogram streams and warm the pools
 	if allocs := testing.AllocsPerRun(200, post); allocs != 0 {

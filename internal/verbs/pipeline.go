@@ -37,7 +37,8 @@ type PostObserver interface {
 
 // qpState is the queue-pair state shared by connected (QP) and datagram
 // (UDQP) queue pairs: identity, port/core binding, the per-QP processing
-// pipeline, the completion/receive queues, and the stage recorder.
+// pipeline, the send-completion clamp, the receive queues, and the stage
+// recorder.
 type qpState struct {
 	id        uint64
 	ctx       *Context
@@ -45,7 +46,7 @@ type qpState struct {
 	port      int
 	core      topo.SocketID // socket of the posting core
 	pipeline  *sim.Resource // per-QP processing pipeline (Fig 1's 4.7 MOPS)
-	sendCQ    *CQ
+	lastCQE   sim.Time      // send-side in-order clamp: the latest CQE time so far
 	recvCQ    *CQ
 	recvQ     []RecvWR
 	srq       *SRQ           // shared receive queue; inbound SENDs drain it instead of recvQ
@@ -155,7 +156,6 @@ func newQPState(ctx *Context, t Transport, port int, kind string) qpState {
 		port:      port,
 		core:      ctx.machine.PortSocket(port),
 		pipeline:  sim.NewResource(fmt.Sprintf("%s%d/pipeline", kind, id)),
-		sendCQ:    NewCQ(),
 		recvCQ:    NewCQ(),
 		policy:    DefaultRetryPolicy(),
 		lossy:     fab.FaultsEnabled(),
@@ -215,9 +215,6 @@ func (s *qpState) Core() topo.SocketID { return s.core }
 
 // BindCore pins the posting core to a socket (NUMA experiments).
 func (s *qpState) BindCore(sock topo.SocketID) { s.core = sock }
-
-// SendCQ returns the send completion queue.
-func (s *qpState) SendCQ() *CQ { return s.sendCQ }
 
 // RecvCQ returns the receive completion queue.
 func (s *qpState) RecvCQ() *CQ { return s.recvCQ }
@@ -359,6 +356,18 @@ func postList(src, dst *qpState, now sim.Time, wrs []*SendWR) ([]Completion, []b
 	return comps, drops, nil
 }
 
+// signal delivers a signaled send completion. Hardware makes CQEs visible in
+// order within a queue, so the completion's time is clamped to be no earlier
+// than the QP's previous CQE. In a synchronous simulator the returned
+// completion is the poll: nothing is queued, and only the clamp is kept.
+func (s *qpState) signal(c Completion) Completion {
+	if c.Done < s.lastCQE {
+		c.Done = s.lastCQE
+	}
+	s.lastCQE = c.Done
+	return c
+}
+
 // flushWR completes one WR with StatusFlushed (no wire, no data effects) on
 // a QP in the error state. Flushed completions are always signaled, as on
 // real hardware, so pollers observe the drain.
@@ -370,8 +379,7 @@ func flushWR(src *qpState, at sim.Time, wr *SendWR) Completion {
 	// case the transient replay flag preserves its applied-ness in the log.
 	src.logFailed(wr, src.replayApplied)
 	src.replayApplied = false
-	cqe := src.sendCQ.push(CQE{WRID: wr.ID, Opcode: wr.Opcode, Time: at, Status: StatusFlushed})
-	return Completion{WRID: cqe.WRID, Opcode: cqe.Opcode, Done: cqe.Time, Status: cqe.Status}
+	return src.signal(Completion{WRID: wr.ID, Opcode: wr.Opcode, Done: at, Status: StatusFlushed})
 }
 
 // executeOne walks one WR (already doorbelled at time t) through the
@@ -475,8 +483,7 @@ func executeOne(src, dst *qpState, t sim.Time, wr *SendWR) (Completion, bool, er
 		// in flight; UD has no recovery, so the loss is silent. Each
 		// datagram is offered to the fabric exactly once — UD can drop,
 		// never duplicate.
-		cqe := src.sendCQ.push(CQE{Opcode: OpSend, Time: t + CQECost, Bytes: total})
-		comp := Completion{Opcode: OpSend, Done: cqe.Time, Bytes: total}
+		comp := src.signal(Completion{Opcode: OpSend, Done: t + CQECost, Bytes: total})
 		src.noteSegment(false)
 		arrive, v := m.Fabric().Deliver(t, m.Endpoint(src.port), dst.ctx.machine.Endpoint(dst.port), outbound)
 		src.observe(StageArrived, arrive)
@@ -514,9 +521,7 @@ func executeOne(src, dst *qpState, t sim.Time, wr *SendWR) (Completion, bool, er
 			// (always signaled, even if posted unsignaled) and the QP is
 			// now in the error state; postList flushes whatever follows.
 			src.logFailed(wr, src.failedApplied)
-			done += CQECost
-			cqe := src.sendCQ.push(CQE{WRID: wr.ID, Opcode: wr.Opcode, Time: done, Bytes: total, Status: status})
-			return Completion{WRID: cqe.WRID, Opcode: cqe.Opcode, Done: cqe.Time, Bytes: cqe.Bytes, Status: cqe.Status}, false, nil
+			return src.signal(Completion{WRID: wr.ID, Opcode: wr.Opcode, Done: done + CQECost, Bytes: total, Status: status}), false, nil
 		}
 	}
 
@@ -527,9 +532,7 @@ func executeOne(src, dst *qpState, t sim.Time, wr *SendWR) (Completion, bool, er
 		// signaled WR's CQE implies this one completed.
 		return Completion{WRID: wr.ID, Opcode: wr.Opcode, Done: done, Bytes: total, OldValue: old}, false, nil
 	}
-	done += CQECost
-	cqe := src.sendCQ.push(CQE{WRID: wr.ID, Opcode: wr.Opcode, Time: done, Bytes: total, OldValue: old})
-	return Completion{WRID: cqe.WRID, Opcode: cqe.Opcode, Done: cqe.Time, Bytes: cqe.Bytes, OldValue: cqe.OldValue}, false, nil
+	return src.signal(Completion{WRID: wr.ID, Opcode: wr.Opcode, Done: done + CQECost, Bytes: total, OldValue: old}), false, nil
 }
 
 // deliverDatagram models the receiver of a UD send: there is no

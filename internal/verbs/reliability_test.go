@@ -308,9 +308,48 @@ func TestPostSendListFlushOnError(t *testing.T) {
 			t.Fatalf("WR %d id %d", i, c.WRID)
 		}
 	}
-	// All three produced CQEs (error completions are always signaled).
-	if got := e.qpA.SendCQ().Poll(sim.MaxTime, 10); len(got) != 3 {
-		t.Fatalf("CQ drained %d entries, want 3", len(got))
+	// All three produced CQEs (error completions are always signaled): each
+	// went through the send clamp, which ends at the last flush.
+	for i := 1; i < len(comps); i++ {
+		if comps[i].Done < comps[i-1].Done {
+			t.Fatalf("CQE %d at %v precedes CQE %d at %v", i, comps[i].Done, i-1, comps[i-1].Done)
+		}
+	}
+	if e.qpA.lastCQE != comps[2].Done {
+		t.Fatalf("send clamp at %v, want the last CQE time %v", e.qpA.lastCQE, comps[2].Done)
+	}
+}
+
+// TestPostSendListMidListFailureInOrder: a doorbell list whose third WR
+// exhausts its RNR retries returns the successful prefix, the error
+// completion and the flushed tail, and their completion times never
+// decrease: the send clamp orders them as a completion queue would.
+func TestPostSendListMidListFailureInOrder(t *testing.T) {
+	e := newLossyPair(t, quietPlan(), RC)
+	wrs := []*SendWR{writeWR(e, 8192), writeWR(e, 64), // succeed
+		{Opcode: OpSend, SGL: []SGE{{Addr: e.mrA.Addr(), Length: 64, MR: e.mrA}}}, // no receive posted
+		writeWR(e, 64), writeWR(e, 8192)} // flushed
+	for i, wr := range wrs {
+		wr.ID = uint64(i + 1)
+	}
+	comps, err := e.qpA.PostSendList(0, wrs)
+	if !errors.Is(err, ErrQPError) {
+		t.Fatalf("err = %v, want ErrQPError", err)
+	}
+	want := []CompletionStatus{StatusOK, StatusOK, StatusRNRRetryExceeded, StatusFlushed, StatusFlushed}
+	if len(comps) != len(want) {
+		t.Fatalf("got %d completions for %d WRs", len(comps), len(want))
+	}
+	for i, c := range comps {
+		if c.Status != want[i] || c.WRID != wrs[i].ID {
+			t.Fatalf("completion %d: id %d status %v, want id %d status %v", i, c.WRID, c.Status, wrs[i].ID, want[i])
+		}
+		if i > 0 && c.Done < comps[i-1].Done {
+			t.Fatalf("completion %d at %v precedes completion %d at %v", i, c.Done, i-1, comps[i-1].Done)
+		}
+	}
+	if e.qpA.lastCQE != comps[len(comps)-1].Done {
+		t.Fatalf("send clamp at %v, want the last CQE time %v", e.qpA.lastCQE, comps[len(comps)-1].Done)
 	}
 }
 
@@ -593,7 +632,8 @@ func TestStatusAndStateStrings(t *testing.T) {
 // arbitrary batch shapes, fault seeds and pre-error states. The invariants:
 // exactly one completion per WR whenever ErrQPError is reported, statuses
 // form the pattern OK* (RETRY_EXC|RNR_RETRY_EXC)? FLUSH*, flushed WRs have
-// no data effects, and the send CQ holds one entry per signaled completion.
+// no data effects, and every completion (all signaled) passes the send
+// clamp, so completion times never decrease.
 // The f.Add corpus runs as a regression suite under plain `go test`.
 func FuzzPostSendListErrorState(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint16(64), uint16(1000), false)
@@ -675,9 +715,15 @@ func FuzzPostSendListErrorState(f *testing.F) {
 				}
 			}
 		}
-		// One CQE per completion (error and flush CQEs are always signaled).
-		if got := e.qpA.SendCQ().Poll(sim.MaxTime, n+1); len(got) != len(comps) {
-			t.Fatalf("CQ has %d entries for %d completions", len(got), len(comps))
+		// One CQE per completion (error and flush CQEs are always signaled):
+		// in order, with the send clamp at the last one.
+		for i := 1; i < len(comps); i++ {
+			if comps[i].Done < comps[i-1].Done {
+				t.Fatalf("CQE %d at %v precedes CQE %d at %v", i, comps[i].Done, i-1, comps[i-1].Done)
+			}
+		}
+		if len(comps) > 0 && e.qpA.lastCQE != comps[len(comps)-1].Done {
+			t.Fatalf("send clamp at %v, want the last CQE time %v", e.qpA.lastCQE, comps[len(comps)-1].Done)
 		}
 	})
 }

@@ -392,38 +392,42 @@ func TestRCOrderingInCQ(t *testing.T) {
 		if c.Done < last {
 			t.Fatal("completions must be delivered in order on one QP")
 		}
+		if c.WRID != uint64(i) {
+			t.Fatalf("completion %d has WRID %d", i, c.WRID)
+		}
 		last = c.Done
 	}
-	cqes := e.qpA.SendCQ().Poll(last, 100)
-	if len(cqes) != 10 {
-		t.Fatalf("polled %d CQEs, want 10", len(cqes))
-	}
-	for i, c := range cqes {
-		if c.WRID != uint64(i) {
-			t.Fatalf("CQE %d has WRID %d", i, c.WRID)
-		}
+	if e.qpA.lastCQE != last {
+		t.Fatalf("send clamp at %v, want the last CQE time %v", e.qpA.lastCQE, last)
 	}
 }
 
+// TestCQPollRespectsTime pins the queued side of completions: a receive CQE
+// is invisible before its completion time, visible at it, and polled once.
 func TestCQPollRespectsTime(t *testing.T) {
 	e := newPair(t)
-	wr := &SendWR{
-		Opcode:     OpWrite,
-		SGL:        []SGE{{Addr: e.mrA.Addr(), Length: 8, MR: e.mrA}},
-		RemoteAddr: e.mrB.Addr(),
-		RemoteKey:  e.mrB.RKey(),
-	}
-	c, err := e.qpA.PostSend(0, wr)
-	if err != nil {
+	if err := e.qpB.PostRecv(RecvWR{ID: 7, SGE: SGE{Addr: e.mrB.Addr(), Length: 8, MR: e.mrB}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.qpA.SendCQ().Poll(c.Done-1, 10); len(got) != 0 {
+	wr := &SendWR{
+		Opcode: OpSend,
+		SGL:    []SGE{{Addr: e.mrA.Addr(), Length: 8, MR: e.mrA}},
+	}
+	if _, err := e.qpA.PostSend(0, wr); err != nil {
+		t.Fatal(err)
+	}
+	cq := e.qpB.RecvCQ()
+	if cq.Len() != 1 {
+		t.Fatalf("receive CQ holds %d entries, want 1", cq.Len())
+	}
+	at := cq.entries[0].Time
+	if got := cq.Poll(at-1, 10); len(got) != 0 {
 		t.Fatal("CQE visible before completion time")
 	}
-	if got := e.qpA.SendCQ().Poll(c.Done, 10); len(got) != 1 {
+	if got := cq.Poll(at, 10); len(got) != 1 || got[0].WRID != 7 {
 		t.Fatal("CQE not visible at completion time")
 	}
-	if got := e.qpA.SendCQ().Poll(c.Done, 10); len(got) != 0 {
+	if got := cq.Poll(at, 10); len(got) != 0 {
 		t.Fatal("CQE polled twice")
 	}
 }
@@ -576,8 +580,8 @@ func TestUnsignaledSkipsCQE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.qpA.SendCQ().Len() != 0 {
-		t.Fatal("unsignaled WR must not generate a CQE")
+	if e.qpA.lastCQE != 0 {
+		t.Fatal("unsignaled WR must not generate a CQE (it advanced the send clamp)")
 	}
 	// A following signaled WR generates one CQE and orders after it.
 	wr2 := *wr
@@ -586,8 +590,8 @@ func TestUnsignaledSkipsCQE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.qpA.SendCQ().Len() != 1 {
-		t.Fatal("signaled WR missing its CQE")
+	if e.qpA.lastCQE != comp2.Done {
+		t.Fatal("signaled WR missing its CQE (the send clamp did not advance)")
 	}
 	if comp2.Done <= comp.Done {
 		t.Fatal("ordering violated")

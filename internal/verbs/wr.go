@@ -79,24 +79,19 @@ type RecvWR struct {
 	SGE SGE
 }
 
-// CQE is one completion entry.
+// CQE is one receive completion entry: a landed SEND.
 type CQE struct {
 	WRID   uint64
 	Opcode Opcode
 	Time   sim.Time // when the completion became visible
 	Bytes  int
-	// OldValue carries the pre-operation value for atomics and the
-	// immediate for receives.
-	OldValue uint64
-	// Status reports how the WR finished; the zero value is success, and
-	// only reliability failures on a lossy fabric produce anything else.
-	Status CompletionStatus
 }
 
-// CQ is a completion queue: entries accumulate as operations finish in
-// virtual time and are drained with Poll. Hardware delivers CQEs in order
+// CQ is a receive completion queue: entries accumulate as inbound SENDs land
+// in virtual time and are drained with Poll. Hardware delivers CQEs in order
 // within a queue, so push clamps each entry's visibility time to be no
-// earlier than its predecessor's.
+// earlier than its predecessor's. Send completions are not queued: PostSend
+// returns them, and each QP keeps only this in-order clamp for them.
 type CQ struct {
 	entries  []CQE
 	lastTime sim.Time
@@ -105,15 +100,13 @@ type CQ struct {
 // NewCQ returns an empty completion queue.
 func NewCQ() *CQ { return &CQ{} }
 
-// push appends an entry, enforcing in-order visibility, and returns the
-// entry as recorded.
-func (q *CQ) push(e CQE) CQE {
+// push appends an entry, enforcing in-order visibility.
+func (q *CQ) push(e CQE) {
 	if e.Time < q.lastTime {
 		e.Time = q.lastTime
 	}
 	q.lastTime = e.Time
 	q.entries = append(q.entries, e)
-	return e
 }
 
 // Poll removes and returns up to max entries whose completion time is at or
