@@ -83,7 +83,15 @@ func NewLRU(capacity int) *LRU {
 
 // Access touches key, returning true on a hit. On a miss the key is inserted
 // (evicting the LRU entry if the cache is full).
+//
+// A key that is already the most recent one hits without a probe: moving the
+// head to the front changes nothing, and a NIC's QP-context and MR caches
+// see the same key op after op.
 func (c *LRU) Access(key uint64) bool {
+	if h := c.head; h != lruNil && c.nodes[h].key == key {
+		c.hits++
+		return true
+	}
 	s := c.probe(key)
 	if v := c.slots[s].node; v != 0 {
 		c.moveToFront(v - 1)

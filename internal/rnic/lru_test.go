@@ -255,7 +255,8 @@ func collidingKeys(n int, mask, home uint64) []uint64 {
 
 // TestLRUMatchesReference: on every access the hit/miss result and the
 // resident count equal the reference model's, for small integers, page
-// numbers, arbitrary 64-bit keys and keys forced onto one home slot.
+// numbers, arbitrary 64-bit keys, keys forced onto one home slot, and runs of
+// one key (the most-recent-key path).
 func TestLRUMatchesReference(t *testing.T) {
 	const n = 6000
 	for _, capacity := range []int{0, 1, 2, 3, 24, 96, 1024} {
@@ -288,6 +289,7 @@ func TestLRUMatchesReference(t *testing.T) {
 				}
 				return collide[rng.Intn(len(collide))]
 			},
+			"repeat": repeatStream(span),
 		}
 		for name, next := range streams {
 			t.Run(fmt.Sprintf("cap%d/%s", capacity, name), func(t *testing.T) {
@@ -302,6 +304,27 @@ func TestLRUMatchesReference(t *testing.T) {
 	}
 }
 
+// repeatStream returns runs of one key, 1 to 8 accesses long. A quarter of
+// the runs use a key never drawn before, so once the cache is full the run
+// opens with an evicting miss and goes on hitting the key it just inserted.
+func repeatStream(span int) func(rng *rand.Rand) uint64 {
+	var key, fresh uint64
+	left := 0
+	return func(rng *rand.Rand) uint64 {
+		if left == 0 {
+			left = 1 + rng.Intn(8)
+			if rng.Intn(4) == 0 {
+				fresh++
+				key = uint64(span) + fresh
+			} else {
+				key = uint64(rng.Intn(span))
+			}
+		}
+		left--
+		return key
+	}
+}
+
 // FuzzLRU checks any capacity up to 64 against the reference model. Each
 // input byte is one key: the low seven bits pick the key and the top bit
 // complements it, so 0 and ^0 are both reachable.
@@ -311,6 +334,10 @@ func FuzzLRU(f *testing.F) {
 	f.Add(uint8(3), []byte{1, 2, 3, 4, 1, 2, 5, 1, 2, 3, 4, 5})
 	f.Add(uint8(16), []byte("the quick brown fox jumps over the lazy dog"))
 	f.Add(uint8(64), []byte{0x7f, 0xff, 0x00, 0x80, 0x01, 0x81})
+	// Long runs of one key, each new run evicting when the cache is full.
+	f.Add(uint8(2), []byte{5, 5, 5, 5, 5, 5, 6, 6, 6, 6, 7, 7, 7, 7, 7, 7, 7, 5, 5, 5, 0x85, 0x85, 0x85, 0x85, 6, 6, 6})
+	f.Add(uint8(1), []byte{1, 1, 1, 1, 2, 2, 2, 1, 1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 3})
+	f.Add(uint8(0), []byte{9, 9, 9, 9, 9, 9, 9, 9})
 	f.Fuzz(func(t *testing.T, capRaw uint8, data []byte) {
 		capacity := int(capRaw % 65)
 		keys := make([]uint64, len(data))

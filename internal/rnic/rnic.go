@@ -150,8 +150,10 @@ func New(name string, p Params) (*NIC, error) {
 // Name returns the NIC's diagnostic name.
 func (n *NIC) Name() string { return n.name }
 
-// Params returns the NIC's configuration.
-func (n *NIC) Params() Params { return n.params }
+// Params returns the NIC's configuration, read-only: the NIC never changes
+// it after construction, and callers must not either. It is a pointer so a
+// hot path can read a few fields per operation without copying the struct.
+func (n *NIC) Params() *Params { return &n.params }
 
 // Port returns port i.
 func (n *NIC) Port(i int) *Port {

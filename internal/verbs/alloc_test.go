@@ -50,6 +50,55 @@ func TestPostSendSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// TestSendRecvSteadyStateAllocFree pins a steady SEND/PostRecv cycle, with
+// the receive CQ drained by PollOne, to zero allocations per operation on a
+// plain QP and on an SRQ-attached one, with an empty queue between cycles
+// and with a backlog of posted receives: consumed receive WRs must give
+// their slot back instead of sliding the queue forward into a fresh array.
+func TestSendRecvSteadyStateAllocFree(t *testing.T) {
+	for _, c := range []struct {
+		shared  bool
+		backlog int
+	}{{false, 0}, {true, 0}, {false, 5}, {true, 5}} {
+		e := newPair(t)
+		postRecv := e.qpB.PostRecv
+		if c.shared {
+			srq := NewSRQ(e.ctxB)
+			if err := e.qpB.AttachSRQ(srq); err != nil {
+				t.Fatal(err)
+			}
+			postRecv = srq.PostRecv
+		}
+		wr := &SendWR{Opcode: OpSend, SGL: []SGE{{Addr: e.mrA.Addr(), Length: 64, MR: e.mrA}}}
+		recv := RecvWR{ID: 1, SGE: SGE{Addr: e.mrB.Addr(), Length: 64, MR: e.mrB}}
+		now := sim.Time(0)
+		cycle := func() {
+			if err := postRecv(recv); err != nil {
+				t.Fatal(err)
+			}
+			comp, err := e.qpA.PostSend(now, wr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			now = comp.Done
+			if _, ok := e.qpB.RecvCQ().PollOne(now + sim.Millisecond); !ok {
+				t.Fatal("no receive completion")
+			}
+		}
+		for i := 0; i < c.backlog; i++ {
+			if err := postRecv(recv); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 4*c.backlog+1; i++ {
+			cycle() // warm the scratch pools and the queues' backing arrays
+		}
+		if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+			t.Fatalf("steady-state SEND/PostRecv (srq=%v, backlog %d) allocates %.2f/op, want 0", c.shared, c.backlog, allocs)
+		}
+	}
+}
+
 // TestTelemetryObservePathAllocFree pins the metrics-attached op: once the
 // per-(opcode, stage) histogram streams exist, the whole stage-observer
 // bridge — array-interned lookups plus Histogram.Observe — stays off the

@@ -19,7 +19,9 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"rdmasem/internal/cluster"
 	"rdmasem/internal/fabric"
+	"rdmasem/internal/rnic"
 	"rdmasem/internal/sim"
 	"rdmasem/internal/topo"
 )
@@ -35,6 +37,38 @@ type PostObserver interface {
 	ObservePost(post sim.Time, wrs, bytes int, done sim.Time)
 }
 
+// qpRoute is everything the stage walk needs from a QP's machine and port,
+// resolved once: a real RNIC binds this state when the QP is created and
+// caches it, rather than looking it up on every doorbell. NewContext
+// resolves one route per port, and every QP of that (Context, port) shares
+// it by pointer.
+type qpRoute struct {
+	machine    *cluster.Machine
+	nic        *rnic.NIC
+	port       *rnic.Port
+	params     *rnic.Params // the NIC's configuration, read in place
+	fab        *fabric.Fabric
+	ep         *fabric.Endpoint // the port's fabric endpoint
+	qpi        *sim.Pipe
+	qpiLatency sim.Duration
+	socket     topo.SocketID // the port's socket
+}
+
+// newRoute resolves the route of one NIC port of m.
+func newRoute(m *cluster.Machine, port int) *qpRoute {
+	return &qpRoute{
+		machine:    m,
+		nic:        m.NIC(),
+		port:       m.NIC().Port(port),
+		params:     m.NIC().Params(),
+		fab:        m.Fabric(),
+		ep:         m.Endpoint(port),
+		qpi:        m.QPI(),
+		qpiLatency: m.Topology().Params.QPILatency,
+		socket:     m.PortSocket(port),
+	}
+}
+
 // qpState is the queue-pair state shared by connected (QP) and datagram
 // (UDQP) queue pairs: identity, port/core binding, the per-QP processing
 // pipeline, the send-completion clamp, the receive queues, and the stage
@@ -42,13 +76,13 @@ type PostObserver interface {
 type qpState struct {
 	id        uint64
 	ctx       *Context
+	route     *qpRoute // the port's machine resources; the walk reads nothing else
 	transport Transport
-	port      int
 	core      topo.SocketID // socket of the posting core
 	pipeline  *sim.Resource // per-QP processing pipeline (Fig 1's 4.7 MOPS)
 	lastCQE   sim.Time      // send-side in-order clamp: the latest CQE time so far
 	recvCQ    *CQ
-	recvQ     []RecvWR
+	recvQ     recvQueue
 	srq       *SRQ           // shared receive queue; inbound SENDs drain it instead of recvQ
 	post      PostObserver   // per-post listener (adaptive controller), else nil
 	rec       *stageRecorder // the stage walk's one consumer, else nil (no telemetry, no trace)
@@ -148,18 +182,18 @@ func (s *opScratch) respSegments(n int) []int {
 // from the machine's cluster-wide allocator.
 func newQPState(ctx *Context, t Transport, port int, kind string) qpState {
 	id := ctx.machine.NextQPID()
-	fab := ctx.machine.Fabric()
+	r := ctx.routes[port]
 	s := qpState{
 		id:        id,
 		ctx:       ctx,
+		route:     r,
 		transport: t,
-		port:      port,
-		core:      ctx.machine.PortSocket(port),
+		core:      r.socket,
 		pipeline:  sim.NewResource(fmt.Sprintf("%s%d/pipeline", kind, id)),
 		recvCQ:    NewCQ(),
 		policy:    DefaultRetryPolicy(),
-		lossy:     fab.FaultsEnabled(),
-		crashable: fab.Params().Faults.HasCrashes(),
+		lossy:     r.fab.FaultsEnabled(),
+		crashable: r.fab.Params().Faults.HasCrashes(),
 	}
 	if reg, tl := ctx.machine.Telemetry(), ctx.machine.Timeline(); reg != nil || tl != nil {
 		label := ctx.machine.Label()
@@ -205,10 +239,10 @@ func (s *qpState) Context() *Context { return s.ctx }
 func (s *qpState) Transport() Transport { return s.transport }
 
 // Port returns the local NIC port index the QP is bound to.
-func (s *qpState) Port() int { return s.port }
+func (s *qpState) Port() int { return s.route.port.Index() }
 
 // PortSocket returns the socket affiliated with the QP's port.
-func (s *qpState) PortSocket() topo.SocketID { return s.ctx.machine.PortSocket(s.port) }
+func (s *qpState) PortSocket() topo.SocketID { return s.route.socket }
 
 // Core returns the socket of the posting core.
 func (s *qpState) Core() topo.SocketID { return s.core }
@@ -234,7 +268,7 @@ func (s *qpState) PostRecv(wr RecvWR) error {
 	if err := wr.SGE.MR.contains(wr.SGE.Addr, wr.SGE.Length); err != nil {
 		return err
 	}
-	s.recvQ = append(s.recvQ, wr)
+	s.recvQ.push(wr)
 	return nil
 }
 
@@ -266,7 +300,7 @@ func remoteSpan(wr *SendWR) int {
 // The returned slices are backed by src's per-QP scratch pool: they remain
 // valid until the next post on the same QP (see opScratch).
 func postList(src, dst *qpState, now sim.Time, wrs []*SendWR) ([]Completion, []bool, error) {
-	if src.crashable && src.state != StateError && src.ctx.machine.CrashedAt(now) {
+	if src.crashable && src.state != StateError && src.route.machine.CrashedAt(now) {
 		// The posting machine is inside a crash window: its HCA is gone and
 		// every QP it owns is broken. The first post during the outage
 		// surfaces the crash as an error-state flush.
@@ -287,7 +321,7 @@ func postList(src, dst *qpState, now sim.Time, wrs []*SendWR) ([]Completion, []b
 		}
 		return comps, drops, ErrQPError
 	}
-	nic := src.ctx.machine.NIC()
+	nic := src.route.nic
 	inlineBytes := 0
 	totalBytes := 0
 	allInline := true
@@ -373,7 +407,7 @@ func (s *qpState) signal(c Completion) Completion {
 // real hardware, so pollers observe the drain.
 func flushWR(src *qpState, at sim.Time, wr *SendWR) Completion {
 	src.stats.FlushedWRs++
-	src.ctx.machine.NIC().Rel().FlushedWRs++
+	src.route.nic.Rel().FlushedWRs++
 	// A flushed WR never reached the responder — unless it is itself a
 	// replayed applied failure flushed by a second connection loss, in which
 	// case the transient replay flag preserves its applied-ness in the log.
@@ -386,11 +420,9 @@ func flushWR(src *qpState, at sim.Time, wr *SendWR) Completion {
 // requester NIC, the wire, and the responder, applying its data effects and
 // returning the completion. The dropped flag is only ever true for UD.
 func executeOne(src, dst *qpState, t sim.Time, wr *SendWR) (Completion, bool, error) {
-	m := src.ctx.machine
-	nic := m.NIC()
-	port := nic.Port(src.port)
-	tp := m.Topology().Params
-	p := nic.Params()
+	r := src.route
+	nic := r.nic
+	p := r.params
 	total := wr.TotalLength()
 	ud := src.transport == UD
 
@@ -411,10 +443,10 @@ func executeOne(src, dst *qpState, t sim.Time, wr *SendWR) (Completion, bool, er
 	// inflating the per-QP pipeline occupancy; UD's connectionless doorbell
 	// only pays the wire-visible latency.
 	var numaSvc sim.Duration
-	if src.core != src.PortSocket() {
-		t += 4 * tp.QPILatency
+	if src.core != r.socket {
+		t += 4 * r.qpiLatency
 		if !ud {
-			numaSvc += 2 * tp.QPILatency
+			numaSvc += 2 * r.qpiLatency
 		}
 	}
 
@@ -435,14 +467,14 @@ func executeOne(src, dst *qpState, t sim.Time, wr *SendWR) (Completion, bool, er
 				meta = meta.Add(nic.TouchMR(s.MR.id))
 				meta = meta.Add(nic.Translate(s.Addr, s.Length))
 			}
-			if s.MR.region.Socket() != src.PortSocket() {
+			if s.MR.region.Socket() != r.socket {
 				cross++
 			}
 		}
 		if !ud && cross > 0 {
-			numaSvc += tp.QPILatency
+			numaSvc += r.qpiLatency
 		}
-		t = nic.GatherDMA(t, sizes, cross, m.QPI(), tp.QPILatency)
+		t = nic.GatherDMA(t, sizes, cross, r.qpi, r.qpiLatency)
 		src.observe(StageGathered, t)
 	}
 
@@ -464,7 +496,7 @@ func executeOne(src, dst *qpState, t sim.Time, wr *SendWR) (Completion, bool, er
 	}
 	t = src.pipeline.Delay(t+meta.Latency, qpSvc+numaSvc)
 	src.observe(StagePipelined, t)
-	t = port.Execute(t, exSvc, meta.Service)
+	t = r.port.Execute(t, exSvc, meta.Service)
 	src.observe(StageExecuted, t)
 
 	// Request bytes on the wire to the responder.
@@ -485,7 +517,7 @@ func executeOne(src, dst *qpState, t sim.Time, wr *SendWR) (Completion, bool, er
 		// never duplicate.
 		comp := src.signal(Completion{Opcode: OpSend, Done: t + CQECost, Bytes: total})
 		src.noteSegment(false)
-		arrive, v := m.Fabric().Deliver(t, m.Endpoint(src.port), dst.ctx.machine.Endpoint(dst.port), outbound)
+		arrive, v := r.fab.Deliver(t, r.ep, dst.route.ep, outbound)
 		src.observe(StageArrived, arrive)
 		if v != fabric.Delivered {
 			src.noteSilentDrop()
@@ -540,10 +572,9 @@ func executeOne(src, dst *qpState, t sim.Time, wr *SendWR) (Completion, bool, er
 // datagram is silently dropped (unreliable!). It returns the delivery time
 // (receive-side DMA end) and the drop flag.
 func deliverDatagram(src, dst *qpState, arrive sim.Time, wr *SendWR, total int) (sim.Time, bool, error) {
-	rm := dst.ctx.machine
-	rnicDev := rm.NIC()
-	rmeta := rnicDev.TouchQP(dst.id)
-	rt := rnicDev.Port(dst.port).Execute(arrive+rmeta.Latency, rnicDev.Params().RespWrite, rmeta.Service)
+	r := dst.route
+	rmeta := r.nic.TouchQP(dst.id)
+	rt := r.port.Execute(arrive+rmeta.Latency, r.params.RespWrite, rmeta.Service)
 	if dst.recvEmpty() {
 		return rt, true, nil
 	}
@@ -553,10 +584,10 @@ func deliverDatagram(src, dst *qpState, arrive sim.Time, wr *SendWR, total int) 
 	}
 	dst.popRecv()
 	rcross := 0
-	if recv.SGE.MR.region.Socket() != rm.PortSocket(dst.port) {
+	if recv.SGE.MR.region.Socket() != r.socket {
 		rcross = 1
 	}
-	dmaEnd := rnicDev.ScatterDMA(rt, []int{total}, rcross, rm.QPI(), rm.Topology().Params.QPILatency)
+	dmaEnd := r.nic.ScatterDMA(rt, []int{total}, rcross, r.qpi, r.qpiLatency)
 	if err := applySend(dst, wr, recv); err != nil {
 		return 0, false, err
 	}
@@ -566,9 +597,9 @@ func deliverDatagram(src, dst *qpState, arrive sim.Time, wr *SendWR, total int) 
 
 // applyWrite gathers the first n SGL bytes — the whole payload, or the
 // prefix a torn UC WRITE landed — and stores them contiguously at the remote
-// address. The staging buffer comes from the responder QP's scratch pool;
-// Space.WriteAt copies out of it before returning.
-func applyWrite(dst *qpState, wr *SendWR, n int) error {
+// address, in the target MR's region. The staging buffer comes from the
+// responder QP's scratch pool.
+func applyWrite(dst *qpState, rmr *MR, wr *SendWR, n int) error {
 	buf := dst.scratch.bytes(n)
 	for _, s := range wr.SGL {
 		if len(buf) >= n {
@@ -580,16 +611,23 @@ func applyWrite(dst *qpState, wr *SendWR, n int) error {
 		}
 		buf = append(buf, b[:min(s.Length, n-len(buf))]...)
 	}
-	return dst.ctx.machine.Space().WriteAt(wr.RemoteAddr, buf)
-}
-
-// applyRead loads the remote bytes and scatters them into the SGL, staging
-// through the responder QP's scratch pool.
-func applyRead(dst *qpState, wr *SendWR) error {
-	buf := dst.scratch.bytesN(wr.TotalLength())
-	if err := dst.ctx.machine.Space().ReadAt(wr.RemoteAddr, buf); err != nil {
+	target, err := rmr.region.Slice(wr.RemoteAddr, len(buf))
+	if err != nil {
 		return err
 	}
+	copy(target, buf)
+	return nil
+}
+
+// applyRead loads the remote bytes from the target MR's region and scatters
+// them into the SGL, staging through the responder QP's scratch pool.
+func applyRead(dst *qpState, rmr *MR, wr *SendWR) error {
+	buf := dst.scratch.bytesN(wr.TotalLength())
+	remote, err := rmr.region.Slice(wr.RemoteAddr, len(buf))
+	if err != nil {
+		return err
+	}
+	copy(buf, remote)
 	off := 0
 	for _, s := range wr.SGL {
 		b, err := s.MR.region.Slice(s.Addr, s.Length)
@@ -602,30 +640,23 @@ func applyRead(dst *qpState, wr *SendWR) error {
 	return nil
 }
 
-// applyAtomic performs the 8-byte remote read-modify-write and stores the
-// old value into the local SGE. RDMA atomics are big-endian on the wire but
-// operate on host-order integers; we use little-endian throughout for
-// simplicity.
-func applyAtomic(dst *qpState, wr *SendWR) (uint64, error) {
-	space := dst.ctx.machine.Space()
-	var b [8]byte
-	if err := space.ReadAt(wr.RemoteAddr, b[:]); err != nil {
+// applyAtomic performs the 8-byte read-modify-write in the target MR's
+// region and stores the old value into the local SGE. RDMA atomics are
+// big-endian on the wire but operate on host-order integers; we use
+// little-endian throughout for simplicity.
+func applyAtomic(rmr *MR, wr *SendWR) (uint64, error) {
+	b, err := rmr.region.Slice(wr.RemoteAddr, 8)
+	if err != nil {
 		return 0, err
 	}
-	old := binary.LittleEndian.Uint64(b[:])
+	old := binary.LittleEndian.Uint64(b)
 	switch wr.Opcode {
 	case OpCompSwap:
 		if old == wr.CompareAdd {
-			binary.LittleEndian.PutUint64(b[:], wr.Swap)
-			if err := space.WriteAt(wr.RemoteAddr, b[:]); err != nil {
-				return 0, err
-			}
+			binary.LittleEndian.PutUint64(b, wr.Swap)
 		}
 	case OpFetchAdd:
-		binary.LittleEndian.PutUint64(b[:], old+wr.CompareAdd)
-		if err := space.WriteAt(wr.RemoteAddr, b[:]); err != nil {
-			return 0, err
-		}
+		binary.LittleEndian.PutUint64(b, old+wr.CompareAdd)
 	}
 	// Store the old value into the local completion buffer.
 	s := wr.SGL[0]

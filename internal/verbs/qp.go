@@ -27,6 +27,12 @@ func Connect(a *Context, portA int, b *Context, portB int, t Transport) (*QP, *Q
 	if t == UD {
 		return nil, nil, fmt.Errorf("%w: UD has no connected QPs", ErrBadTransport)
 	}
+	if err := a.checkPort(portA); err != nil {
+		return nil, nil, err
+	}
+	if err := b.checkPort(portB); err != nil {
+		return nil, nil, err
+	}
 	qa := &QP{qpState: newQPState(a, t, portA, "qp")}
 	qb := &QP{qpState: newQPState(b, t, portB, "qp")}
 	qa.peer, qb.peer = qb, qa

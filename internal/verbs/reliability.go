@@ -190,7 +190,7 @@ func (s *qpState) noteSegment(retransmit bool) {
 		return
 	}
 	s.stats.Segments++
-	rel := s.ctx.machine.NIC().Rel()
+	rel := s.route.nic.Rel()
 	rel.Segments++
 	if retransmit {
 		s.stats.Retransmits++
@@ -203,7 +203,7 @@ func (s *qpState) noteSegment(retransmit bool) {
 func (s *qpState) noteSilentDrop() {
 	if s.lossy {
 		s.stats.SilentDrops++
-		s.ctx.machine.NIC().Rel().SilentDrops++
+		s.route.nic.Rel().SilentDrops++
 	}
 }
 
@@ -218,11 +218,8 @@ func (s *qpState) noteSilentDrop() {
 // A returned error is a hard modelling failure (e.g. an undersized receive
 // buffer, or ErrRNR on a lossless fabric).
 func executeReliable(src, dst *qpState, emit sim.Time, wr *SendWR, total, outbound int) (sim.Time, uint64, CompletionStatus, error) {
-	m := src.ctx.machine
-	fab := m.Fabric()
-	srcEP := m.Endpoint(src.port)
-	dstEP := dst.ctx.machine.Endpoint(dst.port)
-	nic := m.NIC()
+	fab, srcEP, dstEP := src.route.fab, src.route.ep, dst.route.ep
+	nic := src.route.nic
 	pol := src.policy
 
 	sizes := src.segmentSizes(outbound, false)
@@ -241,6 +238,7 @@ func executeReliable(src, dst *qpState, emit sim.Time, wr *SendWR, total, outbou
 	applied := src.replayApplied
 	src.replayApplied = false
 	var old uint64
+	var rmr *MR // the target MR, once the responder has executed the request
 
 	t := emit
 	fail := func(at sim.Time, status CompletionStatus) (sim.Time, uint64, CompletionStatus, error) {
@@ -328,7 +326,7 @@ func executeReliable(src, dst *qpState, emit sim.Time, wr *SendWR, total, outbou
 					continue
 				}
 				applied = true
-				resp, old = r, r.old
+				resp, old, rmr = r, r.old, r.mr
 			}
 
 			// Response / ACK leg. READs and atomics carry payload back;
@@ -336,7 +334,15 @@ func executeReliable(src, dst *qpState, emit sim.Time, wr *SendWR, total, outbou
 			done, delivered := deliverResponse(src, dst, resp, wr, total)
 			if delivered {
 				if wr.Opcode == OpRead {
-					if err := applyRead(dst, wr); err != nil {
+					if rmr == nil {
+						// A replayed duplicate never ran the responder
+						// in this call: look its target MR up.
+						var err error
+						if rmr, err = dst.ctx.LookupMR(wr.RemoteKey); err != nil {
+							return 0, 0, StatusOK, err
+						}
+					}
+					if err := applyRead(dst, rmr, wr); err != nil {
 						return 0, 0, StatusOK, err
 					}
 				}
@@ -386,9 +392,8 @@ func executeReliable(src, dst *qpState, emit sim.Time, wr *SendWR, total, outbou
 // segment lands, and for READs the requester-side scatter DMA is charged on
 // success.
 func deliverResponse(src, dst *qpState, resp response, wr *SendWR, total int) (sim.Time, bool) {
-	fab := src.ctx.machine.Fabric()
-	srcEP := src.ctx.machine.Endpoint(src.port)
-	dstEP := dst.ctx.machine.Endpoint(dst.port)
+	r := src.route
+	dstEP := dst.route.ep
 
 	respBytes := 0
 	switch wr.Opcode {
@@ -399,7 +404,7 @@ func deliverResponse(src, dst *qpState, resp response, wr *SendWR, total int) (s
 	}
 	t := resp.at
 	for _, size := range src.segmentSizes(respBytes, true) {
-		arr, v := fab.Deliver(t, dstEP, srcEP, size)
+		arr, v := r.fab.Deliver(t, dstEP, r.ep, size)
 		if v != fabric.Delivered {
 			return arr + resp.lag, false
 		}
@@ -412,12 +417,11 @@ func deliverResponse(src, dst *qpState, resp response, wr *SendWR, total int) (s
 		cross := 0
 		for i, s := range wr.SGL {
 			sizes[i] = s.Length
-			if s.MR.region.Socket() != src.PortSocket() {
+			if s.MR.region.Socket() != r.socket {
 				cross++
 			}
 		}
-		m := src.ctx.machine
-		t = m.NIC().ScatterDMA(t, sizes, cross, m.QPI(), m.Topology().Params.QPILatency)
+		t = r.nic.ScatterDMA(t, sizes, cross, r.qpi, r.qpiLatency)
 	}
 	return t + resp.lag, true
 }
@@ -427,6 +431,7 @@ type response struct {
 	at  sim.Time     // the ACK, NAK or response leaves the responder NIC
 	lag sim.Duration // wait after the ACK lands: a cross-socket WRITE's QPI hop
 	old uint64       // the atomic's old value
+	mr  *MR          // a one-sided request's target MR (READ lands its data later)
 	rnr bool         // a SEND found no posted receive WR
 }
 
@@ -436,27 +441,28 @@ type response struct {
 // this call. The ACK/response wire leg belongs to the caller, because it can
 // be lost.
 func executeResponder(src, dst *qpState, arrive sim.Time, wr *SendWR, n int) (response, error) {
-	rm := dst.ctx.machine
-	rnicDev := rm.NIC()
-	rport := rnicDev.Port(dst.port)
-	rtp := rm.Topology().Params
-	rp := rnicDev.Params()
+	r := dst.route
+	rnicDev, rport, rp := r.nic, r.port, r.params
 
 	// Responder metadata: the peer QP context plus the target MR/pages.
 	meta := rnicDev.TouchQP(dst.id)
 	cross := 0 // 1 when a one-sided target sits across QPI from the port
+	var rmr *MR
 	if wr.Opcode.OneSided() {
-		rmr, err := dst.ctx.LookupMR(wr.RemoteKey)
-		if err != nil {
+		var err error
+		if rmr, err = dst.ctx.LookupMR(wr.RemoteKey); err != nil {
 			return response{}, err
 		}
 		meta = meta.Add(rnicDev.TouchMR(rmr.id))
 		meta = meta.Add(rnicDev.Translate(wr.RemoteAddr, n))
-		if sock, err := rm.Space().SocketOf(wr.RemoteAddr); err == nil && sock != rm.PortSocket(dst.port) {
+		// Validation placed the access inside the MR, and the MR's region
+		// lives in this machine's memory (RegisterMR), so the region is
+		// the one the address resolves to.
+		if rmr.region.Socket() != r.socket {
 			// Cross-socket DMA at the responder serializes on the
 			// interconnect path and occupies the responder engine longer.
 			cross = 1
-			meta.Service += 3 * rtp.QPILatency
+			meta.Service += 3 * r.qpiLatency
 		}
 	}
 
@@ -468,23 +474,23 @@ func executeResponder(src, dst *qpState, arrive sim.Time, wr *SendWR, n int) (re
 		// completes asynchronously with respect to the requester. A
 		// cross-socket target holds the completion one QPI hop after the
 		// ACK lands.
-		rnicDev.ScatterDMA(t, []int{n}, cross, rm.QPI(), rtp.QPILatency)
-		return response{at: t, lag: sim.Duration(cross) * rtp.QPILatency}, applyWrite(dst, wr, n)
+		rnicDev.ScatterDMA(t, []int{n}, cross, r.qpi, r.qpiLatency)
+		return response{at: t, lag: sim.Duration(cross) * r.qpiLatency}, applyWrite(dst, rmr, wr, n)
 
 	case OpRead:
 		// Translation-miss handling overlaps the long host DMA read on the
 		// response path, so only half the miss occupancy hits the engine.
 		t := rport.Execute(arrive+meta.Latency, rp.RespRead, meta.Service/2)
 		// DMA read from host DRAM: high latency, pipelined occupancy.
-		t = rnicDev.GatherDMA(t, []int{n}, cross, rm.QPI(), rtp.QPILatency) + rp.PCIeReadLatency
-		return response{at: t}, nil
+		t = rnicDev.GatherDMA(t, []int{n}, cross, r.qpi, r.qpiLatency) + rp.PCIeReadLatency
+		return response{at: t, mr: rmr}, nil
 
 	case OpCompSwap, OpFetchAdd:
 		t := rport.ExecuteAtomic(arrive + meta.Latency)
 		// Locked PCIe read-modify-write against host memory.
-		t = rnicDev.GatherDMA(t, []int{8}, cross, rm.QPI(), rtp.QPILatency) + rp.PCIeReadLatency
-		rnicDev.ScatterDMA(t, []int{8}, cross, rm.QPI(), rtp.QPILatency)
-		old, err := applyAtomic(dst, wr)
+		t = rnicDev.GatherDMA(t, []int{8}, cross, r.qpi, r.qpiLatency) + rp.PCIeReadLatency
+		rnicDev.ScatterDMA(t, []int{8}, cross, r.qpi, r.qpiLatency)
+		old, err := applyAtomic(rmr, wr)
 		return response{at: t, old: old}, err
 
 	case OpSend:
@@ -506,10 +512,10 @@ func executeResponder(src, dst *qpState, arrive sim.Time, wr *SendWR, n int) (re
 		dst.popRecv()
 		t := rport.Execute(arrive+meta.Latency, rp.RespWrite, meta.Service)
 		rcross := 0
-		if recv.SGE.MR.region.Socket() != rm.PortSocket(dst.port) {
+		if recv.SGE.MR.region.Socket() != r.socket {
 			rcross = 1
 		}
-		dmaEnd := rnicDev.ScatterDMA(t, []int{n}, rcross, rm.QPI(), rtp.QPILatency)
+		dmaEnd := rnicDev.ScatterDMA(t, []int{n}, rcross, r.qpi, r.qpiLatency)
 		if err := applySend(dst, wr, recv); err != nil {
 			return response{}, err
 		}
@@ -527,10 +533,7 @@ func executeResponder(src, dst *qpState, arrive sim.Time, wr *SendWR, n int) (re
 // segment, or with no posted receive WR, vanishes without a receive
 // completion.
 func executeUC(src, dst *qpState, emit sim.Time, wr *SendWR, outbound int) error {
-	m := src.ctx.machine
-	fab := m.Fabric()
-	srcEP := m.Endpoint(src.port)
-	dstEP := dst.ctx.machine.Endpoint(dst.port)
+	fab, srcEP, dstEP := src.route.fab, src.route.ep, dst.route.ep
 
 	sizes := src.segmentSizes(outbound, false)
 	arrived := 0

@@ -18,9 +18,9 @@
 //     as on real hardware, so pollers learn which connection the message
 //     arrived on.
 //
-// A QP with no SRQ attached takes the exact same code path it always did:
-// the recv accessors below compile to the old slice operations, so the 28
-// pre-SRQ goldens are byte-identical with this file compiled in.
+// A QP with no SRQ attached drains its own receive queue through the same
+// accessors below, so the 28 pre-SRQ goldens are byte-identical with this
+// file compiled in.
 package verbs
 
 import "fmt"
@@ -30,7 +30,7 @@ import "fmt"
 // machine with AttachSRQ.
 type SRQ struct {
 	ctx    *Context
-	q      []RecvWR
+	q      recvQueue
 	posted uint64
 	handed uint64
 }
@@ -56,13 +56,13 @@ func (s *SRQ) PostRecv(wr RecvWR) error {
 	if err := wr.SGE.MR.contains(wr.SGE.Addr, wr.SGE.Length); err != nil {
 		return err
 	}
-	s.q = append(s.q, wr)
+	s.q.push(wr)
 	s.posted++
 	return nil
 }
 
 // Len returns the number of receive buffers currently queued.
-func (s *SRQ) Len() int { return len(s.q) }
+func (s *SRQ) Len() int { return s.q.len() }
 
 // Posted returns the total number of receive WRs ever posted.
 func (s *SRQ) Posted() uint64 { return s.posted }
@@ -89,8 +89,8 @@ func (s *qpState) AttachSRQ(srq *SRQ) error {
 		return fmt.Errorf("verbs: SRQ on %s cannot serve a QP on %s",
 			srq.ctx.machine.Label(), s.ctx.machine.Label())
 	}
-	if len(s.recvQ) != 0 {
-		return fmt.Errorf("verbs: QP %d has %d posted receives; attach the SRQ first", s.id, len(s.recvQ))
+	if n := s.recvQ.len(); n != 0 {
+		return fmt.Errorf("verbs: QP %d has %d posted receives; attach the SRQ first", s.id, n)
 	}
 	s.srq = srq
 	return nil
@@ -99,36 +99,62 @@ func (s *qpState) AttachSRQ(srq *SRQ) error {
 // SRQ returns the attached shared receive queue, or nil.
 func (s *qpState) SRQ() *SRQ { return s.srq }
 
+// recvQueue is a FIFO of receive WRs that reuses its backing array, so a
+// steady post/consume cycle never allocates. Pops advance a head index; a
+// push into a full array whose consumed prefix is at least half of it slides
+// the live entries down instead of growing (each slide moves no more entries
+// than the pops since the last one, so both stay amortized O(1)).
+type recvQueue struct {
+	wrs  []RecvWR
+	head int // index of the oldest live entry
+}
+
+func (q *recvQueue) len() int { return len(q.wrs) - q.head }
+
+func (q *recvQueue) push(wr RecvWR) {
+	if len(q.wrs) == cap(q.wrs) && q.head > 0 && 2*q.head >= len(q.wrs) {
+		n := copy(q.wrs, q.wrs[q.head:])
+		q.wrs, q.head = q.wrs[:n], 0
+	}
+	q.wrs = append(q.wrs, wr)
+}
+
+// front returns the oldest entry; the queue must not be empty.
+func (q *recvQueue) front() RecvWR { return q.wrs[q.head] }
+
+// pop drops the oldest entry; the queue must not be empty.
+func (q *recvQueue) pop() {
+	q.wrs[q.head] = RecvWR{} // drop the consumed entry's MR reference
+	if q.head++; q.head == len(q.wrs) {
+		q.wrs, q.head = q.wrs[:0], 0
+	}
+}
+
 // The receive-source indirection: every consumer of inbound SENDs (the
 // connected-transport responder and the UD datagram receiver) goes through
 // these three accessors, so SRQ-attached and plain QPs share one code path.
-// Without an SRQ they are exactly the historical slice operations on recvQ.
+
+// recvSource returns the queue inbound SENDs drain: the SRQ's, if attached.
+func (s *qpState) recvSource() *recvQueue {
+	if s.srq != nil {
+		return &s.srq.q
+	}
+	return &s.recvQ
+}
 
 // recvEmpty reports whether the QP has no receive buffer available — the
 // receiver-not-ready condition.
-func (s *qpState) recvEmpty() bool {
-	if s.srq != nil {
-		return len(s.srq.q) == 0
-	}
-	return len(s.recvQ) == 0
-}
+func (s *qpState) recvEmpty() bool { return s.recvSource().len() == 0 }
 
 // frontRecv returns the receive buffer the next inbound SEND would consume
 // without consuming it (the size check happens between peek and pop, and a
 // failed check must not eat the buffer).
-func (s *qpState) frontRecv() RecvWR {
-	if s.srq != nil {
-		return s.srq.q[0]
-	}
-	return s.recvQ[0]
-}
+func (s *qpState) frontRecv() RecvWR { return s.recvSource().front() }
 
 // popRecv consumes the head receive buffer.
 func (s *qpState) popRecv() {
+	s.recvSource().pop()
 	if s.srq != nil {
-		s.srq.q = s.srq.q[1:]
 		s.srq.handed++
-		return
 	}
-	s.recvQ = s.recvQ[1:]
 }

@@ -3,6 +3,7 @@ package verbs
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"testing"
 
 	"rdmasem/internal/mem"
@@ -233,5 +234,43 @@ func TestSRQUDSilentDrop(t *testing.T) {
 	}
 	if cqes := qb.RecvCQ().Poll(sim.MaxTime, 4); len(cqes) != 1 || cqes[0].WRID != 3 {
 		t.Fatalf("recv CQ got %+v", cqes)
+	}
+}
+
+// TestRecvQueueFIFO drives recvQueue with random push/pop runs against a
+// plain slice: the same entry at the front and the same length after every
+// step, while the queue slides and grows its backing array, and the array
+// stays within a small multiple of the most entries ever live.
+func TestRecvQueueFIFO(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var q recvQueue
+	var ref []uint64
+	next, peak := uint64(0), 0
+	for step := 0; step < 20000; step++ {
+		// Bias toward pushes, then toward pops, so the queue both fills
+		// deep and drains to empty.
+		pushBias := 6
+		if step/2000%2 == 1 {
+			pushBias = 4
+		}
+		if len(ref) == 0 || rng.Intn(10) < pushBias {
+			next++
+			q.push(RecvWR{ID: next})
+			ref = append(ref, next)
+		} else {
+			if got := q.front().ID; got != ref[0] {
+				t.Fatalf("step %d: front %d, want %d", step, got, ref[0])
+			}
+			q.pop()
+			ref = ref[1:]
+		}
+		if q.len() != len(ref) {
+			t.Fatalf("step %d: len %d, want %d", step, q.len(), len(ref))
+		}
+		// The array only grows when at least half of it is live.
+		peak = max(peak, len(ref))
+		if cap(q.wrs) > 4*peak+8 {
+			t.Fatalf("step %d: backing array of %d for at most %d live entries", step, cap(q.wrs), peak)
+		}
 	}
 }

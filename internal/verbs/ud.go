@@ -31,8 +31,8 @@ func NewUDQP(ctx *Context, port int) (*UDQP, error) {
 	if ctx == nil {
 		return nil, fmt.Errorf("verbs: nil context")
 	}
-	if port < 0 || port >= ctx.machine.NIC().Ports() {
-		return nil, fmt.Errorf("verbs: port %d out of range", port)
+	if err := ctx.checkPort(port); err != nil {
+		return nil, err
 	}
 	return &UDQP{qpState: newQPState(ctx, UD, port, "udqp")}, nil
 }

@@ -62,6 +62,7 @@ var (
 	ErrAtomicSize   = errors.New("verbs: atomic operations are 8 bytes")
 	ErrQPError      = errors.New("verbs: queue pair is in error state")
 	ErrNilWR        = errors.New("verbs: nil work request")
+	ErrForeignMR    = errors.New("verbs: region is not in this context's machine memory")
 )
 
 // Context is an opened device on one machine: the registry of MRs and the
@@ -72,15 +73,28 @@ type Context struct {
 	machine *cluster.Machine
 	mrs     map[uint64]*MR
 	nextMR  uint64
+	routes  []*qpRoute // one per NIC port, shared by every QP bound to it
 }
 
 // NewContext opens the (single) RNIC of a machine.
 func NewContext(m *cluster.Machine) *Context {
-	return &Context{machine: m, mrs: make(map[uint64]*MR)}
+	c := &Context{machine: m, mrs: make(map[uint64]*MR)}
+	for p := 0; p < m.NIC().Ports(); p++ {
+		c.routes = append(c.routes, newRoute(m, p))
+	}
+	return c
 }
 
 // Machine returns the underlying host.
 func (c *Context) Machine() *cluster.Machine { return c.machine }
+
+// checkPort rejects a NIC port index the context's machine does not have.
+func (c *Context) checkPort(p int) error {
+	if p < 0 || p >= len(c.routes) {
+		return fmt.Errorf("verbs: port %d out of range", p)
+	}
+	return nil
+}
 
 // MR is a registered memory region. Its RKey grants remote access.
 type MR struct {
@@ -89,10 +103,16 @@ type MR struct {
 	region *mem.Region
 }
 
-// RegisterMR registers a previously allocated region for RDMA access.
+// RegisterMR registers a previously allocated region for RDMA access. The
+// region must belong to the context's machine memory: one-sided verbs land
+// their data through the MR's region, so a region of another machine's
+// Space is rejected with ErrForeignMR.
 func (c *Context) RegisterMR(r *mem.Region) (*MR, error) {
 	if r == nil {
 		return nil, fmt.Errorf("verbs: nil region")
+	}
+	if got, err := c.machine.Space().Resolve(r.Addr(), r.Size()); err != nil || got != r {
+		return nil, fmt.Errorf("%w: [%#x,+%d) on %s", ErrForeignMR, r.Addr(), r.Size(), c.machine.Label())
 	}
 	c.nextMR++
 	mr := &MR{id: c.nextMR, ctx: c, region: r}

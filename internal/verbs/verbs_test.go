@@ -454,6 +454,50 @@ func TestMRDeregistration(t *testing.T) {
 	}
 }
 
+// RegisterMR accepts only regions of its own machine's memory: the
+// responder lands one-sided data through the MR's region, so a region
+// borrowed from another machine's Space must be refused up front.
+func TestRegisterMRRejectsForeignRegion(t *testing.T) {
+	e := newPair(t)
+	foreign := e.cl.Machine(0).MustAlloc(0, 4096, 0)
+	if _, err := e.ctxB.RegisterMR(foreign); !errors.Is(err, ErrForeignMR) {
+		t.Fatalf("err=%v, want ErrForeignMR for another machine's region", err)
+	}
+	// A region of the same shape at the same address in a fresh space is
+	// still not the region this machine's memory holds.
+	space, err := mem.NewSpace(2, 48<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stray, err := space.Alloc(1, 1<<20, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stray.Addr() != e.mrA.Addr() {
+		t.Fatalf("stray region at %#x, want it to shadow %#x", stray.Addr(), e.mrA.Addr())
+	}
+	if _, err := e.ctxA.RegisterMR(stray); !errors.Is(err, ErrForeignMR) {
+		t.Fatalf("err=%v, want ErrForeignMR for a region of another Space", err)
+	}
+	if _, err := e.ctxA.RegisterMR(nil); err == nil {
+		t.Fatal("nil region must fail")
+	}
+	if _, err := e.ctxA.RegisterMR(e.cl.Machine(0).MustAlloc(1, 4096, 0)); err != nil {
+		t.Fatalf("own region: %v", err)
+	}
+}
+
+// Connect rejects a port the machine's NIC does not have, as NewUDQP does.
+func TestConnectRejectsBadPort(t *testing.T) {
+	e := newPair(t)
+	if _, _, err := Connect(e.ctxA, 2, e.ctxB, 0, RC); err == nil {
+		t.Fatal("port 2 of a dual-port NIC must fail")
+	}
+	if _, _, err := Connect(e.ctxA, 0, e.ctxB, -1, RC); err == nil {
+		t.Fatal("negative port must fail")
+	}
+}
+
 // Figure 1 calibration: small WRITE latency ~1.16us, READ ~2.0us; one-QP
 // WRITE throughput ~4.7 MOPS, READ ~4.2 MOPS; remote atomics 2.2-2.5 MOPS.
 func TestFigure1Calibration(t *testing.T) {
