@@ -173,11 +173,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		report.RenderFormat(stdout, *format)
 		if opts.Faults != nil {
-			f, rel := report.Faults, report.Rel
-			fmt.Fprintf(stdout, "faults: segments=%d drops=%d corrupts=%d delays=%d flap_drops=%d crash_drops=%d\n",
-				f.Segments, f.Drops, f.Corrupts, f.Delays, f.FlapDrops, f.CrashDrops)
-			fmt.Fprintf(stdout, "reliability: segments=%d retransmits=%d timeouts=%d naks=%d rnr_naks=%d retries_exhausted=%d silent_drops=%d reconnects=%d\n",
-				rel.Segments, rel.Retransmits, rel.AckTimeouts, rel.NaksReceived, rel.RNRNaks, rel.RetriesExhausted, rel.SilentDrops, rel.Reconnects)
+			printFaultSummary(stdout, report.Metrics)
 		}
 		if *metrics {
 			report.Metrics.Render(stdout)
@@ -203,4 +199,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 			tl.Len(), *timeline, tl.Dropped())
 	}
 	return 0
+}
+
+// printFaultSummary prints the -faults summary lines from a run's folded
+// counters: the fabric's fault tallies and the NICs' reliability tallies,
+// each summed over every machine and cluster of the run.
+func printFaultSummary(w io.Writer, m telemetry.Snapshot) {
+	sum := map[string]int64{}
+	for _, c := range m.Counters {
+		sum[c.Component+" "+c.Stage] += c.Value
+	}
+	fmt.Fprintf(w, "faults: segments=%d drops=%d corrupts=%d delays=%d flap_drops=%d crash_drops=%d\n",
+		sum["fabric segments"], sum["fabric drops"], sum["fabric corrupts"], sum["fabric delays"],
+		sum["fabric flap-drops"], sum["fabric crash-drops"])
+	fmt.Fprintf(w, "reliability: segments=%d retransmits=%d timeouts=%d naks=%d rnr_naks=%d retries_exhausted=%d silent_drops=%d reconnects=%d\n",
+		sum["nic/rel segments"], sum["nic/rel retransmits"], sum["nic/rel ack-timeouts"], sum["nic/rel naks"],
+		sum["nic/rel rnr-naks"], sum["nic/rel retries-exhausted"], sum["nic/rel silent-drops"], sum["nic/rel reconnects"])
 }

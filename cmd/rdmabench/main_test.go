@@ -26,7 +26,7 @@ func TestFlagValidation(t *testing.T) {
 		{"negative engine workers", []string{"-exp", "fig1", "-engine-workers", "-2"}, "engine workers must be >= 0 (0 = serial), got -2"},
 		{"negative parallel", []string{"-exp", "fig1", "-parallel", "-3"}, "parallel must be >= 0"},
 		{"unknown conn mode", []string{"-exp", "qpsweep", "-conn-modes", "per-conn,bogus"}, `unknown connection mode "bogus"`},
-		{"negative qp pool", []string{"-exp", "qpsweep", "-qp-pool", "-8"}, "QP pool must be at least 1"},
+		{"negative qp pool", []string{"-exp", "qpsweep", "-qp-pool", "-8"}, "QP pool must be >= 0 (0 = 64)"},
 		{"malformed flap spec", []string{"-exp", "availability", "-fault-flap", "2000"}, "is not down/period"},
 		{"flap down not a number", []string{"-exp", "availability", "-fault-flap", "x/25000"}, "flap down"},
 		{"flap down >= period", []string{"-exp", "availability", "-fault-flap", "25000/25000"}, "needs 0 < down < period"},

@@ -90,7 +90,7 @@ func run(w, trace io.Writer) error {
 		now = c.Done
 	}
 
-	cl.FoldTelemetry()
+	cl.FoldTelemetry(reg)
 	reg.Snapshot().Render(w)
 	fmt.Fprintf(w, "\ntimeline: %d spans recorded over %v of virtual time\n", tl.Len(), sim.Duration(now))
 	return tl.WriteJSON(trace)

@@ -58,7 +58,7 @@ func mkFrags(e *testEnv, n, size, base int) []core.Fragment {
 	return out
 }
 
-func mkRuntime(t testing.TB, e *testEnv, p cluster.AdaptiveParams, static core.Strategy, useCons bool) *Runtime {
+func mkRuntime(t testing.TB, e *testEnv, p Params, static core.Strategy, useCons bool) *Runtime {
 	t.Helper()
 	rt, err := NewRuntime(Config{
 		QP: e.qpA, LocalMR: e.mrA, Staging: e.staging,
@@ -82,7 +82,7 @@ type synth struct {
 }
 
 func newSynth() *synth {
-	c := NewController(cluster.AdaptiveParams{Epoch: 1000, Shadow: true}, nil, nil, nil)
+	c := NewController(Params{Epoch: 1000, Shadow: true}, nil, nil, nil)
 	s := &synth{c: c}
 	c.advance(0)
 	s.epoch(0, 0, 0) // consume the discarded warm-up epoch
@@ -277,7 +277,7 @@ func TestShadowRuntimeIsPassive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := mkRuntime(t, eRt, cluster.AdaptiveParams{
+	rt := mkRuntime(t, eRt, Params{
 		Epoch: 5 * sim.Microsecond, Shadow: true,
 	}, core.SGL, true)
 
@@ -342,7 +342,7 @@ func noDoubleMoves(t *testing.T, c *Controller) {
 // in each phase and switch between them through the drift detector.
 func TestRuntimeAdaptsBatchStrategyAcrossPhases(t *testing.T) {
 	e := newTestEnv(t, nil)
-	rt := mkRuntime(t, e, cluster.AdaptiveParams{Epoch: 10 * sim.Microsecond}, core.SGL, false)
+	rt := mkRuntime(t, e, Params{Epoch: 10 * sim.Microsecond}, core.SGL, false)
 	c := rt.Controller()
 
 	smallFr := mkFrags(e, 16, 64, 32768)
@@ -382,7 +382,7 @@ func TestRuntimeAdaptsBatchStrategyAcrossPhases(t *testing.T) {
 // an empty shadow and an unearned win.
 func TestRuntimeSmallWritePathAdapts(t *testing.T) {
 	e := newTestEnv(t, nil)
-	rt := mkRuntime(t, e, cluster.AdaptiveParams{Epoch: 10 * sim.Microsecond}, core.SGL, false)
+	rt := mkRuntime(t, e, Params{Epoch: 10 * sim.Microsecond}, core.SGL, false)
 	c := rt.Controller()
 	data := []byte("0123456789abcdef0123456789abcdef")
 
@@ -428,7 +428,7 @@ func TestRuntimeRetunesThetaOnLeaseDominance(t *testing.T) {
 		QP: e.qpA, LocalMR: e.mrA, Staging: e.staging,
 		RemoteMR: e.mrB, RemoteBase: e.mrB.Addr(),
 		BlockSize: 1024, Theta: 16, MaxBlocks: 8, Lease: 5 * sim.Microsecond,
-		Params: cluster.AdaptiveParams{Epoch: 10 * sim.Microsecond},
+		Params: Params{Epoch: 10 * sim.Microsecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -463,7 +463,7 @@ func TestRuntimeRetunesThetaOnLeaseDominance(t *testing.T) {
 // sees retransmit deltas and walks the doorbell list depth down.
 func TestRuntimeHalvesDoorbellDepthUnderLoss(t *testing.T) {
 	e := newTestEnv(t, &fabric.FaultPlan{Seed: 3, Drop: 0.05})
-	rt := mkRuntime(t, e, cluster.AdaptiveParams{Epoch: 20 * sim.Microsecond}, core.SGL, false)
+	rt := mkRuntime(t, e, Params{Epoch: 20 * sim.Microsecond}, core.SGL, false)
 	c := rt.Controller()
 
 	fr := mkFrags(e, 16, 256, 32768)
@@ -497,7 +497,7 @@ func TestRuntimeHalvesDoorbellDepthUnderLoss(t *testing.T) {
 // hot loop stays off the heap once warm.
 func TestRuntimeWriteBatchAllocFree(t *testing.T) {
 	e := newTestEnv(t, nil)
-	rt := mkRuntime(t, e, cluster.AdaptiveParams{Epoch: 2 * sim.Microsecond}, core.SGL, false)
+	rt := mkRuntime(t, e, Params{Epoch: 2 * sim.Microsecond}, core.SGL, false)
 	fr := mkFrags(e, 16, 64, 32768)
 	now := sim.Time(0)
 	op := func() {
@@ -523,7 +523,7 @@ func TestRuntimeWriteBatchAllocFree(t *testing.T) {
 // PostSend path.
 func TestPostSendAllocFreeWithObserver(t *testing.T) {
 	e := newTestEnv(t, nil)
-	ctrl := NewController(cluster.AdaptiveParams{Shadow: true}, e.qpA, nil, nil)
+	ctrl := NewController(Params{Shadow: true}, e.qpA, nil, nil)
 	e.qpA.SetPostObserver(ctrl)
 	wr := &verbs.SendWR{
 		Opcode:     verbs.OpWrite,

@@ -3,7 +3,6 @@ package adaptive
 import (
 	"testing"
 
-	"rdmasem/internal/cluster"
 	"rdmasem/internal/core"
 	"rdmasem/internal/sim"
 )
@@ -14,7 +13,7 @@ import (
 // ceiling must survive the controller.
 func BenchmarkRuntimeWriteBatch(b *testing.B) {
 	env := newTestEnv(b, nil)
-	rt := mkRuntime(b, env, cluster.AdaptiveParams{Epoch: 2 * sim.Microsecond}, core.SGL, false)
+	rt := mkRuntime(b, env, Params{Epoch: 2 * sim.Microsecond}, core.SGL, false)
 	frags := mkFrags(env, 16, 64, 1<<15)
 	now := sim.Time(0)
 	// Burn through the probe epochs so the steady locked path is measured.
@@ -41,7 +40,7 @@ func BenchmarkRuntimeWriteBatch(b *testing.B) {
 // consolidated paths the tuner has locked.
 func BenchmarkRuntimeSmallWrite(b *testing.B) {
 	env := newTestEnv(b, nil)
-	rt := mkRuntime(b, env, cluster.AdaptiveParams{Epoch: 2 * sim.Microsecond}, core.SGL, false)
+	rt := mkRuntime(b, env, Params{Epoch: 2 * sim.Microsecond}, core.SGL, false)
 	data := make([]byte, 32)
 	now := sim.Time(0)
 	for i := 0; i < 64; i++ {

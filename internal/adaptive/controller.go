@@ -36,13 +36,22 @@ package adaptive
 import (
 	"math/bits"
 
-	"rdmasem/internal/cluster"
 	"rdmasem/internal/core"
 	"rdmasem/internal/sim"
 	"rdmasem/internal/verbs"
 )
 
-// Defaults for zero-valued cluster.AdaptiveParams fields.
+// Params tunes the adaptive IO controllers. Zero values select the
+// defaults below.
+type Params struct {
+	Epoch    sim.Duration // decision interval in virtual time (0 = DefaultEpoch)
+	Confirm  int          // consecutive drifted epochs before re-probing (0 = DefaultConfirm)
+	Dwell    int          // cooldown epochs after a switch before re-probing (0 = DefaultDwell)
+	MaxDepth int          // doorbell list depth ceiling (0 = DefaultMaxDepth)
+	Shadow   bool         // observe and decide but never retune (passive mode)
+}
+
+// Defaults for zero-valued Params fields.
 const (
 	DefaultEpoch    = 20 * sim.Microsecond
 	DefaultConfirm  = 2
@@ -154,7 +163,7 @@ func (t *tuner) close(ops, lat int64, fpA, fpB int, confirm, dwell int) (int, bo
 // runtime's op path (advance/noteBatch/noteSmall) and, passively, from the
 // verbs post hook (ObservePost). It allocates only at construction.
 type Controller struct {
-	params  cluster.AdaptiveParams
+	params  Params
 	qp      *verbs.QP
 	batcher *core.Batcher
 	cons    *core.Consolidator
@@ -199,7 +208,7 @@ type Controller struct {
 // three may be nil; the corresponding knob is then decided but not applied.
 // Unless params.Shadow is set, construction applies the initial probe
 // candidate so the first epoch measures it.
-func NewController(params cluster.AdaptiveParams, qp *verbs.QP, b *core.Batcher, cons *core.Consolidator) *Controller {
+func NewController(params Params, qp *verbs.QP, b *core.Batcher, cons *core.Consolidator) *Controller {
 	if params.Epoch <= 0 {
 		params.Epoch = DefaultEpoch
 	}
@@ -245,7 +254,7 @@ func NewController(params cluster.AdaptiveParams, qp *verbs.QP, b *core.Batcher,
 }
 
 // Params returns the resolved (defaults filled in) parameters.
-func (c *Controller) Params() cluster.AdaptiveParams { return c.params }
+func (c *Controller) Params() Params { return c.params }
 
 // Records returns the decision log: one entry per epoch that changed any
 // knob. The slice aliases the controller's preallocated buffer.

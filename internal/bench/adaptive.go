@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"rdmasem/internal/adaptive"
-	"rdmasem/internal/cluster"
 	"rdmasem/internal/core"
 	"rdmasem/internal/mem"
 	"rdmasem/internal/sim"
@@ -18,11 +17,11 @@ func init() { register("adaptive", adaptiveRuntime) }
 // parseAdaptive parses a comma-separated key=value controller spec (epoch in
 // ns, confirm, dwell, depth) into an override of the experiment's
 // scale-derived controller parameters; an empty spec overrides nothing.
-func parseAdaptive(spec string) (*cluster.AdaptiveParams, error) {
+func parseAdaptive(spec string) (*adaptive.Params, error) {
 	if spec == "" {
 		return nil, nil
 	}
-	var p cluster.AdaptiveParams
+	var p adaptive.Params
 	for _, part := range strings.Split(spec, ",") {
 		k, v, ok := strings.Cut(part, "=")
 		if !ok {
@@ -54,8 +53,8 @@ func parseAdaptive(spec string) (*cluster.AdaptiveParams, error) {
 // adaptiveParams resolves the controller configuration for one cell: the
 // run's override if present, otherwise an epoch of h/96 so the probe burn-in
 // stays a fixed fraction of the horizon at every scale.
-func (r *run) adaptiveParams(h sim.Duration, shadow bool) cluster.AdaptiveParams {
-	p := cluster.AdaptiveParams{}
+func (r *run) adaptiveParams(h sim.Duration, shadow bool) adaptive.Params {
+	p := adaptive.Params{}
 	if r.adaptive != nil {
 		p = *r.adaptive
 	}

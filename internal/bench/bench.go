@@ -20,9 +20,7 @@ import (
 	"sort"
 
 	"rdmasem/internal/cluster"
-	"rdmasem/internal/fabric"
 	"rdmasem/internal/mem"
-	"rdmasem/internal/rnic"
 	"rdmasem/internal/sim"
 	"rdmasem/internal/stats"
 	"rdmasem/internal/telemetry"
@@ -36,11 +34,11 @@ type Report struct {
 	Tables  []*stats.Table
 	Notes   []string
 
-	// Run sums these over every cluster the experiment built; the render
-	// methods print none of them.
-	Faults  fabric.FaultStats  // fault-model tallies
-	Rel     rnic.RelCounters   // reliability tallies
-	Metrics telemetry.Snapshot // the run's telemetry; empty unless Options.Metrics
+	// Metrics holds the counters of every cluster the experiment built —
+	// NIC stage counters, the fabric's fault tallies ("fabric") and the
+	// NICs' reliability tallies ("nic/rel") — plus, with Options.Metrics,
+	// the stage histograms. The render methods print none of it.
+	Metrics telemetry.Snapshot
 }
 
 // Render prints all figures and tables of the report as aligned text.
@@ -102,10 +100,7 @@ func Run(id string, scale float64, opts Options) (*Report, error) {
 		return nil, err
 	}
 	r.scale = scale
-	if opts.Metrics {
-		r.reg = telemetry.NewRegistry()
-		r.reg.SetExperiment(id)
-	}
+	r.reg.SetExperiment(id)
 	return r.report(d)
 }
 
@@ -118,10 +113,7 @@ func (r *run) report(d driver) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep.Faults, rep.Rel = r.tally.faults, r.tally.rel
-	if r.reg != nil {
-		rep.Metrics = r.reg.Snapshot()
-	}
+	rep.Metrics = r.reg.Snapshot()
 	return rep, nil
 }
 

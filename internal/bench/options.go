@@ -4,11 +4,10 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sync"
 
+	"rdmasem/internal/adaptive"
 	"rdmasem/internal/cluster"
 	"rdmasem/internal/fabric"
-	"rdmasem/internal/rnic"
 	"rdmasem/internal/sim"
 	"rdmasem/internal/telemetry"
 )
@@ -19,7 +18,7 @@ import (
 // rdmabench flags of the same name.
 type Options struct {
 	Faults   *fabric.FaultPlan   // lossy-fabric plan for every cluster; nil = lossless
-	Metrics  bool                // collect the run's telemetry into Report.Metrics
+	Metrics  bool                // also record stage histograms into Report.Metrics
 	Timeline *telemetry.Timeline // record every op's stage walk; nil = off
 
 	// Parallel is how many sweep points run at once (0 = GOMAXPROCS). A
@@ -55,35 +54,28 @@ func (e *OptionError) Error() string {
 	return fmt.Sprintf("bench: %s must be %s, got %d", e.Option, e.Rule, e.Value)
 }
 
-// run is one experiment execution: the resolved options, the counters of the
-// clusters already settled, and the clusters built since. Each sweep point
-// runs on its own copy (see points), which shares everything but the list of
-// unsettled clusters and the telemetry registry, a fork of the run's.
+// run is one experiment execution: the resolved options, the registry that
+// holds the counters of the clusters already settled, and the clusters built
+// since. Each sweep point runs on its own copy (see points), which shares
+// everything but the list of unsettled clusters and the registry, a fork of
+// the run's.
 type run struct {
 	scale    float64
 	parallel int // sweep points run at once
 	workers  int // sharded-kernel workers per engine
 	faults   *fabric.FaultPlan
-	reg      *telemetry.Registry // nil unless Options.Metrics; a point's own fork
+	reg      *telemetry.Registry // the run's counters; a point's own fork
+	metrics  bool                // Options.Metrics: attach reg to every cluster
 	tl       *telemetry.Timeline
 
 	connModes     []string
 	qpPool        int
 	recoveryModes []string
 	flaps         []flapPoint
-	adaptive      *cluster.AdaptiveParams // nil = scale-derived
+	adaptive      *adaptive.Params // nil = scale-derived
 	conflicts     []int
 
-	tally    *tally
 	clusters []*cluster.Cluster // built by this run or point, not yet settled
-}
-
-// tally sums the counters of a run's settled clusters. Points settle
-// concurrently, hence the lock.
-type tally struct {
-	mu     sync.Mutex
-	faults fabric.FaultStats
-	rel    rnic.RelCounters
 }
 
 // resolve checks the options and turns them into a run.
@@ -98,15 +90,16 @@ func (o Options) resolve() (*run, error) {
 		return nil, &OptionError{"engine workers", ">= 0 (0 = serial)", o.EngineWorkers}
 	}
 	if o.QPPool < 0 {
-		return nil, &OptionError{"QP pool", "at least 1", o.QPPool}
+		return nil, &OptionError{"QP pool", ">= 0 (0 = 64)", o.QPPool}
 	}
 	r := &run{
 		parallel: o.Parallel,
 		workers:  max(o.EngineWorkers, 1),
 		faults:   o.Faults,
+		reg:      telemetry.NewRegistry(),
+		metrics:  o.Metrics,
 		tl:       o.Timeline,
 		qpPool:   64,
-		tally:    &tally{},
 	}
 	switch {
 	case r.tl != nil:
@@ -172,7 +165,10 @@ func (r *run) newCluster(cfg cluster.Config) (*cluster.Cluster, error) {
 // sinks, and keeps it until the next settle. Drivers build every cluster
 // through newCluster or build, so the run's counters cover them all.
 func (r *run) build(cfg cluster.Config) (*cluster.Cluster, error) {
-	cfg.Telemetry, cfg.Timeline = r.reg, r.tl
+	if r.metrics {
+		cfg.Telemetry = r.reg
+	}
+	cfg.Timeline = r.tl
 	cl, err := cluster.New(cfg)
 	if err == nil {
 		r.clusters = append(r.clusters, cl)
@@ -180,25 +176,14 @@ func (r *run) build(cfg cluster.Config) (*cluster.Cluster, error) {
 	return cl, err
 }
 
-// settle adds the counters of the clusters r built to the run's tally, folds
-// them into the registry when metrics are on, and releases the clusters'
-// memory. Call it once nothing simulates them any more: points does so when
-// a point returns, and a point that measures on several clusters in turn
-// calls it between them, so only one is ever live.
+// settle folds the counters of the clusters r built into the run's registry
+// and releases the clusters' memory. Call it once nothing simulates them any
+// more: points does so when a point returns, and a point that measures on
+// several clusters in turn calls it between them, so only one is ever live.
 func (r *run) settle() {
-	var faults fabric.FaultStats
-	var rel rnic.RelCounters
 	for _, cl := range r.clusters {
-		cl.FoldTelemetry()
-		faults.Add(cl.Fabric().FaultStats())
-		for i := 0; i < cl.Size(); i++ {
-			rel.Add(*cl.Machine(i).NIC().Rel())
-		}
+		cl.FoldTelemetry(r.reg)
 		cl.Release()
 	}
 	r.clusters = nil
-	r.tally.mu.Lock()
-	r.tally.faults.Add(faults)
-	r.tally.rel.Add(rel)
-	r.tally.mu.Unlock()
 }

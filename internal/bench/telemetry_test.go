@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"rdmasem/internal/fabric"
-	"rdmasem/internal/rnic"
 	"rdmasem/internal/telemetry"
 )
 
@@ -88,10 +87,9 @@ func TestMetricsIdenticalAtAnyWidth(t *testing.T) {
 	}
 }
 
-// TestRunReturnsItsOwnMetrics covers the run-scoped registry: a run with
-// Metrics folds the NIC counters of every cluster it built into its own
-// snapshot, labeled with the experiment, and a run without Metrics returns
-// none.
+// TestRunReturnsItsOwnMetrics covers the run-scoped registry: a run folds
+// the NIC counters of every cluster it built into its own snapshot, labeled
+// with the experiment, and only a run with Metrics records histograms.
 func TestRunReturnsItsOwnMetrics(t *testing.T) {
 	rep, err := Run("breakdown", goldenScale, Options{Metrics: true})
 	if err != nil {
@@ -116,16 +114,19 @@ func TestRunReturnsItsOwnMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !plain.Metrics.Empty() {
-		t.Fatal("a run without Metrics returned a snapshot")
+	if len(plain.Metrics.Hists) != 0 {
+		t.Fatalf("a run without Metrics recorded %d histograms", len(plain.Metrics.Hists))
+	}
+	if !reflect.DeepEqual(plain.Metrics.Counters, rep.Metrics.Counters) {
+		t.Fatal("Metrics changed the run's folded counters")
 	}
 }
 
 // TestConcurrentRunsAreIsolated runs a lossy, instrumented fig3 on a wide
 // pool and a plain fig3 at once. Neither may see the other's options or
-// counters: the plain run renders its golden and reports nothing, and the
-// lossy run reports the same nonzero totals and doorbells as a solo serial
-// run, totals that agree with its own folded telemetry counters.
+// counters: the plain run renders its golden and folds no fault or
+// reliability counter and no histogram, and the lossy run folds exactly the
+// counters of a solo serial run, fault and reliability tallies among them.
 func TestConcurrentRunsAreIsolated(t *testing.T) {
 	lossyOpts := Options{Metrics: true, Faults: &fabric.FaultPlan{Seed: 3, Drop: 0.02}, Parallel: 4}
 	var lossy, plain *Report
@@ -147,8 +148,13 @@ func TestConcurrentRunsAreIsolated(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Fatalf("the concurrent lossy run leaked into the plain one\n%s", diffHint(want, buf.Bytes()))
 	}
-	if plain.Faults != (fabric.FaultStats{}) || plain.Rel != (rnic.RelCounters{}) || !plain.Metrics.Empty() {
-		t.Fatalf("plain run reports faults %+v, reliability %+v or metrics", plain.Faults, plain.Rel)
+	if len(plain.Metrics.Hists) != 0 {
+		t.Fatalf("plain run recorded %d histograms", len(plain.Metrics.Hists))
+	}
+	for _, c := range plain.Metrics.Counters {
+		if c.Component == "fabric" || c.Component == "nic/rel" {
+			t.Fatalf("plain run counted %+v", c)
+		}
 	}
 
 	lossyOpts.Parallel = 1
@@ -156,27 +162,19 @@ func TestConcurrentRunsAreIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lossy.Faults.Drops == 0 || lossy.Rel.Retransmits == 0 {
-		t.Fatalf("lossy run counted nothing: faults %+v, reliability %+v", lossy.Faults, lossy.Rel)
+	counts := map[string]int64{}
+	for _, c := range lossy.Metrics.Counters {
+		counts[c.Component+" "+c.Stage] += c.Value
 	}
-	if lossy.Faults != solo.Faults || lossy.Rel != solo.Rel {
-		t.Fatalf("concurrent run reports %+v %+v, solo run %+v %+v", lossy.Faults, lossy.Rel, solo.Faults, solo.Rel)
-	}
-	counters := func(rep *Report) map[string]int64 {
-		m := map[string]int64{}
-		for _, c := range rep.Metrics.Counters {
-			m[c.Component+" "+c.Stage] += c.Value
+	for _, k := range []string{"nic doorbells", "fabric drops", "nic/rel retransmits"} {
+		if counts[k] == 0 {
+			t.Errorf("lossy run counted no %s", k)
 		}
-		return m
 	}
-	got, ref := counters(lossy), counters(solo)
-	if got["nic doorbells"] == 0 || got["nic doorbells"] != ref["nic doorbells"] {
-		t.Errorf("concurrent run counted %d doorbells, solo run %d", got["nic doorbells"], ref["nic doorbells"])
-	}
-	if got["fabric segments"] != int64(lossy.Faults.Segments) {
-		t.Errorf("telemetry counts %d fabric segments, the report %d", got["fabric segments"], lossy.Faults.Segments)
-	}
-	if got["nic/rel retransmits"] != int64(lossy.Rel.Retransmits) {
-		t.Errorf("telemetry counts %d retransmits, the report %d", got["nic/rel retransmits"], lossy.Rel.Retransmits)
+	if !reflect.DeepEqual(lossy.Metrics.Counters, solo.Metrics.Counters) {
+		var a, b bytes.Buffer
+		telemetry.Snapshot{Counters: solo.Metrics.Counters}.Render(&a)
+		telemetry.Snapshot{Counters: lossy.Metrics.Counters}.Render(&b)
+		t.Fatalf("concurrent run's counters differ from the solo run's\n%s", diffHint(a.Bytes(), b.Bytes()))
 	}
 }

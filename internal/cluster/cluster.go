@@ -29,37 +29,20 @@ type Config struct {
 	// Telemetry optionally attaches a metrics registry. Every queueing
 	// resource of the cluster — QPI, PCIe channels, port execution and
 	// atomic units, fabric links, per-QP pipelines — then reports wait and
-	// service histograms, the verbs layer reports per-opcode stage
-	// histograms, and FoldTelemetry folds the NIC/fabric counters in. nil —
-	// the default — collects nothing and changes nothing: telemetry is
-	// passive, so results are byte-identical either way (the same contract
-	// Faults keeps). Registry histograms take no lock: clusters that simulate
-	// concurrently need separate registries (forks of one, see
-	// telemetry.Registry.Fork), while one cluster's engine shards may share
-	// it, because every histogram key names a machine and shards are
-	// machine-disjoint.
+	// service histograms, and the verbs layer reports per-opcode stage
+	// histograms. The NIC and fabric counters need no registry attached:
+	// FoldTelemetry folds them into one. nil — the default — collects
+	// nothing and changes nothing: telemetry is passive, so results are
+	// byte-identical either way (the same contract Faults keeps). Registry
+	// histograms take no lock: clusters that simulate concurrently need
+	// separate registries (forks of one, see telemetry.Registry.Fork), while
+	// one cluster's engine shards may share it, because every histogram key
+	// names a machine and shards are machine-disjoint.
 	Telemetry *telemetry.Registry
 	// Timeline optionally records every operation's stage walk as Chrome
 	// trace-event spans (one process group per cluster, one thread per QP).
 	// Usable with or without Telemetry, and equally passive.
 	Timeline *telemetry.Timeline
-	// Adaptive optionally carries settings for the per-QP adaptive IO
-	// controllers (internal/adaptive). nil — the default — builds no
-	// controllers and changes nothing. The struct lives here rather than in
-	// the adaptive package so a cluster can carry the settings without
-	// importing the controller layer, which sits above verbs in the import
-	// graph.
-	Adaptive *AdaptiveParams
-}
-
-// AdaptiveParams tunes the adaptive IO controllers. Zero values select the
-// controller's defaults; see internal/adaptive for the semantics.
-type AdaptiveParams struct {
-	Epoch    sim.Duration // decision interval in virtual time (0 = derived default)
-	Confirm  int          // consecutive drifted epochs before re-probing (0 = default)
-	Dwell    int          // cooldown epochs after a switch before re-probing (0 = default)
-	MaxDepth int          // doorbell list depth ceiling (0 = default)
-	Shadow   bool         // observe and decide but never retune (passive mode)
 }
 
 // DefaultConfig returns the paper's eight-machine testbed. Each socket gets
@@ -97,10 +80,6 @@ type Cluster struct {
 	fab      *fabric.Fabric
 	qpSeq    uint64 // last QP number handed out on this cluster
 }
-
-// Adaptive returns the cluster's adaptive-controller settings (nil when the
-// cluster was built without them).
-func (c *Cluster) Adaptive() *AdaptiveParams { return c.cfg.Adaptive }
 
 // New builds a cluster from the configuration.
 func New(cfg Config) (*Cluster, error) {
@@ -177,15 +156,12 @@ func (m *Machine) attachTelemetry(reg *telemetry.Registry) {
 }
 
 // FoldTelemetry folds the cluster's accumulated NIC stage counters and the
-// fabric's fault tallies into the attached registry as counters (zero-valued
-// tallies are skipped to keep summaries compact). Call it when a measurement
-// phase ends; the harness does so before each per-experiment snapshot. A
-// cluster without telemetry attached folds nothing.
-func (c *Cluster) FoldTelemetry() {
-	reg := c.cfg.Telemetry
-	if reg == nil {
-		return
-	}
+// fabric's fault tallies into reg as counters (zero-valued tallies are
+// skipped to keep summaries compact). Call it when a measurement phase ends;
+// the harness folds every cluster it settles into the run's registry, so
+// these counters are the one path from the simulation's tallies to a
+// report.
+func (c *Cluster) FoldTelemetry(reg *telemetry.Registry) {
 	for _, m := range c.machines {
 		label := m.Label()
 		count := func(stage string, v uint64) {

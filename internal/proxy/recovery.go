@@ -94,7 +94,21 @@ func (t *Table) EnableRecovery(p RecoveryPolicy) error {
 func (t *Table) RecoveryEnabled() bool { return t.rec != nil }
 
 // RecoveryStats returns the recovery tallies (zero value when disabled).
-func (t *Table) RecoveryStats() RecoveryStats { return t.recStats }
+// Reconnects, ReconnectFailures and Replayed are the pool QPs' own tallies,
+// summed: only the table reconnects its pool members and replays onto them.
+func (t *Table) RecoveryStats() RecoveryStats {
+	st := t.recStats
+	if t.rec == nil {
+		return st
+	}
+	for _, qp := range t.pool {
+		qs := qp.Stats()
+		st.Reconnects += qs.Reconnects
+		st.ReconnectFailures += qs.ReconnectFailures
+		st.Replayed += qs.Replayed
+	}
+	return st
+}
 
 // RecoveryTTR returns the time-to-recovery histogram: for every WR that
 // failed and was successfully replayed, the virtual time from the failure
@@ -184,12 +198,10 @@ func (t *Table) recover(qi int, failed verbs.Completion) (Delivery, error) {
 				up, reconnected = at, true
 				break
 			}
-			t.recStats.ReconnectFailures++
 			up = at + delay
 			delay = rec.Backoff.Next(delay)
 		}
 		if reconnected {
-			t.recStats.Reconnects++
 			t.recQP[qi].reconnected = true
 			t.recQP[qi].backAt = up
 		} else {
@@ -213,7 +225,6 @@ func (t *Table) recover(qi int, failed verbs.Completion) (Delivery, error) {
 		at = up
 	}
 	comp, err := t.pool[target].PostReplay(at, &e.WR, e.Applied)
-	t.recStats.Replayed++
 	if err != nil && !errors.Is(err, verbs.ErrQPError) {
 		return Delivery{}, err
 	}

@@ -63,7 +63,8 @@ func TestCountersSnapshot(t *testing.T) {
 	n.TouchQP(7)                 // hit
 	n.TouchQP(7)                 // hit
 	n.TouchMR(3)                 // miss
-	n.Rel().Retransmits += 5
+	n.AddQP(&RelCounters{Retransmits: 2})
+	n.AddQP(&RelCounters{Retransmits: 3})
 
 	c := n.Counters()
 	want := StageCounters{
@@ -102,23 +103,29 @@ func TestQPHitRate(t *testing.T) {
 	}
 }
 
-// TestRelCountersAdd fills every field, so a counter added to the struct
-// but not to Add fails here.
-func TestRelCountersAdd(t *testing.T) {
+// TestCountersSumQPTallies fills every field of two QP tallies, so a
+// counter added to RelCounters but not to the sum in Counters fails here.
+// The tallies stay the QPs': a later bump shows in the next snapshot.
+func TestCountersSumQPTallies(t *testing.T) {
+	n := newNIC(t)
 	var a, b RelCounters
 	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
 	for i := 0; i < va.NumField(); i++ {
 		va.Field(i).SetUint(uint64(i + 1))
 		vb.Field(i).SetUint(uint64(10 * (i + 1)))
 	}
-	a.Add(b)
-	for i := 0; i < va.NumField(); i++ {
-		if got, want := va.Field(i).Uint(), uint64(11*(i+1)); got != want {
-			t.Errorf("%s = %d after Add, want %d", va.Type().Field(i).Name, got, want)
+	n.AddQP(&a)
+	n.AddQP(&b)
+	got := n.Counters().Rel
+	vg := reflect.ValueOf(got)
+	for i := 0; i < vg.NumField(); i++ {
+		if g, want := vg.Field(i).Uint(), uint64(11*(i+1)); g != want {
+			t.Errorf("%s = %d, want %d", vg.Type().Field(i).Name, g, want)
 		}
-		if got := vb.Field(i).Uint(); got != uint64(10*(i+1)) {
-			t.Errorf("Add modified its argument's %s", vb.Type().Field(i).Name)
-		}
+	}
+	a.Reconnects++
+	if again := n.Counters().Rel.Reconnects; again != got.Reconnects+1 {
+		t.Errorf("Reconnects = %d after a QP bump, want %d", again, got.Reconnects+1)
 	}
 }
 

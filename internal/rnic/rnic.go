@@ -30,6 +30,7 @@ type NIC struct {
 	qpCache  *LRU      // QP contexts
 	mrCache  *LRU      // MR records
 	counters StageCounters
+	qpRel    []*RelCounters // each QP's reliability tally, summed by Counters
 }
 
 // StageCounters tallies, per device, how often each stage of the op
@@ -55,8 +56,8 @@ type StageCounters struct {
 	MRHits            uint64
 	MRMisses          uint64
 
-	// Rel tallies the reliability layer's activity on a lossy fabric. All
-	// zero when no fault plan is attached.
+	// Rel sums the reliability tallies of the device's QPs (see AddQP).
+	// All zero when no fault plan is attached.
 	Rel RelCounters
 }
 
@@ -71,9 +72,9 @@ func (c StageCounters) QPHitRate() float64 {
 	return float64(c.QPHits) / float64(total)
 }
 
-// RelCounters is the device-wide reliability tally, summed over every QP on
-// the NIC. The verbs layer maintains it; it costs nothing in the timing
-// model.
+// RelCounters tallies the reliability layer's activity. Each QP keeps one
+// (the verbs layer bumps it as segments move); a device's Counters().Rel is
+// their sum. It costs nothing in the timing model.
 type RelCounters struct {
 	Segments         uint64 // wire segments emitted, including retransmits
 	Retransmits      uint64 // segments re-sent by go-back-N recovery
@@ -86,27 +87,26 @@ type RelCounters struct {
 	Reconnects       uint64 // QPs cycled back to READY via Reconnect
 }
 
-// Add accumulates o into c.
-func (c *RelCounters) Add(o RelCounters) {
-	c.Segments += o.Segments
-	c.Retransmits += o.Retransmits
-	c.AckTimeouts += o.AckTimeouts
-	c.NaksReceived += o.NaksReceived
-	c.RNRNaks += o.RNRNaks
-	c.RetriesExhausted += o.RetriesExhausted
-	c.FlushedWRs += o.FlushedWRs
-	c.SilentDrops += o.SilentDrops
-	c.Reconnects += o.Reconnects
-}
-
-// Rel returns the device's mutable reliability counters; the verbs layer
-// bumps them as segments move.
-func (n *NIC) Rel() *RelCounters { return &n.counters.Rel }
+// AddQP registers one QP's reliability tally with the device. The tally
+// stays the QP's to bump; Counters reads it.
+func (n *NIC) AddQP(rel *RelCounters) { n.qpRel = append(n.qpRel, rel) }
 
 // Counters returns a snapshot of the device's stage counters, including the
-// metadata-cache hit/miss tallies.
+// metadata-cache hit/miss tallies and the sum of its QPs' reliability
+// tallies.
 func (n *NIC) Counters() StageCounters {
 	c := n.counters
+	for _, q := range n.qpRel {
+		c.Rel.Segments += q.Segments
+		c.Rel.Retransmits += q.Retransmits
+		c.Rel.AckTimeouts += q.AckTimeouts
+		c.Rel.NaksReceived += q.NaksReceived
+		c.Rel.RNRNaks += q.RNRNaks
+		c.Rel.RetriesExhausted += q.RetriesExhausted
+		c.Rel.FlushedWRs += q.FlushedWRs
+		c.Rel.SilentDrops += q.SilentDrops
+		c.Rel.Reconnects += q.Reconnects
+	}
 	c.TranslationHits, c.TranslationMisses = uint64(n.xlate.Hits()), uint64(n.xlate.Misses())
 	c.QPHits, c.QPMisses = uint64(n.qpCache.Hits()), uint64(n.qpCache.Misses())
 	c.MRHits, c.MRMisses = uint64(n.mrCache.Hits()), uint64(n.mrCache.Misses())

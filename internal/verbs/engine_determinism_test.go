@@ -273,7 +273,7 @@ func runEngineWorkload(t *testing.T, workers int) engineObservation {
 	rt, err := adaptive.NewRuntime(adaptive.Config{
 		QP: qpG, LocalMR: mrG, Staging: stG, RemoteMR: mrH, RemoteBase: mrH.Addr(),
 		BlockSize: 1024, Theta: 8, MaxBlocks: 8,
-		Params:   cluster.AdaptiveParams{Epoch: 10 * sim.Microsecond},
+		Params:   adaptive.Params{Epoch: 10 * sim.Microsecond},
 		Strategy: core.SGL,
 	})
 	if err != nil {
@@ -305,7 +305,7 @@ func runEngineWorkload(t *testing.T, workers int) engineObservation {
 	}, mg, mh)
 
 	obs := engineObservation{res: eng.Run(500 * sim.Microsecond), lats: lats}
-	cl.FoldTelemetry()
+	cl.FoldTelemetry(reg)
 	var buf bytes.Buffer
 	reg.Snapshot().Render(&buf)
 	obs.metrics = buf.String()

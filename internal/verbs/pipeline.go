@@ -203,6 +203,10 @@ func newQPState(ctx *Context, t Transport, port int, kind string) qpState {
 	return s
 }
 
+// register hands the QP's reliability tally to its NIC, which sums it into
+// Counters().Rel. Call it once the QP has its final heap address.
+func (s *qpState) register() { s.route.nic.AddQP(&s.stats.RelCounters) }
+
 // observe hands a stage transition to the stage recorder, if any.
 func (s *qpState) observe(st Stage, at sim.Time) {
 	if s.rec != nil {
@@ -407,7 +411,6 @@ func (s *qpState) signal(c Completion) Completion {
 // real hardware, so pollers observe the drain.
 func flushWR(src *qpState, at sim.Time, wr *SendWR) Completion {
 	src.stats.FlushedWRs++
-	src.route.nic.Rel().FlushedWRs++
 	// A flushed WR never reached the responder — unless it is itself a
 	// replayed applied failure flushed by a second connection loss, in which
 	// case the transient replay flag preserves its applied-ness in the log.

@@ -36,6 +36,8 @@ func Connect(a *Context, portA int, b *Context, portB int, t Transport) (*QP, *Q
 	qa := &QP{qpState: newQPState(a, t, portA, "qp")}
 	qb := &QP{qpState: newQPState(b, t, portB, "qp")}
 	qa.peer, qb.peer = qb, qa
+	qa.register()
+	qb.register()
 	return qa, qb, nil
 }
 

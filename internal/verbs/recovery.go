@@ -87,7 +87,6 @@ func (q *QP) Reconnect(now sim.Time) (sim.Time, error) {
 	q.resync()
 	q.peer.resync()
 	q.stats.Reconnects++
-	q.ctx.machine.NIC().Rel().Reconnects++
 	return t, nil
 }
 

@@ -49,7 +49,7 @@ func TestReconnectRestoresQP(t *testing.T) {
 	if st.Reconnects != 1 || st.SendPSN != 0 {
 		t.Fatalf("reconnect stats %+v", st)
 	}
-	if got := e.cl.Machine(0).NIC().Rel().Reconnects; got != 1 {
+	if got := e.cl.Machine(0).NIC().Counters().Rel.Reconnects; got != 1 {
 		t.Fatalf("NIC reconnect counter %d", got)
 	}
 	comp, err := e.qpA.PostSend(up, writeWR(e, 64))

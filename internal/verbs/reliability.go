@@ -35,6 +35,7 @@ import (
 	"fmt"
 
 	"rdmasem/internal/fabric"
+	"rdmasem/internal/rnic"
 	"rdmasem/internal/sim"
 )
 
@@ -112,21 +113,15 @@ func DefaultRetryPolicy() RetryPolicy {
 const maxBackoffShift = 6
 
 // QPStats is the per-QP reliability tally. All fields are zero on a
-// lossless fabric.
+// lossless fabric. The embedded RelCounters is the only tally of each wire
+// and recovery event: the QP's NIC sums its QPs' blocks into
+// rnic.StageCounters.Rel.
 type QPStats struct {
 	SendPSN           uint64 // next packet sequence number to assign
 	ExpectedPSN       uint64 // next PSN the responder side expects
-	Segments          uint64 // segments placed on the wire, including retransmits
-	Retransmits       uint64 // segments re-sent by go-back-N recovery
-	AckTimeouts       uint64 // recovery rounds entered via timeout
-	NaksReceived      uint64 // go-back-N sequence NAKs received
-	RNRNaks           uint64 // receiver-not-ready NAKs received
-	RetriesExhausted  uint64 // WRs that errored out after the retry budget
-	FlushedWRs        uint64 // WRs flushed because the QP was in error state
-	SilentDrops       uint64 // UC/UD messages lost on the wire with no recovery
-	Reconnects        uint64 // successful Reconnect walks on this QP
+	rnic.RelCounters         // wire and recovery events, summed by the NIC
 	ReconnectFailures uint64 // Reconnect walks that found a host still down
-	Replayed          uint64 // failed WRs reposted through Replay
+	Replayed          uint64 // failed WRs reposted through PostReplay
 }
 
 // Stats returns the QP's reliability tally.
@@ -190,11 +185,8 @@ func (s *qpState) noteSegment(retransmit bool) {
 		return
 	}
 	s.stats.Segments++
-	rel := s.route.nic.Rel()
-	rel.Segments++
 	if retransmit {
 		s.stats.Retransmits++
-		rel.Retransmits++
 	}
 }
 
@@ -203,7 +195,6 @@ func (s *qpState) noteSegment(retransmit bool) {
 func (s *qpState) noteSilentDrop() {
 	if s.lossy {
 		s.stats.SilentDrops++
-		s.route.nic.Rel().SilentDrops++
 	}
 }
 
@@ -219,7 +210,6 @@ func (s *qpState) noteSilentDrop() {
 // buffer, or ErrRNR on a lossless fabric).
 func executeReliable(src, dst *qpState, emit sim.Time, wr *SendWR, total, outbound int) (sim.Time, uint64, CompletionStatus, error) {
 	fab, srcEP, dstEP := src.route.fab, src.route.ep, dst.route.ep
-	nic := src.route.nic
 	pol := src.policy
 
 	sizes := src.segmentSizes(outbound, false)
@@ -244,7 +234,6 @@ func executeReliable(src, dst *qpState, emit sim.Time, wr *SendWR, total, outbou
 	fail := func(at sim.Time, status CompletionStatus) (sim.Time, uint64, CompletionStatus, error) {
 		src.state = StateError
 		src.stats.RetriesExhausted++
-		nic.Rel().RetriesExhausted++
 		// Remember whether the effects landed, for exactly-once replay.
 		src.failedApplied = applied
 		return at, old, status, nil
@@ -256,7 +245,6 @@ func executeReliable(src, dst *qpState, emit sim.Time, wr *SendWR, total, outbou
 		}
 		consecTimeouts++
 		src.stats.AckTimeouts++
-		nic.Rel().AckTimeouts++
 		return last + pol.AckTimeout<<shift
 	}
 
@@ -316,7 +304,6 @@ func executeReliable(src, dst *qpState, emit sim.Time, wr *SendWR, total, outbou
 					nArr, nv := fab.Deliver(r.at, dstEP, srcEP, 0)
 					if nv == fabric.Delivered {
 						src.stats.RNRNaks++
-						nic.Rel().RNRNaks++
 						t = nArr + pol.RNRTimer
 					} else {
 						// Lost RNR NAK: recover by timeout like a lost ACK.
@@ -369,7 +356,6 @@ func executeReliable(src, dst *qpState, emit sim.Time, wr *SendWR, total, outbou
 		if nakDelivered {
 			consecTimeouts = 0
 			src.stats.NaksReceived++
-			nic.Rel().NaksReceived++
 			t = nakTime
 			firstUnacked = lost
 		} else {

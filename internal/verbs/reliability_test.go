@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"rdmasem/internal/cluster"
 	"rdmasem/internal/fabric"
 	"rdmasem/internal/mem"
+	"rdmasem/internal/rnic"
 	"rdmasem/internal/sim"
 )
 
@@ -87,11 +89,94 @@ func TestReliableWriteRecoversDrops(t *testing.T) {
 	if st.SendPSN < 16 {
 		t.Fatalf("PSN window not advanced: %+v", st)
 	}
-	if got := e.cl.Machine(0).NIC().Rel().Retransmits; got != st.Retransmits {
+	if got := e.cl.Machine(0).NIC().Counters().Rel.Retransmits; got != st.Retransmits {
 		t.Fatalf("NIC counters (%d) disagree with QP stats (%d)", got, st.Retransmits)
 	}
 	if e.qpA.State() != StateReady {
 		t.Fatalf("QP state %v after successful recovery", e.qpA.State())
+	}
+}
+
+// sumRel adds the reliability tallies field by field, so a counter added to
+// rnic.RelCounters is summed here without a matching edit.
+func sumRel(stats ...QPStats) rnic.RelCounters {
+	var sum rnic.RelCounters
+	out := reflect.ValueOf(&sum).Elem()
+	for _, st := range stats {
+		in := reflect.ValueOf(st.RelCounters)
+		for i := 0; i < in.NumField(); i++ {
+			out.Field(i).SetUint(out.Field(i).Uint() + in.Field(i).Uint())
+		}
+	}
+	return sum
+}
+
+// TestNICRelSumsQPStats: each reliability event is tallied once, at its QP,
+// and the NIC's device-wide Rel is the field-wise sum of its QPs' tallies —
+// several RC QPs recovering drops, a UDQP losing datagrams, and a QP that
+// flushed and reconnected.
+func TestNICRelSumsQPStats(t *testing.T) {
+	e := newLossyPair(t, &fabric.FaultPlan{Seed: 5, Drop: 0.1}, RC)
+	qps := []*QP{e.qpA}
+	for i := 0; i < 2; i++ {
+		qa, _ := MustConnect(e.ctxA, 1, e.ctxB, 1, RC)
+		qps = append(qps, qa)
+	}
+	at := sim.Time(0)
+	for round := 0; round < 8; round++ {
+		for _, q := range qps {
+			comp, err := q.PostSend(at, writeWR(e, 4*PathMTU))
+			if err != nil {
+				t.Fatal(err)
+			}
+			at = comp.Done
+		}
+	}
+
+	ua, err := NewUDQP(e.ctxA, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ub, err := NewUDQP(e.ctxB, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		if err := ub.PostRecv(RecvWR{ID: uint64(i), SGE: SGE{Addr: e.mrB.Addr(), Length: 256, MR: e.mrB}}); err != nil {
+			t.Fatal(err)
+		}
+		comp, _, err := ua.Send(at, ub.Handle(), []SGE{{Addr: e.mrA.Addr(), Length: 64, MR: e.mrA}}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at = comp.Done
+	}
+
+	qps[1].ForceError()
+	if _, err := qps[1].PostSend(at, writeWR(e, 64)); !errors.Is(err, ErrQPError) {
+		t.Fatalf("error-state post returned %v", err)
+	}
+	if at, err = qps[1].Reconnect(at); err != nil {
+		t.Fatal(err)
+	}
+
+	stats := []QPStats{ua.Stats()}
+	for _, q := range qps {
+		stats = append(stats, q.Stats())
+	}
+	want := sumRel(stats...)
+	if got := e.cl.Machine(0).NIC().Counters().Rel; got != want {
+		t.Fatalf("NIC Rel %+v, sum of its QPs' tallies %+v", got, want)
+	}
+	if want.Retransmits == 0 || want.SilentDrops == 0 || want.FlushedWRs != 1 || want.Reconnects != 1 {
+		t.Fatalf("workload missed an event kind: %+v", want)
+	}
+	peers := []QPStats{ub.Stats()}
+	for _, q := range qps {
+		peers = append(peers, q.Peer().Stats())
+	}
+	if got, want := e.cl.Machine(1).NIC().Counters().Rel, sumRel(peers...); got != want {
+		t.Fatalf("peer NIC Rel %+v, sum of its QPs' tallies %+v", got, want)
 	}
 }
 

@@ -34,7 +34,9 @@ func NewUDQP(ctx *Context, port int) (*UDQP, error) {
 	if err := ctx.checkPort(port); err != nil {
 		return nil, err
 	}
-	return &UDQP{qpState: newQPState(ctx, UD, port, "udqp")}, nil
+	q := &UDQP{qpState: newQPState(ctx, UD, port, "udqp")}
+	q.register()
+	return q, nil
 }
 
 // Handle returns the address handle peers use to reach this QP.
