@@ -83,6 +83,25 @@ func TestUnknownExperimentExitsOne(t *testing.T) {
 	}
 }
 
+// TestFailedPostExitsOne: at 20% loss a fig12 QP runs out of retries. The
+// run exits 1 with an error that names the experiment, the sweep point and
+// the QP's failure, and nothing panics.
+func TestFailedPostExitsOne(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-exp", "fig12", "-scale", "0.02", "-faults", "seed=3,drop=0.2"}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit code = %d, want 1", code)
+	}
+	msg := stderr.String()
+	for _, want := range []string{"fig12", "point ", "queue pair is in error state"} {
+		if !strings.Contains(msg, want) {
+			t.Fatalf("stderr lacks %q: %s", want, msg)
+		}
+	}
+	if strings.Contains(msg, "panicked") {
+		t.Fatalf("stderr reports a panic: %s", msg)
+	}
+}
+
 // TestEngineWorkersOutputIdentity: the sharded kernel's CLI-level contract —
 // the rendered report is byte-identical whether the engine runs serial (0
 // and 1 both mean serial) or on 4 workers (host-timing progress lines

@@ -38,7 +38,6 @@ func measure(dist *workload.ZipfDist, level hashtable.Level, theta int, horizon 
 		return 0, err
 	}
 	val := make([]byte, 64)
-	var opErr error
 	var clients []*sim.Client
 	for i := 0; i < 8; i++ {
 		fe, err := hashtable.NewFrontEnd(i, cl.Machine(1+i%7), topo.SocketID(i%2), backend)
@@ -46,26 +45,16 @@ func measure(dist *workload.ZipfDist, level hashtable.Level, theta int, horizon 
 			return 0, err
 		}
 		keys := dist.New(int64(100 + i))
-		clients = append(clients, &sim.Client{
-			PostCost: 200,
-			Window:   4,
-			Op: func(post sim.Time) sim.Time {
-				d, err := fe.Put(post, keys.Next(), val)
-				if err != nil {
-					if opErr == nil {
-						opErr = err
-					}
-					return post
-				}
-				return d
-			},
-		})
+		client := &sim.Client{PostCost: 200, Window: 4}
+		client.Op = func(post sim.Time) sim.Time {
+			d, err := fe.Put(post, keys.Next(), val)
+			client.Fail(err)
+			return d
+		}
+		clients = append(clients, client)
 	}
-	mops := sim.RunClosedLoop(clients, horizon).MOPS()
-	if opErr != nil {
-		return 0, opErr
-	}
-	return mops, nil
+	res, err := sim.RunClosedLoop(clients, horizon)
+	return res.MOPS(), err
 }
 
 func main() {

@@ -43,31 +43,23 @@ func run(w io.Writer, horizon sim.Duration) error {
 		if err != nil {
 			return err
 		}
-		var opErr error
 		var clients []*sim.Client
 		for i := 0; i < engines; i++ {
 			e, err := dlog.NewEngine(i, cl.Machine(1+i%7), topo.SocketID(i%2), l)
 			if err != nil {
 				return err
 			}
-			clients = append(clients, &sim.Client{
-				PostCost: 150,
-				Window:   2,
-				Op: func(post sim.Time) sim.Time {
-					_, done, err := e.AppendBatch(post)
-					if err != nil {
-						if opErr == nil {
-							opErr = err
-						}
-						return post
-					}
-					return done
-				},
-			})
+			client := &sim.Client{PostCost: 150, Window: 2}
+			client.Op = func(post sim.Time) sim.Time {
+				_, done, err := e.AppendBatch(post)
+				client.Fail(err)
+				return done
+			}
+			clients = append(clients, client)
 		}
-		res := sim.RunClosedLoop(clients, horizon)
-		if opErr != nil {
-			return opErr
+		res, err := sim.RunClosedLoop(clients, horizon)
+		if err != nil {
+			return err
 		}
 		mops := float64(res.Completed) * float64(batch) / horizon.Seconds() / 1e6
 		if first == 0 {

@@ -107,7 +107,9 @@ func TestConcurrentEnginesNeverOverlap(t *testing.T) {
 			},
 		})
 	}
-	sim.RunClosedLoop(clients, sim.Second)
+	if _, err := sim.RunClosedLoop(clients, sim.Second); err != nil {
+		t.Fatal(err)
+	}
 	if len(reserved) != engines*20 {
 		t.Fatalf("reservations=%d, want %d", len(reserved), engines*20)
 	}
@@ -163,7 +165,10 @@ func TestBatchingImprovesThroughput(t *testing.T) {
 				},
 			})
 		}
-		res := sim.RunClosedLoop(clients, 10*sim.Millisecond)
+		res, err := sim.RunClosedLoop(clients, 10*sim.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
 		return float64(res.Completed) * float64(batch) / 10e6 * 1000 // records MOPS
 	}
 	b1 := run(1, true)

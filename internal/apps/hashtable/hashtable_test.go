@@ -411,7 +411,10 @@ func TestOptimizationLevelsOrdering(t *testing.T) {
 				})
 			}
 		}
-		res := sim.RunClosedLoop(clients, 5*sim.Millisecond)
+		res, err := sim.RunClosedLoop(clients, 5*sim.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
 		return res.MOPS()
 	}
 	basic := run(Basic, 4)

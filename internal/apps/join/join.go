@@ -133,7 +133,6 @@ type executorState struct {
 
 	cpu  sim.Duration
 	last sim.Time // completion of this executor's latest partition action
-	err  error    // first partition-phase failure (e.g. a QP gone to error state)
 }
 
 // runDistributed runs the partition phase on the simulated fabric and then
@@ -234,7 +233,10 @@ func runDistributed(cl *cluster.Cluster, cfg Config, inner, outer []workload.Tup
 	}
 
 	// Partition phase: each executor streams its slice of both relations.
-	// Executors run as closed-loop clients; each op partitions one tuple.
+	// Executors run as closed-loop clients, registered in executor order;
+	// each op partitions one tuple. A failed post (say, a QP gone to its
+	// error state) stops the phase, and the error names the executor as the
+	// client's registration index.
 	perExec := func(rel []workload.Tuple, e int) []workload.Tuple {
 		n := len(rel)
 		lo, hi := e*n/cfg.Executors, (e+1)*n/cfg.Executors
@@ -245,43 +247,34 @@ func runDistributed(cl *cluster.Cluster, cfg Config, inner, outer []workload.Tup
 		ex := ex
 		innerPart, outerPart := perExec(inner, ex.id), perExec(outer, ex.id)
 		pos := 0
-		clients = append(clients, &sim.Client{
+		client := &sim.Client{
 			PostCost: 50,
 			Window:   4,
 			MaxOps:   int64(len(innerPart) + len(outerPart)),
-			Op: func(post sim.Time) sim.Time {
-				if ex.err != nil {
-					// A previous op failed (QP in error state): burn the
-					// remaining stream without touching the wire so the loop
-					// drains and the error surfaces below.
-					pos++
-					return post
-				}
-				isInner := pos < len(innerPart)
-				var t workload.Tuple
-				if isInner {
-					t = innerPart[pos]
-				} else {
-					t = outerPart[pos-len(innerPart)]
-				}
-				pos++
-				d, err := ex.partitionOne(post, cfg, ringBytes, execs, t, isInner)
-				if err != nil {
-					ex.err = err
-					return post
-				}
-				if d > ex.last {
-					ex.last = d
-				}
-				return d
-			},
-		})
-	}
-	sim.RunClosedLoop(clients, sim.MaxTime/4)
-	for _, ex := range execs {
-		if ex.err != nil {
-			return Result{}, fmt.Errorf("join: executor %d partition phase: %w", ex.id, ex.err)
 		}
+		client.Op = func(post sim.Time) sim.Time {
+			isInner := pos < len(innerPart)
+			var t workload.Tuple
+			if isInner {
+				t = innerPart[pos]
+			} else {
+				t = outerPart[pos-len(innerPart)]
+			}
+			pos++
+			d, err := ex.partitionOne(post, cfg, ringBytes, execs, t, isInner)
+			if err != nil {
+				client.Fail(err)
+				return post
+			}
+			if d > ex.last {
+				ex.last = d
+			}
+			return d
+		}
+		clients = append(clients, client)
+	}
+	if _, err := sim.RunClosedLoop(clients, sim.MaxTime/4); err != nil {
+		return Result{}, fmt.Errorf("join: partition phase: %w", err)
 	}
 	// Drain pending batches.
 	var partitionEnd sim.Time

@@ -218,7 +218,10 @@ func TestBatchingBoostsThroughput(t *testing.T) {
 				},
 			})
 		}
-		res := sim.RunClosedLoop(clients, sim.Millisecond)
+		res, err := sim.RunClosedLoop(clients, sim.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
 		return res.MOPS()
 	}
 	basic := run(1, core.SGL)

@@ -107,19 +107,16 @@ func qpScale(r *run) (*Report, error) {
 				RemoteAddr: env.mrB.Addr() + mem.Addr(c*64),
 				RemoteKey:  env.mrB.RKey(),
 			}
-			eng.Add(&sim.Client{
-				PostCost: 150,
-				Window:   2,
-				Op: func(post sim.Time) sim.Time {
-					comp, err := qp.PostSend(post, wr)
-					if err != nil {
-						panic(err)
-					}
-					return comp.Done
-				},
-			}, ma, mb)
+			client := &sim.Client{PostCost: 150, Window: 2}
+			client.Op = func(post sim.Time) sim.Time {
+				comp, err := qp.PostSend(post, wr)
+				client.Fail(err)
+				return comp.Done
+			}
+			eng.Add(client, ma, mb)
 		}
-		return eng.Run(h).MOPS(), nil
+		res, err := eng.Run(h)
+		return res.MOPS(), err
 	})
 	if err != nil {
 		return nil, err
@@ -243,7 +240,8 @@ func customPairThroughput(r *run, cfg cluster.Config, region int, h sim.Duration
 		cl.Machine(1).NIC().Translate(mrB.Addr()+mem.Addr(pg*mem.PageSize), 8)
 	}
 	rng := newDetRand(3)
-	res := measure(func(t sim.Time) sim.Time {
+	client := &sim.Client{PostCost: 150, Window: 16}
+	client.Op = func(t sim.Time) sim.Time {
 		off := rng.Intn(region-64) &^ 7
 		c, err := qp.PostSend(t, &verbs.SendWR{
 			Opcode:     verbs.OpWrite,
@@ -251,12 +249,11 @@ func customPairThroughput(r *run, cfg cluster.Config, region int, h sim.Duration
 			RemoteAddr: mrB.Addr() + mem.Addr(off),
 			RemoteKey:  mrB.RKey(),
 		})
-		if err != nil {
-			panic(err)
-		}
+		client.Fail(err)
 		return c.Done
-	}, 16, 150, h)
-	return res.MOPS(), nil
+	}
+	res, err := measure(client, h)
+	return res.MOPS(), err
 }
 
 // customPairLatency measures the warm 32B write latency on a custom config.

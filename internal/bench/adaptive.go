@@ -132,7 +132,12 @@ func adaptiveRuntime(r *run) (*Report, error) {
 		if err != nil {
 			return cellOut{}, err
 		}
-		res := measure(adaptiveOp(rt, env, w, h), 1, 30, h)
+		client := &sim.Client{PostCost: 30, Window: 1}
+		client.Op = adaptiveOp(client, rt, env, w, h)
+		res, err := measure(client, h)
+		if err != nil {
+			return cellOut{}, err
+		}
 		c := rt.Controller()
 		return cellOut{
 			mops:      res.MOPS(),
@@ -178,11 +183,11 @@ func adaptiveRuntime(r *run) (*Report, error) {
 	}, nil
 }
 
-// adaptiveOp builds the closed-loop op body for one workload cell. One op is
-// one iteration: a batch write, a small write, or (phase-changing hot phase)
-// one batch plus four small writes — the RDMAbox-style block-IO-plus-
+// adaptiveOp builds client's closed-loop op body for one workload cell. One
+// op is one iteration: a batch write, a small write, or (phase-changing hot
+// phase) one batch plus four small writes — the RDMAbox-style block-IO-plus-
 // metadata mix that separates an adaptive runtime from every static pin.
-func adaptiveOp(rt *adaptive.Runtime, env *pairEnv, w int, h sim.Duration) sim.Op {
+func adaptiveOp(client *sim.Client, rt *adaptive.Runtime, env *pairEnv, w int, h sim.Duration) sim.Op {
 	smallFr := adaptiveFrags(env, 16, 64)
 	largeFr := adaptiveFrags(env, 16, 2048)
 	data := make([]byte, 32)
@@ -191,21 +196,14 @@ func adaptiveOp(rt *adaptive.Runtime, env *pairEnv, w int, h sim.Duration) sim.O
 	}
 	dst := env.mrB.Addr() + mem.Addr(1<<20)
 	iter := 0
-	batch := func(t sim.Time, fr []core.Fragment) sim.Time {
+	batch := func(t sim.Time, fr []core.Fragment) (sim.Time, error) {
 		r, err := rt.WriteBatch(t, fr, dst)
-		if err != nil {
-			panic(err)
-		}
-		return r.Done
+		return r.Done, err
 	}
-	small := func(t sim.Time) sim.Time {
-		d, err := rt.SmallWrite(t, (iter%32)*32, data)
-		if err != nil {
-			panic(err)
-		}
-		return d
+	small := func(t sim.Time) (sim.Time, error) {
+		return rt.SmallWrite(t, (iter%32)*32, data)
 	}
-	return func(t sim.Time) sim.Time {
+	step := func(t sim.Time) (sim.Time, error) {
 		iter++
 		switch w {
 		case awSmallBatch:
@@ -221,14 +219,19 @@ func adaptiveOp(rt *adaptive.Runtime, env *pairEnv, w int, h sim.Duration) sim.O
 			case t < sim.Time(h*3/4):
 				return batch(t, largeFr)
 			default:
-				d := batch(t, smallFr)
-				for k := 0; k < 4; k++ {
+				d, err := batch(t, smallFr)
+				for k := 0; k < 4 && err == nil; k++ {
 					iter++
-					d = small(d)
+					d, err = small(d)
 				}
-				return d
+				return d, err
 			}
 		}
+	}
+	return func(t sim.Time) sim.Time {
+		d, err := step(t)
+		client.Fail(err)
+		return d
 	}
 }
 

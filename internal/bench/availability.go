@@ -287,8 +287,10 @@ func (env *availEnv) post(post sim.Time, conn int, wr *verbs.SendWR) (proxy.Deli
 }
 
 // finish runs the horizon and folds the tallies into a point.
-func (env *availEnv) finish(h sim.Duration) availPoint {
-	env.eng.Run(h)
+func (env *availEnv) finish(h sim.Duration) (availPoint, error) {
+	if _, err := env.eng.Run(h); err != nil {
+		return availPoint{}, err
+	}
 	p := availPoint{rec: env.table.RecoveryStats()}
 	for c := 0; c < availConns; c++ {
 		p.ok += env.ok[c]
@@ -298,7 +300,7 @@ func (env *availEnv) finish(h sim.Duration) availPoint {
 	if ttr := env.table.RecoveryTTR(); ttr != nil {
 		p.p99TTR = ttr.Quantile(0.99)
 	}
-	return p
+	return p, nil
 }
 
 // flapAvailabilityPoint measures one (mode, flap intensity) point.
@@ -308,7 +310,7 @@ func flapAvailabilityPoint(r *run, mode string, f flapPoint, h sim.Duration) (av
 	if err != nil {
 		return availPoint{}, err
 	}
-	return env.finish(h), nil
+	return env.finish(h)
 }
 
 // crashAvailabilityPoint measures the node-crash scenario for one mode: the
@@ -341,7 +343,7 @@ func crashAvailabilityPoint(r *run, mode string, h sim.Duration) (availPoint, er
 	env.postFn = func(postAt sim.Time, conn int, wr *verbs.SendWR) (proxy.Delivery, error) {
 		return primary.Post(postAt, conn, wr)
 	}
-	p := env.finish(h)
+	p, err := env.finish(h)
 	p.failovers = primary.Failovers()
-	return p, nil
+	return p, err
 }

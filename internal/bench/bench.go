@@ -101,7 +101,11 @@ func Run(id string, scale float64, opts Options) (*Report, error) {
 	}
 	r.scale = scale
 	r.reg.SetExperiment(id)
-	return r.report(d)
+	rep, err := r.report(d)
+	if err != nil {
+		return nil, fmt.Errorf("bench: %s: %w", id, err)
+	}
+	return rep, nil
 }
 
 // report runs d and returns its report with the run's counters. Every
@@ -192,10 +196,9 @@ func (r *run) newPair(remoteBytes int) (*pairEnv, error) {
 	}, nil
 }
 
-// measure runs a one-client closed loop over the op and returns the result.
-// One client is one shard, so this stays on the plain single-shard path.
-func measure(op sim.Op, window int, postCost sim.Duration, h sim.Duration) sim.Result {
-	client := &sim.Client{Op: op, PostCost: postCost, Window: window}
+// measure runs a one-client closed loop and returns the result. One client
+// is one shard, so this stays on the plain single-shard path.
+func measure(client *sim.Client, h sim.Duration) (sim.Result, error) {
 	return sim.RunClosedLoop([]*sim.Client{client}, h)
 }
 

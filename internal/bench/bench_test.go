@@ -2,8 +2,11 @@ package bench
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
+
+	"rdmasem/internal/fabric"
 )
 
 // TestRegistryComplete checks every table and figure of the paper has a
@@ -49,6 +52,47 @@ func TestRunValidation(t *testing.T) {
 	if err := (Options{}).Validate(); err != nil {
 		t.Errorf("zero Options: %v", err)
 	}
+}
+
+// FuzzRunOptions: for any experiment, fault plan and option specs, Validate
+// returns nil or an error, and a valid run at scale 0.02 returns a report or
+// an error, never a panic. The seeds cover a plain run, a harsh plan that
+// exhausts a QP's retries, every spec knob, and malformed specs.
+func FuzzRunOptions(f *testing.F) {
+	ids := List()
+	add := func(id, plan string, qpPool int, flap, adaptive, conflicts string) {
+		f.Add(uint8(slices.Index(ids, id)), plan, qpPool, flap, adaptive, conflicts)
+	}
+	add("fig1", "", 0, "", "", "")
+	add("fig12", "seed=3,drop=0.2", 0, "", "", "")
+	add("availability", "seed=1,drop=0.01", 8, "2000/25000", "", "")
+	add("adaptive", "", 0, "", "epoch=20000,confirm=2,dwell=2,depth=16", "")
+	add("txn", "seed=2,drop=0.05", 0, "", "", "0,100")
+	add("fig3", "drop=2", -1, "bogus", "epoch=bogus", "0,hot")
+	f.Fuzz(func(t *testing.T, exp uint8, planSpec string, qpPool int, flap, adaptive, conflicts string) {
+		var plan *fabric.FaultPlan // empty: lossless, as in rdmabench -faults
+		if planSpec != "" {
+			var err error
+			if plan, err = fabric.ParseFaultPlan(planSpec); err != nil {
+				return
+			}
+		}
+		opts := Options{
+			Faults:       plan,
+			Parallel:     1,
+			QPPool:       qpPool,
+			FaultFlap:    flap,
+			Adaptive:     adaptive,
+			TxnConflicts: conflicts,
+		}
+		if opts.Validate() != nil {
+			return
+		}
+		rep, err := Run(ids[int(exp)%len(ids)], 0.02, opts)
+		if (rep == nil) == (err == nil) {
+			t.Fatalf("report %v with error %v: want exactly one", rep, err)
+		}
+	})
 }
 
 // The fast experiments run end to end at tiny scale and render something.

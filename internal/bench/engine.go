@@ -47,19 +47,16 @@ func pairTrafficMOPS(r *run, pairs int, h sim.Duration) (float64, error) {
 			RemoteAddr: mrB.Addr() + mem.Addr(p*64),
 			RemoteKey:  mrB.RKey(),
 		}
-		eng.Add(&sim.Client{
-			PostCost: 150,
-			Window:   4,
-			Op: func(post sim.Time) sim.Time {
-				comp, err := qp.PostSend(post, wr)
-				if err != nil {
-					panic(err)
-				}
-				return comp.Done
-			},
-		}, ma, mb)
+		client := &sim.Client{PostCost: 150, Window: 4}
+		client.Op = func(post sim.Time) sim.Time {
+			comp, err := qp.PostSend(post, wr)
+			client.Fail(err)
+			return comp.Done
+		}
+		eng.Add(client, ma, mb)
 	}
-	return eng.Run(h).MOPS(), nil
+	res, err := eng.Run(h)
+	return res.MOPS(), err
 }
 
 // engineDisjointPairs is the sharded-kernel scaling experiment: aggregate

@@ -56,14 +56,14 @@ func fig01PacketThrottling(r *run) (*Report, error) {
 		wr.SGL[0].Addr = env.mrA.Addr()
 		wr.RemoteAddr = env.mrB.Addr()
 		wr.RemoteKey = env.mrB.RKey()
-		thr := measure(func(t sim.Time) sim.Time {
+		client := &sim.Client{PostCost: 150, Window: 16}
+		client.Op = func(t sim.Time) sim.Time {
 			c, err := env.qpA.PostSend(t, wr)
-			if err != nil {
-				panic(err)
-			}
+			client.Fail(err)
 			return c.Done
-		}, 16, 150, h)
-		return point{lat: lat.Micros(), mops: thr.MOPS()}, nil
+		}
+		thr, err := measure(client, h)
+		return point{lat: lat.Micros(), mops: thr.MOPS()}, err
 	})
 	if err != nil {
 		return nil, err

@@ -46,20 +46,16 @@ func batchThroughput(r *run, strategy core.Strategy, size, batch, clients int, h
 			frags[i] = core.Fragment{Addr: env.mrA.Addr() + mem.Addr(off), Length: size}
 		}
 		remote := env.mrB.Addr() + mem.Addr((c*batch*size*2)%(env.mrB.Region().Size()/2))
-		eng.Add(&sim.Client{
-			PostCost: perEntryCPU*sim.Duration(batch) + 50,
-			Window:   2,
-			Op: func(post sim.Time) sim.Time {
-				res, err := b.WriteBatch(post, frags, remote)
-				if err != nil {
-					panic(err)
-				}
-				return res.Done
-			},
-		}, ma, mb)
+		client := &sim.Client{PostCost: perEntryCPU*sim.Duration(batch) + 50, Window: 2}
+		client.Op = func(post sim.Time) sim.Time {
+			res, err := b.WriteBatch(post, frags, remote)
+			client.Fail(err)
+			return res.Done
+		}
+		eng.Add(client, ma, mb)
 	}
-	res := eng.Run(h)
-	return float64(res.Completed) * float64(batch) / h.Seconds() / 1e6, nil
+	res, err := eng.Run(h)
+	return float64(res.Completed) * float64(batch) / h.Seconds() / 1e6, err
 }
 
 // localVectorMOPS models the readv/writev local baseline of Figures 3/4: a

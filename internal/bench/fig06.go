@@ -77,17 +77,17 @@ func randSeqThroughput(r *run, op verbs.Opcode, srcSeq, dstSeq bool, size, regio
 		SGL:       []verbs.SGE{{Length: size, MR: env.mrA}},
 		RemoteKey: env.mrB.RKey(),
 	}
-	res := measure(func(t sim.Time) sim.Time {
+	client := &sim.Client{PostCost: 150, Window: 16}
+	client.Op = func(t sim.Time) sim.Time {
 		lo, ro := pat.next()
 		wr.SGL[0].Addr = env.mrA.Addr() + mem.Addr(lo)
 		wr.RemoteAddr = env.mrB.Addr() + mem.Addr(ro)
 		c, err := env.qpA.PostSend(t, wr)
-		if err != nil {
-			panic(err)
-		}
+		client.Fail(err)
 		return c.Done
-	}, 16, 150, h)
-	return res.MOPS(), nil
+	}
+	res, err := measure(client, h)
+	return res.MOPS(), err
 }
 
 // fig6Sizes are the payload sizes of Figure 6 (1 B to 8 KB).

@@ -32,16 +32,16 @@ func fig08Consolidation(r *run) (*Report, error) {
 		}
 		rng := rand.New(rand.NewSource(1))
 		if theta == 0 {
-			res := measure(func(t sim.Time) sim.Time {
+			client := &sim.Client{PostCost: 30, Window: 16}
+			client.Op = func(t sim.Time) sim.Time {
 				off := rng.Intn(blocks)*blockSize + (rng.Intn(blockSize-32) &^ 7)
 				copy(env.mrA.Region().Bytes(), data)
 				wrDone, err := writeAt(env, t, off, 32)
-				if err != nil {
-					panic(err)
-				}
+				client.Fail(err)
 				return wrDone
-			}, 16, 30, h)
-			return res.MOPS(), nil
+			}
+			res, err := measure(client, h)
+			return res.MOPS(), err
 		}
 		cons, err := core.NewConsolidator(core.ConsolidatorConfig{
 			QP:         env.qpA,
@@ -55,15 +55,15 @@ func fig08Consolidation(r *run) (*Report, error) {
 		if err != nil {
 			return 0, err
 		}
-		res := measure(func(t sim.Time) sim.Time {
+		client := &sim.Client{PostCost: 30, Window: 16}
+		client.Op = func(t sim.Time) sim.Time {
 			off := rng.Intn(blocks)*blockSize + (rng.Intn(blockSize-32) &^ 7)
 			done, err := cons.Write(t, off, data)
-			if err != nil {
-				panic(err)
-			}
+			client.Fail(err)
 			return done
-		}, 16, 30, h)
-		return res.MOPS(), nil
+		}
+		res, err := measure(client, h)
+		return res.MOPS(), err
 	})
 	if err != nil {
 		return nil, err

@@ -70,27 +70,25 @@ func remoteLockMOPS(r *run, n int, backoff *core.BackoffConfig, h sim.Duration) 
 		if err != nil {
 			return 0, err
 		}
-		eng.Add(&sim.Client{
-			PostCost: 150,
-			Window:   1,
-			Op: func(post sim.Time) sim.Time {
-				at, err := lock.Acquire(post)
-				if err != nil {
-					panic(err)
-				}
-				rt, err := lock.Release(at)
-				if err != nil {
-					panic(err)
-				}
-				return rt
-			},
-		}, lc.cl.Machine(i+1), lc.cl.Machine(0))
+		client := &sim.Client{PostCost: 150, Window: 1}
+		client.Op = func(post sim.Time) sim.Time {
+			at, err := lock.Acquire(post)
+			if err != nil {
+				client.Fail(err)
+				return post
+			}
+			rt, err := lock.Release(at)
+			client.Fail(err)
+			return rt
+		}
+		eng.Add(client, lc.cl.Machine(i+1), lc.cl.Machine(0))
 	}
-	return eng.Run(h).MOPS(), nil
+	res, err := eng.Run(h)
+	return res.MOPS(), err
 }
 
 // localLockMOPS measures the GCC-builtin local spinlock baseline.
-func localLockMOPS(n int, h sim.Duration) float64 {
+func localLockMOPS(n int, h sim.Duration) (float64, error) {
 	tp := topo.DefaultParams()
 	state := core.NewLockState()
 	line := core.NewLocalLockLine()
@@ -106,7 +104,8 @@ func localLockMOPS(n int, h sim.Duration) float64 {
 			},
 		})
 	}
-	return sim.RunClosedLoop(clients, h).MOPS()
+	res, err := sim.RunClosedLoop(clients, h)
+	return res.MOPS(), err
 }
 
 // rpcLockMOPS measures the channel-semantic lock baseline.
@@ -127,23 +126,21 @@ func rpcLockMOPS(r *run, n int, h sim.Duration) (float64, error) {
 			return 0, err
 		}
 		lock := core.NewRPCLock(state, rc, i)
-		eng.Add(&sim.Client{
-			PostCost: 150,
-			Window:   1,
-			Op: func(post sim.Time) sim.Time {
-				at, err := lock.Acquire(post)
-				if err != nil {
-					panic(err)
-				}
-				rt, err := lock.Release(at)
-				if err != nil {
-					panic(err)
-				}
-				return rt
-			},
-		}, lc.cl.Machine(i+1), lc.cl.Machine(0))
+		client := &sim.Client{PostCost: 150, Window: 1}
+		client.Op = func(post sim.Time) sim.Time {
+			at, err := lock.Acquire(post)
+			if err != nil {
+				client.Fail(err)
+				return post
+			}
+			rt, err := lock.Release(at)
+			client.Fail(err)
+			return rt
+		}
+		eng.Add(client, lc.cl.Machine(i+1), lc.cl.Machine(0))
 	}
-	return eng.Run(h).MOPS(), nil
+	res, err := eng.Run(h)
+	return res.MOPS(), err
 }
 
 // fig10aSpinlock reproduces Figure 10(a): local vs remote vs RPC spinlocks
@@ -158,7 +155,7 @@ func fig10aSpinlock(r *run) (*Report, error) {
 		label string
 		mops  func(r *run, n int) (float64, error)
 	}{
-		{"Local", func(_ *run, n int) (float64, error) { return localLockMOPS(n, h), nil }},
+		{"Local", func(_ *run, n int) (float64, error) { return localLockMOPS(n, h) }},
 		{"Remote", func(r *run, n int) (float64, error) { return remoteLockMOPS(r, n, nil, h) }},
 		{"Remote(backoff)", func(r *run, n int) (float64, error) { return remoteLockMOPS(r, n, &bo, h) }},
 		{"RPC-based", func(r *run, n int) (float64, error) { return rpcLockMOPS(r, n, h) }},
@@ -185,7 +182,7 @@ func fig10aSpinlock(r *run) (*Report, error) {
 }
 
 // localSequencerMOPS: all threads FAA one cache line.
-func localSequencerMOPS(n int, h sim.Duration) float64 {
+func localSequencerMOPS(n int, h sim.Duration) (float64, error) {
 	tp := topo.DefaultParams()
 	seqLocal := core.NewLocalSequencer(tp)
 	var locals []*sim.Client
@@ -201,7 +198,8 @@ func localSequencerMOPS(n int, h sim.Duration) float64 {
 			},
 		})
 	}
-	return sim.RunClosedLoop(locals, h).MOPS()
+	res, err := sim.RunClosedLoop(locals, h)
+	return res.MOPS(), err
 }
 
 // remoteSequencerMOPS: FAA against the home machine.
@@ -218,19 +216,16 @@ func remoteSequencerMOPS(r *run, n int, h sim.Duration) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		eng.Add(&sim.Client{
-			PostCost: 150,
-			Window:   4,
-			Op: func(post sim.Time) sim.Time {
-				_, t, err := seq.Next(post, 1)
-				if err != nil {
-					panic(err)
-				}
-				return t
-			},
-		}, lc.cl.Machine(i+1), lc.cl.Machine(0))
+		client := &sim.Client{PostCost: 150, Window: 4}
+		client.Op = func(post sim.Time) sim.Time {
+			_, t, err := seq.Next(post, 1)
+			client.Fail(err)
+			return t
+		}
+		eng.Add(client, lc.cl.Machine(i+1), lc.cl.Machine(0))
 	}
-	return eng.Run(h).MOPS(), nil
+	res, err := eng.Run(h)
+	return res.MOPS(), err
 }
 
 // rpcSequencerMOPS: counter behind a server.
@@ -251,19 +246,16 @@ func rpcSequencerMOPS(r *run, n int, h sim.Duration) (float64, error) {
 			return 0, err
 		}
 		seq := core.NewRPCSequencer(rc, &counter)
-		eng.Add(&sim.Client{
-			PostCost: 150,
-			Window:   1,
-			Op: func(post sim.Time) sim.Time {
-				_, t, err := seq.Next(post)
-				if err != nil {
-					panic(err)
-				}
-				return t
-			},
-		}, lc.cl.Machine(i+1), lc.cl.Machine(0))
+		client := &sim.Client{PostCost: 150, Window: 1}
+		client.Op = func(post sim.Time) sim.Time {
+			_, t, err := seq.Next(post)
+			client.Fail(err)
+			return t
+		}
+		eng.Add(client, lc.cl.Machine(i+1), lc.cl.Machine(0))
 	}
-	return eng.Run(h).MOPS(), nil
+	res, err := eng.Run(h)
+	return res.MOPS(), err
 }
 
 // udRPCSequencerMOPS: the datagram-transport RPC sequencer.
@@ -284,19 +276,16 @@ func udRPCSequencerMOPS(r *run, n int, h sim.Duration) (float64, error) {
 			return 0, err
 		}
 		seq := core.NewRPCSequencer(uc, &udCounter)
-		eng.Add(&sim.Client{
-			PostCost: 150,
-			Window:   1,
-			Op: func(post sim.Time) sim.Time {
-				_, t, err := seq.Next(post)
-				if err != nil {
-					panic(err)
-				}
-				return t
-			},
-		}, lc.cl.Machine(i+1), lc.cl.Machine(0))
+		client := &sim.Client{PostCost: 150, Window: 1}
+		client.Op = func(post sim.Time) sim.Time {
+			_, t, err := seq.Next(post)
+			client.Fail(err)
+			return t
+		}
+		eng.Add(client, lc.cl.Machine(i+1), lc.cl.Machine(0))
 	}
-	return eng.Run(h).MOPS(), nil
+	res, err := eng.Run(h)
+	return res.MOPS(), err
 }
 
 // fig10bSequencer reproduces Figure 10(b): local vs remote vs RPC
@@ -309,7 +298,7 @@ func fig10bSequencer(r *run) (*Report, error) {
 		label string
 		mops  func(r *run, n int) (float64, error)
 	}{
-		{"Local Sequencer", func(_ *run, n int) (float64, error) { return localSequencerMOPS(n, h), nil }},
+		{"Local Sequencer", func(_ *run, n int) (float64, error) { return localSequencerMOPS(n, h) }},
 		{"Remote Sequencer", func(r *run, n int) (float64, error) { return remoteSequencerMOPS(r, n, h) }},
 		{"RPC Sequencer", func(r *run, n int) (float64, error) { return rpcSequencerMOPS(r, n, h) }},
 		// UD RPC: the Herd/FaSST-style datagram variant Section III-E cites

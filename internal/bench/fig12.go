@@ -58,19 +58,16 @@ func hashtableMOPS(r *run, dist *workload.ZipfDist, level hashtable.Level, theta
 			return 0, err
 		}
 		keys := dist.New(int64(1000 + i))
-		eng.Add(&sim.Client{
-			PostCost: 200,
-			Window:   4,
-			Op: func(post sim.Time) sim.Time {
-				d, err := fe.Put(post, keys.Next(), val)
-				if err != nil {
-					panic(err)
-				}
-				return d
-			},
-		}, m, cl.Machine(0))
+		client := &sim.Client{PostCost: 200, Window: 4}
+		client.Op = func(post sim.Time) sim.Time {
+			d, err := fe.Put(post, keys.Next(), val)
+			client.Fail(err)
+			return d
+		}
+		eng.Add(client, m, cl.Machine(0))
 	}
-	return eng.Run(h).MOPS(), nil
+	res, err := eng.Run(h)
+	return res.MOPS(), err
 }
 
 // fig12HashtableBreakdown reproduces Figure 12: throughput over front-end

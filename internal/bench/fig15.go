@@ -37,19 +37,16 @@ func shuffleMOPS(r *run, executors, batch int, strategy core.Strategy, numa bool
 			return 0, err
 		}
 		st := workload.NewStream(u, cfg.ValueSize)
-		eng.Add(&sim.Client{
-			PostCost: 50,
-			Window:   4,
-			Op: func(post sim.Time) sim.Time {
-				d, err := ex.Process(post, st.Next())
-				if err != nil {
-					panic(err)
-				}
-				return d
-			},
-		}, all...)
+		client := &sim.Client{PostCost: 50, Window: 4}
+		client.Op = func(post sim.Time) sim.Time {
+			d, err := ex.Process(post, st.Next())
+			client.Fail(err)
+			return d
+		}
+		eng.Add(client, all...)
 	}
-	return eng.Run(h).MOPS(), nil
+	res, err := eng.Run(h)
+	return res.MOPS(), err
 }
 
 // fig15Shuffle reproduces Figure 15: shuffle throughput over executor count

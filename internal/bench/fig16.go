@@ -191,15 +191,20 @@ func fig18CPUCost(r *run) (*Report, error) {
 		}
 		var cpu sim.Duration
 		var bytes int64
-		measure(func(t sim.Time) sim.Time {
+		client := &sim.Client{PostCost: 100, Window: 2}
+		client.Op = func(t sim.Time) sim.Time {
 			r, err := b.WriteBatch(t, frags, env.mrB.Addr())
 			if err != nil {
-				panic(err)
+				client.Fail(err)
+				return t
 			}
 			cpu += r.CPU
 			bytes += int64(entry * len(frags))
 			return r.Done
-		}, 2, 100, h)
+		}
+		if _, err := measure(client, h); err != nil {
+			return 0, err
+		}
 		return cpu.Seconds() / (float64(bytes) / (1 << 30)), nil
 	})
 	if err != nil {

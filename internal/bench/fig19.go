@@ -31,20 +31,16 @@ func dlogMOPS(r *run, engines, batch int, numa bool, h sim.Duration) (float64, e
 		if err != nil {
 			return 0, err
 		}
-		eng.Add(&sim.Client{
-			PostCost: 150,
-			Window:   2,
-			Op: func(post sim.Time) sim.Time {
-				_, done, err := e.AppendBatch(post)
-				if err != nil {
-					panic(err)
-				}
-				return done
-			},
-		}, cl.Machine(1+i%7), cl.Machine(0))
+		client := &sim.Client{PostCost: 150, Window: 2}
+		client.Op = func(post sim.Time) sim.Time {
+			_, done, err := e.AppendBatch(post)
+			client.Fail(err)
+			return done
+		}
+		eng.Add(client, cl.Machine(1+i%7), cl.Machine(0))
 	}
-	res := eng.Run(h)
-	return float64(res.Completed) * float64(batch) / h.Seconds() / 1e6, nil
+	res, err := eng.Run(h)
+	return float64(res.Completed) * float64(batch) / h.Seconds() / 1e6, err
 }
 
 // fig19DistributedLog reproduces Figure 19: appended records per second over

@@ -2,13 +2,16 @@ package bench
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"rdmasem/internal/fabric"
+	"rdmasem/internal/verbs"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden experiment outputs")
@@ -74,23 +77,47 @@ func TestGoldenOutputs(t *testing.T) {
 // reporting the loss), never abort the run. Passing -engine-workers also
 // shards each experiment, where lossy fabric is most likely to expose a
 // shard race.
+//
+// Under the harsh plan (20% loss) some QPs run out of retries. Each
+// experiment then either finishes or returns the QP's error, naming the
+// experiment and the sweep point; none may panic. fig12 and qpsweep must
+// take the error branch, so the check cannot pass vacuously.
 func TestEveryExperimentRunsUnderFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full lossy sweep")
 	}
-	plan, err := fabric.ParseFaultPlan("seed=1,drop=0.01")
-	if err != nil {
-		t.Fatal(err)
+	sweep := func(t *testing.T, spec string, check func(t *testing.T, id string, err error)) {
+		plan, err := fabric.ParseFaultPlan(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Faults: plan, EngineWorkers: *engineWorkersFlag}
+		for _, id := range List() {
+			t.Run(id, func(t *testing.T) {
+				t.Parallel()
+				_, err := Run(id, goldenScale, opts)
+				check(t, id, err)
+			})
+		}
 	}
-	opts := Options{Faults: plan, EngineWorkers: *engineWorkersFlag}
-	for _, id := range List() {
-		t.Run(id, func(t *testing.T) {
-			t.Parallel()
-			if _, err := Run(id, goldenScale, opts); err != nil {
-				t.Fatalf("run: %v", err)
+	sweep(t, "seed=1,drop=0.01", func(t *testing.T, _ string, err error) {
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+	})
+	const harsh = "seed=3,drop=0.2"
+	mustFail := map[string]bool{"fig12": true, "qpsweep": true}
+	t.Run(harsh, func(t *testing.T) {
+		sweep(t, harsh, func(t *testing.T, id string, err error) {
+			switch {
+			case err == nil && mustFail[id]:
+				t.Fatal("finished; the error branch went unexercised")
+			case err == nil:
+			case !errors.Is(err, verbs.ErrQPError) || !strings.Contains(err.Error(), "bench: "+id+": point "):
+				t.Fatalf("want a QP error naming the experiment and point, got: %v", err)
 			}
 		})
-	}
+	})
 }
 
 // diffHint locates the first differing line so a golden failure is readable

@@ -181,25 +181,24 @@ func connSweepPoint(r *run, mode string, conns int, h sim.Duration) (connPoint, 
 			}
 			c := c
 			wr := &verbs.SendWR{Opcode: verbs.OpSend, SGL: []verbs.SGE{sgl[c]}}
-			eng.Add(&sim.Client{
-				PostCost: 150,
-				Window:   1,
-				Op: func(post sim.Time) sim.Time {
-					// The server keeps exactly one receive ahead of each SEND.
-					if srq != nil {
-						if err := srq.PostRecv(recvOf(c)); err != nil {
-							panic(err)
-						}
-					} else if err := peer.PostRecv(recvOf(c)); err != nil {
-						panic(err)
-					}
-					comp, err := qp.PostSend(post, wr)
-					if err != nil {
-						panic(err)
-					}
-					return comp.Done
-				},
-			}, ma, mb)
+			client := &sim.Client{PostCost: 150, Window: 1}
+			client.Op = func(post sim.Time) sim.Time {
+				// The server keeps exactly one receive ahead of each SEND.
+				var err error
+				if srq != nil {
+					err = srq.PostRecv(recvOf(c))
+				} else {
+					err = peer.PostRecv(recvOf(c))
+				}
+				if err != nil {
+					client.Fail(err)
+					return post
+				}
+				comp, err := qp.PostSend(post, wr)
+				client.Fail(err)
+				return comp.Done
+			}
+			eng.Add(client, ma, mb)
 		}
 		warm(qps, mrs, sgl)
 		pt.physQPs, pt.mrs = conns, conns
@@ -234,20 +233,17 @@ func connSweepPoint(r *run, mode string, conns int, h sim.Duration) (connPoint, 
 			for c := 0; c < conns; c++ {
 				c := c
 				wr := &verbs.SendWR{Opcode: verbs.OpSend, SGL: []verbs.SGE{sgl[c]}}
-				eng.Add(&sim.Client{
-					PostCost: 150,
-					Window:   1,
-					Op: func(post sim.Time) sim.Time {
-						if err := srq.PostRecv(recvOf(c)); err != nil {
-							panic(err)
-						}
-						del, err := table.Post(post, c, wr)
-						if err != nil {
-							panic(err)
-						}
-						return del.Completion.Done
-					},
-				}, ma, mb)
+				client := &sim.Client{PostCost: 150, Window: 1}
+				client.Op = func(post sim.Time) sim.Time {
+					if err := srq.PostRecv(recvOf(c)); err != nil {
+						client.Fail(err)
+						return post
+					}
+					del, err := table.Post(post, c, wr)
+					client.Fail(err)
+					return del.Completion.Done
+				}
+				eng.Add(client, ma, mb)
 			}
 			warm(pool, []*verbs.MR{mrA}, sgl)
 			pt.physQPs, pt.mrs = p, 1
@@ -266,20 +262,17 @@ func connSweepPoint(r *run, mode string, conns int, h sim.Duration) (connPoint, 
 			for c := 0; c < conns; c++ {
 				c := c
 				wr := &verbs.SendWR{Opcode: verbs.OpSend, SGL: []verbs.SGE{sgl[c]}}
-				eng.Add(&sim.Client{
-					PostCost: 150,
-					Window:   1,
-					Op: func(post sim.Time) sim.Time {
-						if err := srq.PostRecv(recvOf(c)); err != nil {
-							panic(err)
-						}
-						del, err := d.Post(post, c, wr)
-						if err != nil {
-							panic(err)
-						}
-						return del.Completion.Done
-					},
-				}, ma, mb)
+				client := &sim.Client{PostCost: 150, Window: 1}
+				client.Op = func(post sim.Time) sim.Time {
+					if err := srq.PostRecv(recvOf(c)); err != nil {
+						client.Fail(err)
+						return post
+					}
+					del, err := d.Post(post, c, wr)
+					client.Fail(err)
+					return del.Completion.Done
+				}
+				eng.Add(client, ma, mb)
 			}
 			warm(pool, nil, nil)
 			pt.physQPs, pt.mrs = p, 1 // the daemon's bounce MR is the only one the NIC serves
@@ -290,7 +283,11 @@ func connSweepPoint(r *run, mode string, conns int, h sim.Duration) (connPoint, 
 	}
 
 	base := nicA.Counters()
-	pt.mops = eng.Run(h).MOPS()
+	res, err := eng.Run(h)
+	if err != nil {
+		return connPoint{}, err
+	}
+	pt.mops = res.MOPS()
 	after := nicA.Counters()
 	pt.qpHit = rnic.StageCounters{
 		QPHits:   after.QPHits - base.QPHits,

@@ -17,9 +17,7 @@ import (
 // hermetic (no package-level state anywhere under internal/sim,
 // internal/cluster or internal/verbs), so points race only on wall-clock and
 // results are bit-identical at any width. The error reported is the first in
-// index order, whichever worker hit it first; a panicking point (the
-// closed-loop drivers panic on post errors) becomes an error instead of
-// taking down the pool.
+// index order, whichever worker hit it first, wrapped as "point <i>: <err>".
 func points[T any](r *run, n int, fn func(r *run, i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	errs := make([]error, n)
@@ -28,11 +26,6 @@ func points[T any](r *run, n int, fn func(r *run, i int) (T, error)) ([]T, error
 		p.clusters, p.reg = nil, r.reg.Fork()
 		defer r.reg.Absorb(p.reg)
 		defer p.settle()
-		defer func() {
-			if v := recover(); v != nil {
-				errs[i] = fmt.Errorf("bench: sweep point panicked: %v", v)
-			}
-		}()
 		out[i], errs[i] = fn(&p, i)
 	}
 	built := len(r.clusters)
@@ -59,9 +52,9 @@ func points[T any](r *run, n int, fn func(r *run, i int) (T, error)) ([]T, error
 	if len(r.clusters) != built {
 		return nil, errors.New("bench: a sweep point built a cluster on its parent run")
 	}
-	for _, err := range errs {
+	for i, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("point %d: %w", i, err)
 		}
 	}
 	return out, nil

@@ -5,13 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"rdmasem/internal/cluster"
 	"rdmasem/internal/mem"
+	"rdmasem/internal/sim"
 )
 
 // testRun resolves the default options at the given sweep width.
@@ -55,22 +55,40 @@ func TestSweepFirstErrorByRegistrationOrder(t *testing.T) {
 			}
 			return i, nil
 		})
-		if err == nil || err.Error() != "point 3 failed" {
+		if err == nil || err.Error() != "point 3: point 3 failed" {
 			t.Fatalf("width %d: err = %v, want point 3's", width, err)
 		}
 	}
 }
 
-func TestSweepRecoversPanics(t *testing.T) {
+// TestSweepReturnsFailedOps: an op that fails stops its engine, and the
+// sweep returns the failure naming the point, the client and the virtual
+// time of the failed post, still wrapping the op's own error.
+func TestSweepReturnsFailedOps(t *testing.T) {
+	errPost := errors.New("post failed")
+	cfg := cluster.DefaultConfig()
+	cfg.Machines = 1
 	for _, width := range []int{1, 4} {
-		_, err := points(testRun(t, width), 4, func(_ *run, i int) (int, error) {
-			if i == 2 {
-				panic("post failed")
+		_, err := points(testRun(t, width), 4, func(p *run, i int) (int, error) {
+			cl, err := p.newCluster(cfg)
+			if err != nil {
+				return 0, err
 			}
-			return i, nil
+			eng := cl.NewEngine(p.workers)
+			client := &sim.Client{PostCost: 100, Window: 1}
+			client.Op = func(post sim.Time) sim.Time {
+				if i == 2 && post == 500 {
+					client.Fail(errPost)
+				}
+				return post + 50
+			}
+			eng.Add(client, cl.Machine(0))
+			_, err = eng.Run(sim.Microsecond)
+			return i, err
 		})
-		if err == nil || !strings.Contains(err.Error(), "post failed") {
-			t.Fatalf("width %d: panic not converted: %v", width, err)
+		const want = "point 2: sim: client 0 at 500ns: post failed"
+		if err == nil || err.Error() != want || !errors.Is(err, errPost) {
+			t.Fatalf("width %d: err = %v, want %q wrapping the op's error", width, err, want)
 		}
 	}
 }

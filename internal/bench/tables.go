@@ -85,14 +85,14 @@ func placementCase(r *run, lCoreAlt, lMemAlt, rPortAlt, rMemAlt bool, h sim.Dura
 			}
 			return (c.Done - start).Micros(), nil
 		}
-		res := measure(func(t sim.Time) sim.Time {
+		client := &sim.Client{PostCost: 150, Window: 16}
+		client.Op = func(t sim.Time) sim.Time {
 			c, err := qpA.PostSend(t, wr)
-			if err != nil {
-				panic(err)
-			}
+			client.Fail(err)
 			return c.Done
-		}, 16, 150, h)
-		return res.MOPS(), nil
+		}
+		res, err := measure(client, h)
+		return res.MOPS(), err
 	}
 	if rLat, err = one(verbs.OpRead, false); err != nil {
 		return

@@ -173,42 +173,43 @@ func txnConflictPoint(r *run, mode string, pct int, h sim.Duration) (txnResult, 
 		// Split-phase transactions: reads and the commit run in separate
 		// scheduler steps, so transactions genuinely overlap in virtual time
 		// and hot-key lock CASes can observe a competitor's commit.
-		eng.Add(&sim.Client{
-			PostCost: 200,
-			Window:   1,
-			Op: func(post sim.Time) sim.Time {
-				if tx == nil {
-					if rng.Intn(100) < pct {
-						k1 = hot.Next()
-					} else {
-						k1 = hotKeys + uni.Next()
-					}
-					tx = c.Begin(post)
-					for _, k := range []uint64{k1, private} {
-						if err := tx.Get(k, buf); err != nil {
-							panic(err)
-						}
-						workload.FillValue(val, k)
-						if err := tx.Put(k, val); err != nil {
-							panic(err)
-						}
-					}
-					return tx.Now()
+		client := &sim.Client{PostCost: 200, Window: 1}
+		client.Op = func(post sim.Time) sim.Time {
+			if tx == nil {
+				if rng.Intn(100) < pct {
+					k1 = hot.Next()
+				} else {
+					k1 = hotKeys + uni.Next()
 				}
-				tx.AdvanceTo(post)
-				done, err := tx.Commit()
-				if err != nil {
-					if !errors.Is(err, txn.ErrConflict) {
-						panic(err)
+				tx = c.Begin(post)
+				for _, k := range []uint64{k1, private} {
+					if err := tx.Get(k, buf); err != nil {
+						client.Fail(err)
+						return post
 					}
-					c.NoteRetry()
+					workload.FillValue(val, k)
+					if err := tx.Put(k, val); err != nil {
+						client.Fail(err)
+						return post
+					}
 				}
-				tx = nil
-				return done
-			},
-		}, m, cl.Machine(0))
+				return tx.Now()
+			}
+			tx.AdvanceTo(post)
+			done, err := tx.Commit()
+			if errors.Is(err, txn.ErrConflict) {
+				c.NoteRetry()
+			} else {
+				client.Fail(err)
+			}
+			tx = nil
+			return done
+		}
+		eng.Add(client, m, cl.Machine(0))
 	}
-	eng.Run(h)
+	if _, err := eng.Run(h); err != nil {
+		return txnResult{}, err
+	}
 
 	var res txnResult
 	for _, c := range tclients {

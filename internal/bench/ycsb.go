@@ -76,24 +76,21 @@ func ycsbMOPS(r *run, dist *workload.ZipfDist, level hashtable.Level, readPct in
 		rng := rand.New(rand.NewSource(int64(50 + i)))
 		val := make([]byte, 64)
 		out := make([]byte, 64)
-		eng.Add(&sim.Client{
-			PostCost: 200,
-			Window:   4,
-			Op: func(post sim.Time) sim.Time {
-				k := keys.Next()
-				var d sim.Time
-				var err error
-				if rng.Intn(100) < readPct {
-					d, err = fe.Get(post, k, out)
-				} else {
-					d, err = fe.Put(post, k, val)
-				}
-				if err != nil {
-					panic(err)
-				}
-				return d
-			},
-		}, m, cl.Machine(0))
+		client := &sim.Client{PostCost: 200, Window: 4}
+		client.Op = func(post sim.Time) sim.Time {
+			k := keys.Next()
+			var d sim.Time
+			var err error
+			if rng.Intn(100) < readPct {
+				d, err = fe.Get(post, k, out)
+			} else {
+				d, err = fe.Put(post, k, val)
+			}
+			client.Fail(err)
+			return d
+		}
+		eng.Add(client, m, cl.Machine(0))
 	}
-	return eng.Run(h).MOPS(), nil
+	res, err := eng.Run(h)
+	return res.MOPS(), err
 }

@@ -57,5 +57,6 @@ func (e *Engine) Add(c *sim.Client, on ...*Machine) {
 func (e *Engine) Workers() int { return e.k.Workers() }
 
 // Run drives all registered clients to the horizon. Semantics are exactly
-// sim.RunClosedLoop's; see sim.Kernel for the shard partition.
-func (e *Engine) Run(horizon sim.Time) sim.Result { return e.k.Run(horizon) }
+// sim.RunClosedLoop's, failed ops included; see sim.Kernel for the shard
+// partition.
+func (e *Engine) Run(horizon sim.Time) (sim.Result, error) { return e.k.Run(horizon) }

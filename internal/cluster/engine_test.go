@@ -58,7 +58,10 @@ func TestEngineRunsClients(t *testing.T) {
 		cl.Machine(0), cl.Machine(1))
 	eng.Add(&sim.Client{Op: func(post sim.Time) sim.Time { return post + 500 }, PostCost: 100, Window: 1},
 		cl.Machine(2), cl.Machine(3))
-	res := eng.Run(sim.Millisecond)
+	res, err := eng.Run(sim.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Completed == 0 {
 		t.Fatal("no ops completed")
 	}

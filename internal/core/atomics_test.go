@@ -83,7 +83,9 @@ func TestRemoteLockMutualExclusion(t *testing.T) {
 			},
 		}
 	}
-	sim.RunClosedLoop(clients, sim.Second)
+	if _, err := sim.RunClosedLoop(clients, sim.Second); err != nil {
+		t.Fatal(err)
+	}
 	if len(intervals) < 40 {
 		t.Fatalf("only %d lock cycles ran", len(intervals))
 	}
@@ -132,7 +134,9 @@ func TestRemoteLockBackoffReducesCASFlood(t *testing.T) {
 			}
 		}
 		horizon := 10 * sim.Millisecond
-		sim.RunClosedLoop(clients, horizon)
+		if _, err := sim.RunClosedLoop(clients, horizon); err != nil {
+			t.Fatal(err)
+		}
 		acq, conf := state.Contention()
 		// acquire CAS + failed CAS + release CAS all hit the atomic unit.
 		atomics := float64(acq+conf) + float64(count)
@@ -213,7 +217,9 @@ func TestRemoteSequencerDenseAndMonotone(t *testing.T) {
 			},
 		}
 	}
-	sim.RunClosedLoop(clients, sim.Second)
+	if _, err := sim.RunClosedLoop(clients, sim.Second); err != nil {
+		t.Fatal(err)
+	}
 	if len(seen) != n*50 {
 		t.Fatalf("drew %d values, want %d", len(seen), n*50)
 	}

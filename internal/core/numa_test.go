@@ -146,7 +146,11 @@ func TestEngineMatchedBeatsBasicOnCrossTraffic(t *testing.T) {
 				return d
 			},
 		}
-		return sim.RunClosedLoop([]*sim.Client{client}, 5*sim.Millisecond).MOPS()
+		res, err := sim.RunClosedLoop([]*sim.Client{client}, 5*sim.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.MOPS()
 	}
 	basic, matched := run(Basic), run(Matched)
 	if matched <= basic*1.1 {

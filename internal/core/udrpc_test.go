@@ -151,7 +151,9 @@ func TestUDRPCLockMutualExclusion(t *testing.T) {
 			},
 		}
 	}
-	sim.RunClosedLoop(clients, sim.Second)
+	if _, err := sim.RunClosedLoop(clients, sim.Second); err != nil {
+		t.Fatal(err)
+	}
 	if len(ivs) != 30 {
 		t.Fatalf("cycles=%d", len(ivs))
 	}

@@ -97,7 +97,10 @@ func TestFourApplicationsOnOneCluster(t *testing.T) {
 			return d
 		}},
 	}
-	res := sim.RunClosedLoop(clients, sim.Second)
+	res, err := sim.RunClosedLoop(clients, sim.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Completed != 1000 {
 		t.Fatalf("completed %d ops, want 1000", res.Completed)
 	}
@@ -176,7 +179,10 @@ func TestWholeStackDeterminism(t *testing.T) {
 				},
 			})
 		}
-		res := sim.RunClosedLoop(clients, 2*sim.Millisecond)
+		res, err := sim.RunClosedLoop(clients, 2*sim.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
 		return fmt.Sprintf("%d %v %v", res.Completed, res.LatencyAvg(), res.TotalCPUBusy())
 	}
 	a, b := run(), run()
@@ -223,7 +229,10 @@ func TestCrossTrafficSlowsSharedBackend(t *testing.T) {
 				clients = append(clients, mk(m))
 			}
 		}
-		res := sim.RunClosedLoop(clients, 5*sim.Millisecond)
+		res, err := sim.RunClosedLoop(clients, 5*sim.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
 		return float64(res.Clients[0].Completed) / 5e3 // client 0 only, MOPS
 	}
 	alone := mops(false)

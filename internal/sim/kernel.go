@@ -72,7 +72,14 @@ func (k *Kernel) Add(c *Client, machines ...int) {
 // result, with per-client stats in registration order. See RunClosedLoop for
 // the closed-loop semantics; Run adds only the shard partition and the
 // worker pool on top.
-func (k *Kernel) Run(horizon Time) Result {
+//
+// An op that calls its client's Fail stops that client's shard: the op is
+// not counted and nothing in the shard dispatches again, while other shards
+// run on to the horizon. Run then returns the failure as
+// "sim: client <registration index> at <post time>: <err>", wrapping err.
+// When several shards fail, the one whose first-registered client comes
+// first wins, so the same error comes back at any worker count.
+func (k *Kernel) Run(horizon Time) (Result, error) {
 	if horizon <= 0 {
 		panic("sim: horizon must be positive")
 	}
@@ -89,6 +96,7 @@ func (k *Kernel) Run(horizon Time) Result {
 		c.latencySum, c.latencyMax = 0, 0
 		c.latencyMin = MaxTime
 		c.cpuBusy = 0
+		c.err = nil
 	}
 
 	shards := k.partition()
@@ -115,7 +123,12 @@ func (k *Kernel) Run(horizon Time) Result {
 		res.Clients[i] = s
 		res.Completed += c.completed
 	}
-	return res
+	for _, sd := range shards {
+		if sd.err != nil {
+			return res, sd.err
+		}
+	}
+	return res, nil
 }
 
 // partition unions overlapping footprints and groups clients into shards,
@@ -217,7 +230,7 @@ func (k *Kernel) runParallel(shards []*shard, horizon Time) {
 // runShard drives one shard to the horizon. Each step dispatches the heap's
 // root — the client with the least (nextAction, registration index) — then
 // sifts it back down, or evicts it once it reaches the horizon or its MaxOps
-// budget.
+// budget. A failed op records the shard's error and stops the shard.
 func runShard(sd *shard, horizon Time) {
 	sd.init()
 	for len(sd.clients) > 0 {
@@ -231,6 +244,10 @@ func runShard(sd *shard, horizon Time) {
 			c.outstanding.pop()
 		}
 		complete := c.Op(t)
+		if c.err != nil {
+			sd.err = fmt.Errorf("sim: client %d at %v: %w", sd.idx[0], t, c.err)
+			return
+		}
 		if complete < t {
 			panic("sim: op completed before it was posted")
 		}

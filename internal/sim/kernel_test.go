@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -58,19 +61,25 @@ func runKernel(t *testing.T, workers, n, groups int) (Result, [][]Duration) {
 	for i, c := range clients {
 		k.Add(c, feet[i]...)
 	}
-	return k.Run(Millisecond), lats
+	res, err := k.Run(Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, lats
 }
 
 // dispatchSpec is one client of a reference check. Its op holds the
 // resource of each footprint machine in turn, the home machine's for service
 // and the others' for half as long, so clients sharing a machine observe each
-// other's dispatch order through gap-filling placement.
+// other's dispatch order through gap-filling placement. Its failAt-th op
+// fails instead.
 type dispatchSpec struct {
 	foot     []int // nil: a global client; global clients share one resource
 	window   int
 	postCost Duration
 	maxOps   int64
 	service  Duration
+	failAt   int64 // the op (counting from 1) that calls Fail; 0: never
 }
 
 // dispatchEvent is one dispatched op: its client, post and completion times.
@@ -119,9 +128,13 @@ func shardOf(specs []dispatchSpec) []int {
 	return out
 }
 
-// buildDispatch returns fresh clients for specs over fresh resources. Each op
-// appends to logs[shardOf(specs)[i]], so one group's sequence is written by
-// one shard only.
+// errOpFailed is the failure a dispatchSpec's failAt-th op reports.
+var errOpFailed = errors.New("op failed")
+
+// buildDispatch returns fresh clients for specs over fresh resources. Each
+// completed op appends to logs[shardOf(specs)[i]], so one group's sequence is
+// written by one shard only. A failing op touches no resource and returns a
+// time before its post, which the kernel must ignore.
 func buildDispatch(specs []dispatchSpec, logs [][]dispatchEvent) []*Client {
 	group := shardOf(specs)
 	res := map[int]*Resource{}
@@ -138,20 +151,22 @@ func buildDispatch(specs []dispatchSpec, logs [][]dispatchEvent) []*Client {
 			}
 			held[j] = res[m]
 		}
-		svc, log := s.service, &logs[group[i]]
-		clients[i] = &Client{
-			PostCost: s.postCost,
-			Window:   s.window,
-			MaxOps:   s.maxOps,
-			Op: func(post Time) Time {
-				t := held[0].Delay(post, svc)
-				for _, r := range held[1:] {
-					t = r.Delay(t, svc/2)
-				}
-				*log = append(*log, dispatchEvent{i, post, t})
-				return t
-			},
+		svc, log, failAt := s.service, &logs[group[i]], s.failAt
+		c := &Client{PostCost: s.postCost, Window: s.window, MaxOps: s.maxOps}
+		var ops int64
+		c.Op = func(post Time) Time {
+			if ops++; ops == failAt {
+				c.Fail(fmt.Errorf("op %d: %w", ops, errOpFailed))
+				return post - 1
+			}
+			t := held[0].Delay(post, svc)
+			for _, r := range held[1:] {
+				t = r.Delay(t, svc/2)
+			}
+			*log = append(*log, dispatchEvent{i, post, t})
+			return t
 		}
+		clients[i] = c
 	}
 	return clients
 }
@@ -159,8 +174,10 @@ func buildDispatch(specs []dispatchSpec, logs [][]dispatchEvent) []*Client {
 // referenceRun is the dispatch rule at its plainest: every step scans all
 // clients for the least (next action, index) among those still running and
 // dispatches it. It keeps its own client state and reads only the clients'
-// configuration and Op.
-func referenceRun(clients []*Client, horizon Time) Result {
+// configuration, Op and recorded failure. group names each client's shard by
+// its first-registered client (see shardOf): a failed op stops its group,
+// and the failure of the least-named group is the run's error.
+func referenceRun(clients []*Client, group []int, horizon Time) (Result, error) {
 	type state struct {
 		nextPost Time
 		out      []Time // outstanding completions, unordered
@@ -168,6 +185,7 @@ func referenceRun(clients []*Client, horizon Time) Result {
 		stats    ClientStats
 	}
 	st := make([]state, len(clients))
+	failed := make([]error, len(clients)) // by group
 	for {
 		best, bestT := -1, Time(0)
 		for i, c := range clients {
@@ -176,7 +194,7 @@ func referenceRun(clients []*Client, horizon Time) Result {
 			if len(s.out) >= c.Window {
 				t = max(t, slices.Min(s.out))
 			}
-			if t >= horizon || (c.MaxOps > 0 && s.stats.Posted >= c.MaxOps) {
+			if t >= horizon || (c.MaxOps > 0 && s.stats.Posted >= c.MaxOps) || failed[group[i]] != nil {
 				continue
 			}
 			if best < 0 || t < bestT {
@@ -189,6 +207,10 @@ func referenceRun(clients []*Client, horizon Time) Result {
 		c, s, t := clients[best], &st[best], bestT
 		s.out = slices.DeleteFunc(s.out, func(done Time) bool { return done <= t })
 		complete := c.Op(t)
+		if c.err != nil {
+			failed[group[best]] = fmt.Errorf("sim: client %d at %v: %w", best, t, c.err)
+			continue
+		}
 		s.stats.Posted++
 		if lat := complete - t; complete <= horizon {
 			if s.stats.Completed == 0 || lat < s.stats.LatencyMin {
@@ -210,23 +232,31 @@ func referenceRun(clients []*Client, horizon Time) Result {
 		res.Clients[i] = s.stats
 		res.Completed += s.stats.Completed
 	}
-	return res
+	for _, err := range failed {
+		if err != nil {
+			return res, err
+		}
+	}
+	return res, nil
 }
 
 // checkAgainstReference runs specs through the kernel at the given worker
 // count and through referenceRun, and fails unless every shard's dispatch
-// sequence (with each op's latency) and the Result agree. It returns the
-// reference's sequences.
-func checkAgainstReference(t *testing.T, specs []dispatchSpec, workers int, horizon Time) [][]dispatchEvent {
+// sequence (with each op's latency), the Result and the error text agree. It
+// returns the reference's sequences and the kernel's error.
+func checkAgainstReference(t *testing.T, specs []dispatchSpec, workers int, horizon Time) ([][]dispatchEvent, error) {
 	t.Helper()
 	wantLogs := make([][]dispatchEvent, len(specs))
-	want := referenceRun(buildDispatch(specs, wantLogs), horizon)
+	want, wantErr := referenceRun(buildDispatch(specs, wantLogs), shardOf(specs), horizon)
 	gotLogs := make([][]dispatchEvent, len(specs))
 	k := NewKernel(workers)
 	for i, c := range buildDispatch(specs, gotLogs) {
 		k.Add(c, specs[i].foot...)
 	}
-	got := k.Run(horizon)
+	got, err := k.Run(horizon)
+	if fmt.Sprint(wantErr) != fmt.Sprint(err) {
+		t.Fatalf("workers=%d: error diverged:\nreference %v\nkernel    %v", workers, wantErr, err)
+	}
 	for g := range wantLogs {
 		if !reflect.DeepEqual(wantLogs[g], gotLogs[g]) {
 			n := min(len(wantLogs[g]), len(gotLogs[g]))
@@ -241,13 +271,16 @@ func checkAgainstReference(t *testing.T, specs []dispatchSpec, workers int, hori
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("workers=%d: result diverged:\nreference %+v\nkernel    %+v", workers, want, got)
 	}
-	return wantLogs
+	return wantLogs, err
 }
 
-// TestKernelMatchesReference: the kernel dispatches exactly as referenceRun.
-// Clients 0-3 chain four home machines into one shard and clients 4-5 form
-// a second; windows, post costs and MaxOps budgets are mixed, and equal post
-// costs from time zero make equal-time ties that only the index breaks.
+// TestKernelMatchesReference: the kernel dispatches and fails exactly as
+// referenceRun. Clients 0-3 chain four home machines into one shard and
+// clients 4-5 form a second; windows, post costs and MaxOps budgets are
+// mixed, and equal post costs from time zero make equal-time ties that only
+// the index breaks. Client 5 fails at its second op, long before client 2
+// reaches its thirtieth, yet when both fail client 2's shard comes first,
+// so its error is the one returned.
 func TestKernelMatchesReference(t *testing.T) {
 	chained := []dispatchSpec{
 		{foot: []int{0, 1}, window: 1, postCost: 50, service: 120},
@@ -259,9 +292,36 @@ func TestKernelMatchesReference(t *testing.T) {
 	}
 	global := slices.Clone(chained)
 	global[4].foot = nil
-	for name, specs := range map[string][]dispatchSpec{"chained": chained, "global": global} {
-		logs := checkAgainstReference(t, specs, 1, 100*Microsecond)
-		checkAgainstReference(t, specs, 4, 100*Microsecond)
+	failing := func(specs []dispatchSpec, at map[int]int64) []dispatchSpec {
+		specs = slices.Clone(specs)
+		for i, n := range at {
+			specs[i].failAt = n
+		}
+		return specs
+	}
+	cases := []struct {
+		name    string
+		specs   []dispatchSpec
+		wantErr string // prefix; empty: the run succeeds
+	}{
+		{"chained", chained, ""},
+		{"global", global, ""},
+		{"first shard fails", failing(chained, map[int]int64{2: 30}), "sim: client 2 at "},
+		{"second shard fails", failing(chained, map[int]int64{5: 2}), "sim: client 5 at "},
+		{"both shards fail", failing(chained, map[int]int64{2: 30, 5: 2}), "sim: client 2 at "},
+		{"one shard, two failures", failing(global, map[int]int64{2: 30, 5: 2}), "sim: client 5 at "},
+	}
+	for _, tc := range cases {
+		logs, err := checkAgainstReference(t, tc.specs, 1, 100*Microsecond)
+		if _, err4 := checkAgainstReference(t, tc.specs, 4, 100*Microsecond); fmt.Sprint(err4) != fmt.Sprint(err) {
+			t.Fatalf("%s: error at 4 workers %v, at 1 worker %v", tc.name, err4, err)
+		}
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Fatalf("%s: unexpected error %v", tc.name, err)
+		case tc.wantErr != "" && (err == nil || !strings.HasPrefix(err.Error(), tc.wantErr) || !errors.Is(err, errOpFailed)):
+			t.Fatalf("%s: error %v, want %q... wrapping errOpFailed", tc.name, err, tc.wantErr)
+		}
 		ties := 0
 		for _, log := range logs {
 			for j := 1; j < len(log); j++ {
@@ -271,7 +331,7 @@ func TestKernelMatchesReference(t *testing.T) {
 			}
 		}
 		if ties == 0 {
-			t.Fatalf("%s: no equal-time dispatches; the index tiebreak went unexercised", name)
+			t.Fatalf("%s: no equal-time dispatches; the index tiebreak went unexercised", tc.name)
 		}
 	}
 }
@@ -313,12 +373,14 @@ func TestShardKeyCacheInvariant(t *testing.T) {
 }
 
 // FuzzKernelDispatch decodes a client set (count, footprints with their home
-// machines, windows, post costs, MaxOps budgets and service times) and
-// checks the kernel against referenceRun at one and three workers.
+// machines, windows, post costs, MaxOps budgets, service times and failing
+// ops) and checks the kernel against referenceRun at one and three workers:
+// dispatch logs up to any failure, results, and the returned error.
 func FuzzKernelDispatch(f *testing.F) {
-	f.Add([]byte{4, 0, 1, 1, 10, 2, 100, 1, 2, 2, 10, 0, 50, 2, 1, 3, 10, 5, 150, 3, 0, 0, 20, 0, 80})
-	f.Add([]byte{3, 8, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0})
-	f.Add([]byte{6, 0, 1, 0, 0, 1, 60, 2, 1, 3, 0, 1, 60, 4, 1, 5, 0, 1, 60, 6, 2, 7, 3, 0, 9, 7, 0, 1, 1, 2, 30, 5, 1, 0, 2, 7, 200})
+	f.Add([]byte{4, 0, 1, 1, 10, 2, 100, 1, 0, 2, 2, 10, 0, 50, 2, 1, 3, 0, 10, 5, 150, 3, 0, 0, 20, 0, 0, 80})
+	f.Add([]byte{3, 8, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 8})
+	f.Add([]byte{6, 0, 1, 0, 0, 1, 60, 2, 0, 1, 3, 0, 1, 60, 4, 0, 1, 5, 0, 1, 60, 6, 2, 7, 0, 3, 0, 9, 7, 0, 1, 0, 1, 2, 30, 5, 1, 0, 2, 7, 0, 200})
+	f.Add([]byte{3, 0, 0, 1, 2, 0, 30, 11, 4, 0, 2, 2, 0, 50, 5, 0, 1, 1, 3, 1, 0, 60, 0, 4, 0, 0, 3, 0, 90})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() int {
 			if len(data) == 0 {
@@ -342,6 +404,10 @@ func FuzzKernelDispatch(f *testing.F) {
 			specs[i].postCost = Duration(10 * (1 + next()%8))
 			specs[i].maxOps = int64(next() % 12)
 			specs[i].service = Duration(next())
+			// An odd byte fails the client at op 1 + byte/2.
+			if b := next(); b%2 == 1 {
+				specs[i].failAt = int64(1 + b/2)
+			}
 		}
 		checkAgainstReference(t, specs, 1, 20*Microsecond)
 		checkAgainstReference(t, specs, 3, 20*Microsecond)
@@ -366,14 +432,20 @@ func TestKernelMatchesRunClosedLoop(t *testing.T) {
 		return clients, recordLatencies(clients)
 	}
 	loopClients, wantLats := build()
-	want := RunClosedLoop(loopClients, Millisecond)
+	want, err := RunClosedLoop(loopClients, Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	k := NewKernel(4)
 	kernelClients, gotLats := build()
 	for _, c := range kernelClients {
 		k.Add(c, 0, 1) // shared machines: one shard
 	}
-	got := k.Run(Millisecond)
+	got, err := k.Run(Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("kernel result diverged from RunClosedLoop:\nwant %+v\ngot  %+v", want, got)
 	}
@@ -405,12 +477,16 @@ func TestKernelDispatchOrderMatchesLoop(t *testing.T) {
 		return clients
 	}
 	var want, got []ev
-	RunClosedLoop(build(&want), 100*Microsecond)
+	if _, err := RunClosedLoop(build(&want), 100*Microsecond); err != nil {
+		t.Fatal(err)
+	}
 	k := NewKernel(2)
 	for _, c := range build(&got) {
 		k.Add(c, 0)
 	}
-	k.Run(100 * Microsecond)
+	if _, err := k.Run(100 * Microsecond); err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("dispatch order diverged: loop %d events, kernel %d events", len(want), len(got))
 	}
@@ -556,7 +632,10 @@ func TestKernelMaxOps(t *testing.T) {
 	b := &Client{Op: fixedOp(10), PostCost: 10, Window: 1, MaxOps: 3}
 	k.Add(a, 0)
 	k.Add(b, 1)
-	res := k.Run(Second)
+	res, err := k.Run(Second)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Clients[0].Posted != 7 || res.Clients[1].Posted != 3 {
 		t.Fatalf("posted %d/%d, want 7/3", res.Clients[0].Posted, res.Clients[1].Posted)
 	}

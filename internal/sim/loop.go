@@ -3,7 +3,8 @@ package sim
 // Op performs one logical operation posted at the given virtual time and
 // returns the operation's completion time. An Op typically walks the posted
 // request through a series of Resources and Pipes. Completion must not
-// precede the post time.
+// precede the post time. An op that cannot complete reports it with its
+// client's Fail instead; its returned time is then ignored.
 type Op func(post Time) (complete Time)
 
 // Client is one closed-loop load generator: it issues operations back to
@@ -29,6 +30,18 @@ type Client struct {
 	latencyMax  Duration
 	latencyMin  Duration
 	cpuBusy     Duration // CPU time charged via PostCost and ChargeCPU
+	err         error    // first failure reported through Fail
+}
+
+// Fail records err as the client's failure if it is the client's first
+// non-nil one; a nil err is ignored, so an op can end with
+// `c.Fail(err); return done`. Call it only from the client's own Op. Once
+// that op returns, the kernel ignores its completion time, stops the
+// client's whole shard, and Run returns the error (see Kernel.Run).
+func (c *Client) Fail(err error) {
+	if c.err == nil {
+		c.err = err
+	}
 }
 
 // ChargeCPU adds extra CPU busy time to the client's accounting (used by ops
@@ -106,8 +119,9 @@ func (c *Client) nextAction() Time {
 // every client registered with no footprint, so all of them dispatch from
 // one heap and nothing runs concurrently.
 // Clients whose ops are confined to declared machine footprints can run
-// through a Kernel (or cluster.Engine) instead and use multiple cores.
-func RunClosedLoop(clients []*Client, horizon Time) Result {
+// through a Kernel (or cluster.Engine) instead and use multiple cores. A
+// failed op stops the loop and comes back as the error; see Kernel.Run.
+func RunClosedLoop(clients []*Client, horizon Time) (Result, error) {
 	k := NewKernel(1)
 	for _, c := range clients {
 		k.Add(c)

@@ -16,7 +16,10 @@ func TestClosedLoopSynchronous(t *testing.T) {
 	// actually nextPost advances by PostCost but window gates at completion,
 	// so steady state is one op per max(PostCost, latency) = 1us.
 	c := &Client{Op: fixedOp(Microsecond), PostCost: 100, Window: 1}
-	res := RunClosedLoop([]*Client{c}, Millisecond)
+	res, err := RunClosedLoop([]*Client{c}, Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := int64(Millisecond / Microsecond) // ~1000
 	if res.Completed < want-2 || res.Completed > want {
 		t.Fatalf("completed=%d, want ~%d", res.Completed, want)
@@ -29,7 +32,10 @@ func TestClosedLoopSynchronous(t *testing.T) {
 func TestClosedLoopWindowPipelines(t *testing.T) {
 	// With a deep window, throughput is bound by PostCost, not latency.
 	c := &Client{Op: fixedOp(10 * Microsecond), PostCost: 100, Window: 1024}
-	res := RunClosedLoop([]*Client{c}, Millisecond)
+	res, err := RunClosedLoop([]*Client{c}, Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := int64(Millisecond / 100)
 	if res.Completed < want-200 || res.Completed > want {
 		t.Fatalf("completed=%d, want ~%d", res.Completed, want)
@@ -45,7 +51,10 @@ func TestClosedLoopSharedResourceBound(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		clients = append(clients, &Client{Op: op, PostCost: 50, Window: 4})
 	}
-	res := RunClosedLoop(clients, 10*Millisecond)
+	res, err := RunClosedLoop(clients, 10*Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := res.Throughput(); got < 0.95e6 || got > 1.01e6 {
 		t.Fatalf("throughput=%v, want ~1e6", got)
 	}
@@ -53,7 +62,10 @@ func TestClosedLoopSharedResourceBound(t *testing.T) {
 
 func TestClosedLoopMaxOps(t *testing.T) {
 	c := &Client{Op: fixedOp(10), PostCost: 10, Window: 1, MaxOps: 7}
-	res := RunClosedLoop([]*Client{c}, Second)
+	res, err := RunClosedLoop([]*Client{c}, Second)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Completed != 7 {
 		t.Fatalf("completed=%d, want 7", res.Completed)
 	}
@@ -69,7 +81,10 @@ func TestClosedLoopLatencyStats(t *testing.T) {
 		return post + lat
 	}
 	c := &Client{Op: op, PostCost: 10, Window: 1, MaxOps: 3}
-	res := RunClosedLoop([]*Client{c}, Second)
+	res, err := RunClosedLoop([]*Client{c}, Second)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := res.Clients[0]
 	if s.LatencyMin != 100 || s.LatencyMax != 300 || s.LatencyAvg != 200 {
 		t.Fatalf("latency stats min=%v avg=%v max=%v, want 100/200/300",
@@ -89,7 +104,11 @@ func TestClosedLoopDeterminism(t *testing.T) {
 			{Op: op, PostCost: 50, Window: 2},
 			{Op: op, PostCost: 70, Window: 4},
 		}
-		return RunClosedLoop(clients, Millisecond).Completed
+		res, err := RunClosedLoop(clients, Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Completed
 	}
 	a, b := run(), run()
 	if a != b {
@@ -111,7 +130,10 @@ func TestClosedLoopSharedState(t *testing.T) {
 		{Op: op, PostCost: 50, Window: 2},
 		{Op: op, PostCost: 50, Window: 2},
 	}
-	res := RunClosedLoop(clients, Millisecond)
+	res, err := RunClosedLoop(clients, Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	posted := res.Clients[0].Posted + res.Clients[1].Posted
 	if int64(counter) != posted {
 		t.Fatalf("counter=%d, posted=%d", counter, posted)
@@ -166,7 +188,10 @@ func TestClosedLoopCapacityProperty(t *testing.T) {
 			})
 		}
 		horizon := Millisecond
-		res := RunClosedLoop(clients, horizon)
+		res, err := RunClosedLoop(clients, horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
 		capacity := int64(horizon/service) + 1
 		return res.Completed <= capacity
 	}

@@ -79,6 +79,7 @@ type shard struct {
 	clients []*Client
 	idx     []int  // registration indices, parallel to clients
 	keys    []Time // cached nextAction of each client, parallel to clients
+	err     error  // the failure that stopped the shard, if any
 }
 
 func (s *shard) less(i, j int) bool {

@@ -422,7 +422,9 @@ func TestNoDoubleCommitProperty(t *testing.T) {
 			},
 		})
 	}
-	sim.RunClosedLoop(clients, sim.Second)
+	if _, err := sim.RunClosedLoop(clients, sim.Second); err != nil {
+		t.Fatal(err)
+	}
 
 	// No (key, version) consumed twice: two transactions can never both
 	// commit against the same observed version.
@@ -540,7 +542,10 @@ func TestDeterminismAcrossEngineWorkers(t *testing.T) {
 				eng.Add(client, m, s.Machine())
 			}
 		}
-		res := eng.Run(50 * sim.Millisecond)
+		res, err := eng.Run(50 * sim.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		var b strings.Builder
 		fmt.Fprintf(&b, "completed=%d\n", res.Completed)

@@ -116,26 +116,20 @@ func runEngineWorkload(t *testing.T, workers int) engineObservation {
 			RemoteAddr: mrB.Addr() + mem.Addr(p*4096+2048),
 			RemoteKey:  mrB.RKey(),
 		}
-		eng.Add(&sim.Client{
-			PostCost: 200, Window: 2,
-			Op: record(func(post sim.Time) sim.Time {
-				c, err := qp.PostSend(post, write)
-				if err != nil {
-					panic(err)
-				}
-				return c.Done
-			}),
-		}, ma, mb)
-		eng.Add(&sim.Client{
-			PostCost: 300, Window: 1,
-			Op: func(post sim.Time) sim.Time {
-				c, err := qp.PostSend(post, read)
-				if err != nil {
-					panic(err)
-				}
-				return c.Done
-			},
-		}, ma, mb)
+		writer := &sim.Client{PostCost: 200, Window: 2}
+		writer.Op = record(func(post sim.Time) sim.Time {
+			c, err := qp.PostSend(post, write)
+			writer.Fail(err)
+			return c.Done
+		})
+		eng.Add(writer, ma, mb)
+		reader := &sim.Client{PostCost: 300, Window: 1}
+		reader.Op = func(post sim.Time) sim.Time {
+			c, err := qp.PostSend(post, read)
+			reader.Fail(err)
+			return c.Done
+		}
+		eng.Add(reader, ma, mb)
 	}
 
 	// Fifth pair: the connection-serving stack under the same lossy plan.
@@ -174,13 +168,15 @@ func runEngineWorkload(t *testing.T, workers int) engineObservation {
 			SGL:    []verbs.SGE{{Addr: mrC.Addr() + mem.Addr(cli*256), Length: 96, MR: mrC}},
 		}
 		turn := 0
+		client := &sim.Client{PostCost: 250, Window: 1}
 		op := func(post sim.Time) sim.Time {
 			conn := conns[turn%len(conns)]
 			turn++
 			if err := srq.PostRecv(verbs.RecvWR{SGE: verbs.SGE{
 				Addr: mrD.Addr() + mem.Addr(conn*256), Length: 256, MR: mrD,
 			}}); err != nil {
-				panic(err)
+				client.Fail(err)
+				return post
 			}
 			var del proxy.Delivery
 			var err error
@@ -190,7 +186,7 @@ func runEngineWorkload(t *testing.T, workers int) engineObservation {
 				del, err = table.Post(post, conn, wr)
 			}
 			if err != nil && !errors.Is(err, verbs.ErrQPError) {
-				panic(err)
+				client.Fail(err)
 			}
 			if del.Completion.Done > post {
 				return del.Completion.Done
@@ -200,7 +196,8 @@ func runEngineWorkload(t *testing.T, workers int) engineObservation {
 		if cli == 0 {
 			op = record(op)
 		}
-		eng.Add(&sim.Client{PostCost: 250, Window: 1, Op: op}, mc, md)
+		client.Op = op
+		eng.Add(client, mc, md)
 	}
 
 	// Sixth pair: self-healing connections on the flapping fabric. Two
@@ -239,25 +236,24 @@ func runEngineWorkload(t *testing.T, workers int) engineObservation {
 			RemoteKey:  mrF.RKey(),
 		}
 		turn := 0
-		eng.Add(&sim.Client{
-			PostCost: 250, Window: 1,
-			Op: func(post sim.Time) sim.Time {
-				conn := conns[turn%len(conns)]
-				turn++
-				del, err := rtable.Post(post, conn, wr)
-				if err != nil && !errors.Is(err, verbs.ErrQPError) {
-					panic(err)
-				}
-				next := del.Completion.Done
-				if next < post {
-					next = post
-				}
-				if err != nil || del.Completion.Status != verbs.StatusOK {
-					next += 2 * sim.Microsecond // application-level retry pacing
-				}
-				return next
-			},
-		}, me, mf)
+		client := &sim.Client{PostCost: 250, Window: 1}
+		client.Op = func(post sim.Time) sim.Time {
+			conn := conns[turn%len(conns)]
+			turn++
+			del, err := rtable.Post(post, conn, wr)
+			if err != nil && !errors.Is(err, verbs.ErrQPError) {
+				client.Fail(err)
+			}
+			next := del.Completion.Done
+			if next < post {
+				next = post
+			}
+			if err != nil || del.Completion.Status != verbs.StatusOK {
+				next += 2 * sim.Microsecond // application-level retry pacing
+			}
+			return next
+		}
+		eng.Add(client, me, mf)
 	}
 
 	// Seventh pair: a live adaptive runtime on the same lossy, flapping
@@ -285,26 +281,25 @@ func runEngineWorkload(t *testing.T, workers int) engineObservation {
 	}
 	smallG := bytes.Repeat([]byte{0x5a}, 48)
 	aTurn := 0
-	eng.Add(&sim.Client{
-		PostCost: 200, Window: 1,
-		Op: func(post sim.Time) sim.Time {
-			aTurn++
-			if aTurn%3 == 0 {
-				done, err := rt.SmallWrite(post, (aTurn%16)*48, smallG)
-				if err != nil {
-					panic(err)
-				}
-				return done
-			}
-			res, err := rt.WriteBatch(post, frG, mrH.Addr()+mem.Addr(1<<18))
-			if err != nil {
-				panic(err)
-			}
-			return res.Done
-		},
-	}, mg, mh)
+	adapt := &sim.Client{PostCost: 200, Window: 1}
+	adapt.Op = func(post sim.Time) sim.Time {
+		aTurn++
+		if aTurn%3 == 0 {
+			done, err := rt.SmallWrite(post, (aTurn%16)*48, smallG)
+			adapt.Fail(err)
+			return done
+		}
+		res, err := rt.WriteBatch(post, frG, mrH.Addr()+mem.Addr(1<<18))
+		adapt.Fail(err)
+		return res.Done
+	}
+	eng.Add(adapt, mg, mh)
 
-	obs := engineObservation{res: eng.Run(500 * sim.Microsecond), lats: lats}
+	res, err := eng.Run(500 * sim.Microsecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := engineObservation{res: res, lats: lats}
 	cl.FoldTelemetry(reg)
 	var buf bytes.Buffer
 	reg.Snapshot().Render(&buf)

@@ -560,7 +560,11 @@ func TestFigure1Calibration(t *testing.T) {
 				return c.Done
 			},
 		}
-		return sim.RunClosedLoop([]*sim.Client{client}, 20*sim.Millisecond).MOPS()
+		res, err := sim.RunClosedLoop([]*sim.Client{client}, 20*sim.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.MOPS()
 	}
 	if w := mops(writeWR); w < 4.2 || w > 5.2 {
 		t.Errorf("write throughput %.2f MOPS, want ~4.7", w)
@@ -604,7 +608,10 @@ func TestLargePayloadBandwidthBound(t *testing.T) {
 			return c.Done
 		},
 	}
-	res := sim.RunClosedLoop([]*sim.Client{client}, 20*sim.Millisecond)
+	res, err := sim.RunClosedLoop([]*sim.Client{client}, 20*sim.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	gbps := res.Throughput() * size * 8 / 1e9
 	if gbps < 28 || gbps > 41 {
 		t.Errorf("8KB write goodput %.1f Gbps, want near 40Gbps wire limit", gbps)
