@@ -91,7 +91,7 @@ func NewBackend(m *cluster.Machine, cfg Config) (*Backend, error) {
 	if cfg.BlockBits == 0 {
 		cfg.BlockBits = 4 // 16 entries per block
 	}
-	b := &Backend{cfg: cfg, ctx: verbs.NewContext(m), hotIndex: make(map[uint64]hotSlot)}
+	b := &Backend{cfg: cfg, ctx: verbs.NewContext(m), hotIndex: make(map[uint64]hotSlot, len(cfg.HotKeys))}
 	sockets := m.Topology().Sockets()
 	// Round up so every reduced key has a slot even when the key space does
 	// not divide evenly over the sockets (keys interleave: socket k%sockets,

@@ -35,7 +35,7 @@ func mrScale(r *run) (*Report, error) {
 	nMRs := []int{16, 64, 160, 512}
 	lats, err := points(r, len(nMRs), func(r *run, pi int) (float64, error) {
 		nMR := nMRs[pi]
-		env, err := r.newPair(1 << 22)
+		env, err := r.newPair(1<<22, 1<<20)
 		if err != nil {
 			return 0, err
 		}
@@ -94,7 +94,7 @@ func qpScale(r *run) (*Report, error) {
 	counts := []int{40, 80, 120, 160, 240}
 	ms, err := points(r, len(counts), func(r *run, i int) (float64, error) {
 		clients := counts[i]
-		env, err := r.newPair(1 << 22)
+		env, err := r.newPair(1<<22, 1<<20)
 		if err != nil {
 			return 0, err
 		}

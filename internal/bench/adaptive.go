@@ -118,7 +118,7 @@ func adaptiveRuntime(r *run) (*Report, error) {
 	n := len(adaptiveWorkloads) * len(configs)
 	cells, err := points(r, n, func(r *run, i int) (cellOut, error) {
 		w, cfg := i/len(configs), configs[i%len(configs)]
-		env, err := r.newPair(1 << 22)
+		env, err := r.newPair(1<<22, 1<<20)
 		if err != nil {
 			return cellOut{}, err
 		}

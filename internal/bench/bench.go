@@ -144,8 +144,9 @@ type pairEnv struct {
 }
 
 // newPair builds the environment with the given registered-region size on
-// the remote side.
-func (r *run) newPair(remoteBytes int) (*pairEnv, error) {
+// the remote side. Regions larger than backing bytes are sparse over that
+// much real memory.
+func (r *run) newPair(remoteBytes, backing int) (*pairEnv, error) {
 	cfg := cluster.DefaultConfig()
 	cfg.Machines = 2
 	cl, err := r.newCluster(cfg)
@@ -158,13 +159,14 @@ func (r *run) newPair(remoteBytes int) (*pairEnv, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Spans beyond 1 MB use sparse backing: the full virtual extent drives
-	// the translation cache, the bytes alias a 1 MB physical buffer. The
-	// pair's workloads only time their accesses, and a dense pair would
-	// fault in every page its random sweeps touch (see mem.AllocSparse).
+	// Spans beyond backing use sparse backing: the full virtual extent
+	// drives the translation cache, the bytes alias a backing-sized physical
+	// buffer. The pair's workloads only time their accesses, and a dense
+	// pair would fault in every page its random sweeps touch (see
+	// mem.AllocSparse).
 	alloc := func(m int, size int) (*mem.Region, error) {
-		if size > 1<<20 {
-			return cl.Machine(m).Space().AllocSparse(1, size, 1<<20)
+		if size > backing {
+			return cl.Machine(m).Space().AllocSparse(1, size, backing)
 		}
 		return cl.Machine(m).Alloc(1, size, 0)
 	}

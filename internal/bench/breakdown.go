@@ -30,7 +30,7 @@ func breakdown(r *run) (*Report, error) {
 	type row struct{ rnic, net, s2m, cqe, total int64 }
 	rows, err := points(r, len(placements), func(r *run, i int) (row, error) {
 		p := placements[i]
-		env, err := r.newPair(1 << 22)
+		env, err := r.newPair(1<<22, 1<<20)
 		if err != nil {
 			return row{}, err
 		}

@@ -25,7 +25,7 @@ func fig01PacketThrottling(r *run) (*Report, error) {
 	type point struct{ lat, mops float64 }
 	res, err := points(r, len(ops)*len(fig1Sizes), func(r *run, i int) (point, error) {
 		op, size := ops[i/len(fig1Sizes)], fig1Sizes[i%len(fig1Sizes)]
-		env, err := r.newPair(1 << 22)
+		env, err := r.newPair(1<<22, 1<<20)
 		if err != nil {
 			return point{}, err
 		}
@@ -48,7 +48,7 @@ func fig01PacketThrottling(r *run) (*Report, error) {
 		// Fresh environment for the closed-loop throughput run: reusing
 		// the latency env would leak queued resource history into it.
 		r.settle()
-		env, err = r.newPair(1 << 22)
+		env, err = r.newPair(1<<22, 1<<20)
 		if err != nil {
 			return point{}, err
 		}

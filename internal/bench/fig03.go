@@ -23,7 +23,7 @@ const perEntryCPU sim.Duration = 60
 // payload and batch size on a fresh one-to-one environment, with `clients`
 // concurrent workers each on its own QP.
 func batchThroughput(r *run, strategy core.Strategy, size, batch, clients int, h sim.Duration) (float64, error) {
-	env, err := r.newPair(1 << 22)
+	env, err := r.newPair(1<<22, 1<<20)
 	if err != nil {
 		return 0, err
 	}

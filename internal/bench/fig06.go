@@ -51,10 +51,19 @@ func (p *addrPattern) next() (lo, ro int) {
 	return lo, ro
 }
 
+// randSeqBacking is the real memory behind each of randSeqThroughput's large
+// regions. Its largest access is 8 KB, and only virtual addresses reach the
+// NIC model (the translation cache keys on virtual pages), so the backing
+// size cannot change a number. It can change the host cost: every point
+// builds a fresh pair, and a random sweep faults in nearly every page of
+// its backing, so 16 pages per region instead of 256 keeps the points from
+// timing page faults.
+const randSeqBacking = 64 << 10
+
 // randSeqThroughput measures one pattern combination. The remote region is
 // regionBytes large (Figure 6a/b fix it at 2 GB; Figure 6d sweeps it).
 func randSeqThroughput(r *run, op verbs.Opcode, srcSeq, dstSeq bool, size, regionBytes int, h sim.Duration) (float64, error) {
-	env, err := r.newPair(regionBytes)
+	env, err := r.newPair(regionBytes, randSeqBacking)
 	if err != nil {
 		return 0, err
 	}

@@ -26,7 +26,7 @@ func fig08Consolidation(r *run) (*Report, error) {
 	thetas := []int{0, 1, 2, 4, 8, 16}
 	ms, err := points(r, len(thetas), func(r *run, i int) (float64, error) {
 		theta := thetas[i]
-		env, err := r.newPair(1 << 22)
+		env, err := r.newPair(1<<22, 1<<20)
 		if err != nil {
 			return 0, err
 		}

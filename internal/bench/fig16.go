@@ -177,7 +177,7 @@ func fig18CPUCost(r *run) (*Report, error) {
 	entries := []int{64, 256, 1024, 4096}
 	ms, err := points(r, len(strategies)*len(entries), func(r *run, i int) (float64, error) {
 		strategy, entry := strategies[i/len(entries)], entries[i%len(entries)]
-		env, err := r.newPair(1 << 22)
+		env, err := r.newPair(1<<22, 1<<20)
 		if err != nil {
 			return 0, err
 		}

@@ -150,13 +150,13 @@ func TestRunReleasesEveryCluster(t *testing.T) {
 			regions = append(regions, env.mrA.Region(), env.mrB.Region(), env.staging.Region())
 		}
 		_, err := testRun(t, width).report(func(r *run) (*Report, error) {
-			env, err := r.newPair(1 << 20)
+			env, err := r.newPair(1<<20, 1<<20)
 			if err != nil {
 				return nil, err
 			}
 			keep(env)
 			_, err = points(r, 4, func(p *run, i int) (int, error) {
-				env, err := p.newPair(1 << 22)
+				env, err := p.newPair(1<<22, 1<<20)
 				if err == nil {
 					keep(env)
 				}

@@ -38,7 +38,7 @@ func table02LocalSockets(r *run) (*Report, error) {
 func placementCase(r *run, lCoreAlt, lMemAlt, rPortAlt, rMemAlt bool, h sim.Duration) (rLat, rThr, wLat, wThr float64, err error) {
 	one := func(op verbs.Opcode, throughput bool) (float64, error) {
 		defer r.settle() // at most one of the case's four pairs is live
-		env, err := r.newPair(1 << 22)
+		env, err := r.newPair(1<<22, 1<<20)
 		if err != nil {
 			return 0, err
 		}

@@ -91,7 +91,7 @@ func (k *Kernel) Run(horizon Time) (Result, error) {
 			panic(fmt.Sprintf("sim: client %d post cost must be > 0", i))
 		}
 		c.nextPost = 0
-		c.outstanding = c.outstanding[:0]
+		c.outstanding.reset(c.Window)
 		c.posted, c.completed = 0, 0
 		c.latencySum, c.latencyMax = 0, 0
 		c.latencyMin = MaxTime
@@ -240,7 +240,7 @@ func runShard(sd *shard, horizon Time) {
 			continue
 		}
 		// Retire anything that has already completed by t.
-		for len(c.outstanding) > 0 && c.outstanding[0] <= t {
+		for c.outstanding.len() > 0 && c.outstanding.min() <= t {
 			c.outstanding.pop()
 		}
 		complete := c.Op(t)

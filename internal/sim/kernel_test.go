@@ -71,15 +71,18 @@ func runKernel(t *testing.T, workers, n, groups int) (Result, [][]Duration) {
 // dispatchSpec is one client of a reference check. Its op holds the
 // resource of each footprint machine in turn, the home machine's for service
 // and the others' for half as long, so clients sharing a machine observe each
-// other's dispatch order through gap-filling placement. Its failAt-th op
-// fails instead.
+// other's dispatch order through gap-filling placement. Every other op then
+// waits lag more, so with a window of two or more a short op can complete
+// before the long one posted just ahead of it. Its failAt-th op fails
+// instead.
 type dispatchSpec struct {
 	foot     []int // nil: a global client; global clients share one resource
 	window   int
 	postCost Duration
 	maxOps   int64
 	service  Duration
-	failAt   int64 // the op (counting from 1) that calls Fail; 0: never
+	lag      Duration // added to the completion of every even-numbered op
+	failAt   int64    // the op (counting from 1) that calls Fail; 0: never
 }
 
 // dispatchEvent is one dispatched op: its client, post and completion times.
@@ -151,7 +154,7 @@ func buildDispatch(specs []dispatchSpec, logs [][]dispatchEvent) []*Client {
 			}
 			held[j] = res[m]
 		}
-		svc, log, failAt := s.service, &logs[group[i]], s.failAt
+		svc, lag, log, failAt := s.service, s.lag, &logs[group[i]], s.failAt
 		c := &Client{PostCost: s.postCost, Window: s.window, MaxOps: s.maxOps}
 		var ops int64
 		c.Op = func(post Time) Time {
@@ -162,6 +165,9 @@ func buildDispatch(specs []dispatchSpec, logs [][]dispatchEvent) []*Client {
 			t := held[0].Delay(post, svc)
 			for _, r := range held[1:] {
 				t = r.Delay(t, svc/2)
+			}
+			if ops%2 == 0 {
+				t += lag
 			}
 			*log = append(*log, dispatchEvent{i, post, t})
 			return t
@@ -278,15 +284,16 @@ func checkAgainstReference(t *testing.T, specs []dispatchSpec, workers int, hori
 // referenceRun. Clients 0-3 chain four home machines into one shard and
 // clients 4-5 form a second; windows, post costs and MaxOps budgets are
 // mixed, and equal post costs from time zero make equal-time ties that only
-// the index breaks. Client 5 fails at its second op, long before client 2
+// the index breaks. Clients 1 and 3 lag every other op, so their windows
+// take completions out of order. Client 5 fails at its second op, long before client 2
 // reaches its thirtieth, yet when both fail client 2's shard comes first,
 // so its error is the one returned.
 func TestKernelMatchesReference(t *testing.T) {
 	chained := []dispatchSpec{
 		{foot: []int{0, 1}, window: 1, postCost: 50, service: 120},
-		{foot: []int{1, 2}, window: 4, postCost: 50, service: 90},
+		{foot: []int{1, 2}, window: 4, postCost: 50, service: 90, lag: 400},
 		{foot: []int{2, 3}, window: 2, postCost: 50, maxOps: 40, service: 150},
-		{foot: []int{3}, window: 8, postCost: 70, service: 60},
+		{foot: []int{3}, window: 8, postCost: 70, service: 60, lag: 900},
 		{foot: []int{5, 6}, window: 3, postCost: 50, service: 200},
 		{foot: []int{6}, window: 1, postCost: 50, maxOps: 25, service: 80},
 	}
@@ -311,6 +318,7 @@ func TestKernelMatchesReference(t *testing.T) {
 		{"both shards fail", failing(chained, map[int]int64{2: 30, 5: 2}), "sim: client 2 at "},
 		{"one shard, two failures", failing(global, map[int]int64{2: 30, 5: 2}), "sim: client 5 at "},
 	}
+	reordered := 0
 	for _, tc := range cases {
 		logs, err := checkAgainstReference(t, tc.specs, 1, 100*Microsecond)
 		if _, err4 := checkAgainstReference(t, tc.specs, 4, 100*Microsecond); fmt.Sprint(err4) != fmt.Sprint(err) {
@@ -333,7 +341,29 @@ func TestKernelMatchesReference(t *testing.T) {
 		if ties == 0 {
 			t.Fatalf("%s: no equal-time dispatches; the index tiebreak went unexercised", tc.name)
 		}
+		reordered += outOfOrder(logs)
 	}
+	if reordered == 0 {
+		t.Fatal("no client completed an op before the one it posted just earlier; the window's out-of-order push went unexercised")
+	}
+}
+
+// outOfOrder counts ops that complete before their client's previous op.
+// That previous op is still outstanding when the later one is pushed (it
+// completes after the later one's post), so each count is a window push that
+// lands before the window's last entry.
+func outOfOrder(logs [][]dispatchEvent) int {
+	n := 0
+	last := map[int]Time{}
+	for _, log := range logs {
+		for _, ev := range log {
+			if prev, ok := last[ev.client]; ok && ev.complete < prev {
+				n++
+			}
+			last[ev.client] = ev.complete
+		}
+	}
+	return n
 }
 
 // TestShardKeyCacheInvariant: the shard heap's cached dispatch keys stay

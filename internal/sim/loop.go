@@ -23,7 +23,7 @@ type Client struct {
 
 	// state
 	nextPost    Time
-	outstanding timeHeap
+	outstanding window
 	posted      int64
 	completed   int64 // completions observed within the horizon
 	latencySum  Duration
@@ -39,7 +39,7 @@ type Client struct {
 // that op returns, the kernel ignores its completion time, stops the
 // client's whole shard, and Run returns the error (see Kernel.Run).
 func (c *Client) Fail(err error) {
-	if c.err == nil {
+	if err != nil && c.err == nil {
 		c.err = err
 	}
 }
@@ -103,10 +103,10 @@ func (r Result) TotalCPUBusy() Duration {
 
 // nextAction reports when the client can next issue an operation.
 func (c *Client) nextAction() Time {
-	if len(c.outstanding) < c.Window {
+	if c.outstanding.len() < c.Window {
 		return c.nextPost
 	}
-	return Max(c.nextPost, c.outstanding[0])
+	return Max(c.nextPost, c.outstanding.min())
 }
 
 // RunClosedLoop drives the clients in global virtual-time order until the

@@ -2,58 +2,60 @@ package sim
 
 // Typed scheduler queues for the sharded event kernel: each client's window
 // of completion times, and each shard's one heap of clients. Both are
-// hand-rolled binary heaps, because the generic container/heap funnels every
+// hand-rolled and typed, because the generic container/heap funnels every
 // Push and Pop through interface{}, which boxes each completion Time onto the
 // heap — one allocation per posted operation. The sim.kernel_dispatch_*
 // probes of `bash cmd/rdmaperf/run.sh --workload micro --trace 1` measure
 // them.
 
-// timeHeap is a typed min-heap of completion times: one per client, holding
-// the client's outstanding-operation window. Zero value is an empty heap.
-// push and pop never allocate beyond amortized slice growth, which the
-// kernel retains across runs via reset.
-type timeHeap []Time
-
-// push adds a completion time.
-func (h *timeHeap) push(t Time) {
-	s := append(*h, t)
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if s[parent] <= s[i] {
-			break
-		}
-		s[parent], s[i] = s[i], s[parent]
-		i = parent
-	}
-	*h = s
+// window is a client's outstanding-operation window: its completion times,
+// kept sorted in s[head:]. Completions mostly arrive in order (a QP's send
+// completions are clamped in post order), so push nearly always appends;
+// an out-of-order push shifts the later entries, at most Window-1 of them.
+// pop advances head. The zero value is an empty window.
+type window struct {
+	s    []Time
+	head int
 }
 
-// pop removes and returns the earliest completion time.
-func (h *timeHeap) pop() Time {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s = s[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && s[r] < s[l] {
-			m = r
-		}
-		if s[i] <= s[m] {
-			break
-		}
-		s[i], s[m] = s[m], s[i]
-		i = m
+// len reports the number of outstanding completions.
+func (w *window) len() int { return len(w.s) - w.head }
+
+// min returns the earliest completion; the window must not be empty.
+func (w *window) min() Time { return w.s[w.head] }
+
+// reset empties the window and gives it room for 2n entries, keeping its
+// storage when that is big enough. A window that holds at most n entries
+// then never allocates: push slides the live entries down before it would
+// append past 2n.
+func (w *window) reset(n int) {
+	if cap(w.s) < 2*n {
+		w.s = make([]Time, 0, 2*n)
 	}
-	*h = s
-	return top
+	w.s, w.head = w.s[:0], 0
+}
+
+// push adds a completion time.
+func (w *window) push(t Time) {
+	// Reclaim the popped prefix once it is half the buffer, so a window
+	// that never drains stays bounded and the copy amortizes to O(1).
+	if len(w.s) == cap(w.s) && 2*w.head >= len(w.s) {
+		w.s = w.s[:copy(w.s, w.s[w.head:])]
+		w.head = 0
+	}
+	w.s = append(w.s, t)
+	i := len(w.s) - 1
+	for ; i > w.head && w.s[i-1] > t; i-- {
+		w.s[i] = w.s[i-1]
+	}
+	w.s[i] = t
+}
+
+// pop removes the earliest completion.
+func (w *window) pop() {
+	if w.head++; w.head == len(w.s) {
+		w.s, w.head = w.s[:0], 0
+	}
 }
 
 // keyLess orders dispatch keys: (virtual time, registration index). Indices

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // maxIntervals bounds the busy-interval bookkeeping of a Resource. When the
 // list grows past this, the oldest half is folded into one solid span, which
@@ -84,14 +81,13 @@ func (r *Resource) place(arrival Time, service Duration) Time {
 		if n > 0 && r.intervals[n-1].end == arrival {
 			r.intervals[n-1].end = arrival + service
 		} else {
+			r.grow()
 			r.intervals = append(r.intervals, interval{arrival, arrival + service})
 		}
 		r.fold()
 		return arrival
 	}
-	// Find the first interval ending after arrival.
-	i := sort.Search(n, func(k int) bool { return r.intervals[k].end > arrival })
-	for ; i <= n; i++ {
+	for i := r.search(arrival); i <= n; i++ {
 		gapStart := arrival
 		if i > 0 && r.intervals[i-1].end > gapStart {
 			gapStart = r.intervals[i-1].end
@@ -110,6 +106,45 @@ func (r *Resource) place(arrival Time, service Duration) Time {
 		}
 	}
 	panic("sim: unreachable: tail gap always fits")
+}
+
+// search returns the first interval ending after arrival, which must precede
+// the tail's end. An out-of-order arrival nearly always lands a span or two
+// behind the tail, so the search gallops back from it by 1, 2, 4, ... spans
+// and bisects only the last step: a few probes where a binary search over
+// the whole list takes eight.
+func (r *Resource) search(arrival Time) int {
+	// Invariant: intervals[hi].end > arrival, and lo < 0 or
+	// intervals[lo].end <= arrival; ends ascend, so the answer is in (lo, hi].
+	hi, lo := len(r.intervals)-1, -1
+	for step := 1; hi-step >= 0; step *= 2 {
+		k := hi - step
+		if r.intervals[k].end <= arrival {
+			lo = k
+			break
+		}
+		hi = k
+	}
+	for lo+1 < hi {
+		m := int(uint(lo+hi) >> 1)
+		if r.intervals[m].end > arrival {
+			hi = m
+		} else {
+			lo = m
+		}
+	}
+	return hi
+}
+
+// grow makes room for one more interval. The list holds at most
+// maxIntervals+1 entries (fold trims it right after it passes maxIntervals),
+// so where append would double past that, grow allocates exactly that cap.
+func (r *Resource) grow() {
+	if n := len(r.intervals); n == cap(r.intervals) && 2*n >= maxIntervals {
+		s := make([]interval, n, maxIntervals+1)
+		copy(s, r.intervals)
+		r.intervals = s
+	}
 }
 
 // insertAt records [start, start+service) as busy, inserting before index i
@@ -131,6 +166,7 @@ func (r *Resource) insertAt(i int, start Time, service Duration) {
 	case mergeNext:
 		r.intervals[i].start = start
 	default:
+		r.grow()
 		r.intervals = append(r.intervals, interval{})
 		copy(r.intervals[i+1:], r.intervals[i:])
 		r.intervals[i] = interval{start, end}
@@ -192,6 +228,17 @@ type Pipe struct {
 	bytesPerSecond float64
 	overhead       Duration
 	bytes          int64
+	memo           [2]serviceMemo // most recent first
+}
+
+// serviceMemo is one remembered (size, service time) pair of a Pipe. A pipe
+// sees the same few transfer sizes over and over, and its bandwidth and
+// overhead never change after NewPipe, so the last two answers spare nearly
+// every float divide in TransferTime.
+type serviceMemo struct {
+	size    int
+	service Duration
+	ok      bool // set once the pair holds a real answer
 }
 
 // NewPipe returns a pipe with the given bandwidth in bytes per second and a
@@ -212,9 +259,23 @@ func (p *Pipe) Bandwidth() float64 { return p.bytesPerSecond }
 // Transfer schedules a transfer of size bytes arriving at the given time and
 // returns the start and completion of the transfer.
 func (p *Pipe) Transfer(arrival Time, size int) (start, end Time) {
-	service := p.overhead + TransferTime(size, p.bytesPerSecond)
 	p.bytes += int64(size)
-	return p.res.Acquire(arrival, service)
+	return p.res.Acquire(arrival, p.service(size))
+}
+
+// service returns overhead+TransferTime(size), from the memo when one of the
+// last two sizes repeats.
+func (p *Pipe) service(size int) Duration {
+	if m := p.memo[0]; m.ok && m.size == size {
+		return m.service
+	}
+	if m := p.memo[1]; m.ok && m.size == size {
+		p.memo[0], p.memo[1] = m, p.memo[0]
+		return m.service
+	}
+	d := p.overhead + TransferTime(size, p.bytesPerSecond)
+	p.memo[1], p.memo[0] = p.memo[0], serviceMemo{size, d, true}
+	return d
 }
 
 // Delay is a convenience wrapper around Transfer returning only completion.

@@ -369,3 +369,141 @@ func TestResourceMatchesReferenceAcrossFolds(t *testing.T) {
 		}
 	}
 }
+
+// mixedArrival draws the next acquire of a stream that mixes the four
+// placement cases of TestResourceMatchesReferenceAcrossFolds from two
+// bytes: kind picks the case (low two bits) and the service (the rest), and
+// pos places the arrival within that case's range.
+func mixedArrival(r *Resource, kind, pos byte) (Time, Duration) {
+	service := Duration(1 + kind>>2)
+	frac := func(span Time) Time { return span * Time(pos) / 256 }
+	n := len(r.intervals)
+	switch {
+	case n == 0 || kind%4 == 0: // past the tail: adjacent or after a gap
+		return r.NextFree() + Time(pos%4)*Time(pos), service
+	case kind%4 == 1: // inside the last span
+		last := r.intervals[n-1]
+		return last.start + frac(last.end-last.start), service
+	case kind%4 == 2: // deep out of order, possibly before every span
+		first := r.intervals[0].start
+		return max(first-50+frac(r.NextFree()-first+50), 0), service
+	default: // zero-length, anywhere up to just past the tail
+		return frac(r.NextFree() + 10), 0
+	}
+}
+
+// FuzzResourceMatchesReference decodes up to 64 byte pairs into a cyclic
+// stream of acquires of the four placement kinds and runs it, with one wide
+// gapped tail placement per pass so the list always grows, until it has
+// folded at least three times. After every call the start, the end and the whole
+// interval list must equal refResource's, and the list's capacity must stay
+// within maxIntervals+1. A Pipe built from the same bytes then checks that
+// every Transfer's service is overhead+TransferTime(size), over a size
+// stream that cycles the bytes as signed sizes (zero and negative included).
+func FuzzResourceMatchesReference(f *testing.F) {
+	f.Add([]byte{0, 10, 1, 200, 2, 77, 3, 5})
+	f.Add([]byte{2, 0, 6, 255, 10, 128, 0, 0})
+	f.Add([]byte{1, 1, 1, 1, 3, 3, 255, 255})
+	f.Add([]byte{4, 0, 9, 3, 130, 250, 7, 128, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		ops := data[:min(len(data), 128)&^1]
+		pass := len(ops)/2 + 1 // the decoded acquires and the separator
+		r := NewResource("r")
+		ref := &refResource{}
+		folds := 0
+		for i := 0; folds < 3; i++ {
+			if i > 4*(maxIntervals+1)*pass { // each pass adds a span
+				t.Fatalf("%d acquires and only %d folds", i, folds)
+			}
+			var arrival Time
+			var service Duration
+			if j := 2 * (i % pass); j == len(ops) {
+				// The pass's separator: a tail placement after a gap eight
+				// times the pass's most service (64 acquires of at most 64
+				// ns), so the decoded acquires close at most one such gap
+				// every eight passes and the list keeps growing.
+				arrival, service = r.NextFree()+1<<15, 3
+			} else {
+				arrival, service = mixedArrival(r, ops[j], ops[j+1])
+			}
+			n := len(ref.intervals)
+			wantStart := ref.place(arrival, service)
+			start, end := r.Acquire(arrival, service)
+			if start != wantStart || end != wantStart+service {
+				t.Fatalf("acquire %d (%d,+%d): got [%d,%d), reference [%d,%d)",
+					i, arrival, service, start, end, wantStart, wantStart+service)
+			}
+			if !slices.Equal(r.intervals, ref.intervals) {
+				t.Fatalf("acquire %d (%d,+%d): intervals diverge from the reference", i, arrival, service)
+			}
+			if c := cap(r.intervals); c > maxIntervals+1 {
+				t.Fatalf("acquire %d: interval capacity %d exceeds %d", i, c, maxIntervals+1)
+			}
+			if len(ref.intervals) < n-1 {
+				folds++
+			}
+		}
+
+		bw := float64(1+int(data[0])) * 1e8
+		p := NewPipe("p", bw, Duration(data[1]))
+		for i := 0; i < 4*len(data); i++ {
+			size := int(int8(data[i%len(data)])) * (1 + i%3)
+			start, end := p.Transfer(Time(i), size)
+			if want := Duration(data[1]) + TransferTime(size, bw); end-start != want {
+				t.Fatalf("transfer %d of %d bytes: service %d, want %d", i, size, end-start, want)
+			}
+		}
+	})
+}
+
+// TestPipeServiceMemo: a pipe's memoized service time equals
+// overhead+TransferTime(size) for every transfer of a stream that
+// alternates four sizes, zero and a negative one among them, in patterns
+// that hit the first memo slot, hit the second and miss both.
+func TestPipeServiceMemo(t *testing.T) {
+	const bw, overhead = 3.7e9, 45
+	p := NewPipe("p", bw, overhead)
+	sizes := []int{64, 64, 0, 64, 0, -8, 0, 4096, -8, 64, 4096, 0, -8, -8, 4096, 64}
+	for i, size := range sizes {
+		start, end := p.Transfer(0, size)
+		if want := overhead + TransferTime(size, bw); end-start != want {
+			t.Fatalf("transfer %d of %d bytes: service %d, want %d", i, size, end-start, want)
+		}
+	}
+}
+
+// TestResourceAcquireSteadyStateAllocFree: once a resource's interval list
+// has folded, a mixed stream of 10,000 acquires spanning at least three
+// more folds allocates nothing, and the list's capacity never exceeds
+// maxIntervals+1.
+func TestResourceAcquireSteadyStateAllocFree(t *testing.T) {
+	r := NewResource("r")
+	rng := rand.New(rand.NewSource(5))
+	fewest := -1 // the fewest folds any one stream made
+	mixed := func() {
+		folds := 0
+		for i := 0; i < 10_000; i++ {
+			n := len(r.intervals)
+			r.Acquire(mixedArrival(r, byte(rng.Intn(256)), byte(rng.Intn(256))))
+			if len(r.intervals) < n-1 {
+				folds++
+			}
+			if c := cap(r.intervals); c > maxIntervals+1 {
+				t.Fatalf("interval capacity %d exceeds %d", c, maxIntervals+1)
+			}
+		}
+		if fewest < 0 || folds < fewest {
+			fewest = folds
+		}
+	}
+	mixed() // warm-up: grow the list to its ceiling
+	if allocs := testing.AllocsPerRun(1, mixed); allocs != 0 {
+		t.Fatalf("steady-state acquires allocated %v times", allocs)
+	}
+	if fewest < 3 {
+		t.Fatalf("a stream of 10,000 acquires folded only %d times; want at least 3", fewest)
+	}
+}

@@ -189,7 +189,7 @@ func newQPState(ctx *Context, t Transport, port int, kind string) qpState {
 		route:     r,
 		transport: t,
 		core:      r.socket,
-		pipeline:  sim.NewResource(fmt.Sprintf("%s%d/pipeline", kind, id)),
+		pipeline:  sim.NewResource(kind + "/pipeline"),
 		recvCQ:    NewCQ(),
 		policy:    DefaultRetryPolicy(),
 		lossy:     r.fab.FaultsEnabled(),

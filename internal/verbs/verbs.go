@@ -71,14 +71,13 @@ var (
 // simulated concurrently stay fully hermetic.
 type Context struct {
 	machine *cluster.Machine
-	mrs     map[uint64]*MR
-	nextMR  uint64
+	mrs     []*MR      // indexed by RKey-1; a deregistered slot is nil
 	routes  []*qpRoute // one per NIC port, shared by every QP bound to it
 }
 
 // NewContext opens the (single) RNIC of a machine.
 func NewContext(m *cluster.Machine) *Context {
-	c := &Context{machine: m, mrs: make(map[uint64]*MR)}
+	c := &Context{machine: m}
 	for p := 0; p < m.NIC().Ports(); p++ {
 		c.routes = append(c.routes, newRoute(m, p))
 	}
@@ -114,9 +113,8 @@ func (c *Context) RegisterMR(r *mem.Region) (*MR, error) {
 	if got, err := c.machine.Space().Resolve(r.Addr(), r.Size()); err != nil || got != r {
 		return nil, fmt.Errorf("%w: [%#x,+%d) on %s", ErrForeignMR, r.Addr(), r.Size(), c.machine.Label())
 	}
-	c.nextMR++
-	mr := &MR{id: c.nextMR, ctx: c, region: r}
-	c.mrs[mr.id] = mr
+	mr := &MR{id: uint64(len(c.mrs)) + 1, ctx: c, region: r}
+	c.mrs = append(c.mrs, mr)
 	return mr, nil
 }
 
@@ -130,18 +128,22 @@ func (c *Context) MustRegisterMR(r *mem.Region) *MR {
 }
 
 // DeregisterMR removes the region from the registry; outstanding RKeys stop
-// resolving.
+// resolving. An MR of another context is ignored.
 func (c *Context) DeregisterMR(mr *MR) {
-	delete(c.mrs, mr.id)
+	if mr.ctx == c {
+		c.mrs[mr.id-1] = nil
+	}
 }
 
-// LookupMR resolves an RKey on this context.
+// LookupMR resolves an RKey on this context. RKeys are dense per context
+// (1, 2, 3, ... in registration order), so the lookup is a bounds check.
 func (c *Context) LookupMR(key RKey) (*MR, error) {
-	mr, ok := c.mrs[uint64(key)]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrBadRKey, key)
+	if key-1 < RKey(len(c.mrs)) {
+		if mr := c.mrs[key-1]; mr != nil {
+			return mr, nil
+		}
 	}
-	return mr, nil
+	return nil, fmt.Errorf("%w: %d", ErrBadRKey, key)
 }
 
 // RKey is the token a remote peer presents to access an MR.

@@ -454,6 +454,52 @@ func TestMRDeregistration(t *testing.T) {
 	}
 }
 
+// TestLookupMR: RKeys run 1, 2, 3, ... per context in registration order,
+// and RKey 0, a key past the last registration and a deregistered key all
+// fail with ErrBadRKey while the other keys keep resolving.
+func TestLookupMR(t *testing.T) {
+	e := newPair(t)
+	m := e.cl.Machine(1)
+	mrs := []*MR{e.mrB}
+	for i := 0; i < 3; i++ {
+		mrs = append(mrs, e.ctxB.MustRegisterMR(m.MustAlloc(1, 4096, 0)))
+	}
+	for i, mr := range mrs {
+		if want := RKey(i + 1); mr.RKey() != want {
+			t.Fatalf("registration %d got RKey %d, want %d", i, mr.RKey(), want)
+		}
+	}
+	if e.mrA.RKey() != 1 {
+		t.Fatalf("the other context's first RKey is %d, want 1", e.mrA.RKey())
+	}
+	e.ctxB.DeregisterMR(mrs[2])
+	cases := []struct {
+		name string
+		key  RKey
+		want *MR // nil: ErrBadRKey
+	}{
+		{"zero", 0, nil},
+		{"first", 1, mrs[0]},
+		{"second", 2, mrs[1]},
+		{"deregistered", 3, nil},
+		{"last", 4, mrs[3]},
+		{"past the end", 5, nil},
+		{"far past the end", RKey(1 << 40), nil},
+	}
+	for _, tc := range cases {
+		got, err := e.ctxB.LookupMR(tc.key)
+		if tc.want == nil {
+			if got != nil || !errors.Is(err, ErrBadRKey) {
+				t.Errorf("%s: LookupMR(%d) = %v, %v; want ErrBadRKey", tc.name, tc.key, got, err)
+			}
+			continue
+		}
+		if got != tc.want || err != nil {
+			t.Errorf("%s: LookupMR(%d) = %v, %v; want MR %d", tc.name, tc.key, got, err, tc.want.RKey())
+		}
+	}
+}
+
 // RegisterMR accepts only regions of its own machine's memory: the
 // responder lands one-sided data through the MR's region, so a region
 // borrowed from another machine's Space must be refused up front.
