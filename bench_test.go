@@ -15,8 +15,10 @@ import (
 	"rdmasem/internal/bench"
 )
 
-// benchScale keeps every experiment comfortably inside testing.B budgets;
-// the shapes are scale-invariant (only sweep horizons shrink).
+// benchScale keeps every experiment comfortably inside testing.B budgets.
+// It measures host cost, not results: the stateful experiments (fig12,
+// ycsb, fig6d, fig13, fig19 and others) still read cold caches and filling
+// consolidators at this scale, so their numbers differ from scale 1.
 const benchScale = 0.05
 
 func BenchmarkExperiments(b *testing.B) {

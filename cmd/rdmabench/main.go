@@ -13,15 +13,11 @@
 // each experiment's independent sweep points on a worker pool; results
 // (and rendered reports) are identical at any width.
 //
-// -engine-workers N runs the sharded event kernel inside each simulated
-// experiment on up to N host threads: clients whose machine footprints are
-// disjoint form independent shards that dispatch concurrently (see the
-// 'engine' experiment for a workload built of such shards). Output is
-// byte-identical at any worker count; only wall-clock time changes. The two
-// parallelism axes compose: -parallel spreads sweep points over cores,
-// -engine-workers spreads the machines of one big cluster. -timeline forces
-// both serial (trace spans carry a global record sequence, so span files are
-// only reproducible under single-threaded dispatch).
+// Inside a sweep point, the event kernel dispatches every client from one
+// heap on one thread, so -parallel is the only parallelism axis. -timeline
+// forces it to 1 (trace spans carry a global record sequence, so span files
+// are only reproducible under single-threaded dispatch). -engine-workers is
+// a compatibility name: it accepts 0 and 1 and rejects anything else.
 //
 // -faults attaches a seeded lossy-fabric model to every experiment cluster:
 //
@@ -90,7 +86,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	scale := fs.Float64("scale", 1.0, "sweep scale in (0,1]")
 	format := fs.String("format", "text", "output format: text, csv, chart")
 	parallel := fs.Int("parallel", 0, "sweep-point workers per experiment (0 = GOMAXPROCS)")
-	engineWorkers := fs.Int("engine-workers", 1, "sharded-kernel workers inside each experiment (0 = 1, serial)")
+	compatWorkers := fs.Int("engine-workers", 1, "accepted for compatibility: 0 or 1 (runs are serial; see -parallel)")
 	faults := fs.String("faults", "", "lossy-fabric plan, e.g. seed=1,drop=0.01 (empty = lossless)")
 	connModes := fs.String("conn-modes", "", "comma-separated qpsweep serving modes (per-conn,srq,pool,proxy); empty = all")
 	qpPool := fs.Int("qp-pool", 0, "physical-QP pool width of qpsweep's pool/proxy modes (0 = default 64)")
@@ -117,15 +113,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "rdmabench: unknown -format %q (want text, csv or chart)\n", *format)
 		return 2
 	}
+	if *compatWorkers != 0 && *compatWorkers != 1 {
+		fmt.Fprintf(stderr, "rdmabench: -engine-workers must be 0 or 1, got %d: runs are serial; use -parallel to spread sweep points over cores\n", *compatWorkers)
+		return 2
+	}
 
 	opts := bench.Options{
-		Metrics:       *metrics,
-		Parallel:      *parallel,
-		EngineWorkers: *engineWorkers,
-		QPPool:        *qpPool,
-		FaultFlap:     *faultFlap,
-		Adaptive:      *adaptive,
-		TxnConflicts:  *txnConflicts,
+		Metrics:      *metrics,
+		Parallel:     *parallel,
+		QPPool:       *qpPool,
+		FaultFlap:    *faultFlap,
+		Adaptive:     *adaptive,
+		TxnConflicts: *txnConflicts,
 	}
 	if *connModes != "" {
 		opts.ConnModes = strings.Split(*connModes, ",")

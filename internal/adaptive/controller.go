@@ -29,8 +29,7 @@
 //
 // Everything is a pure function of the virtual-time operation sequence: no
 // wall clock, no randomness, no goroutines. Two runs that see the same ops
-// at the same virtual times make identical decisions — at any engine worker
-// count, because every input is shard-local to the QP's machine pair.
+// at the same virtual times make identical decisions.
 package adaptive
 
 import (

@@ -98,7 +98,7 @@ func qpScale(r *run) (*Report, error) {
 		if err != nil {
 			return 0, err
 		}
-		eng, ma, mb := env.engine()
+		var loop []*sim.Client
 		for c := 0; c < clients; c++ {
 			qp, _ := verbs.MustConnect(env.ctxA, 1, env.ctxB, 1, verbs.RC)
 			wr := &verbs.SendWR{
@@ -113,9 +113,9 @@ func qpScale(r *run) (*Report, error) {
 				client.Fail(err)
 				return comp.Done
 			}
-			eng.Add(client, ma, mb)
+			loop = append(loop, client)
 		}
-		res, err := eng.Run(h)
+		res, err := sim.RunClosedLoop(loop, h)
 		return res.MOPS(), err
 	})
 	if err != nil {

@@ -178,12 +178,12 @@ func availability(r *run) (*Report, error) {
 // connection table under a fault plan, every connection a closed-loop 64B
 // WRITE client that keeps retrying through failures.
 type availEnv struct {
-	cl     *cluster.Cluster
-	table  *proxy.Table
-	ok     []uint64 // per-conn completed ops (one shard: no write races)
-	fail   []uint64
-	eng    *cluster.Engine
-	postFn func(sim.Time, int, *verbs.SendWR) (proxy.Delivery, error)
+	cl      *cluster.Cluster
+	table   *proxy.Table
+	ok      []uint64 // per-conn completed ops
+	fail    []uint64
+	clients []*sim.Client
+	postFn  func(sim.Time, int, *verbs.SendWR) (proxy.Delivery, error)
 }
 
 const (
@@ -228,7 +228,6 @@ func newAvailEnv(r *run, plan *fabric.FaultPlan, policy *proxy.RecoveryPolicy) (
 		table: table,
 		ok:    make([]uint64, availConns),
 		fail:  make([]uint64, availConns),
-		eng:   cl.NewEngine(r.workers),
 	}
 
 	ra, err := cl.Machine(0).Alloc(1, 1<<20, 0)
@@ -240,7 +239,6 @@ func newAvailEnv(r *run, plan *fabric.FaultPlan, policy *proxy.RecoveryPolicy) (
 		return nil, err
 	}
 	mrA, mrB := ctxA.MustRegisterMR(ra), ctxB.MustRegisterMR(rb)
-	ma, mb := cl.Machine(0), cl.Machine(1)
 	for c := 0; c < availConns; c++ {
 		c := c
 		wr := &verbs.SendWR{
@@ -249,13 +247,13 @@ func newAvailEnv(r *run, plan *fabric.FaultPlan, policy *proxy.RecoveryPolicy) (
 			RemoteAddr: mrB.Addr() + mem.Addr(c*64),
 			RemoteKey:  mrB.RKey(),
 		}
-		env.eng.Add(&sim.Client{
+		env.clients = append(env.clients, &sim.Client{
 			PostCost: 150,
 			Window:   1,
 			Op: func(post sim.Time) sim.Time {
 				return env.step(post, c, wr)
 			},
-		}, ma, mb)
+		})
 	}
 	return env, nil
 }
@@ -288,7 +286,7 @@ func (env *availEnv) post(post sim.Time, conn int, wr *verbs.SendWR) (proxy.Deli
 
 // finish runs the horizon and folds the tallies into a point.
 func (env *availEnv) finish(h sim.Duration) (availPoint, error) {
-	if _, err := env.eng.Run(h); err != nil {
+	if _, err := sim.RunClosedLoop(env.clients, h); err != nil {
 		return availPoint{}, err
 	}
 	p := availPoint{rec: env.table.RecoveryStats()}

@@ -135,7 +135,6 @@ func List() []string {
 // two machines, an RC QP between the NIC-socket ports, and large MRs.
 type pairEnv struct {
 	cl       *cluster.Cluster
-	workers  int // sharded-kernel workers of engine()
 	ctxA     *verbs.Context
 	ctxB     *verbs.Context
 	qpA      *verbs.QP
@@ -188,7 +187,6 @@ func (r *run) newPair(remoteBytes, backing int) (*pairEnv, error) {
 	}
 	return &pairEnv{
 		cl:      cl,
-		workers: r.workers,
 		ctxA:    ctxA,
 		ctxB:    ctxB,
 		qpA:     qpA,
@@ -198,15 +196,7 @@ func (r *run) newPair(remoteBytes, backing int) (*pairEnv, error) {
 	}, nil
 }
 
-// measure runs a one-client closed loop and returns the result. One client
-// is one shard, so this stays on the plain single-shard path.
+// measure runs a one-client closed loop and returns the result.
 func measure(client *sim.Client, h sim.Duration) (sim.Result, error) {
 	return sim.RunClosedLoop([]*sim.Client{client}, h)
-}
-
-// engine builds the pair environment's sharded engine; clients added to it
-// run with the machine-0/machine-1 footprint of the one-to-one
-// microbenchmarks.
-func (env *pairEnv) engine() (*cluster.Engine, *cluster.Machine, *cluster.Machine) {
-	return env.cl.NewEngine(env.workers), env.cl.Machine(0), env.cl.Machine(1)
 }

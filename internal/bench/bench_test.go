@@ -43,7 +43,7 @@ func TestRunValidation(t *testing.T) {
 	}
 	// Negative counts are typed errors; zero is the default (the zero
 	// Options value is valid).
-	for _, o := range []Options{{Parallel: -1}, {EngineWorkers: -1}, {QPPool: -1}} {
+	for _, o := range []Options{{Parallel: -1}, {QPPool: -1}} {
 		var oe *OptionError
 		if err := o.Validate(); !errors.As(err, &oe) || oe.Value != -1 {
 			t.Errorf("%+v: err = %v, want an *OptionError for -1", o, err)

@@ -27,7 +27,7 @@ func batchThroughput(r *run, strategy core.Strategy, size, batch, clients int, h
 	if err != nil {
 		return 0, err
 	}
-	eng, ma, mb := env.engine()
+	var loop []*sim.Client
 	for c := 0; c < clients; c++ {
 		qp := env.qpA
 		if c > 0 {
@@ -52,9 +52,9 @@ func batchThroughput(r *run, strategy core.Strategy, size, batch, clients int, h
 			client.Fail(err)
 			return res.Done
 		}
-		eng.Add(client, ma, mb)
+		loop = append(loop, client)
 	}
-	res, err := eng.Run(h)
+	res, err := sim.RunClosedLoop(loop, h)
 	return float64(res.Completed) * float64(batch) / h.Seconds() / 1e6, err
 }
 

@@ -67,7 +67,7 @@ func randSeqThroughput(r *run, op verbs.Opcode, srcSeq, dstSeq bool, size, regio
 	if err != nil {
 		return 0, err
 	}
-	// The paper's benchmark registers the same footprint on both sides; the
+	// The paper's benchmark registers the same region size on both sides; the
 	// local pattern walks the same span as the remote one.
 	localSpan := env.mrA.Region().Size()
 	if regionBytes < localSpan {

@@ -62,7 +62,7 @@ func remoteLockMOPS(r *run, n int, backoff *core.BackoffConfig, h sim.Duration) 
 		return 0, err
 	}
 	state := core.NewLockState()
-	eng := lc.cl.NewEngine(r.workers)
+	var clients []*sim.Client
 	for i := 0; i < n; i++ {
 		lock, err := core.NewRemoteLock(state, lc.qps[i],
 			verbs.SGE{Addr: lc.scrs[i].Addr(), Length: 8, MR: lc.scrs[i]},
@@ -81,9 +81,9 @@ func remoteLockMOPS(r *run, n int, backoff *core.BackoffConfig, h sim.Duration) 
 			client.Fail(err)
 			return rt
 		}
-		eng.Add(client, lc.cl.Machine(i+1), lc.cl.Machine(0))
+		clients = append(clients, client)
 	}
-	res, err := eng.Run(h)
+	res, err := sim.RunClosedLoop(clients, h)
 	return res.MOPS(), err
 }
 
@@ -119,7 +119,7 @@ func rpcLockMOPS(r *run, n int, h sim.Duration) (float64, error) {
 		return 0, err
 	}
 	state := core.NewLockState()
-	eng := lc.cl.NewEngine(r.workers)
+	var clients []*sim.Client
 	for i := 0; i < n; i++ {
 		rc, err := srv.NewRPCClient(lc.ctxs[i], 1, 1, lc.scrs[i])
 		if err != nil {
@@ -137,9 +137,9 @@ func rpcLockMOPS(r *run, n int, h sim.Duration) (float64, error) {
 			client.Fail(err)
 			return rt
 		}
-		eng.Add(client, lc.cl.Machine(i+1), lc.cl.Machine(0))
+		clients = append(clients, client)
 	}
-	res, err := eng.Run(h)
+	res, err := sim.RunClosedLoop(clients, h)
 	return res.MOPS(), err
 }
 
@@ -208,7 +208,7 @@ func remoteSequencerMOPS(r *run, n int, h sim.Duration) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	eng := lc.cl.NewEngine(r.workers)
+	var clients []*sim.Client
 	for i := 0; i < n; i++ {
 		seq, err := core.NewRemoteSequencer(lc.qps[i],
 			verbs.SGE{Addr: lc.scrs[i].Addr(), Length: 8, MR: lc.scrs[i]},
@@ -222,9 +222,9 @@ func remoteSequencerMOPS(r *run, n int, h sim.Duration) (float64, error) {
 			client.Fail(err)
 			return t
 		}
-		eng.Add(client, lc.cl.Machine(i+1), lc.cl.Machine(0))
+		clients = append(clients, client)
 	}
-	res, err := eng.Run(h)
+	res, err := sim.RunClosedLoop(clients, h)
 	return res.MOPS(), err
 }
 
@@ -239,7 +239,7 @@ func rpcSequencerMOPS(r *run, n int, h sim.Duration) (float64, error) {
 		return 0, err
 	}
 	var counter uint64
-	eng := lc.cl.NewEngine(r.workers)
+	var clients []*sim.Client
 	for i := 0; i < n; i++ {
 		rc, err := srv.NewRPCClient(lc.ctxs[i], 1, 1, lc.scrs[i])
 		if err != nil {
@@ -252,9 +252,9 @@ func rpcSequencerMOPS(r *run, n int, h sim.Duration) (float64, error) {
 			client.Fail(err)
 			return t
 		}
-		eng.Add(client, lc.cl.Machine(i+1), lc.cl.Machine(0))
+		clients = append(clients, client)
 	}
-	res, err := eng.Run(h)
+	res, err := sim.RunClosedLoop(clients, h)
 	return res.MOPS(), err
 }
 
@@ -269,7 +269,7 @@ func udRPCSequencerMOPS(r *run, n int, h sim.Duration) (float64, error) {
 		return 0, err
 	}
 	var udCounter uint64
-	eng := lc.cl.NewEngine(r.workers)
+	var clients []*sim.Client
 	for i := 0; i < n; i++ {
 		uc, err := udSrv.NewUDRPCClient(lc.ctxs[i], 1, lc.scrs[i])
 		if err != nil {
@@ -282,9 +282,9 @@ func udRPCSequencerMOPS(r *run, n int, h sim.Duration) (float64, error) {
 			client.Fail(err)
 			return t
 		}
-		eng.Add(client, lc.cl.Machine(i+1), lc.cl.Machine(0))
+		clients = append(clients, client)
 	}
-	res, err := eng.Run(h)
+	res, err := sim.RunClosedLoop(clients, h)
 	return res.MOPS(), err
 }
 

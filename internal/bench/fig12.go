@@ -47,7 +47,7 @@ func hashtableMOPS(r *run, dist *workload.ZipfDist, level hashtable.Level, theta
 		return 0, err
 	}
 	val := make([]byte, 64)
-	eng := cl.NewEngine(r.workers)
+	var clients []*sim.Client
 	for i := 0; i < frontEnds; i++ {
 		// Alternate sockets first so both ports carry traffic from two
 		// front-ends onward, then spread over the seven client machines.
@@ -64,9 +64,9 @@ func hashtableMOPS(r *run, dist *workload.ZipfDist, level hashtable.Level, theta
 			client.Fail(err)
 			return d
 		}
-		eng.Add(client, m, cl.Machine(0))
+		clients = append(clients, client)
 	}
-	res, err := eng.Run(h)
+	res, err := sim.RunClosedLoop(clients, h)
 	return res.MOPS(), err
 }
 

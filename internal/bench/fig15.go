@@ -26,10 +26,7 @@ func shuffleMOPS(r *run, executors, batch int, strategy core.Strategy, numa bool
 	if err != nil {
 		return 0, err
 	}
-	// Every executor scatters to all the others, so each client's footprint
-	// is the whole cluster: the run is a single shard by construction.
-	eng := cl.NewEngine(r.workers)
-	all := cl.Machines()
+	var clients []*sim.Client
 	for _, ex := range s.Executors() {
 		ex := ex
 		u, err := workload.NewUniform(1<<30, int64(ex.ID()*7+1))
@@ -43,9 +40,9 @@ func shuffleMOPS(r *run, executors, batch int, strategy core.Strategy, numa bool
 			client.Fail(err)
 			return d
 		}
-		eng.Add(client, all...)
+		clients = append(clients, client)
 	}
-	res, err := eng.Run(h)
+	res, err := sim.RunClosedLoop(clients, h)
 	return res.MOPS(), err
 }
 

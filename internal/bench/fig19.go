@@ -25,7 +25,7 @@ func dlogMOPS(r *run, engines, batch int, numa bool, h sim.Duration) (float64, e
 	if err != nil {
 		return 0, err
 	}
-	eng := cl.NewEngine(r.workers)
+	var clients []*sim.Client
 	for i := 0; i < engines; i++ {
 		e, err := dlog.NewEngine(i, cl.Machine(1+i%7), topo.SocketID((i/7)%2), l)
 		if err != nil {
@@ -37,9 +37,9 @@ func dlogMOPS(r *run, engines, batch int, numa bool, h sim.Duration) (float64, e
 			client.Fail(err)
 			return done
 		}
-		eng.Add(client, cl.Machine(1+i%7), cl.Machine(0))
+		clients = append(clients, client)
 	}
-	res, err := eng.Run(h)
+	res, err := sim.RunClosedLoop(clients, h)
 	return float64(res.Completed) * float64(batch) / h.Seconds() / 1e6, err
 }
 

@@ -16,12 +16,6 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden experiment outputs")
 
-// engineWorkersFlag reruns the sweep with a sharded-kernel worker count > 1.
-// The goldens are rendered at the serial default, so passing e.g.
-// -engine-workers 4 (as the race-parity CI job does) asserts the kernel's
-// central claim: worker count changes wall-clock only, never output bytes.
-var engineWorkersFlag = flag.Int("engine-workers", 0, "sharded-kernel worker count for the golden sweep (0 = serial default)")
-
 // goldenScale keeps the full multi-experiment sweep affordable in the test
 // suite while still exercising every driver end to end.
 const goldenScale = 0.02
@@ -38,11 +32,10 @@ const goldenScale = 0.02
 // contract across the whole evaluation surface. Runs share no state, so the
 // experiments run in parallel.
 func TestGoldenOutputs(t *testing.T) {
-	opts := Options{EngineWorkers: *engineWorkersFlag}
 	for _, id := range List() {
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			rep, err := Run(id, goldenScale, opts)
+			rep, err := Run(id, goldenScale, Options{})
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
@@ -74,9 +67,7 @@ func TestGoldenOutputs(t *testing.T) {
 
 // TestEveryExperimentRunsUnderFaults runs the whole sweep on a lossy fabric:
 // every driver must survive dropped segments (retransmitting, remapping or
-// reporting the loss), never abort the run. Passing -engine-workers also
-// shards each experiment, where lossy fabric is most likely to expose a
-// shard race.
+// reporting the loss), never abort the run.
 //
 // Under the harsh plan (20% loss) some QPs run out of retries. Each
 // experiment then either finishes or returns the QP's error, naming the
@@ -91,7 +82,7 @@ func TestEveryExperimentRunsUnderFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := Options{Faults: plan, EngineWorkers: *engineWorkersFlag}
+		opts := Options{Faults: plan}
 		for _, id := range List() {
 			t.Run(id, func(t *testing.T) {
 				t.Parallel()

@@ -13,8 +13,8 @@ import (
 )
 
 // Options configures one Run. The zero value is a plain run: a lossless
-// fabric, no telemetry, GOMAXPROCS sweep workers, a serial engine and every
-// experiment's default sweep. The string fields take the same specs as the
+// fabric, no telemetry, GOMAXPROCS sweep workers and every experiment's
+// default sweep. The string fields take the same specs as the
 // rdmabench flags of the same name.
 type Options struct {
 	Faults   *fabric.FaultPlan   // lossy-fabric plan for every cluster; nil = lossless
@@ -23,11 +23,9 @@ type Options struct {
 
 	// Parallel is how many sweep points run at once (0 = GOMAXPROCS). A
 	// Timeline forces 1: its process groups are numbered in
-	// cluster-construction order. EngineWorkers is the sharded-kernel worker
-	// count inside each point (0 = 1, serial). Neither changes any output,
-	// and neither may be negative.
-	Parallel      int
-	EngineWorkers int
+	// cluster-construction order. It changes no output and may not be
+	// negative. Inside a point, every kernel run dispatches serially.
+	Parallel int
 
 	ConnModes     []string // qpsweep serving modes (per-conn, srq, pool, proxy); empty = all
 	QPPool        int      // physical QPs of qpsweep's pool and proxy modes; 0 = 64
@@ -62,7 +60,6 @@ func (e *OptionError) Error() string {
 type run struct {
 	scale    float64
 	parallel int // sweep points run at once
-	workers  int // sharded-kernel workers per engine
 	faults   *fabric.FaultPlan
 	reg      *telemetry.Registry // the run's counters; a point's own fork
 	metrics  bool                // Options.Metrics: attach reg to every cluster
@@ -86,15 +83,11 @@ func (o Options) resolve() (*run, error) {
 	if o.Parallel < 0 {
 		return nil, &OptionError{"parallel", ">= 0 (0 = GOMAXPROCS)", o.Parallel}
 	}
-	if o.EngineWorkers < 0 {
-		return nil, &OptionError{"engine workers", ">= 0 (0 = serial)", o.EngineWorkers}
-	}
 	if o.QPPool < 0 {
 		return nil, &OptionError{"QP pool", ">= 0 (0 = 64)", o.QPPool}
 	}
 	r := &run{
 		parallel: o.Parallel,
-		workers:  max(o.EngineWorkers, 1),
 		faults:   o.Faults,
 		reg:      telemetry.NewRegistry(),
 		metrics:  o.Metrics,

@@ -107,7 +107,7 @@ func connSweepPoint(r *run, mode string, conns int, h sim.Duration) (connPoint, 
 		return connPoint{}, err
 	}
 	ctxA, ctxB := verbs.NewContext(cl.Machine(0)), verbs.NewContext(cl.Machine(1))
-	eng, ma, mb := cl.NewEngine(r.workers), cl.Machine(0), cl.Machine(1)
+	var clients []*sim.Client
 
 	// Server-side receive slab, shared by every mode: the interesting state
 	// is requester-side, so receives land in one big reusable buffer.
@@ -198,7 +198,7 @@ func connSweepPoint(r *run, mode string, conns int, h sim.Duration) (connPoint, 
 				client.Fail(err)
 				return comp.Done
 			}
-			eng.Add(client, ma, mb)
+			clients = append(clients, client)
 		}
 		warm(qps, mrs, sgl)
 		pt.physQPs, pt.mrs = conns, conns
@@ -243,7 +243,7 @@ func connSweepPoint(r *run, mode string, conns int, h sim.Duration) (connPoint, 
 					client.Fail(err)
 					return del.Completion.Done
 				}
-				eng.Add(client, ma, mb)
+				clients = append(clients, client)
 			}
 			warm(pool, []*verbs.MR{mrA}, sgl)
 			pt.physQPs, pt.mrs = p, 1
@@ -272,7 +272,7 @@ func connSweepPoint(r *run, mode string, conns int, h sim.Duration) (connPoint, 
 					client.Fail(err)
 					return del.Completion.Done
 				}
-				eng.Add(client, ma, mb)
+				clients = append(clients, client)
 			}
 			warm(pool, nil, nil)
 			pt.physQPs, pt.mrs = p, 1 // the daemon's bounce MR is the only one the NIC serves
@@ -283,7 +283,7 @@ func connSweepPoint(r *run, mode string, conns int, h sim.Duration) (connPoint, 
 	}
 
 	base := nicA.Counters()
-	res, err := eng.Run(h)
+	res, err := sim.RunClosedLoop(clients, h)
 	if err != nil {
 		return connPoint{}, err
 	}

@@ -61,20 +61,13 @@ func TestSweepFirstErrorByRegistrationOrder(t *testing.T) {
 	}
 }
 
-// TestSweepReturnsFailedOps: an op that fails stops its engine, and the
+// TestSweepReturnsFailedOps: an op that fails stops its kernel run, and the
 // sweep returns the failure naming the point, the client and the virtual
 // time of the failed post, still wrapping the op's own error.
 func TestSweepReturnsFailedOps(t *testing.T) {
 	errPost := errors.New("post failed")
-	cfg := cluster.DefaultConfig()
-	cfg.Machines = 1
 	for _, width := range []int{1, 4} {
-		_, err := points(testRun(t, width), 4, func(p *run, i int) (int, error) {
-			cl, err := p.newCluster(cfg)
-			if err != nil {
-				return 0, err
-			}
-			eng := cl.NewEngine(p.workers)
+		_, err := points(testRun(t, width), 4, func(_ *run, i int) (int, error) {
 			client := &sim.Client{PostCost: 100, Window: 1}
 			client.Op = func(post sim.Time) sim.Time {
 				if i == 2 && post == 500 {
@@ -82,8 +75,7 @@ func TestSweepReturnsFailedOps(t *testing.T) {
 				}
 				return post + 50
 			}
-			eng.Add(client, cl.Machine(0))
-			_, err = eng.Run(sim.Microsecond)
+			_, err := sim.RunClosedLoop([]*sim.Client{client}, sim.Microsecond)
 			return i, err
 		})
 		const want = "point 2: sim: client 0 at 500ns: post failed"

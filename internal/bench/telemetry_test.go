@@ -58,10 +58,9 @@ func TestTelemetryPassiveAcrossAllExperiments(t *testing.T) {
 }
 
 // TestMetricsIdenticalAtAnyWidth pins the fork/absorb contract of the run
-// registry: a run's snapshot is the same whether its points and engine shards
-// run one at a time or four at once. Points record into their own forks and
-// shards into machine-disjoint histograms, so under -race this also shows
-// that no two goroutines ever write one histogram.
+// registry: a run's snapshot is the same whether its points run one at a
+// time or four at once. Points record into their own forks, so under -race
+// this also shows that no two goroutines ever write one histogram.
 func TestMetricsIdenticalAtAnyWidth(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep, twice")
@@ -69,11 +68,11 @@ func TestMetricsIdenticalAtAnyWidth(t *testing.T) {
 	for _, id := range List() {
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			narrow, err := Run(id, goldenScale, Options{Metrics: true, Parallel: 1, EngineWorkers: 1})
+			narrow, err := Run(id, goldenScale, Options{Metrics: true, Parallel: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			wide, err := Run(id, goldenScale, Options{Metrics: true, Parallel: 4, EngineWorkers: 4})
+			wide, err := Run(id, goldenScale, Options{Metrics: true, Parallel: 4})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -147,7 +147,7 @@ func txnConflictPoint(r *run, mode string, pct int, h sim.Duration) (txnResult, 
 	if err != nil {
 		return txnResult{}, err
 	}
-	eng := cl.NewEngine(r.workers)
+	var loop []*sim.Client
 	tclients := make([]*txn.Client, clients)
 	for i := 0; i < clients; i++ {
 		m := cl.Machine(1 + i%7)
@@ -205,9 +205,9 @@ func txnConflictPoint(r *run, mode string, pct int, h sim.Duration) (txnResult, 
 			tx = nil
 			return done
 		}
-		eng.Add(client, m, cl.Machine(0))
+		loop = append(loop, client)
 	}
-	if _, err := eng.Run(h); err != nil {
+	if _, err := sim.RunClosedLoop(loop, h); err != nil {
 		return txnResult{}, err
 	}
 

@@ -65,7 +65,7 @@ func ycsbMOPS(r *run, dist *workload.ZipfDist, level hashtable.Level, readPct in
 	if err != nil {
 		return 0, err
 	}
-	eng := cl.NewEngine(r.workers)
+	var clients []*sim.Client
 	for i := 0; i < frontEnds; i++ {
 		m := cl.Machine(1 + (i/2)%7)
 		fe, err := hashtable.NewFrontEnd(i, m, topo.SocketID(i%2), backend)
@@ -89,8 +89,8 @@ func ycsbMOPS(r *run, dist *workload.ZipfDist, level hashtable.Level, readPct in
 			client.Fail(err)
 			return d
 		}
-		eng.Add(client, m, cl.Machine(0))
+		clients = append(clients, client)
 	}
-	res, err := eng.Run(h)
+	res, err := sim.RunClosedLoop(clients, h)
 	return res.MOPS(), err
 }

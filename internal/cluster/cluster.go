@@ -35,9 +35,7 @@ type Config struct {
 	// nothing and changes nothing: telemetry is passive, so results are
 	// byte-identical either way (the same contract Faults keeps). Registry
 	// histograms take no lock: clusters that simulate concurrently need
-	// separate registries (forks of one, see telemetry.Registry.Fork), while
-	// one cluster's engine shards may share it, because every histogram key
-	// names a machine and shards are machine-disjoint.
+	// separate registries (forks of one, see telemetry.Registry.Fork).
 	Telemetry *telemetry.Registry
 	// Timeline optionally records every operation's stage walk as Chrome
 	// trace-event spans (one process group per cluster, one thread per QP).
@@ -237,13 +235,6 @@ func (c *Cluster) Machine(i int) *Machine {
 		panic(fmt.Sprintf("cluster: no machine %d", i))
 	}
 	return c.machines[i]
-}
-
-// Machines returns all machines in id order.
-func (c *Cluster) Machines() []*Machine {
-	out := make([]*Machine, len(c.machines))
-	copy(out, c.machines)
-	return out
 }
 
 // Fabric returns the shared switch fabric.

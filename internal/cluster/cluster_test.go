@@ -76,8 +76,8 @@ func TestMachineAccessorsAndPanics(t *testing.T) {
 	if c.Machine(3).ID() != 3 {
 		t.Fatal("machine id mismatch")
 	}
-	if len(c.Machines()) != 8 {
-		t.Fatal("Machines() length")
+	if c.Size() != 8 {
+		t.Fatal("cluster size")
 	}
 	if c.Machine(0).Fabric() != c.Fabric() {
 		t.Fatal("machine must reference the shared fabric")

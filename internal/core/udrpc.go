@@ -16,7 +16,7 @@ type Caller interface {
 }
 
 // UDRPCServer is the datagram-RPC flavor of RPCServer: one UD queue pair
-// serves every client, so the responder's QP-context footprint stays
+// serves every client, so the responder's QP-context working set stays
 // constant no matter how many clients connect — the scalability property
 // Section II-B2 attributes to UD designs.
 type UDRPCServer struct {

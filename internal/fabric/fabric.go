@@ -52,48 +52,7 @@ type Endpoint struct {
 	rx       *sim.Pipe
 	faultSeq uint64     // segments offered to the fault model on this link
 	faults   FaultStats // this link's share of the fabric tallies (see Fabric.FaultStats)
-	inbox    inbox      // merge witness for traffic landing on this port
 }
-
-// inbox orders the segments landing on an endpoint's receive link. Every
-// delivery is merged in (arrival virtual time, source port, sequence) order
-// — the order the rx pipe sees — and folded into a running hash. The hash
-// is a pure observer: it never feeds back into timing, but it pins the
-// fabric-boundary merge order bit-for-bit, so the determinism suite can
-// assert that the sharded kernel reproduces the exact same cross-machine
-// delivery sequence at every worker count.
-type inbox struct {
-	seq  uint64 // deliveries merged into this endpoint
-	hash uint64 // word-wide FNV-style fold over (arrival, source, seq)
-}
-
-const fnvOffset64 = 14695981039346656037
-const fnvPrime64 = 1099511628211
-
-// merge folds one delivery into the witness: one xor-multiply step per
-// word, not per byte. The witness only has to tell merge orders apart, so
-// the byte-wise avalanche of FNV-1a buys nothing here.
-func (in *inbox) merge(arrival sim.Time, src int) {
-	in.seq++
-	h := in.hash
-	if h == 0 {
-		h = fnvOffset64
-	}
-	h = (h ^ uint64(arrival)) * fnvPrime64
-	h = (h ^ uint64(src)) * fnvPrime64
-	h = (h ^ in.seq) * fnvPrime64
-	in.hash = h
-}
-
-// Deliveries reports how many segments have been merged into this endpoint's
-// inbox.
-func (e *Endpoint) Deliveries() uint64 { return e.inbox.seq }
-
-// MergeHash reports the running order-witness hash of the endpoint's inbox:
-// identical traffic merged in identical (arrival, source, sequence) order
-// yields an identical hash. The determinism tests compare it across kernel
-// worker counts.
-func (e *Endpoint) MergeHash() uint64 { return e.inbox.hash }
 
 // Name returns the endpoint's diagnostic name.
 func (e *Endpoint) Name() string { return e.name }
@@ -112,10 +71,7 @@ func (e *Endpoint) TxUtilization(horizon sim.Time) float64 { return e.tx.Utiliza
 func (e *Endpoint) RxUtilization(horizon sim.Time) float64 { return e.rx.Utilization(horizon) }
 
 // Fabric is the switch plus all registered endpoints. All mutable queueing
-// and tally state lives on the endpoints, never on the Fabric itself, so
-// kernel shards that own disjoint machine sets share the switch without
-// sharing any mutable word — the invariant the sharded event kernel's
-// determinism (and the race detector) relies on.
+// and tally state lives on the endpoints, never on the Fabric itself.
 type Fabric struct {
 	params    Params
 	endpoints []*Endpoint
@@ -176,14 +132,11 @@ func (f *Fabric) Send(now sim.Time, from, to *Endpoint, payload int) sim.Time {
 	}
 	wire := payload + f.params.FrameOverhead
 	if from == to {
-		arrival := now + f.params.SwitchLatency
-		to.inbox.merge(arrival, from.id)
-		_, rxEnd := to.rx.Transfer(arrival, wire)
+		_, rxEnd := to.rx.Transfer(now+f.params.SwitchLatency, wire)
 		return rxEnd
 	}
 	txStart, _ := from.tx.Transfer(now, wire)
 	rxArrival := txStart + f.params.Propagation + f.params.SwitchLatency
-	to.inbox.merge(rxArrival, from.id)
 	_, rxEnd := to.rx.Transfer(rxArrival, wire)
 	return rxEnd
 }

@@ -307,7 +307,7 @@ func unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
 
 // linkDown reports whether link's flap window covers time t. Each link's
 // phase within the flap period is drawn from the plan seed, so links flap
-// out of step with each other but identically across runs and workers.
+// out of step with each other but identically across runs.
 func (p *FaultPlan) linkDown(link int, t sim.Time) bool {
 	if p.FlapDown <= 0 {
 		return false
@@ -392,7 +392,7 @@ func (f *Fabric) Deliver(now sim.Time, from, to *Endpoint, payload int) (sim.Tim
 	verdict, extra := plan.fate(from.id, from.faultSeq)
 	switch verdict {
 	case Dropped:
-		// Lost inside the switch: nothing merges into the destination inbox.
+		// Lost inside the switch: the receiver's rx link never sees it.
 		from.faults.Drops++
 		return arrival, Dropped
 	case Corrupted:
@@ -403,7 +403,6 @@ func (f *Fabric) Deliver(now sim.Time, from, to *Endpoint, payload int) (sim.Tim
 			arrival += extra
 		}
 	}
-	to.inbox.merge(arrival, from.id)
 	_, rxEnd := to.rx.Transfer(arrival, wire)
 	return rxEnd, verdict
 }
@@ -412,10 +411,8 @@ func (f *Fabric) Deliver(now sim.Time, from, to *Endpoint, payload int) (sim.Tim
 func (f *Fabric) FaultsEnabled() bool { return f.params.Faults != nil }
 
 // FaultStats returns the fault model's fabric-wide tallies: the sum of every
-// endpoint's per-link share. Tallies live on the sending endpoint (never on
-// the shared Fabric), so kernel shards owning disjoint machines count faults
-// without sharing a mutable word; the sum is commutative and therefore
-// identical at any worker count.
+// endpoint's per-link share. Tallies live on the sending endpoint, never on
+// the Fabric itself.
 func (f *Fabric) FaultStats() FaultStats {
 	var s FaultStats
 	for _, e := range f.endpoints {

@@ -369,3 +369,38 @@ func FuzzParseFaultPlan(f *testing.F) {
 		}
 	})
 }
+
+// TestPerEndpointFaultTallies: fault tallies accumulate on the sending
+// endpoint and Fabric.FaultStats is exactly their sum.
+func TestPerEndpointFaultTallies(t *testing.T) {
+	p := DefaultParams()
+	p.Faults = &FaultPlan{Seed: 3, Drop: 0.2, Corrupt: 0.2, DelayP: 0.2, Delay: 500}
+	f, err := New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b, c := f.Register("a"), f.Register("b"), f.Register("c")
+	for i := 0; i < 100; i++ {
+		f.Deliver(sim.Time(i)*sim.Microsecond, a, c, 64)
+	}
+	for i := 0; i < 50; i++ {
+		f.Deliver(sim.Time(i)*sim.Microsecond, b, c, 64)
+	}
+	sa, sb, sc := a.FaultStats(), b.FaultStats(), c.FaultStats()
+	if sa.Segments != 100 || sb.Segments != 50 {
+		t.Fatalf("sender tallies %d/%d, want 100/50", sa.Segments, sb.Segments)
+	}
+	if sc != (FaultStats{}) {
+		t.Fatalf("receiver accumulated tallies %+v; faults are charged to senders", sc)
+	}
+	sum := f.FaultStats()
+	want := FaultStats{
+		Segments: sa.Segments + sb.Segments,
+		Drops:    sa.Drops + sb.Drops,
+		Corrupts: sa.Corrupts + sb.Corrupts,
+		Delays:   sa.Delays + sb.Delays,
+	}
+	if sum != want {
+		t.Fatalf("fabric sum %+v != endpoint sum %+v", sum, want)
+	}
+}

@@ -14,12 +14,8 @@
 // IPC hop and a staging copy instead. The qpsweep experiment plots the
 // trade.
 //
-// Determinism: all table and daemon state lives on the local (posting)
-// machine, and every pooled QP connects that machine to the table's one
-// remote peer, so every client driving the table carries both machines in
-// its footprint and cluster.Engine's union-find places the whole serving
-// stack in a single shard. Results are byte-identical at any -engine-workers
-// width — the same argument that covers a shared SRQ (verbs.AttachSRQ).
+// All table and daemon state lives on the local (posting) machine, and
+// every pooled QP connects that machine to the table's one remote peer.
 package proxy
 
 import (

@@ -106,9 +106,8 @@ func (t *Table) ConnQP(conn int) *verbs.QP { return t.pool[t.conns[conn].qp] }
 // Stats returns the demux tallies.
 func (t *Table) Stats() TableStats { return t.stats }
 
-// Machines returns the footprint machines of every operation through the
-// table: the shared local (posting) machine first, then the remote peer's.
-// Hand exactly these to cluster.Engine.Add for any client driving the table.
+// Machines returns the hosts every operation through the table touches: the
+// shared local (posting) machine first, then the remote peer's.
 func (t *Table) Machines() (local, remote *cluster.Machine) {
 	return t.pool[0].Machines()
 }

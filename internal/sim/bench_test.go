@@ -45,7 +45,7 @@ func BenchmarkClosedLoop(b *testing.B) {
 
 // BenchmarkKernelDispatch isolates pure scheduler cost: 16 clients with
 // constant-latency ops (no shared resources), so every nanosecond and every
-// allocation is queue bookkeeping — the completion windows and the shard's
+// allocation is queue bookkeeping — the completion windows and the run's
 // client heap — not model work. This is the number that shows the
 // container/heap interface boxing (one heap allocation per posted op) and its
 // removal.
@@ -53,20 +53,6 @@ func BenchmarkKernelDispatch(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		RunClosedLoop(dispatchClients(), Millisecond)
-	}
-}
-
-// BenchmarkKernelDispatchHomes is BenchmarkKernelDispatch with footprints:
-// the 16 clients post from 8 home machines and all share machine 0, so they
-// form one shard with several home machines.
-func BenchmarkKernelDispatchHomes(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		k := NewKernel(1)
-		for c, cl := range dispatchClients() {
-			k.Add(cl, c%8, 0)
-		}
-		k.Run(Millisecond)
 	}
 }
 

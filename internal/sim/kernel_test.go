@@ -10,33 +10,8 @@ import (
 	"testing"
 )
 
-// buildClients constructs n deterministic clients over a per-group resource
-// map: client i belongs to group i%groups, hammers that group's resource, and
-// carries a footprint of two machines private to the group ({2g, 2g+1}).
-func buildClients(n, groups int) (clients []*Client, feet [][]int) {
-	res := make([]*Resource, groups)
-	for g := range res {
-		res[g] = NewResource("eu")
-	}
-	for i := 0; i < n; i++ {
-		g := i % groups
-		r := res[g]
-		rng := rand.New(rand.NewSource(int64(100 + i)))
-		clients = append(clients, &Client{
-			PostCost: Duration(30 + 10*(i%5)),
-			Window:   1 + i%4,
-			Op: func(post Time) Time {
-				return r.Delay(post, Duration(100+rng.Intn(400)))
-			},
-		})
-		feet = append(feet, []int{2 * g, 2*g + 1})
-	}
-	return clients, feet
-}
-
 // recordLatencies wraps every client's Op so each op logs complete - post
-// into that client's own slice, in dispatch order. A client runs on one
-// shard, so the slices need no lock at any worker count.
+// into that client's own slice, in dispatch order.
 func recordLatencies(clients []*Client) [][]Duration {
 	lats := make([][]Duration, len(clients))
 	for i, c := range clients {
@@ -50,33 +25,15 @@ func recordLatencies(clients []*Client) [][]Duration {
 	return lats
 }
 
-// runKernel builds fresh clients, registers them with their footprints and
-// runs at the given worker count, returning the result and every client's
-// per-op latencies.
-func runKernel(t *testing.T, workers, n, groups int) (Result, [][]Duration) {
-	t.Helper()
-	clients, feet := buildClients(n, groups)
-	lats := recordLatencies(clients)
-	k := NewKernel(workers)
-	for i, c := range clients {
-		k.Add(c, feet[i]...)
-	}
-	res, err := k.Run(Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, lats
-}
-
 // dispatchSpec is one client of a reference check. Its op holds the
-// resource of each footprint machine in turn, the home machine's for service
-// and the others' for half as long, so clients sharing a machine observe each
+// resource of each machine on its path in turn, the first for service and
+// the others for half as long, so clients sharing a machine observe each
 // other's dispatch order through gap-filling placement. Every other op then
 // waits lag more, so with a window of two or more a short op can complete
 // before the long one posted just ahead of it. Its failAt-th op fails
 // instead.
 type dispatchSpec struct {
-	foot     []int // nil: a global client; global clients share one resource
+	path     []int // machines whose resources the op holds; must not be empty
 	window   int
 	postCost Duration
 	maxOps   int64
@@ -91,70 +48,24 @@ type dispatchEvent struct {
 	post, complete Time
 }
 
-// shardOf groups clients the naive way and names each group by its
-// first-registered client. Every machine starts with its own label, and each
-// footprint pulls its machines down to their least label until nothing
-// changes. A global client puts everyone in one group.
-func shardOf(specs []dispatchSpec) []int {
-	out := make([]int, len(specs))
-	label := map[int]int{}
-	for _, s := range specs {
-		if s.foot == nil {
-			return out
-		}
-		for _, m := range s.foot {
-			label[m] = m
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, s := range specs {
-			least := label[s.foot[0]]
-			for _, m := range s.foot {
-				least = min(least, label[m])
-			}
-			for _, m := range s.foot {
-				if label[m] != least {
-					label[m], changed = least, true
-				}
-			}
-		}
-	}
-	first := map[int]int{}
-	for i, s := range specs {
-		l := label[s.foot[0]]
-		if _, ok := first[l]; !ok {
-			first[l] = i
-		}
-		out[i] = first[l]
-	}
-	return out
-}
-
 // errOpFailed is the failure a dispatchSpec's failAt-th op reports.
 var errOpFailed = errors.New("op failed")
 
 // buildDispatch returns fresh clients for specs over fresh resources. Each
-// completed op appends to logs[shardOf(specs)[i]], so one group's sequence is
-// written by one shard only. A failing op touches no resource and returns a
-// time before its post, which the kernel must ignore.
-func buildDispatch(specs []dispatchSpec, logs [][]dispatchEvent) []*Client {
-	group := shardOf(specs)
+// completed op appends to log. A failing op touches no resource and returns
+// a time before its post, which the kernel must ignore.
+func buildDispatch(specs []dispatchSpec, log *[]dispatchEvent) []*Client {
 	res := map[int]*Resource{}
 	clients := make([]*Client, len(specs))
 	for i, s := range specs {
-		path := s.foot
-		if path == nil {
-			path = []int{-1}
-		}
-		held := make([]*Resource, len(path))
-		for j, m := range path {
+		held := make([]*Resource, len(s.path))
+		for j, m := range s.path {
 			if res[m] == nil {
 				res[m] = NewResource("m")
 			}
 			held[j] = res[m]
 		}
-		svc, lag, log, failAt := s.service, s.lag, &logs[group[i]], s.failAt
+		svc, lag, failAt := s.service, s.lag, s.failAt
 		c := &Client{PostCost: s.postCost, Window: s.window, MaxOps: s.maxOps}
 		var ops int64
 		c.Op = func(post Time) Time {
@@ -179,11 +90,10 @@ func buildDispatch(specs []dispatchSpec, logs [][]dispatchEvent) []*Client {
 
 // referenceRun is the dispatch rule at its plainest: every step scans all
 // clients for the least (next action, index) among those still running and
-// dispatches it. It keeps its own client state and reads only the clients'
-// configuration, Op and recorded failure. group names each client's shard by
-// its first-registered client (see shardOf): a failed op stops its group,
-// and the failure of the least-named group is the run's error.
-func referenceRun(clients []*Client, group []int, horizon Time) (Result, error) {
+// dispatches it, and the first failed op ends the run. It keeps its own
+// client state and reads only the clients' configuration, Op and recorded
+// failure.
+func referenceRun(clients []*Client, horizon Time) (Result, error) {
 	type state struct {
 		nextPost Time
 		out      []Time // outstanding completions, unordered
@@ -191,8 +101,8 @@ func referenceRun(clients []*Client, group []int, horizon Time) (Result, error) 
 		stats    ClientStats
 	}
 	st := make([]state, len(clients))
-	failed := make([]error, len(clients)) // by group
-	for {
+	var failed error
+	for failed == nil {
 		best, bestT := -1, Time(0)
 		for i, c := range clients {
 			s := &st[i]
@@ -200,7 +110,7 @@ func referenceRun(clients []*Client, group []int, horizon Time) (Result, error) 
 			if len(s.out) >= c.Window {
 				t = max(t, slices.Min(s.out))
 			}
-			if t >= horizon || (c.MaxOps > 0 && s.stats.Posted >= c.MaxOps) || failed[group[i]] != nil {
+			if t >= horizon || (c.MaxOps > 0 && s.stats.Posted >= c.MaxOps) {
 				continue
 			}
 			if best < 0 || t < bestT {
@@ -214,7 +124,7 @@ func referenceRun(clients []*Client, group []int, horizon Time) (Result, error) 
 		s.out = slices.DeleteFunc(s.out, func(done Time) bool { return done <= t })
 		complete := c.Op(t)
 		if c.err != nil {
-			failed[group[best]] = fmt.Errorf("sim: client %d at %v: %w", best, t, c.err)
+			failed = fmt.Errorf("sim: client %d at %v: %w", best, t, c.err)
 			continue
 		}
 		s.stats.Posted++
@@ -238,69 +148,58 @@ func referenceRun(clients []*Client, group []int, horizon Time) (Result, error) 
 		res.Clients[i] = s.stats
 		res.Completed += s.stats.Completed
 	}
-	for _, err := range failed {
-		if err != nil {
-			return res, err
-		}
-	}
-	return res, nil
+	return res, failed
 }
 
-// checkAgainstReference runs specs through the kernel at the given worker
-// count and through referenceRun, and fails unless every shard's dispatch
-// sequence (with each op's latency), the Result and the error text agree. It
-// returns the reference's sequences and the kernel's error.
-func checkAgainstReference(t *testing.T, specs []dispatchSpec, workers int, horizon Time) ([][]dispatchEvent, error) {
+// checkAgainstReference runs specs through the kernel and through
+// referenceRun, and fails unless the dispatch sequence (with each op's
+// latency), the Result and the error text agree. It returns the reference's
+// sequence and the kernel's error.
+func checkAgainstReference(t *testing.T, specs []dispatchSpec, horizon Time) ([]dispatchEvent, error) {
 	t.Helper()
-	wantLogs := make([][]dispatchEvent, len(specs))
-	want, wantErr := referenceRun(buildDispatch(specs, wantLogs), shardOf(specs), horizon)
-	gotLogs := make([][]dispatchEvent, len(specs))
-	k := NewKernel(workers)
-	for i, c := range buildDispatch(specs, gotLogs) {
-		k.Add(c, specs[i].foot...)
+	var wantLog, gotLog []dispatchEvent
+	want, wantErr := referenceRun(buildDispatch(specs, &wantLog), horizon)
+	k := NewKernel(1)
+	for _, c := range buildDispatch(specs, &gotLog) {
+		k.Add(c)
 	}
 	got, err := k.Run(horizon)
 	if fmt.Sprint(wantErr) != fmt.Sprint(err) {
-		t.Fatalf("workers=%d: error diverged:\nreference %v\nkernel    %v", workers, wantErr, err)
+		t.Fatalf("error diverged:\nreference %v\nkernel    %v", wantErr, err)
 	}
-	for g := range wantLogs {
-		if !reflect.DeepEqual(wantLogs[g], gotLogs[g]) {
-			n := min(len(wantLogs[g]), len(gotLogs[g]))
-			at := 0
-			for at < n && wantLogs[g][at] == gotLogs[g][at] {
-				at++
-			}
-			t.Fatalf("workers=%d: shard of client %d diverged at op %d of %d/%d (reference/kernel)",
-				workers, g, at, len(wantLogs[g]), len(gotLogs[g]))
+	if !reflect.DeepEqual(wantLog, gotLog) {
+		n := min(len(wantLog), len(gotLog))
+		at := 0
+		for at < n && wantLog[at] == gotLog[at] {
+			at++
 		}
+		t.Fatalf("dispatch diverged at op %d of %d/%d (reference/kernel)", at, len(wantLog), len(gotLog))
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("workers=%d: result diverged:\nreference %+v\nkernel    %+v", workers, want, got)
+		t.Fatalf("result diverged:\nreference %+v\nkernel    %+v", want, got)
 	}
-	return wantLogs, err
+	return wantLog, err
 }
 
 // TestKernelMatchesReference: the kernel dispatches and fails exactly as
-// referenceRun. Clients 0-3 chain four home machines into one shard and
-// clients 4-5 form a second; windows, post costs and MaxOps budgets are
-// mixed, and equal post costs from time zero make equal-time ties that only
-// the index breaks. Clients 1 and 3 lag every other op, so their windows
-// take completions out of order. Client 5 fails at its second op, long before client 2
-// reaches its thirtieth, yet when both fail client 2's shard comes first,
-// so its error is the one returned.
+// referenceRun. Clients 0-3 chain four machines and clients 4-5 share two
+// others; windows, post costs and MaxOps budgets are mixed, and equal post
+// costs from time zero make equal-time ties that only the index breaks.
+// Clients 1 and 3 lag every other op, so their windows take completions out
+// of order. Client 5 fails at its second op, long before client 2 reaches
+// its thirtieth, so when both are set to fail client 5's error is the one
+// returned.
 func TestKernelMatchesReference(t *testing.T) {
 	chained := []dispatchSpec{
-		{foot: []int{0, 1}, window: 1, postCost: 50, service: 120},
-		{foot: []int{1, 2}, window: 4, postCost: 50, service: 90, lag: 400},
-		{foot: []int{2, 3}, window: 2, postCost: 50, maxOps: 40, service: 150},
-		{foot: []int{3}, window: 8, postCost: 70, service: 60, lag: 900},
-		{foot: []int{5, 6}, window: 3, postCost: 50, service: 200},
-		{foot: []int{6}, window: 1, postCost: 50, maxOps: 25, service: 80},
+		{path: []int{0, 1}, window: 1, postCost: 50, service: 120},
+		{path: []int{1, 2}, window: 4, postCost: 50, service: 90, lag: 400},
+		{path: []int{2, 3}, window: 2, postCost: 50, maxOps: 40, service: 150},
+		{path: []int{3}, window: 8, postCost: 70, service: 60, lag: 900},
+		{path: []int{5, 6}, window: 3, postCost: 50, service: 200},
+		{path: []int{6}, window: 1, postCost: 50, maxOps: 25, service: 80},
 	}
-	global := slices.Clone(chained)
-	global[4].foot = nil
-	failing := func(specs []dispatchSpec, at map[int]int64) []dispatchSpec {
-		specs = slices.Clone(specs)
+	failing := func(at map[int]int64) []dispatchSpec {
+		specs := slices.Clone(chained)
 		for i, n := range at {
 			specs[i].failAt = n
 		}
@@ -312,18 +211,13 @@ func TestKernelMatchesReference(t *testing.T) {
 		wantErr string // prefix; empty: the run succeeds
 	}{
 		{"chained", chained, ""},
-		{"global", global, ""},
-		{"first shard fails", failing(chained, map[int]int64{2: 30}), "sim: client 2 at "},
-		{"second shard fails", failing(chained, map[int]int64{5: 2}), "sim: client 5 at "},
-		{"both shards fail", failing(chained, map[int]int64{2: 30, 5: 2}), "sim: client 2 at "},
-		{"one shard, two failures", failing(global, map[int]int64{2: 30, 5: 2}), "sim: client 5 at "},
+		{"client 2 fails", failing(map[int]int64{2: 30}), "sim: client 2 at "},
+		{"client 5 fails", failing(map[int]int64{5: 2}), "sim: client 5 at "},
+		{"earliest failure wins", failing(map[int]int64{2: 30, 5: 2}), "sim: client 5 at "},
 	}
 	reordered := 0
 	for _, tc := range cases {
-		logs, err := checkAgainstReference(t, tc.specs, 1, 100*Microsecond)
-		if _, err4 := checkAgainstReference(t, tc.specs, 4, 100*Microsecond); fmt.Sprint(err4) != fmt.Sprint(err) {
-			t.Fatalf("%s: error at 4 workers %v, at 1 worker %v", tc.name, err4, err)
-		}
+		log, err := checkAgainstReference(t, tc.specs, 100*Microsecond)
 		switch {
 		case tc.wantErr == "" && err != nil:
 			t.Fatalf("%s: unexpected error %v", tc.name, err)
@@ -331,20 +225,57 @@ func TestKernelMatchesReference(t *testing.T) {
 			t.Fatalf("%s: error %v, want %q... wrapping errOpFailed", tc.name, err, tc.wantErr)
 		}
 		ties := 0
-		for _, log := range logs {
-			for j := 1; j < len(log); j++ {
-				if log[j].post == log[j-1].post {
-					ties++
-				}
+		for j := 1; j < len(log); j++ {
+			if log[j].post == log[j-1].post {
+				ties++
 			}
 		}
 		if ties == 0 {
 			t.Fatalf("%s: no equal-time dispatches; the index tiebreak went unexercised", tc.name)
 		}
-		reordered += outOfOrder(logs)
+		reordered += outOfOrder(log)
 	}
 	if reordered == 0 {
 		t.Fatal("no client completed an op before the one it posted just earlier; the window's out-of-order push went unexercised")
+	}
+}
+
+// TestKernelFailureStopsEveryClient: client 0 fails at time t, and client 1,
+// which shares no resource with it, posts nothing after t. Run returns
+// client 0's error, and client 1's stats count only what it posted before.
+func TestKernelFailureStopsEveryClient(t *testing.T) {
+	var log []dispatchEvent
+	specs := []dispatchSpec{
+		{path: []int{0}, window: 1, postCost: 100, service: 50, failAt: 5},
+		{path: []int{1}, window: 2, postCost: 30, service: 40},
+	}
+	clients := buildDispatch(specs, &log)
+	var failAt Time // the post time of client 0's last op: the failing one
+	op := clients[0].Op
+	clients[0].Op = func(post Time) Time {
+		failAt = post
+		return op(post)
+	}
+	k := NewKernel(1)
+	for _, c := range clients {
+		k.Add(c)
+	}
+	res, err := k.Run(Millisecond)
+	if want := fmt.Sprintf("sim: client 0 at %v: ", failAt); err == nil || !strings.HasPrefix(err.Error(), want) || !errors.Is(err, errOpFailed) {
+		t.Fatalf("error %v, want %q... wrapping errOpFailed", err, want)
+	}
+	var posted [2]int64
+	for _, ev := range log {
+		if ev.client == 1 && ev.post > failAt {
+			t.Fatalf("client 1 posted at %v, after client 0 failed at %v", ev.post, failAt)
+		}
+		posted[ev.client]++
+	}
+	if posted[0] != 4 || posted[1] == 0 {
+		t.Fatalf("logged %d/%d ops for clients 0/1, want 4 and some", posted[0], posted[1])
+	}
+	if res.Clients[0].Posted != posted[0] || res.Clients[1].Posted != posted[1] {
+		t.Fatalf("posted %d/%d, logged %v", res.Clients[0].Posted, res.Clients[1].Posted, posted)
 	}
 }
 
@@ -352,27 +283,25 @@ func TestKernelMatchesReference(t *testing.T) {
 // That previous op is still outstanding when the later one is pushed (it
 // completes after the later one's post), so each count is a window push that
 // lands before the window's last entry.
-func outOfOrder(logs [][]dispatchEvent) int {
+func outOfOrder(log []dispatchEvent) int {
 	n := 0
 	last := map[int]Time{}
-	for _, log := range logs {
-		for _, ev := range log {
-			if prev, ok := last[ev.client]; ok && ev.complete < prev {
-				n++
-			}
-			last[ev.client] = ev.complete
+	for _, ev := range log {
+		if prev, ok := last[ev.client]; ok && ev.complete < prev {
+			n++
 		}
+		last[ev.client] = ev.complete
 	}
 	return n
 }
 
-// TestShardKeyCacheInvariant: the shard heap's cached dispatch keys stay
-// exact. Inside every op, each non-root key equals its client's nextAction,
-// and the root's key is the time it was dispatched at. Windows, post costs
-// and MaxOps budgets are mixed, so sifts and evictions both move keys.
+// TestShardKeyCacheInvariant: the dispatch heap's cached keys stay exact.
+// Inside every op, each non-root key equals its client's nextAction, and the
+// root's key is the time it was dispatched at. Windows, post costs and
+// MaxOps budgets are mixed, so sifts and evictions both move keys.
 func TestShardKeyCacheInvariant(t *testing.T) {
 	r := NewResource("eu")
-	sd := &shard{}
+	h := &dispatchHeap{}
 	ops := 0
 	for i := 0; i < 7; i++ {
 		c := &Client{
@@ -383,29 +312,31 @@ func TestShardKeyCacheInvariant(t *testing.T) {
 		svc := Duration(40 + 25*i)
 		c.Op = func(post Time) Time {
 			ops++
-			if sd.clients[0] != c || sd.keys[0] != post {
-				t.Fatalf("op %d: client %d dispatched at %v is not the root (root key %v)", ops, i, post, sd.keys[0])
+			if h.clients[0] != c || h.keys[0] != post {
+				t.Fatalf("op %d: client %d dispatched at %v is not the root (root key %v)", ops, i, post, h.keys[0])
 			}
-			for j := 1; j < len(sd.clients); j++ {
-				if got, want := sd.keys[j], sd.clients[j].nextAction(); got != want {
+			for j := 1; j < len(h.clients); j++ {
+				if got, want := h.keys[j], h.clients[j].nextAction(); got != want {
 					t.Fatalf("op %d: cached key of heap slot %d is %v, nextAction %v", ops, j, got, want)
 				}
 			}
 			return r.Delay(post, svc)
 		}
-		sd.clients = append(sd.clients, c)
-		sd.idx = append(sd.idx, i)
+		h.clients = append(h.clients, c)
+		h.idx = append(h.idx, i)
 	}
-	runShard(sd, 50*Microsecond)
+	if err := h.run(50 * Microsecond); err != nil {
+		t.Fatal(err)
+	}
 	if ops < 300 {
 		t.Fatalf("only %d ops dispatched; the invariant went unexercised", ops)
 	}
 }
 
-// FuzzKernelDispatch decodes a client set (count, footprints with their home
-// machines, windows, post costs, MaxOps budgets, service times and failing
-// ops) and checks the kernel against referenceRun at one and three workers:
-// dispatch logs up to any failure, results, and the returned error.
+// FuzzKernelDispatch decodes a client set (count, resource paths, windows,
+// post costs, MaxOps budgets, service times and failing ops) and checks the
+// kernel against referenceRun: the dispatch log up to any failure, the
+// result, and the returned error.
 func FuzzKernelDispatch(f *testing.F) {
 	f.Add([]byte{4, 0, 1, 1, 10, 2, 100, 1, 0, 2, 2, 10, 0, 50, 2, 1, 3, 0, 10, 5, 150, 3, 0, 0, 20, 0, 0, 80})
 	f.Add([]byte{3, 8, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 8})
@@ -422,14 +353,11 @@ func FuzzKernelDispatch(f *testing.F) {
 		}
 		specs := make([]dispatchSpec, 1+next()%8)
 		for i := range specs {
-			// Home machine 8 stands for a global client.
-			if home := next() % 9; home < 8 {
-				foot := []int{home}
-				for extra := next() % 3; extra > 0; extra-- {
-					foot = append(foot, next()%8)
-				}
-				specs[i].foot = foot
+			path := []int{next() % 9}
+			for extra := next() % 3; extra > 0; extra-- {
+				path = append(path, next()%9)
 			}
+			specs[i].path = path
 			specs[i].window = 1 + next()%4
 			specs[i].postCost = Duration(10 * (1 + next()%8))
 			specs[i].maxOps = int64(next() % 12)
@@ -439,14 +367,13 @@ func FuzzKernelDispatch(f *testing.F) {
 				specs[i].failAt = int64(1 + b/2)
 			}
 		}
-		checkAgainstReference(t, specs, 1, 20*Microsecond)
-		checkAgainstReference(t, specs, 3, 20*Microsecond)
+		checkAgainstReference(t, specs, 20*Microsecond)
 	})
 }
 
-// TestKernelMatchesRunClosedLoop: clients that share a footprint form one
-// shard, and that shard must reproduce RunClosedLoop (the same clients
-// registered globally) bit for bit — same stats, same per-op latencies.
+// TestKernelMatchesRunClosedLoop: a Kernel and RunClosedLoop over the same
+// clients agree bit for bit — same stats, same per-op latencies — whatever
+// worker count NewKernel is handed.
 func TestKernelMatchesRunClosedLoop(t *testing.T) {
 	build := func() ([]*Client, [][]Duration) {
 		r := NewResource("eu")
@@ -470,7 +397,7 @@ func TestKernelMatchesRunClosedLoop(t *testing.T) {
 	k := NewKernel(4)
 	kernelClients, gotLats := build()
 	for _, c := range kernelClients {
-		k.Add(c, 0, 1) // shared machines: one shard
+		k.Add(c)
 	}
 	got, err := k.Run(Millisecond)
 	if err != nil {
@@ -485,7 +412,7 @@ func TestKernelMatchesRunClosedLoop(t *testing.T) {
 }
 
 // TestKernelDispatchOrderMatchesLoop: ops log their dispatch sequence; a
-// footprinted single-shard kernel must replay RunClosedLoop's exact order.
+// Kernel must replay RunClosedLoop's exact order.
 func TestKernelDispatchOrderMatchesLoop(t *testing.T) {
 	type ev struct {
 		client int
@@ -512,7 +439,7 @@ func TestKernelDispatchOrderMatchesLoop(t *testing.T) {
 	}
 	k := NewKernel(2)
 	for _, c := range build(&got) {
-		k.Add(c, 0)
+		k.Add(c)
 	}
 	if _, err := k.Run(100 * Microsecond); err != nil {
 		t.Fatal(err)
@@ -525,64 +452,7 @@ func TestKernelDispatchOrderMatchesLoop(t *testing.T) {
 	}
 }
 
-// TestKernelWorkerCountInvariance: disjoint footprint groups must produce
-// identical results (including every op's latency, in dispatch order) at
-// every worker count.
-func TestKernelWorkerCountInvariance(t *testing.T) {
-	want, wantLats := runKernel(t, 1, 24, 6)
-	if want.Completed == 0 {
-		t.Fatal("no ops completed")
-	}
-	for _, workers := range []int{2, 4, 8, 64} {
-		got, gotLats := runKernel(t, workers, 24, 6)
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("workers=%d diverged from serial run", workers)
-		}
-		if !reflect.DeepEqual(wantLats, gotLats) {
-			t.Fatalf("workers=%d per-op latencies diverged from serial run", workers)
-		}
-	}
-}
-
-// TestKernelPartition checks the union-find: overlapping footprints merge,
-// disjoint ones stay apart, shards are ordered by first-registered client.
-func TestKernelPartition(t *testing.T) {
-	k := NewKernel(1)
-	add := func(machines ...int) {
-		k.Add(&Client{Op: fixedOp(1), PostCost: 1, Window: 1}, machines...)
-	}
-	add(0, 1) // shard A
-	add(4, 5) // shard B
-	add(2, 3) // shard C ...
-	add(1, 2) // ... no: bridges A and C
-	shards := k.partition()
-	if len(shards) != 2 {
-		t.Fatalf("got %d shards, want 2", len(shards))
-	}
-	// Shard order follows first-registered client: {0,2,3} then {1}.
-	if got := shards[0].idx; !reflect.DeepEqual(got, []int{0, 2, 3}) {
-		t.Fatalf("shard 0 clients %v, want [0 2 3]", got)
-	}
-	if got := shards[1].idx; !reflect.DeepEqual(got, []int{1}) {
-		t.Fatalf("shard 1 clients %v, want [1]", got)
-	}
-}
-
-// TestKernelGlobalClientCollapses: one footprint-less client forces a single
-// shard containing everyone.
-func TestKernelGlobalClientCollapses(t *testing.T) {
-	k := NewKernel(8)
-	k.Add(&Client{Op: fixedOp(1), PostCost: 1, Window: 1}, 0)
-	k.Add(&Client{Op: fixedOp(1), PostCost: 1, Window: 1}) // global
-	k.Add(&Client{Op: fixedOp(1), PostCost: 1, Window: 1}, 9)
-	shards := k.partition()
-	if len(shards) != 1 || len(shards[0].clients) != 3 {
-		t.Fatalf("global client should collapse to 1 shard of 3, got %d shards", len(shards))
-	}
-}
-
-// TestKernelValidation: config panics must fire exactly as in the classic
-// loop, plus the footprint-specific ones.
+// TestKernelValidation: config panics fire exactly as in the classic loop.
 func TestKernelValidation(t *testing.T) {
 	expectPanic := func(name string, fn func()) {
 		defer func() {
@@ -592,17 +462,14 @@ func TestKernelValidation(t *testing.T) {
 		}()
 		fn()
 	}
-	expectPanic("negative machine", func() {
-		NewKernel(1).Add(&Client{Op: fixedOp(1), PostCost: 1, Window: 1}, -1)
-	})
 	expectPanic("zero window", func() {
 		k := NewKernel(1)
-		k.Add(&Client{Op: fixedOp(1), PostCost: 1, Window: 0}, 0)
+		k.Add(&Client{Op: fixedOp(1), PostCost: 1, Window: 0})
 		k.Run(Millisecond)
 	})
 	expectPanic("zero post cost", func() {
 		k := NewKernel(1)
-		k.Add(&Client{Op: fixedOp(1), PostCost: 0, Window: 1}, 0)
+		k.Add(&Client{Op: fixedOp(1), PostCost: 0, Window: 1})
 		k.Run(Millisecond)
 	})
 	expectPanic("bad horizon", func() {
@@ -610,58 +477,18 @@ func TestKernelValidation(t *testing.T) {
 	})
 	expectPanic("time travel", func() {
 		k := NewKernel(1)
-		k.Add(&Client{Op: func(post Time) Time { return post - 1 }, PostCost: 1, Window: 1}, 0)
+		k.Add(&Client{Op: func(post Time) Time { return post - 1 }, PostCost: 1, Window: 1})
 		k.Run(Millisecond)
 	})
 }
 
-// TestKernelShardPanicPropagates: an op panic inside a parallel shard must
-// surface in Run's caller, and the first-registered shard's panic wins so the
-// report is deterministic.
-func TestKernelShardPanicPropagates(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected shard panic to propagate")
-		}
-		if r != "boom-0" {
-			t.Fatalf("got panic %v, want boom-0 (first shard wins)", r)
-		}
-	}()
-	k := NewKernel(4)
-	for g := 0; g < 4; g++ {
-		g := g
-		k.Add(&Client{
-			PostCost: 10, Window: 1,
-			Op: func(post Time) Time {
-				if post > 10*Microsecond {
-					panic("boom-" + string(rune('0'+g)))
-				}
-				return post + 100
-			},
-		}, g)
-	}
-	k.Run(Millisecond)
-}
-
-// TestKernelWorkersClamp: worker counts below 1 clamp to serial.
-func TestKernelWorkersClamp(t *testing.T) {
-	if got := NewKernel(0).Workers(); got != 1 {
-		t.Fatalf("workers=%d, want 1", got)
-	}
-	if got := NewKernel(-3).Workers(); got != 1 {
-		t.Fatalf("workers=%d, want 1", got)
-	}
-}
-
-// TestKernelMaxOps: MaxOps gates per client exactly as in the classic loop,
-// across shards.
+// TestKernelMaxOps: MaxOps gates per client exactly as in the classic loop.
 func TestKernelMaxOps(t *testing.T) {
-	k := NewKernel(2)
+	k := NewKernel(1)
 	a := &Client{Op: fixedOp(10), PostCost: 10, Window: 1, MaxOps: 7}
 	b := &Client{Op: fixedOp(10), PostCost: 10, Window: 1, MaxOps: 3}
-	k.Add(a, 0)
-	k.Add(b, 1)
+	k.Add(a)
+	k.Add(b)
 	res, err := k.Run(Second)
 	if err != nil {
 		t.Fatal(err)

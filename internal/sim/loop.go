@@ -36,8 +36,8 @@ type Client struct {
 // Fail records err as the client's failure if it is the client's first
 // non-nil one; a nil err is ignored, so an op can end with
 // `c.Fail(err); return done`. Call it only from the client's own Op. Once
-// that op returns, the kernel ignores its completion time, stops the
-// client's whole shard, and Run returns the error (see Kernel.Run).
+// that op returns, the kernel ignores its completion time, stops the whole
+// run, and Run returns the error (see Kernel.Run).
 func (c *Client) Fail(err error) {
 	if err != nil && c.err == nil {
 		c.err = err
@@ -113,18 +113,9 @@ func (c *Client) nextAction() Time {
 // horizon. Operations posted before the horizon run to completion, but only
 // completions at or before the horizon are counted, so Result.Throughput is a
 // steady-state estimate. The clients' Op closures may share state freely:
-// dispatch is strictly sequential in time order.
-//
-// RunClosedLoop is the single-shard configuration of the sharded Kernel —
-// every client registered with no footprint, so all of them dispatch from
-// one heap and nothing runs concurrently.
-// Clients whose ops are confined to declared machine footprints can run
-// through a Kernel (or cluster.Engine) instead and use multiple cores. A
-// failed op stops the loop and comes back as the error; see Kernel.Run.
+// dispatch is strictly sequential in time order, and ties go to the client
+// earlier in clients. A failed op stops the loop and comes back as the
+// error; see Kernel.Run.
 func RunClosedLoop(clients []*Client, horizon Time) (Result, error) {
-	k := NewKernel(1)
-	for _, c := range clients {
-		k.Add(c)
-	}
-	return k.Run(horizon)
+	return (&Kernel{clients: clients}).Run(horizon)
 }

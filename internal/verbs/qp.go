@@ -54,11 +54,7 @@ func MustConnect(a *Context, portA int, b *Context, portB int, t Transport) (*QP
 func (q *QP) Peer() *QP { return q.peer }
 
 // Machines returns the two hosts this QP's ops touch: the local (posting)
-// machine first, then the connected peer's. A connected QP's op closures are
-// shard-local by construction — per-QP state (pipeline, CQs, scratch, PSNs)
-// lives on the two endpoints, and the only cross-machine path is the fabric
-// between them — so handing exactly these machines to cluster.Engine.Add is
-// a complete footprint for a client driving this QP.
+// machine first, then the connected peer's.
 func (q *QP) Machines() (local, remote *cluster.Machine) {
 	return q.ctx.Machine(), q.peer.ctx.Machine()
 }

@@ -167,7 +167,7 @@ func TestReplayExactlyOnceUnapplied(t *testing.T) {
 // acknowledgement regenerates, memory is not touched again. (White-box: the
 // applied flag is seeded directly; the integrated path that sets it — ACKs
 // lost until the budget exhausts — is exercised statistically by the
-// engine-determinism workload.)
+// cross-layer determinism workload.)
 func TestReplayAppliedIsDuplicate(t *testing.T) {
 	e := newLossyPair(t, quietPlan(), RC)
 	comp, err := e.qpA.PostSend(0, fetchAddWR(e, 1))

@@ -8,8 +8,7 @@
 // Semantics preserved from the per-QP receive queue, bit for bit:
 //
 //   - hand-out is deterministic FIFO in responder arrival order (the event
-//     kernel is single threaded per shard, and every QP attached to one SRQ
-//     shares its machine and therefore its shard — see AttachSRQ);
+//     kernel dispatches every op of a run in one order — see AttachSRQ);
 //   - an empty SRQ is "receiver not ready", never a drop, on RC: ErrRNR on a
 //     lossless fabric, an RNR NAK + RNR-timer retry on a lossy one
 //     (reliability.go), exactly as when a QP's own receive queue underflows.
@@ -75,12 +74,9 @@ func (s *SRQ) Handed() uint64 { return s.handed }
 // QP's own receive queue (which must be empty at attach time — mixing the
 // two would make hand-out order ambiguous).
 //
-// The SRQ must live on the QP's machine. This is what keeps sharding
-// deterministic for free: every client driving a QP attached to this SRQ has
-// the SRQ's machine in its footprint (it is the QP's local or remote end),
-// so the footprint union-find of cluster.Engine places all of them in one
-// shard and the FIFO sees one deterministic arrival order at any
-// -engine-workers width.
+// The SRQ must live on the QP's machine: its receive buffers are host
+// memory the QP's own NIC consumes. Every QP attached to it feeds one FIFO,
+// which the kernel's single dispatch order keeps deterministic.
 func (s *qpState) AttachSRQ(srq *SRQ) error {
 	if srq == nil {
 		return fmt.Errorf("verbs: nil SRQ")
