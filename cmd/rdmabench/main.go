@@ -45,18 +45,8 @@
 // Both are observers: with neither flag the simulation takes the exact same
 // code path and produces byte-identical output.
 //
-// -conn-modes and -qp-pool parameterize the qpsweep connection-serving
-// comparison: which serving strategies to sweep (per-conn, srq, pool,
-// proxy) and how many physical QPs the pool/proxy modes share.
-//
-// -fault-flap and -recovery-modes parameterize the availability chaos
-// sweep: the link-flap intensities to sweep (comma-separated down/period
-// pairs in nanoseconds, e.g. 2000/25000,12000/25000) and which recovery
-// strategies to compare (none, reconnect, reconnect+remap).
-//
-// -txn-conflicts parameterizes the transactional-KV conflict sweep: the
-// swept share of transactions aimed at the hot key set, as strictly
-// ascending percentages (e.g. 0,50,100).
+// Each experiment sweeps fixed points, the ones its golden pins; the flags
+// above only set how the whole run executes and what it reports.
 package main
 
 import (
@@ -65,7 +55,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"strings"
 	"time"
 
 	"rdmasem/internal/bench"
@@ -88,12 +77,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	parallel := fs.Int("parallel", 0, "sweep-point workers per experiment (0 = GOMAXPROCS)")
 	compatWorkers := fs.Int("engine-workers", 1, "accepted for compatibility: 0 or 1 (runs are serial; see -parallel)")
 	faults := fs.String("faults", "", "lossy-fabric plan, e.g. seed=1,drop=0.01 (empty = lossless)")
-	connModes := fs.String("conn-modes", "", "comma-separated qpsweep serving modes (per-conn,srq,pool,proxy); empty = all")
-	qpPool := fs.Int("qp-pool", 0, "physical-QP pool width of qpsweep's pool/proxy modes (0 = default 64)")
-	faultFlap := fs.String("fault-flap", "", "availability flap sweep: comma-separated down/period pairs in ns (empty = default sweep)")
-	recoveryModes := fs.String("recovery-modes", "", "comma-separated availability recovery modes (none,reconnect,reconnect+remap); empty = all")
-	adaptive := fs.String("adaptive", "", "adaptive controller spec, e.g. epoch=20000,confirm=2,dwell=2,depth=16 (empty = scale-derived)")
-	txnConflicts := fs.String("txn-conflicts", "", "txn conflict sweep: ascending percentages in [0,100], e.g. 0,50,100 (empty = default sweep)")
 	metrics := fs.Bool("metrics", false, "print per-experiment telemetry (stage histograms, counters)")
 	timeline := fs.String("timeline", "", "write a Chrome trace_event JSON of every op's stage walk to this file")
 	list := fs.Bool("list", false, "list experiment ids")
@@ -118,20 +101,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	opts := bench.Options{
-		Metrics:      *metrics,
-		Parallel:     *parallel,
-		QPPool:       *qpPool,
-		FaultFlap:    *faultFlap,
-		Adaptive:     *adaptive,
-		TxnConflicts: *txnConflicts,
-	}
-	if *connModes != "" {
-		opts.ConnModes = strings.Split(*connModes, ",")
-	}
-	if *recoveryModes != "" {
-		opts.RecoveryModes = strings.Split(*recoveryModes, ",")
-	}
+	opts := bench.Options{Metrics: *metrics, Parallel: *parallel}
 	if *faults != "" {
 		plan, err := fabric.ParseFaultPlan(*faults)
 		if err != nil {

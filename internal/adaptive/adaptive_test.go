@@ -131,8 +131,8 @@ func TestTunerTieBreaksOnProbeOrder(t *testing.T) {
 
 // TestTunerOscillatingFingerprintNeverFlipFlops is the hysteresis contract:
 // a workload that straddles a fingerprint boundary, alternating every epoch,
-// must never re-open probing — the drift counter needs Confirm consecutive
-// drifted epochs and the oscillation keeps resetting it.
+// must never re-open probing — the drift counter needs DefaultConfirm
+// consecutive drifted epochs and the oscillation keeps resetting it.
 func TestTunerOscillatingFingerprintNeverFlipFlops(t *testing.T) {
 	s := newSynth()
 	lats := [3]sim.Duration{3000, 1000, 2000}
@@ -164,9 +164,9 @@ func TestTunerOscillatingFingerprintNeverFlipFlops(t *testing.T) {
 	}
 }
 
-// TestTunerSustainedDriftReprobes: the same drift held for Confirm epochs
-// (after the Dwell cooldown) re-opens probing, and the re-probe locks the
-// candidate the new workload measures cheapest.
+// TestTunerSustainedDriftReprobes: the same drift held for DefaultConfirm
+// epochs (after the DefaultDwell cooldown) re-opens probing, and the re-probe
+// locks the candidate the new workload measures cheapest.
 func TestTunerSustainedDriftReprobes(t *testing.T) {
 	s := newSynth()
 	oldLats := [3]sim.Duration{3000, 1000, 2000}
@@ -177,7 +177,7 @@ func TestTunerSustainedDriftReprobes(t *testing.T) {
 		t.Fatal("setup: expected Doorbell lock")
 	}
 	// The workload changes shape for good: the first two drifted epochs fall
-	// in the dwell window (ignored), the next Confirm=2 arm the re-probe.
+	// in the dwell window (ignored), the next DefaultConfirm=2 arm the re-probe.
 	newLats := [3]sim.Duration{500, 1000, 2000}
 	before := len(s.c.Records())
 	for i := 0; i < 3; i++ {

@@ -18,14 +18,14 @@
 // A locked tuner watches a workload fingerprint — log2 of mean payload
 // bytes per op, plus fragments per op on the batch path and a
 // block-locality term (log2 of the scaled block-switch rate) on the
-// small-write path; only after Confirm consecutive drifted epochs does it
-// re-probe, and never during the Dwell cooldown that follows a lock. The
-// small-write tuner has one extra transition: a consolidator whose flushes
-// dominate its absorbs for Confirm consecutive epochs is demoted straight
-// to the native path without a probe, because the drain that precedes a
-// probe would hand the consolidator an empty shadow and a free-slot
-// honeymoon win. Decisions therefore change at most once per epoch per
-// knob, which is the hysteresis contract the tests pin.
+// small-write path; only after DefaultConfirm consecutive drifted epochs
+// does it re-probe, and never during the DefaultDwell cooldown that follows
+// a lock. The small-write tuner has one extra transition: a consolidator
+// whose flushes dominate its absorbs for DefaultConfirm consecutive epochs
+// is demoted straight to the native path without a probe, because the
+// drain that precedes a probe would hand the consolidator an empty shadow
+// and a free-slot honeymoon win. Decisions therefore change at most once
+// per epoch per knob, which is the hysteresis contract the tests pin.
 //
 // Everything is a pure function of the virtual-time operation sequence: no
 // wall clock, no randomness, no goroutines. Two runs that see the same ops
@@ -40,17 +40,16 @@ import (
 	"rdmasem/internal/verbs"
 )
 
-// Params tunes the adaptive IO controllers. Zero values select the
-// defaults below.
+// Params tunes the adaptive IO controllers.
 type Params struct {
-	Epoch    sim.Duration // decision interval in virtual time (0 = DefaultEpoch)
-	Confirm  int          // consecutive drifted epochs before re-probing (0 = DefaultConfirm)
-	Dwell    int          // cooldown epochs after a switch before re-probing (0 = DefaultDwell)
-	MaxDepth int          // doorbell list depth ceiling (0 = DefaultMaxDepth)
-	Shadow   bool         // observe and decide but never retune (passive mode)
+	Epoch  sim.Duration // decision interval in virtual time (0 = DefaultEpoch)
+	Shadow bool         // observe and decide but never retune (passive mode)
 }
 
-// Defaults for zero-valued Params fields.
+// DefaultEpoch is the decision interval of a zero Params.Epoch. The other
+// three are the controller's fixed hysteresis: consecutive drifted epochs
+// before re-probing, cooldown epochs after a switch before re-probing, and
+// the doorbell list depth ceiling.
 const (
 	DefaultEpoch    = 20 * sim.Microsecond
 	DefaultConfirm  = 2
@@ -103,7 +102,7 @@ type tuner struct {
 // close feeds one epoch's measurements into the state machine and returns
 // the candidate to run next plus whether that is a change. Epochs with no
 // ops on the tuner's path freeze it entirely.
-func (t *tuner) close(ops, lat int64, fpA, fpB int, confirm, dwell int) (int, bool) {
+func (t *tuner) close(ops, lat int64, fpA, fpB int) (int, bool) {
 	if ops == 0 {
 		return t.cand, false
 	}
@@ -132,7 +131,7 @@ func (t *tuner) close(ops, lat int64, fpA, fpB int, confirm, dwell int) (int, bo
 		t.state = stLocked
 		t.fpA, t.fpB = fpA, fpB
 		t.drift = 0
-		t.dwell = dwell
+		t.dwell = DefaultDwell
 		return best, changed
 	default: // stLocked
 		if t.dwell > 0 {
@@ -144,7 +143,7 @@ func (t *tuner) close(ops, lat int64, fpA, fpB int, confirm, dwell int) (int, bo
 		} else {
 			t.drift = 0
 		}
-		if t.drift >= confirm {
+		if t.drift >= DefaultConfirm {
 			t.state = stProbe
 			for i := range t.scored {
 				t.scored[i] = false
@@ -211,21 +210,12 @@ func NewController(params Params, qp *verbs.QP, b *core.Batcher, cons *core.Cons
 	if params.Epoch <= 0 {
 		params.Epoch = DefaultEpoch
 	}
-	if params.Confirm <= 0 {
-		params.Confirm = DefaultConfirm
-	}
-	if params.Dwell <= 0 {
-		params.Dwell = DefaultDwell
-	}
-	if params.MaxDepth <= 0 {
-		params.MaxDepth = DefaultMaxDepth
-	}
 	c := &Controller{
 		params:       params,
 		qp:           qp,
 		batcher:      b,
 		cons:         cons,
-		depth:        params.MaxDepth,
+		depth:        DefaultMaxDepth,
 		theta:        16,
 		smallLastBlk: -1,
 		recs:         make([]Record, 0, maxRecords),
@@ -352,8 +342,7 @@ func (c *Controller) closeEpoch(at sim.Time) {
 		bFpA = lg(c.batchBytes / c.batchOps)
 		bFpB = lg(c.batchFrags / c.batchOps)
 	}
-	if act, ch := c.batch.close(c.batchOps, c.batchLat, bFpA, bFpB,
-		c.params.Confirm, c.params.Dwell); ch {
+	if act, ch := c.batch.close(c.batchOps, c.batchLat, bFpA, bFpB); ch {
 		changed = true
 		c.applyStrategy(c.strategies[act])
 	}
@@ -370,8 +359,8 @@ func (c *Controller) closeEpoch(at sim.Time) {
 	// the consolidator is switched in means it has stopped consolidating.
 	// Probing cannot rediscover this — the drain that precedes a probe hands
 	// the consolidator a freshly emptied shadow, so its probe epoch scores a
-	// free-slot honeymoon, wins, and the thrash restarts. After Confirm
-	// collapsed epochs, demote to the native path outright.
+	// free-slot honeymoon, wins, and the thrash restarts. After
+	// DefaultConfirm collapsed epochs, demote to the native path outright.
 	if c.cons != nil && c.small.state == stLocked && c.small.cand == candCons && c.smallOps > 0 {
 		w, f := c.cons.Stats()
 		dw, df := w-c.lastWrites, f-c.lastFlushes
@@ -383,17 +372,16 @@ func (c *Controller) closeEpoch(at sim.Time) {
 	} else {
 		c.collapseRun = 0
 	}
-	if c.collapseRun >= c.params.Confirm {
+	if c.collapseRun >= DefaultConfirm {
 		c.collapseRun = 0
 		c.small.state = stLocked
 		c.small.cand = candDirect
 		c.small.fpA, c.small.fpB = sFpA, sFpB
 		c.small.drift = 0
-		c.small.dwell = c.params.Dwell
+		c.small.dwell = DefaultDwell
 		changed = true
 		c.applyCons(false)
-	} else if act, ch := c.small.close(c.smallOps, c.smallLat, sFpA, sFpB,
-		c.params.Confirm, c.params.Dwell); ch {
+	} else if act, ch := c.small.close(c.smallOps, c.smallLat, sFpA, sFpB); ch {
 		changed = true
 		c.applyCons(act == candCons)
 	}
@@ -431,8 +419,8 @@ func (c *Controller) closeEpoch(at sim.Time) {
 	}
 
 	// Doorbell depth: reliability trouble (RNR NAKs, retransmits, timeouts)
-	// during an epoch that actually posted halves the list depth; Confirm
-	// consecutive calm epochs double it back toward the ceiling.
+	// during an epoch that actually posted halves the list depth;
+	// DefaultConfirm consecutive calm epochs double it back toward the ceiling.
 	if c.qp != nil && c.posts > 0 {
 		bad := badEvents(c.qp.Stats())
 		delta := bad - c.lastBad
@@ -444,13 +432,13 @@ func (c *Controller) closeEpoch(at sim.Time) {
 				newDepth = 1
 			}
 			c.depthClean = 0
-		} else if c.depth < c.params.MaxDepth {
+		} else if c.depth < DefaultMaxDepth {
 			c.depthClean++
-			if c.depthClean >= c.params.Confirm {
+			if c.depthClean >= DefaultConfirm {
 				c.depthClean = 0
 				newDepth = c.depth * 2
-				if newDepth > c.params.MaxDepth {
-					newDepth = c.params.MaxDepth
+				if newDepth > DefaultMaxDepth {
+					newDepth = DefaultMaxDepth
 				}
 			}
 		}

@@ -2,8 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"rdmasem/internal/adaptive"
 	"rdmasem/internal/core"
@@ -14,58 +12,11 @@ import (
 
 func init() { register("adaptive", adaptiveRuntime) }
 
-// parseAdaptive parses a comma-separated key=value controller spec (epoch in
-// ns, confirm, dwell, depth) into an override of the experiment's
-// scale-derived controller parameters; an empty spec overrides nothing.
-func parseAdaptive(spec string) (*adaptive.Params, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	var p adaptive.Params
-	for _, part := range strings.Split(spec, ",") {
-		k, v, ok := strings.Cut(part, "=")
-		if !ok {
-			return nil, fmt.Errorf("bench: adaptive spec %q is not key=value", part)
-		}
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bench: adaptive %s=%q: %v", k, v, err)
-		}
-		if n <= 0 {
-			return nil, fmt.Errorf("bench: adaptive %s must be positive, got %d", k, n)
-		}
-		switch k {
-		case "epoch":
-			p.Epoch = sim.Duration(n)
-		case "confirm":
-			p.Confirm = int(n)
-		case "dwell":
-			p.Dwell = int(n)
-		case "depth":
-			p.MaxDepth = int(n)
-		default:
-			return nil, fmt.Errorf("bench: unknown adaptive key %q (want epoch, confirm, dwell, depth)", k)
-		}
-	}
-	return &p, nil
-}
-
-// adaptiveParams resolves the controller configuration for one cell: the
-// run's override if present, otherwise an epoch of h/96 so the probe burn-in
-// stays a fixed fraction of the horizon at every scale.
-func (r *run) adaptiveParams(h sim.Duration, shadow bool) adaptive.Params {
-	p := adaptive.Params{}
-	if r.adaptive != nil {
-		p = *r.adaptive
-	}
-	if p.Epoch <= 0 {
-		p.Epoch = h / 96
-		if p.Epoch < 500 {
-			p.Epoch = 500
-		}
-	}
-	p.Shadow = shadow
-	return p
+// adaptiveParams is the controller configuration for one cell: an epoch of
+// h/96, at least 500ns, so the probe burn-in stays a fixed fraction of the
+// horizon at every scale.
+func adaptiveParams(h sim.Duration, shadow bool) adaptive.Params {
+	return adaptive.Params{Epoch: max(h/96, 500), Shadow: shadow}
 }
 
 // adaptiveCfg is one sweep line: a pinned static plan (shadow controller
@@ -126,7 +77,7 @@ func adaptiveRuntime(r *run) (*Report, error) {
 			QP: env.qpA, LocalMR: env.mrA, Staging: env.staging,
 			RemoteMR: env.mrB, RemoteBase: env.mrB.Addr(),
 			BlockSize: 1024, Theta: 16, MaxBlocks: 8,
-			Params:   r.adaptiveParams(h, !cfg.live),
+			Params:   adaptiveParams(h, !cfg.live),
 			Strategy: cfg.strategy, UseCons: cfg.useCons,
 		})
 		if err != nil {

@@ -2,8 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"rdmasem/internal/cluster"
 	"rdmasem/internal/fabric"
@@ -29,42 +27,11 @@ type flapPoint struct {
 	down, period sim.Duration
 }
 
-// defaultFlaps sweeps 8%, 24% and 48% link downtime on a 25us flap period.
-func defaultFlaps() []flapPoint {
-	return []flapPoint{
-		{down: 2 * sim.Microsecond, period: 25 * sim.Microsecond},
-		{down: 6 * sim.Microsecond, period: 25 * sim.Microsecond},
-		{down: 12 * sim.Microsecond, period: 25 * sim.Microsecond},
-	}
-}
-
-// parseFaultFlap parses the availability experiment's flap sweep:
-// comma-separated down/period pairs in nanoseconds, mildest first, e.g.
-// "2000/25000,12000/25000". An empty spec selects the default sweep.
-func parseFaultFlap(spec string) ([]flapPoint, error) {
-	if spec == "" {
-		return defaultFlaps(), nil
-	}
-	var pts []flapPoint
-	for _, part := range strings.Split(spec, ",") {
-		ds, ps, ok := strings.Cut(part, "/")
-		if !ok {
-			return nil, fmt.Errorf("bench: flap point %q is not down/period", part)
-		}
-		d, err := strconv.ParseInt(ds, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bench: flap down %q: %v", ds, err)
-		}
-		p, err := strconv.ParseInt(ps, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bench: flap period %q: %v", ps, err)
-		}
-		if d <= 0 || p <= d {
-			return nil, fmt.Errorf("bench: flap point %q needs 0 < down < period", part)
-		}
-		pts = append(pts, flapPoint{down: sim.Duration(d), period: sim.Duration(p)})
-	}
-	return pts, nil
+// availFlaps sweeps 8%, 24% and 48% link downtime on a 25us flap period.
+var availFlaps = []flapPoint{
+	{down: 2 * sim.Microsecond, period: 25 * sim.Microsecond},
+	{down: 6 * sim.Microsecond, period: 25 * sim.Microsecond},
+	{down: 12 * sim.Microsecond, period: 25 * sim.Microsecond},
 }
 
 // availPoint is one (mode, fault scenario) measurement.
@@ -103,7 +70,7 @@ func recoveryPolicyFor(mode string) *proxy.RecoveryPolicy {
 // daemon with it): the standby daemon takes over after the detection
 // timeout and the table re-establishes its pool when the node restarts.
 func availability(r *run) (*Report, error) {
-	modes, flaps := r.recoveryModes, r.flaps
+	modes, flaps := availModes, availFlaps
 	h := r.horizon(2 * sim.Millisecond)
 	pts, err := points(r, len(modes)*len(flaps), func(r *run, i int) (availPoint, error) {
 		return flapAvailabilityPoint(r, modes[i/len(flaps)], flaps[i%len(flaps)], h)

@@ -41,35 +41,32 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run("fig1", 2, Options{}); err == nil {
 		t.Error("scale > 1 must fail")
 	}
-	// Negative counts are typed errors; zero is the default (the zero
+	// A negative width is a typed error; zero is the default (the zero
 	// Options value is valid).
-	for _, o := range []Options{{Parallel: -1}, {QPPool: -1}} {
-		var oe *OptionError
-		if err := o.Validate(); !errors.As(err, &oe) || oe.Value != -1 {
-			t.Errorf("%+v: err = %v, want an *OptionError for -1", o, err)
-		}
+	var oe *OptionError
+	if err := (Options{Parallel: -1}).Validate(); !errors.As(err, &oe) || oe.Value != -1 {
+		t.Errorf("Parallel -1: err = %v, want an *OptionError for -1", err)
 	}
 	if err := (Options{}).Validate(); err != nil {
 		t.Errorf("zero Options: %v", err)
 	}
 }
 
-// FuzzRunOptions: for any experiment, fault plan and option specs, Validate
-// returns nil or an error, and a valid run at scale 0.02 returns a report or
-// an error, never a panic. The seeds cover a plain run, a harsh plan that
-// exhausts a QP's retries, every spec knob, and malformed specs.
+// FuzzRunOptions: for any experiment and fault plan, Validate returns nil or
+// an error, and a valid run at scale 0.02 returns a report or an error, never
+// a panic. The seeds cover a plain run, a harsh plan that exhausts a QP's
+// retries, three extension experiments (two under loss) and a malformed
+// plan.
 func FuzzRunOptions(f *testing.F) {
 	ids := List()
-	add := func(id, plan string, qpPool int, flap, adaptive, conflicts string) {
-		f.Add(uint8(slices.Index(ids, id)), plan, qpPool, flap, adaptive, conflicts)
-	}
-	add("fig1", "", 0, "", "", "")
-	add("fig12", "seed=3,drop=0.2", 0, "", "", "")
-	add("availability", "seed=1,drop=0.01", 8, "2000/25000", "", "")
-	add("adaptive", "", 0, "", "epoch=20000,confirm=2,dwell=2,depth=16", "")
-	add("txn", "seed=2,drop=0.05", 0, "", "", "0,100")
-	add("fig3", "drop=2", -1, "bogus", "epoch=bogus", "0,hot")
-	f.Fuzz(func(t *testing.T, exp uint8, planSpec string, qpPool int, flap, adaptive, conflicts string) {
+	add := func(id, plan string) { f.Add(uint8(slices.Index(ids, id)), plan) }
+	add("fig1", "")
+	add("fig12", "seed=3,drop=0.2")
+	add("availability", "seed=1,drop=0.01")
+	add("adaptive", "")
+	add("txn", "seed=2,drop=0.05")
+	add("fig3", "drop=2")
+	f.Fuzz(func(t *testing.T, exp uint8, planSpec string) {
 		var plan *fabric.FaultPlan // empty: lossless, as in rdmabench -faults
 		if planSpec != "" {
 			var err error
@@ -77,14 +74,7 @@ func FuzzRunOptions(f *testing.F) {
 				return
 			}
 		}
-		opts := Options{
-			Faults:       plan,
-			Parallel:     1,
-			QPPool:       qpPool,
-			FaultFlap:    flap,
-			Adaptive:     adaptive,
-			TxnConflicts: conflicts,
-		}
+		opts := Options{Faults: plan, Parallel: 1}
 		if opts.Validate() != nil {
 			return
 		}

@@ -3,19 +3,16 @@ package bench
 import (
 	"fmt"
 	"runtime"
-	"slices"
 
-	"rdmasem/internal/adaptive"
 	"rdmasem/internal/cluster"
 	"rdmasem/internal/fabric"
 	"rdmasem/internal/sim"
 	"rdmasem/internal/telemetry"
 )
 
-// Options configures one Run. The zero value is a plain run: a lossless
-// fabric, no telemetry, GOMAXPROCS sweep workers and every experiment's
-// default sweep. The string fields take the same specs as the
-// rdmabench flags of the same name.
+// Options holds the run-wide settings of one Run. The zero value is a plain
+// run: a lossless fabric, no telemetry and GOMAXPROCS sweep workers. Each
+// experiment's sweep is fixed by its driver.
 type Options struct {
 	Faults   *fabric.FaultPlan   // lossy-fabric plan for every cluster; nil = lossless
 	Metrics  bool                // also record stage histograms into Report.Metrics
@@ -26,13 +23,6 @@ type Options struct {
 	// cluster-construction order. It changes no output and may not be
 	// negative. Inside a point, every kernel run dispatches serially.
 	Parallel int
-
-	ConnModes     []string // qpsweep serving modes (per-conn, srq, pool, proxy); empty = all
-	QPPool        int      // physical QPs of qpsweep's pool and proxy modes; 0 = 64
-	RecoveryModes []string // availability recovery modes (none, reconnect, reconnect+remap); empty = all
-	FaultFlap     string   // availability flap sweep, down/period in ns: "2000/25000,12000/25000"
-	Adaptive      string   // adaptive controller override: "epoch=20000,confirm=2,dwell=2,depth=16"
-	TxnConflicts  string   // txn conflict shares, ascending percentages: "0,50,100"
 }
 
 // Validate reports the first malformed option without running anything.
@@ -65,13 +55,6 @@ type run struct {
 	metrics  bool                // Options.Metrics: attach reg to every cluster
 	tl       *telemetry.Timeline
 
-	connModes     []string
-	qpPool        int
-	recoveryModes []string
-	flaps         []flapPoint
-	adaptive      *adaptive.Params // nil = scale-derived
-	conflicts     []int
-
 	clusters []*cluster.Cluster // built by this run or point, not yet settled
 }
 
@@ -83,16 +66,12 @@ func (o Options) resolve() (*run, error) {
 	if o.Parallel < 0 {
 		return nil, &OptionError{"parallel", ">= 0 (0 = GOMAXPROCS)", o.Parallel}
 	}
-	if o.QPPool < 0 {
-		return nil, &OptionError{"QP pool", ">= 0 (0 = 64)", o.QPPool}
-	}
 	r := &run{
 		parallel: o.Parallel,
 		faults:   o.Faults,
 		reg:      telemetry.NewRegistry(),
 		metrics:  o.Metrics,
 		tl:       o.Timeline,
-		qpPool:   64,
 	}
 	switch {
 	case r.tl != nil:
@@ -100,46 +79,7 @@ func (o Options) resolve() (*run, error) {
 	case r.parallel == 0:
 		r.parallel = runtime.GOMAXPROCS(0)
 	}
-	if o.QPPool > 0 {
-		r.qpPool = o.QPPool
-	}
-	var err error
-	if r.connModes, err = pickModes("connection", qpsweepModes, o.ConnModes); err != nil {
-		return nil, err
-	}
-	if r.recoveryModes, err = pickModes("recovery", availModes, o.RecoveryModes); err != nil {
-		return nil, err
-	}
-	if r.flaps, err = parseFaultFlap(o.FaultFlap); err != nil {
-		return nil, err
-	}
-	if r.adaptive, err = parseAdaptive(o.Adaptive); err != nil {
-		return nil, err
-	}
-	if r.conflicts, err = parseTxnConflicts(o.TxnConflicts); err != nil {
-		return nil, err
-	}
 	return r, nil
-}
-
-// pickModes returns the modes of known that want names, in known's plotting
-// order; an empty want selects them all.
-func pickModes(kind string, known, want []string) ([]string, error) {
-	if len(want) == 0 {
-		return known, nil
-	}
-	for _, m := range want {
-		if !slices.Contains(known, m) {
-			return nil, fmt.Errorf("bench: unknown %s mode %q (have %v)", kind, m, known)
-		}
-	}
-	var out []string
-	for _, m := range known {
-		if slices.Contains(want, m) {
-			out = append(out, m)
-		}
-	}
-	return out, nil
 }
 
 // horizon scales the full measurement window by the run's scale, flooring it

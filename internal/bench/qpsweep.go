@@ -20,6 +20,9 @@ func init() {
 // plotting order.
 var qpsweepModes = []string{"per-conn", "srq", "pool", "proxy"}
 
+// qpsweepPool is how many physical QPs the pool and proxy modes share.
+const qpsweepPool = 64
+
 // connPoint is one (mode, connection count) measurement.
 type connPoint struct {
 	mops    float64 // aggregate 32B SEND throughput
@@ -38,7 +41,7 @@ type connPoint struct {
 // 8192 connections and aggregate throughput falls off a cliff; the pool and
 // proxy modes keep the NIC's working set bounded and recover it.
 func qpSweep(r *run) (*Report, error) {
-	modes := r.connModes
+	modes := qpsweepModes
 	counts := []int{100, 1000, 5000, 10000, 20000}
 	h := r.horizon(2 * sim.Millisecond)
 	pts, err := points(r, len(modes)*len(counts), func(r *run, i int) (connPoint, error) {
@@ -204,7 +207,7 @@ func connSweepPoint(r *run, mode string, conns int, h sim.Duration) (connPoint, 
 		pt.physQPs, pt.mrs = conns, conns
 
 	case "pool", "proxy":
-		p := min(r.qpPool, conns)
+		p := min(qpsweepPool, conns)
 		pool := make([]*verbs.QP, p)
 		srq := verbs.NewSRQ(ctxB)
 		for i := range pool {

@@ -485,7 +485,7 @@ func TestAdaptiveShape(t *testing.T) {
 func TestTxnShape(t *testing.T) {
 	t.Parallel()
 	r := mustRun(t, "txn", 0.05)
-	pcts := defaultTxnConflicts()
+	pcts := txnConflictShares
 	for _, mode := range txnModes {
 		// Abort rate climbs monotonically with the conflict share, and the
 		// hot end actually aborts.

@@ -12,12 +12,14 @@ import (
 // settles as soon as the point returns, so a finished point's clusters hand
 // their memory back at once. Each copy records its telemetry into its own
 // fork of the run's registry, absorbed after the point settles, so no two
-// points ever write one histogram. Points must be independent: each builds its own clusters
-// through the run it is handed and writes only its own result. Clusters are
-// hermetic (no package-level state anywhere under internal/sim,
+// points ever write one histogram. Points must be independent: each builds its
+// own clusters through the run it is handed and writes only its own result.
+// Clusters are hermetic (no package-level state anywhere under internal/sim,
 // internal/cluster or internal/verbs), so points race only on wall-clock and
-// results are bit-identical at any width. The error reported is the first in
-// index order, whichever worker hit it first, wrapped as "point <i>: <err>".
+// results are bit-identical at any width. Workers claim indices in ascending
+// order and claim none once a point has failed, so every index below a
+// failure has run: the error reported is the first in index order, whichever
+// worker hit it first, wrapped as "point <i>: <err>".
 func points[T any](r *run, n int, fn func(r *run, i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	errs := make([]error, n)
@@ -29,26 +31,25 @@ func points[T any](r *run, n int, fn func(r *run, i int) (T, error)) ([]T, error
 		out[i], errs[i] = fn(&p, i)
 	}
 	built := len(r.clusters)
-	if width := min(r.parallel, n); width <= 1 {
-		for i := 0; i < n; i++ {
-			if point(i); errs[i] != nil {
-				break
-			}
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < width; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-					point(i)
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for w := 0; w < min(r.parallel, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
 				}
-			}()
-		}
-		wg.Wait()
+				if point(i); errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
 	}
+	wg.Wait()
 	if len(r.clusters) != built {
 		return nil, errors.New("bench: a sweep point built a cluster on its parent run")
 	}

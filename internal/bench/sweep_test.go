@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"rdmasem/internal/cluster"
 	"rdmasem/internal/mem"
@@ -58,6 +59,28 @@ func TestSweepFirstErrorByRegistrationOrder(t *testing.T) {
 		if err == nil || err.Error() != "point 3: point 3 failed" {
 			t.Fatalf("width %d: err = %v, want point 3's", width, err)
 		}
+	}
+}
+
+// TestSweepStopsAfterFailure: once a point fails, no worker claims another
+// index, so a pool does not simulate the rest of a failed sweep, and the
+// error reported is still the lowest index's.
+func TestSweepStopsAfterFailure(t *testing.T) {
+	const n = 1000
+	var ran atomic.Int64
+	_, err := points(testRun(t, 4), n, func(_ *run, i int) (int, error) {
+		ran.Add(1)
+		if i == 0 {
+			return 0, errors.New("point 0 failed")
+		}
+		time.Sleep(100 * time.Microsecond)
+		return i, nil
+	})
+	if err == nil || err.Error() != "point 0: point 0 failed" {
+		t.Fatalf("err = %v, want point 0's", err)
+	}
+	if got := ran.Load(); got >= n/2 {
+		t.Fatalf("%d of %d points ran after point 0 failed", got, n)
 	}
 }
 

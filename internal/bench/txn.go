@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strconv"
-	"strings"
 
 	"rdmasem/internal/cluster"
 	"rdmasem/internal/fabric"
@@ -21,33 +19,9 @@ func init() { register("txn", txnConflicts) }
 // The fabric arms the txn experiment compares. Order is the plotting order.
 var txnModes = []string{"lossless", "lossy"}
 
-// defaultTxnConflicts is the swept share of transactions aimed at the hot
-// key set, in percent.
-func defaultTxnConflicts() []int { return []int{0, 25, 50, 75, 100} }
-
-// parseTxnConflicts parses the txn experiment's conflict sweep:
-// comma-separated percentages in [0,100], ascending, e.g. "0,50,100". An
-// empty spec selects the default sweep.
-func parseTxnConflicts(spec string) ([]int, error) {
-	if spec == "" {
-		return defaultTxnConflicts(), nil
-	}
-	var pcts []int
-	for _, part := range strings.Split(spec, ",") {
-		p, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bench: conflict share %q: %v", part, err)
-		}
-		if p < 0 || p > 100 {
-			return nil, fmt.Errorf("bench: conflict share %d%% outside [0,100]", p)
-		}
-		if len(pcts) > 0 && p <= pcts[len(pcts)-1] {
-			return nil, fmt.Errorf("bench: conflict shares must be strictly ascending, got %q", spec)
-		}
-		pcts = append(pcts, p)
-	}
-	return pcts, nil
-}
+// txnConflictShares is the swept share of transactions aimed at the hot key
+// set, in percent.
+var txnConflictShares = []int{0, 25, 50, 75, 100}
 
 // txnResult is one (fabric mode, conflict share) measurement.
 type txnResult struct {
@@ -80,7 +54,7 @@ func txnFaultPlanFor(mode string) *fabric.FaultPlan {
 // stretches every phase (and with it the conflict window), so lossy
 // throughput stays at or below lossless at every point.
 func txnConflicts(r *run) (*Report, error) {
-	pcts := r.conflicts
+	pcts := txnConflictShares
 	h := r.horizon(2 * sim.Millisecond)
 	pts, err := points(r, len(txnModes)*len(pcts), func(r *run, i int) (txnResult, error) {
 		return txnConflictPoint(r, txnModes[i/len(pcts)], pcts[i%len(pcts)], h)

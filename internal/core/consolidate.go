@@ -125,6 +125,10 @@ func (c *Consolidator) Write(now sim.Time, off int, data []byte) (sim.Time, erro
 	blk := off / c.blockSize
 	pb := c.blocks[blk]
 	if pb == nil {
+		img, err := c.remoteMR.Region().Slice(c.remoteBase+mem.Addr(blk*c.blockSize), c.blockSize)
+		if err != nil {
+			return 0, err
+		}
 		if len(c.slots) == 0 {
 			// Evict the oldest-deadline block to make room. The write that
 			// forces the eviction pays for the flush, exactly as the θ-th
@@ -142,6 +146,12 @@ func (c *Consolidator) Write(now sim.Time, off int, data []byte) (sim.Time, erro
 		pb = &pendingBlock{index: blk, slot: slot, seq: c.nextSeq, deadline: now + c.lease}
 		c.nextSeq++
 		c.blocks[blk] = pb
+		// The slot starts as the block's remote image, so a flush writes
+		// back only what was written over it, never a previous occupant's
+		// bytes. The load costs no virtual time: it stands for the block
+		// being buffered already (the hashtable's front-ends buffer their
+		// whole hot area), not for a READ on the critical path.
+		copy(c.shadow(pb), img)
 	}
 	shadow := c.shadow(pb)
 	copy(shadow[off%c.blockSize:], data)
