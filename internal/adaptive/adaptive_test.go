@@ -261,8 +261,8 @@ func TestNewRuntimeValidation(t *testing.T) {
 // --- shadow passivity ----------------------------------------------------
 
 // TestShadowRuntimeIsPassive pins the acceptance property golden #31 builds
-// on: a shadow-mode runtime (controller observing through the post hook and
-// the op path) produces exactly the timings of the bare static pipeline.
+// on: a shadow-mode runtime (controller observing through the op path)
+// produces exactly the timings of the bare static pipeline.
 func TestShadowRuntimeIsPassive(t *testing.T) {
 	eBare := newTestEnv(t, nil)
 	eRt := newTestEnv(t, nil)
@@ -309,14 +309,6 @@ func TestShadowRuntimeIsPassive(t *testing.T) {
 			t.Fatalf("iter %d: small write diverged: bare %v, shadow runtime %v", i, db, dr)
 		}
 		nowBare, nowRt = db, dr
-	}
-	// One more batch right before the check: per-epoch tallies reset at every
-	// close, but nothing can close between this post and the assertion.
-	if _, err := rt.WriteBatch(nowRt, frRt, eRt.mrB.Addr()+65536); err != nil {
-		t.Fatal(err)
-	}
-	if c := rt.Controller(); c.posts == 0 {
-		t.Fatal("shadow controller saw no posts: the hook is not wired")
 	}
 }
 
@@ -515,35 +507,5 @@ func TestRuntimeWriteBatchAllocFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, op); allocs != 0 {
 		t.Fatalf("adaptive WriteBatch allocates %.2f/op with the controller live, want 0", allocs)
-	}
-}
-
-// TestPostSendAllocFreeWithObserver pins the hook itself: a controller
-// attached as the QP's post observer adds zero allocations to the raw
-// PostSend path.
-func TestPostSendAllocFreeWithObserver(t *testing.T) {
-	e := newTestEnv(t, nil)
-	ctrl := NewController(Params{Shadow: true}, e.qpA, nil, nil)
-	e.qpA.SetPostObserver(ctrl)
-	wr := &verbs.SendWR{
-		Opcode:     verbs.OpWrite,
-		SGL:        []verbs.SGE{{Addr: e.mrA.Addr(), Length: 64, MR: e.mrA}},
-		RemoteAddr: e.mrB.Addr(),
-		RemoteKey:  e.mrB.RKey(),
-	}
-	now := sim.Time(0)
-	post := func() {
-		c, err := e.qpA.PostSend(now, wr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		now = c.Done
-	}
-	post()
-	if allocs := testing.AllocsPerRun(200, post); allocs != 0 {
-		t.Fatalf("PostSend with observer allocates %.2f/op, want 0", allocs)
-	}
-	if ctrl.posts == 0 {
-		t.Fatal("observer attached but never notified")
 	}
 }

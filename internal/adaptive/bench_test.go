@@ -8,7 +8,7 @@ import (
 )
 
 // BenchmarkRuntimeWriteBatch measures the batch hot path with a live
-// controller attached: strategy dispatch, the post observer, epoch
+// controller attached: strategy dispatch, the note-calls, epoch
 // bookkeeping. The interesting number is allocs/op — the PR 4 zero-alloc
 // ceiling must survive the controller.
 func BenchmarkRuntimeWriteBatch(b *testing.B) {

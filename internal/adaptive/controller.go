@@ -7,8 +7,8 @@
 // The controller divides virtual time into fixed epochs. Every runtime
 // operation first advances the controller to the current epoch; an epoch
 // that closes feeds its tallies (op latencies, payload/fragment shapes,
-// doorbell-list occupancy from the verbs post hook, consolidator flush
-// breakdown, reliability-event deltas) into two probe-and-lock tuners:
+// consolidator flush breakdown, reliability-event deltas) into two
+// probe-and-lock tuners:
 //
 //   - the batch tuner scores SP, Doorbell and SGL one epoch each and locks
 //     the strategy with the lowest measured mean latency;
@@ -157,9 +157,9 @@ func (t *tuner) close(ops, lat int64, fpA, fpB int) (int, bool) {
 	}
 }
 
-// Controller is the per-QP adaptive controller. It is driven from the
-// runtime's op path (advance/noteBatch/noteSmall) and, passively, from the
-// verbs post hook (ObservePost). It allocates only at construction.
+// Controller is the per-QP adaptive controller. It is driven only from the
+// runtime's op path (advance/noteBatch/noteSmall), which issues every post
+// on its QP. It allocates only at construction.
 type Controller struct {
 	params  Params
 	qp      *verbs.QP
@@ -177,7 +177,7 @@ type Controller struct {
 	batchOps, batchFrags, batchBytes, batchLat int64
 	smallOps, smallBytes, smallLat             int64
 	smallSwitch                                int64 // block-to-block transitions
-	posts, postWRs, postBytes                  int64
+	directOps                                  int64 // small writes posted natively
 
 	smallLastBlk int // last small-write block (locality tracking)
 	collapseRun  int // consecutive epochs with a collapsed absorb ratio
@@ -266,14 +266,6 @@ func (c *Controller) Decision() Record {
 // usingCons reports whether the small-write tuner currently routes writes
 // through the consolidator.
 func (c *Controller) usingCons() bool { return c.small.cand == candCons }
-
-// ObservePost implements verbs.PostObserver: the per-doorbell-list occupancy
-// feed from the op pipeline. Strictly passive — it records and returns.
-func (c *Controller) ObservePost(post sim.Time, wrs, bytes int, done sim.Time) {
-	c.posts++
-	c.postWRs += int64(wrs)
-	c.postBytes += int64(bytes)
-}
 
 // noteBatch records one completed WriteBatch.
 func (c *Controller) noteBatch(post sim.Time, frags, bytes int, done sim.Time) {
@@ -421,7 +413,7 @@ func (c *Controller) closeEpoch(at sim.Time) {
 	// Doorbell depth: reliability trouble (RNR NAKs, retransmits, timeouts)
 	// during an epoch that actually posted halves the list depth;
 	// DefaultConfirm consecutive calm epochs double it back toward the ceiling.
-	if c.qp != nil && c.posts > 0 {
+	if c.qp != nil && c.posted() {
 		bad := badEvents(c.qp.Stats())
 		delta := bad - c.lastBad
 		c.lastBad = bad
@@ -457,6 +449,20 @@ func (c *Controller) closeEpoch(at sim.Time) {
 	c.resetTallies()
 }
 
+// posted reports whether the closing epoch put anything on the QP: a batch,
+// a native small write, or a consolidator flush (Tick's lease flushes in
+// this close included).
+func (c *Controller) posted() bool {
+	if c.batchOps > 0 || c.directOps > 0 {
+		return true
+	}
+	if c.cons == nil {
+		return false
+	}
+	_, f := c.cons.Stats()
+	return f > c.lastFlushes
+}
+
 // refreshBaselines re-reads every cumulative counter the epoch close takes
 // deltas against.
 func (c *Controller) refreshBaselines() {
@@ -473,7 +479,7 @@ func (c *Controller) refreshBaselines() {
 func (c *Controller) resetTallies() {
 	c.batchOps, c.batchFrags, c.batchBytes, c.batchLat = 0, 0, 0, 0
 	c.smallOps, c.smallBytes, c.smallLat, c.smallSwitch = 0, 0, 0, 0
-	c.posts, c.postWRs, c.postBytes = 0, 0, 0
+	c.directOps = 0
 }
 
 // applyStrategy retargets the live batcher (no-op in shadow mode).

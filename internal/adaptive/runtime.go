@@ -51,8 +51,8 @@ type Runtime struct {
 	sge       [1]verbs.SGE
 }
 
-// NewRuntime validates the configuration, builds the batcher, consolidator
-// and controller, and attaches the controller to the QP's post path.
+// NewRuntime validates the configuration and builds the batcher,
+// consolidator and controller.
 func NewRuntime(cfg Config) (*Runtime, error) {
 	if cfg.QP == nil || cfg.LocalMR == nil || cfg.RemoteMR == nil {
 		return nil, fmt.Errorf("adaptive: runtime needs qp, local MR and remote MR")
@@ -89,7 +89,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		directOff: cfg.BlockSize * (cfg.MaxBlocks + 1),
 	}
 	r.ctrl = NewController(cfg.Params, cfg.QP, b, cons)
-	cfg.QP.SetPostObserver(r.ctrl)
 	return r, nil
 }
 
@@ -122,6 +121,7 @@ func (r *Runtime) SmallWrite(now sim.Time, off int, data []byte) (sim.Time, erro
 	if r.useCons() {
 		done, err = r.cons.Write(now, off, data)
 	} else {
+		r.ctrl.directOps++
 		done, err = r.directWrite(now, off, data)
 	}
 	if err != nil {

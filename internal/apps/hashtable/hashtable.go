@@ -302,7 +302,7 @@ func (f *FrontEnd) initReorder(ctx *verbs.Context, m *cluster.Machine, coreSocke
 	b := f.backend
 	sockets := b.Machine().Topology().Sockets()
 	f.locks = make([]*core.RemoteLock, b.hotBlocks)
-	bo := core.DefaultBackoff()
+	bo := sim.DefaultBackoff()
 	// The shadow caches the whole hot area ("front-end will buffer hot
 	// entries"), so blocks are never evicted mid-stream.
 	blocksPerSocket := (b.hotBlocks + sockets - 1) / sockets

@@ -70,16 +70,15 @@ func recoveryPolicyFor(mode string) *proxy.RecoveryPolicy {
 // daemon with it): the standby daemon takes over after the detection
 // timeout and the table re-establishes its pool when the node restarts.
 func availability(r *run) (*Report, error) {
-	modes, flaps := availModes, availFlaps
 	h := r.horizon(2 * sim.Millisecond)
-	pts, err := points(r, len(modes)*len(flaps), func(r *run, i int) (availPoint, error) {
-		return flapAvailabilityPoint(r, modes[i/len(flaps)], flaps[i%len(flaps)], h)
+	pts, err := points(r, len(availModes)*len(availFlaps), func(r *run, i int) (availPoint, error) {
+		return flapAvailabilityPoint(r, availModes[i/len(availFlaps)], availFlaps[i%len(availFlaps)], h)
 	})
 	if err != nil {
 		return nil, err
 	}
-	crash, err := points(r, len(modes), func(r *run, i int) (availPoint, error) {
-		return crashAvailabilityPoint(r, modes[i], h)
+	crash, err := points(r, len(availModes), func(r *run, i int) (availPoint, error) {
+		return crashAvailabilityPoint(r, availModes[i], h)
 	})
 	if err != nil {
 		return nil, err
@@ -90,19 +89,19 @@ func availability(r *run) (*Report, error) {
 	}
 	fig := stats.NewFigure("Goodput under link flapping: 64B WRITEs through a pooled table vs link downtime", "link downtime (%)", "goodput (MOPS)")
 	ttrFig := stats.NewFigure("p99 time-to-recovery of failed WRs vs link downtime", "link downtime (%)", "p99 TTR (us)")
-	for mi, mode := range modes {
-		for fi, f := range flaps {
-			p := pts[mi*len(flaps)+fi]
+	for mi, mode := range availModes {
+		for fi, f := range availFlaps {
+			p := pts[mi*len(availFlaps)+fi]
 			fig.Line(mode).Add(dutyPct(f), p.goodput)
 			ttrFig.Line(mode).Add(dutyPct(f), float64(p.p99TTR)/float64(sim.Microsecond))
 		}
 	}
 
-	top := len(flaps) - 1
-	tb := stats.NewTable(fmt.Sprintf("Flap intensity %.0f%%: recovery activity and goodput", dutyPct(flaps[top])))
+	top := len(availFlaps) - 1
+	tb := stats.NewTable(fmt.Sprintf("Flap intensity %.0f%%: recovery activity and goodput", dutyPct(availFlaps[top])))
 	tb.Row("mode", "ok ops", "failed ops", "goodput MOPS", "episodes", "reconnects", "remaps", "give-ups", "p99 TTR")
-	for mi, mode := range modes {
-		p := pts[mi*len(flaps)+top]
+	for mi, mode := range availModes {
+		p := pts[mi*len(availFlaps)+top]
 		tb.Row(mode,
 			fmt.Sprintf("%d", p.ok),
 			fmt.Sprintf("%d", p.failed),
@@ -116,7 +115,7 @@ func availability(r *run) (*Report, error) {
 
 	ctb := stats.NewTable("Node crash + restart with daemon failover: goodput across the outage")
 	ctb.Row("mode", "ok ops", "failed ops", "goodput MOPS", "failovers", "episodes", "reconnects", "p99 TTR")
-	for mi, mode := range modes {
+	for mi, mode := range availModes {
 		p := crash[mi]
 		ctb.Row(mode,
 			fmt.Sprintf("%d", p.ok),

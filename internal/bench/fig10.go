@@ -56,7 +56,7 @@ func newLockCluster(r *run, n int) (*lockCluster, error) {
 }
 
 // remoteLockMOPS measures aggregate lock+unlock cycles per second.
-func remoteLockMOPS(r *run, n int, backoff *core.BackoffConfig, h sim.Duration) (float64, error) {
+func remoteLockMOPS(r *run, n int, backoff *sim.Backoff, h sim.Duration) (float64, error) {
 	lc, err := newLockCluster(r, n)
 	if err != nil {
 		return 0, err
@@ -149,7 +149,7 @@ func rpcLockMOPS(r *run, n int, h sim.Duration) (float64, error) {
 func fig10aSpinlock(r *run) (*Report, error) {
 	fig := stats.NewFigure("Fig 10a: spinlock throughput (lock+unlock cycles)", "threads", "throughput (MOPS)")
 	h := r.horizon(10 * sim.Millisecond)
-	bo := core.DefaultBackoff()
+	bo := sim.DefaultBackoff()
 	threads := []int{1, 2, 4, 6, 8, 10, 12, 14}
 	variants := []struct {
 		label string

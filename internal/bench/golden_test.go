@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"rdmasem/internal/fabric"
@@ -19,6 +20,30 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden experiment out
 // goldenScale keeps the full multi-experiment sweep affordable in the test
 // suite while still exercising every driver end to end.
 const goldenScale = 0.02
+
+// goldenRuns memoizes the plain golden-scale run of each id, so the golden
+// check, the counter half of the passivity check and the shape tests that
+// read exactly that configuration share one run per test binary.
+var goldenRuns sync.Map // id -> *goldenRun
+
+type goldenRun struct {
+	once sync.Once
+	rep  *Report
+	err  error
+}
+
+// goldenReport returns Run(id, goldenScale, Options{}), running it at most
+// once. The report is shared: callers only read it.
+func goldenReport(t *testing.T, id string) *Report {
+	t.Helper()
+	v, _ := goldenRuns.LoadOrStore(id, new(goldenRun))
+	g := v.(*goldenRun)
+	g.once.Do(func() { g.rep, g.err = Run(id, goldenScale, Options{}) })
+	if g.err != nil {
+		t.Fatalf("%s: %v", id, g.err)
+	}
+	return g.rep
+}
 
 // TestGoldenOutputs locks every registered experiment's rendered output to a
 // committed golden file. The simulation is deterministic, so any diff is a
@@ -35,10 +60,7 @@ func TestGoldenOutputs(t *testing.T) {
 	for _, id := range List() {
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			rep, err := Run(id, goldenScale, Options{})
-			if err != nil {
-				t.Fatalf("run: %v", err)
-			}
+			rep := goldenReport(t, id)
 			var buf bytes.Buffer
 			rep.Render(&buf)
 			if buf.Len() == 0 {

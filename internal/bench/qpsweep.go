@@ -41,11 +41,10 @@ type connPoint struct {
 // 8192 connections and aggregate throughput falls off a cliff; the pool and
 // proxy modes keep the NIC's working set bounded and recover it.
 func qpSweep(r *run) (*Report, error) {
-	modes := qpsweepModes
 	counts := []int{100, 1000, 5000, 10000, 20000}
 	h := r.horizon(2 * sim.Millisecond)
-	pts, err := points(r, len(modes)*len(counts), func(r *run, i int) (connPoint, error) {
-		return connSweepPoint(r, modes[i/len(counts)], counts[i%len(counts)], h)
+	pts, err := points(r, len(qpsweepModes)*len(counts), func(r *run, i int) (connPoint, error) {
+		return connSweepPoint(r, qpsweepModes[i/len(counts)], counts[i%len(counts)], h)
 	})
 	if err != nil {
 		return nil, err
@@ -53,7 +52,7 @@ func qpSweep(r *run) (*Report, error) {
 
 	fig := stats.NewFigure("Connection scalability: aggregate 32B SEND throughput vs logical connections", "connections", "throughput (MOPS)")
 	hitFig := stats.NewFigure("Requester QP-context cache hit rate vs logical connections (8192 entries)", "connections", "hit rate")
-	for mi, mode := range modes {
+	for mi, mode := range qpsweepModes {
 		for ci, conns := range counts {
 			p := pts[mi*len(counts)+ci]
 			fig.Line(mode).Add(float64(conns), p.mops)
@@ -63,7 +62,7 @@ func qpSweep(r *run) (*Report, error) {
 	top := len(counts) - 1
 	tb := stats.NewTable(fmt.Sprintf("Serving %d connections: NIC metadata working set and throughput", counts[top]))
 	tb.Row("mode", "phys QPs", "client MRs", "MOPS", "QP hit rate")
-	for mi, mode := range modes {
+	for mi, mode := range qpsweepModes {
 		p := pts[mi*len(counts)+top]
 		tb.Row(mode,
 			fmt.Sprintf("%d", p.physQPs),
@@ -71,29 +70,15 @@ func qpSweep(r *run) (*Report, error) {
 			fmt.Sprintf("%.3f", p.mops),
 			fmt.Sprintf("%.3f", p.qpHit))
 	}
-	has := func(m string) bool {
-		for _, x := range modes {
-			if x == m {
-				return true
-			}
-		}
-		return false
-	}
-	var notes []string
-	if has("per-conn") || has("srq") {
-		notes = append(notes, "per-conn/srq: one QP+MR per connection thrashes the 8192-entry context caches past 10k connections")
-	}
-	if has("srq") {
-		notes = append(notes, "an SRQ pools receive buffers, not contexts: its curve tracks per-conn exactly")
-	}
-	if has("pool") || has("proxy") {
-		notes = append(notes, "pool/proxy: a bounded pool behind a connection table (RDMAvisor-style) keeps the working set resident at any connection count")
-	}
 	return &Report{
 		ID:      "qpsweep",
 		Figures: []*stats.Figure{fig, hitFig},
 		Tables:  []*stats.Table{tb},
-		Notes:   notes,
+		Notes: []string{
+			"per-conn/srq: one QP+MR per connection thrashes the 8192-entry context caches past 10k connections",
+			"an SRQ pools receive buffers, not contexts: its curve tracks per-conn exactly",
+			"pool/proxy: a bounded pool behind a connection table (RDMAvisor-style) keeps the working set resident at any connection count",
+		},
 	}, nil
 }
 

@@ -2,13 +2,16 @@ package bench
 
 import (
 	"testing"
+
+	"rdmasem/internal/stats"
 )
 
 // These tests pin the headline claim of each experiment as a regression
 // test: the exact values come from EXPERIMENTS.md, the tolerances leave room
 // for scale-dependent noise while still catching any change that breaks the
 // paper-reproduction shape. Runs share no state, so every shape test
-// runs in parallel with the others.
+// runs in parallel with the others. A test that reads the plain golden-scale
+// run takes it from goldenReport instead of running it again.
 
 func mustRun(t *testing.T, id string, scale float64) *Report {
 	t.Helper()
@@ -19,9 +22,22 @@ func mustRun(t *testing.T, id string, scale float64) *Report {
 	return r
 }
 
+// series finds a figure's series by label. Unlike Figure.Line it never
+// appends a missing one, so it is safe on a report that tests share.
+func series(t *testing.T, r *Report, figIdx int, label string) *stats.Series {
+	t.Helper()
+	for _, s := range r.Figures[figIdx].Series {
+		if s.Label == label {
+			return s
+		}
+	}
+	t.Fatalf("%s: figure %d has no series %q", r.ID, figIdx, label)
+	return nil
+}
+
 func yAt(t *testing.T, r *Report, figIdx int, label string, x float64) float64 {
 	t.Helper()
-	y, ok := r.Figures[figIdx].Line(label).YAt(x)
+	y, ok := series(t, r, figIdx, label).YAt(x)
 	if !ok {
 		t.Fatalf("%s: series %q has no point at x=%v", r.ID, label, x)
 	}
@@ -215,20 +231,20 @@ func TestFig15Shape(t *testing.T) {
 
 func TestFig16Shape(t *testing.T) {
 	t.Parallel()
-	r := mustRun(t, "fig16", 0.02)
+	r := goldenReport(t, "fig16")
 	// Batching shortens the join; NUMA awareness shortens it further.
-	b1, _ := r.Figures[0].Line("(NUMA Affinity) th=4").YAt(1)
-	b32, _ := r.Figures[0].Line("(NUMA Affinity) th=4").YAt(32)
+	b1 := yAt(t, r, 0, "(NUMA Affinity) th=4", 1)
+	b32 := yAt(t, r, 0, "(NUMA Affinity) th=4", 32)
 	if b32 >= b1*0.8 {
 		t.Errorf("batch 32 (%vms) should cut well below batch 1 (%vms)", b32, b1)
 	}
-	n1, _ := r.Figures[0].Line("th=4").YAt(1)
+	n1 := yAt(t, r, 0, "th=4", 1)
 	if b1 >= n1 {
 		t.Errorf("NUMA-aware (%vms) should beat oblivious (%vms)", b1, n1)
 	}
 	// 16b: lambda=16 within ~30% of ideal at 16 executors.
-	got, _ := r.Figures[1].Line("lambda=16").YAt(16)
-	ideal, _ := r.Figures[1].Line("ideal").YAt(16)
+	got := yAt(t, r, 1, "lambda=16", 16)
+	ideal := yAt(t, r, 1, "ideal", 16)
 	if got < ideal*0.7 {
 		t.Errorf("lambda=16 at 16 executors %.2f vs ideal %.2f: too far (paper: within 22%%)", got, ideal)
 	}
@@ -236,23 +252,23 @@ func TestFig16Shape(t *testing.T) {
 
 func TestFig17Shape(t *testing.T) {
 	t.Parallel()
-	r := mustRun(t, "fig17", 0.02)
+	r := goldenReport(t, "fig17")
 	xs := []float64{}
-	for _, p := range r.Figures[0].Line("Single Machine").Points {
+	for _, p := range series(t, r, 0, "Single Machine").Points {
 		xs = append(xs, p.X)
 	}
 	// Full stack beats single machine by the paper's ballpark at every scale.
 	for _, x := range xs {
-		single, _ := r.Figures[0].Line("Single Machine").YAt(x)
-		full, _ := r.Figures[0].Line("th=16,lam=16").YAt(x)
+		single := yAt(t, r, 0, "Single Machine", x)
+		full := yAt(t, r, 0, "th=16,lam=16", x)
 		if single/full < 4 {
 			t.Errorf("at %v tuples: speedup %.1fx, want >= 4x (paper: 5.3x)", x, single/full)
 		}
 	}
 	// And the naive distributed config sits in between.
-	naive, _ := r.Figures[0].Line("th=4,lam=1 w/o NUMA").YAt(xs[0])
-	single, _ := r.Figures[0].Line("Single Machine").YAt(xs[0])
-	full, _ := r.Figures[0].Line("th=16,lam=16").YAt(xs[0])
+	naive := yAt(t, r, 0, "th=4,lam=1 w/o NUMA", xs[0])
+	single := yAt(t, r, 0, "Single Machine", xs[0])
+	full := yAt(t, r, 0, "th=16,lam=16", xs[0])
 	if !(full < naive && naive < single) {
 		t.Error("config ordering violated")
 	}
@@ -317,7 +333,7 @@ func TestQPScaleShape(t *testing.T) {
 
 func TestQPSweepShape(t *testing.T) {
 	t.Parallel()
-	r := mustRun(t, "qpsweep", 0.02)
+	r := goldenReport(t, "qpsweep")
 	counts := []float64{100, 1000, 5000, 10000, 20000}
 	// Per-connection QP-context hit rate is monotone non-increasing once the
 	// connection count passes the 8192-entry cache; past the cliff it is
@@ -369,7 +385,7 @@ func TestQPSweepShape(t *testing.T) {
 
 func TestAvailabilityShape(t *testing.T) {
 	t.Parallel()
-	r := mustRun(t, "availability", 0.02)
+	r := goldenReport(t, "availability")
 	duties := []float64{8, 24, 48}
 	// At the mildest flap nothing dies: all three modes match.
 	base := yAt(t, r, 0, "none", duties[0])

@@ -17,7 +17,9 @@ import (
 // zero-cost contract over the whole evaluation surface: with a registry AND
 // a timeline attached to every cluster, all experiments must render
 // byte-identically to the committed goldens. Any divergence means an
-// observer leaked into the timing model.
+// observer leaked into the timing model. The run must also fold exactly the
+// counters of the plain golden run: every counter comes from a fold at
+// settle, never from a live count that only an attached registry sees.
 func TestTelemetryPassiveAcrossAllExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep")
@@ -52,6 +54,14 @@ func TestTelemetryPassiveAcrossAllExperiments(t *testing.T) {
 			}
 			if !bytes.Equal(buf.Bytes(), want) {
 				t.Fatalf("telemetry attachment changed the output of %s\n%s", id, diffHint(want, buf.Bytes()))
+			}
+			if plain := goldenReport(t, id); !reflect.DeepEqual(plain.Metrics.Counters, rep.Metrics.Counters) {
+				a := telemetry.Snapshot{Counters: plain.Metrics.Counters}
+				b := telemetry.Snapshot{Counters: rep.Metrics.Counters}
+				var pa, pb bytes.Buffer
+				a.Render(&pa)
+				b.Render(&pb)
+				t.Fatalf("Metrics changed the folded counters of %s\n%s", id, diffHint(pa.Bytes(), pb.Bytes()))
 			}
 		})
 	}
@@ -109,10 +119,7 @@ func TestRunReturnsItsOwnMetrics(t *testing.T) {
 	if !sawCounter {
 		t.Fatal("NIC doorbell counters were not folded into the snapshot")
 	}
-	plain, err := Run("breakdown", goldenScale, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := goldenReport(t, "breakdown")
 	if len(plain.Metrics.Hists) != 0 {
 		t.Fatalf("a run without Metrics recorded %d histograms", len(plain.Metrics.Hists))
 	}

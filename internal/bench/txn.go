@@ -54,10 +54,10 @@ func txnFaultPlanFor(mode string) *fabric.FaultPlan {
 // stretches every phase (and with it the conflict window), so lossy
 // throughput stays at or below lossless at every point.
 func txnConflicts(r *run) (*Report, error) {
-	pcts := txnConflictShares
 	h := r.horizon(2 * sim.Millisecond)
-	pts, err := points(r, len(txnModes)*len(pcts), func(r *run, i int) (txnResult, error) {
-		return txnConflictPoint(r, txnModes[i/len(pcts)], pcts[i%len(pcts)], h)
+	n := len(txnConflictShares)
+	pts, err := points(r, len(txnModes)*n, func(r *run, i int) (txnResult, error) {
+		return txnConflictPoint(r, txnModes[i/n], txnConflictShares[i%n], h)
 	})
 	if err != nil {
 		return nil, err
@@ -66,18 +66,18 @@ func txnConflicts(r *run) (*Report, error) {
 	fig := stats.NewFigure("Transactional KV: committed throughput vs conflict share (8 clients, 2-key txns)", "conflict share (%)", "committed MTPS")
 	abortFig := stats.NewFigure("Transactional KV: abort rate vs conflict share", "conflict share (%)", "aborted commit attempts (%)")
 	for mi, mode := range txnModes {
-		for pi, pct := range pcts {
-			p := pts[mi*len(pcts)+pi]
+		for pi, pct := range txnConflictShares {
+			p := pts[mi*n+pi]
 			fig.Line(mode).Add(float64(pct), p.mops)
 			abortFig.Line(mode).Add(float64(pct), p.abortPct())
 		}
 	}
 
-	top := pcts[len(pcts)-1]
+	top := txnConflictShares[n-1]
 	tb := stats.NewTable(fmt.Sprintf("Conflict share %d%%: transaction outcomes by fabric", top))
 	tb.Row("fabric", "commits", "aborts", "retries", "read retries", "abort %", "committed MTPS")
 	for mi, mode := range txnModes {
-		p := pts[mi*len(pcts)+len(pcts)-1]
+		p := pts[mi*n+n-1]
 		tb.Row(mode,
 			fmt.Sprintf("%d", p.stats.Commits),
 			fmt.Sprintf("%d", p.stats.Aborts),
@@ -187,6 +187,7 @@ func txnConflictPoint(r *run, mode string, pct int, h sim.Duration) (txnResult, 
 
 	var res txnResult
 	for _, c := range tclients {
+		c.FoldTelemetry(r.reg)
 		st := c.Stats()
 		res.stats.Commits += st.Commits
 		res.stats.Aborts += st.Aborts

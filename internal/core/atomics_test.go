@@ -43,7 +43,7 @@ func newLockEnv(t *testing.T, n int) *lockEnv {
 	return e
 }
 
-func (e *lockEnv) remoteLock(t *testing.T, i int, state *LockState, backoff *BackoffConfig) *RemoteLock {
+func (e *lockEnv) remoteLock(t *testing.T, i int, state *LockState, backoff *sim.Backoff) *RemoteLock {
 	t.Helper()
 	l, err := NewRemoteLock(state, e.qps[i],
 		verbs.SGE{Addr: e.scrs[i].Addr(), Length: 8, MR: e.scrs[i]},
@@ -108,7 +108,7 @@ func TestRemoteLockMutualExclusion(t *testing.T) {
 // unit — the failed-CAS flood shrinks — while naive spinning keeps the unit
 // saturated.
 func TestRemoteLockBackoffReducesCASFlood(t *testing.T) {
-	run := func(backoff *BackoffConfig) (atomicsPerSec float64, cycles int64) {
+	run := func(backoff *sim.Backoff) (atomicsPerSec float64, cycles int64) {
 		const n = 8
 		e := newLockEnv(t, n)
 		state := NewLockState()
@@ -143,7 +143,7 @@ func TestRemoteLockBackoffReducesCASFlood(t *testing.T) {
 		return atomics / horizon.Seconds(), count
 	}
 	naiveLoad, naiveCycles := run(nil)
-	bo := DefaultBackoff()
+	bo := sim.DefaultBackoff()
 	boLoad, boCycles := run(&bo)
 	if naiveCycles == 0 || boCycles == 0 {
 		t.Fatal("no lock cycles completed")
@@ -345,39 +345,6 @@ func TestLockValidation(t *testing.T) {
 	_ = mem.Addr(0)
 }
 
-func TestBackoffClampNonPowerOfTwoMax(t *testing.T) {
-	// Base=500ns, Max=3µs: the waits must walk 500, 1000, 2000, 3000 and
-	// hold there. The pre-fix doubling ("double whenever delay < Max")
-	// overshot the cap to 4000 and stayed there forever.
-	max := 6 * sim.Duration(500)
-	delay := sim.Duration(500)
-	want := []sim.Duration{1000, 2000, 3000, 3000, 3000}
-	for i, w := range want {
-		delay = nextBackoff(delay, max)
-		if delay != w {
-			t.Fatalf("step %d: delay %v, want %v", i, delay, w)
-		}
-		if delay > max {
-			t.Fatalf("step %d: delay %v exceeds Max %v", i, delay, max)
-		}
-	}
-}
-
-func TestBackoffClampDefaultSequenceUnchanged(t *testing.T) {
-	// DefaultBackoff's 500ns -> 4µs cap is an exact power-of-two multiple,
-	// so the clamped walk is identical to the historical one — which is why
-	// the figure goldens did not shift with the fix.
-	b := DefaultBackoff()
-	delay := b.Base
-	want := []sim.Duration{1000, 2000, 4000, 4000, 4000}
-	for i, w := range want {
-		delay = nextBackoff(delay, b.Max)
-		if delay != w {
-			t.Fatalf("step %d: delay %v, want %v", i, delay, w)
-		}
-	}
-}
-
 func TestLocalLockBackoffNeverExceedsMax(t *testing.T) {
 	// Drive a contended LocalLock with a non-power-of-two cap and check the
 	// spin gaps: each failed probe waits at most Max on top of the probe
@@ -385,7 +352,7 @@ func TestLocalLockBackoffNeverExceedsMax(t *testing.T) {
 	tp := topo.DefaultParams()
 	state := NewLockState()
 	line := NewLocalLockLine()
-	backoff := &BackoffConfig{Base: 500, Max: 3 * sim.Duration(1000)}
+	backoff := &sim.Backoff{Base: 500, Max: 3 * sim.Duration(1000)}
 	holder := NewLocalLock(state, line, tp, 0, nil)
 	spinner := NewLocalLock(state, line, tp, 1, backoff)
 

@@ -32,10 +32,9 @@ type Consolidator struct {
 	preFlush   func(now sim.Time, block int) (sim.Time, error)
 	postFlush  func(now sim.Time, block int) (sim.Time, error)
 
-	flushes int64 // network writes issued
-	writes  int64 // logical writes absorbed
+	writes int64 // logical writes absorbed
 
-	// Flush-reason breakdown: which trigger issued each network write. The
+	// Network writes issued, by the trigger that issued each one. The
 	// adaptive controller reads these to tell "θ is doing the work" from
 	// "leases and evictions are draining blocks before they fill".
 	thetaFlushes int64
@@ -242,8 +241,10 @@ func (c *Consolidator) Flush(now sim.Time) (sim.Time, error) {
 }
 
 // Stats reports absorbed writes vs issued network flushes; the ratio is the
-// consolidation factor Figure 8 sweeps.
-func (c *Consolidator) Stats() (writes, flushes int64) { return c.writes, c.flushes }
+// consolidation factor Figure 8 sweeps. flushes is FlushBreakdown's sum.
+func (c *Consolidator) Stats() (writes, flushes int64) {
+	return c.writes, c.thetaFlushes + c.leaseFlushes + c.evictFlushes + c.forceFlushes
+}
 
 // FlushBreakdown splits Stats' flush count by trigger: θ-threshold, lease
 // expiry, capacity eviction, and explicit Flush. θ-dominated flushing means
@@ -346,7 +347,6 @@ func (c *Consolidator) flushBlock(now sim.Time, pb *pendingBlock, why flushReaso
 	if err != nil {
 		return 0, err
 	}
-	c.flushes++
 	switch why {
 	case flushTheta:
 		c.thetaFlushes++

@@ -51,19 +51,6 @@ func (s *LockState) releaseAt(t sim.Time, who int) error {
 	return nil
 }
 
-// BackoffConfig tunes the exponential back-off of Section III-E (Anderson's
-// scheme): after a failed attempt, wait Base, doubling up to Max. It is the
-// shared sim.Backoff walk, aliased so lock construction keeps its historical
-// name while the connection-recovery layer (internal/proxy) reuses the same
-// clamped doubling.
-type BackoffConfig = sim.Backoff
-
-// DefaultBackoff mirrors the paper's back-off counterpart curves: the cap
-// stays near one lock round trip so a free lock is re-probed promptly.
-func DefaultBackoff() BackoffConfig {
-	return sim.DefaultBackoff()
-}
-
 // RemoteLock is a spinlock backed by RDMA compare-and-swap.
 type RemoteLock struct {
 	state   *LockState
@@ -72,7 +59,7 @@ type RemoteLock struct {
 	rmr     *verbs.MR
 	addr    mem.Addr
 	id      int
-	backoff *BackoffConfig // nil = naive spinning
+	backoff *sim.Backoff // nil = naive spinning
 
 	// Reusable CAS work requests, so spinning under contention stays off the
 	// heap: casWR tries 0 -> id+1, relWR reverses it.
@@ -81,7 +68,7 @@ type RemoteLock struct {
 }
 
 // NewRemoteLock creates one client's handle to a shared remote lock word.
-func NewRemoteLock(state *LockState, qp *verbs.QP, scratch verbs.SGE, rmr *verbs.MR, addr mem.Addr, clientID int, backoff *BackoffConfig) (*RemoteLock, error) {
+func NewRemoteLock(state *LockState, qp *verbs.QP, scratch verbs.SGE, rmr *verbs.MR, addr mem.Addr, clientID int, backoff *sim.Backoff) (*RemoteLock, error) {
 	if state == nil || qp == nil || rmr == nil {
 		return nil, fmt.Errorf("core: remote lock needs state, qp and remote MR")
 	}
@@ -136,14 +123,9 @@ func (l *RemoteLock) Acquire(now sim.Time) (sim.Time, error) {
 		now = t
 		if l.backoff != nil {
 			now += delay
-			delay = nextBackoff(delay, l.backoff.Max)
+			delay = l.backoff.Next(delay)
 		}
 	}
-}
-
-// nextBackoff doubles the delay, clamped to max (see sim.Backoff.Next).
-func nextBackoff(delay, max sim.Duration) sim.Duration {
-	return sim.Backoff{Max: max}.Next(delay)
 }
 
 // Release clears the lock word with a CAS(owner -> 0). Using an atomic for
@@ -169,7 +151,7 @@ type LocalLock struct {
 	line    *sim.Resource // the contended cache line
 	tp      topo.Params
 	id      int
-	backoff *BackoffConfig
+	backoff *sim.Backoff
 }
 
 // NewLocalLockLine creates the shared cache-line resource for a lock word.
@@ -179,7 +161,7 @@ func NewLocalLockLine() *sim.Resource { return sim.NewResource("local-lock/line"
 // handle registers as a participant: every spinning thread's failed CAS
 // invalidates the line in all others, so the line-transfer cost under
 // contention grows with the number of spinners.
-func NewLocalLock(state *LockState, line *sim.Resource, tp topo.Params, threadID int, backoff *BackoffConfig) *LocalLock {
+func NewLocalLock(state *LockState, line *sim.Resource, tp topo.Params, threadID int, backoff *sim.Backoff) *LocalLock {
 	state.participants++
 	return &LocalLock{state: state, line: line, tp: tp, id: threadID, backoff: backoff}
 }
@@ -210,7 +192,7 @@ func (l *LocalLock) Acquire(now sim.Time) sim.Time {
 		now = t
 		if l.backoff != nil {
 			now += delay
-			delay = nextBackoff(delay, l.backoff.Max)
+			delay = l.backoff.Next(delay)
 		}
 	}
 }

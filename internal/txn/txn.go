@@ -228,8 +228,7 @@ type Client struct {
 	backoff sim.Backoff
 	stats   Stats
 
-	reg        *telemetry.Registry
-	label      string
+	label      string // the client machine's telemetry label
 	commitHist *telemetry.Histogram
 	abortHist  *telemetry.Histogram
 }
@@ -249,6 +248,7 @@ func NewClient(id int, m *cluster.Machine, socket topo.SocketID, s *Store) (*Cli
 		cfg:     s.cfg,
 		socket:  socket,
 		backoff: sim.DefaultBackoff(),
+		label:   m.Label(),
 	}
 	for so := range s.tables {
 		qp, _, err := verbs.Connect(ctx, so%m.NIC().Ports(), s.ctx, so%s.Machine().NIC().Ports(), verbs.RC)
@@ -278,8 +278,6 @@ func NewClient(id int, m *cluster.Machine, socket topo.SocketID, s *Store) (*Cli
 		writes: make([]writeIntent, 0, s.cfg.MaxWrites),
 	}
 	if reg := m.Telemetry(); reg != nil {
-		c.reg = reg
-		c.label = m.Label()
 		c.commitHist = reg.Hist(c.label, "txn", "commit")
 		c.abortHist = reg.Hist(c.label, "txn", "abort")
 	}
@@ -299,15 +297,29 @@ func (c *Client) SetRetryPolicy(p verbs.RetryPolicy) {
 // Stats returns the client's transaction tally.
 func (c *Client) Stats() Stats { return c.stats }
 
+// FoldTelemetry counts the client's Stats into reg under its machine's
+// label, skipping zeros: the transaction layer's counterpart of
+// cluster.Cluster.FoldTelemetry. Call it once, after the client's last
+// transaction. The commit and abort latency histograms record live.
+func (c *Client) FoldTelemetry(reg *telemetry.Registry) {
+	count := func(stage string, v int64) {
+		if v != 0 {
+			reg.Count(c.label, "txn", stage, v)
+		}
+	}
+	count("commit", c.stats.Commits)
+	count("abort", c.stats.Aborts)
+	count("retry", c.stats.Retries)
+	count("read-retry", c.stats.ReadRetries)
+	count("strand", c.stats.Strands)
+}
+
 // NoteRetry tallies one caller-driven retry of a conflict-aborted
 // transaction. Split-phase drivers that interleave reads and commits across
 // scheduler steps restart aborted transactions themselves and count the
 // retry here; Run counts its own retries automatically.
 func (c *Client) NoteRetry() {
 	c.stats.Retries++
-	if c.reg != nil {
-		c.reg.Count(c.label, "txn", "retry", 1)
-	}
 }
 
 // readRec is one optimistic read: the version the commit CAS must find.
@@ -418,9 +430,6 @@ func (t *Txn) Get(key uint64, out []byte) error {
 		}
 		// Locked by a committer or torn mid-publish: back off and re-read.
 		c.stats.ReadRetries++
-		if c.reg != nil {
-			c.reg.Count(c.label, "txn", "read-retry", 1)
-		}
 		if delay == 0 {
 			delay = c.backoff.Base
 		} else {
@@ -598,16 +607,10 @@ func (t *Txn) abort(cause error) (sim.Time, error) {
 			// QP reconnect path (DESIGN.md §14) or a recovery replay
 			// releases it. The entry itself was never modified.
 			c.stats.Strands++
-			if c.reg != nil {
-				c.reg.Count(c.label, "txn", "strand", 1)
-			}
 		}
 		w.locked = false
 	}
 	c.stats.Aborts++
-	if c.reg != nil {
-		c.reg.Count(c.label, "txn", "abort", 1)
-	}
 	if c.abortHist != nil {
 		c.abortHist.Observe(sim.Duration(t.now - t.begin))
 	}
@@ -617,9 +620,6 @@ func (t *Txn) abort(cause error) (sim.Time, error) {
 // recordCommit tallies a committed transaction.
 func (c *Client) recordCommit(latency sim.Time) {
 	c.stats.Commits++
-	if c.reg != nil {
-		c.reg.Count(c.label, "txn", "commit", 1)
-	}
 	if c.commitHist != nil {
 		c.commitHist.Observe(sim.Duration(latency))
 	}
@@ -644,9 +644,6 @@ func (c *Client) Run(now sim.Time, body func(*Txn) error) (sim.Time, error) {
 			return done, err
 		}
 		c.stats.Retries++
-		if c.reg != nil {
-			c.reg.Count(c.label, "txn", "retry", 1)
-		}
 		if delay == 0 {
 			delay = c.backoff.Base
 		} else {

@@ -633,6 +633,7 @@ func TestFailureAtomicityUnderCrash(t *testing.T) {
 	if head, err := s.Redo().Head(); err != nil || head != 0 {
 		t.Fatalf("redo head %d err %v, want 0", head, err)
 	}
+	c.FoldTelemetry(reg)
 	var aborts int64
 	for _, e := range reg.Snapshot().Counters {
 		if e.Component == "txn" && e.Stage == "abort" {

@@ -26,17 +26,6 @@ import (
 	"rdmasem/internal/topo"
 )
 
-// PostObserver receives one notification per doorbell list after the list
-// finishes executing: the posting time, the list's WR count and total payload
-// bytes, and the completion time of its last WR. Like the stage recorder it
-// is strictly passive — it must not mutate simulation state, and the walk's
-// timing and allocations are identical with or without one attached. This is
-// the measurement feed the adaptive per-QP controllers hang off the post
-// path.
-type PostObserver interface {
-	ObservePost(post sim.Time, wrs, bytes int, done sim.Time)
-}
-
 // qpRoute is everything the stage walk needs from a QP's machine and port,
 // resolved once: a real RNIC binds this state when the QP is created and
 // caches it, rather than looking it up on every doorbell. NewContext
@@ -84,7 +73,6 @@ type qpState struct {
 	recvCQ    *CQ
 	recvQ     recvQueue
 	srq       *SRQ           // shared receive queue; inbound SENDs drain it instead of recvQ
-	post      PostObserver   // per-post listener (adaptive controller), else nil
 	rec       *stageRecorder // the stage walk's one consumer, else nil (no telemetry, no trace)
 	state     State          // READY until reliability retries exhaust (or ForceError)
 	policy    RetryPolicy    // reliability knobs; inert on a lossless fabric
@@ -228,11 +216,6 @@ func (s *qpState) recEnd(at sim.Time) {
 	}
 }
 
-// SetPostObserver attaches (or, with nil, detaches) a per-post listener. The
-// observer sees every successfully executed doorbell list posted on this QP
-// until detached; it has no effect on timing.
-func (s *qpState) SetPostObserver(o PostObserver) { s.post = o }
-
 // ID returns the QP number.
 func (s *qpState) ID() uint64 { return s.id }
 
@@ -327,16 +310,12 @@ func postList(src, dst *qpState, now sim.Time, wrs []*SendWR) ([]Completion, []b
 	}
 	nic := src.route.nic
 	inlineBytes := 0
-	totalBytes := 0
 	allInline := true
 	for _, wr := range wrs {
 		if wr.Inline {
 			inlineBytes += wr.TotalLength()
 		} else {
 			allInline = false
-		}
-		if src.post != nil {
-			totalBytes += wr.TotalLength()
 		}
 	}
 	// The first WR of the list owns the list-shared stages (doorbell MMIO,
@@ -387,9 +366,6 @@ func postList(src, dst *qpState, now sim.Time, wrs []*SendWR) ([]Completion, []b
 			}
 			return comps, drops, ErrQPError
 		}
-	}
-	if src.post != nil && len(comps) > 0 {
-		src.post.ObservePost(now, len(wrs), totalBytes, comps[len(comps)-1].Done)
 	}
 	return comps, drops, nil
 }
