@@ -166,7 +166,7 @@ func ablationMMIOCost(r *run) (*Report, error) {
 		cfg := cluster.DefaultConfig()
 		cfg.Machines = 2
 		cfg.NIC.MMIOCost = sim.Duration(mmios[i])
-		return customPairLatency(r, cfg)
+		return customPlacementLatency(r, cfg, false)
 	})
 	if err != nil {
 		return nil, err
@@ -256,43 +256,8 @@ func customPairThroughput(r *run, cfg cluster.Config, region int, h sim.Duration
 	return res.MOPS(), err
 }
 
-// customPairLatency measures the warm 32B write latency on a custom config.
-func customPairLatency(r *run, cfg cluster.Config) (float64, error) {
-	cl, err := r.newCluster(cfg)
-	if err != nil {
-		return 0, err
-	}
-	ctxA, ctxB := verbs.NewContext(cl.Machine(0)), verbs.NewContext(cl.Machine(1))
-	qp, _, err := verbs.Connect(ctxA, 1, ctxB, 1, verbs.RC)
-	if err != nil {
-		return 0, err
-	}
-	la, err := cl.Machine(0).Alloc(1, 1<<16, 0)
-	if err != nil {
-		return 0, err
-	}
-	ra, err := cl.Machine(1).Alloc(1, 1<<16, 0)
-	if err != nil {
-		return 0, err
-	}
-	mrA, mrB := ctxA.MustRegisterMR(la), ctxB.MustRegisterMR(ra)
-	wr := &verbs.SendWR{
-		Opcode:     verbs.OpWrite,
-		SGL:        []verbs.SGE{{Addr: mrA.Addr(), Length: 32, MR: mrA}},
-		RemoteAddr: mrB.Addr(),
-		RemoteKey:  mrB.RKey(),
-	}
-	if _, err := qp.PostSend(0, wr); err != nil {
-		return 0, err
-	}
-	c, err := qp.PostSend(sim.Millisecond, wr)
-	if err != nil {
-		return 0, err
-	}
-	return (c.Done - sim.Millisecond).Micros(), nil
-}
-
-// customPlacementLatency measures best- or worst-placement write latency.
+// customPlacementLatency measures the warm 32B write latency on a custom
+// config, with the best (local core and memory) or worst placement.
 func customPlacementLatency(r *run, cfg cluster.Config, worst bool) (float64, error) {
 	cl, err := r.newCluster(cfg)
 	if err != nil {

@@ -8,14 +8,13 @@ import (
 )
 
 // TestCustomLatencyAllocFailure: a config whose sockets cannot hold the
-// helpers' 64 KiB buffers makes them return the allocation error, not panic
+// helper's 64 KiB buffers makes it return the allocation error, not panic
 // on an unregistered region.
 func TestCustomLatencyAllocFailure(t *testing.T) {
 	cfg := cluster.DefaultConfig()
 	cfg.Machines = 2
 	cfg.PerSocketMem = 32 << 10
 	cases := map[string]func(*run) (float64, error){
-		"pair":            func(r *run) (float64, error) { return customPairLatency(r, cfg) },
 		"placement best":  func(r *run) (float64, error) { return customPlacementLatency(r, cfg, false) },
 		"placement worst": func(r *run) (float64, error) { return customPlacementLatency(r, cfg, true) },
 	}

@@ -228,54 +228,35 @@ func remoteSequencerMOPS(r *run, n int, h sim.Duration) (float64, error) {
 	return res.MOPS(), err
 }
 
-// rpcSequencerMOPS: counter behind a server.
-func rpcSequencerMOPS(r *run, n int, h sim.Duration) (float64, error) {
+// rpcSequencerMOPS: a counter behind a server, called over RC or, with ud,
+// over UD datagrams.
+func rpcSequencerMOPS(r *run, n int, ud bool, h sim.Duration) (float64, error) {
 	lc, err := newLockCluster(r, n)
 	if err != nil {
 		return 0, err
 	}
-	srv, err := core.NewRPCServer(lc.home, lc.homeMR, 750)
-	if err != nil {
-		return 0, err
+	var newCaller func(i int) (core.Caller, error)
+	if ud {
+		srv, err := core.NewUDRPCServer(lc.home, 1, lc.homeMR, 750)
+		if err != nil {
+			return 0, err
+		}
+		newCaller = func(i int) (core.Caller, error) { return srv.NewUDRPCClient(lc.ctxs[i], 1, lc.scrs[i]) }
+	} else {
+		srv, err := core.NewRPCServer(lc.home, lc.homeMR, 750)
+		if err != nil {
+			return 0, err
+		}
+		newCaller = func(i int) (core.Caller, error) { return srv.NewRPCClient(lc.ctxs[i], 1, 1, lc.scrs[i]) }
 	}
 	var counter uint64
 	var clients []*sim.Client
 	for i := 0; i < n; i++ {
-		rc, err := srv.NewRPCClient(lc.ctxs[i], 1, 1, lc.scrs[i])
+		caller, err := newCaller(i)
 		if err != nil {
 			return 0, err
 		}
-		seq := core.NewRPCSequencer(rc, &counter)
-		client := &sim.Client{PostCost: 150, Window: 1}
-		client.Op = func(post sim.Time) sim.Time {
-			_, t, err := seq.Next(post)
-			client.Fail(err)
-			return t
-		}
-		clients = append(clients, client)
-	}
-	res, err := sim.RunClosedLoop(clients, h)
-	return res.MOPS(), err
-}
-
-// udRPCSequencerMOPS: the datagram-transport RPC sequencer.
-func udRPCSequencerMOPS(r *run, n int, h sim.Duration) (float64, error) {
-	lc, err := newLockCluster(r, n)
-	if err != nil {
-		return 0, err
-	}
-	udSrv, err := core.NewUDRPCServer(lc.home, 1, lc.homeMR, 750)
-	if err != nil {
-		return 0, err
-	}
-	var udCounter uint64
-	var clients []*sim.Client
-	for i := 0; i < n; i++ {
-		uc, err := udSrv.NewUDRPCClient(lc.ctxs[i], 1, lc.scrs[i])
-		if err != nil {
-			return 0, err
-		}
-		seq := core.NewRPCSequencer(uc, &udCounter)
+		seq := core.NewRPCSequencer(caller, &counter)
 		client := &sim.Client{PostCost: 150, Window: 1}
 		client.Op = func(post sim.Time) sim.Time {
 			_, t, err := seq.Next(post)
@@ -300,10 +281,10 @@ func fig10bSequencer(r *run) (*Report, error) {
 	}{
 		{"Local Sequencer", func(_ *run, n int) (float64, error) { return localSequencerMOPS(n, h) }},
 		{"Remote Sequencer", func(r *run, n int) (float64, error) { return remoteSequencerMOPS(r, n, h) }},
-		{"RPC Sequencer", func(r *run, n int) (float64, error) { return rpcSequencerMOPS(r, n, h) }},
+		{"RPC Sequencer", func(r *run, n int) (float64, error) { return rpcSequencerMOPS(r, n, false, h) }},
 		// UD RPC: the Herd/FaSST-style datagram variant Section III-E cites
 		// as the faster two-sided implementation.
-		{"UD RPC Sequencer", func(r *run, n int) (float64, error) { return udRPCSequencerMOPS(r, n, h) }},
+		{"UD RPC Sequencer", func(r *run, n int) (float64, error) { return rpcSequencerMOPS(r, n, true, h) }},
 	}
 	ms, err := points(r, len(threads)*len(variants), func(r *run, i int) (float64, error) {
 		return variants[i%len(variants)].mops(r, threads[i/len(variants)])

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math/rand"
 
 	"rdmasem/internal/apps/hashtable"
 	"rdmasem/internal/cluster"
@@ -25,10 +26,11 @@ func hashtableDist() (*workload.ZipfDist, error) {
 	return workload.NewZipfDist(hashtableKeySpace, 0.99)
 }
 
-// hashtableMOPS runs the disaggregated hashtable under a zipf(0.99) 100%
-// write workload drawn from dist with the given number of front-ends (spread
-// over 7 client machines x 2 sockets, as on the paper's 8-machine testbed).
-func hashtableMOPS(r *run, dist *workload.ZipfDist, level hashtable.Level, theta, frontEnds int, hotFrac float64, h sim.Duration) (float64, error) {
+// hashtableMOPS runs the disaggregated hashtable under a zipf(0.99)
+// workload drawn from dist with the given number of front-ends (spread over
+// 7 client machines x 2 sockets, as on the paper's 8-machine testbed).
+// readPct of the ops are Gets, the rest Puts; the paper's figures use 0.
+func hashtableMOPS(r *run, dist *workload.ZipfDist, level hashtable.Level, theta, frontEnds int, hotFrac float64, readPct int, h sim.Duration) (float64, error) {
 	cl, err := r.newCluster(cluster.DefaultConfig())
 	if err != nil {
 		return 0, err
@@ -58,9 +60,18 @@ func hashtableMOPS(r *run, dist *workload.ZipfDist, level hashtable.Level, theta
 			return 0, err
 		}
 		keys := dist.New(int64(1000 + i))
+		rng := rand.New(rand.NewSource(int64(50 + i)))
+		out := make([]byte, 64)
 		client := &sim.Client{PostCost: 200, Window: 4}
 		client.Op = func(post sim.Time) sim.Time {
-			d, err := fe.Put(post, keys.Next(), val)
+			k := keys.Next()
+			var d sim.Time
+			var err error
+			if readPct > 0 && rng.Intn(100) < readPct {
+				d, err = fe.Get(post, k, out)
+			} else {
+				d, err = fe.Put(post, k, val)
+			}
 			client.Fail(err)
 			return d
 		}
@@ -93,7 +104,7 @@ func fig12HashtableBreakdown(r *run) (*Report, error) {
 	}
 	ms, err := points(r, maxFE*len(levels), func(r *run, i int) (float64, error) {
 		l := levels[i%len(levels)]
-		return hashtableMOPS(r, dist, l.level, l.theta, i/len(levels)+1, hotFrac, h)
+		return hashtableMOPS(r, dist, l.level, l.theta, i/len(levels)+1, hotFrac, 0, h)
 	})
 	if err != nil {
 		return nil, err
@@ -127,9 +138,9 @@ func fig13HashtableConsolidation(r *run) (*Report, error) {
 	}
 	ms, err := points(r, len(denoms)+len(thetas), func(r *run, i int) (float64, error) {
 		if i < len(denoms) {
-			return hashtableMOPS(r, dist, hashtable.Reorder, 16, frontEnds, 1.0/float64(denoms[i]), h)
+			return hashtableMOPS(r, dist, hashtable.Reorder, 16, frontEnds, 1.0/float64(denoms[i]), 0, h)
 		}
-		return hashtableMOPS(r, dist, hashtable.Reorder, thetas[i-len(denoms)], frontEnds, 1.0/8, h)
+		return hashtableMOPS(r, dist, hashtable.Reorder, thetas[i-len(denoms)], frontEnds, 1.0/8, 0, h)
 	})
 	if err != nil {
 		return nil, err

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"rdmasem/internal/fabric"
+	"rdmasem/internal/telemetry"
 	"rdmasem/internal/verbs"
 )
 
@@ -21,29 +22,54 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden experiment out
 // suite while still exercising every driver end to end.
 const goldenScale = 0.02
 
-// goldenRuns memoizes the plain golden-scale run of each id, so the golden
-// check, the counter half of the passivity check and the shape tests that
-// read exactly that configuration share one run per test binary.
-var goldenRuns sync.Map // id -> *goldenRun
+// memoRuns memoizes the two golden-scale runs of each id that several
+// checks read: the plain run (goldenReport) and the instrumented run
+// (instrumentedReport). Each runs at most once per test binary.
+var memoRuns sync.Map // memoKey -> *memoRun
 
-type goldenRun struct {
+type memoKey struct {
+	id           string
+	instrumented bool
+}
+
+type memoRun struct {
 	once sync.Once
 	rep  *Report
 	err  error
 }
 
-// goldenReport returns Run(id, goldenScale, Options{}), running it at most
-// once. The report is shared: callers only read it.
-func goldenReport(t *testing.T, id string) *Report {
+// instrumentedTimeline is the one timeline every instrumented run records
+// into.
+var instrumentedTimeline = telemetry.NewTimeline(0)
+
+// memoReport returns the memoized run of id. The report is shared: callers
+// only read it.
+func memoReport(t *testing.T, id string, instrumented bool) *Report {
 	t.Helper()
-	v, _ := goldenRuns.LoadOrStore(id, new(goldenRun))
-	g := v.(*goldenRun)
-	g.once.Do(func() { g.rep, g.err = Run(id, goldenScale, Options{}) })
-	if g.err != nil {
-		t.Fatalf("%s: %v", id, g.err)
+	v, _ := memoRuns.LoadOrStore(memoKey{id, instrumented}, new(memoRun))
+	m := v.(*memoRun)
+	m.once.Do(func() {
+		var opts Options
+		if instrumented {
+			opts = Options{Metrics: true, Timeline: instrumentedTimeline, Parallel: 1}
+		}
+		m.rep, m.err = Run(id, goldenScale, opts)
+	})
+	if m.err != nil {
+		t.Fatalf("%s: %v", id, m.err)
 	}
-	return g.rep
+	return m.rep
 }
+
+// goldenReport returns Run(id, goldenScale, Options{}). The golden check,
+// the counter half of the passivity check and the shape tests that read
+// exactly that configuration share it.
+func goldenReport(t *testing.T, id string) *Report { return memoReport(t, id, false) }
+
+// instrumentedReport returns Run(id, goldenScale, Options{Metrics: true,
+// Timeline: instrumentedTimeline, Parallel: 1}). The passivity check renders
+// it, and the width check uses it as its narrow side.
+func instrumentedReport(t *testing.T, id string) *Report { return memoReport(t, id, true) }
 
 // TestGoldenOutputs locks every registered experiment's rendered output to a
 // committed golden file. The simulation is deterministic, so any diff is a

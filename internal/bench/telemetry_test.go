@@ -15,16 +15,16 @@ import (
 
 // TestTelemetryPassiveAcrossAllExperiments pins the telemetry layer's
 // zero-cost contract over the whole evaluation surface: with a registry AND
-// a timeline attached to every cluster, all experiments must render
-// byte-identically to the committed goldens. Any divergence means an
-// observer leaked into the timing model. The run must also fold exactly the
-// counters of the plain golden run: every counter comes from a fold at
-// settle, never from a live count that only an attached registry sees.
+// a timeline attached to every cluster (instrumentedReport), all experiments
+// must render byte-identically to the committed goldens. Any divergence
+// means an observer leaked into the timing model. The run must also fold
+// exactly the counters of the plain golden run: every counter comes from a
+// fold at settle, never from a live count that only an attached registry
+// sees.
 func TestTelemetryPassiveAcrossAllExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep")
 	}
-	tl := telemetry.NewTimeline(0)
 	var fed atomic.Bool
 	// The sweep must actually have fed the sinks, or the parity below proved
 	// nothing. Cleanup runs after the parallel subtests finish.
@@ -32,17 +32,14 @@ func TestTelemetryPassiveAcrossAllExperiments(t *testing.T) {
 		if !fed.Load() {
 			t.Error("no run collected any metrics across the whole sweep")
 		}
-		if tl.Len() == 0 {
+		if instrumentedTimeline.Len() == 0 {
 			t.Error("timeline recorded no spans across the whole sweep")
 		}
 	})
 	for _, id := range List() {
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			rep, err := Run(id, goldenScale, Options{Metrics: true, Timeline: tl})
-			if err != nil {
-				t.Fatalf("run: %v", err)
-			}
+			rep := instrumentedReport(t, id)
 			if !rep.Metrics.Empty() {
 				fed.Store(true)
 			}
@@ -70,7 +67,10 @@ func TestTelemetryPassiveAcrossAllExperiments(t *testing.T) {
 // TestMetricsIdenticalAtAnyWidth pins the fork/absorb contract of the run
 // registry: a run's snapshot is the same whether its points run one at a
 // time or four at once. Points record into their own forks, so under -race
-// this also shows that no two goroutines ever write one histogram.
+// this also shows that no two goroutines ever write one histogram. The
+// narrow side is the memoized instrumented run, which also records a
+// timeline and the wide side does not, so the check also shows that the
+// timeline leaves the snapshot unchanged.
 func TestMetricsIdenticalAtAnyWidth(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep, twice")
@@ -78,10 +78,7 @@ func TestMetricsIdenticalAtAnyWidth(t *testing.T) {
 	for _, id := range List() {
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
-			narrow, err := Run(id, goldenScale, Options{Metrics: true, Parallel: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
+			narrow := instrumentedReport(t, id)
 			wide, err := Run(id, goldenScale, Options{Metrics: true, Parallel: 4})
 			if err != nil {
 				t.Fatal(err)

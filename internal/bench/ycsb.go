@@ -1,14 +1,9 @@
 package bench
 
 import (
-	"math/rand"
-
 	"rdmasem/internal/apps/hashtable"
-	"rdmasem/internal/cluster"
 	"rdmasem/internal/sim"
 	"rdmasem/internal/stats"
-	"rdmasem/internal/topo"
-	"rdmasem/internal/workload"
 )
 
 func init() { register("ycsb", ycsbMixed) }
@@ -26,7 +21,7 @@ func ycsbMixed(r *run) (*Report, error) {
 		return nil, err
 	}
 	ms, err := points(r, len(levels)*len(readPcts), func(r *run, i int) (float64, error) {
-		return ycsbMOPS(r, dist, levels[i/len(readPcts)], readPcts[i%len(readPcts)], h)
+		return hashtableMOPS(r, dist, levels[i/len(readPcts)], 16, 8, 1.0/8, readPcts[i%len(readPcts)], h)
 	})
 	if err != nil {
 		return nil, err
@@ -44,53 +39,4 @@ func ycsbMixed(r *run) (*Report, error) {
 			"hot reads are served from the front-end shadow, so the consolidated table keeps a lead even at 95% reads",
 		},
 	}, nil
-}
-
-// ycsbMOPS runs one optimization level at one read percentage, with keys
-// drawn from dist, on its own cluster and returns the aggregate throughput.
-func ycsbMOPS(r *run, dist *workload.ZipfDist, level hashtable.Level, readPct int, h sim.Duration) (float64, error) {
-	const frontEnds = 8
-	cl, err := r.newCluster(cluster.DefaultConfig())
-	if err != nil {
-		return 0, err
-	}
-	backend, err := hashtable.NewBackend(cl.Machine(0), hashtable.Config{
-		Level:     level,
-		KeySpace:  hashtableKeySpace,
-		ValueSize: 64,
-		Theta:     16,
-		BlockBits: 4,
-		HotKeys:   dist.HotSet(hashtableKeySpace / 8),
-	})
-	if err != nil {
-		return 0, err
-	}
-	var clients []*sim.Client
-	for i := 0; i < frontEnds; i++ {
-		m := cl.Machine(1 + (i/2)%7)
-		fe, err := hashtable.NewFrontEnd(i, m, topo.SocketID(i%2), backend)
-		if err != nil {
-			return 0, err
-		}
-		keys := dist.New(int64(1000 + i))
-		rng := rand.New(rand.NewSource(int64(50 + i)))
-		val := make([]byte, 64)
-		out := make([]byte, 64)
-		client := &sim.Client{PostCost: 200, Window: 4}
-		client.Op = func(post sim.Time) sim.Time {
-			k := keys.Next()
-			var d sim.Time
-			var err error
-			if rng.Intn(100) < readPct {
-				d, err = fe.Get(post, k, out)
-			} else {
-				d, err = fe.Put(post, k, val)
-			}
-			client.Fail(err)
-			return d
-		}
-		clients = append(clients, client)
-	}
-	res, err := sim.RunClosedLoop(clients, h)
-	return res.MOPS(), err
 }

@@ -59,7 +59,6 @@ type pendingBlock struct {
 	seq      int64 // creation order, breaks eviction ties (true FIFO at Lease 0)
 	mods     int
 	deadline sim.Time
-	dirty    bool
 }
 
 // ConsolidatorConfig configures a Consolidator.
@@ -154,7 +153,6 @@ func (c *Consolidator) Write(now sim.Time, off int, data []byte) (sim.Time, erro
 	}
 	shadow := c.shadow(pb)
 	copy(shadow[off%c.blockSize:], data)
-	pb.dirty = true
 	pb.mods++
 	c.writes++
 	// CPU copy into the shadow is the only cost of an absorbed write.
@@ -172,7 +170,7 @@ func (c *Consolidator) Read(now sim.Time, off, size int, out []byte) (sim.Time, 
 		return 0, fmt.Errorf("core: read [%d,+%d) not within one block", off, size)
 	}
 	blk := off / c.blockSize
-	if pb := c.blocks[blk]; pb != nil && pb.dirty {
+	if pb := c.blocks[blk]; pb != nil {
 		copy(out[:size], c.shadow(pb)[off%c.blockSize:])
 		tp := c.qp.Context().Machine().Topology().Params
 		done := now + tp.MemcpyTime(size, false)
@@ -212,7 +210,7 @@ func (c *Consolidator) Tick(now sim.Time) (sim.Time, error) {
 	}
 	done := now
 	for _, pb := range c.snapshot() {
-		if pb.deadline <= now && pb.dirty {
+		if pb.deadline <= now {
 			d, err := c.flushBlock(now, pb, flushLease)
 			if err != nil {
 				return 0, err

@@ -7,6 +7,7 @@ package integration_test
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"rdmasem/internal/apps/dlog"
@@ -144,8 +145,9 @@ func TestFourApplicationsOnOneCluster(t *testing.T) {
 }
 
 // TestWholeStackDeterminism runs an identical mixed workload twice and
-// demands bit-identical aggregate results — the property that makes every
-// figure in the repository reproducible.
+// demands bit-identical results — every op's client, post and completion
+// time, folded into one fingerprint — the property that makes every figure
+// in the repository reproducible.
 func TestWholeStackDeterminism(t *testing.T) {
 	dist := mustZipfDist(t, 1<<12)
 	run := func() string {
@@ -162,6 +164,7 @@ func TestWholeStackDeterminism(t *testing.T) {
 		}
 		var clients []*sim.Client
 		val := make([]byte, 64)
+		ops := fnv.New64a()
 		for i := 0; i < 6; i++ {
 			fe, err := hashtable.NewFrontEnd(i, cl.Machine(1+i%7), topo.SocketID(i%2), backend)
 			if err != nil {
@@ -175,6 +178,7 @@ func TestWholeStackDeterminism(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					fmt.Fprintf(ops, "%d %d %d;", i, post, d)
 					return d
 				},
 			})
@@ -183,7 +187,7 @@ func TestWholeStackDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fmt.Sprintf("%d %v %v", res.Completed, res.LatencyAvg(), res.TotalCPUBusy())
+		return fmt.Sprintf("%d %x", res.Completed, ops.Sum64())
 	}
 	a, b := run(), run()
 	if a != b {

@@ -83,7 +83,7 @@ type RelCounters struct {
 	RNRNaks          uint64 // receiver-not-ready NAKs received
 	RetriesExhausted uint64 // WRs that errored out after the retry budget
 	FlushedWRs       uint64 // WRs flushed on an error-state QP
-	SilentDrops      uint64 // UC/UD messages lost with no recovery
+	SilentDrops      uint64 // UD datagrams lost on the wire (UD has no recovery)
 	Reconnects       uint64 // QPs cycled back to READY via Reconnect
 }
 

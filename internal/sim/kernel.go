@@ -46,9 +46,6 @@ func (k *Kernel) Run(horizon Time) (Result, error) {
 		c.nextPost = 0
 		c.outstanding.reset(c.Window)
 		c.posted, c.completed = 0, 0
-		c.latencySum, c.latencyMax = 0, 0
-		c.latencyMin = MaxTime
-		c.cpuBusy = 0
 		c.err = nil
 		h.idx[i] = i
 	}
@@ -57,17 +54,7 @@ func (k *Kernel) Run(horizon Time) (Result, error) {
 
 	res := Result{Horizon: horizon, Clients: make([]ClientStats, len(k.clients))}
 	for i, c := range k.clients {
-		s := ClientStats{
-			Posted:     c.posted,
-			Completed:  c.completed,
-			LatencyMax: c.latencyMax,
-			CPUBusy:    c.cpuBusy,
-		}
-		if c.completed > 0 {
-			s.LatencyAvg = c.latencySum / Duration(c.completed)
-			s.LatencyMin = c.latencyMin
-		}
-		res.Clients[i] = s
+		res.Clients[i] = ClientStats{Posted: c.posted, Completed: c.completed}
 		res.Completed += c.completed
 	}
 	return res, err
@@ -99,18 +86,9 @@ func (h *dispatchHeap) run(horizon Time) error {
 		c.posted++
 		if complete <= horizon {
 			c.completed++
-			lat := complete - t
-			c.latencySum += lat
-			if lat > c.latencyMax {
-				c.latencyMax = lat
-			}
-			if lat < c.latencyMin {
-				c.latencyMin = lat
-			}
 		}
 		c.outstanding.push(complete)
 		c.nextPost = t + c.PostCost
-		c.cpuBusy += c.PostCost
 		h.fixTop()
 	}
 	return nil

@@ -97,7 +97,6 @@ func referenceRun(clients []*Client, horizon Time) (Result, error) {
 	type state struct {
 		nextPost Time
 		out      []Time // outstanding completions, unordered
-		sum      Duration
 		stats    ClientStats
 	}
 	st := make([]state, len(clients))
@@ -128,23 +127,14 @@ func referenceRun(clients []*Client, horizon Time) (Result, error) {
 			continue
 		}
 		s.stats.Posted++
-		if lat := complete - t; complete <= horizon {
-			if s.stats.Completed == 0 || lat < s.stats.LatencyMin {
-				s.stats.LatencyMin = lat
-			}
-			s.stats.LatencyMax = max(s.stats.LatencyMax, lat)
+		if complete <= horizon {
 			s.stats.Completed++
-			s.sum += lat
 		}
 		s.out = append(s.out, complete)
 		s.nextPost = t + c.PostCost
-		s.stats.CPUBusy += c.PostCost
 	}
 	res := Result{Horizon: horizon, Clients: make([]ClientStats, len(clients))}
 	for i, s := range st {
-		if s.stats.Completed > 0 {
-			s.stats.LatencyAvg = s.sum / Duration(s.stats.Completed)
-		}
 		res.Clients[i] = s.stats
 		res.Completed += s.stats.Completed
 	}

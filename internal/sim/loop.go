@@ -26,11 +26,7 @@ type Client struct {
 	outstanding window
 	posted      int64
 	completed   int64 // completions observed within the horizon
-	latencySum  Duration
-	latencyMax  Duration
-	latencyMin  Duration
-	cpuBusy     Duration // CPU time charged via PostCost and ChargeCPU
-	err         error    // first failure reported through Fail
+	err         error // first failure reported through Fail
 }
 
 // Fail records err as the client's failure if it is the client's first
@@ -44,19 +40,10 @@ func (c *Client) Fail(err error) {
 	}
 }
 
-// ChargeCPU adds extra CPU busy time to the client's accounting (used by ops
-// that burn caller CPU, e.g. the SP gather memcpy). It does not advance time;
-// the op is responsible for reflecting the cost in its completion time.
-func (c *Client) ChargeCPU(d Duration) { c.cpuBusy += d }
-
 // ClientStats summarizes one client's activity after a run.
 type ClientStats struct {
-	Posted     int64
-	Completed  int64
-	LatencyAvg Duration
-	LatencyMin Duration
-	LatencyMax Duration
-	CPUBusy    Duration
+	Posted    int64
+	Completed int64
 }
 
 // Result summarizes a closed-loop run.
@@ -77,29 +64,6 @@ func (r Result) Throughput() float64 {
 // MOPS reports throughput in millions of operations per second, the unit the
 // paper plots.
 func (r Result) MOPS() float64 { return r.Throughput() / 1e6 }
-
-// LatencyAvg reports the completion-weighted mean latency over all clients.
-func (r Result) LatencyAvg() Duration {
-	var sum Duration
-	var n int64
-	for _, c := range r.Clients {
-		sum += c.LatencyAvg * Duration(c.Completed)
-		n += c.Completed
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / Duration(n)
-}
-
-// TotalCPUBusy reports the summed CPU busy time across clients.
-func (r Result) TotalCPUBusy() Duration {
-	var sum Duration
-	for _, c := range r.Clients {
-		sum += c.CPUBusy
-	}
-	return sum
-}
 
 // nextAction reports when the client can next issue an operation.
 func (c *Client) nextAction() Time {

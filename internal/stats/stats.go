@@ -20,12 +20,6 @@ type Point struct {
 type Series struct {
 	Label  string
 	Points []Point
-
-	// index maps each x's bit pattern to its y for O(1) YAt lookups during
-	// rendering; it folds Points in lazily so direct appends to the exported
-	// slice are picked up too.
-	index   map[uint64]float64
-	indexed int // number of Points already folded into index
 }
 
 // Add appends a sample. Adding a second point with an exact-bit-equal x
@@ -38,19 +32,13 @@ func (s *Series) Add(x, y float64) {
 // match bit-for-bit: two drivers computing the "same" x through different
 // float rounding produce distinct columns, never a silent blank cell.
 func (s *Series) YAt(x float64) (float64, bool) {
-	if s.indexed > len(s.Points) {
-		// Points was truncated or replaced; rebuild from scratch.
-		s.index, s.indexed = nil, 0
+	bits := math.Float64bits(x)
+	for i := len(s.Points) - 1; i >= 0; i-- {
+		if math.Float64bits(s.Points[i].X) == bits {
+			return s.Points[i].Y, true
+		}
 	}
-	if s.index == nil {
-		s.index = make(map[uint64]float64, len(s.Points))
-	}
-	for ; s.indexed < len(s.Points); s.indexed++ {
-		p := s.Points[s.indexed]
-		s.index[math.Float64bits(p.X)] = p.Y
-	}
-	y, ok := s.index[math.Float64bits(x)]
-	return y, ok
+	return 0, false
 }
 
 // MaxY returns the largest y value (0 for an empty series).

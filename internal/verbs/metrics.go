@@ -128,7 +128,7 @@ func (m *stageRecorder) stage(st Stage, at sim.Time) {
 // end closes the bracket at the WR's completion time: the tail (CQE
 // generation) becomes the final span, the whole walk lands in the e2e
 // histogram, and a trace keeps the completion time even when it precedes
-// the responder's spans (UC WRITE, UD SEND).
+// the responder's spans (a UD SEND).
 func (m *stageRecorder) end(at sim.Time) {
 	if !m.active {
 		return

@@ -4,12 +4,12 @@
 //	doorbell MMIO -> WQE fetch -> gather DMA -> QP pipeline ->
 //	execution unit -> wire -> responder -> CQE
 //
-// RC, UC and UD queue pairs all post through postList/executeOne below; the
+// RC and UD queue pairs both post through postList/executeOne below; the
 // transport only selects branch points inside the walk (which metadata is
 // touched, how the pipeline stage is priced, when the requester considers
-// the operation complete). Connected transports hand the wire -> responder
-// -> ACK phase to the reliability engine (reliability.go) on every fabric; a
-// lossless fabric is its no-loss case, not a second copy of the walk. One
+// the operation complete). RC hands the wire -> responder -> ACK phase to
+// the reliability engine (reliability.go) on every fabric; a lossless
+// fabric is its no-loss case, not a second copy of the walk. One
 // stage recorder per QP (metrics.go) consumes the walk and fans each stage
 // span out to the histograms, the timeline and a traced post's Trace; none
 // of them forks the timing code.
@@ -511,37 +511,16 @@ func executeOne(src, dst *qpState, t sim.Time, wr *SendWR) (Completion, bool, er
 	}
 
 	// The wire -> responder -> ACK phase runs under the reliability engine
-	// on every fabric. An unreliable connection has no acknowledgement, so
-	// the send completes locally as soon as the message is on the wire; the
-	// responder-side costs are still charged (the data lands), the
-	// requester just does not wait for them.
-	done, old := t, uint64(0)
-	if src.transport == UC {
-		if err := executeUC(src, dst, t, wr, outbound); err != nil {
-			return Completion{}, false, err
-		}
-	} else {
-		var status CompletionStatus
-		var err error
-		done, old, status, err = executeReliable(src, dst, t, wr, total, outbound)
-		if err != nil {
-			return Completion{}, false, err
-		}
-		if status != StatusOK {
-			// Retry budget exhausted: the WR completes with an error CQE
-			// (always signaled, even if posted unsignaled) and the QP is
-			// now in the error state; postList flushes whatever follows.
-			src.logFailed(wr, src.failedApplied)
-			return src.signal(Completion{WRID: wr.ID, Opcode: wr.Opcode, Done: done + CQECost, Bytes: total, Status: status}), false, nil
-		}
+	// on every fabric.
+	done, old, status, err := executeReliable(src, dst, t, wr, total, outbound)
+	if err != nil {
+		return Completion{}, false, err
 	}
-
-	if wr.Unsignaled {
-		// Selective signaling: no CQE is generated, saving its DMA. The
-		// returned completion still reports when the operation finished so
-		// callers can chain timings; ordering within the QP ensures a later
-		// signaled WR's CQE implies this one completed.
-		return Completion{WRID: wr.ID, Opcode: wr.Opcode, Done: done, Bytes: total, OldValue: old}, false, nil
+	if status != StatusOK {
+		// Retry budget exhausted: the WR completes with an error CQE and the
+		// QP is now in the error state; postList flushes whatever follows.
+		src.logFailed(wr, src.failedApplied)
+		return src.signal(Completion{WRID: wr.ID, Opcode: wr.Opcode, Done: done + CQECost, Bytes: total, Status: status}), false, nil
 	}
 	return src.signal(Completion{WRID: wr.ID, Opcode: wr.Opcode, Done: done + CQECost, Bytes: total, OldValue: old}), false, nil
 }
@@ -574,21 +553,12 @@ func deliverDatagram(src, dst *qpState, arrive sim.Time, wr *SendWR, total int) 
 	return dmaEnd, false, nil
 }
 
-// applyWrite gathers the first n SGL bytes — the whole payload, or the
-// prefix a torn UC WRITE landed — and stores them contiguously at the remote
-// address, in the target MR's region. The staging buffer comes from the
-// responder QP's scratch pool.
-func applyWrite(dst *qpState, rmr *MR, wr *SendWR, n int) error {
-	buf := dst.scratch.bytes(n)
-	for _, s := range wr.SGL {
-		if len(buf) >= n {
-			break
-		}
-		b, err := s.MR.region.Slice(s.Addr, s.Length)
-		if err != nil {
-			return err
-		}
-		buf = append(buf, b[:min(s.Length, n-len(buf))]...)
+// applyWrite gathers the SGL and stores it contiguously at the remote
+// address, in the target MR's region.
+func applyWrite(dst *qpState, rmr *MR, wr *SendWR) error {
+	buf, err := gather(dst, wr)
+	if err != nil {
+		return err
 	}
 	target, err := rmr.region.Slice(wr.RemoteAddr, len(buf))
 	if err != nil {
@@ -647,16 +617,11 @@ func applyAtomic(rmr *MR, wr *SendWR) (uint64, error) {
 	return old, nil
 }
 
-// applySend copies the gathered payload into the posted receive buffer,
-// staging through the receiving QP's scratch pool.
+// applySend copies the gathered payload into the posted receive buffer.
 func applySend(dst *qpState, wr *SendWR, recv RecvWR) error {
-	buf := dst.scratch.bytes(wr.TotalLength())
-	for _, s := range wr.SGL {
-		b, err := s.MR.region.Slice(s.Addr, s.Length)
-		if err != nil {
-			return err
-		}
-		buf = append(buf, b...)
+	buf, err := gather(dst, wr)
+	if err != nil {
+		return err
 	}
 	rbuf, err := recv.SGE.MR.region.Slice(recv.SGE.Addr, len(buf))
 	if err != nil {
@@ -664,4 +629,18 @@ func applySend(dst *qpState, wr *SendWR, recv RecvWR) error {
 	}
 	copy(rbuf, buf)
 	return nil
+}
+
+// gather concatenates the SGL's bytes, staging them in the responder QP's
+// scratch pool.
+func gather(dst *qpState, wr *SendWR) ([]byte, error) {
+	buf := dst.scratch.bytes(wr.TotalLength())
+	for _, s := range wr.SGL {
+		b, err := s.MR.region.Slice(s.Addr, s.Length)
+		if err != nil {
+			return nil, err
+		}
+		buf = append(buf, b...)
+	}
+	return buf, nil
 }

@@ -74,19 +74,10 @@ func TestPostSendListPartialBatch(t *testing.T) {
 	}
 }
 
-// randomWR builds a deterministic random work request legal on the given
-// transport. The spread covers every opcode, single and multi-SGE gathers,
-// and the inline path.
-func randomWR(rng *rand.Rand, tr Transport, e *pairEnv) *SendWR {
-	var ops []Opcode
-	switch tr {
-	case RC:
-		ops = []Opcode{OpWrite, OpRead, OpSend, OpCompSwap, OpFetchAdd}
-	case UC:
-		ops = []Opcode{OpWrite, OpSend}
-	default:
-		ops = []Opcode{OpSend}
-	}
+// randomWR builds a deterministic random RC work request. The spread covers
+// every opcode, single and multi-SGE gathers, and the inline path.
+func randomWR(rng *rand.Rand, e *pairEnv) *SendWR {
+	ops := []Opcode{OpWrite, OpRead, OpSend, OpCompSwap, OpFetchAdd}
 	op := ops[rng.Intn(len(ops))]
 	wr := &SendWR{ID: rng.Uint64(), Opcode: op}
 	if op == OpCompSwap || op == OpFetchAdd {
@@ -157,67 +148,61 @@ func checkTraceMatchesTimeline(t *testing.T, step int, tr *Trace, tl *telemetry.
 // only one stage walk; observation and batching must not perturb it, and the
 // one recorder hands the trace and the timeline the same spans.
 func TestTracedMatchesUntraced(t *testing.T) {
-	for _, tr := range []Transport{RC, UC} {
-		t.Run(tr.String(), func(t *testing.T) {
-			plain, traced, listed := newPair(t), newPair(t), newPair(t)
-			tl := telemetry.NewTimeline(0)
-			mcl := newTestCluster(t, telemetry.NewRegistry(), tl)
-			metered := &pairEnv{cl: mcl, ctxA: NewContext(mcl.Machine(0)), ctxB: NewContext(mcl.Machine(1))}
-			metered.qpA, metered.qpB = MustConnect(metered.ctxA, 1, metered.ctxB, 1, tr)
-			metered.mrA = metered.ctxA.MustRegisterMR(mcl.Machine(0).MustAlloc(1, 1<<20, 0))
-			metered.mrB = metered.ctxB.MustRegisterMR(mcl.Machine(1).MustAlloc(1, 1<<20, 0))
-			if tr == UC {
-				plain.qpA, plain.qpB = MustConnect(plain.ctxA, 1, plain.ctxB, 1, UC)
-				traced.qpA, traced.qpB = MustConnect(traced.ctxA, 1, traced.ctxB, 1, UC)
-				listed.qpA, listed.qpB = MustConnect(listed.ctxA, 1, listed.ctxB, 1, UC)
+	// The datagram leg is TestUDTracedMatchesUntraced.
+	t.Run("RC", func(t *testing.T) {
+		plain, traced, listed := newPair(t), newPair(t), newPair(t)
+		tl := telemetry.NewTimeline(0)
+		mcl := newTestCluster(t, telemetry.NewRegistry(), tl)
+		metered := &pairEnv{cl: mcl, ctxA: NewContext(mcl.Machine(0)), ctxB: NewContext(mcl.Machine(1))}
+		metered.qpA, metered.qpB = MustConnect(metered.ctxA, 1, metered.ctxB, 1, RC)
+		metered.mrA = metered.ctxA.MustRegisterMR(mcl.Machine(0).MustAlloc(1, 1<<20, 0))
+		metered.mrB = metered.ctxB.MustRegisterMR(mcl.Machine(1).MustAlloc(1, 1<<20, 0))
+		now := sim.Time(0)
+		for step := 0; step < 60; step++ {
+			// One shared generator per variant, same seed: identical WRs.
+			wrOn := func(e *pairEnv) *SendWR {
+				return randomWR(rand.New(rand.NewSource(int64(step))), e)
 			}
-			now := sim.Time(0)
-			for step := 0; step < 60; step++ {
-				// One shared generator per variant, same seed: identical WRs.
-				wrOn := func(e *pairEnv) *SendWR {
-					return randomWR(rand.New(rand.NewSource(int64(step))), tr, e)
-				}
-				wantSend := wrOn(plain).Opcode == OpSend
-				if wantSend {
-					for _, e := range []*pairEnv{plain, traced, listed, metered} {
-						if err := e.qpB.PostRecv(RecvWR{SGE: SGE{Addr: e.mrB.Addr(), Length: 1 << 20, MR: e.mrB}}); err != nil {
-							t.Fatal(err)
-						}
+			wantSend := wrOn(plain).Opcode == OpSend
+			if wantSend {
+				for _, e := range []*pairEnv{plain, traced, listed, metered} {
+					if err := e.qpB.PostRecv(RecvWR{SGE: SGE{Addr: e.mrB.Addr(), Length: 1 << 20, MR: e.mrB}}); err != nil {
+						t.Fatal(err)
 					}
 				}
-				cp, err := plain.qpA.PostSend(now, wrOn(plain))
-				if err != nil {
-					t.Fatal(err)
-				}
-				ct, trace, err := traced.qpA.PostSendTraced(now, wrOn(traced))
-				if err != nil {
-					t.Fatal(err)
-				}
-				cls, err := listed.qpA.PostSendList(now, []*SendWR{wrOn(listed)})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if cp.Done != ct.Done || cp.Done != cls[0].Done {
-					t.Fatalf("step %d: plain %v, traced %v, listed %v", step, cp.Done, ct.Done, cls[0].Done)
-				}
-				if got, _ := trace.At(StageCompleted); got != cp.Done {
-					t.Fatalf("step %d: trace completion %v != %v", step, got, cp.Done)
-				}
-				cm, mtrace, err := metered.qpA.PostSendTraced(now, wrOn(metered))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got, _ := mtrace.At(StageCompleted); cm.Done != cp.Done || got != cp.Done {
-					t.Fatalf("step %d: metered completion %v, trace %v, want %v", step, cm.Done, got, cp.Done)
-				}
-				checkTraceMatchesTimeline(t, step, mtrace, tl, metered.qpA.ID(), int64(step+1))
-				if b := mtrace.Decompose(); tr == RC && b.RNICToSocket+b.Network+b.SocketToMemory+b.Completion != mtrace.Total() {
-					t.Fatalf("step %d: RC decomposition %+v does not sum to total %v", step, b, mtrace.Total())
-				}
-				now = cp.Done + sim.Time(100+step*7)
 			}
-		})
-	}
+			cp, err := plain.qpA.PostSend(now, wrOn(plain))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ct, trace, err := traced.qpA.PostSendTraced(now, wrOn(traced))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cls, err := listed.qpA.PostSendList(now, []*SendWR{wrOn(listed)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cp.Done != ct.Done || cp.Done != cls[0].Done {
+				t.Fatalf("step %d: plain %v, traced %v, listed %v", step, cp.Done, ct.Done, cls[0].Done)
+			}
+			if got, _ := trace.At(StageCompleted); got != cp.Done {
+				t.Fatalf("step %d: trace completion %v != %v", step, got, cp.Done)
+			}
+			cm, mtrace, err := metered.qpA.PostSendTraced(now, wrOn(metered))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, _ := mtrace.At(StageCompleted); cm.Done != cp.Done || got != cp.Done {
+				t.Fatalf("step %d: metered completion %v, trace %v, want %v", step, cm.Done, got, cp.Done)
+			}
+			checkTraceMatchesTimeline(t, step, mtrace, tl, metered.qpA.ID(), int64(step+1))
+			if b := mtrace.Decompose(); b.RNICToSocket+b.Network+b.SocketToMemory+b.Completion != mtrace.Total() {
+				t.Fatalf("step %d: RC decomposition %+v does not sum to total %v", step, b, mtrace.Total())
+			}
+			now = cp.Done + sim.Time(100+step*7)
+		}
+	})
 }
 
 // TestUDTracedMatchesUntraced is the datagram leg of the equivalence

@@ -7,25 +7,26 @@ import (
 	"rdmasem/internal/sim"
 )
 
-// QP is one side of a connected queue pair. A QP is bound to a NIC port (and
-// thereby to that port's socket) and to the socket of the core that posts to
-// it; both bindings drive the NUMA charging of Section III-D. All timing
-// lives in the shared op-pipeline engine (pipeline.go); this type only adds
-// the connection to a peer and the validation of connected-transport WRs.
+// QP is one side of a connected (RC) queue pair. A QP is bound to a NIC port
+// (and thereby to that port's socket) and to the socket of the core that
+// posts to it; both bindings drive the NUMA charging of Section III-D. All
+// timing lives in the shared op-pipeline engine (pipeline.go); this type
+// only adds the connection to a peer and the validation of RC WRs.
 type QP struct {
 	qpState
 	peer *QP
 }
 
 // Connect creates a connected QP pair between two contexts over the given
-// local NIC ports. The cores default to each port's affiliated socket;
-// rebind with BindCore.
+// local NIC ports. The transport must be RC, the only connected one; any
+// other fails with ErrBadTransport. The cores default to each port's
+// affiliated socket; rebind with BindCore.
 func Connect(a *Context, portA int, b *Context, portB int, t Transport) (*QP, *QP, error) {
 	if a == nil || b == nil {
 		return nil, nil, fmt.Errorf("verbs: nil context")
 	}
-	if t == UD {
-		return nil, nil, fmt.Errorf("%w: UD has no connected QPs", ErrBadTransport)
+	if t != RC {
+		return nil, nil, fmt.Errorf("%w: only RC QPs connect", ErrBadTransport)
 	}
 	if err := a.checkPort(portA); err != nil {
 		return nil, nil, err
@@ -111,21 +112,11 @@ func (q *QP) PostSendList(now sim.Time, wrs []*SendWR) ([]Completion, error) {
 	return comps, err
 }
 
-// validate checks transport legality and SGL/MR bounds before any timing or
-// data effects happen.
+// validate checks SGL/MR bounds before any timing or data effects happen. A
+// QP is always RC, so every opcode is legal on it.
 func (q *QP) validate(wr *SendWR) error {
 	if wr == nil {
 		return ErrNilWR
-	}
-	switch wr.Opcode {
-	case OpRead, OpCompSwap, OpFetchAdd:
-		if q.transport != RC {
-			return fmt.Errorf("%w: %s requires RC", ErrBadTransport, wr.Opcode)
-		}
-	case OpWrite:
-		if q.transport == UD {
-			return fmt.Errorf("%w: WRITE requires RC or UC", ErrBadTransport)
-		}
 	}
 	if len(wr.SGL) == 0 {
 		return fmt.Errorf("%w: no SGEs", ErrBadSGL)

@@ -23,7 +23,7 @@ func fetchAddWR(e *pairEnv, id uint64) *SendWR {
 // to READY with fresh PSNs, charges the connection managers, and the QP
 // carries traffic again.
 func TestReconnectRestoresQP(t *testing.T) {
-	e := newLossyPair(t, quietPlan(), RC)
+	e := newLossyPair(t, quietPlan())
 	fillPattern(e.mrA.Region().Bytes()[:64], 3)
 	if _, err := e.qpA.PostSend(0, writeWR(e, 64)); err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestCrashWindowFlushesAndReconnects(t *testing.T) {
 	plan := &fabric.FaultPlan{Seed: 1, Crashes: []fabric.CrashEvent{
 		{Machine: 0, At: 10 * sim.Microsecond, Down: 40 * sim.Microsecond},
 	}}
-	e := newLossyPair(t, plan, RC)
+	e := newLossyPair(t, plan)
 	if comp, err := e.qpA.PostSend(0, writeWR(e, 64)); err != nil || comp.Status != StatusOK {
 		t.Fatalf("pre-crash post: %v status %v", err, comp.Status)
 	}
@@ -95,7 +95,7 @@ func TestReplayExactlyOnceUnapplied(t *testing.T) {
 	plan := &fabric.FaultPlan{Seed: 1, Crashes: []fabric.CrashEvent{
 		{Machine: 1, At: 0, Down: 50 * sim.Microsecond},
 	}}
-	e := newLossyPair(t, plan, RC)
+	e := newLossyPair(t, plan)
 	e.qpA.SetReplayLog(true)
 	e.qpA.SetRetryPolicy(RetryPolicy{RetryCount: 1, RNRRetryCount: 1, AckTimeout: 2 * sim.Microsecond, RNRTimer: 2 * sim.Microsecond})
 
@@ -169,7 +169,7 @@ func TestReplayExactlyOnceUnapplied(t *testing.T) {
 // lost until the budget exhausts — is exercised statistically by the
 // cross-layer determinism workload.)
 func TestReplayAppliedIsDuplicate(t *testing.T) {
-	e := newLossyPair(t, quietPlan(), RC)
+	e := newLossyPair(t, quietPlan())
 	comp, err := e.qpA.PostSend(0, fetchAddWR(e, 1))
 	if err != nil || comp.OldValue != 0 {
 		t.Fatalf("probe: %v old %d", err, comp.OldValue)

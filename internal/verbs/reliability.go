@@ -1,5 +1,5 @@
 // The connected-transport reliability engine: the wire -> responder -> ACK
-// phase of every RC and UC work request, on every fabric. It is what makes
+// phase of every RC work request, on every fabric. It is what makes
 // the R in "Reliable Connection" real when the fabric is lossy:
 //
 //   - messages are segmented at PathMTU and stamped with per-QP packet
@@ -22,13 +22,12 @@
 // QP's lossy flag, read once at construction, decides the only three points
 // where that case differs from an attached plan that never fires: each
 // message is one frame (no PathMTU segmentation), the reliability tallies
-// stay zero, and an RC SEND into an empty receive queue returns ErrRNR to
-// the poster instead of backing off.
+// stay zero, and a SEND into an empty receive queue returns ErrRNR to the
+// poster instead of backing off.
 //
-// UC and UD have no reliability machinery, as the spec requires: their
-// segments draw the same fault stream but losses are silent — a torn UC
-// WRITE applies only the contiguous prefix that arrived, a UC/UD SEND with
-// any lost segment vanishes without consuming a receive WR.
+// UD has no reliability machinery, as the spec requires: a datagram draws
+// the same fault stream, but a lost one vanishes silently without consuming
+// a receive WR (pipeline.go).
 package verbs
 
 import (
@@ -190,8 +189,8 @@ func (s *qpState) noteSegment(retransmit bool) {
 	}
 }
 
-// noteSilentDrop tallies one UC/UD message lost with no recovery (lossy
-// fabrics only).
+// noteSilentDrop tallies one UD datagram lost on the wire, which UD never
+// recovers (lossy fabrics only).
 func (s *qpState) noteSilentDrop() {
 	if s.lossy {
 		s.stats.SilentDrops++
@@ -422,11 +421,10 @@ type response struct {
 }
 
 // executeResponder is the responder NIC's execution of one request whose
-// first n payload bytes arrived (the whole message, or a torn UC WRITE's
-// prefix): its costs and its data effects, which happen exactly once, on
-// this call. The ACK/response wire leg belongs to the caller, because it can
-// be lost.
-func executeResponder(src, dst *qpState, arrive sim.Time, wr *SendWR, n int) (response, error) {
+// total payload bytes all arrived: its costs and its data effects, which
+// happen exactly once, on this call. The ACK/response wire leg belongs to
+// the caller, because it can be lost.
+func executeResponder(src, dst *qpState, arrive sim.Time, wr *SendWR, total int) (response, error) {
 	r := dst.route
 	rnicDev, rport, rp := r.nic, r.port, r.params
 
@@ -440,7 +438,7 @@ func executeResponder(src, dst *qpState, arrive sim.Time, wr *SendWR, n int) (re
 			return response{}, err
 		}
 		meta = meta.Add(rnicDev.TouchMR(rmr.id))
-		meta = meta.Add(rnicDev.Translate(wr.RemoteAddr, n))
+		meta = meta.Add(rnicDev.Translate(wr.RemoteAddr, total))
 		// Validation placed the access inside the MR, and the MR's region
 		// lives in this machine's memory (RegisterMR), so the region is
 		// the one the address resolves to.
@@ -460,15 +458,15 @@ func executeResponder(src, dst *qpState, arrive sim.Time, wr *SendWR, n int) (re
 		// completes asynchronously with respect to the requester. A
 		// cross-socket target holds the completion one QPI hop after the
 		// ACK lands.
-		rnicDev.ScatterDMA(t, []int{n}, cross, r.qpi, r.qpiLatency)
-		return response{at: t, lag: sim.Duration(cross) * r.qpiLatency}, applyWrite(dst, rmr, wr, n)
+		rnicDev.ScatterDMA(t, []int{total}, cross, r.qpi, r.qpiLatency)
+		return response{at: t, lag: sim.Duration(cross) * r.qpiLatency}, applyWrite(dst, rmr, wr)
 
 	case OpRead:
 		// Translation-miss handling overlaps the long host DMA read on the
 		// response path, so only half the miss occupancy hits the engine.
 		t := rport.Execute(arrive+meta.Latency, rp.RespRead, meta.Service/2)
 		// DMA read from host DRAM: high latency, pipelined occupancy.
-		t = rnicDev.GatherDMA(t, []int{n}, cross, r.qpi, r.qpiLatency) + rp.PCIeReadLatency
+		t = rnicDev.GatherDMA(t, []int{total}, cross, r.qpi, r.qpiLatency) + rp.PCIeReadLatency
 		return response{at: t, mr: rmr}, nil
 
 	case OpCompSwap, OpFetchAdd:
@@ -481,19 +479,19 @@ func executeResponder(src, dst *qpState, arrive sim.Time, wr *SendWR, n int) (re
 
 	case OpSend:
 		if dst.recvEmpty() {
-			if src.transport == RC && !src.lossy {
+			if !src.lossy {
 				return response{}, ErrRNR
 			}
-			// The RNR NAK (or UC's silent discard) comes after the
-			// responder engine has looked at the request. An exhausted SRQ
-			// is the same receiver-not-ready condition as an empty per-QP
-			// receive queue: RC backs off and retries, it never drops.
+			// The RNR NAK comes after the responder engine has looked at
+			// the request. An exhausted SRQ is the same receiver-not-ready
+			// condition as an empty per-QP receive queue: RC backs off and
+			// retries, it never drops.
 			t := rport.Execute(arrive+meta.Latency, rp.RespWrite, meta.Service)
 			return response{at: t, rnr: true}, nil
 		}
 		recv := dst.frontRecv()
-		if recv.SGE.Length < n {
-			return response{}, fmt.Errorf("%w: receive buffer %d < payload %d", ErrBadSGL, recv.SGE.Length, n)
+		if recv.SGE.Length < total {
+			return response{}, fmt.Errorf("%w: receive buffer %d < payload %d", ErrBadSGL, recv.SGE.Length, total)
 		}
 		dst.popRecv()
 		t := rport.Execute(arrive+meta.Latency, rp.RespWrite, meta.Service)
@@ -501,59 +499,12 @@ func executeResponder(src, dst *qpState, arrive sim.Time, wr *SendWR, n int) (re
 		if recv.SGE.MR.region.Socket() != r.socket {
 			rcross = 1
 		}
-		dmaEnd := rnicDev.ScatterDMA(t, []int{n}, rcross, r.qpi, r.qpiLatency)
+		dmaEnd := rnicDev.ScatterDMA(t, []int{total}, rcross, r.qpi, r.qpiLatency)
 		if err := applySend(dst, wr, recv); err != nil {
 			return response{}, err
 		}
-		dst.recvCQ.push(CQE{WRID: recv.ID, Opcode: OpSend, Time: dmaEnd + CQECost, Bytes: n})
+		dst.recvCQ.push(CQE{WRID: recv.ID, Opcode: OpSend, Time: dmaEnd + CQECost, Bytes: total})
 		return response{at: t}, nil
 	}
 	return response{}, fmt.Errorf("verbs: unknown opcode %v", wr.Opcode)
-}
-
-// executeUC is the unreliable-connection wire phase: segments are sent
-// exactly once, losses are silent, and nothing ever comes back, so the
-// requester completes locally at emit whatever happens. A torn WRITE applies
-// only the contiguous prefix of segments that arrived before the first loss
-// (the responder loses message sync at the gap); a SEND with any lost
-// segment, or with no posted receive WR, vanishes without a receive
-// completion.
-func executeUC(src, dst *qpState, emit sim.Time, wr *SendWR, outbound int) error {
-	fab, srcEP, dstEP := src.route.fab, src.route.ep, dst.route.ep
-
-	sizes := src.segmentSizes(outbound, false)
-	arrived := 0
-	prefixBytes := 0
-	var lastArr sim.Time
-	for _, size := range sizes {
-		src.noteSegment(false)
-		arr, v := fab.Deliver(emit, srcEP, dstEP, size)
-		if v != fabric.Delivered {
-			break
-		}
-		arrived++
-		prefixBytes += size
-		lastArr = arr
-	}
-	intact := arrived == len(sizes)
-	if !intact {
-		src.noteSilentDrop()
-	}
-	if arrived == 0 || (wr.Opcode == OpSend && !intact) {
-		return nil
-	}
-	src.observe(StageArrived, lastArr)
-	if src.lossy {
-		dst.stats.ExpectedPSN += uint64(arrived)
-	}
-	r, err := executeResponder(src, dst, lastArr, wr, prefixBytes)
-	if err != nil {
-		return err
-	}
-	if r.rnr {
-		// No posted receive: the message is silently discarded.
-		src.noteSilentDrop()
-	}
-	src.observe(StageResponded, r.at)
-	return nil
 }

@@ -16,16 +16,16 @@ import (
 )
 
 // newLossyPair is newPair on a fabric with the given fault plan attached.
-func newLossyPair(t *testing.T, plan *fabric.FaultPlan, tr Transport) *pairEnv {
+func newLossyPair(t *testing.T, plan *fabric.FaultPlan) *pairEnv {
 	t.Helper()
-	e, err := buildLossyPair(plan, tr)
+	e, err := buildLossyPair(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return e
 }
 
-func buildLossyPair(plan *fabric.FaultPlan, tr Transport) (*pairEnv, error) {
+func buildLossyPair(plan *fabric.FaultPlan) (*pairEnv, error) {
 	cfg := cluster.DefaultConfig()
 	cfg.Machines = 2
 	cfg.Faults = plan
@@ -35,7 +35,7 @@ func buildLossyPair(plan *fabric.FaultPlan, tr Transport) (*pairEnv, error) {
 	}
 	ctxA := NewContext(cl.Machine(0))
 	ctxB := NewContext(cl.Machine(1))
-	qpA, qpB, err := Connect(ctxA, 1, ctxB, 1, tr)
+	qpA, qpB, err := Connect(ctxA, 1, ctxB, 1, RC)
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +69,7 @@ func fillPattern(b []byte, seed byte) {
 // drops ~10% of segments completes successfully, delivers every byte exactly
 // once, and the QP's stats show the go-back-N machinery actually ran.
 func TestReliableWriteRecoversDrops(t *testing.T) {
-	e := newLossyPair(t, &fabric.FaultPlan{Seed: 7, Drop: 0.1}, RC)
+	e := newLossyPair(t, &fabric.FaultPlan{Seed: 7, Drop: 0.1})
 	const size = 16 * PathMTU
 	fillPattern(e.mrA.Region().Bytes()[:size], 3)
 	comp, err := e.qpA.PostSend(0, writeWR(e, size))
@@ -116,7 +116,7 @@ func sumRel(stats ...QPStats) rnic.RelCounters {
 // several RC QPs recovering drops, a UDQP losing datagrams, and a QP that
 // flushed and reconnected.
 func TestNICRelSumsQPStats(t *testing.T) {
-	e := newLossyPair(t, &fabric.FaultPlan{Seed: 5, Drop: 0.1}, RC)
+	e := newLossyPair(t, &fabric.FaultPlan{Seed: 5, Drop: 0.1})
 	qps := []*QP{e.qpA}
 	for i := 0; i < 2; i++ {
 		qa, _ := MustConnect(e.ctxA, 1, e.ctxB, 1, RC)
@@ -184,7 +184,7 @@ func TestNICRelSumsQPStats(t *testing.T) {
 // drops, and the exactly-once guarantee holds for FETCH_ADD even when its
 // request or response segments are retransmitted.
 func TestReliableReadAndAtomics(t *testing.T) {
-	e := newLossyPair(t, &fabric.FaultPlan{Seed: 11, Drop: 0.08}, RC)
+	e := newLossyPair(t, &fabric.FaultPlan{Seed: 11, Drop: 0.08})
 	const size = 8 * PathMTU
 	fillPattern(e.mrB.Region().Bytes()[:size], 9)
 	comp, err := e.qpA.PostSend(0, &SendWR{
@@ -234,7 +234,7 @@ func TestReliableReadAndAtomics(t *testing.T) {
 // reliability tallies differ. A multi-segment WRITE under the quiet plan
 // lands its data in PathMTU segments without drawing recovery machinery.
 func TestQuietPlanMatchesLossless(t *testing.T) {
-	lossless, quietEnv := newLossyPair(t, nil, RC), newLossyPair(t, quietPlan(), RC)
+	lossless, quietEnv := newLossyPair(t, nil), newLossyPair(t, quietPlan())
 	// A target MR on the responder's other socket: port 1 sits on socket 1.
 	far := func(e *pairEnv) *MR { return e.ctxB.MustRegisterMR(e.cl.Machine(1).MustAlloc(0, PathMTU, 0)) }
 	farL, farQ := far(lossless), far(quietEnv)
@@ -298,7 +298,7 @@ func TestQuietPlanMatchesLossless(t *testing.T) {
 		t.Fatalf("quiet plan: %d segments for %d one-segment messages", st.Segments, len(cases))
 	}
 
-	quiet := newLossyPair(t, quietPlan(), RC)
+	quiet := newLossyPair(t, quietPlan())
 	const size = 3 * PathMTU
 	fillPattern(quiet.mrA.Region().Bytes()[:size], 5)
 	comp, err := quiet.qpA.PostSend(0, writeWR(quiet, size))
@@ -322,7 +322,7 @@ func TestQuietPlanMatchesLossless(t *testing.T) {
 // RETRY_EXC, moves the QP to the error state, and leaves remote memory
 // untouched. Later posts flush without touching the wire.
 func TestRetryExhaustion(t *testing.T) {
-	e := newLossyPair(t, &fabric.FaultPlan{Seed: 3, Drop: 1}, RC)
+	e := newLossyPair(t, &fabric.FaultPlan{Seed: 3, Drop: 1})
 	const size = 2 * PathMTU
 	fillPattern(e.mrA.Region().Bytes()[:size], 7)
 	before := append([]byte(nil), e.mrB.Region().Bytes()[:size]...)
@@ -371,7 +371,7 @@ func TestRetryExhaustion(t *testing.T) {
 // retries, WRs before k completed OK (their effects persist), WR k carries
 // the error status, and everything after k is flushed.
 func TestPostSendListFlushOnError(t *testing.T) {
-	e := newLossyPair(t, &fabric.FaultPlan{Seed: 5, Drop: 1}, RC)
+	e := newLossyPair(t, &fabric.FaultPlan{Seed: 5, Drop: 1})
 	wrs := []*SendWR{
 		{ID: 1, Opcode: OpWrite, SGL: []SGE{{Addr: e.mrA.Addr(), Length: 64, MR: e.mrA}}, RemoteAddr: e.mrB.Addr(), RemoteKey: e.mrB.RKey()},
 		{ID: 2, Opcode: OpWrite, SGL: []SGE{{Addr: e.mrA.Addr(), Length: 64, MR: e.mrA}}, RemoteAddr: e.mrB.Addr() + 64, RemoteKey: e.mrB.RKey()},
@@ -410,7 +410,7 @@ func TestPostSendListFlushOnError(t *testing.T) {
 // completion and the flushed tail, and their completion times never
 // decrease: the send clamp orders them as a completion queue would.
 func TestPostSendListMidListFailureInOrder(t *testing.T) {
-	e := newLossyPair(t, quietPlan(), RC)
+	e := newLossyPair(t, quietPlan())
 	wrs := []*SendWR{writeWR(e, 8192), writeWR(e, 64), // succeed
 		{Opcode: OpSend, SGL: []SGE{{Addr: e.mrA.Addr(), Length: 64, MR: e.mrA}}}, // no receive posted
 		writeWR(e, 64), writeWR(e, 8192)} // flushed
@@ -442,7 +442,7 @@ func TestPostSendListMidListFailureInOrder(t *testing.T) {
 // retries on the RNR timer; with the budget exhausted the WR completes with
 // RNR_RETRY_EXC. Posting the receive beforehand avoids the whole dance.
 func TestRNRRetry(t *testing.T) {
-	e := newLossyPair(t, quietPlan(), RC)
+	e := newLossyPair(t, quietPlan())
 	sendWR := &SendWR{Opcode: OpSend, SGL: []SGE{{Addr: e.mrA.Addr(), Length: 256, MR: e.mrA}}}
 
 	comp, err := e.qpA.PostSend(0, sendWR)
@@ -462,7 +462,7 @@ func TestRNRRetry(t *testing.T) {
 	}
 
 	// With the receive posted, the same SEND lands and consumes it.
-	e2 := newLossyPair(t, quietPlan(), RC)
+	e2 := newLossyPair(t, quietPlan())
 	if err := e2.qpB.PostRecv(RecvWR{ID: 9, SGE: SGE{Addr: e2.mrB.Addr(), Length: 512, MR: e2.mrB}}); err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +481,7 @@ func TestRNRRetry(t *testing.T) {
 
 // TestRNRImmediateFailure: rnr_retry=0 fails on the first RNR NAK.
 func TestRNRImmediateFailure(t *testing.T) {
-	e := newLossyPair(t, quietPlan(), RC)
+	e := newLossyPair(t, quietPlan())
 	pol := e.qpA.RetryPolicy()
 	pol.RNRRetryCount = 0
 	e.qpA.SetRetryPolicy(pol)
@@ -497,7 +497,7 @@ func TestRNRImmediateFailure(t *testing.T) {
 // TestForceErrorFlushes: ForceError (the model's modify-to-ERR) flushes all
 // subsequent posts, including on UD QPs.
 func TestForceErrorFlushes(t *testing.T) {
-	e := newLossyPair(t, quietPlan(), RC)
+	e := newLossyPair(t, quietPlan())
 	e.qpA.ForceError()
 	comps, err := e.qpA.PostSendList(0, []*SendWR{writeWR(e, 64), writeWR(e, 64)})
 	if !errors.Is(err, ErrQPError) || len(comps) != 2 {
@@ -507,47 +507,6 @@ func TestForceErrorFlushes(t *testing.T) {
 		if c.Status != StatusFlushed {
 			t.Fatalf("status %v", c.Status)
 		}
-	}
-}
-
-// TestUCLossSilent: UC WRITEs complete locally with OK status even when the
-// fabric eats segments; a torn multi-segment WRITE lands only its prefix
-// and the QP records the silent drop. UC never moves to the error state.
-func TestUCLossSilent(t *testing.T) {
-	e := newLossyPair(t, &fabric.FaultPlan{Seed: 2, Drop: 0.25}, UC)
-	const size = 8 * PathMTU
-	fillPattern(e.mrA.Region().Bytes()[:size], 4)
-	before := append([]byte(nil), e.mrB.Region().Bytes()[:size]...)
-
-	var silent uint64
-	for i := 0; i < 12 && silent == 0; i++ {
-		comp, err := e.qpA.PostSend(sim.Time(i)*sim.Time(sim.Millisecond), writeWR(e, size))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if comp.Status != StatusOK {
-			t.Fatalf("UC completion status %v — UC must complete locally", comp.Status)
-		}
-		silent = e.qpA.Stats().SilentDrops
-	}
-	if silent == 0 {
-		t.Fatal("25% drop never tore a UC WRITE in 12 attempts")
-	}
-	if e.qpA.State() != StateReady {
-		t.Fatal("UC QP must never enter the error state from wire loss")
-	}
-	// The remote extent holds, per byte offset, either the written pattern
-	// or the original bytes — and since every attempt writes the same
-	// pattern, each position is old or new, never garbage.
-	remote := e.mrB.Region().Bytes()[:size]
-	local := e.mrA.Region().Bytes()[:size]
-	for i := range remote {
-		if remote[i] != local[i] && remote[i] != before[i] {
-			t.Fatalf("byte %d is neither old nor new: silent corruption", i)
-		}
-	}
-	if e.qpA.Stats().Retransmits != 0 {
-		t.Fatal("UC must never retransmit")
 	}
 }
 
@@ -617,7 +576,7 @@ func TestUDNeverDuplicates(t *testing.T) {
 // completion times and stats, and corruption is recovered like loss.
 func TestReliabilityDeterminism(t *testing.T) {
 	run := func() (sim.Time, QPStats) {
-		e, err := buildLossyPair(&fabric.FaultPlan{Seed: 17, Drop: 0.05, Corrupt: 0.05, DelayP: 0.2, Delay: 3 * sim.Microsecond}, RC)
+		e, err := buildLossyPair(&fabric.FaultPlan{Seed: 17, Drop: 0.05, Corrupt: 0.05, DelayP: 0.2, Delay: 3 * sim.Microsecond})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -651,7 +610,7 @@ func TestRCPropertyNoSilentCorruption(t *testing.T) {
 	prop := func(seed int64, dropPm uint16, sizeRaw uint32) bool {
 		drop := float64(dropPm%1000) / 1000 // [0, 0.999]
 		size := int(sizeRaw%(128*1024)) + 1
-		e, err := buildLossyPair(&fabric.FaultPlan{Seed: seed, Drop: drop}, RC)
+		e, err := buildLossyPair(&fabric.FaultPlan{Seed: seed, Drop: drop})
 		if err != nil {
 			return false
 		}
@@ -678,7 +637,7 @@ func TestRCPropertyNoSilentCorruption(t *testing.T) {
 // TestSetRetryPolicyValidation: broken policies panic rather than arm a
 // meaningless recovery loop.
 func TestSetRetryPolicyValidation(t *testing.T) {
-	e := newLossyPair(t, quietPlan(), RC)
+	e := newLossyPair(t, quietPlan())
 	for _, bad := range []RetryPolicy{
 		{RetryCount: -1, RNRRetryCount: 1, AckTimeout: 1, RNRTimer: 1},
 		{RetryCount: 1, RNRRetryCount: -1, AckTimeout: 1, RNRTimer: 1},
@@ -732,7 +691,7 @@ func FuzzPostSendListErrorState(f *testing.F) {
 		n := int(nWR)%6 + 1
 		sz := int(size)%(32*1024) + 1
 		drop := float64(dropPm%1001) / 1000
-		e, err := buildLossyPair(&fabric.FaultPlan{Seed: seed, Drop: drop}, RC)
+		e, err := buildLossyPair(&fabric.FaultPlan{Seed: seed, Drop: drop})
 		if err != nil {
 			t.Fatal(err)
 		}

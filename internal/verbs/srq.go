@@ -12,7 +12,7 @@
 //   - an empty SRQ is "receiver not ready", never a drop, on RC: ErrRNR on a
 //     lossless fabric, an RNR NAK + RNR-timer retry on a lossy one
 //     (reliability.go), exactly as when a QP's own receive queue underflows.
-//     UC and UD, which have no acknowledgements, drop the message silently;
+//     UD, which has no acknowledgements, drops the datagram silently;
 //   - the receive completion still lands on the *consuming* QP's receive CQ,
 //     as on real hardware, so pollers learn which connection the message
 //     arrived on.
@@ -127,7 +127,7 @@ func (q *recvQueue) pop() {
 }
 
 // The receive-source indirection: every consumer of inbound SENDs (the
-// connected-transport responder and the UD datagram receiver) goes through
+// RC responder and the UD datagram receiver) goes through
 // these three accessors, so SRQ-attached and plain QPs share one code path.
 
 // recvSource returns the queue inbound SENDs drain: the SRQ's, if attached.

@@ -161,7 +161,7 @@ func wrids(cqes []CQE) []uint64 {
 // like an empty per-QP receive queue; exhausting the retry budget errors
 // the WR with RNR_RETRY_EXC.
 func TestSRQExhaustionIsRNRNotDrop(t *testing.T) {
-	e := newLossyPair(t, quietPlan(), RC)
+	e := newLossyPair(t, quietPlan())
 	srq := NewSRQ(e.ctxB)
 	if err := e.qpB.AttachSRQ(srq); err != nil {
 		t.Fatal(err)

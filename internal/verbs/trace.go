@@ -58,8 +58,8 @@ type TraceSpan struct {
 // T(Network). A Trace is a sink of the QP's stage recorder (metrics.go): it
 // holds the spans the recorder accepted, plus the completion time the
 // requester saw. The two differ when the completion precedes the responder
-// (UC WRITE, UD SEND): End is then earlier than the last span's end, and no
-// span covers the CQE.
+// (a UD SEND): End is then earlier than the last span's end, and no span
+// covers the CQE.
 type Trace struct {
 	Start  sim.Time
 	End    sim.Time // the completion time (Completion.Done)

@@ -3,10 +3,10 @@
 // queues — over the simulated machines of internal/cluster.
 //
 // The paper restricts its study to Reliable Connection (RC) transport, the
-// only mode supporting RDMA READ and atomics; this package enforces the same
-// transport matrix (Section II-A): RC carries everything, UC carries WRITE
-// with fire-and-forget completion, UD carries datagrams (UDQP), and illegal
-// verb/transport combinations fail with typed errors.
+// only mode supporting RDMA READ and atomics (Section II-A). So does this
+// package: every connected QP is RC and carries every verb, UD carries
+// datagrams (UDQP) for the RPC baseline, and illegal verb/transport
+// combinations fail with typed errors.
 //
 // Data movement is real (bytes are copied between machine memory spaces);
 // time is virtual (the request walks the NIC, PCIe, wire and responder
@@ -25,23 +25,18 @@ import (
 // Transport is the RDMA transport type of a QP.
 type Transport int
 
-// Transport types. Only RC is usable for memory-semantic verbs, matching the
-// paper's Section II-A.
+// Transport types: RC is the only connected one, matching the paper's
+// Section II-A.
 const (
 	RC Transport = iota // reliable connection
-	UC                  // unreliable connection (WRITE only)
 	UD                  // unreliable datagram (SEND only)
 )
 
 func (t Transport) String() string {
-	switch t {
-	case RC:
+	if t == RC {
 		return "RC"
-	case UC:
-		return "UC"
-	default:
-		return "UD"
 	}
+	return "UD"
 }
 
 // MaxInline is the largest payload that can ride inside the WQE itself

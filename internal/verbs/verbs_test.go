@@ -272,35 +272,14 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
+// TestTransportRestrictions: RC is the only connected transport (Section
+// II-A); Connect rejects any other.
 func TestTransportRestrictions(t *testing.T) {
 	e := newPair(t)
-	ucA, _, err := Connect(e.ctxA, 1, e.ctxB, 1, UC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// UC supports WRITE...
-	if _, err := ucA.PostSend(0, &SendWR{
-		Opcode:     OpWrite,
-		SGL:        []SGE{{Addr: e.mrA.Addr(), Length: 8, MR: e.mrA}},
-		RemoteAddr: e.mrB.Addr(),
-		RemoteKey:  e.mrB.RKey(),
-	}); err != nil {
-		t.Errorf("UC write should work: %v", err)
-	}
-	// ...but not READ or atomics (Section II-A).
-	for _, op := range []Opcode{OpRead, OpCompSwap, OpFetchAdd} {
-		wr := &SendWR{
-			Opcode:     op,
-			SGL:        []SGE{{Addr: e.mrA.Addr(), Length: 8, MR: e.mrA}},
-			RemoteAddr: e.mrB.Addr(),
-			RemoteKey:  e.mrB.RKey(),
+	for _, tr := range []Transport{UD, Transport(7)} {
+		if _, _, err := Connect(e.ctxA, 1, e.ctxB, 1, tr); !errors.Is(err, ErrBadTransport) {
+			t.Errorf("transport %d connect: %v", tr, err)
 		}
-		if _, err := ucA.PostSend(0, wr); !errors.Is(err, ErrBadTransport) {
-			t.Errorf("UC %s: err=%v, want ErrBadTransport", op, err)
-		}
-	}
-	if _, _, err := Connect(e.ctxA, 1, e.ctxB, 1, UD); !errors.Is(err, ErrBadTransport) {
-		t.Errorf("UD connect: %v", err)
 	}
 }
 
@@ -664,55 +643,6 @@ func TestLargePayloadBandwidthBound(t *testing.T) {
 	}
 }
 
-func TestUnsignaledSkipsCQE(t *testing.T) {
-	e := newPair(t)
-	wr := &SendWR{
-		Opcode:     OpWrite,
-		SGL:        []SGE{{Addr: e.mrA.Addr(), Length: 32, MR: e.mrA}},
-		RemoteAddr: e.mrB.Addr(),
-		RemoteKey:  e.mrB.RKey(),
-		Unsignaled: true,
-	}
-	comp, err := e.qpA.PostSend(0, wr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.qpA.lastCQE != 0 {
-		t.Fatal("unsignaled WR must not generate a CQE (it advanced the send clamp)")
-	}
-	// A following signaled WR generates one CQE and orders after it.
-	wr2 := *wr
-	wr2.Unsignaled = false
-	comp2, err := e.qpA.PostSend(comp.Done, &wr2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.qpA.lastCQE != comp2.Done {
-		t.Fatal("signaled WR missing its CQE (the send clamp did not advance)")
-	}
-	if comp2.Done <= comp.Done {
-		t.Fatal("ordering violated")
-	}
-	// Skipping the CQE saves its generation cost.
-	e2 := newPair(t)
-	wrS := *wr
-	wrS.SGL[0].MR = e2.mrA
-	wrS.SGL[0].Addr = e2.mrA.Addr()
-	wrS.RemoteAddr = e2.mrB.Addr()
-	wrS.RemoteKey = e2.mrB.RKey()
-	wrS.Unsignaled = false
-	e2.qpA.PostSend(0, &wrS) // warm
-	base := sim.Time(100 * sim.Microsecond)
-	cS, _ := e2.qpA.PostSend(base, &wrS)
-	wrU := wrS
-	wrU.Unsignaled = true
-	base2 := cS.Done + 100*sim.Microsecond
-	cU, _ := e2.qpA.PostSend(base2, &wrU)
-	if (cU.Done-base2)+CQECost != cS.Done-base {
-		t.Fatalf("unsignaled should save exactly the CQE cost: %v vs %v", cU.Done-base2, cS.Done-base)
-	}
-}
-
 // Property: a random sequence of WRITE/READ/FAA operations through the verbs
 // stack leaves remote memory exactly as a plain reference model predicts.
 func TestVerbsAgainstReferenceModelProperty(t *testing.T) {
@@ -816,70 +746,4 @@ func newPairQuiet() *pairEnv {
 	mrA := ctxA.MustRegisterMR(cl.Machine(0).MustAlloc(1, 1<<20, 0))
 	mrB := ctxB.MustRegisterMR(cl.Machine(1).MustAlloc(1, 1<<20, 0))
 	return &pairEnv{cl: cl, ctxA: ctxA, ctxB: ctxB, qpA: qpA, qpB: qpB, mrA: mrA, mrB: mrB}
-}
-
-// UC writes complete locally (no ACK exists on unreliable connections), so
-// their completion beats the RC round trip while the data still lands. A UC
-// SEND completes locally as well, and with no posted receive it is dropped
-// silently: no error (RC would report ErrRNR) and no receive completion.
-func TestUCWriteCompletesLocally(t *testing.T) {
-	e := newPair(t)
-	ucA, ucB, err := Connect(e.ctxA, 1, e.ctxB, 1, UC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(qp *QP) *SendWR {
-		return &SendWR{
-			Opcode:     OpWrite,
-			SGL:        []SGE{{Addr: e.mrA.Addr(), Length: 64, MR: e.mrA}},
-			RemoteAddr: e.mrB.Addr(),
-			RemoteKey:  e.mrB.RKey(),
-		}
-	}
-	// Warm both QPs.
-	if _, err := ucA.PostSend(0, mk(ucA)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.qpA.PostSend(0, mk(e.qpA)); err != nil {
-		t.Fatal(err)
-	}
-	base := sim.Time(100 * sim.Microsecond)
-	copy(e.mrA.Region().Bytes(), "uc write payload test bytes!....")
-	ucComp, err := ucA.PostSend(base, mk(ucA))
-	if err != nil {
-		t.Fatal(err)
-	}
-	base2 := ucComp.Done + 100*sim.Microsecond
-	rcComp, err := e.qpA.PostSend(base2, mk(e.qpA))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ucComp.Done-base >= rcComp.Done-base2 {
-		t.Fatalf("UC write (%v) should complete before RC write (%v)", ucComp.Done-base, rcComp.Done-base2)
-	}
-	if string(e.mrB.Region().Bytes()[:8]) != "uc write" {
-		t.Fatal("UC write data did not land")
-	}
-
-	if err := ucB.PostRecv(RecvWR{ID: 5, SGE: SGE{Addr: e.mrB.Addr() + 4096, Length: 64, MR: e.mrB}}); err != nil {
-		t.Fatal(err)
-	}
-	at := rcComp.Done
-	for _, posted := range []bool{true, false} {
-		at += 100 * sim.Microsecond
-		comp, tr, err := ucA.PostSendTraced(at, &SendWR{Opcode: OpSend, SGL: []SGE{{Addr: e.mrA.Addr(), Length: 64, MR: e.mrA}}})
-		if err != nil {
-			t.Fatalf("UC SEND (receive posted: %v): %v", posted, err)
-		}
-		if sent, _ := tr.At(StageExecuted); comp.Done != sent+CQECost {
-			t.Fatalf("UC SEND completed at %v, want the local send time %v plus the CQE", comp.Done, sent)
-		}
-		got := ucB.RecvCQ().Poll(sim.MaxTime, 2)
-		if posted && (len(got) != 1 || got[0].WRID != 5 || string(e.mrB.Region().Bytes()[4096:4104]) != "uc write") {
-			t.Fatalf("UC SEND with a posted receive: CQEs %+v", got)
-		}
-		if !posted && len(got) != 0 {
-			t.Fatalf("UC SEND with no posted receive produced CQEs %+v", got)
-		}
-	}
 }

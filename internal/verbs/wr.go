@@ -57,7 +57,6 @@ type SendWR struct {
 	RemoteAddr mem.Addr
 	RemoteKey  RKey
 	Inline     bool // payload carried in the WQE (WRITE/SEND, <= MaxInline)
-	Unsignaled bool // suppress the CQE (selective signaling; Herd-style)
 
 	// Atomic operands.
 	CompareAdd uint64 // compare value (CAS) or addend (FAA)
