@@ -43,21 +43,6 @@ type availPoint struct {
 	failovers  uint64              // daemon requests redirected to the standby
 }
 
-// recoveryPolicyFor maps a mode name to the table policy (nil = no recovery).
-func recoveryPolicyFor(mode string) *proxy.RecoveryPolicy {
-	switch mode {
-	case "reconnect":
-		p := proxy.DefaultRecoveryPolicy()
-		p.Remap = false
-		return &p
-	case "reconnect+remap":
-		p := proxy.DefaultRecoveryPolicy()
-		return &p
-	default:
-		return nil
-	}
-}
-
 // availability is the chaos sweep over the self-healing connection stack
 // (golden #30): logical connections drive 64B WRITEs through a pooled
 // connection table while every link flaps down for a growing share of each
@@ -149,7 +134,7 @@ type availEnv struct {
 	ok      []uint64 // per-conn completed ops
 	fail    []uint64
 	clients []*sim.Client
-	postFn  func(sim.Time, int, *verbs.SendWR) (proxy.Delivery, error)
+	postFn  func(sim.Time, int, *verbs.SendWR) (verbs.Completion, error)
 }
 
 const (
@@ -160,7 +145,7 @@ const (
 // newAvailEnv builds the chaos cluster. The fault plan is the scenario's
 // own (the bench-wide -faults plan does not compose with a chaos scenario);
 // telemetry and timeline sinks attach as for every other driver.
-func newAvailEnv(r *run, plan *fabric.FaultPlan, policy *proxy.RecoveryPolicy) (*availEnv, error) {
+func newAvailEnv(r *run, plan *fabric.FaultPlan, mode string) (*availEnv, error) {
 	cfg := cluster.DefaultConfig()
 	cfg.Machines = 2
 	cfg.Faults = plan
@@ -184,10 +169,8 @@ func newAvailEnv(r *run, plan *fabric.FaultPlan, policy *proxy.RecoveryPolicy) (
 	if err != nil {
 		return nil, err
 	}
-	if policy != nil {
-		if err := table.EnableRecovery(*policy); err != nil {
-			return nil, err
-		}
+	if mode != "none" {
+		table.EnableRecovery(mode == "reconnect+remap")
 	}
 	env := &availEnv{
 		cl:    cl,
@@ -228,12 +211,12 @@ func newAvailEnv(r *run, plan *fabric.FaultPlan, policy *proxy.RecoveryPolicy) (
 // off for an application-level retry interval so a dead connection paces
 // itself instead of spinning at one virtual instant.
 func (env *availEnv) step(post sim.Time, conn int, wr *verbs.SendWR) sim.Time {
-	del, err := env.post(post, conn, wr)
-	done := del.Completion.Done
+	comp, err := env.post(post, conn, wr)
+	done := comp.Done
 	if done < post {
 		done = post
 	}
-	if err == nil && del.Completion.Status == verbs.StatusOK {
+	if err == nil && comp.Status == verbs.StatusOK {
 		env.ok[conn]++
 		return done
 	}
@@ -243,7 +226,7 @@ func (env *availEnv) step(post sim.Time, conn int, wr *verbs.SendWR) sim.Time {
 
 // post routes one request: the bare table by default, the daemon pair when
 // the crash scenario overrides postFn.
-func (env *availEnv) post(post sim.Time, conn int, wr *verbs.SendWR) (proxy.Delivery, error) {
+func (env *availEnv) post(post sim.Time, conn int, wr *verbs.SendWR) (verbs.Completion, error) {
 	if env.postFn != nil {
 		return env.postFn(post, conn, wr)
 	}
@@ -270,7 +253,7 @@ func (env *availEnv) finish(h sim.Duration) (availPoint, error) {
 // flapAvailabilityPoint measures one (mode, flap intensity) point.
 func flapAvailabilityPoint(r *run, mode string, f flapPoint, h sim.Duration) (availPoint, error) {
 	plan := &fabric.FaultPlan{Seed: 7, FlapDown: f.down, FlapPeriod: f.period}
-	env, err := newAvailEnv(r, plan, recoveryPolicyFor(mode))
+	env, err := newAvailEnv(r, plan, mode)
 	if err != nil {
 		return availPoint{}, err
 	}
@@ -286,7 +269,7 @@ func crashAvailabilityPoint(r *run, mode string, h sim.Duration) (availPoint, er
 	plan := &fabric.FaultPlan{Seed: 7, Crashes: []fabric.CrashEvent{
 		{Machine: 1, At: crashAt, Down: h / 4},
 	}}
-	env, err := newAvailEnv(r, plan, recoveryPolicyFor(mode))
+	env, err := newAvailEnv(r, plan, mode)
 	if err != nil {
 		return availPoint{}, err
 	}
@@ -304,7 +287,7 @@ func crashAvailabilityPoint(r *run, mode string, h sim.Duration) (availPoint, er
 			return availPoint{}, err
 		}
 	}
-	env.postFn = func(postAt sim.Time, conn int, wr *verbs.SendWR) (proxy.Delivery, error) {
+	env.postFn = func(postAt sim.Time, conn int, wr *verbs.SendWR) (verbs.Completion, error) {
 		return primary.Post(postAt, conn, wr)
 	}
 	p, err := env.finish(h)

@@ -227,9 +227,9 @@ func connSweepPoint(r *run, mode string, conns int, h sim.Duration) (connPoint, 
 						client.Fail(err)
 						return post
 					}
-					del, err := table.Post(post, c, wr)
+					comp, err := table.Post(post, c, wr)
 					client.Fail(err)
-					return del.Completion.Done
+					return comp.Done
 				}
 				clients = append(clients, client)
 			}
@@ -256,9 +256,9 @@ func connSweepPoint(r *run, mode string, conns int, h sim.Duration) (connPoint, 
 						client.Fail(err)
 						return post
 					}
-					del, err := d.Post(post, c, wr)
+					comp, err := d.Post(post, c, wr)
 					client.Fail(err)
-					return del.Completion.Done
+					return comp.Done
 				}
 				clients = append(clients, client)
 			}

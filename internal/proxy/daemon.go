@@ -88,8 +88,8 @@ func (d *Daemon) Table() *Table { return d.table }
 
 // SetStandby registers a standby daemon that takes over when this one is
 // modeled as dead (FailAt). Both daemons must front the same connection
-// table: the table — pooled QPs, tag state, recovery bookkeeping — is the
-// durable entity; the daemons are interchangeable serving processes.
+// table: the table — pooled QPs, connection pinning, recovery bookkeeping —
+// is the durable entity; the daemons are interchangeable serving processes.
 func (d *Daemon) SetStandby(s *Daemon) error {
 	if s == nil || s == d {
 		return fmt.Errorf("proxy: standby must be a distinct daemon")
@@ -129,13 +129,13 @@ func (d *Daemon) Stats() (staged, direct int64) { return d.staged, d.direct }
 // per-client registration); larger payloads keep the caller's SGL.
 //
 // The caller's WR is not mutated; staged posts build a private copy.
-func (d *Daemon) Post(now sim.Time, conn int, wr *verbs.SendWR) (Delivery, error) {
+func (d *Daemon) Post(now sim.Time, conn int, wr *verbs.SendWR) (verbs.Completion, error) {
 	if wr == nil {
-		return Delivery{}, verbs.ErrNilWR
+		return verbs.Completion{}, verbs.ErrNilWR
 	}
 	if d.armed && now >= d.failAt {
 		if d.standby == nil {
-			return Delivery{}, fmt.Errorf("proxy: daemon dead at %v with no standby", now)
+			return verbs.Completion{}, fmt.Errorf("proxy: daemon dead at %v with no standby", now)
 		}
 		at := now
 		if !d.detected {
@@ -162,12 +162,12 @@ func (d *Daemon) Post(now sim.Time, conn int, wr *verbs.SendWR) (Delivery, error
 		d.direct++
 	}
 	start := d.ipc.Delay(now+d.hopHalf, svc)
-	del, err := d.table.Post(start, conn, post)
-	if err != nil && del.Completion.Status == verbs.StatusOK {
-		return del, err
+	comp, err := d.table.Post(start, conn, post)
+	if err != nil && comp.Status == verbs.StatusOK {
+		return comp, err
 	}
-	del.Completion.Done += d.hopHalf
-	return del, err
+	comp.Done += d.hopHalf
+	return comp, err
 }
 
 // Stage copies the SGL's payload into a bounce MR if it fits one proxy

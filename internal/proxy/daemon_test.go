@@ -23,12 +23,12 @@ func TestDaemonStagesSmallPayloads(t *testing.T) {
 	msg := []byte("proxied through the daemon")
 	copy(e.mrA.Region().Bytes(), msg)
 	wr := e.sendWR(21, len(msg))
-	del, err := d.Post(0, 1, wr)
+	comp, err := d.Post(0, 1, wr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if del.Conn != 1 || del.Completion.WRID != 21 || del.Completion.Status != verbs.StatusOK {
-		t.Fatalf("delivery %+v", del)
+	if comp.WRID != 21 || comp.Status != verbs.StatusOK {
+		t.Fatalf("completion %+v", comp)
 	}
 	// The SRQ hands out its head entry (offset 0) regardless of connection.
 	if !bytes.Equal(e.mrB.Region().Bytes()[:len(msg)], msg) {
@@ -46,7 +46,7 @@ func TestDaemonStagesSmallPayloads(t *testing.T) {
 		RemoteAddr: e.mrB.Addr(),
 		RemoteKey:  e.mrB.RKey(),
 	}
-	if _, err := d.Post(del.Completion.Done, 1, big); err != nil {
+	if _, err := d.Post(comp.Done, 1, big); err != nil {
 		t.Fatal(err)
 	}
 	staged, direct := d.Stats()
@@ -74,9 +74,9 @@ func TestDaemonChargesHopAndQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if proxied.Completion.Done < direct.Completion.Done+hop {
+	if proxied.Done < direct.Done+hop {
 		t.Fatalf("proxied %v vs direct %v: missing the %v IPC round trip",
-			proxied.Completion.Done, direct.Completion.Done, hop)
+			proxied.Done, direct.Done, hop)
 	}
 	if d.IPC().Served() != 1 {
 		t.Fatalf("daemon served %d, want 1", d.IPC().Served())

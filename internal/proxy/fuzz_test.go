@@ -4,20 +4,19 @@ import (
 	"errors"
 	"testing"
 
-	"rdmasem/internal/proxy"
 	"rdmasem/internal/verbs"
 )
 
 // FuzzConnTableDemux drives an arbitrary interleaving of single posts and
-// pooled-QP failures through a connection table and checks the demux
-// invariants that make QP sharing safe:
+// pooled-QP failures through a connection table and checks the invariants
+// that make QP sharing safe:
 //
-//   - exactly-once: every posted WR produces exactly one delivery, flushed
-//     or completed — none lost, none duplicated;
-//   - no cross-delivery: a delivery's connection always matches the WR ID
-//     the owning connection posted (the ID encodes the origin);
-//   - per-connection order: each connection sees its completions in its
-//     posting order, across pooled-QP failures.
+//   - exactly-once: every Post returns exactly one completion, carrying the
+//     caller's WR ID, and leaves the caller's WR untouched; the server's SRQ
+//     hands out exactly one receive per completed SEND and none per flushed
+//     one;
+//   - blast radius: a connection mapped to a dead pooled QP sees
+//     StatusFlushed with verbs.ErrQPError, every other connection StatusOK.
 //
 // Byte protocol: 0xFF errors out the next pooled QP (round robin), 0xFE is
 // a no-op, and any other byte posts one WR on the connection its low bits
@@ -36,56 +35,41 @@ func FuzzConnTableDemux(f *testing.F) {
 		e := newTableEnv(t, poolSize, conns)
 		e.stock(t, len(data))
 
-		seq := make([]uint64, conns)   // per-conn posted sequence
-		got := make([][]uint64, conns) // per-conn delivered WR IDs, in order
-		deadQP := 0
-		var posted, delivered uint64
-
-		checkDel := func(d proxy.Delivery) {
-			if d.Conn < 0 || d.Conn >= conns {
-				t.Fatalf("delivery for unknown conn %d", d.Conn)
-			}
-			if origin := int(d.Completion.WRID >> 32); origin != d.Conn {
-				t.Fatalf("cross-delivery: conn %d got WR posted by conn %d", d.Conn, origin)
-			}
-			got[d.Conn] = append(got[d.Conn], d.Completion.WRID)
-			delivered++
-		}
-		makeWR := func(conn int) *verbs.SendWR {
-			id := uint64(conn)<<32 | seq[conn]
-			seq[conn]++
-			posted++
-			wr := e.sendWR(id, 32)
-			return wr
-		}
+		dead := make([]bool, poolSize)
+		nextDead := 0
+		var id, completed uint64
 		for _, b := range data {
 			switch {
 			case b == 0xFF:
-				e.pool[deadQP%poolSize].ForceError()
-				deadQP++
+				e.pool[nextDead%poolSize].ForceError()
+				dead[nextDead%poolSize] = true
+				nextDead++
 			case b == 0xFE: // no-op
 			default:
 				conn := int(b) % conns
-				del, err := e.table.Post(0, conn, makeWR(conn))
+				id++
+				wr := e.sendWR(id, 32)
+				comp, err := e.table.Post(0, conn, wr)
 				if err != nil && !errors.Is(err, verbs.ErrQPError) {
 					t.Fatalf("post: %v", err)
 				}
-				checkDel(del)
-			}
-		}
-
-		if posted != delivered {
-			t.Fatalf("posted %d, delivered %d: completions lost or duplicated", posted, delivered)
-		}
-		for conn, ids := range got {
-			for i, id := range ids {
-				if want := uint64(conn)<<32 | uint64(i); id != want {
-					t.Fatalf("conn %d delivery %d has WR ID %#x, want %#x: order broken", conn, i, id, want)
+				if comp.WRID != id || wr.ID != id {
+					t.Fatalf("conn %d posted WR %d: completion carries %d, WR now %d", conn, id, comp.WRID, wr.ID)
 				}
+				if dead[conn%poolSize] {
+					if !errors.Is(err, verbs.ErrQPError) || comp.Status != verbs.StatusFlushed {
+						t.Fatalf("conn %d on a dead QP: status %v err %v, want StatusFlushed with ErrQPError", conn, comp.Status, err)
+					}
+					continue
+				}
+				if err != nil || comp.Status != verbs.StatusOK {
+					t.Fatalf("conn %d on a live QP: status %v err %v, want StatusOK", conn, comp.Status, err)
+				}
+				completed++
 			}
 		}
-		if st := e.table.Stats(); st.Posted != posted || st.Delivered != delivered {
-			t.Fatalf("table stats %+v disagree with posted=%d delivered=%d", st, posted, delivered)
+		if got := e.srq.Handed(); got != completed {
+			t.Fatalf("SRQ handed %d receives for %d completed SENDs", got, completed)
 		}
 	})
 }

@@ -1,41 +1,24 @@
 // Connection recovery at the proxy layer: instead of folding every logical
-// connection of a dead pooled QP to StatusFlushed forever, the table can
-// remap them onto surviving pool members, replay the captured WRs with their
-// tags preserved, and walk the dead QP back to READY on the clamped
-// exponential back-off (the same sim.Backoff curve the spinlocks use).
-// Remapped connections come home lazily once the reconnect lands, so the
-// static conn→QP pinning — and its blast-radius guarantee — is restored
-// after every episode.
+// connection of a dead pooled QP to StatusFlushed forever, the table walks
+// the dead QP back to READY on the clamped exponential back-off (the same
+// sim.DefaultBackoff curve the spinlocks use), can remap its connections
+// onto surviving pool members meanwhile, and replays the failed WR it still
+// holds from the failing Post. Remapped connections come home lazily once
+// the reconnect lands, so the static conn→QP pinning — and its blast-radius
+// guarantee — is restored after every episode.
 package proxy
 
 import (
 	"errors"
-	"fmt"
 
 	"rdmasem/internal/sim"
 	"rdmasem/internal/telemetry"
 	"rdmasem/internal/verbs"
 )
 
-// RecoveryPolicy configures the table's reaction to a pooled QP entering
-// the error state.
-type RecoveryPolicy struct {
-	Reconnect   bool        // walk the dead QP back to READY (ibv_modify_qp cycle)
-	Remap       bool        // move its connections onto survivors meanwhile
-	Backoff     sim.Backoff // clamped walk between reconnect attempts
-	MaxAttempts int         // reconnect attempts per episode before giving up
-}
-
-// DefaultRecoveryPolicy reconnects and remaps on the shared DefaultBackoff
-// walk, giving up after 8 attempts (~one clamped-backoff half-life).
-func DefaultRecoveryPolicy() RecoveryPolicy {
-	return RecoveryPolicy{
-		Reconnect:   true,
-		Remap:       true,
-		Backoff:     sim.DefaultBackoff(),
-		MaxAttempts: 8,
-	}
-}
+// MaxReconnectAttempts is the reconnect budget of one recovery episode:
+// about one clamped-backoff half-life of sim.DefaultBackoff.
+const MaxReconnectAttempts = 8
 
 // RecoveryStats tallies the table's recovery activity.
 type RecoveryStats struct {
@@ -45,7 +28,7 @@ type RecoveryStats struct {
 	GiveUps           uint64 // episodes whose reconnect budget exhausted
 	Remaps            uint64 // logical connections moved to a survivor
 	Rehomes           uint64 // displaced connections re-pinned to their home QP
-	Replayed          uint64 // captured WRs reposted after a failure
+	Replayed          uint64 // failed WRs reposted
 	ReplayFailures    uint64 // of those, replays that failed again
 }
 
@@ -56,23 +39,14 @@ type poolRecState struct {
 	retryAt     sim.Time // a failed walk exhausted here: no new walk before this
 }
 
-// EnableRecovery arms the table with a recovery policy: every pooled QP
-// starts capturing failed WRs for replay, and Post runs a recovery
-// episode instead of surfacing ErrQPError. The TTR histogram registers under
-// component "proxy/recovery" when the local machine has telemetry attached.
-func (t *Table) EnableRecovery(p RecoveryPolicy) error {
-	if !p.Reconnect && !p.Remap {
-		return fmt.Errorf("proxy: recovery policy enables neither reconnect nor remap")
-	}
-	if p.Reconnect {
-		if p.MaxAttempts < 1 {
-			return fmt.Errorf("proxy: reconnect needs at least one attempt, got %d", p.MaxAttempts)
-		}
-		if p.Backoff.Base <= 0 || p.Backoff.Max < p.Backoff.Base {
-			return fmt.Errorf("proxy: malformed recovery backoff %+v", p.Backoff)
-		}
-	}
-	t.rec = &p
+// EnableRecovery arms the table's reaction to a pooled QP entering the
+// error state: Post runs a recovery episode instead of surfacing
+// ErrQPError. Every episode walks the dead QP back to READY; with remap, its
+// connections also move onto surviving pool members while the walk runs.
+// The TTR histogram registers under component "proxy/recovery" when the
+// local machine has telemetry attached.
+func (t *Table) EnableRecovery(remap bool) {
+	t.recovering, t.remap = true, remap
 	t.recQP = make([]poolRecState, len(t.pool))
 	// The table's own histogram is always private: RecoveryTTR() must report
 	// this table's episodes only. A telemetry registry, if attached, gets a
@@ -84,21 +58,14 @@ func (t *Table) EnableRecovery(p RecoveryPolicy) error {
 	if reg := local.Telemetry(); reg != nil {
 		t.ttrReg = reg.Hist(local.Label(), "proxy/recovery", "ttr")
 	}
-	for _, qp := range t.pool {
-		qp.SetReplayLog(true)
-	}
-	return nil
 }
-
-// RecoveryEnabled reports whether a recovery policy is armed.
-func (t *Table) RecoveryEnabled() bool { return t.rec != nil }
 
 // RecoveryStats returns the recovery tallies (zero value when disabled).
 // Reconnects, ReconnectFailures and Replayed are the pool QPs' own tallies,
 // summed: only the table reconnects its pool members and replays onto them.
 func (t *Table) RecoveryStats() RecoveryStats {
 	st := t.recStats
-	if t.rec == nil {
+	if !t.recovering {
 		return st
 	}
 	for _, qp := range t.pool {
@@ -119,15 +86,15 @@ func (t *Table) RecoveryTTR() *telemetry.Histogram { return t.ttr }
 // lazily re-pinning a displaced connection to its home member once the
 // home's reconnect walk has landed.
 func (t *Table) connQP(now sim.Time, conn int) int {
-	cur := t.conns[conn].qp
-	if t.rec == nil {
+	cur := t.conns[conn]
+	if !t.recovering {
 		return cur
 	}
 	home := conn % len(t.pool)
 	if cur != home {
 		st := &t.recQP[home]
 		if st.reconnected && now >= st.backAt && t.pool[home].State() == verbs.StateReady {
-			t.conns[conn].qp = home
+			t.conns[conn] = home
 			t.recStats.Rehomes++
 			return home
 		}
@@ -146,34 +113,29 @@ func (t *Table) survivors(qi int) []int {
 	return out
 }
 
-// recover runs one recovery episode for dead pool member qi. failed is the
-// error-status completion of the one WR the failing post captured in the
-// dead QP's replay log; its tag is still pending — recovery, not the
-// failing post, delivers it — and its Done is when the failure surfaced.
+// recover runs one recovery episode for dead pool member qi. wr is the
+// work request conn's failing post still holds, and failed is its
+// error-status completion, whose Done is when the failure surfaced.
 //
-// With Remap, the member's connections spread across the survivors
-// immediately and the captured WR replays there; the reconnect walk then
-// only gates when the connections come home. Without Remap the WR waits for
-// the reconnect itself. Either way the captured WR is delivered exactly
-// once: with its replayed completion on success, or with an authoritative
-// error status when recovery gave up (reconnect budget exhausted with no
-// survivor, or the replay failing again).
-func (t *Table) recover(qi int, failed verbs.Completion) (Delivery, error) {
-	rec := t.rec
+// With remap, the member's connections spread across the survivors
+// immediately and the WR replays there; the reconnect walk then only gates
+// when the connections come home. Without remap the WR waits for the
+// reconnect itself. Either way the WR completes exactly once: with its
+// replayed completion on success, or with an authoritative error status
+// when recovery gave up (reconnect budget exhausted with no survivor, or
+// the replay failing again).
+func (t *Table) recover(qi, conn int, wr *verbs.SendWR, failed verbs.Completion) (verbs.Completion, error) {
 	fail := failed.Done
+	applied := t.pool[qi].FailedApplied()
 	t.recStats.Episodes++
 	t.recQP[qi].reconnected = false
-	entries := t.pool[qi].TakeReplayLog()
-	if len(entries) != 1 {
-		return Delivery{}, fmt.Errorf("proxy: replay log holds %d WRs but one failed completion surfaced", len(entries))
-	}
 
-	if rec.Remap {
+	if t.remap {
 		if surv := t.survivors(qi); len(surv) > 0 {
 			k := 0
 			for c := range t.conns {
-				if t.conns[c].qp == qi {
-					t.conns[c].qp = surv[k%len(surv)]
+				if t.conns[c] == qi {
+					t.conns[c] = surv[k%len(surv)]
 					k++
 					t.recStats.Remaps++
 				}
@@ -190,16 +152,17 @@ func (t *Table) recover(qi int, failed verbs.Completion) (Delivery, error) {
 	// (a peer that is down for a long window would otherwise queue one full
 	// walk per failed post on the CM resources).
 	up, reconnected := fail, false
-	if rec.Reconnect && fail >= t.recQP[qi].retryAt {
-		delay := rec.Backoff.Base
-		for a := 0; a < rec.MaxAttempts; a++ {
+	if fail >= t.recQP[qi].retryAt {
+		backoff := sim.DefaultBackoff()
+		delay := backoff.Base
+		for a := 0; a < MaxReconnectAttempts; a++ {
 			at, err := t.pool[qi].Reconnect(up)
 			if err == nil {
 				up, reconnected = at, true
 				break
 			}
 			up = at + delay
-			delay = rec.Backoff.Next(delay)
+			delay = backoff.Next(delay)
 		}
 		if reconnected {
 			t.recQP[qi].reconnected = true
@@ -208,44 +171,34 @@ func (t *Table) recover(qi int, failed verbs.Completion) (Delivery, error) {
 			t.recStats.GiveUps++
 			t.recQP[qi].retryAt = up
 		}
-	} else if rec.Reconnect {
+	} else {
 		t.recStats.GiveUps++
 	}
 
-	// Replay the captured WR on its connection's current QP: a survivor
-	// when remapped, the reconnected member otherwise.
-	e := &entries[0]
-	conn := int(e.WR.ID>>32) - 1
-	target, at := t.conns[conn].qp, fail
+	// Replay the WR on its connection's current QP: a survivor when
+	// remapped, the reconnected member otherwise.
+	target, at := t.conns[conn], fail
 	if target == qi {
 		if !reconnected {
-			// Nowhere to replay: deliver the original failure.
-			return t.deliver(failed)
+			// Nowhere to replay: return the original failure.
+			return failed, verbs.ErrQPError
 		}
 		at = up
 	}
-	comp, err := t.pool[target].PostReplay(at, &e.WR, e.Applied)
-	if err != nil && !errors.Is(err, verbs.ErrQPError) {
-		return Delivery{}, err
-	}
+	comp, err := t.pool[target].PostReplay(at, wr, applied, failed.OldValue)
 	if err != nil {
-		// The replay failed too (the survivor died under us, or the
-		// reconnected member broke again). Its capture in the target's log
-		// is dropped — this WR is delivered now, with the replay's
-		// authoritative error status — and the target's next post will
-		// open its own episode.
-		t.recStats.ReplayFailures++
-		t.pool[target].TakeReplayLog()
-	}
-	del, derr := t.deliver(comp)
-	if derr != nil {
-		return Delivery{}, derr
-	}
-	if del.Completion.Status == verbs.StatusOK {
-		t.ttr.Observe(del.Completion.Done - fail)
-		if t.ttrReg != nil {
-			t.ttrReg.Observe(del.Completion.Done - fail)
+		if errors.Is(err, verbs.ErrQPError) {
+			// The replay failed too (the survivor died under us, or the
+			// reconnected member broke again): the WR completes now, with
+			// the replay's authoritative error status, and the target's
+			// next post will open its own episode.
+			t.recStats.ReplayFailures++
 		}
+		return comp, err
 	}
-	return del, nil
+	t.ttr.Observe(comp.Done - fail)
+	if t.ttrReg != nil {
+		t.ttrReg.Observe(comp.Done - fail)
+	}
+	return comp, nil
 }

@@ -1,7 +1,9 @@
 package proxy_test
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"testing"
 
 	"rdmasem/internal/cluster"
@@ -56,24 +58,11 @@ func (e *tableEnv) writeWR(id uint64, size int) *verbs.SendWR {
 
 func TestEnableRecoveryValidation(t *testing.T) {
 	e := newTableEnv(t, 2, 4)
-	if err := e.table.EnableRecovery(proxy.RecoveryPolicy{}); err == nil {
-		t.Fatal("neither-reconnect-nor-remap policy must be rejected")
+	if e.table.RecoveryTTR() != nil {
+		t.Fatal("TTR histogram exists before recovery is armed")
 	}
-	if err := e.table.EnableRecovery(proxy.RecoveryPolicy{Reconnect: true, Backoff: sim.DefaultBackoff()}); err == nil {
-		t.Fatal("zero MaxAttempts with reconnect must be rejected")
-	}
-	bad := proxy.DefaultRecoveryPolicy()
-	bad.Backoff.Base = 0
-	if err := e.table.EnableRecovery(bad); err == nil {
-		t.Fatal("zero-base backoff must be rejected")
-	}
-	if e.table.RecoveryEnabled() {
-		t.Fatal("rejected policies must not arm recovery")
-	}
-	if err := e.table.EnableRecovery(proxy.DefaultRecoveryPolicy()); err != nil {
-		t.Fatal(err)
-	}
-	if !e.table.RecoveryEnabled() {
+	e.table.EnableRecovery(true)
+	if e.table.RecoveryTTR() == nil {
 		t.Fatal("recovery not armed")
 	}
 }
@@ -84,16 +73,14 @@ func TestEnableRecoveryValidation(t *testing.T) {
 // home QP.
 func TestRecoveryRemapAndRehome(t *testing.T) {
 	e := newTableEnv(t, 2, 4)
-	if err := e.table.EnableRecovery(proxy.DefaultRecoveryPolicy()); err != nil {
-		t.Fatal(err)
-	}
+	e.table.EnableRecovery(true)
 	e.pool[0].ForceError()
-	del, err := e.table.Post(0, 0, e.writeWR(900, 64))
+	comp, err := e.table.Post(0, 0, e.writeWR(900, 64))
 	if err != nil {
 		t.Fatalf("recovered post returned %v", err)
 	}
-	if del.Conn != 0 || del.Completion.WRID != 900 || del.Completion.Status != verbs.StatusOK {
-		t.Fatalf("recovered delivery %+v", del)
+	if comp.WRID != 900 || comp.Status != verbs.StatusOK {
+		t.Fatalf("recovered completion %+v", comp)
 	}
 	st := e.table.RecoveryStats()
 	if st.Episodes != 1 || st.Remaps != 2 || st.Replayed != 1 || st.Reconnects != 1 {
@@ -107,10 +94,10 @@ func TestRecoveryRemapAndRehome(t *testing.T) {
 		t.Fatal("dead QP's connections not remapped to the survivor")
 	}
 	// The reconnect walk charged both machines' CMs: 3 transitions per side.
-	up := del.Completion.Done + 6*verbs.ModifyQPCost
-	del2, err := e.table.Post(up, 0, e.writeWR(901, 64))
-	if err != nil || del2.Completion.Status != verbs.StatusOK {
-		t.Fatalf("post after reconnect: %+v err=%v", del2, err)
+	up := comp.Done + 6*verbs.ModifyQPCost
+	comp2, err := e.table.Post(up, 0, e.writeWR(901, 64))
+	if err != nil || comp2.Status != verbs.StatusOK {
+		t.Fatalf("post after reconnect: %+v err=%v", comp2, err)
 	}
 	if e.table.ConnQP(0) != e.pool[0] {
 		t.Fatal("connection not re-pinned to its home QP after the reconnect landed")
@@ -124,19 +111,15 @@ func TestRecoveryRemapAndRehome(t *testing.T) {
 // reconnect walk and replays on the same (now recovered) pooled QP.
 func TestRecoveryReconnectOnly(t *testing.T) {
 	e := newTableEnv(t, 2, 4)
-	pol := proxy.DefaultRecoveryPolicy()
-	pol.Remap = false
-	if err := e.table.EnableRecovery(pol); err != nil {
-		t.Fatal(err)
-	}
+	e.table.EnableRecovery(false)
 	e.pool[0].ForceError()
-	del, err := e.table.Post(0, 0, e.writeWR(910, 64))
-	if err != nil || del.Completion.Status != verbs.StatusOK || del.Completion.WRID != 910 {
-		t.Fatalf("recovered delivery %+v err=%v", del, err)
+	comp, err := e.table.Post(0, 0, e.writeWR(910, 64))
+	if err != nil || comp.Status != verbs.StatusOK || comp.WRID != 910 {
+		t.Fatalf("recovered completion %+v err=%v", comp, err)
 	}
 	// No remap: the replay ran on the reconnected home QP, after the walk.
-	if del.Completion.Done < 6*verbs.ModifyQPCost {
-		t.Fatalf("recovered completion at %v precedes the reconnect walk", del.Completion.Done)
+	if comp.Done < 6*verbs.ModifyQPCost {
+		t.Fatalf("recovered completion at %v precedes the reconnect walk", comp.Done)
 	}
 	st := e.table.RecoveryStats()
 	if st.Remaps != 0 || st.Reconnects != 1 || st.Replayed != 1 {
@@ -144,6 +127,75 @@ func TestRecoveryReconnectOnly(t *testing.T) {
 	}
 	if e.table.ConnQP(0) != e.pool[0] {
 		t.Fatal("reconnect-only recovery must not move the connection")
+	}
+}
+
+// TestRecoveryReplaysAppliedAtomic: a FETCH_ADD whose responder executed it
+// but whose response never came back fails with its effects landed, and
+// recovery replays it as a duplicate. The requester crashes between the
+// request's arrival and the response's, stays down through the one
+// retransmission its budget allows, and is back before the failure
+// surfaces. The table returns StatusOK, the remote counter advanced exactly
+// once, and OldValue is the pre-failure value.
+func TestRecoveryReplaysAppliedAtomic(t *testing.T) {
+	const before = 41
+	faa := func(e *tableEnv) *verbs.SendWR {
+		return &verbs.SendWR{
+			ID:         940,
+			Opcode:     verbs.OpFetchAdd,
+			SGL:        []verbs.SGE{{Addr: e.mrA.Addr(), Length: 8, MR: e.mrA}},
+			RemoteAddr: e.mrB.Addr(),
+			RemoteKey:  e.mrB.RKey(),
+			CompareAdd: 1,
+		}
+	}
+	// A lossless twin times the post: when the request lands at the
+	// responder, and when its response lands back at the requester.
+	twin := newTableEnv(t, 2, 4)
+	_, tr, err := twin.pool[0].PostSendTraced(0, faa(twin))
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrived, _ := tr.At(verbs.StageArrived)
+	responded, _ := tr.At(verbs.StageResponded)
+	policy := verbs.RetryPolicy{
+		RetryCount: 1, RNRRetryCount: 1,
+		AckTimeout: 2 * sim.Microsecond, RNRTimer: 2 * sim.Microsecond,
+	}
+	// The retransmission leaves one AckTimeout after the lost response; the
+	// failure surfaces two AckTimeouts after that.
+	retransmit := responded + policy.AckTimeout
+	plan := &fabric.FaultPlan{Seed: 1, Crashes: []fabric.CrashEvent{
+		{Machine: 0, At: arrived, Down: retransmit + policy.AckTimeout - arrived},
+	}}
+	for _, remap := range []bool{false, true} {
+		t.Run(fmt.Sprintf("remap=%v", remap), func(t *testing.T) {
+			e := newFaultyTableEnv(t, 2, 4, plan)
+			for _, qp := range e.pool {
+				qp.SetRetryPolicy(policy)
+			}
+			e.table.EnableRecovery(remap)
+			ctr := e.mrB.Region().Bytes()[:8]
+			binary.LittleEndian.PutUint64(ctr, before)
+
+			comp, err := e.table.Post(0, 0, faa(e))
+			if err != nil || comp.Status != verbs.StatusOK || comp.WRID != 940 {
+				t.Fatalf("recovered completion %+v err=%v", comp, err)
+			}
+			if got := binary.LittleEndian.Uint64(ctr); got != before+1 {
+				t.Fatalf("counter %d after recovery, want %d: the atomic must apply exactly once", got, before+1)
+			}
+			if comp.OldValue != before {
+				t.Fatalf("replayed OldValue %d, want the pre-failure %d", comp.OldValue, before)
+			}
+			st := e.table.RecoveryStats()
+			if st.Episodes != 1 || st.Replayed != 1 || st.ReplayFailures != 0 {
+				t.Fatalf("recovery stats %+v", st)
+			}
+			if !e.pool[0].FailedApplied() || e.cl.Fabric().FaultStats().CrashDrops == 0 {
+				t.Fatal("the failure was not a lost response to an executed request")
+			}
+		})
 	}
 }
 
@@ -155,26 +207,21 @@ func TestRecoveryGiveUp(t *testing.T) {
 		{Machine: 1, At: 0, Down: 100 * sim.Millisecond},
 	}}
 	e := newFaultyTableEnv(t, 1, 2, plan)
-	if err := e.table.EnableRecovery(proxy.DefaultRecoveryPolicy()); err != nil {
-		t.Fatal(err)
-	}
+	e.table.EnableRecovery(true)
 	e.pool[0].ForceError()
-	del, err := e.table.Post(0, 1, e.writeWR(920, 64))
+	comp, err := e.table.Post(0, 1, e.writeWR(920, 64))
 	if !errors.Is(err, verbs.ErrQPError) {
 		t.Fatalf("gave-up recovery returned %v, want ErrQPError", err)
 	}
-	if del.Conn != 1 || del.Completion.WRID != 920 || del.Completion.Status != verbs.StatusFlushed {
-		t.Fatalf("gave-up delivery %+v", del)
+	if comp.WRID != 920 || comp.Status != verbs.StatusFlushed {
+		t.Fatalf("gave-up completion %+v", comp)
 	}
 	st := e.table.RecoveryStats()
 	if st.GiveUps != 1 || st.Reconnects != 0 || st.Replayed != 0 {
 		t.Fatalf("recovery stats %+v", st)
 	}
-	if st.ReconnectFailures != uint64(proxy.DefaultRecoveryPolicy().MaxAttempts) {
+	if st.ReconnectFailures != proxy.MaxReconnectAttempts {
 		t.Fatalf("%d reconnect failures, want the full budget", st.ReconnectFailures)
-	}
-	if ts := e.table.Stats(); ts.Posted != ts.Delivered {
-		t.Fatalf("pending tags leaked: %+v", ts)
 	}
 	if count, _, _, _ := e.table.RecoveryTTR().Stats(); count != 0 {
 		t.Fatal("a gave-up WR must not count as recovered in the TTR histogram")
@@ -187,32 +234,26 @@ func TestRecoveryGiveUp(t *testing.T) {
 // survivor it was remapped to — with no error reported.
 func TestRecoveryBatch(t *testing.T) {
 	e := newTableEnv(t, 2, 4)
-	if err := e.table.EnableRecovery(proxy.DefaultRecoveryPolicy()); err != nil {
-		t.Fatal(err)
-	}
+	e.table.EnableRecovery(true)
 	e.pool[0].ForceError()
 	for conn := 0; conn < 4; conn++ {
-		del, err := e.table.Post(0, conn, e.writeWR(uint64(930+conn), 64))
+		comp, err := e.table.Post(0, conn, e.writeWR(uint64(930+conn), 64))
 		if err != nil {
 			t.Fatalf("conn %d: recovered post returned %v", conn, err)
 		}
-		if c := del.Completion; del.Conn != conn || c.Status != verbs.StatusOK || c.WRID != uint64(930+conn) {
-			t.Fatalf("conn %d delivery %+v", conn, del)
+		if comp.Status != verbs.StatusOK || comp.WRID != uint64(930+conn) {
+			t.Fatalf("conn %d completion %+v", conn, comp)
 		}
 	}
 	st := e.table.RecoveryStats()
 	if st.Episodes != 1 || st.Replayed != 1 || st.Remaps != 2 {
 		t.Fatalf("recovery stats %+v", st)
 	}
-	if ts := e.table.Stats(); ts.Posted != 4 || ts.Delivered != 4 || ts.Flushed != 0 {
-		t.Fatalf("table stats %+v", ts)
-	}
 }
 
-// TestDeliverErrorStatuses pins the demux semantics of error completions
-// without recovery: an RNR-exhausted WR and a flushed WR come back on the
-// correct connection with the caller's ID restored, and their tags leave the
-// pending map (satellite check for the deliver/unstamp bookkeeping).
+// TestDeliverErrorStatuses pins the error completions a table returns
+// without recovery: an RNR-exhausted WR and a flushed WR come back with the
+// caller's ID, their authoritative status and verbs.ErrQPError.
 func TestDeliverErrorStatuses(t *testing.T) {
 	// A quiet-but-active fault plan engages the reliability layer (which
 	// turns an empty receive queue into RNR NAK + retry) without dropping
@@ -224,24 +265,20 @@ func TestDeliverErrorStatuses(t *testing.T) {
 		RetryCount: 1, RNRRetryCount: 1,
 		AckTimeout: 2 * sim.Microsecond, RNRTimer: 2 * sim.Microsecond,
 	})
-	del, err := e.table.Post(0, 1, e.sendWR(777, 64))
+	comp, err := e.table.Post(0, 1, e.sendWR(777, 64))
 	if !errors.Is(err, verbs.ErrQPError) {
 		t.Fatalf("RNR-exhausted post returned %v", err)
 	}
-	if del.Conn != 1 || del.Completion.WRID != 777 || del.Completion.Status != verbs.StatusRNRRetryExceeded {
-		t.Fatalf("RNR delivery %+v", del)
+	if comp.WRID != 777 || comp.Status != verbs.StatusRNRRetryExceeded {
+		t.Fatalf("RNR completion %+v", comp)
 	}
 	// The QP is now in the error state: the next connection's WR flushes.
-	del, err = e.table.Post(del.Completion.Done, 0, e.sendWR(778, 64))
+	comp, err = e.table.Post(comp.Done, 0, e.sendWR(778, 64))
 	if !errors.Is(err, verbs.ErrQPError) {
 		t.Fatalf("flushed post returned %v", err)
 	}
-	if del.Conn != 0 || del.Completion.WRID != 778 || del.Completion.Status != verbs.StatusFlushed {
-		t.Fatalf("flushed delivery %+v", del)
-	}
-	st := e.table.Stats()
-	if st.Posted != 2 || st.Delivered != 2 || st.Flushed != 1 {
-		t.Fatalf("stats %+v: error completions must resolve their pending tags", st)
+	if comp.WRID != 778 || comp.Status != verbs.StatusFlushed {
+		t.Fatalf("flushed completion %+v", comp)
 	}
 }
 
@@ -278,24 +315,24 @@ func TestDaemonFailover(t *testing.T) {
 	}
 
 	before, err := primary.Post(0, 0, e.sendWR(50, 64))
-	if err != nil || before.Completion.Status != verbs.StatusOK {
+	if err != nil || before.Status != verbs.StatusOK {
 		t.Fatalf("pre-failure post %+v err=%v", before, err)
 	}
-	primary.FailAt(before.Completion.Done)
+	primary.FailAt(before.Done)
 
-	first, err := primary.Post(before.Completion.Done, 1, e.sendWR(51, 64))
-	if err != nil || first.Completion.Status != verbs.StatusOK {
+	first, err := primary.Post(before.Done, 1, e.sendWR(51, 64))
+	if err != nil || first.Status != verbs.StatusOK {
 		t.Fatalf("failover post %+v err=%v", first, err)
 	}
-	firstLat := first.Completion.Done - before.Completion.Done
+	firstLat := first.Done - before.Done
 	if firstLat < proxy.FailoverTimeout {
 		t.Fatalf("first failover latency %v does not include the %v detection timeout", firstLat, proxy.FailoverTimeout)
 	}
-	next, err := primary.Post(first.Completion.Done, 2, e.sendWR(52, 64))
-	if err != nil || next.Completion.Status != verbs.StatusOK {
+	next, err := primary.Post(first.Done, 2, e.sendWR(52, 64))
+	if err != nil || next.Status != verbs.StatusOK {
 		t.Fatalf("post-detection post %+v err=%v", next, err)
 	}
-	if nextLat := next.Completion.Done - first.Completion.Done; nextLat >= firstLat {
+	if nextLat := next.Done - first.Done; nextLat >= firstLat {
 		t.Fatalf("detection timeout charged twice: first %v, next %v", firstLat, nextLat)
 	}
 	if primary.Failovers() != 2 {

@@ -24,7 +24,7 @@ import (
 // observation is everything a run exposes: the closed-loop result, the
 // per-op latencies of the recorded clients, the rendered telemetry
 // snapshot, per-NIC stage and reliability counters, the fabric fault
-// tallies, and the connection-serving layer's demux/SRQ/daemon tallies.
+// tallies, and the connection-serving layer's outcome/SRQ/daemon tallies.
 type observation struct {
 	res     sim.Result
 	lats    [][]sim.Duration
@@ -32,12 +32,12 @@ type observation struct {
 	nics    []rnic.StageCounters
 	faults  fabric.FaultStats
 
-	table                      proxy.TableStats
+	table                      outcomes // the fifth pair's clients' post outcomes
 	srqPosted, srqHanded       uint64
 	daemonStaged, daemonDirect int64
 
 	// the flapping-link recovering pair (machines 10/11)
-	rtable   proxy.TableStats
+	rtable   outcomes
 	rec      proxy.RecoveryStats
 	ttrCount int64
 	ttrSum   sim.Duration
@@ -48,6 +48,9 @@ type observation struct {
 	dropped   int
 	final     adaptive.Record
 }
+
+// outcomes tallies a client group's post results by completion status.
+type outcomes map[verbs.CompletionStatus]uint64
 
 // runCrossLayerWorkload builds a fresh cluster under a seeded lossy, flapping
 // fabric with telemetry attached — four machine pairs of mixed RC
@@ -76,6 +79,7 @@ func runCrossLayerWorkload(t *testing.T) observation {
 	if err != nil {
 		t.Fatal(err)
 	}
+	obs := observation{table: outcomes{}, rtable: outcomes{}}
 	var clients []*sim.Client
 	// record wraps an op so each call logs complete - post into its own
 	// slice of lats.
@@ -173,18 +177,20 @@ func runCrossLayerWorkload(t *testing.T) observation {
 				client.Fail(err)
 				return post
 			}
-			var del proxy.Delivery
+			var comp verbs.Completion
 			var err error
 			if cli == 2 {
-				del, err = daemon.Post(post, conn, wr)
+				comp, err = daemon.Post(post, conn, wr)
 			} else {
-				del, err = table.Post(post, conn, wr)
+				comp, err = table.Post(post, conn, wr)
 			}
 			if err != nil && !errors.Is(err, verbs.ErrQPError) {
 				client.Fail(err)
+				return post
 			}
-			if del.Completion.Done > post {
-				return del.Completion.Done
+			obs.table[comp.Status]++
+			if comp.Done > post {
+				return comp.Done
 			}
 			return post
 		}
@@ -216,9 +222,7 @@ func runCrossLayerWorkload(t *testing.T) observation {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rtable.EnableRecovery(proxy.DefaultRecoveryPolicy()); err != nil {
-		t.Fatal(err)
-	}
+	rtable.EnableRecovery(true)
 	mrE := ctxE.MustRegisterMR(me.MustAlloc(1, 1<<20, 0))
 	mrF := ctxF.MustRegisterMR(mf.MustAlloc(1, 1<<20, 0))
 	for cli := 0; cli < 2; cli++ {
@@ -235,15 +239,17 @@ func runCrossLayerWorkload(t *testing.T) observation {
 		client.Op = func(post sim.Time) sim.Time {
 			conn := conns[turn%len(conns)]
 			turn++
-			del, err := rtable.Post(post, conn, wr)
+			comp, err := rtable.Post(post, conn, wr)
 			if err != nil && !errors.Is(err, verbs.ErrQPError) {
 				client.Fail(err)
+				return post
 			}
-			next := del.Completion.Done
+			obs.rtable[comp.Status]++
+			next := comp.Done
 			if next < post {
 				next = post
 			}
-			if err != nil || del.Completion.Status != verbs.StatusOK {
+			if err != nil || comp.Status != verbs.StatusOK {
 				next += 2 * sim.Microsecond // application-level retry pacing
 			}
 			return next
@@ -294,7 +300,7 @@ func runCrossLayerWorkload(t *testing.T) observation {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs := observation{res: res, lats: lats}
+	obs.res, obs.lats = res, lats
 	cl.FoldTelemetry(reg)
 	var buf bytes.Buffer
 	reg.Snapshot().Render(&buf)
@@ -303,10 +309,8 @@ func runCrossLayerWorkload(t *testing.T) observation {
 		obs.nics = append(obs.nics, cl.Machine(i).NIC().Counters())
 	}
 	obs.faults = cl.Fabric().FaultStats()
-	obs.table = table.Stats()
 	obs.srqPosted, obs.srqHanded = srq.Posted(), srq.Handed()
 	obs.daemonStaged, obs.daemonDirect = daemon.Stats()
-	obs.rtable = rtable.Stats()
 	obs.rec = rtable.RecoveryStats()
 	obs.ttrCount, obs.ttrSum, _, _ = rtable.RecoveryTTR().Stats()
 	ctrl := rt.Controller()
@@ -347,8 +351,8 @@ func TestCrossLayerDeterminism(t *testing.T) {
 	if !anyRetrans {
 		t.Fatal("no retransmissions: reliability layer not exercised")
 	}
-	if want.table.Posted == 0 || want.table.Delivered != want.table.Posted {
-		t.Fatalf("connection table idle or leaking: %+v", want.table)
+	if want.table[verbs.StatusOK] == 0 || want.rtable[verbs.StatusOK] == 0 {
+		t.Fatalf("a connection table completed nothing: %v / %v", want.table, want.rtable)
 	}
 	if want.srqHanded == 0 || want.srqHanded > want.srqPosted {
 		t.Fatalf("SRQ not exercised or over-drained: posted=%d handed=%d", want.srqPosted, want.srqHanded)
@@ -384,12 +388,12 @@ func TestCrossLayerDeterminism(t *testing.T) {
 	if want.faults != got.faults {
 		t.Fatalf("second run: fault stats diverged: %+v vs %+v", want.faults, got.faults)
 	}
-	if want.table != got.table ||
+	if !reflect.DeepEqual(want.table, got.table) ||
 		want.srqPosted != got.srqPosted || want.srqHanded != got.srqHanded ||
 		want.daemonStaged != got.daemonStaged || want.daemonDirect != got.daemonDirect {
 		t.Fatal("second run: connection-serving tallies diverged")
 	}
-	if want.rtable != got.rtable || want.rec != got.rec ||
+	if !reflect.DeepEqual(want.rtable, got.rtable) || want.rec != got.rec ||
 		want.ttrCount != got.ttrCount || want.ttrSum != got.ttrSum {
 		t.Fatalf("second run: recovery tallies diverged: %+v / %+v vs %+v / %+v",
 			want.rec, want.ttrCount, got.rec, got.ttrCount)

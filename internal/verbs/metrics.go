@@ -1,7 +1,7 @@
 // The stage recorder of the op-pipeline engine: the one consumer of the
 // stage walk. A QP carries a stageRecorder when its cluster has a metrics
 // registry or timeline attached (cluster.Config.Telemetry / Config.Timeline),
-// and for the duration of a traced post (PostSendTraced, SendTraced). The
+// and for the duration of a traced post (PostSendTraced). The
 // recorder brackets each WR, drops out-of-order stage crossings, and hands
 // every accepted stage as one span to up to three optional sinks: the
 // registry's per-opcode stage histograms, the Chrome trace-event Timeline,
@@ -127,8 +127,7 @@ func (m *stageRecorder) stage(st Stage, at sim.Time) {
 
 // end closes the bracket at the WR's completion time: the tail (CQE
 // generation) becomes the final span, the whole walk lands in the e2e
-// histogram, and a trace keeps the completion time even when it precedes
-// the responder's spans (a UD SEND).
+// histogram, and a trace keeps the completion time.
 func (m *stageRecorder) end(at sim.Time) {
 	if !m.active {
 		return

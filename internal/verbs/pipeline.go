@@ -88,10 +88,15 @@ type qpState struct {
 	crashable bool // fault plan has crash windows: check at post
 
 	// Connection-recovery state (see recovery.go).
-	logReplay     bool          // capture failed WRs for replay
-	replayLog     []replayEntry // failed WRs awaiting replay, in failure order
-	replayApplied bool          // transient: next WR replays an applied failure
-	failedApplied bool          // transient: last failed WR had applied effects
+	replay        replaySeed // transient: what the WR PostReplay reposts already did
+	failedApplied bool       // the last failed WR had executed at the responder
+}
+
+// replaySeed is what a replayed WR carries over from its failure: whether
+// the responder had executed it, and the atomic old value it returned then.
+type replaySeed struct {
+	applied bool
+	old     uint64
 }
 
 // opScratch holds the per-QP reusable buffers of the op-pipeline hot path.
@@ -388,10 +393,8 @@ func (s *qpState) signal(c Completion) Completion {
 func flushWR(src *qpState, at sim.Time, wr *SendWR) Completion {
 	src.stats.FlushedWRs++
 	// A flushed WR never reached the responder — unless it is itself a
-	// replayed applied failure flushed by a second connection loss, in which
-	// case the transient replay flag preserves its applied-ness in the log.
-	src.logFailed(wr, src.replayApplied)
-	src.replayApplied = false
+	// replayed applied failure flushed by a second connection loss.
+	src.failedApplied = src.replay.applied
 	return src.signal(Completion{WRID: wr.ID, Opcode: wr.Opcode, Done: at, Status: StatusFlushed})
 }
 
@@ -516,13 +519,10 @@ func executeOne(src, dst *qpState, t sim.Time, wr *SendWR) (Completion, bool, er
 	if err != nil {
 		return Completion{}, false, err
 	}
-	if status != StatusOK {
-		// Retry budget exhausted: the WR completes with an error CQE and the
-		// QP is now in the error state; postList flushes whatever follows.
-		src.logFailed(wr, src.failedApplied)
-		return src.signal(Completion{WRID: wr.ID, Opcode: wr.Opcode, Done: done + CQECost, Bytes: total, Status: status}), false, nil
-	}
-	return src.signal(Completion{WRID: wr.ID, Opcode: wr.Opcode, Done: done + CQECost, Bytes: total, OldValue: old}), false, nil
+	// A retry-exhausted WR completes with an error CQE (the QP is now in the
+	// error state; postList flushes whatever follows). Its OldValue is the
+	// responder's if the request executed before the failure.
+	return src.signal(Completion{WRID: wr.ID, Opcode: wr.Opcode, Done: done + CQECost, Bytes: total, OldValue: old, Status: status}), false, nil
 }
 
 // deliverDatagram models the receiver of a UD send: there is no

@@ -5,15 +5,16 @@
 // machines' connection managers, resynchronizes PSNs and re-arms the retry
 // budgets, exactly as a host CM would re-establish an RC connection.
 //
-// The WRs the broken QP failed (error status or flushed) can be captured in
-// an opt-in replay log and reposted after the reconnect. Replay is
-// exactly-once with respect to memory effects: each log entry remembers
-// whether the responder had already executed the request before the
-// connection died (an "applied" failure means only the acknowledgement was
-// lost), and a replayed applied WR takes the reliability layer's duplicate
-// path — the responder regenerates its response without re-touching memory.
-// That is the same PSN-based duplicate suppression that makes retransmitted
-// atomics exactly-once, extended across a connection teardown.
+// A WR the broken QP failed can be reposted after the reconnect, by whoever
+// still holds it (proxy.Table does). Replay is exactly-once with respect to
+// memory effects: the QP remembers whether the responder had already
+// executed the last WR that failed before the connection died (an "applied"
+// failure means only the acknowledgement or response was lost), and a
+// replayed applied WR takes the reliability layer's duplicate path — the
+// responder regenerates its response, with the atomic's original old value,
+// without re-touching memory. That is the same PSN-based duplicate
+// suppression that makes retransmitted atomics exactly-once, extended across
+// a connection teardown.
 package verbs
 
 import (
@@ -25,34 +26,12 @@ import (
 // A full RESET→INIT→RTR→RTS recovery walk is three transitions per side.
 const ModifyQPCost = 2 * sim.Microsecond
 
-// replayEntry is one failed WR captured for post-reconnect replay. The WR
-// and its SGL are value copies: callers may reuse their SendWR structs
-// across posts (proxy.Table does), so the log cannot alias them.
-type replayEntry struct {
-	wr      SendWR
-	sgl     []SGE
-	applied bool // responder executed the request before the failure
-}
-
-// SetReplayLog enables (or disables) capture of failed WRs for replay.
-// Entries accumulate in failure order — error-status completions first,
-// then the flushed remainder — which is the order TakeReplayLog returns.
-func (s *qpState) SetReplayLog(on bool) { s.logReplay = on }
-
-// ReplayLogLen reports how many failed WRs are waiting for replay.
-func (s *qpState) ReplayLogLen() int { return len(s.replayLog) }
-
-// logFailed captures one failed WR into the replay log (no-op unless
-// SetReplayLog enabled capture).
-func (s *qpState) logFailed(wr *SendWR, applied bool) {
-	if !s.logReplay {
-		return
-	}
-	e := replayEntry{wr: *wr, applied: applied}
-	e.sgl = append(e.sgl, wr.SGL...)
-	e.wr.SGL = nil
-	s.replayLog = append(s.replayLog, e)
-}
+// FailedApplied reports whether the last WR to fail on this QP had executed
+// at the responder: true when an error-status completion lost only its
+// acknowledgement or response, so its effects landed (and an atomic's old
+// value is the completion's OldValue). A flushed WR never reached the
+// responder, unless it was itself the replay of an applied failure.
+func (q *QP) FailedApplied() bool { return q.failedApplied }
 
 // resync is the state both sides agree on when the connection is
 // re-established: READY, fresh PSN windows, retry budgets re-armed (the
@@ -90,42 +69,17 @@ func (q *QP) Reconnect(now sim.Time) (sim.Time, error) {
 	return t, nil
 }
 
-// ReplayWR is one captured failed WR handed out for external replay (the
-// proxy layer replays a dead pooled QP's WRs on a surviving pool member).
-type ReplayWR struct {
-	WR      SendWR
-	Applied bool // effects landed before the failure: replay as a duplicate
-}
-
-// TakeReplayLog drains and returns the captured failed WRs in failure
-// order. Each entry's WR is self-contained (its SGL is the log's copy).
-// Callers own the recovery decision: repost entries here via PostReplay —
-// on this QP after a Reconnect, or on any other QP to the same remote
-// machine — or drop them to give up.
-func (s *qpState) TakeReplayLog() []ReplayWR {
-	if len(s.replayLog) == 0 {
-		return nil
-	}
-	out := make([]ReplayWR, len(s.replayLog))
-	for i := range s.replayLog {
-		e := &s.replayLog[i]
-		out[i] = ReplayWR{WR: e.wr, Applied: e.applied}
-		out[i].WR.SGL = e.sgl
-	}
-	s.replayLog = nil
-	return out
-}
-
-// PostReplay reposts one captured failed WR, seeding the reliability layer
-// with its applied flag: a WR whose effects already landed is recovered as
-// a duplicate (acknowledged, never re-executed — see executeReliable). The
-// target may be any QP connected to the same remote machine; PSN duplicate
-// suppression is a property of the responder's memory, not of the broken
-// connection.
-func (q *QP) PostReplay(now sim.Time, wr *SendWR, applied bool) (Completion, error) {
-	q.replayApplied = applied
+// PostReplay reposts one failed WR, seeding the reliability layer with the
+// failure's applied flag (FailedApplied) and the old value its error
+// completion carried: a WR whose effects already landed is recovered as a
+// duplicate (acknowledged with that old value, never re-executed — see
+// executeReliable). The target may be any QP connected to the same remote
+// machine; PSN duplicate suppression is a property of the responder's
+// memory, not of the broken connection.
+func (q *QP) PostReplay(now sim.Time, wr *SendWR, applied bool, old uint64) (Completion, error) {
+	q.replay = replaySeed{applied: applied, old: old}
 	comp, err := q.PostSend(now, wr)
-	q.replayApplied = false
+	q.replay = replaySeed{}
 	q.stats.Replayed++
 	return comp, err
 }

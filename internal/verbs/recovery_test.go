@@ -96,21 +96,24 @@ func TestReplayExactlyOnceUnapplied(t *testing.T) {
 		{Machine: 1, At: 0, Down: 50 * sim.Microsecond},
 	}}
 	e := newLossyPair(t, plan)
-	e.qpA.SetReplayLog(true)
 	e.qpA.SetRetryPolicy(RetryPolicy{RetryCount: 1, RNRRetryCount: 1, AckTimeout: 2 * sim.Microsecond, RNRTimer: 2 * sim.Microsecond})
 
 	// Two fetch-adds: the first burns its retry budget against the crashed
 	// responder, the second flushes behind it.
-	comp, err := e.qpA.PostSend(0, fetchAddWR(e, 101))
+	wrs := []*SendWR{fetchAddWR(e, 101), fetchAddWR(e, 102)}
+	comp, err := e.qpA.PostSend(0, wrs[0])
 	if !errors.Is(err, ErrQPError) || comp.Status != StatusRetryExceeded {
 		t.Fatalf("first WR: %v status %v", err, comp.Status)
 	}
-	comp, err = e.qpA.PostSend(comp.Done, fetchAddWR(e, 102))
+	if e.qpA.FailedApplied() {
+		t.Fatal("first WR marked applied against a crashed responder")
+	}
+	comp, err = e.qpA.PostSend(comp.Done, wrs[1])
 	if !errors.Is(err, ErrQPError) || comp.Status != StatusFlushed {
 		t.Fatalf("second WR: %v status %v", err, comp.Status)
 	}
-	if n := e.qpA.ReplayLogLen(); n != 2 {
-		t.Fatalf("replay log holds %d WRs, want 2", n)
+	if e.qpA.FailedApplied() {
+		t.Fatal("flushed WR marked applied")
 	}
 	ctr := e.mrB.Region().Bytes()[1<<19 : 1<<19+8]
 	if ctr[0] != 0 {
@@ -121,17 +124,10 @@ func TestReplayExactlyOnceUnapplied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries := e.qpA.TakeReplayLog()
-	if len(entries) != 2 || e.qpA.ReplayLogLen() != 0 {
-		t.Fatalf("took %d replay entries, %d left in the log", len(entries), e.qpA.ReplayLogLen())
-	}
 	var comps []Completion
 	at := up
-	for i := range entries {
-		if entries[i].Applied {
-			t.Fatalf("entry %d marked applied against a crashed responder", i)
-		}
-		c, err := e.qpA.PostReplay(at, &entries[i].WR, entries[i].Applied)
+	for _, wr := range wrs {
+		c, err := e.qpA.PostReplay(at, wr, false, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +139,7 @@ func TestReplayExactlyOnceUnapplied(t *testing.T) {
 			t.Fatalf("replay %d status %v", i, c.Status)
 		}
 		if c.WRID != uint64(101+i) {
-			t.Fatalf("replay %d carries WR ID %d: tags not preserved", i, c.WRID)
+			t.Fatalf("replay %d carries WR ID %d: IDs not preserved", i, c.WRID)
 		}
 	}
 	// Exactly-once: two adds of one, counter is exactly 2, olds 0 then 1.
@@ -153,40 +149,72 @@ func TestReplayExactlyOnceUnapplied(t *testing.T) {
 	if comps[0].OldValue != 0 || comps[1].OldValue != 1 {
 		t.Fatalf("replayed old values %d, %d", comps[0].OldValue, comps[1].OldValue)
 	}
-	st := e.qpA.Stats()
-	if st.Replayed != 2 || e.qpA.ReplayLogLen() != 0 {
-		t.Fatalf("replay accounting %+v, log %d", st, e.qpA.ReplayLogLen())
-	}
-	if got := e.qpA.TakeReplayLog(); got != nil {
-		t.Fatalf("drained log handed out %d more entries", len(got))
+	if st := e.qpA.Stats(); st.Replayed != 2 {
+		t.Fatalf("replay accounting %+v", st)
 	}
 }
 
-// TestReplayAppliedIsDuplicate: a replayed WR whose effects already landed
-// before the connection died takes the responder's duplicate path — the
-// acknowledgement regenerates, memory is not touched again. (White-box: the
-// applied flag is seeded directly; the integrated path that sets it — ACKs
-// lost until the budget exhausts — is exercised statistically by the
-// cross-layer determinism workload.)
+// TestReplayAppliedIsDuplicate: a FETCH_ADD whose effects landed before its
+// connection died — the requester crashes between the request's arrival at
+// the responder and the response's arrival back, and stays down through its
+// one retransmission — fails applied, with the responder's old value on its
+// error completion. Replayed with that seed after the reconnect, it takes
+// the responder's duplicate path: the response regenerates with the
+// original old value, and memory is not touched again.
 func TestReplayAppliedIsDuplicate(t *testing.T) {
-	e := newLossyPair(t, quietPlan())
-	comp, err := e.qpA.PostSend(0, fetchAddWR(e, 1))
-	if err != nil || comp.OldValue != 0 {
-		t.Fatalf("probe: %v old %d", err, comp.OldValue)
+	policy := RetryPolicy{RetryCount: 1, RNRRetryCount: 1, AckTimeout: 2 * sim.Microsecond, RNRTimer: 2 * sim.Microsecond}
+	// A probe moves the counter off zero, so a lost old value shows.
+	probe := func(e *pairEnv) sim.Time {
+		comp, err := e.qpA.PostSend(0, fetchAddWR(e, 1))
+		if err != nil || comp.OldValue != 0 {
+			t.Fatalf("probe: %v old %d", err, comp.OldValue)
+		}
+		return comp.Done
 	}
+	// A lossless twin times the second fetch-add.
+	twin := newLossyPair(t, nil)
+	post := probe(twin)
+	_, tr, err := twin.qpA.PostSendTraced(post, fetchAddWR(twin, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrived, _ := tr.At(StageArrived)
+	responded, _ := tr.At(StageResponded)
+	retransmit := responded + policy.AckTimeout
+	plan := &fabric.FaultPlan{Seed: 1, Crashes: []fabric.CrashEvent{
+		{Machine: 0, At: arrived, Down: retransmit + policy.AckTimeout - arrived},
+	}}
+
+	e := newLossyPair(t, plan)
+	e.qpA.SetRetryPolicy(policy)
+	probe(e)
 	ctr := e.mrB.Region().Bytes()[1<<19 : 1<<19+8]
-	if ctr[0] != 1 {
-		t.Fatalf("counter %d after probe", ctr[0])
+	wr := fetchAddWR(e, 2)
+	failed, err := e.qpA.PostSend(post, wr)
+	if !errors.Is(err, ErrQPError) || failed.Status != StatusRetryExceeded {
+		t.Fatalf("lost-response WR: %v status %v", err, failed.Status)
 	}
-	e.qpA.replayApplied = true
-	comp, err = e.qpA.PostSend(comp.Done, fetchAddWR(e, 2))
+	if !e.qpA.FailedApplied() || ctr[0] != 2 {
+		t.Fatalf("applied=%v counter %d: the responder must have executed the WR", e.qpA.FailedApplied(), ctr[0])
+	}
+	if failed.OldValue != 1 {
+		t.Fatalf("error completion carries old value %d, want 1", failed.OldValue)
+	}
+	up, err := e.qpA.Reconnect(failed.Done)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp, err := e.qpA.PostReplay(up, wr, e.qpA.FailedApplied(), failed.OldValue)
 	if err != nil || comp.Status != StatusOK {
 		t.Fatalf("duplicate replay: %v status %v", err, comp.Status)
 	}
-	if ctr[0] != 1 {
+	if ctr[0] != 2 {
 		t.Fatalf("duplicate replay re-applied the atomic: counter %d", ctr[0])
 	}
-	if e.qpA.replayApplied {
-		t.Fatal("applied seed not consumed")
+	if comp.OldValue != 1 {
+		t.Fatalf("replayed old value %d, want the pre-failure 1", comp.OldValue)
+	}
+	if e.qpA.replay != (replaySeed{}) {
+		t.Fatal("replay seed not cleared")
 	}
 }

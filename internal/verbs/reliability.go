@@ -220,20 +220,20 @@ func executeReliable(src, dst *qpState, emit sim.Time, wr *SendWR, total, outbou
 	firstUnacked := 0   // go-back-N resend point
 	round := 0          // transmission rounds completed
 	arrived := false    // the arrived stage is recorded
-	// applied: the responder has executed the request. A replayed WR whose
-	// effects already landed before its connection died (see recovery.go)
-	// seeds this true, so the whole replay runs as a duplicate round — the
-	// responder regenerates its acknowledgement and never re-touches memory.
-	applied := src.replayApplied
-	src.replayApplied = false
-	var old uint64
+	// applied: the responder has executed the request, and old is what it
+	// returned. A replayed WR whose effects already landed before its
+	// connection died (see recovery.go) seeds both, so the whole replay runs
+	// as a duplicate round — the responder regenerates its response and
+	// never re-touches memory.
+	applied, old := src.replay.applied, src.replay.old
 	var rmr *MR // the target MR, once the responder has executed the request
 
 	t := emit
 	fail := func(at sim.Time, status CompletionStatus) (sim.Time, uint64, CompletionStatus, error) {
 		src.state = StateError
 		src.stats.RetriesExhausted++
-		// Remember whether the effects landed, for exactly-once replay.
+		// Remember whether the effects landed, for exactly-once replay;
+		// the error completion carries old.
 		src.failedApplied = applied
 		return at, old, status, nil
 	}

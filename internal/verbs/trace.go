@@ -53,13 +53,10 @@ type TraceSpan struct {
 }
 
 // Trace records the stage timeline of one work request. Obtain one with
-// QP.PostSendTraced or UDQP.SendTraced; it is the tool behind the paper's
-// Section III-D decomposition T(RNIC->Socket) + T(Socket->Memory) +
-// T(Network). A Trace is a sink of the QP's stage recorder (metrics.go): it
-// holds the spans the recorder accepted, plus the completion time the
-// requester saw. The two differ when the completion precedes the responder
-// (a UD SEND): End is then earlier than the last span's end, and no span
-// covers the CQE.
+// QP.PostSendTraced; it is the tool behind the paper's Section III-D
+// decomposition T(RNIC->Socket) + T(Socket->Memory) + T(Network). A Trace is
+// a sink of the QP's stage recorder (metrics.go): it holds the spans the
+// recorder accepted, plus the completion time the requester saw.
 type Trace struct {
 	Start  sim.Time
 	End    sim.Time // the completion time (Completion.Done)
@@ -147,17 +144,4 @@ func (q *QP) PostSendTraced(now sim.Time, wr *SendWR) (Completion, *Trace, error
 		return Completion{}, nil, err
 	}
 	return comp, tr, nil
-}
-
-// SendTraced is UDQP.Send with the stage timeline of the datagram attached.
-// The trace's End is the local send completion (UD never waits for the
-// receiver). Tracing does not change timing.
-func (q *UDQP) SendTraced(now sim.Time, dst AH, sgl []SGE, inline bool) (Completion, bool, *Trace, error) {
-	tr := &Trace{Start: now, Opcode: OpSend}
-	defer q.attachTrace(tr)()
-	comp, dropped, err := q.Send(now, dst, sgl, inline)
-	if err != nil {
-		return Completion{}, false, nil, err
-	}
-	return comp, dropped, tr, nil
 }
