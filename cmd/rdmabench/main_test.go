@@ -98,7 +98,7 @@ func TestFailedPostExitsOne(t *testing.T) {
 func TestSerialCompatFlag(t *testing.T) {
 	render := func(extra ...string) string {
 		var stdout, stderr bytes.Buffer
-		code := run(append([]string{"-exp", "engine", "-scale", "0.02"}, extra...), &stdout, &stderr)
+		code := run(append([]string{"-exp", "table1", "-scale", "0.02"}, extra...), &stdout, &stderr)
 		if code != 0 {
 			t.Fatalf("%v: exit code = %d, stderr: %s", extra, code, stderr.String())
 		}
@@ -111,8 +111,8 @@ func TestSerialCompatFlag(t *testing.T) {
 		return strings.Join(lines, "\n")
 	}
 	want := render()
-	if !strings.Contains(want, "== engine ==") {
-		t.Fatalf("missing engine report:\n%s", want)
+	if !strings.Contains(want, "== table1 ==") {
+		t.Fatalf("missing table1 report:\n%s", want)
 	}
 	for _, workers := range []string{"0", "1"} {
 		if got := render("-engine-workers", workers); got != want {

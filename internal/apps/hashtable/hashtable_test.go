@@ -354,7 +354,7 @@ func TestGetAllocFree(t *testing.T) {
 	}
 	out := make([]byte, cfg.ValueSize)
 	var gerr error
-	// Warm both paths once (shadow residency, QP scratch pools), then pin.
+	// Warm both paths once (shadow residency, QP and route buffers), then pin.
 	if _, gerr = fe.Get(now, 40, out); gerr != nil {
 		t.Fatal(gerr)
 	}

@@ -18,7 +18,6 @@ func TestRegistryComplete(t *testing.T) {
 		"fig16", "fig17", "fig18", "fig19",
 		"mrscale", "qpscale", "ycsb",
 		"ablation-xlate", "ablation-mmio", "ablation-qpi",
-		"engine",
 	}
 	have := map[string]bool{}
 	for _, id := range List() {

@@ -9,9 +9,10 @@ import (
 )
 
 // CI-enforced allocation budgets for the pooled op-pipeline hot path. These
-// fail if a change re-introduces per-op heap traffic that the per-QP scratch
-// pools (opScratch), the send-completion clamp, or the interned telemetry
-// streams were added to eliminate.
+// fail if a change re-introduces per-op heap traffic that the reusable
+// buffers (each QP's completions, each route's routeScratch), the
+// send-completion clamp, or the interned telemetry streams were added to
+// eliminate.
 
 // TestPostSendSteadyStateAllocFree pins the RC PostSend hot path — posted WR
 // through completion — to zero allocations per operation.
@@ -31,7 +32,7 @@ func TestPostSendSteadyStateAllocFree(t *testing.T) {
 		}
 		now = c.Done
 	}
-	post() // warm the scratch pools
+	post() // warm the reusable buffers
 	if allocs := testing.AllocsPerRun(200, post); allocs != 0 {
 		t.Fatalf("steady-state RC WRITE PostSend allocates %.2f/op, want 0", allocs)
 	}
@@ -91,7 +92,7 @@ func TestSendRecvSteadyStateAllocFree(t *testing.T) {
 			}
 		}
 		for i := 0; i < 4*c.backlog+1; i++ {
-			cycle() // warm the scratch pools and the queues' backing arrays
+			cycle() // warm the reusable buffers and the queues' backing arrays
 		}
 		if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
 			t.Fatalf("steady-state SEND/PostRecv (srq=%v, backlog %d) allocates %.2f/op, want 0", c.shared, c.backlog, allocs)

@@ -1,0 +1,220 @@
+package verbs
+
+import (
+	"reflect"
+	"testing"
+	"unsafe"
+
+	"rdmasem/internal/cluster"
+	"rdmasem/internal/fabric"
+	"rdmasem/internal/rnic"
+	"rdmasem/internal/sim"
+)
+
+// maxQPBytes is the ceiling on one connected QP's heap object: qpsweep
+// holds 20,000 of them, so every field a lossless post does not touch is
+// host memory the sweep pays for.
+const maxQPBytes = 288
+
+// registeredTallies is the number of QP tallies registered with n (its
+// unexported qpRel list): only reliability state registers.
+func registeredTallies(n *rnic.NIC) int {
+	return reflect.ValueOf(n).Elem().FieldByName("qpRel").Len()
+}
+
+// addRel returns a+b, field by field.
+func addRel(a, b rnic.RelCounters) rnic.RelCounters {
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(b)
+	for i := 0; i < va.NumField(); i++ {
+		va.Field(i).SetUint(va.Field(i).Uint() + vb.Field(i).Uint())
+	}
+	return a
+}
+
+// footprintQPs connects three pairs between two fresh machines of a cluster
+// with the given fault plan (nil: lossless), two on port 1 and one on
+// port 0 of each side, and returns every QP with the two regions.
+func footprintQPs(t *testing.T, plan *fabric.FaultPlan) (*cluster.Cluster, []*QP, *MR, *MR) {
+	t.Helper()
+	cfg := cluster.DefaultConfig()
+	cfg.Machines = 2
+	cfg.Faults = plan
+	cl, err := cluster.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Release)
+	ctxA, ctxB := NewContext(cl.Machine(0)), NewContext(cl.Machine(1))
+	var qps []*QP
+	for _, port := range []int{1, 1, 0} {
+		qa, qb, err := Connect(ctxA, port, ctxB, port, RC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qps = append(qps, qa, qb)
+	}
+	mrA := ctxA.MustRegisterMR(cl.Machine(0).MustAlloc(1, 1<<20, 0))
+	mrB := ctxB.MustRegisterMR(cl.Machine(1).MustAlloc(1, 1<<20, 0))
+	return cl, qps, mrA, mrB
+}
+
+// postBatch posts WRITEs of sizes up to three PathMTUs, READs and a
+// FETCH_ADD from every A-side QP (even index) and returns the last
+// completion time.
+func postBatch(t *testing.T, qps []*QP, mrA, mrB *MR) sim.Time {
+	t.Helper()
+	now := sim.Time(0)
+	for i := 0; i < len(qps); i += 2 {
+		for _, n := range []int{64, PathMTU + 1, 3 * PathMTU} {
+			for _, op := range []Opcode{OpWrite, OpRead} {
+				wr := &SendWR{Opcode: op, SGL: []SGE{{Addr: mrA.Addr(), Length: n, MR: mrA}}, RemoteAddr: mrB.Addr(), RemoteKey: mrB.RKey()}
+				c, err := qps[i].PostSend(now, wr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				now = c.Done
+			}
+		}
+		wr := &SendWR{Opcode: OpFetchAdd, SGL: []SGE{{Addr: mrA.Addr(), Length: 8, MR: mrA}}, RemoteAddr: mrB.Addr(), RemoteKey: mrB.RKey(), CompareAdd: 1}
+		c, err := qps[i].PostSend(now, wr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now = c.Done
+	}
+	return now
+}
+
+// TestQPFootprint pins what one QP costs the host: a heap object of at most
+// maxQPBytes, two allocations per lossless Connect (the two QPs: the
+// pipeline and receive CQ are held by value, and the pipeline names are
+// constants), and no reliability state or NIC registration on a lossless
+// fabric. On a lossy one each QP's tally is registered at construction, so
+// the NIC's sum matches its QPs'.
+func TestQPFootprint(t *testing.T) {
+	if n := unsafe.Sizeof(QP{}); n > maxQPBytes {
+		t.Errorf("QP is %d bytes, want at most %d", n, maxQPBytes)
+	}
+
+	cl, qps, mrA, mrB := footprintQPs(t, nil)
+	ctxA, ctxB := qps[0].Context(), qps[1].Context()
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := Connect(ctxA, 1, ctxB, 1, RC); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 2 {
+		t.Errorf("lossless Connect makes %.2f allocations, want 2", allocs)
+	}
+	postBatch(t, qps, mrA, mrB)
+	for _, q := range qps {
+		if q.rel != nil || q.Stats() != (QPStats{}) {
+			t.Errorf("lossless QP %d holds reliability state %+v", q.ID(), q.Stats())
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if n := registeredTallies(cl.Machine(i).NIC()); n != 0 {
+			t.Errorf("%s's NIC has %d QP tallies registered on a lossless fabric", cl.Machine(i).Label(), n)
+		}
+	}
+
+	cl, qps, mrA, mrB = footprintQPs(t, &fabric.FaultPlan{Seed: 1, Drop: 0.01})
+	postBatch(t, qps, mrA, mrB)
+	for i := 0; i < 2; i++ {
+		// Machine i's QPs sit at indices i, i+2, i+4.
+		var sum rnic.RelCounters
+		for j := i; j < len(qps); j += 2 {
+			sum = addRel(sum, qps[j].Stats().RelCounters)
+		}
+		nic := cl.Machine(i).NIC()
+		if got := nic.Counters().Rel; got != sum {
+			t.Errorf("%s: NIC Rel %+v, sum of its QPs %+v", cl.Machine(i).Label(), got, sum)
+		}
+		if n := registeredTallies(nic); n != len(qps)/2 {
+			t.Errorf("%s: %d QP tallies registered, want %d", cl.Machine(i).Label(), n, len(qps)/2)
+		}
+	}
+	if seg := cl.Machine(0).NIC().Counters().Rel.Segments; seg == 0 {
+		t.Fatal("the lossy batch emitted no counted segments")
+	}
+}
+
+// TestLazyReliabilityStateLossless: on a lossless fabric a QP's reliability
+// state reads as before while it does not exist, and each first write —
+// SetRetryPolicy, a flush, Reconnect, PostReplay — creates and registers it,
+// so its counts reach the NIC.
+func TestLazyReliabilityStateLossless(t *testing.T) {
+	e := newPair(t)
+	if got := e.qpA.RetryPolicy(); got != DefaultRetryPolicy() {
+		t.Fatalf("fresh QP's policy %+v, want the default", got)
+	}
+	if e.qpA.FailedApplied() || e.qpA.rel != nil {
+		t.Fatal("a fresh lossless QP has reliability state")
+	}
+	p := RetryPolicy{RetryCount: 2, RNRRetryCount: 3, AckTimeout: 5 * sim.Microsecond, RNRTimer: 9 * sim.Microsecond}
+	e.qpB.SetRetryPolicy(p)
+	if got := e.qpB.RetryPolicy(); got != p {
+		t.Fatalf("policy %+v after SetRetryPolicy(%+v)", got, p)
+	}
+
+	wr := writeWR(e, 64)
+	e.qpA.ForceError()
+	c, err := e.qpA.PostSend(0, wr)
+	if err == nil || c.Status != StatusFlushed {
+		t.Fatalf("post on an error-state QP: %v status %v", err, c.Status)
+	}
+	nicA := e.cl.Machine(0).NIC()
+	if got := nicA.Counters().Rel.FlushedWRs; got != 1 {
+		t.Fatalf("NIC counts %d flushed WRs, want 1", got)
+	}
+
+	up, err := e.qpA.Reconnect(c.Done)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := nicA.Counters().Rel.Reconnects; got != 1 {
+		t.Fatalf("NIC counts %d reconnects, want 1", got)
+	}
+	if c, err = e.qpA.PostReplay(up, wr, e.qpA.FailedApplied(), 0); err != nil || c.Status != StatusOK {
+		t.Fatalf("replay: %v status %v", err, c.Status)
+	}
+	if st := e.qpA.Stats(); st.Replayed != 1 || st.FlushedWRs != 1 || st.Reconnects != 1 {
+		t.Fatalf("stats after flush, reconnect and replay: %+v", st)
+	}
+	if n := registeredTallies(nicA); n != 1 {
+		t.Fatalf("%d tallies registered with A's NIC, want 1", n)
+	}
+}
+
+// TestCompletionsSurviveRoutePost: the completions PostSendList returns are
+// the posting QP's own; a post on another QP of the same route, which reuses
+// the route's walk buffers, leaves them intact.
+func TestCompletionsSurviveRoutePost(t *testing.T) {
+	e := newPair(t)
+	qpC, _, err := Connect(e.ctxA, 1, e.ctxB, 1, RC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if qpC.route != e.qpA.route {
+		t.Fatal("the two QPs do not share a route")
+	}
+	list := func(id uint64, n int) []*SendWR {
+		var wrs []*SendWR
+		for i := 0; i < n; i++ {
+			wr := writeWR(e, 2*PathMTU)
+			wr.ID = id + uint64(i)
+			wrs = append(wrs, wr)
+		}
+		return wrs
+	}
+	comps, err := e.qpA.PostSendList(0, list(100, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]Completion(nil), comps...)
+	if _, err := qpC.PostSendList(want[2].Done, list(200, 5)); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(comps, want) {
+		t.Fatalf("QP A's completions changed under a post on QP C:\n got %+v\nwant %+v", comps, want)
+	}
+}

@@ -30,7 +30,7 @@ import (
 // resolved once: a real RNIC binds this state when the QP is created and
 // caches it, rather than looking it up on every doorbell. NewContext
 // resolves one route per port, and every QP of that (Context, port) shares
-// it by pointer.
+// it by pointer, together with the walk's reusable buffers (routeScratch).
 type qpRoute struct {
 	machine    *cluster.Machine
 	nic        *rnic.NIC
@@ -41,6 +41,7 @@ type qpRoute struct {
 	qpi        *sim.Pipe
 	qpiLatency sim.Duration
 	socket     topo.SocketID // the port's socket
+	scratch    routeScratch
 }
 
 // newRoute resolves the route of one NIC port of m.
@@ -61,23 +62,30 @@ func newRoute(m *cluster.Machine, port int) *qpRoute {
 // qpState is the queue-pair state shared by connected (QP) and datagram
 // (UDQP) queue pairs: identity, port/core binding, the per-QP processing
 // pipeline, the send-completion clamp, the receive queues, and the stage
-// recorder.
+// recorder. It holds only what a lossless post touches; the walk's staging
+// buffers belong to the route, and the reliability state (qpRel) exists
+// once something writes it.
 type qpState struct {
 	id        uint64
 	ctx       *Context
 	route     *qpRoute // the port's machine resources; the walk reads nothing else
 	transport Transport
 	core      topo.SocketID // socket of the posting core
-	pipeline  *sim.Resource // per-QP processing pipeline (Fig 1's 4.7 MOPS)
+	pipeline  sim.Resource  // per-QP processing pipeline (Fig 1's 4.7 MOPS)
 	lastCQE   sim.Time      // send-side in-order clamp: the latest CQE time so far
-	recvCQ    *CQ
+	recvCQ    CQ
 	recvQ     recvQueue
 	srq       *SRQ           // shared receive queue; inbound SENDs drain it instead of recvQ
 	rec       *stageRecorder // the stage walk's one consumer, else nil (no telemetry, no trace)
+	rel       *qpRel         // reliability state, nil until first written (see reliability)
 	state     State          // READY until reliability retries exhaust (or ForceError)
-	policy    RetryPolicy    // reliability knobs; inert on a lossless fabric
-	stats     QPStats        // reliability tally; all zero on a lossless fabric
-	scratch   opScratch      // per-QP freelists for the allocation-free hot path
+
+	// The completions of the in-flight doorbell list and their UD drop
+	// flags. Aliasing contract: PostSendList hands these to its caller, and
+	// they stay valid only until the next post on the same QP; callers that
+	// retain completions across posts must copy them.
+	comps []Completion
+	drops []bool
 
 	// Fault-plan facts, read once at construction so the hot path pays one
 	// boolean test each. lossy decides the only three points where the
@@ -86,10 +94,18 @@ type qpState struct {
 	// SEND into an empty receive queue returns ErrRNR instead).
 	lossy     bool // a fault plan is attached to the fabric
 	crashable bool // fault plan has crash windows: check at post
+}
 
-	// Connection-recovery state (see recovery.go).
-	replay        replaySeed // transient: what the WR PostReplay reposts already did
-	failedApplied bool       // the last failed WR had executed at the responder
+// qpRel is a QP's reliability state: its knobs, its tally, and what
+// connection recovery remembers (see recovery.go). On a lossless fabric all
+// of it is inert or zero, so a QP there carries none until something writes
+// it: SetRetryPolicy, a flush, Reconnect or PostReplay. A QP on a lossy
+// fabric gets one at construction.
+type qpRel struct {
+	policy        RetryPolicy // reliability knobs
+	stats         QPStats     // reliability tally, registered with the NIC
+	replay        replaySeed  // transient: what the WR PostReplay reposts already did
+	failedApplied bool        // the last failed WR had executed at the responder
 }
 
 // replaySeed is what a replayed WR carries over from its failure: whether
@@ -99,34 +115,34 @@ type replaySeed struct {
 	old     uint64
 }
 
-// opScratch holds the per-QP reusable buffers of the op-pipeline hot path.
-// The simulation kernel is single threaded per cluster, so at most one post
-// is in flight per QP and every buffer is reset (re-sliced to length zero)
-// at the next post. Aliasing contract: slices handed to callers out of this
-// pool — the completions PostSendList returns — stay valid only until the
-// next post on the same QP; callers that retain them must copy.
-type opScratch struct {
-	wrList   [1]*SendWR   // singleton doorbell list (UDQP.Send)
-	sendWR   SendWR       // the datagram WR UDQP.Send rebuilds per send
-	sges     []SGE        // SGL copy backing sendWR, so callers' SGLs stay on their stacks
-	comps    []Completion // completions of the in-flight doorbell list
-	drops    []bool       // UD drop flags, parallel to comps
-	sizes    []int        // per-SGE size vectors for gather/scatter DMA
-	payload  []byte       // staging for apply{Write,Read,Send} data movement
-	segs     []int        // reliability-layer request segmentation
-	respSegs []int        // reliability-layer response segmentation
+// reliability returns the QP's reliability state, creating it on first use.
+// Creating it registers its tally with the NIC, which sums it into
+// Counters().Rel; a QP that never writes one registers nothing.
+func (s *qpState) reliability() *qpRel {
+	if s.rel == nil {
+		s.rel = &qpRel{policy: DefaultRetryPolicy()}
+		s.route.nic.AddQP(&s.rel.stats.RelCounters)
+	}
+	return s.rel
 }
 
-// sgl returns a reusable length-n SGE slice (contents undefined).
-func (s *opScratch) sgl(n int) []SGE {
-	if cap(s.sges) < n {
-		s.sges = make([]SGE, n)
-	}
-	return s.sges[:n]
+// routeScratch holds the stage walk's reusable buffers, one set per route.
+// The simulation kernel posts one WR at a time per cluster, and no walk
+// posts again before it returns, so every buffer is free at the start of a
+// walk and is reset (re-sliced) by its next user. Within one walk the four
+// never alias each other, even when requester and responder share a route
+// (a loopback pair): the requester holds segs across recovery rounds while
+// the response leg takes respSegs, the DMA size vectors take sizes, and the
+// responder stages data movement in payload. None of them reaches a caller.
+type routeScratch struct {
+	sizes    []int  // per-SGE size vectors for gather/scatter DMA
+	payload  []byte // staging for apply{Write,Read,Send} data movement
+	segs     []int  // reliability-layer request segmentation
+	respSegs []int  // reliability-layer response segmentation
 }
 
 // ints returns a reusable length-n int slice (contents undefined).
-func (s *opScratch) ints(n int) []int {
+func (s *routeScratch) ints(n int) []int {
 	if cap(s.sizes) < n {
 		s.sizes = make([]int, n)
 	}
@@ -134,7 +150,7 @@ func (s *opScratch) ints(n int) []int {
 }
 
 // bytes returns a reusable byte slice with length 0 and capacity >= n.
-func (s *opScratch) bytes(n int) []byte {
+func (s *routeScratch) bytes(n int) []byte {
 	if cap(s.payload) < n {
 		s.payload = make([]byte, 0, n)
 	}
@@ -142,7 +158,7 @@ func (s *opScratch) bytes(n int) []byte {
 }
 
 // bytesN returns a reusable byte slice of length n (contents undefined).
-func (s *opScratch) bytesN(n int) []byte {
+func (s *routeScratch) bytesN(n int) []byte {
 	if cap(s.payload) < n {
 		s.payload = make([]byte, 0, n)
 	}
@@ -153,7 +169,7 @@ func (s *opScratch) bytesN(n int) []byte {
 // segmentation, distinct from sizes because the reliability engine holds its
 // request segmentation across recovery rounds while DMA size vectors come
 // and go.
-func (s *opScratch) segments(n int) []int {
+func (s *routeScratch) segments(n int) []int {
 	if cap(s.segs) < n {
 		s.segs = make([]int, n)
 	}
@@ -162,9 +178,8 @@ func (s *opScratch) segments(n int) []int {
 
 // respSegments is the response-leg counterpart of segments: the ACK/response
 // segmentation must not alias the request segmentation, which the requester
-// still holds for possible retransmission rounds (a loopback QP pair would
-// otherwise clobber it).
-func (s *opScratch) respSegments(n int) []int {
+// still holds for possible retransmission rounds.
+func (s *routeScratch) respSegments(n int) []int {
 	if cap(s.respSegs) < n {
 		s.respSegs = make([]int, n)
 	}
@@ -172,8 +187,13 @@ func (s *opScratch) respSegments(n int) []int {
 }
 
 // newQPState initialises the shared queue-pair state, drawing the QP number
-// from the machine's cluster-wide allocator.
-func newQPState(ctx *Context, t Transport, port int, kind string) qpState {
+// from the machine's cluster-wide allocator. The QP's kind names it in
+// telemetry ("qp" or "udqp").
+func newQPState(ctx *Context, t Transport, port int) qpState {
+	kind, pipeline := "qp", "qp/pipeline"
+	if t == UD {
+		kind, pipeline = "udqp", "udqp/pipeline"
+	}
 	id := ctx.machine.NextQPID()
 	r := ctx.routes[port]
 	s := qpState{
@@ -182,23 +202,20 @@ func newQPState(ctx *Context, t Transport, port int, kind string) qpState {
 		route:     r,
 		transport: t,
 		core:      r.socket,
-		pipeline:  sim.NewResource(kind + "/pipeline"),
-		recvCQ:    NewCQ(),
-		policy:    DefaultRetryPolicy(),
+		pipeline:  *sim.NewResource(pipeline),
 		lossy:     r.fab.FaultsEnabled(),
 		crashable: r.fab.Params().Faults.HasCrashes(),
+	}
+	if s.lossy {
+		s.reliability()
 	}
 	if reg, tl := ctx.machine.Telemetry(), ctx.machine.Timeline(); reg != nil || tl != nil {
 		label := ctx.machine.Label()
 		s.rec = newStageRecorder(reg, tl, label, ctx.machine.TimelinePID(), id, kind)
-		s.pipeline.Observe(reg.QueueHook(label, kind+"/pipeline"))
+		s.pipeline.Observe(reg.QueueHook(label, pipeline))
 	}
 	return s
 }
-
-// register hands the QP's reliability tally to its NIC, which sums it into
-// Counters().Rel. Call it once the QP has its final heap address.
-func (s *qpState) register() { s.route.nic.AddQP(&s.stats.RelCounters) }
 
 // observe hands a stage transition to the stage recorder, if any.
 func (s *qpState) observe(st Stage, at sim.Time) {
@@ -243,10 +260,10 @@ func (s *qpState) Core() topo.SocketID { return s.core }
 func (s *qpState) BindCore(sock topo.SocketID) { s.core = sock }
 
 // RecvCQ returns the receive completion queue.
-func (s *qpState) RecvCQ() *CQ { return s.recvCQ }
+func (s *qpState) RecvCQ() *CQ { return &s.recvCQ }
 
 // Pipeline exposes the per-QP pipeline resource (ablation benchmarks).
-func (s *qpState) Pipeline() *sim.Resource { return s.pipeline }
+func (s *qpState) Pipeline() *sim.Resource { return &s.pipeline }
 
 // PostRecv posts a receive buffer for incoming SEND/datagram traffic. On an
 // SRQ-attached QP receives must be posted to the SRQ instead.
@@ -289,8 +306,8 @@ func remoteSpan(wr *SendWR) int {
 // whose retries exhaust mid-list completes with its error status and the
 // remainder of the list flushes behind it.
 //
-// The returned slices are backed by src's per-QP scratch pool: they remain
-// valid until the next post on the same QP (see opScratch).
+// The returned slices are backed by src's completion buffers: they remain
+// valid until the next post on the same QP (see qpState.comps).
 func postList(src, dst *qpState, now sim.Time, wrs []*SendWR) ([]Completion, []bool, error) {
 	if src.crashable && src.state != StateError && src.route.machine.CrashedAt(now) {
 		// The posting machine is inside a crash window: its HCA is gone and
@@ -299,15 +316,15 @@ func postList(src, dst *qpState, now sim.Time, wrs []*SendWR) ([]Completion, []b
 		src.state = StateError
 	}
 	if src.state == StateError {
-		comps := src.scratch.comps[:0]
-		drops := src.scratch.drops[:0]
+		comps := src.comps[:0]
+		drops := src.drops[:0]
 		for _, wr := range wrs {
 			comps = append(comps, flushWR(src, now, wr))
 			if src.transport == UD {
 				drops = append(drops, false)
 			}
 		}
-		src.scratch.comps, src.scratch.drops = comps, drops
+		src.comps, src.drops = comps, drops
 		if src.transport != UD {
 			drops = nil
 		}
@@ -336,13 +353,13 @@ func postList(src, dst *qpState, now sim.Time, wrs []*SendWR) ([]Completion, []b
 		src.observe(StageWQEFetched, t)
 	}
 
-	comps := src.scratch.comps[:0]
-	drops := src.scratch.drops[:0]
+	comps := src.comps[:0]
+	drops := src.drops[:0]
 	// Keep the (possibly grown) backing arrays for the next post; the slice
 	// headers above are re-derived from them after every append below.
 	defer func() {
-		src.scratch.comps = comps[:0]
-		src.scratch.drops = drops[:0]
+		src.comps = comps[:0]
+		src.drops = drops[:0]
 	}()
 	if src.transport != UD {
 		drops = nil
@@ -391,10 +408,11 @@ func (s *qpState) signal(c Completion) Completion {
 // a QP in the error state. Flushed completions are always signaled, as on
 // real hardware, so pollers observe the drain.
 func flushWR(src *qpState, at sim.Time, wr *SendWR) Completion {
-	src.stats.FlushedWRs++
+	rel := src.reliability()
+	rel.stats.FlushedWRs++
 	// A flushed WR never reached the responder — unless it is itself a
 	// replayed applied failure flushed by a second connection loss.
-	src.failedApplied = src.replay.applied
+	rel.failedApplied = rel.replay.applied
 	return src.signal(Completion{WRID: wr.ID, Opcode: wr.Opcode, Done: at, Status: StatusFlushed})
 }
 
@@ -441,7 +459,7 @@ func executeOne(src, dst *qpState, t sim.Time, wr *SendWR) (Completion, bool, er
 	// payload).
 	needGather := !wr.Inline && (wr.Opcode == OpWrite || wr.Opcode == OpSend)
 	if needGather {
-		sizes := src.scratch.ints(len(wr.SGL))
+		sizes := r.scratch.ints(len(wr.SGL))
 		cross := 0
 		for i, s := range wr.SGL {
 			sizes[i] = s.Length
@@ -569,9 +587,9 @@ func applyWrite(dst *qpState, rmr *MR, wr *SendWR) error {
 }
 
 // applyRead loads the remote bytes from the target MR's region and scatters
-// them into the SGL, staging through the responder QP's scratch pool.
+// them into the SGL, staging through the responder route's scratch.
 func applyRead(dst *qpState, rmr *MR, wr *SendWR) error {
-	buf := dst.scratch.bytesN(wr.TotalLength())
+	buf := dst.route.scratch.bytesN(wr.TotalLength())
 	remote, err := rmr.region.Slice(wr.RemoteAddr, len(buf))
 	if err != nil {
 		return err
@@ -631,10 +649,10 @@ func applySend(dst *qpState, wr *SendWR, recv RecvWR) error {
 	return nil
 }
 
-// gather concatenates the SGL's bytes, staging them in the responder QP's
-// scratch pool.
+// gather concatenates the SGL's bytes, staging them in the responder route's
+// scratch.
 func gather(dst *qpState, wr *SendWR) ([]byte, error) {
-	buf := dst.scratch.bytes(wr.TotalLength())
+	buf := dst.route.scratch.bytes(wr.TotalLength())
 	for _, s := range wr.SGL {
 		b, err := s.MR.region.Slice(s.Addr, s.Length)
 		if err != nil {

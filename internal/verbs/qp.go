@@ -34,11 +34,9 @@ func Connect(a *Context, portA int, b *Context, portB int, t Transport) (*QP, *Q
 	if err := b.checkPort(portB); err != nil {
 		return nil, nil, err
 	}
-	qa := &QP{qpState: newQPState(a, t, portA, "qp")}
-	qb := &QP{qpState: newQPState(b, t, portB, "qp")}
+	qa := &QP{qpState: newQPState(a, t, portA)}
+	qb := &QP{qpState: newQPState(b, t, portB)}
 	qa.peer, qb.peer = qb, qa
-	qa.register()
-	qb.register()
 	return qa, qb, nil
 }
 
@@ -93,9 +91,9 @@ func (q *QP) PostSend(now sim.Time, wr *SendWR) (Completion, error) {
 // remainder flushed with StatusFlushed. Posting to a QP already in the
 // error state flushes the whole list the same way.
 //
-// Aliasing: the returned slice is backed by this QP's scratch pool and is
-// valid only until the next post on the same QP; callers that retain
-// completions across posts must copy them (see opScratch).
+// Aliasing: the returned slice is backed by this QP's completion buffer and
+// is valid only until the next post on the same QP (posts on other QPs leave
+// it intact); callers that retain completions across posts must copy them.
 func (q *QP) PostSendList(now sim.Time, wrs []*SendWR) ([]Completion, error) {
 	if q.peer == nil {
 		return nil, ErrNotConnected

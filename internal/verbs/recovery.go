@@ -31,15 +31,18 @@ const ModifyQPCost = 2 * sim.Microsecond
 // acknowledgement or response, so its effects landed (and an atomic's old
 // value is the completion's OldValue). A flushed WR never reached the
 // responder, unless it was itself the replay of an applied failure.
-func (q *QP) FailedApplied() bool { return q.failedApplied }
+func (q *QP) FailedApplied() bool { return q.rel != nil && q.rel.failedApplied }
 
 // resync is the state both sides agree on when the connection is
 // re-established: READY, fresh PSN windows, retry budgets re-armed (the
-// budgets are per-WR locals, so READY is all the re-arming they need).
+// budgets are per-WR locals, so READY is all the re-arming they need). A QP
+// without reliability state has zero PSNs already.
 func (s *qpState) resync() {
 	s.state = StateReady
-	s.stats.SendPSN = 0
-	s.stats.ExpectedPSN = 0
+	if s.rel != nil {
+		s.rel.stats.SendPSN = 0
+		s.rel.stats.ExpectedPSN = 0
+	}
 }
 
 // Reconnect cycles the connection back to READY: both machines' connection
@@ -59,13 +62,14 @@ func (q *QP) Reconnect(now sim.Time) (sim.Time, error) {
 	local, remote := q.ctx.machine, q.peer.ctx.machine
 	t := local.CM().Delay(now, 3*ModifyQPCost)
 	t = remote.CM().Delay(t, 3*ModifyQPCost)
+	st := &q.reliability().stats
 	if local.CrashedAt(t) || remote.CrashedAt(t) {
-		q.stats.ReconnectFailures++
+		st.ReconnectFailures++
 		return t, ErrQPError
 	}
 	q.resync()
 	q.peer.resync()
-	q.stats.Reconnects++
+	st.Reconnects++
 	return t, nil
 }
 
@@ -77,9 +81,10 @@ func (q *QP) Reconnect(now sim.Time) (sim.Time, error) {
 // machine; PSN duplicate suppression is a property of the responder's
 // memory, not of the broken connection.
 func (q *QP) PostReplay(now sim.Time, wr *SendWR, applied bool, old uint64) (Completion, error) {
-	q.replay = replaySeed{applied: applied, old: old}
+	rel := q.reliability()
+	rel.replay = replaySeed{applied: applied, old: old}
 	comp, err := q.PostSend(now, wr)
-	q.replay = replaySeed{}
-	q.stats.Replayed++
+	rel.replay = replaySeed{}
+	rel.stats.Replayed++
 	return comp, err
 }

@@ -214,7 +214,7 @@ func TestReplayAppliedIsDuplicate(t *testing.T) {
 	if comp.OldValue != 1 {
 		t.Fatalf("replayed old value %d, want the pre-failure 1", comp.OldValue)
 	}
-	if e.qpA.replay != (replaySeed{}) {
+	if e.qpA.rel.replay != (replaySeed{}) {
 		t.Fatal("replay seed not cleared")
 	}
 }

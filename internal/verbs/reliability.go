@@ -123,14 +123,26 @@ type QPStats struct {
 	Replayed          uint64 // failed WRs reposted through PostReplay
 }
 
-// Stats returns the QP's reliability tally.
-func (s *qpState) Stats() QPStats { return s.stats }
+// Stats returns the QP's reliability tally: zero until the QP has
+// reliability state.
+func (s *qpState) Stats() QPStats {
+	if s.rel == nil {
+		return QPStats{}
+	}
+	return s.rel.stats
+}
 
 // State returns the QP's state-machine state.
 func (s *qpState) State() State { return s.state }
 
-// RetryPolicy returns the QP's reliability configuration.
-func (s *qpState) RetryPolicy() RetryPolicy { return s.policy }
+// RetryPolicy returns the QP's reliability configuration:
+// DefaultRetryPolicy until SetRetryPolicy replaces it.
+func (s *qpState) RetryPolicy() RetryPolicy {
+	if s.rel == nil {
+		return DefaultRetryPolicy()
+	}
+	return s.rel.policy
+}
 
 // SetRetryPolicy replaces the QP's reliability configuration (the model's
 // ibv_modify_qp). Negative budgets and non-positive timers panic: they make
@@ -142,7 +154,7 @@ func (s *qpState) SetRetryPolicy(p RetryPolicy) {
 	if p.AckTimeout <= 0 || p.RNRTimer <= 0 {
 		panic("verbs: retry timers must be positive")
 	}
-	s.policy = p
+	s.reliability().policy = p
 }
 
 // ForceError moves the QP to the error state (the model's ibv_modify_qp to
@@ -152,11 +164,11 @@ func (s *qpState) ForceError() { s.state = StateError }
 // segmentSizes splits outbound payload bytes into the message's wire frames:
 // PathMTU segments on a lossy fabric, a single frame on a lossless one. Every
 // message is at least one frame (READ requests and 0-byte ACK-only wires
-// still put a frame on the wire). The result lives in the QP's scratch pool —
+// still put a frame on the wire). The result lives in the route's scratch —
 // the request buffer normally, the response buffer when resp is set, because
 // the requester holds its request segmentation across recovery rounds while
 // response legs come and go (and on a loopback pair the two directions share
-// one pool). A request segmentation also assigns the message's PSN window.
+// one route). A request segmentation also assigns the message's PSN window.
 func (s *qpState) segmentSizes(outbound int, resp bool) []int {
 	n := 1
 	if s.lossy && outbound > PathMTU {
@@ -164,11 +176,11 @@ func (s *qpState) segmentSizes(outbound int, resp bool) []int {
 	}
 	var sizes []int
 	if resp {
-		sizes = s.scratch.respSegments(n)
+		sizes = s.route.scratch.respSegments(n)
 	} else {
-		sizes = s.scratch.segments(n)
+		sizes = s.route.scratch.segments(n)
 		if s.lossy {
-			s.stats.SendPSN += uint64(n)
+			s.reliability().stats.SendPSN += uint64(n)
 		}
 	}
 	for i := 0; i < n-1; i++ {
@@ -183,9 +195,10 @@ func (s *qpState) noteSegment(retransmit bool) {
 	if !s.lossy {
 		return
 	}
-	s.stats.Segments++
+	st := &s.reliability().stats
+	st.Segments++
 	if retransmit {
-		s.stats.Retransmits++
+		st.Retransmits++
 	}
 }
 
@@ -193,7 +206,7 @@ func (s *qpState) noteSegment(retransmit bool) {
 // recovers (lossy fabrics only).
 func (s *qpState) noteSilentDrop() {
 	if s.lossy {
-		s.stats.SilentDrops++
+		s.reliability().stats.SilentDrops++
 	}
 }
 
@@ -209,7 +222,7 @@ func (s *qpState) noteSilentDrop() {
 // buffer, or ErrRNR on a lossless fabric).
 func executeReliable(src, dst *qpState, emit sim.Time, wr *SendWR, total, outbound int) (sim.Time, uint64, CompletionStatus, error) {
 	fab, srcEP, dstEP := src.route.fab, src.route.ep, dst.route.ep
-	pol := src.policy
+	pol := src.RetryPolicy()
 
 	sizes := src.segmentSizes(outbound, false)
 	nseg := len(sizes)
@@ -225,16 +238,21 @@ func executeReliable(src, dst *qpState, emit sim.Time, wr *SendWR, total, outbou
 	// connection died (see recovery.go) seeds both, so the whole replay runs
 	// as a duplicate round — the responder regenerates its response and
 	// never re-touches memory.
-	applied, old := src.replay.applied, src.replay.old
+	var applied bool
+	var old uint64
+	if src.rel != nil {
+		applied, old = src.rel.replay.applied, src.rel.replay.old
+	}
 	var rmr *MR // the target MR, once the responder has executed the request
 
 	t := emit
 	fail := func(at sim.Time, status CompletionStatus) (sim.Time, uint64, CompletionStatus, error) {
 		src.state = StateError
-		src.stats.RetriesExhausted++
+		rel := src.reliability()
+		rel.stats.RetriesExhausted++
 		// Remember whether the effects landed, for exactly-once replay;
 		// the error completion carries old.
-		src.failedApplied = applied
+		rel.failedApplied = applied
 		return at, old, status, nil
 	}
 	timeout := func(last sim.Time) sim.Time {
@@ -243,7 +261,7 @@ func executeReliable(src, dst *qpState, emit sim.Time, wr *SendWR, total, outbou
 			shift = maxBackoffShift
 		}
 		consecTimeouts++
-		src.stats.AckTimeouts++
+		src.reliability().stats.AckTimeouts++
 		return last + pol.AckTimeout<<shift
 	}
 
@@ -289,7 +307,10 @@ func executeReliable(src, dst *qpState, emit sim.Time, wr *SendWR, total, outbou
 			// otherwise it executes the request.
 			resp := response{at: lastOK}
 			if !applied {
-				dst.stats.ExpectedPSN = src.stats.SendPSN
+				if src.lossy {
+					// Lossless PSNs stay zero on both sides.
+					dst.reliability().stats.ExpectedPSN = src.rel.stats.SendPSN
+				}
 				r, err := executeResponder(src, dst, lastOK, wr, total)
 				if err != nil {
 					return 0, 0, StatusOK, err
@@ -302,7 +323,7 @@ func executeReliable(src, dst *qpState, emit sim.Time, wr *SendWR, total, outbou
 					}
 					nArr, nv := fab.Deliver(r.at, dstEP, srcEP, 0)
 					if nv == fabric.Delivered {
-						src.stats.RNRNaks++
+						src.reliability().stats.RNRNaks++
 						t = nArr + pol.RNRTimer
 					} else {
 						// Lost RNR NAK: recover by timeout like a lost ACK.
@@ -354,7 +375,7 @@ func executeReliable(src, dst *qpState, emit sim.Time, wr *SendWR, total, outbou
 		}
 		if nakDelivered {
 			consecTimeouts = 0
-			src.stats.NaksReceived++
+			src.reliability().stats.NaksReceived++
 			t = nakTime
 			firstUnacked = lost
 		} else {
@@ -397,8 +418,8 @@ func deliverResponse(src, dst *qpState, resp response, wr *SendWR, total int) (s
 	}
 	if wr.Opcode == OpRead {
 		// Scatter into the local SGL buffers. READ has no gather phase, so
-		// the requester's size-vector scratch is free.
-		sizes := src.scratch.ints(len(wr.SGL))
+		// the route's size-vector scratch is free.
+		sizes := r.scratch.ints(len(wr.SGL))
 		cross := 0
 		for i, s := range wr.SGL {
 			sizes[i] = s.Length

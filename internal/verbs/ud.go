@@ -19,6 +19,12 @@ const UDMTU = 4096
 // this type only contributes datagram validation and the drop-flag surface.
 type UDQP struct {
 	qpState
+
+	// The datagram WR Send rebuilds per send, its singleton doorbell list,
+	// and the SGL copy backing it, so callers' SGLs stay on their stacks.
+	wrList [1]*SendWR
+	sendWR SendWR
+	sges   []SGE
 }
 
 // AH is an address handle: the destination of a UD send.
@@ -34,9 +40,7 @@ func NewUDQP(ctx *Context, port int) (*UDQP, error) {
 	if err := ctx.checkPort(port); err != nil {
 		return nil, err
 	}
-	q := &UDQP{qpState: newQPState(ctx, UD, port, "udqp")}
-	q.register()
-	return q, nil
+	return &UDQP{qpState: newQPState(ctx, UD, port)}, nil
 }
 
 // Handle returns the address handle peers use to reach this QP.
@@ -54,13 +58,16 @@ func (q *UDQP) Send(now sim.Time, dst AH, sgl []SGE, inline bool) (Completion, b
 	if err := q.validate(sgl, inline); err != nil {
 		return Completion{}, false, err
 	}
-	// Build the datagram WR in the QP's scratch pool; copying the SGL keeps
+	// Build the datagram WR in the QP's own buffers; copying the SGL keeps
 	// the caller's (often literal, stack-allocated) slice from escaping.
-	wr := &q.scratch.sendWR
-	*wr = SendWR{Opcode: OpSend, SGL: q.scratch.sgl(len(sgl)), Inline: inline}
+	if cap(q.sges) < len(sgl) {
+		q.sges = make([]SGE, len(sgl))
+	}
+	wr := &q.sendWR
+	*wr = SendWR{Opcode: OpSend, SGL: q.sges[:len(sgl)], Inline: inline}
 	copy(wr.SGL, sgl)
-	q.scratch.wrList[0] = wr
-	comps, drops, err := postList(&q.qpState, &dst.QP.qpState, now, q.scratch.wrList[:])
+	q.wrList[0] = wr
+	comps, drops, err := postList(&q.qpState, &dst.QP.qpState, now, q.wrList[:])
 	if err != nil {
 		return Completion{}, false, err
 	}
