@@ -208,7 +208,9 @@ func (s *Shuffle) destOf(key uint64) int {
 
 // Process consumes one entry at the given virtual time: append it to the
 // arrival ring, and flush its destination's pending list when the batch
-// threshold is reached. It returns the entry's completion time.
+// threshold is reached. It returns the entry's completion time. The value
+// is copied into the ring before Process returns, so the caller may reuse
+// its buffer (workload.Stream does).
 func (ex *Executor) Process(now sim.Time, kv workload.KV) (sim.Time, error) {
 	cfg := ex.shuffle.cfg
 	es := cfg.entrySize()

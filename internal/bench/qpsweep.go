@@ -85,6 +85,83 @@ func qpSweep(r *run) (*Report, error) {
 // connSweepPoint measures one (mode, connection count) point on a fresh
 // two-machine cluster with datacenter-class metadata caches.
 func connSweepPoint(r *run, mode string, conns int, h sim.Duration) (connPoint, error) {
+	sw, err := newConnSweep(r, mode, conns)
+	if err != nil {
+		return connPoint{}, err
+	}
+	return sw.measure(h)
+}
+
+// connSweep is one qpsweep point, built and warmed: every connection's
+// state in one flat slice, and the one SEND WR all of them post through.
+// The kernel dispatches one op at a time and every post is synchronous, so
+// each op points the shared WR's SGE at its own payload just before it posts.
+type connSweep struct {
+	pt      connPoint // physQPs and mrs, known once built
+	conns   []connState
+	clients []*sim.Client // &conns[c].Client, in connection order
+	nicA    *rnic.NIC
+
+	mrB    *verbs.MR     // the server's receive slab
+	srq    *verbs.SRQ    // srq/pool/proxy: the receives every SEND drains
+	table  *proxy.Table  // pool: the connection table over the shared pool
+	daemon *proxy.Daemon // proxy: the daemon that owns the table
+
+	wr  verbs.SendWR
+	sgl [1]verbs.SGE
+}
+
+// connState is one logical connection: its closed-loop client, the QP it
+// posts on (per-conn/srq only; pool and proxy post through the table) and
+// its 32-byte SEND payload.
+type connState struct {
+	sim.Client
+	sw  *connSweep
+	c   int
+	qp  *verbs.QP
+	sge verbs.SGE
+}
+
+// The server-side receive slab, shared by every mode: the interesting state
+// is requester-side, so receives land in one big reusable buffer.
+const slabBytes = 1 << 20
+
+// slotOf is connection c's 64-byte slot in a slab.
+func slotOf(c int) mem.Addr { return mem.Addr((c % (slabBytes / 64)) * 64) }
+
+// op posts one receive ahead of the connection's SEND (the server keeps
+// exactly one receive ahead of each), then the SEND itself.
+func (s *connState) op(post sim.Time) sim.Time {
+	sw := s.sw
+	recv := verbs.RecvWR{SGE: verbs.SGE{Addr: sw.mrB.Addr() + slotOf(s.c), Length: 64, MR: sw.mrB}}
+	var err error
+	if sw.srq != nil {
+		err = sw.srq.PostRecv(recv)
+	} else {
+		err = s.qp.Peer().PostRecv(recv)
+	}
+	if err != nil {
+		s.Fail(err)
+		return post
+	}
+	sw.sgl[0] = s.sge
+	var comp verbs.Completion
+	switch {
+	case s.qp != nil:
+		comp, err = s.qp.PostSend(post, &sw.wr)
+	case sw.daemon != nil:
+		comp, err = sw.daemon.Post(post, s.c, &sw.wr)
+	default:
+		comp, err = sw.table.Post(post, s.c, &sw.wr)
+	}
+	s.Fail(err)
+	return comp.Done
+}
+
+// newConnSweep builds one point: the cluster, the mode's QPs and MRs, one
+// client per connection, and the NICs' metadata caches warmed with the
+// mode's working set.
+func newConnSweep(r *run, mode string, conns int) (*connSweep, error) {
 	cfg := cluster.DefaultConfig()
 	cfg.Machines = 2
 	cfg.NIC.QPCacheEntries = 8192
@@ -92,28 +169,32 @@ func connSweepPoint(r *run, mode string, conns int, h sim.Duration) (connPoint, 
 	cfg.NIC.TranslationEntries = 8192
 	cl, err := r.newCluster(cfg)
 	if err != nil {
-		return connPoint{}, err
+		return nil, err
 	}
 	ctxA, ctxB := verbs.NewContext(cl.Machine(0)), verbs.NewContext(cl.Machine(1))
-	var clients []*sim.Client
-
-	// Server-side receive slab, shared by every mode: the interesting state
-	// is requester-side, so receives land in one big reusable buffer.
-	const slabBytes = 1 << 20
-	slotOf := func(c int) mem.Addr { return mem.Addr((c % (slabBytes / 64)) * 64) }
 	rb, err := cl.Machine(1).Alloc(1, slabBytes, 0)
 	if err != nil {
-		return connPoint{}, err
+		return nil, err
 	}
-	mrB := ctxB.MustRegisterMR(rb)
-	recvOf := func(c int) verbs.RecvWR {
-		return verbs.RecvWR{SGE: verbs.SGE{Addr: mrB.Addr() + slotOf(c), Length: 64, MR: mrB}}
+	sw := &connSweep{
+		conns:   make([]connState, conns),
+		clients: make([]*sim.Client, conns),
+		nicA:    cl.Machine(0).NIC(),
+		mrB:     ctxB.MustRegisterMR(rb),
+	}
+	sw.wr = verbs.SendWR{Opcode: verbs.OpSend, SGL: sw.sgl[:]}
+	for c := range sw.conns {
+		s := &sw.conns[c]
+		s.sw, s.c = sw, c
+		s.PostCost, s.Window = 150, 1
+		s.Op = s.op
+		sw.clients[c] = &s.Client
 	}
 
 	// perConnMRs registers one MR per connection over its own page of a
 	// sparse client region: distinct MR records and distinct translations,
 	// the full per-connection metadata bill.
-	perConnMRs := func() ([]*verbs.MR, []verbs.SGE, error) {
+	perConnMRs := func() error {
 		span := conns * mem.PageSize
 		var r *mem.Region
 		if span <= 1<<20 {
@@ -122,161 +203,118 @@ func connSweepPoint(r *run, mode string, conns int, h sim.Duration) (connPoint, 
 			r, err = cl.Machine(0).Space().AllocSparse(1, span, 1<<20)
 		}
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
-		mrs := make([]*verbs.MR, conns)
-		sgl := make([]verbs.SGE, conns)
-		for c := range mrs {
-			mrs[c] = ctxA.MustRegisterMR(r)
-			sgl[c] = verbs.SGE{Addr: r.Addr() + mem.Addr(c*mem.PageSize), Length: 32, MR: mrs[c]}
+		for c := range sw.conns {
+			sw.conns[c].sge = verbs.SGE{Addr: r.Addr() + mem.Addr(c*mem.PageSize), Length: 32, MR: ctxA.MustRegisterMR(r)}
 		}
-		return mrs, sgl, nil
+		return nil
 	}
 
-	nicA, nicB := cl.Machine(0).NIC(), cl.Machine(1).NIC()
-	warm := func(qps []*verbs.QP, mrs []*verbs.MR, sgl []verbs.SGE) {
-		for _, qp := range qps {
-			nicA.TouchQP(qp.ID())
-			nicB.TouchQP(qp.Peer().ID()) // the responder touches its QP context too
-		}
-		for _, mr := range mrs {
-			nicA.TouchMR(uint64(mr.RKey()))
-		}
-		for _, s := range sgl {
-			nicA.Translate(s.Addr, s.Length)
+	// The warm-up touches the working set in the order the mode's first
+	// posts would: QP contexts on both NICs, then MR records, then
+	// translations.
+	nicB := cl.Machine(1).NIC()
+	warmQP := func(qp *verbs.QP) {
+		sw.nicA.TouchQP(qp.ID())
+		nicB.TouchQP(qp.Peer().ID()) // the responder touches its QP context too
+	}
+	warmSGEs := func() {
+		for c := range sw.conns {
+			sw.nicA.Translate(sw.conns[c].sge.Addr, sw.conns[c].sge.Length)
 		}
 	}
 
-	pt := connPoint{}
 	switch mode {
 	case "per-conn", "srq":
-		var srq *verbs.SRQ
 		if mode == "srq" {
-			srq = verbs.NewSRQ(ctxB)
+			sw.srq = verbs.NewSRQ(ctxB)
 		}
-		qps := make([]*verbs.QP, conns)
-		mrs, sgl, err := perConnMRs()
-		if err != nil {
-			return connPoint{}, err
+		if err := perConnMRs(); err != nil {
+			return nil, err
 		}
-		for c := 0; c < conns; c++ {
+		for c := range sw.conns {
 			qp, peer := verbs.MustConnect(ctxA, 1, ctxB, 1, verbs.RC)
-			qps[c] = qp
-			if srq != nil {
-				if err := peer.AttachSRQ(srq); err != nil {
-					return connPoint{}, err
+			sw.conns[c].qp = qp
+			if sw.srq != nil {
+				if err := peer.AttachSRQ(sw.srq); err != nil {
+					return nil, err
 				}
 			}
-			c := c
-			wr := &verbs.SendWR{Opcode: verbs.OpSend, SGL: []verbs.SGE{sgl[c]}}
-			client := &sim.Client{PostCost: 150, Window: 1}
-			client.Op = func(post sim.Time) sim.Time {
-				// The server keeps exactly one receive ahead of each SEND.
-				var err error
-				if srq != nil {
-					err = srq.PostRecv(recvOf(c))
-				} else {
-					err = peer.PostRecv(recvOf(c))
-				}
-				if err != nil {
-					client.Fail(err)
-					return post
-				}
-				comp, err := qp.PostSend(post, wr)
-				client.Fail(err)
-				return comp.Done
-			}
-			clients = append(clients, client)
 		}
-		warm(qps, mrs, sgl)
-		pt.physQPs, pt.mrs = conns, conns
+		for c := range sw.conns {
+			warmQP(sw.conns[c].qp)
+		}
+		for c := range sw.conns {
+			sw.nicA.TouchMR(uint64(sw.conns[c].sge.MR.RKey()))
+		}
+		warmSGEs()
+		sw.pt.physQPs, sw.pt.mrs = conns, conns
 
 	case "pool", "proxy":
 		p := min(qpsweepPool, conns)
 		pool := make([]*verbs.QP, p)
-		srq := verbs.NewSRQ(ctxB)
+		sw.srq = verbs.NewSRQ(ctxB)
 		for i := range pool {
 			qp, peer := verbs.MustConnect(ctxA, 1, ctxB, 1, verbs.RC)
 			pool[i] = qp
-			if err := peer.AttachSRQ(srq); err != nil {
-				return connPoint{}, err
+			if err := peer.AttachSRQ(sw.srq); err != nil {
+				return nil, err
 			}
 		}
-		table, err := proxy.NewTable(pool, conns)
-		if err != nil {
-			return connPoint{}, err
+		if sw.table, err = proxy.NewTable(pool, conns); err != nil {
+			return nil, err
 		}
 		if mode == "pool" {
 			// The table shares the pool, and the connections share one slab
 			// registration: the NIC serves p QP contexts and one MR.
 			la, err := cl.Machine(0).Alloc(1, slabBytes, 0)
 			if err != nil {
-				return connPoint{}, err
+				return nil, err
 			}
 			mrA := ctxA.MustRegisterMR(la)
-			sgl := make([]verbs.SGE, conns)
-			for c := range sgl {
-				sgl[c] = verbs.SGE{Addr: mrA.Addr() + slotOf(c), Length: 32, MR: mrA}
+			for c := range sw.conns {
+				sw.conns[c].sge = verbs.SGE{Addr: mrA.Addr() + slotOf(c), Length: 32, MR: mrA}
 			}
-			for c := 0; c < conns; c++ {
-				c := c
-				wr := &verbs.SendWR{Opcode: verbs.OpSend, SGL: []verbs.SGE{sgl[c]}}
-				client := &sim.Client{PostCost: 150, Window: 1}
-				client.Op = func(post sim.Time) sim.Time {
-					if err := srq.PostRecv(recvOf(c)); err != nil {
-						client.Fail(err)
-						return post
-					}
-					comp, err := table.Post(post, c, wr)
-					client.Fail(err)
-					return comp.Done
-				}
-				clients = append(clients, client)
+			for _, qp := range pool {
+				warmQP(qp)
 			}
-			warm(pool, []*verbs.MR{mrA}, sgl)
-			pt.physQPs, pt.mrs = p, 1
+			sw.nicA.TouchMR(uint64(mrA.RKey()))
+			warmSGEs()
+			sw.pt.physQPs, sw.pt.mrs = p, 1
 		} else {
 			// The daemon owns the pool and the bounce registration; the
 			// connections keep their own per-page MRs, but payloads stage
 			// through the daemon so the NIC never touches them.
-			d, err := proxy.NewDaemon(table)
-			if err != nil {
-				return connPoint{}, err
+			if sw.daemon, err = proxy.NewDaemon(sw.table); err != nil {
+				return nil, err
 			}
-			_, sgl, err := perConnMRs()
-			if err != nil {
-				return connPoint{}, err
+			if err := perConnMRs(); err != nil {
+				return nil, err
 			}
-			for c := 0; c < conns; c++ {
-				c := c
-				wr := &verbs.SendWR{Opcode: verbs.OpSend, SGL: []verbs.SGE{sgl[c]}}
-				client := &sim.Client{PostCost: 150, Window: 1}
-				client.Op = func(post sim.Time) sim.Time {
-					if err := srq.PostRecv(recvOf(c)); err != nil {
-						client.Fail(err)
-						return post
-					}
-					comp, err := d.Post(post, c, wr)
-					client.Fail(err)
-					return comp.Done
-				}
-				clients = append(clients, client)
+			for _, qp := range pool {
+				warmQP(qp)
 			}
-			warm(pool, nil, nil)
-			pt.physQPs, pt.mrs = p, 1 // the daemon's bounce MR is the only one the NIC serves
+			sw.pt.physQPs, sw.pt.mrs = p, 1 // the daemon's bounce MR is the only one the NIC serves
 		}
 
 	default:
-		return connPoint{}, fmt.Errorf("bench: unknown connection mode %q", mode)
+		return nil, fmt.Errorf("bench: unknown connection mode %q", mode)
 	}
+	return sw, nil
+}
 
-	base := nicA.Counters()
-	res, err := sim.RunClosedLoop(clients, h)
+// measure runs the point's clients to the horizon and reports its
+// throughput and requester QP-context hit rate.
+func (sw *connSweep) measure(h sim.Duration) (connPoint, error) {
+	pt := sw.pt
+	base := sw.nicA.Counters()
+	res, err := sim.RunClosedLoop(sw.clients, h)
 	if err != nil {
 		return connPoint{}, err
 	}
 	pt.mops = res.MOPS()
-	after := nicA.Counters()
+	after := sw.nicA.Counters()
 	pt.qpHit = rnic.StageCounters{
 		QPHits:   after.QPHits - base.QPHits,
 		QPMisses: after.QPMisses - base.QPMisses,

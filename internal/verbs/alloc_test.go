@@ -43,11 +43,45 @@ func TestPostSendSteadyStateAllocFree(t *testing.T) {
 		t.Fatalf("steady-state RC READ PostSend allocates %.2f/op, want 0", allocs)
 	}
 
+	wr.SGL[0].Length = 256
+	post()
+	if allocs := testing.AllocsPerRun(200, post); allocs != 0 {
+		t.Fatalf("steady-state RC READ 256 PostSend allocates %.2f/op, want 0", allocs)
+	}
+
 	wr.Opcode = OpCompSwap
 	wr.SGL[0].Length = 8
 	post()
 	if allocs := testing.AllocsPerRun(200, post); allocs != 0 {
 		t.Fatalf("steady-state RC CAS PostSend allocates %.2f/op, want 0", allocs)
+	}
+
+	wr.Opcode = OpFetchAdd
+	post()
+	if allocs := testing.AllocsPerRun(200, post); allocs != 0 {
+		t.Fatalf("steady-state RC FETCH_ADD PostSend allocates %.2f/op, want 0", allocs)
+	}
+
+	// A 16-WR doorbell list of 64-byte WRITEs on a fresh QP: its first post
+	// makes the send side and grows the completion buffer, then nothing.
+	qp, _, err := Connect(e.ctxA, 1, e.ctxB, 1, RC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrs := make([]*SendWR, 16)
+	for i := range wrs {
+		wrs[i] = &SendWR{Opcode: OpWrite, SGL: []SGE{{Addr: e.mrA.Addr(), Length: 64, MR: e.mrA}}, RemoteAddr: e.mrB.Addr(), RemoteKey: e.mrB.RKey()}
+	}
+	postList := func() {
+		comps, err := qp.PostSendList(now, wrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now = comps[len(comps)-1].Done
+	}
+	postList()
+	if allocs := testing.AllocsPerRun(200, postList); allocs != 0 {
+		t.Fatalf("steady-state 16-WR doorbell list allocates %.2f/post, want 0", allocs)
 	}
 }
 

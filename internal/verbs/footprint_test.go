@@ -1,6 +1,7 @@
 package verbs
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -11,10 +12,11 @@ import (
 	"rdmasem/internal/sim"
 )
 
-// maxQPBytes is the ceiling on one connected QP's heap object: qpsweep
-// holds 20,000 of them, so every field a lossless post does not touch is
-// host memory the sweep pays for.
-const maxQPBytes = 288
+// maxQPBytes is the ceiling on one connected QP's heap object, its header:
+// qpsweep holds 20,000 pairs, so every field one side of a connection does
+// not touch is host memory the sweep pays for. The send side (qpSend) and
+// the receive side (qpRecv) are separate objects made on first use.
+const maxQPBytes = 80
 
 // registeredTallies is the number of QP tallies registered with n (its
 // unexported qpRel list): only reliability state registers.
@@ -86,14 +88,20 @@ func postBatch(t *testing.T, qps []*QP, mrA, mrB *MR) sim.Time {
 }
 
 // TestQPFootprint pins what one QP costs the host: a heap object of at most
-// maxQPBytes, two allocations per lossless Connect (the two QPs: the
-// pipeline and receive CQ are held by value, and the pipeline names are
-// constants), and no reliability state or NIC registration on a lossless
+// maxQPBytes, two allocations per lossless Connect (the two QP headers),
+// a send side only on a QP that posts, a receive side only on one that
+// receives, and no reliability state or NIC registration on a lossless
 // fabric. On a lossy one each QP's tally is registered at construction, so
 // the NIC's sum matches its QPs'.
 func TestQPFootprint(t *testing.T) {
 	if n := unsafe.Sizeof(QP{}); n > maxQPBytes {
 		t.Errorf("QP is %d bytes, want at most %d", n, maxQPBytes)
+	}
+	if n := unsafe.Sizeof(qpSend{}); n > 96 {
+		t.Errorf("a QP's send side is %d bytes, want at most 96", n)
+	}
+	if n := unsafe.Sizeof(qpRecv{}); n > 64 {
+		t.Errorf("a QP's receive side is %d bytes, want at most 64", n)
 	}
 
 	cl, qps, mrA, mrB := footprintQPs(t, nil)
@@ -105,10 +113,22 @@ func TestQPFootprint(t *testing.T) {
 	}); allocs != 2 {
 		t.Errorf("lossless Connect makes %.2f allocations, want 2", allocs)
 	}
-	postBatch(t, qps, mrA, mrB)
 	for _, q := range qps {
+		if q.send != nil || q.recv != nil {
+			t.Errorf("fresh QP %d has a send side (%v) or a receive side (%v)", q.ID(), q.send != nil, q.recv != nil)
+		}
+	}
+	postBatch(t, qps, mrA, mrB)
+	for i, q := range qps {
 		if q.rel != nil || q.Stats() != (QPStats{}) {
 			t.Errorf("lossless QP %d holds reliability state %+v", q.ID(), q.Stats())
+		}
+		// Even indices posted the batch; odd ones only answered it.
+		if posted := i%2 == 0; (q.send != nil) != posted {
+			t.Errorf("QP %d posted: %v, has a send side: %v", q.ID(), posted, q.send != nil)
+		}
+		if q.recv != nil {
+			t.Errorf("QP %d has a receive side after one-sided traffic only", q.ID())
 		}
 	}
 	for i := 0; i < 2; i++ {
@@ -216,5 +236,76 @@ func TestCompletionsSurviveRoutePost(t *testing.T) {
 	}
 	if !reflect.DeepEqual(comps, want) {
 		t.Fatalf("QP A's completions changed under a post on QP C:\n got %+v\nwant %+v", comps, want)
+	}
+}
+
+// TestReceiveSideOnFirstUse: a QP makes its receive side on the first
+// PostRecv, the first SEND that lands on it through an SRQ, or the first
+// RecvCQ call, and at no other point: a SEND that finds no receive (ErrRNR)
+// and an SRQ attach leave it absent. Each first use then reads the same as
+// on a QP that had the receive side all along.
+func TestReceiveSideOnFirstUse(t *testing.T) {
+	e := newPair(t)
+	send := &SendWR{ID: 1, Opcode: OpSend, SGL: []SGE{{Addr: e.mrA.Addr(), Length: 32, MR: e.mrA}}}
+	recv := RecvWR{ID: 7, SGE: SGE{Addr: e.mrB.Addr(), Length: 64, MR: e.mrB}}
+
+	// A SEND into nothing is receiver-not-ready and makes nothing.
+	if _, err := e.qpA.PostSend(0, send); !errors.Is(err, ErrRNR) {
+		t.Fatalf("SEND with no receive posted: %v, want ErrRNR", err)
+	}
+	if e.qpB.recv != nil || e.qpB.send != nil {
+		t.Fatal("a refused SEND gave the responder a receive or send side")
+	}
+	// PostRecv makes it, and the SEND then lands.
+	if err := e.qpB.PostRecv(recv); err != nil {
+		t.Fatal(err)
+	}
+	if e.qpB.recv == nil {
+		t.Fatal("PostRecv left the QP without a receive side")
+	}
+	c, err := e.qpA.PostSend(0, send)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cqe, ok := e.qpB.RecvCQ().PollOne(c.Done + CQECost); !ok || cqe.WRID != 7 || cqe.Bytes != 32 {
+		t.Fatalf("receive CQE %+v (%v)", cqe, ok)
+	}
+
+	// RecvCQ makes it on a fresh QP, empty.
+	_, qb, err := Connect(e.ctxA, 1, e.ctxB, 1, RC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cq := qb.RecvCQ(); qb.recv == nil || cq.Len() != 0 {
+		t.Fatalf("RecvCQ on a fresh QP: receive side %v, %d entries", qb.recv != nil, cq.Len())
+	}
+
+	// On an SRQ-attached QP the first landed SEND makes it: attaching does not.
+	srq := NewSRQ(e.ctxB)
+	qa, qb, err := Connect(e.ctxA, 1, e.ctxB, 1, RC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := qb.AttachSRQ(srq); err != nil {
+		t.Fatal(err)
+	}
+	if err := srq.PostRecv(recv); err != nil {
+		t.Fatal(err)
+	}
+	if qb.recv != nil {
+		t.Fatal("AttachSRQ or an SRQ PostRecv gave the QP a receive side")
+	}
+	c, err = qa.PostSend(0, send)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if qb.recv == nil {
+		t.Fatal("a SEND landed through the SRQ without a receive side for its CQE")
+	}
+	if cqe, ok := qb.RecvCQ().PollOne(c.Done + CQECost); !ok || cqe.WRID != 7 {
+		t.Fatalf("SRQ receive CQE %+v (%v)", cqe, ok)
+	}
+	if qa.recv != nil || qb.send != nil {
+		t.Fatal("the requester gained a receive side or the responder a send side")
 	}
 }

@@ -60,32 +60,26 @@ func newRoute(m *cluster.Machine, port int) *qpRoute {
 }
 
 // qpState is the queue-pair state shared by connected (QP) and datagram
-// (UDQP) queue pairs: identity, port/core binding, the per-QP processing
-// pipeline, the send-completion clamp, the receive queues, and the stage
-// recorder. It holds only what a lossless post touches; the walk's staging
-// buffers belong to the route, and the reliability state (qpRel) exists
-// once something writes it.
+// (UDQP) queue pairs: identity, port/core binding and the stage recorder.
+// Each side of a connection uses only one half of a QP, so the halves are
+// separate objects made on first use: the send side (qpSend) on the first
+// post, the receive side (qpRecv) on the first receive. The walk's staging
+// buffers belong to the route, and the reliability state (qpRel) exists once
+// something writes it.
 type qpState struct {
-	id        uint64
-	ctx       *Context
-	route     *qpRoute // the port's machine resources; the walk reads nothing else
-	transport Transport
-	core      topo.SocketID // socket of the posting core
-	pipeline  sim.Resource  // per-QP processing pipeline (Fig 1's 4.7 MOPS)
-	lastCQE   sim.Time      // send-side in-order clamp: the latest CQE time so far
-	recvCQ    CQ
-	recvQ     recvQueue
-	srq       *SRQ           // shared receive queue; inbound SENDs drain it instead of recvQ
-	rec       *stageRecorder // the stage walk's one consumer, else nil (no telemetry, no trace)
-	rel       *qpRel         // reliability state, nil until first written (see reliability)
-	state     State          // READY until reliability retries exhaust (or ForceError)
+	id    uint64
+	ctx   *Context
+	route *qpRoute       // the port's machine resources; the walk reads nothing else
+	send  *qpSend        // pipeline, CQE clamp and completions; nil until first used (see sender)
+	recv  *qpRecv        // receive queue and CQ, nil until first used (see receiver)
+	srq   *SRQ           // shared receive queue; inbound SENDs drain it instead of recv.q
+	rec   *stageRecorder // the stage walk's one consumer, else nil (no telemetry, no trace)
+	rel   *qpRel         // reliability state, nil until first written (see reliability)
 
-	// The completions of the in-flight doorbell list and their UD drop
-	// flags. Aliasing contract: PostSendList hands these to its caller, and
-	// they stay valid only until the next post on the same QP; callers that
-	// retain completions across posts must copy them.
-	comps []Completion
-	drops []bool
+	// One-byte header fields, packed into a single word.
+	transport Transport
+	core      uint8 // socket of the posting core (a topo.SocketID)
+	state     State // READY until reliability retries exhaust (or ForceError)
 
 	// Fault-plan facts, read once at construction so the hot path pays one
 	// boolean test each. lossy decides the only three points where the
@@ -94,6 +88,60 @@ type qpState struct {
 	// SEND into an empty receive queue returns ErrRNR instead).
 	lossy     bool // a fault plan is attached to the fabric
 	crashable bool // fault plan has crash windows: check at post
+}
+
+// qpSend is a QP's send side: what only a posting QP touches.
+type qpSend struct {
+	pipeline sim.Resource // per-QP processing pipeline (Fig 1's 4.7 MOPS)
+	lastCQE  sim.Time     // in-order clamp: the latest send CQE time so far
+
+	// The completions of the in-flight doorbell list. Aliasing contract:
+	// PostSendList hands them to its caller, and they stay valid only until
+	// the next post on the same QP; callers that retain completions across
+	// posts must copy them.
+	comps []Completion
+}
+
+// sender returns the QP's send side, creating it on first use. It stays
+// small enough to inline into every post.
+func (s *qpState) sender() *qpSend {
+	if s.send == nil {
+		s.send = s.newSender()
+	}
+	return s.send
+}
+
+// newSender makes the QP's send side. Its pipeline reports to the machine's
+// registry, if any; a QP with a telemetry sink makes its send side at
+// construction, so the pipeline's histograms exist whether or not the QP
+// posts.
+func (s *qpState) newSender() *qpSend {
+	name := "qp/pipeline"
+	if s.transport == UD {
+		name = "udqp/pipeline"
+	}
+	snd := &qpSend{pipeline: *sim.NewResource(name)}
+	if reg := s.ctx.machine.Telemetry(); reg != nil {
+		snd.pipeline.Observe(reg.QueueHook(s.ctx.machine.Label(), name))
+	}
+	return snd
+}
+
+// qpRecv is a QP's receive side: its own receive queue and the CQ its
+// inbound SENDs complete on. A QP that only posts never needs either, so a
+// QP carries none until the first PostRecv, the first SEND or datagram that
+// lands on it, or the first RecvCQ call (see receiver).
+type qpRecv struct {
+	cq CQ
+	q  recvQueue
+}
+
+// receiver returns the QP's receive side, creating it on first use.
+func (s *qpState) receiver() *qpRecv {
+	if s.recv == nil {
+		s.recv = &qpRecv{}
+	}
+	return s.recv
 }
 
 // qpRel is a QP's reliability state: its knobs, its tally, and what
@@ -190,9 +238,9 @@ func (s *routeScratch) respSegments(n int) []int {
 // from the machine's cluster-wide allocator. The QP's kind names it in
 // telemetry ("qp" or "udqp").
 func newQPState(ctx *Context, t Transport, port int) qpState {
-	kind, pipeline := "qp", "qp/pipeline"
+	kind := "qp"
 	if t == UD {
-		kind, pipeline = "udqp", "udqp/pipeline"
+		kind = "udqp"
 	}
 	id := ctx.machine.NextQPID()
 	r := ctx.routes[port]
@@ -201,8 +249,7 @@ func newQPState(ctx *Context, t Transport, port int) qpState {
 		ctx:       ctx,
 		route:     r,
 		transport: t,
-		core:      r.socket,
-		pipeline:  *sim.NewResource(pipeline),
+		core:      uint8(r.socket),
 		lossy:     r.fab.FaultsEnabled(),
 		crashable: r.fab.Params().Faults.HasCrashes(),
 	}
@@ -212,7 +259,7 @@ func newQPState(ctx *Context, t Transport, port int) qpState {
 	if reg, tl := ctx.machine.Telemetry(), ctx.machine.Timeline(); reg != nil || tl != nil {
 		label := ctx.machine.Label()
 		s.rec = newStageRecorder(reg, tl, label, ctx.machine.TimelinePID(), id, kind)
-		s.pipeline.Observe(reg.QueueHook(label, pipeline))
+		s.sender()
 	}
 	return s
 }
@@ -254,16 +301,23 @@ func (s *qpState) Port() int { return s.route.port.Index() }
 func (s *qpState) PortSocket() topo.SocketID { return s.route.socket }
 
 // Core returns the socket of the posting core.
-func (s *qpState) Core() topo.SocketID { return s.core }
+func (s *qpState) Core() topo.SocketID { return topo.SocketID(s.core) }
 
-// BindCore pins the posting core to a socket (NUMA experiments).
-func (s *qpState) BindCore(sock topo.SocketID) { s.core = sock }
+// BindCore pins the posting core to a socket (NUMA experiments). The QP
+// stores the socket in one byte.
+func (s *qpState) BindCore(sock topo.SocketID) {
+	if sock < 0 || sock > 255 {
+		panic(fmt.Sprintf("verbs: socket %d out of range", sock))
+	}
+	s.core = uint8(sock)
+}
 
-// RecvCQ returns the receive completion queue.
-func (s *qpState) RecvCQ() *CQ { return &s.recvCQ }
+// RecvCQ returns the receive completion queue, creating the QP's receive
+// side if it has none yet.
+func (s *qpState) RecvCQ() *CQ { return &s.receiver().cq }
 
 // Pipeline exposes the per-QP pipeline resource (ablation benchmarks).
-func (s *qpState) Pipeline() *sim.Resource { return &s.pipeline }
+func (s *qpState) Pipeline() *sim.Resource { return &s.sender().pipeline }
 
 // PostRecv posts a receive buffer for incoming SEND/datagram traffic. On an
 // SRQ-attached QP receives must be posted to the SRQ instead.
@@ -277,7 +331,7 @@ func (s *qpState) PostRecv(wr RecvWR) error {
 	if err := wr.SGE.MR.contains(wr.SGE.Addr, wr.SGE.Length); err != nil {
 		return err
 	}
-	s.recvQ.push(wr)
+	s.receiver().q.push(wr)
 	return nil
 }
 
@@ -296,9 +350,10 @@ func remoteSpan(wr *SendWR) int {
 // the completed prefix — are returned alongside the error; the failed WR
 // and everything after it have no data effects and no CQEs.
 //
-// The returned drops slice is parallel to the completions and marks UD
-// datagrams discarded because the receiver had no posted buffer; it is nil
-// for connected transports, which surface that condition as ErrRNR instead.
+// The returned dropped flag reports a UD datagram discarded on the wire or
+// because the receiver had no posted buffer (a UD list is the one datagram
+// UDQP.Send posts); it is always false for connected transports, which
+// surface that condition as ErrRNR instead.
 //
 // A QP in the error state — entered when the reliability layer exhausts a
 // retry budget, or via ForceError — executes nothing: every WR is flushed
@@ -306,29 +361,23 @@ func remoteSpan(wr *SendWR) int {
 // whose retries exhaust mid-list completes with its error status and the
 // remainder of the list flushes behind it.
 //
-// The returned slices are backed by src's completion buffers: they remain
-// valid until the next post on the same QP (see qpState.comps).
-func postList(src, dst *qpState, now sim.Time, wrs []*SendWR) ([]Completion, []bool, error) {
+// The returned slice is backed by src's completion buffer: it remains valid
+// until the next post on the same QP (see qpSend.comps).
+func postList(src, dst *qpState, now sim.Time, wrs []*SendWR) ([]Completion, bool, error) {
 	if src.crashable && src.state != StateError && src.route.machine.CrashedAt(now) {
 		// The posting machine is inside a crash window: its HCA is gone and
 		// every QP it owns is broken. The first post during the outage
 		// surfaces the crash as an error-state flush.
 		src.state = StateError
 	}
+	snd := src.sender()
 	if src.state == StateError {
-		comps := src.comps[:0]
-		drops := src.drops[:0]
+		comps := snd.comps[:0]
 		for _, wr := range wrs {
 			comps = append(comps, flushWR(src, now, wr))
-			if src.transport == UD {
-				drops = append(drops, false)
-			}
 		}
-		src.comps, src.drops = comps, drops
-		if src.transport != UD {
-			drops = nil
-		}
-		return comps, drops, ErrQPError
+		snd.comps = comps
+		return comps, false, ErrQPError
 	}
 	nic := src.route.nic
 	inlineBytes := 0
@@ -353,54 +402,44 @@ func postList(src, dst *qpState, now sim.Time, wrs []*SendWR) ([]Completion, []b
 		src.observe(StageWQEFetched, t)
 	}
 
-	comps := src.comps[:0]
-	drops := src.drops[:0]
-	// Keep the (possibly grown) backing arrays for the next post; the slice
-	// headers above are re-derived from them after every append below.
-	defer func() {
-		src.comps = comps[:0]
-		src.drops = drops[:0]
-	}()
-	if src.transport != UD {
-		drops = nil
-	}
+	comps := snd.comps[:0]
+	// Keep the (possibly grown) backing array for the next post; the slice
+	// header above is re-derived from it after every append below.
+	defer func() { snd.comps = comps[:0] }()
+	dropped := false
 	for i, wr := range wrs {
 		if i > 0 {
 			src.recBegin(wr.Opcode, t)
 		}
-		c, dropped, err := executeOne(src, dst, t, wr)
+		c, d, err := executeOne(src, dst, t, wr)
 		if err != nil {
-			return comps, drops, err
+			return comps, false, err
 		}
 		src.recEnd(c.Done)
 		comps = append(comps, c)
-		if src.transport == UD {
-			drops = append(drops, dropped)
-		}
+		dropped = d
 		if src.state == StateError {
 			// The reliability layer gave up on this WR: flush the rest of
 			// the doorbell list at the error completion's time.
 			for _, rest := range wrs[i+1:] {
 				comps = append(comps, flushWR(src, c.Done, rest))
-				if src.transport == UD {
-					drops = append(drops, false)
-				}
 			}
-			return comps, drops, ErrQPError
+			return comps, false, ErrQPError
 		}
 	}
-	return comps, drops, nil
+	return comps, dropped, nil
 }
 
 // signal delivers a signaled send completion. Hardware makes CQEs visible in
 // order within a queue, so the completion's time is clamped to be no earlier
 // than the QP's previous CQE. In a synchronous simulator the returned
 // completion is the poll: nothing is queued, and only the clamp is kept.
+// Only a post signals, and postList has made the send side by then.
 func (s *qpState) signal(c Completion) Completion {
-	if c.Done < s.lastCQE {
-		c.Done = s.lastCQE
+	if c.Done < s.send.lastCQE {
+		c.Done = s.send.lastCQE
 	}
-	s.lastCQE = c.Done
+	s.send.lastCQE = c.Done
 	return c
 }
 
@@ -443,7 +482,7 @@ func executeOne(src, dst *qpState, t sim.Time, wr *SendWR) (Completion, bool, er
 	// inflating the per-QP pipeline occupancy; UD's connectionless doorbell
 	// only pays the wire-visible latency.
 	var numaSvc sim.Duration
-	if src.core != r.socket {
+	if src.Core() != r.socket {
 		t += 4 * r.qpiLatency
 		if !ud {
 			numaSvc += 2 * r.qpiLatency
@@ -494,7 +533,7 @@ func executeOne(src, dst *qpState, t sim.Time, wr *SendWR) (Completion, bool, er
 	default: // atomics share the read-style request pipeline
 		qpSvc, exSvc = p.QPWrite, p.ExecRead
 	}
-	t = src.pipeline.Delay(t+meta.Latency, qpSvc+numaSvc)
+	t = src.send.pipeline.Delay(t+meta.Latency, qpSvc+numaSvc)
 	src.observe(StagePipelined, t)
 	t = r.port.Execute(t, exSvc, meta.Service)
 	src.observe(StageExecuted, t)
@@ -567,7 +606,7 @@ func deliverDatagram(src, dst *qpState, arrive sim.Time, wr *SendWR, total int) 
 	if err := applySend(dst, wr, recv); err != nil {
 		return 0, false, err
 	}
-	dst.recvCQ.push(CQE{WRID: recv.ID, Opcode: OpSend, Time: dmaEnd + CQECost, Bytes: total})
+	dst.receiver().cq.push(CQE{WRID: recv.ID, Opcode: OpSend, Time: dmaEnd + CQECost, Bytes: total})
 	return dmaEnd, false, nil
 }
 

@@ -73,7 +73,7 @@ func (s CompletionStatus) String() string {
 // State is the queue-pair state machine surface. The model only
 // distinguishes operational from broken: a QP in StateError flushes every
 // posted WR until torn down.
-type State int
+type State uint8
 
 // QP states.
 const (
@@ -524,7 +524,7 @@ func executeResponder(src, dst *qpState, arrive sim.Time, wr *SendWR, total int)
 		if err := applySend(dst, wr, recv); err != nil {
 			return response{}, err
 		}
-		dst.recvCQ.push(CQE{WRID: recv.ID, Opcode: OpSend, Time: dmaEnd + CQECost, Bytes: total})
+		dst.receiver().cq.push(CQE{WRID: recv.ID, Opcode: OpSend, Time: dmaEnd + CQECost, Bytes: total})
 		return response{at: t}, nil
 	}
 	return response{}, fmt.Errorf("verbs: unknown opcode %v", wr.Opcode)

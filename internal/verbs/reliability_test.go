@@ -400,8 +400,8 @@ func TestPostSendListFlushOnError(t *testing.T) {
 			t.Fatalf("CQE %d at %v precedes CQE %d at %v", i, comps[i].Done, i-1, comps[i-1].Done)
 		}
 	}
-	if e.qpA.lastCQE != comps[2].Done {
-		t.Fatalf("send clamp at %v, want the last CQE time %v", e.qpA.lastCQE, comps[2].Done)
+	if e.qpA.send.lastCQE != comps[2].Done {
+		t.Fatalf("send clamp at %v, want the last CQE time %v", e.qpA.send.lastCQE, comps[2].Done)
 	}
 }
 
@@ -433,8 +433,8 @@ func TestPostSendListMidListFailureInOrder(t *testing.T) {
 			t.Fatalf("completion %d at %v precedes completion %d at %v", i, c.Done, i-1, comps[i-1].Done)
 		}
 	}
-	if e.qpA.lastCQE != comps[len(comps)-1].Done {
-		t.Fatalf("send clamp at %v, want the last CQE time %v", e.qpA.lastCQE, comps[len(comps)-1].Done)
+	if e.qpA.send.lastCQE != comps[len(comps)-1].Done {
+		t.Fatalf("send clamp at %v, want the last CQE time %v", e.qpA.send.lastCQE, comps[len(comps)-1].Done)
 	}
 }
 
@@ -766,8 +766,8 @@ func FuzzPostSendListErrorState(f *testing.F) {
 				t.Fatalf("CQE %d at %v precedes CQE %d at %v", i, comps[i].Done, i-1, comps[i-1].Done)
 			}
 		}
-		if len(comps) > 0 && e.qpA.lastCQE != comps[len(comps)-1].Done {
-			t.Fatalf("send clamp at %v, want the last CQE time %v", e.qpA.lastCQE, comps[len(comps)-1].Done)
+		if len(comps) > 0 && e.qpA.send.lastCQE != comps[len(comps)-1].Done {
+			t.Fatalf("send clamp at %v, want the last CQE time %v", e.qpA.send.lastCQE, comps[len(comps)-1].Done)
 		}
 	})
 }

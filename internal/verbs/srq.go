@@ -85,8 +85,8 @@ func (s *qpState) AttachSRQ(srq *SRQ) error {
 		return fmt.Errorf("verbs: SRQ on %s cannot serve a QP on %s",
 			srq.ctx.machine.Label(), s.ctx.machine.Label())
 	}
-	if n := s.recvQ.len(); n != 0 {
-		return fmt.Errorf("verbs: QP %d has %d posted receives; attach the SRQ first", s.id, n)
+	if s.recv != nil && s.recv.q.len() != 0 {
+		return fmt.Errorf("verbs: QP %d has %d posted receives; attach the SRQ first", s.id, s.recv.q.len())
 	}
 	s.srq = srq
 	return nil
@@ -128,19 +128,27 @@ func (q *recvQueue) pop() {
 
 // The receive-source indirection: every consumer of inbound SENDs (the
 // RC responder and the UD datagram receiver) goes through
-// these three accessors, so SRQ-attached and plain QPs share one code path.
+// these accessors, so SRQ-attached and plain QPs share one code path. None
+// of them creates the QP's receive side: a QP with none has nothing posted.
 
 // recvSource returns the queue inbound SENDs drain: the SRQ's, if attached.
+// The queue must not be empty (see recvEmpty), so a QP without an SRQ has
+// its receive side already.
 func (s *qpState) recvSource() *recvQueue {
 	if s.srq != nil {
 		return &s.srq.q
 	}
-	return &s.recvQ
+	return &s.recv.q
 }
 
 // recvEmpty reports whether the QP has no receive buffer available — the
 // receiver-not-ready condition.
-func (s *qpState) recvEmpty() bool { return s.recvSource().len() == 0 }
+func (s *qpState) recvEmpty() bool {
+	if s.srq != nil {
+		return s.srq.q.len() == 0
+	}
+	return s.recv == nil || s.recv.q.len() == 0
+}
 
 // frontRecv returns the receive buffer the next inbound SEND would consume
 // without consuming it (the size check happens between peek and pop, and a

@@ -67,11 +67,11 @@ func (q *UDQP) Send(now sim.Time, dst AH, sgl []SGE, inline bool) (Completion, b
 	*wr = SendWR{Opcode: OpSend, SGL: q.sges[:len(sgl)], Inline: inline}
 	copy(wr.SGL, sgl)
 	q.wrList[0] = wr
-	comps, drops, err := postList(&q.qpState, &dst.QP.qpState, now, q.wrList[:])
+	comps, dropped, err := postList(&q.qpState, &dst.QP.qpState, now, q.wrList[:])
 	if err != nil {
 		return Completion{}, false, err
 	}
-	return comps[0], drops[0], nil
+	return comps[0], dropped, nil
 }
 
 // validate checks the datagram's SGL against the UD rules (local MRs only,

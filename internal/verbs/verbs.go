@@ -23,7 +23,7 @@ import (
 )
 
 // Transport is the RDMA transport type of a QP.
-type Transport int
+type Transport uint8
 
 // Transport types: RC is the only connected one, matching the paper's
 // Section II-A.

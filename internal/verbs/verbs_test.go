@@ -376,8 +376,8 @@ func TestRCOrderingInCQ(t *testing.T) {
 		}
 		last = c.Done
 	}
-	if e.qpA.lastCQE != last {
-		t.Fatalf("send clamp at %v, want the last CQE time %v", e.qpA.lastCQE, last)
+	if e.qpA.send.lastCQE != last {
+		t.Fatalf("send clamp at %v, want the last CQE time %v", e.qpA.send.lastCQE, last)
 	}
 }
 

@@ -202,19 +202,21 @@ func Relation(n int, keySpace uint64, seed int64) []Tuple {
 // Stream hands out a deterministic KV stream with the given key generator
 // and value size.
 type Stream struct {
-	gen       interface{ Next() uint64 }
-	valueSize int
+	gen   interface{ Next() uint64 }
+	value []byte // every record's Value: refilled by each Next
 }
 
 // NewStream builds a stream from any key generator.
 func NewStream(gen interface{ Next() uint64 }, valueSize int) *Stream {
-	return &Stream{gen: gen, valueSize: valueSize}
+	return &Stream{gen: gen, value: make([]byte, valueSize)}
 }
 
 // Next produces the next record; the value is key-derived for verification.
+// The record's Value is the stream's one buffer, so it is valid only until
+// the next call: a caller that keeps a value copies it. Next never
+// allocates.
 func (s *Stream) Next() KV {
 	k := s.gen.Next()
-	v := make([]byte, s.valueSize)
-	FillValue(v, k)
-	return KV{Key: k, Value: v}
+	FillValue(s.value, k)
+	return KV{Key: k, Value: s.value}
 }

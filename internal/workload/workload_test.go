@@ -290,6 +290,8 @@ func TestRelationDeterministic(t *testing.T) {
 	}
 }
 
+// TestStream: every record's value matches its key pattern when it is
+// returned, and Next reuses one buffer instead of allocating.
 func TestStream(t *testing.T) {
 	u, _ := NewUniform(100, 1)
 	s := NewStream(u, 64)
@@ -301,6 +303,13 @@ func TestStream(t *testing.T) {
 		if !CheckValue(kv.Value, kv.Key) {
 			t.Fatal("stream value does not match its key pattern")
 		}
+	}
+	var kv KV
+	if allocs := testing.AllocsPerRun(100, func() { kv = s.Next() }); allocs != 0 {
+		t.Errorf("Next makes %.2f allocations, want 0", allocs)
+	}
+	if !CheckValue(kv.Value, kv.Key) {
+		t.Fatal("the last record's value does not match its key pattern")
 	}
 }
 
