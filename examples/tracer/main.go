@@ -1,7 +1,7 @@
 // tracer demonstrates per-operation stage tracing: it posts the same 64 B
-// write under every NUMA placement and prints each one's stage timeline and
-// the paper's Section III-D latency decomposition
-// T(RNIC->Socket) + T(Network) + T(Socket->Memory).
+// write under every NUMA placement and prints each one's stage timeline, as
+// the cluster's timeline recorded it, and the paper's Section III-D latency
+// decomposition T(RNIC->Socket) + T(Network) + T(Socket->Memory).
 //
 //	go run ./examples/tracer
 package main
@@ -14,6 +14,7 @@ import (
 
 	"rdmasem/internal/cluster"
 	"rdmasem/internal/sim"
+	"rdmasem/internal/telemetry"
 	"rdmasem/internal/topo"
 	"rdmasem/internal/verbs"
 )
@@ -27,6 +28,7 @@ func main() {
 func run(w io.Writer) error {
 	cfg := cluster.DefaultConfig()
 	cfg.Machines = 2
+	cfg.Timeline = telemetry.NewTimeline(0)
 	cl, err := cluster.New(cfg)
 	if err != nil {
 		return err
@@ -63,15 +65,32 @@ func run(w io.Writer) error {
 		if _, err := qp.PostSend(0, wr); err != nil {
 			return err
 		}
-		_, tr, err := qp.PostSendTraced(100*sim.Microsecond, wr)
+		const start = 100 * sim.Microsecond
+		comp, err := qp.PostSend(start, wr)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "--- %s ---\n", p.label)
-		tr.Render(w)
-		b := tr.Decompose()
+		fmt.Fprintf(w, "%s trace (total %v)\n", wr.Opcode, comp.Done-start)
+		var b verbs.Breakdown
+		for _, sp := range cfg.Timeline.Spans() {
+			if sp.TID != int64(qp.ID()) || sp.Op != 2 { // op 1 was the warm-up
+				continue
+			}
+			fmt.Fprintf(w, "  %-13s +%-8v @%v\n", sp.Name, sp.Dur, sp.Start+sp.Dur)
+			b.Add(stageNamed(sp.Name), sp.Dur)
+		}
 		fmt.Fprintf(w, "  III-D decomposition: RNIC->Socket %v | Network %v | Socket->Memory %v\n\n",
 			b.RNICToSocket, b.Network, b.SocketToMemory)
 	}
 	return nil
+}
+
+// stageNamed maps a timeline span's name back to its stage.
+func stageNamed(name string) verbs.Stage {
+	st := verbs.StagePosted
+	for st < verbs.StageCompleted && st.String() != name {
+		st++
+	}
+	return st
 }

@@ -148,6 +148,11 @@ type pairEnv struct {
 func (r *run) newPair(remoteBytes, backing int) (*pairEnv, error) {
 	cfg := cluster.DefaultConfig()
 	cfg.Machines = 2
+	return r.newPairOn(cfg, remoteBytes, backing)
+}
+
+// newPairOn is newPair on a cluster built from cfg.
+func (r *run) newPairOn(cfg cluster.Config, remoteBytes, backing int) (*pairEnv, error) {
 	cl, err := r.newCluster(cfg)
 	if err != nil {
 		return nil, err

@@ -3,8 +3,10 @@ package bench
 import (
 	"fmt"
 
+	"rdmasem/internal/cluster"
 	"rdmasem/internal/sim"
 	"rdmasem/internal/stats"
+	"rdmasem/internal/telemetry"
 	"rdmasem/internal/topo"
 	"rdmasem/internal/verbs"
 )
@@ -13,7 +15,8 @@ func init() { register("breakdown", breakdown) }
 
 // breakdown regenerates Section III-D's end-to-end latency decomposition
 // T(RNIC->Socket) + T(Network) + T(Socket->Memory) for a 64 B WRITE under
-// each placement, using the per-operation stage tracer.
+// each placement. The measured op's stages are what its post adds to the
+// requester's WRITE stage histograms.
 func breakdown(r *run) (*Report, error) {
 	tb := stats.NewTable("III-D latency decomposition of a warm 64B WRITE (ns)")
 	tb.Row("placement", "RNIC->Socket", "Network", "Socket->Memory", "CQE", "total")
@@ -30,7 +33,13 @@ func breakdown(r *run) (*Report, error) {
 	type row struct{ rnic, net, s2m, cqe, total int64 }
 	rows, err := points(r, len(placements), func(r *run, i int) (row, error) {
 		p := placements[i]
-		env, err := r.newPair(1<<22, 1<<20)
+		cfg := cluster.DefaultConfig()
+		cfg.Machines = 2
+		// A private registry, which the run's replaces under -metrics: the
+		// stage histograms are read either way, and the run reports them only
+		// when asked.
+		cfg.Telemetry = telemetry.NewRegistry()
+		env, err := r.newPairOn(cfg, 1<<22, 1<<20)
 		if err != nil {
 			return row{}, err
 		}
@@ -50,12 +59,17 @@ func breakdown(r *run) (*Report, error) {
 		if _, err := qp.PostSend(0, wr); err != nil { // warm metadata caches
 			return row{}, err
 		}
-		_, tr, err := qp.PostSendTraced(100*sim.Microsecond, wr)
-		if err != nil {
+		m0 := env.cl.Machine(0)
+		before, e2eBefore := writeStages(m0)
+		if _, err := qp.PostSend(100*sim.Microsecond, wr); err != nil {
 			return row{}, err
 		}
-		b := tr.Decompose()
-		return row{int64(b.RNICToSocket), int64(b.Network), int64(b.SocketToMemory), int64(b.Completion), int64(tr.Total())}, nil
+		after, e2eAfter := writeStages(m0)
+		var b verbs.Breakdown
+		for st := range after {
+			b.Add(verbs.Stage(st), after[st]-before[st])
+		}
+		return row{int64(b.RNICToSocket), int64(b.Network), int64(b.SocketToMemory), int64(b.Completion), int64(e2eAfter - e2eBefore)}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -77,4 +91,15 @@ func breakdown(r *run) (*Report, error) {
 			"placements off the NIC socket inflate exactly the term the paper attributes them to",
 		},
 	}, nil
+}
+
+// writeStages returns the sums of machine m's WRITE stage histograms, one per
+// stage, and of its WRITE end-to-end histogram.
+func writeStages(m *cluster.Machine) (stages [verbs.StageCompleted + 1]sim.Duration, e2e sim.Duration) {
+	reg, label := m.Telemetry(), m.Label()
+	for st := range stages {
+		_, stages[st], _, _ = reg.Hist(label, "verbs/WRITE", verbs.Stage(st).String()).Stats()
+	}
+	_, e2e, _, _ = reg.Hist(label, "verbs/WRITE", "e2e").Stats()
+	return stages, e2e
 }

@@ -1,9 +1,13 @@
 package bench
 
 import (
+	"encoding/csv"
+	"strconv"
+	"strings"
 	"testing"
 
 	"rdmasem/internal/stats"
+	"rdmasem/internal/verbs"
 )
 
 // These tests pin the headline claim of each experiment as a regression
@@ -453,11 +457,51 @@ func TestAblationShapes(t *testing.T) {
 	}
 }
 
+// TestBreakdownShape checks the paper's III-D decomposition on the table the
+// report prints: each row's four terms sum to its total, the CQE term is the
+// model's CQE cost, a cross-socket posting core inflates T(RNIC->Socket), and
+// a cross-socket target inflates T(Socket->Memory). breakdown ignores the
+// scale, so the golden-scale run serves.
 func TestBreakdownShape(t *testing.T) {
 	t.Parallel()
-	r := mustRun(t, "breakdown", 1)
+	r := goldenReport(t, "breakdown")
 	if len(r.Tables) != 1 {
 		t.Fatal("breakdown renders one table")
+	}
+	var csvText strings.Builder
+	r.Tables[0].RenderCSV(&csvText)
+	cells, err := csv.NewReader(strings.NewReader(csvText.String())).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// rows[label] = RNIC->Socket, Network, Socket->Memory, CQE, total.
+	rows := map[string][5]int64{}
+	for _, row := range cells[1:] {
+		var v [5]int64
+		for i := range v {
+			if v[i], err = strconv.ParseInt(row[i+1], 10, 64); err != nil {
+				t.Fatalf("%s: %v", row[0], err)
+			}
+		}
+		if v[0]+v[1]+v[2]+v[3] != v[4] {
+			t.Errorf("%s: terms %v do not sum to the total", row[0], v)
+		}
+		if v[3] != int64(verbs.CQECost) {
+			t.Errorf("%s: CQE term %d, want %d", row[0], v[3], int64(verbs.CQECost))
+		}
+		rows[row[0]] = v
+	}
+	matched, ok := rows["own core, own mem, matched remote"]
+	if !ok || len(rows) != 4 {
+		t.Fatalf("want the four placements of Table III, got %v", rows)
+	}
+	for _, alt := range []string{"alt core, own mem", "alt everything"} {
+		if rows[alt][0] <= matched[0] {
+			t.Errorf("%s: RNIC->Socket %d does not exceed the matched row's %d", alt, rows[alt][0], matched[0])
+		}
+	}
+	if alt := rows["alt everything"]; alt[2] <= matched[2] {
+		t.Errorf("alt everything: Socket->Memory %d does not exceed the matched row's %d", alt[2], matched[2])
 	}
 }
 

@@ -111,9 +111,6 @@ func (b *Batcher) SetStrategy(s Strategy) error {
 	return nil
 }
 
-// DoorbellDepth returns the doorbell list cap (0 = unlimited).
-func (b *Batcher) DoorbellDepth() int { return b.dbDepth }
-
 // SetDoorbellDepth caps how many WRs ride one doorbell: a Doorbell-strategy
 // batch larger than depth is split into depth-sized lists, each ringing its
 // own doorbell (paying one extra MMIO per split but bounding how much work a

@@ -10,6 +10,7 @@ import (
 	"rdmasem/internal/fabric"
 	"rdmasem/internal/proxy"
 	"rdmasem/internal/sim"
+	"rdmasem/internal/telemetry"
 	"rdmasem/internal/verbs"
 )
 
@@ -17,33 +18,8 @@ import (
 func newFaultyTableEnv(t *testing.T, poolSize, conns int, plan *fabric.FaultPlan) *tableEnv {
 	t.Helper()
 	cfg := cluster.DefaultConfig()
-	cfg.Machines = 2
 	cfg.Faults = plan
-	cl, err := cluster.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := &tableEnv{
-		cl:   cl,
-		ctxA: verbs.NewContext(cl.Machine(0)),
-		ctxB: verbs.NewContext(cl.Machine(1)),
-	}
-	e.srq = verbs.NewSRQ(e.ctxB)
-	e.pool = make([]*verbs.QP, poolSize)
-	for i := range e.pool {
-		qp, peer := verbs.MustConnect(e.ctxA, 1, e.ctxB, 1, verbs.RC)
-		if err := peer.AttachSRQ(e.srq); err != nil {
-			t.Fatal(err)
-		}
-		e.pool[i] = qp
-	}
-	e.table, err = proxy.NewTable(e.pool, conns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.mrA = e.ctxA.MustRegisterMR(cl.Machine(0).MustAlloc(1, 1<<20, 0))
-	e.mrB = e.ctxB.MustRegisterMR(cl.Machine(1).MustAlloc(1, 1<<20, 0))
-	return e
+	return newTableEnvOn(t, cfg, poolSize, conns)
 }
 
 func (e *tableEnv) writeWR(id uint64, size int) *verbs.SendWR {
@@ -151,13 +127,24 @@ func TestRecoveryReplaysAppliedAtomic(t *testing.T) {
 	}
 	// A lossless twin times the post: when the request lands at the
 	// responder, and when its response lands back at the requester.
-	twin := newTableEnv(t, 2, 4)
-	_, tr, err := twin.pool[0].PostSendTraced(0, faa(twin))
-	if err != nil {
+	cfg := cluster.DefaultConfig()
+	cfg.Timeline = telemetry.NewTimeline(0)
+	twin := newTableEnvOn(t, cfg, 2, 4)
+	if _, err := twin.pool[0].PostSend(0, faa(twin)); err != nil {
 		t.Fatal(err)
 	}
-	arrived, _ := tr.At(verbs.StageArrived)
-	responded, _ := tr.At(verbs.StageResponded)
+	var arrived, responded sim.Time
+	for _, sp := range cfg.Timeline.Spans() {
+		if sp.TID != int64(twin.pool[0].ID()) {
+			continue
+		}
+		switch sp.Name {
+		case verbs.StageArrived.String():
+			arrived = sp.Start + sp.Dur
+		case verbs.StageResponded.String():
+			responded = sp.Start + sp.Dur
+		}
+	}
 	policy := verbs.RetryPolicy{
 		RetryCount: 1, RNRRetryCount: 1,
 		AckTimeout: 2 * sim.Microsecond, RNRTimer: 2 * sim.Microsecond,

@@ -62,12 +62,6 @@ func NewTable(pool []*verbs.QP, conns int) (*Table, error) {
 	return t, nil
 }
 
-// PoolSize returns the number of physical QPs.
-func (t *Table) PoolSize() int { return len(t.pool) }
-
-// Conns returns the number of logical connections served.
-func (t *Table) Conns() int { return len(t.conns) }
-
 // ConnQP returns the pooled QP the given logical connection posts on.
 func (t *Table) ConnQP(conn int) *verbs.QP { return t.pool[t.conns[conn]] }
 

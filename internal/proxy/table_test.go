@@ -25,7 +25,12 @@ type tableEnv struct {
 
 func newTableEnv(t *testing.T, poolSize, conns int) *tableEnv {
 	t.Helper()
-	cfg := cluster.DefaultConfig()
+	return newTableEnvOn(t, cluster.DefaultConfig(), poolSize, conns)
+}
+
+// newTableEnvOn is newTableEnv on a two-machine cluster made from cfg.
+func newTableEnvOn(t *testing.T, cfg cluster.Config, poolSize, conns int) *tableEnv {
+	t.Helper()
 	cfg.Machines = 2
 	cl, err := cluster.New(cfg)
 	if err != nil {
@@ -171,7 +176,6 @@ func TestNilWRIsAnError(t *testing.T) {
 		post func() error
 	}{
 		{"QP.PostSend", func() error { _, err := e.pool[0].PostSend(0, nil); return err }},
-		{"QP.PostSendTraced", func() error { _, _, err := e.pool[0].PostSendTraced(0, nil); return err }},
 		{"QP.PostSendList", func() error {
 			_, err := e.pool[0].PostSendList(0, []*verbs.SendWR{e.sendWR(1, 64), nil})
 			return err

@@ -23,10 +23,10 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync"
 
 	"rdmasem/internal/sim"
+	"rdmasem/internal/stats"
 )
 
 // Key identifies one metric stream.
@@ -215,29 +215,25 @@ func (s Snapshot) Render(w io.Writer) {
 		return
 	}
 	if len(s.Hists) > 0 {
-		rows := [][]string{{"machine", "component", "stage", "count", "p50", "p90", "p99", "max"}}
+		tb := stats.NewTable("stage histograms (ns)" + experimentSuffix(s.Hists[0].Experiment))
+		tb.Row("machine", "component", "stage", "count", "p50", "p90", "p99", "max")
 		for _, h := range s.Hists {
-			rows = append(rows, []string{
-				orDash(h.Machine), h.Component, h.Stage,
+			tb.Row(orDash(h.Machine), h.Component, h.Stage,
 				fmt.Sprintf("%d", h.Count),
 				fmt.Sprintf("%d", int64(h.P50)),
 				fmt.Sprintf("%d", int64(h.P90)),
 				fmt.Sprintf("%d", int64(h.P99)),
-				fmt.Sprintf("%d", int64(h.Max)),
-			})
+				fmt.Sprintf("%d", int64(h.Max)))
 		}
-		fmt.Fprintf(w, "# stage histograms (ns)%s\n", experimentSuffix(s.Hists[0].Experiment))
-		renderRows(w, rows)
+		tb.Render(w)
 	}
 	if len(s.Counters) > 0 {
-		rows := [][]string{{"machine", "component", "counter", "value"}}
+		tb := stats.NewTable("counters" + experimentSuffix(s.Counters[0].Experiment))
+		tb.Row("machine", "component", "counter", "value")
 		for _, c := range s.Counters {
-			rows = append(rows, []string{
-				orDash(c.Machine), c.Component, c.Stage, fmt.Sprintf("%d", c.Value),
-			})
+			tb.Row(orDash(c.Machine), c.Component, c.Stage, fmt.Sprintf("%d", c.Value))
 		}
-		fmt.Fprintf(w, "# counters%s\n", experimentSuffix(s.Counters[0].Experiment))
-		renderRows(w, rows)
+		tb.Render(w)
 	}
 }
 
@@ -253,25 +249,4 @@ func orDash(s string) string {
 		return "-"
 	}
 	return s
-}
-
-func renderRows(w io.Writer, rows [][]string) {
-	widths := map[int]int{}
-	for _, row := range rows {
-		for i, c := range row {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	for _, row := range rows {
-		var b strings.Builder
-		for i, c := range row {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		fmt.Fprintln(w, strings.TrimRight(b.String(), " "))
-	}
 }

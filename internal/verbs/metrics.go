@@ -1,11 +1,10 @@
 // The stage recorder of the op-pipeline engine: the one consumer of the
 // stage walk. A QP carries a stageRecorder when its cluster has a metrics
-// registry or timeline attached (cluster.Config.Telemetry / Config.Timeline),
-// and for the duration of a traced post (PostSendTraced). The
-// recorder brackets each WR, drops out-of-order stage crossings, and hands
-// every accepted stage as one span to up to three optional sinks: the
-// registry's per-opcode stage histograms, the Chrome trace-event Timeline,
-// and an attached *Trace. None of them influences the walk.
+// registry or timeline attached (cluster.Config.Telemetry / Config.Timeline).
+// The recorder brackets each WR, drops out-of-order stage crossings, and
+// hands every accepted stage as one span to its two optional sinks: the
+// registry's per-opcode stage histograms and the Chrome trace-event Timeline.
+// Neither influences the walk.
 package verbs
 
 import (
@@ -23,7 +22,6 @@ import (
 type stageRecorder struct {
 	reg     *telemetry.Registry // stage and e2e histograms, else nil
 	tl      *telemetry.Timeline // Chrome trace-event spans, else nil
-	tr      *Trace              // the traced post's span list, else nil
 	machine string
 	pid     int64
 	tid     int64
@@ -119,15 +117,12 @@ func (m *stageRecorder) stage(st Stage, at sim.Time) {
 			Op:    m.opSeq,
 		})
 	}
-	if m.tr != nil {
-		m.tr.Spans = append(m.tr.Spans, TraceSpan{Stage: st, Start: m.prev, Dur: dur})
-	}
 	m.prev = at
 }
 
 // end closes the bracket at the WR's completion time: the tail (CQE
-// generation) becomes the final span, the whole walk lands in the e2e
-// histogram, and a trace keeps the completion time.
+// generation) becomes the final span and the whole walk lands in the e2e
+// histogram.
 func (m *stageRecorder) end(at sim.Time) {
 	if !m.active {
 		return
@@ -135,9 +130,6 @@ func (m *stageRecorder) end(at sim.Time) {
 	m.stage(StageCompleted, at)
 	if m.reg != nil && at >= m.start {
 		m.hist(m.opcode, e2eSlot).Observe(at - m.start)
-	}
-	if m.tr != nil {
-		m.tr.End = at
 	}
 	m.active = false
 }

@@ -11,8 +11,8 @@
 // the reliability engine (reliability.go) on every fabric; a lossless
 // fabric is its no-loss case, not a second copy of the walk. One
 // stage recorder per QP (metrics.go) consumes the walk and fans each stage
-// span out to the histograms, the timeline and a traced post's Trace; none
-// of them forks the timing code.
+// span out to the histograms and the timeline; neither forks the timing
+// code.
 package verbs
 
 import (

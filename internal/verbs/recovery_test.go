@@ -172,14 +172,14 @@ func TestReplayAppliedIsDuplicate(t *testing.T) {
 		return comp.Done
 	}
 	// A lossless twin times the second fetch-add.
-	twin := newLossyPair(t, nil)
+	twin, tl := observedPair(t, nil)
 	post := probe(twin)
-	_, tr, err := twin.qpA.PostSendTraced(post, fetchAddWR(twin, 2))
-	if err != nil {
+	if _, err := twin.qpA.PostSend(post, fetchAddWR(twin, 2)); err != nil {
 		t.Fatal(err)
 	}
-	arrived, _ := tr.At(StageArrived)
-	responded, _ := tr.At(StageResponded)
+	spans := opSpans(tl, twin.qpA.ID(), 2)
+	arrived, _ := stageEnd(spans, StageArrived)
+	responded, _ := stageEnd(spans, StageResponded)
 	retransmit := responded + policy.AckTimeout
 	plan := &fabric.FaultPlan{Seed: 1, Crashes: []fabric.CrashEvent{
 		{Machine: 0, At: arrived, Down: retransmit + policy.AckTimeout - arrived},

@@ -27,21 +27,8 @@ func newLossyPair(t *testing.T, plan *fabric.FaultPlan) *pairEnv {
 
 func buildLossyPair(plan *fabric.FaultPlan) (*pairEnv, error) {
 	cfg := cluster.DefaultConfig()
-	cfg.Machines = 2
 	cfg.Faults = plan
-	cl, err := cluster.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	ctxA := NewContext(cl.Machine(0))
-	ctxB := NewContext(cl.Machine(1))
-	qpA, qpB, err := Connect(ctxA, 1, ctxB, 1, RC)
-	if err != nil {
-		return nil, err
-	}
-	mrA := ctxA.MustRegisterMR(cl.Machine(0).MustAlloc(1, 1<<20, 0))
-	mrB := ctxB.MustRegisterMR(cl.Machine(1).MustAlloc(1, 1<<20, 0))
-	return &pairEnv{cl: cl, ctxA: ctxA, ctxB: ctxB, qpA: qpA, qpB: qpB, mrA: mrA, mrB: mrB}, nil
+	return pairOn(cfg)
 }
 
 // quietPlan is an active fault plan that never actually fires: the drop
@@ -234,7 +221,8 @@ func TestReliableReadAndAtomics(t *testing.T) {
 // reliability tallies differ. A multi-segment WRITE under the quiet plan
 // lands its data in PathMTU segments without drawing recovery machinery.
 func TestQuietPlanMatchesLossless(t *testing.T) {
-	lossless, quietEnv := newLossyPair(t, nil), newLossyPair(t, quietPlan())
+	lossless, tlL := observedPair(t, nil)
+	quietEnv, tlQ := observedPair(t, quietPlan())
 	// A target MR on the responder's other socket: port 1 sits on socket 1.
 	far := func(e *pairEnv) *MR { return e.ctxB.MustRegisterMR(e.cl.Machine(1).MustAlloc(0, PathMTU, 0)) }
 	farL, farQ := far(lossless), far(quietEnv)
@@ -271,23 +259,24 @@ func TestQuietPlanMatchesLossless(t *testing.T) {
 		}},
 	}
 	now := sim.Time(0)
-	for _, c := range cases {
-		cl, trL, err := lossless.qpA.PostSendTraced(now, c.wr(lossless, farL))
+	for i, c := range cases {
+		cl, err := lossless.qpA.PostSend(now, c.wr(lossless, farL))
 		if err != nil {
 			t.Fatalf("%s lossless: %v", c.name, err)
 		}
-		cq, trQ, err := quietEnv.qpA.PostSendTraced(now, c.wr(quietEnv, farQ))
+		cq, err := quietEnv.qpA.PostSend(now, c.wr(quietEnv, farQ))
 		if err != nil {
 			t.Fatalf("%s quiet: %v", c.name, err)
 		}
 		if cl != cq {
 			t.Fatalf("%s: lossless completion %+v, quiet %+v", c.name, cl, cq)
 		}
-		if fmt.Sprint(trL.Spans) != fmt.Sprint(trQ.Spans) {
-			t.Fatalf("%s: stage spans differ\nlossless %v\nquiet    %v", c.name, trL.Spans, trQ.Spans)
+		spL, spQ := opSpans(tlL, lossless.qpA.ID(), int64(i+1)), opSpans(tlQ, quietEnv.qpA.ID(), int64(i+1))
+		if fmt.Sprint(spL) != fmt.Sprint(spQ) {
+			t.Fatalf("%s: stage spans differ\nlossless %v\nquiet    %v", c.name, spL, spQ)
 		}
-		if _, ok := trQ.At(StageArrived); !ok {
-			t.Fatalf("%s: no arrived stage: %v", c.name, trQ.Spans)
+		if _, ok := stageEnd(spQ, StageArrived); !ok {
+			t.Fatalf("%s: no arrived stage: %v", c.name, spQ)
 		}
 		now = cl.Done + sim.Time(sim.Microsecond)
 	}

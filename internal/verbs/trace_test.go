@@ -1,15 +1,88 @@
 package verbs
 
 import (
-	"strings"
 	"testing"
 
+	"rdmasem/internal/cluster"
+	"rdmasem/internal/fabric"
 	"rdmasem/internal/sim"
+	"rdmasem/internal/telemetry"
 )
 
-func tracedWrite(t *testing.T, e *pairEnv, now sim.Time, size int, inline bool) (*Trace, Completion) {
+// observedPair is newLossyPair with a timeline attached to its cluster: the
+// tests read an op's stage spans back from it.
+func observedPair(t *testing.T, plan *fabric.FaultPlan) (*pairEnv, *telemetry.Timeline) {
 	t.Helper()
-	comp, tr, err := e.qpA.PostSendTraced(now, &SendWR{
+	cfg := cluster.DefaultConfig()
+	cfg.Faults = plan
+	cfg.Timeline = telemetry.NewTimeline(0)
+	e, err := pairOn(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e, cfg.Timeline
+}
+
+// opSpans returns the timeline spans of the op-th op (from 1) that QP qp
+// posted, in walk order.
+func opSpans(tl *telemetry.Timeline, qp uint64, op int64) []telemetry.Span {
+	var out []telemetry.Span
+	for _, sp := range tl.Spans() {
+		if sp.TID == int64(qp) && sp.Op == op {
+			out = append(out, sp)
+		}
+	}
+	return out
+}
+
+// stageEnd returns when the given stage of an op ended, or false if the op
+// never ran it (e.g. no gather on an inline write).
+func stageEnd(spans []telemetry.Span, st Stage) (sim.Time, bool) {
+	for _, sp := range spans {
+		if sp.Name == st.String() {
+			return sp.Start + sp.Dur, true
+		}
+	}
+	return 0, false
+}
+
+// decompose charges each of an op's spans to its III-D term.
+func decompose(spans []telemetry.Span) Breakdown {
+	var b Breakdown
+	for _, sp := range spans {
+		st := StagePosted
+		for st < StageCompleted && st.String() != sp.Name {
+			st++
+		}
+		b.Add(st, sp.Dur)
+	}
+	return b
+}
+
+// checkTiles asserts that an op's spans tile [start, end] without gap or
+// overlap.
+func checkTiles(t *testing.T, spans []telemetry.Span, start, end sim.Time) {
+	t.Helper()
+	if len(spans) == 0 {
+		t.Fatal("op recorded no spans")
+	}
+	prev := start
+	for _, sp := range spans {
+		if sp.Start != prev || sp.Dur < 0 {
+			t.Fatalf("stage %s does not tile the walk: starts %v after %v, dur %v", sp.Name, sp.Start, prev, sp.Dur)
+		}
+		prev = sp.Start + sp.Dur
+	}
+	if prev != end {
+		t.Fatalf("spans end at %v, completion is %v", prev, end)
+	}
+}
+
+// tracedWrite posts one WRITE on an observed pair and returns the spans of
+// that op, the QP's op-th.
+func tracedWrite(t *testing.T, e *pairEnv, tl *telemetry.Timeline, op int64, now sim.Time, size int, inline bool) ([]telemetry.Span, Completion) {
+	t.Helper()
+	comp, err := e.qpA.PostSend(now, &SendWR{
 		Opcode:     OpWrite,
 		SGL:        []SGE{{Addr: e.mrA.Addr(), Length: size, MR: e.mrA}},
 		RemoteAddr: e.mrB.Addr(),
@@ -19,53 +92,42 @@ func tracedWrite(t *testing.T, e *pairEnv, now sim.Time, size int, inline bool) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr, comp
+	return opSpans(tl, e.qpA.ID(), op), comp
 }
 
 func TestTraceStagesMonotone(t *testing.T) {
-	e := newPair(t)
-	tr, comp := tracedWrite(t, e, 0, 64, false)
-	if len(tr.Spans) < 6 {
-		t.Fatalf("only %d stages recorded", len(tr.Spans))
+	e, tl := observedPair(t, nil)
+	spans, comp := tracedWrite(t, e, tl, 1, 0, 64, false)
+	if len(spans) < 6 {
+		t.Fatalf("only %d stages recorded", len(spans))
 	}
-	prev := tr.Start
-	for _, sp := range tr.Spans {
-		if sp.Start != prev || sp.Dur < 0 {
-			t.Fatalf("stage %s does not tile the walk: starts %v after %v, dur %v", sp.Stage, sp.Start, prev, sp.Dur)
-		}
-		prev = sp.Start + sp.Dur
-	}
-	if end, _ := tr.At(StageCompleted); end != comp.Done {
-		t.Fatalf("trace end %v != completion %v", end, comp.Done)
-	}
-	if tr.Total() != comp.Done-tr.Start {
-		t.Fatalf("Total()=%v", tr.Total())
-	}
+	checkTiles(t, spans, 0, comp.Done)
 }
 
 func TestTraceInlineSkipsFetchAndGather(t *testing.T) {
-	e := newPair(t)
-	tr, _ := tracedWrite(t, e, 0, 32, true)
-	if _, ok := tr.At(StageWQEFetched); ok {
+	e, tl := observedPair(t, nil)
+	spans, _ := tracedWrite(t, e, tl, 1, 0, 32, true)
+	if _, ok := stageEnd(spans, StageWQEFetched); ok {
 		t.Error("inline write must not fetch a WQE")
 	}
-	if _, ok := tr.At(StageGathered); ok {
+	if _, ok := stageEnd(spans, StageGathered); ok {
 		t.Error("inline write must not gather")
 	}
-	if _, ok := tr.At(StagePosted); !ok {
+	if _, ok := stageEnd(spans, StagePosted); !ok {
 		t.Error("posted stage missing")
 	}
 }
 
 func TestTraceDecomposeSumsToTotal(t *testing.T) {
-	e := newPair(t)
+	e, tl := observedPair(t, nil)
 	// Warm caches so the decomposition reflects steady state.
-	tracedWrite(t, e, 0, 64, false)
-	tr, _ := tracedWrite(t, e, 100*sim.Microsecond, 64, false)
-	b := tr.Decompose()
+	tracedWrite(t, e, tl, 1, 0, 64, false)
+	const start = 100 * sim.Microsecond
+	spans, comp := tracedWrite(t, e, tl, 2, start, 64, false)
+	b := decompose(spans)
 	sum := b.RNICToSocket + b.Network + b.SocketToMemory + b.Completion
-	if sum != tr.Total() {
-		t.Fatalf("decomposition sums to %v, total is %v", sum, tr.Total())
+	if sum != comp.Done-start {
+		t.Fatalf("decomposition sums to %v, total is %v", sum, comp.Done-start)
 	}
 	if b.RNICToSocket <= 0 || b.Network <= 0 || b.SocketToMemory <= 0 {
 		t.Fatalf("all paper terms should be positive: %+v", b)
@@ -78,61 +140,23 @@ func TestTraceDecomposeSumsToTotal(t *testing.T) {
 func TestTraceShowsNUMAPenalty(t *testing.T) {
 	// A cross-socket posting core inflates the T(RNIC->Socket) term,
 	// exactly the paper's III-D claim.
-	own := newPair(t)
-	tracedWrite(t, own, 0, 64, false)
-	trOwn, _ := tracedWrite(t, own, 100*sim.Microsecond, 64, false)
+	own, ownTL := observedPair(t, nil)
+	tracedWrite(t, own, ownTL, 1, 0, 64, false)
+	spOwn, _ := tracedWrite(t, own, ownTL, 2, 100*sim.Microsecond, 64, false)
 
-	alt := newPair(t)
+	alt, altTL := observedPair(t, nil)
 	alt.qpA.BindCore(0) // port is on socket 1
-	tracedWrite(t, alt, 0, 64, false)
-	trAlt, _ := tracedWrite(t, alt, 100*sim.Microsecond, 64, false)
+	tracedWrite(t, alt, altTL, 1, 0, 64, false)
+	spAlt, _ := tracedWrite(t, alt, altTL, 2, 100*sim.Microsecond, 64, false)
 
-	if trAlt.Decompose().RNICToSocket <= trOwn.Decompose().RNICToSocket {
-		t.Fatalf("alt-core RNIC->Socket (%v) should exceed own-core (%v)",
-			trAlt.Decompose().RNICToSocket, trOwn.Decompose().RNICToSocket)
-	}
-}
-
-func TestTraceDoesNotPerturbTiming(t *testing.T) {
-	a := newPair(t)
-	b := newPair(t)
-	wr := func(e *pairEnv) *SendWR {
-		return &SendWR{
-			Opcode:     OpWrite,
-			SGL:        []SGE{{Addr: e.mrA.Addr(), Length: 64, MR: e.mrA}},
-			RemoteAddr: e.mrB.Addr(),
-			RemoteKey:  e.mrB.RKey(),
-		}
-	}
-	c1, err := a.qpA.PostSend(0, wr(a))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, _, err := b.qpA.PostSendTraced(0, wr(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c1.Done != c2.Done {
-		t.Fatalf("tracing changed timing: %v vs %v", c1.Done, c2.Done)
-	}
-}
-
-func TestTraceRender(t *testing.T) {
-	e := newPair(t)
-	tr, _ := tracedWrite(t, e, 0, 64, false)
-	var sb strings.Builder
-	tr.Render(&sb)
-	out := sb.String()
-	for _, want := range []string{"WRITE trace", "posted", "arrived", "completed"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("render missing %q:\n%s", want, out)
-		}
+	if a, o := decompose(spAlt).RNICToSocket, decompose(spOwn).RNICToSocket; a <= o {
+		t.Fatalf("alt-core RNIC->Socket (%v) should exceed own-core (%v)", a, o)
 	}
 }
 
 func TestTraceReadPath(t *testing.T) {
-	e := newPair(t)
-	comp, tr, err := e.qpA.PostSendTraced(0, &SendWR{
+	e, tl := observedPair(t, nil)
+	comp, err := e.qpA.PostSend(0, &SendWR{
 		Opcode:     OpRead,
 		SGL:        []SGE{{Addr: e.mrA.Addr(), Length: 64, MR: e.mrA}},
 		RemoteAddr: e.mrB.Addr(),
@@ -141,11 +165,12 @@ func TestTraceReadPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := tr.At(StageGathered); ok {
+	spans := opSpans(tl, e.qpA.ID(), 1)
+	if _, ok := stageEnd(spans, StageGathered); ok {
 		t.Error("read has no outbound gather")
 	}
-	resp, _ := tr.At(StageResponded)
-	arr, _ := tr.At(StageArrived)
+	resp, _ := stageEnd(spans, StageResponded)
+	arr, _ := stageEnd(spans, StageArrived)
 	// The responder term of a READ carries the host DMA read latency.
 	if resp-arr < 800 {
 		t.Errorf("read responder term %v should include the host DMA read", resp-arr)

@@ -25,21 +25,29 @@ type pairEnv struct {
 
 func newPair(t *testing.T) *pairEnv {
 	t.Helper()
-	cfg := cluster.DefaultConfig()
+	e, err := pairOn(cluster.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// pairOn builds the pair on a two-machine cluster made from cfg.
+func pairOn(cfg cluster.Config) (*pairEnv, error) {
 	cfg.Machines = 2
 	cl, err := cluster.New(cfg)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	ctxA := NewContext(cl.Machine(0))
 	ctxB := NewContext(cl.Machine(1))
 	qpA, qpB, err := Connect(ctxA, 1, ctxB, 1, RC)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	mrA := ctxA.MustRegisterMR(cl.Machine(0).MustAlloc(1, 1<<20, 0))
 	mrB := ctxB.MustRegisterMR(cl.Machine(1).MustAlloc(1, 1<<20, 0))
-	return &pairEnv{cl: cl, ctxA: ctxA, ctxB: ctxB, qpA: qpA, qpB: qpB, mrA: mrA, mrB: mrB}
+	return &pairEnv{cl: cl, ctxA: ctxA, ctxB: ctxB, qpA: qpA, qpB: qpB, mrA: mrA, mrB: mrB}, nil
 }
 
 func TestWriteMovesData(t *testing.T) {
@@ -731,19 +739,6 @@ func TestVerbsAgainstReferenceModelProperty(t *testing.T) {
 
 // newPairQuiet builds the pair env without a *testing.T (for quick.Check).
 func newPairQuiet() *pairEnv {
-	cfg := cluster.DefaultConfig()
-	cfg.Machines = 2
-	cl, err := cluster.New(cfg)
-	if err != nil {
-		return nil
-	}
-	ctxA := NewContext(cl.Machine(0))
-	ctxB := NewContext(cl.Machine(1))
-	qpA, qpB, err := Connect(ctxA, 1, ctxB, 1, RC)
-	if err != nil {
-		return nil
-	}
-	mrA := ctxA.MustRegisterMR(cl.Machine(0).MustAlloc(1, 1<<20, 0))
-	mrB := ctxB.MustRegisterMR(cl.Machine(1).MustAlloc(1, 1<<20, 0))
-	return &pairEnv{cl: cl, ctxA: ctxA, ctxB: ctxB, qpA: qpA, qpB: qpB, mrA: mrA, mrB: mrB}
+	e, _ := pairOn(cluster.DefaultConfig())
+	return e
 }

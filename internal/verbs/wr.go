@@ -96,9 +96,6 @@ type CQ struct {
 	lastTime sim.Time
 }
 
-// NewCQ returns an empty completion queue.
-func NewCQ() *CQ { return &CQ{} }
-
 // push appends an entry, enforcing in-order visibility.
 func (q *CQ) push(e CQE) {
 	if e.Time < q.lastTime {
