@@ -109,10 +109,11 @@ type Engine struct {
 	appends int64
 	cpu     sim.Duration
 
-	// payWR and paySGL are reused across AppendPayload posts so the
-	// transactional redo-append path stays allocation-free.
-	payWR  verbs.SendWR
-	paySGL [1]verbs.SGE
+	// wr and sgl are reused across AppendBatch and AppendPayload posts
+	// (PostSend keeps neither past the call), so both append paths stay
+	// allocation-free once sgl has grown to a batch.
+	wr  verbs.SendWR
+	sgl []verbs.SGE
 }
 
 // SetRetryPolicy applies a reliability configuration to the engine's QP;
@@ -186,7 +187,7 @@ func (e *Engine) AppendBatch(now sim.Time) (uint64, sim.Time, error) {
 	}
 
 	// Stage 2: materialize records in the data tables and assemble the SGL.
-	sgl := make([]verbs.SGE, 0, cfg.Batch)
+	sgl := e.sgl[:0]
 	stageOff := 0
 	for i := 0; i < cfg.Batch; i++ {
 		seqNo := first + uint64(i)
@@ -213,13 +214,15 @@ func (e *Engine) AppendBatch(now sim.Time) (uint64, sim.Time, error) {
 	}
 
 	// Stage 3: one SGL write into the reserved extent.
+	e.sgl = sgl
 	e.cpu += core.WRBuildCost + sim.Duration(len(sgl))*core.SGEBuildCost + core.PostCPUCost
-	comp, err := e.qp.PostSend(t, &verbs.SendWR{
+	e.wr = verbs.SendWR{
 		Opcode:     verbs.OpWrite,
 		SGL:        sgl,
 		RemoteAddr: e.log.logMR.Addr() + mem.Addr(int(first)*cfg.RecordSize),
 		RemoteKey:  e.log.logMR.RKey(),
-	})
+	}
+	comp, err := e.qp.PostSend(t, &e.wr)
 	if err == nil {
 		err = comp.Err()
 	}
@@ -279,14 +282,14 @@ func (e *Engine) AppendPayload(now sim.Time, payloads [][]byte) (uint64, sim.Tim
 
 	// Stage 3: one write into the reserved extent.
 	e.cpu += core.WRBuildCost + core.SGEBuildCost + core.PostCPUCost
-	e.paySGL[0] = verbs.SGE{Addr: e.staging.Addr(), Length: off, MR: e.staging}
-	e.payWR = verbs.SendWR{
+	e.sgl = append(e.sgl[:0], verbs.SGE{Addr: e.staging.Addr(), Length: off, MR: e.staging})
+	e.wr = verbs.SendWR{
 		Opcode:     verbs.OpWrite,
-		SGL:        e.paySGL[:],
+		SGL:        e.sgl,
 		RemoteAddr: e.log.logMR.Addr() + mem.Addr(int(first)*cfg.RecordSize),
 		RemoteKey:  e.log.logMR.RKey(),
 	}
-	comp, err := e.qp.PostSend(t, &e.payWR)
+	comp, err := e.qp.PostSend(t, &e.wr)
 	if err == nil {
 		err = comp.Err()
 	}

@@ -37,6 +37,42 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// TestAppendAllocFree: once warm, a batch append (records from both
+// sockets, so the SGL mixes in-place and staged entries) and a payload
+// append each post without allocating; fig19 runs one per simulated
+// transaction batch. The warm-up runs each path long enough for every
+// queueing resource's interval list to reach its folded ceiling.
+func TestAppendAllocFree(t *testing.T) {
+	cl := newCluster(t, 2)
+	cfg := DefaultConfig()
+	cfg.Batch = 8
+	l, err := NewLog(cl.Machine(0), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(1, cl.Machine(1), 1, l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payloads := [][]byte{[]byte("redo-a"), []byte("redo-b")}
+	var now sim.Time
+	var aerr error
+	for _, tc := range []struct {
+		name   string
+		append func()
+	}{
+		{"AppendBatch", func() { _, now, aerr = e.AppendBatch(now) }},
+		{"AppendPayload", func() { _, now, aerr = e.AppendPayload(now, payloads) }},
+	} {
+		for i := 0; i < 2*256; i++ {
+			tc.append()
+		}
+		if avg := testing.AllocsPerRun(100, tc.append); aerr != nil || avg != 0 {
+			t.Errorf("%s: %v allocs/op (err=%v), want 0", tc.name, avg, aerr)
+		}
+	}
+}
+
 func TestAppendRoundTrip(t *testing.T) {
 	cl := newCluster(t, 2)
 	cfg := DefaultConfig()

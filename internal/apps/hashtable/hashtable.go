@@ -221,7 +221,7 @@ type FrontEnd struct {
 	locks     []*core.RemoteLock
 	entryTmp  []byte
 	readTmp   []byte      // Get staging: reused so the hot path stays alloc-free
-	rdSGL     []verbs.SGE // cold Get scatter list, reused per op
+	coldSGL   []verbs.SGE // the cold Get or Put SGE, reused per op
 	hotHits   int64
 	coldPaths int64
 
@@ -285,7 +285,7 @@ func NewFrontEnd(id int, m *cluster.Machine, coreSocket topo.SocketID, b *Backen
 		scratch:  ctx.MustRegisterMR(sr),
 		entryTmp: make([]byte, b.cfg.entrySize()),
 		readTmp:  make([]byte, b.cfg.entrySize()),
-		rdSGL:    make([]verbs.SGE, 1),
+		coldSGL:  make([]verbs.SGE, 1),
 	}
 	if b.cfg.Level >= Reorder {
 		if err := f.initReorder(ctx, m, coreSocket, blockBytes); err != nil {
@@ -432,12 +432,10 @@ func (f *FrontEnd) putCold(now sim.Time, key uint64, value []byte) (sim.Time, er
 	f.epochSeq++
 	version := f.epoch<<24 | f.epochSeq
 	entry := f.buildEntry(key, version, value)
-	eaddr := f.scratch.Addr() + 16
 	copy(f.scratch.Region().Bytes()[16:], entry)
 	mr, dst := b.coldLocation(key)
-	return f.engine.Write(t, f.core,
-		[]verbs.SGE{{Addr: eaddr, Length: len(entry), MR: f.scratch}},
-		0, dst, mr)
+	f.coldSGL[0] = verbs.SGE{Addr: f.scratch.Addr() + 16, Length: len(entry), MR: f.scratch}
+	return f.engine.Write(t, f.core, f.coldSGL, 0, dst, mr)
 }
 
 // Get fetches the value under key into out, returning the completion time.
@@ -461,8 +459,8 @@ func (f *FrontEnd) Get(now sim.Time, key uint64, out []byte) (sim.Time, error) {
 	// Cold read: one RDMA read of the whole entry.
 	mr, src := b.coldLocation(key)
 	buf := f.scratch.Region().Bytes()
-	f.rdSGL[0] = verbs.SGE{Addr: f.scratch.Addr() + coldReadOff, Length: f.cfg.entrySize(), MR: f.scratch}
-	t, err := f.engine.Read(now, f.core, f.rdSGL, 0, src, mr)
+	f.coldSGL[0] = verbs.SGE{Addr: f.scratch.Addr() + coldReadOff, Length: f.cfg.entrySize(), MR: f.scratch}
+	t, err := f.engine.Read(now, f.core, f.coldSGL, 0, src, mr)
 	if err != nil {
 		return 0, err
 	}

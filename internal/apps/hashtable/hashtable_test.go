@@ -373,6 +373,33 @@ func TestGetAllocFree(t *testing.T) {
 	}
 }
 
+// A cold Put, the fetch-and-add that reserves each epoch included, must not
+// allocate either: it runs once per write of every cold key in fig12.
+func TestColdPutAllocFree(t *testing.T) {
+	cl := newCluster(t, 2)
+	cfg := defaultConfig(Reorder, []uint64{40, 41})
+	b, err := NewBackend(cl.Machine(0), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe, err := NewFrontEnd(1, cl.Machine(1), 0, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := make([]byte, cfg.ValueSize)
+	workload.FillValue(val, 7)
+	now, err := fe.Put(0, 7, val)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var perr error
+	if avg := testing.AllocsPerRun(2*epochSpan, func() {
+		now, perr = fe.Put(now, 7, val)
+	}); perr != nil || avg != 0 {
+		t.Fatalf("cold Put: %v allocs/op (err=%v), want 0", avg, perr)
+	}
+}
+
 // Figure 12's qualitative claim: Reorder > NUMA > Basic throughput under a
 // zipf write workload with multiple front-ends.
 func TestOptimizationLevelsOrdering(t *testing.T) {

@@ -1,6 +1,10 @@
 package cluster
 
-import "testing"
+import (
+	"testing"
+
+	"rdmasem/internal/fabric"
+)
 
 func TestDefaultConfigBuildsPaperTestbed(t *testing.T) {
 	c, err := New(DefaultConfig())
@@ -17,8 +21,14 @@ func TestDefaultConfigBuildsPaperTestbed(t *testing.T) {
 	if m.NIC().Ports() != 2 {
 		t.Fatalf("ports=%d, want 2", m.NIC().Ports())
 	}
-	// 16 ports total on the switch.
-	if got := len(c.Fabric().Endpoints()); got != 16 {
+	// 16 ports total on the switch, one distinct endpoint per machine port.
+	seen := map[*fabric.Endpoint]bool{}
+	for i := 0; i < c.Size(); i++ {
+		for p := 0; p < c.Machine(i).NIC().Ports(); p++ {
+			seen[c.Machine(i).Endpoint(p)] = true
+		}
+	}
+	if got := len(seen); got != 16 {
 		t.Fatalf("endpoints=%d, want 16", got)
 	}
 }

@@ -69,7 +69,7 @@ type ConsolidatorConfig struct {
 	RemoteBase mem.Addr
 	BlockSize  int          // aligned block granularity (e.g. 1 KB or a 4 KB page)
 	Theta      int          // modifications per block before flushing
-	Lease      sim.Duration // flush deadline for a dirty block (0 = no lease)
+	Lease      sim.Duration // flush deadline for a pending block (0 = no lease)
 	MaxBlocks  int          // live (unflushed) blocks the shadow can hold
 
 	// PreFlush/PostFlush run around each block flush (the hashtable uses
@@ -223,7 +223,7 @@ func (c *Consolidator) Tick(now sim.Time) (sim.Time, error) {
 	return done, nil
 }
 
-// Flush force-flushes every dirty block.
+// Flush force-flushes every pending block.
 func (c *Consolidator) Flush(now sim.Time) (sim.Time, error) {
 	done := now
 	for _, pb := range c.snapshot() {
@@ -255,7 +255,7 @@ func (c *Consolidator) FlushBreakdown() (theta, lease, evict, forced int64) {
 // Theta returns the live consolidation threshold.
 func (c *Consolidator) Theta() int { return c.theta }
 
-// Lease returns the live flush deadline for dirty blocks (0 = no lease).
+// Lease returns the live flush deadline for pending blocks (0 = no lease).
 func (c *Consolidator) Lease() sim.Duration { return c.lease }
 
 // Retune changes θ and the lease mid-run. New blocks use the new settings;

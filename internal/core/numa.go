@@ -22,23 +22,15 @@ const (
 	Basic Mode = iota
 	// Matched binds one QP per (socket, peer) along matched ports and
 	// routes cross-socket requests through the proxy socket's shared-memory
-	// queues: s x 2m QPs instead of s^2 x 2m.
+	// queues: s x 2m QPs instead of the s^2 x 2m of an all-to-all wiring.
 	Matched
-	// AllToAll gives every local socket a QP to every remote socket:
-	// direct paths, but s^2 x 2m QPs that thrash the RNIC's QP cache at
-	// scale.
-	AllToAll
 )
 
 func (m Mode) String() string {
-	switch m {
-	case Basic:
+	if m == Basic {
 		return "basic"
-	case Matched:
-		return "matched+proxy"
-	default:
-		return "all-to-all"
 	}
+	return "matched+proxy"
 }
 
 // Engine is the NUMA-aware connection manager of one machine: it owns the
@@ -49,12 +41,10 @@ type Engine struct {
 	local *verbs.Context
 	peers []*verbs.Context
 	mode  Mode
-	// qps[peer][localSocket][remoteSocket]; Basic collapses the socket dims.
-	qps      map[int]map[topo.SocketID]map[topo.SocketID]*verbs.QP
-	bounce   map[topo.SocketID]*verbs.MR // per-socket proxy payload buffers
+	// qps[peer][socket]: one QP per socket along matched ports.
+	qps      [][]*verbs.QP
+	bounce   []*verbs.MR // per-socket proxy payload buffers (Matched only)
 	proxyIPC sim.Duration
-	proxied  int64
-	direct   int64
 
 	// wr and asgl are reused across posts: PostSend never retains the WR
 	// past the call, so Read/Write/FetchAdd stay allocation-free.
@@ -77,7 +67,7 @@ func NewEngine(local *verbs.Context, peers []*verbs.Context, mode Mode) (*Engine
 		local: local,
 		peers: peers,
 		mode:  mode,
-		qps:   make(map[int]map[topo.SocketID]map[topo.SocketID]*verbs.QP),
+		qps:   make([][]*verbs.QP, len(peers)),
 		// One request push and one result pull through shared-memory
 		// queues: two cache-line transfers across QPI. Same hop the
 		// per-node daemon charges (internal/proxy).
@@ -85,7 +75,7 @@ func NewEngine(local *verbs.Context, peers []*verbs.Context, mode Mode) (*Engine
 	}
 	sockets := local.Machine().Topology().Sockets()
 	if mode == Matched {
-		e.bounce = make(map[topo.SocketID]*verbs.MR)
+		e.bounce = make([]*verbs.MR, sockets)
 		for s := 0; s < sockets; s++ {
 			r, err := local.Machine().Alloc(topo.SocketID(s), 2*maxProxyPayload, 0)
 			if err != nil {
@@ -95,63 +85,30 @@ func NewEngine(local *verbs.Context, peers []*verbs.Context, mode Mode) (*Engine
 			if err != nil {
 				return nil, err
 			}
-			e.bounce[topo.SocketID(s)] = mr
+			e.bounce[s] = mr
 		}
 	}
 	for pi, peer := range peers {
-		e.qps[pi] = make(map[topo.SocketID]map[topo.SocketID]*verbs.QP)
-		switch mode {
-		case Basic, Matched:
-			// One QP per socket along matched ports; the modes differ only
-			// in how route picks among them.
-			for s := 0; s < sockets; s++ {
-				ls := topo.SocketID(s)
-				qp, _, err := verbs.Connect(local, local.Machine().SocketPort(ls), peer, peer.Machine().SocketPort(ls), verbs.RC)
-				if err != nil {
-					return nil, err
-				}
-				e.qps[pi][ls] = map[topo.SocketID]*verbs.QP{ls: qp}
+		// One QP per socket along matched ports; the modes differ only in
+		// how QP picks among them.
+		e.qps[pi] = make([]*verbs.QP, sockets)
+		for s := range e.qps[pi] {
+			ls := topo.SocketID(s)
+			qp, _, err := verbs.Connect(local, local.Machine().SocketPort(ls), peer, peer.Machine().SocketPort(ls), verbs.RC)
+			if err != nil {
+				return nil, err
 			}
-		case AllToAll:
-			for ls := 0; ls < sockets; ls++ {
-				m := make(map[topo.SocketID]*verbs.QP)
-				for rs := 0; rs < sockets; rs++ {
-					qp, _, err := verbs.Connect(local, local.Machine().SocketPort(topo.SocketID(ls)), peer, peer.Machine().SocketPort(topo.SocketID(rs)), verbs.RC)
-					if err != nil {
-						return nil, err
-					}
-					m[topo.SocketID(rs)] = qp
-				}
-				e.qps[pi][topo.SocketID(ls)] = m
-			}
+			e.qps[pi][s] = qp
 		}
 	}
 	return e, nil
 }
 
-// Mode returns the wiring mode.
-func (e *Engine) Mode() Mode { return e.mode }
-
-// QPCount returns the total number of QPs the engine established, the
-// quantity the paper's s x 2m vs s^2 x 2m comparison is about.
-func (e *Engine) QPCount() int {
-	n := 0
-	for _, bySock := range e.qps {
-		for _, byRemote := range bySock {
-			n += len(byRemote)
-		}
-	}
-	return n
-}
-
-// ProxyStats reports how many requests took the proxy hop vs went direct.
-func (e *Engine) ProxyStats() (proxied, direct int64) { return e.proxied, e.direct }
-
 // route picks the QP for a request from the given core socket to remote
 // memory on the given peer (see QP), returning the QP and the extra
 // virtual-time cost of the proxy hop (zero for direct paths).
 func (e *Engine) route(core topo.SocketID, peer int, remoteAddr mem.Addr) (*verbs.QP, sim.Duration, error) {
-	if _, ok := e.qps[peer]; !ok {
+	if peer < 0 || peer >= len(e.qps) {
 		return nil, 0, fmt.Errorf("core: unknown peer %d", peer)
 	}
 	rs, err := e.peers[peer].Machine().Space().SocketOf(remoteAddr)
@@ -159,11 +116,6 @@ func (e *Engine) route(core topo.SocketID, peer int, remoteAddr mem.Addr) (*verb
 		return nil, 0, err
 	}
 	qp, extra := e.QP(core, peer, rs)
-	if extra > 0 {
-		e.proxied++
-	} else {
-		e.direct++
-	}
 	return qp, extra, nil
 }
 
@@ -246,21 +198,15 @@ func (e *Engine) FetchAdd(now sim.Time, core topo.SocketID, scratch verbs.SGE, p
 // NUMA-routed connections.
 func (e *Engine) QP(core topo.SocketID, peer int, remoteSocket topo.SocketID) (*verbs.QP, sim.Duration) {
 	bySock := e.qps[peer]
-	switch e.mode {
-	case Basic:
+	if e.mode == Basic {
 		// Post from the core's own port, ignore the remote memory socket.
-		c := core % topo.SocketID(len(bySock))
-		return bySock[c][c], 0
-	case Matched:
-		qp := bySock[remoteSocket][remoteSocket]
-		if core == remoteSocket {
-			return qp, 0
-		}
-		// Proxy socket: hand the request to the core on the remote socket
-		// via the shared-memory queues; that core posts on its own matched
-		// QP.
-		return qp, e.proxyIPC
-	default: // AllToAll
-		return bySock[core][remoteSocket], 0
+		return bySock[int(core)%len(bySock)], 0
 	}
+	qp := bySock[remoteSocket]
+	if core == remoteSocket {
+		return qp, 0
+	}
+	// Proxy socket: hand the request to the core on the remote socket via
+	// the shared-memory queues; that core posts on its own matched QP.
+	return qp, e.proxyIPC
 }

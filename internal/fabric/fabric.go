@@ -57,18 +57,11 @@ type Endpoint struct {
 // Name returns the endpoint's diagnostic name.
 func (e *Endpoint) Name() string { return e.name }
 
-// Tx exposes the endpoint's transmit pipe (telemetry attachment and
-// utilization reporting).
+// Tx exposes the endpoint's transmit pipe (telemetry attachment).
 func (e *Endpoint) Tx() *sim.Pipe { return e.tx }
 
 // Rx exposes the endpoint's receive pipe.
 func (e *Endpoint) Rx() *sim.Pipe { return e.rx }
-
-// TxUtilization reports the transmit-link busy fraction over the horizon.
-func (e *Endpoint) TxUtilization(horizon sim.Time) float64 { return e.tx.Utilization(horizon) }
-
-// RxUtilization reports the receive-link busy fraction over the horizon.
-func (e *Endpoint) RxUtilization(horizon sim.Time) float64 { return e.rx.Utilization(horizon) }
 
 // Fabric is the switch plus all registered endpoints. All mutable queueing
 // and tally state lives on the endpoints, never on the Fabric itself.
@@ -107,13 +100,6 @@ func (f *Fabric) RegisterAt(name string, machine int) *Endpoint {
 	}
 	f.endpoints = append(f.endpoints, e)
 	return e
-}
-
-// Endpoints returns all registered endpoints in registration order.
-func (f *Fabric) Endpoints() []*Endpoint {
-	out := make([]*Endpoint, len(f.endpoints))
-	copy(out, f.endpoints)
-	return out
 }
 
 // Send moves one message of size payload bytes from one endpoint to another,

@@ -7,6 +7,14 @@ import (
 	"rdmasem/internal/sim"
 )
 
+// occupancy attaches an observer to p and returns the service time it
+// sums over every later transfer: the link's busy time.
+func occupancy(p *sim.Pipe) *sim.Duration {
+	busy := new(sim.Duration)
+	p.Observe(func(_, start, end sim.Time) { *busy += end - start })
+	return busy
+}
+
 func newFabric(t *testing.T) *Fabric {
 	t.Helper()
 	f, err := New(DefaultParams())
@@ -76,16 +84,18 @@ func TestIncastContention(t *testing.T) {
 func TestLoopback(t *testing.T) {
 	f := newFabric(t)
 	a := f.Register("a")
+	tx, rx := occupancy(a.Tx()), occupancy(a.Rx())
 	p := f.Params()
 	end := f.Send(100, a, a, 1<<20)
-	want := sim.Time(100) + p.SwitchLatency + sim.TransferTime(1<<20+p.FrameOverhead, p.LinkBandwidth)
+	serialize := sim.TransferTime(1<<20+p.FrameOverhead, p.LinkBandwidth)
+	want := sim.Time(100) + p.SwitchLatency + serialize
 	if end != want {
 		t.Fatalf("loopback = %v, want switch latency + rx serialization %v", end-100, want-100)
 	}
-	if a.RxUtilization(end) == 0 {
-		t.Fatal("loopback must charge the rx pipe")
+	if *rx != serialize {
+		t.Fatalf("loopback occupied rx for %v, want %v", *rx, serialize)
 	}
-	if a.TxUtilization(end) != 0 {
+	if *tx != 0 {
 		t.Fatal("loopback must not charge the tx pipe")
 	}
 	// Self-sends serialize behind each other and behind genuine inbound
@@ -122,15 +132,17 @@ func TestSendPanics(t *testing.T) {
 func TestLinkUtilization(t *testing.T) {
 	f := newFabric(t)
 	a, b := f.Register("a"), f.Register("b")
+	aTx, aRx, bTx, bRx := occupancy(a.Tx()), occupancy(a.Rx()), occupancy(b.Tx()), occupancy(b.Rx())
 	f.Send(0, a, b, 1<<20)
-	if a.TxUtilization(sim.Millisecond) == 0 {
-		t.Fatal("tx utilization should be nonzero")
+	want := sim.TransferTime(1<<20+f.Params().FrameOverhead, f.Params().LinkBandwidth)
+	if *aTx != want || *bRx != want {
+		t.Fatalf("link occupancy tx=%v rx=%v, want %v on each", *aTx, *bRx, want)
 	}
-	if b.RxUtilization(sim.Millisecond) == 0 {
-		t.Fatal("rx utilization should be nonzero")
+	if *aRx != 0 || *bTx != 0 {
+		t.Fatalf("a one-way send charged the reverse links: a/rx=%v b/tx=%v", *aRx, *bTx)
 	}
-	if len(f.Endpoints()) != 2 {
-		t.Fatal("both endpoints should be registered")
+	if len(f.endpoints) != 2 || a.id != 0 || b.id != 1 {
+		t.Fatal("both endpoints should be registered in order")
 	}
 }
 

@@ -91,12 +91,6 @@ func (p *FaultPlan) Validate() error {
 	return nil
 }
 
-// Active reports whether the plan can ever perturb a segment.
-func (p *FaultPlan) Active() bool {
-	return p != nil && (p.Drop > 0 || p.Corrupt > 0 || p.DelayP > 0 ||
-		p.FlapDown > 0 || len(p.Crashes) > 0)
-}
-
 // HasOutages reports whether the plan schedules link-flap windows or machine
 // crashes (the failure modes the recovery layer exists for). The per-segment
 // outage check in Deliver is skipped entirely when this is false, so plans

@@ -74,9 +74,8 @@ func TestParseFaultPlanOutages(t *testing.T) {
 	if !reflect.DeepEqual(p, want) {
 		t.Fatalf("parsed %+v, want %+v", p, want)
 	}
-	if !p.Active() || !p.HasOutages() || !p.HasCrashes() {
-		t.Fatalf("outage plan not active: Active=%v HasOutages=%v HasCrashes=%v",
-			p.Active(), p.HasOutages(), p.HasCrashes())
+	if !p.HasOutages() || !p.HasCrashes() {
+		t.Fatalf("outage plan not active: HasOutages=%v HasCrashes=%v", p.HasOutages(), p.HasCrashes())
 	}
 	q, err := ParseFaultPlan(p.String())
 	if err != nil {
@@ -151,6 +150,7 @@ func TestDeliverDeterminism(t *testing.T) {
 func TestDeliverChargesPipes(t *testing.T) {
 	f := lossy(t, &FaultPlan{Seed: 1, Drop: 1})
 	a, b := f.Register("a"), f.Register("b")
+	aTx, bRx := occupancy(a.Tx()), occupancy(b.Rx())
 	at, v := f.Deliver(0, a, b, 4096)
 	if v != Dropped {
 		t.Fatalf("drop=1 delivered: %v", v)
@@ -158,10 +158,10 @@ func TestDeliverChargesPipes(t *testing.T) {
 	if at <= 0 {
 		t.Fatal("dropped segment should report its would-be arrival")
 	}
-	if a.TxUtilization(sim.Millisecond) == 0 {
+	if *aTx == 0 {
 		t.Fatal("dropped segment must still occupy the tx link")
 	}
-	if b.RxUtilization(sim.Millisecond) != 0 {
+	if *bRx != 0 {
 		t.Fatal("dropped segment must not reach the rx link")
 	}
 	if _, v := f.Deliver(0, a, a, 4096); v != Delivered {
@@ -173,10 +173,11 @@ func TestDeliverChargesPipes(t *testing.T) {
 
 	f2 := lossy(t, &FaultPlan{Seed: 1, Corrupt: 1})
 	a2, b2 := f2.Register("a"), f2.Register("b")
+	b2Rx := occupancy(b2.Rx())
 	if _, v := f2.Deliver(0, a2, b2, 4096); v != Corrupted {
 		t.Fatalf("corrupt=1 verdict %v", v)
 	}
-	if b2.RxUtilization(sim.Millisecond) == 0 {
+	if *b2Rx == 0 {
 		t.Fatal("corrupted segment must still serialize on rx")
 	}
 }

@@ -246,12 +246,12 @@ func TestCrossTrafficSlowsSharedBackend(t *testing.T) {
 	}
 }
 
-// TestEngineModesAgreeOnData runs the same writes through all three engine
+// TestEngineModesAgreeOnData runs the same writes through both engine
 // wirings and checks the remote bytes are identical — the NUMA modes differ
 // only in time, never in effect.
 func TestEngineModesAgreeOnData(t *testing.T) {
 	var images [][]byte
-	for _, mode := range []core.Mode{core.Basic, core.Matched, core.AllToAll} {
+	for _, mode := range []core.Mode{core.Basic, core.Matched} {
 		cl, err := cluster.New(cluster.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
@@ -277,7 +277,7 @@ func TestEngineModesAgreeOnData(t *testing.T) {
 		}
 		images = append(images, append([]byte(nil), dst.Region().Bytes()[:64*64]...))
 	}
-	if !bytes.Equal(images[0], images[1]) || !bytes.Equal(images[1], images[2]) {
+	if !bytes.Equal(images[0], images[1]) {
 		t.Fatal("engine modes disagree on written data")
 	}
 }

@@ -8,12 +8,21 @@ import (
 	"rdmasem/internal/sim"
 )
 
+// occupancy attaches an observer to p and returns the service time it sums
+// over every later transfer.
+func occupancy(p *sim.Pipe) *sim.Duration {
+	busy := new(sim.Duration)
+	p.Observe(func(_, start, end sim.Time) { *busy += end - start })
+	return busy
+}
+
 // TestScatterDMA: a scatter tallies Scatter* counters (never Gather*), rides
 // the PCIe-up channel only, and pays the interconnect hop exactly when a
 // buffer lives across QPI and a QPI pipe is supplied.
 func TestScatterDMA(t *testing.T) {
 	n := newNIC(t)
 	p := n.Params()
+	up, down := occupancy(n.PCIeUp()), occupancy(n.PCIeDown())
 	sizes := []int{64, 128}
 	plain := n.ScatterDMA(0, sizes, 0, nil, 0)
 	want := sim.Time(2*p.SGEFetch) + p.PCIeOverhead + sim.TransferTime(192, p.PCIeBandwidth)
@@ -27,21 +36,21 @@ func TestScatterDMA(t *testing.T) {
 	if c.GatherOps != 0 || c.GatherFrags != 0 || c.GatherBytes != 0 {
 		t.Fatalf("a scatter bumped gather counters: %+v", c)
 	}
-	if n.PCIeUp().Bytes() != 192 || n.PCIeDown().Bytes() != 0 {
-		t.Fatalf("scatter moved %d bytes up, %d down; want 192 up only",
-			n.PCIeUp().Bytes(), n.PCIeDown().Bytes())
+	if want := p.PCIeOverhead + sim.TransferTime(192, p.PCIeBandwidth); *up != want || *down != 0 {
+		t.Fatalf("scatter occupied PCIe up for %v and down for %v; want %v up only", *up, *down, want)
 	}
 
 	// Two buffers across QPI: one interconnect transfer of the whole payload
 	// plus one hop latency per crossing buffer, after the PCIe leg.
 	const hop = 70
 	qpi := sim.NewPipe("qpi", 12.8e9, 0)
+	qpiBusy := occupancy(qpi)
 	crossed := newNIC(t).ScatterDMA(0, sizes, 2, qpi, hop)
 	if got := crossed - plain; got != sim.TransferTime(192, 12.8e9)+2*hop {
 		t.Fatalf("QPI hop added %v, want transfer + 2 hops", got)
 	}
-	if qpi.Bytes() != 192 {
-		t.Fatalf("QPI pipe carried %d bytes, want 192", qpi.Bytes())
+	if want := sim.TransferTime(192, 12.8e9); *qpiBusy != want {
+		t.Fatalf("QPI pipe busy for %v, want %v (one 192-byte transfer)", *qpiBusy, want)
 	}
 	// A crossing count without a QPI pipe has no hop to charge.
 	if got := newNIC(t).ScatterDMA(0, sizes, 2, nil, hop); got != plain {

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Kernel is the discrete-event scheduler. It dispatches every registered
 // client from one typed heap (see dispatchHeap) in the exact (virtual time,
@@ -32,10 +29,7 @@ func (k *Kernel) Run(horizon Time) (Result, error) {
 	if horizon <= 0 {
 		panic("sim: horizon must be positive")
 	}
-	h := &dispatchHeap{
-		clients: slices.Clone(k.clients), // the heap reorders it
-		idx:     make([]int, len(k.clients)),
-	}
+	h := &dispatchHeap{clients: k.clients}
 	for i, c := range k.clients {
 		if c.Window < 1 {
 			panic(fmt.Sprintf("sim: client %d window must be >= 1", i))
@@ -47,7 +41,6 @@ func (k *Kernel) Run(horizon Time) (Result, error) {
 		c.outstanding.reset(c.Window)
 		c.posted, c.completed = 0, 0
 		c.err = nil
-		h.idx[i] = i
 	}
 
 	err := h.run(horizon)
@@ -66,8 +59,9 @@ func (k *Kernel) Run(horizon Time) (Result, error) {
 // budget. A failed op stops the run and comes back as its error.
 func (h *dispatchHeap) run(horizon Time) error {
 	h.init()
-	for len(h.clients) > 0 {
-		c, t := h.clients[0], h.keys[0]
+	for len(h.h) > 0 {
+		top := h.h[0]
+		c, t := h.clients[top.idx], top.at
 		if t >= horizon || (c.MaxOps > 0 && c.posted >= c.MaxOps) {
 			h.popTop()
 			continue
@@ -78,7 +72,7 @@ func (h *dispatchHeap) run(horizon Time) error {
 		}
 		complete := c.Op(t)
 		if c.err != nil {
-			return fmt.Errorf("sim: client %d at %v: %w", h.idx[0], t, c.err)
+			return fmt.Errorf("sim: client %d at %v: %w", top.idx, t, c.err)
 		}
 		if complete < t {
 			panic("sim: op completed before it was posted")

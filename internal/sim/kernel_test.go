@@ -302,18 +302,17 @@ func TestShardKeyCacheInvariant(t *testing.T) {
 		svc := Duration(40 + 25*i)
 		c.Op = func(post Time) Time {
 			ops++
-			if h.clients[0] != c || h.keys[0] != post {
-				t.Fatalf("op %d: client %d dispatched at %v is not the root (root key %v)", ops, i, post, h.keys[0])
+			if root := h.h[0]; root.idx != i || root.at != post {
+				t.Fatalf("op %d: client %d dispatched at %v is not the root (root %d at %v)", ops, i, post, root.idx, root.at)
 			}
-			for j := 1; j < len(h.clients); j++ {
-				if got, want := h.keys[j], h.clients[j].nextAction(); got != want {
+			for j := 1; j < len(h.h); j++ {
+				if got, want := h.h[j].at, h.clients[h.h[j].idx].nextAction(); got != want {
 					t.Fatalf("op %d: cached key of heap slot %d is %v, nextAction %v", ops, j, got, want)
 				}
 			}
 			return r.Delay(post, svc)
 		}
 		h.clients = append(h.clients, c)
-		h.idx = append(h.idx, i)
 	}
 	if err := h.run(50 * Microsecond); err != nil {
 		t.Fatal(err)

@@ -58,84 +58,83 @@ func (w *window) pop() {
 	}
 }
 
-// keyLess orders dispatch keys: (virtual time, registration index). Indices
-// are unique, so the order is total; the goldens pin it.
-func keyLess(t1 Time, i1 int, t2 Time, i2 int) bool {
-	if t1 != t2 {
-		return t1 < t2
+// dispatchEntry is one heap slot: a client's cached next-action time and
+// its registration index.
+type dispatchEntry struct {
+	at  Time
+	idx int
+}
+
+// before orders dispatch entries by (virtual time, registration index).
+// Indices are unique, so the order is total; the goldens pin it.
+func (a dispatchEntry) before(b dispatchEntry) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return i1 < i2
+	return a.idx < b.idx
 }
 
-// dispatchHeap is a run's dispatch queue: a typed min-heap of clients
-// ordered by (nextAction, registration index). Kernel.Run loads the clients
-// once; run only ever reorders the root (after a dispatch) or evicts it
-// (horizon or MaxOps reached), so there is no push.
+// dispatchHeap is a run's dispatch queue: a typed binary min-heap of
+// (nextAction, registration index) entries over clients, which stays in
+// registration order. Kernel.Run loads every client once; run only ever
+// reorders the root (after a dispatch) or evicts it (horizon or MaxOps
+// reached), so there is no push.
 //
-// Each client's nextAction is cached in keys, because only the root's key
-// changes per step: a dispatch moves the root's nextPost and window, and no
-// Op may change another client's dispatch inputs (see Client). fixTop
+// Each client's nextAction is cached in its entry, because only the root's
+// key changes per step: a dispatch moves the root's nextPost and window, and
+// no Op may change another client's dispatch inputs (see Client). fixTop
 // refreshes the root's key, so a compare reads two cached times instead of
-// chasing two clients' outstanding heaps.
+// chasing two clients' outstanding windows. Entries hold no pointers, so a
+// sift moves plain words.
 type dispatchHeap struct {
-	clients []*Client
-	idx     []int  // registration indices, parallel to clients
-	keys    []Time // cached nextAction of each client, parallel to clients
+	clients []*Client // registration order, never reordered
+	h       []dispatchEntry
 }
 
-func (s *dispatchHeap) less(i, j int) bool {
-	return keyLess(s.keys[i], s.idx[i], s.keys[j], s.idx[j])
-}
-
-func (s *dispatchHeap) swap(i, j int) {
-	s.clients[i], s.clients[j] = s.clients[j], s.clients[i]
-	s.idx[i], s.idx[j] = s.idx[j], s.idx[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-}
-
+// down sifts the entry at i toward the leaves until no child precedes it.
 func (s *dispatchHeap) down(i int) {
-	n := len(s.clients)
+	h := s.h
+	n := len(h)
+	e := h[i]
 	for {
-		l := 2*i + 1
-		if l >= n {
-			return
+		m := 2*i + 1
+		if m >= n {
+			break
 		}
-		m := l
-		if r := l + 1; r < n && s.less(r, l) {
+		if r := m + 1; r < n && h[r].before(h[m]) {
 			m = r
 		}
-		if !s.less(m, i) {
-			return
+		if !h[m].before(e) {
+			break
 		}
-		s.swap(i, m)
+		h[i] = h[m]
 		i = m
 	}
+	h[i] = e
 }
 
 // init caches every client's key and establishes the heap order.
 func (s *dispatchHeap) init() {
-	s.keys = make([]Time, len(s.clients))
+	s.h = make([]dispatchEntry, len(s.clients))
 	for i, c := range s.clients {
-		s.keys[i] = c.nextAction()
+		s.h[i] = dispatchEntry{c.nextAction(), i}
 	}
-	for i := len(s.clients)/2 - 1; i >= 0; i-- {
+	for i := len(s.h)/2 - 1; i >= 0; i-- {
 		s.down(i)
 	}
 }
 
 // fixTop restores heap order after the root's next action advanced.
 func (s *dispatchHeap) fixTop() {
-	s.keys[0] = s.clients[0].nextAction()
+	s.h[0].at = s.clients[s.h[0].idx].nextAction()
 	s.down(0)
 }
 
 // popTop evicts the root.
 func (s *dispatchHeap) popTop() {
-	last := len(s.clients) - 1
-	s.swap(0, last)
-	s.clients = s.clients[:last]
-	s.idx = s.idx[:last]
-	s.keys = s.keys[:last]
+	last := len(s.h) - 1
+	s.h[0] = s.h[last]
+	s.h = s.h[:last]
 	if last > 0 {
 		s.down(0)
 	}

@@ -25,8 +25,6 @@ type interval struct {
 type Resource struct {
 	name      string
 	intervals []interval // sorted, non-overlapping, non-adjacent
-	busy      Duration   // accumulated service time, for utilization
-	served    int64      // number of Acquire calls
 	onAcquire AcquireFunc
 }
 
@@ -56,8 +54,6 @@ func (r *Resource) Acquire(arrival Time, service Duration) (start, end Time) {
 	if service < 0 {
 		panic(fmt.Sprintf("sim: negative service time %d on %s", service, r.name))
 	}
-	r.busy += service
-	r.served++
 	start = r.place(arrival, service)
 	end = start + service
 	if r.onAcquire != nil {
@@ -194,32 +190,6 @@ func (r *Resource) Delay(arrival Time, service Duration) Time {
 	return end
 }
 
-// NextFree reports the end of the last scheduled busy span.
-func (r *Resource) NextFree() Time {
-	if len(r.intervals) == 0 {
-		return 0
-	}
-	return r.intervals[len(r.intervals)-1].end
-}
-
-// Busy reports the accumulated service time.
-func (r *Resource) Busy() Duration { return r.busy }
-
-// Served reports the number of completed service requests.
-func (r *Resource) Served() int64 { return r.served }
-
-// Utilization reports the fraction of [0, horizon] the resource spent busy.
-func (r *Resource) Utilization(horizon Time) float64 {
-	if horizon <= 0 {
-		return 0
-	}
-	u := float64(r.busy) / float64(horizon)
-	if u > 1 {
-		u = 1
-	}
-	return u
-}
-
 // Pipe models a bandwidth-limited channel (a wire, a PCIe lane bundle, a
 // memory channel): transfers serialize, and each transfer of n bytes occupies
 // the pipe for n/bandwidth plus a fixed per-transfer overhead.
@@ -227,7 +197,6 @@ type Pipe struct {
 	res            Resource
 	bytesPerSecond float64
 	overhead       Duration
-	bytes          int64
 	memo           [2]serviceMemo // most recent first
 }
 
@@ -253,13 +222,9 @@ func NewPipe(name string, bytesPerSecond float64, overhead Duration) *Pipe {
 // Name returns the diagnostic name given at construction.
 func (p *Pipe) Name() string { return p.res.name }
 
-// Bandwidth returns the configured bandwidth in bytes per second.
-func (p *Pipe) Bandwidth() float64 { return p.bytesPerSecond }
-
 // Transfer schedules a transfer of size bytes arriving at the given time and
 // returns the start and completion of the transfer.
 func (p *Pipe) Transfer(arrival Time, size int) (start, end Time) {
-	p.bytes += int64(size)
 	return p.res.Acquire(arrival, p.service(size))
 }
 
@@ -288,12 +253,3 @@ func (p *Pipe) Delay(arrival Time, size int) Time {
 // Transfer reports its arrival, service start and completion. Like
 // Resource.Observe, attachment never changes timing.
 func (p *Pipe) Observe(fn AcquireFunc) { p.res.Observe(fn) }
-
-// Bytes reports the cumulative bytes transferred.
-func (p *Pipe) Bytes() int64 { return p.bytes }
-
-// Busy reports accumulated service time.
-func (p *Pipe) Busy() Duration { return p.res.Busy() }
-
-// Utilization reports the busy fraction of [0, horizon].
-func (p *Pipe) Utilization(horizon Time) float64 { return p.res.Utilization(horizon) }

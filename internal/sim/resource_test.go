@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestResourceIdleStart(t *testing.T) {
@@ -47,24 +48,6 @@ func TestResourceNegativeServicePanics(t *testing.T) {
 	NewResource("r").Acquire(0, -1)
 }
 
-func TestResourceAccounting(t *testing.T) {
-	r := NewResource("r")
-	r.Acquire(0, 100)
-	r.Acquire(0, 300)
-	if r.Busy() != 400 {
-		t.Fatalf("busy=%d, want 400", r.Busy())
-	}
-	if r.Served() != 2 {
-		t.Fatalf("served=%d, want 2", r.Served())
-	}
-	if u := r.Utilization(800); u != 0.5 {
-		t.Fatalf("utilization=%v, want 0.5", u)
-	}
-	if u := r.Utilization(100); u != 1 {
-		t.Fatalf("utilization should clamp to 1, got %v", u)
-	}
-}
-
 // Property: service windows returned by a resource never overlap and are
 // emitted in nondecreasing start order when arrivals are nondecreasing.
 func TestResourceNoOverlapProperty(t *testing.T) {
@@ -92,7 +75,8 @@ func TestResourceNoOverlapProperty(t *testing.T) {
 	}
 }
 
-// Property: total busy time equals the sum of requested services.
+// Property: services that all arrive at once pack back to back, so the busy
+// spans cover exactly the sum of requested services from time zero.
 func TestResourceBusyConservation(t *testing.T) {
 	f := func(services []uint16) bool {
 		r := NewResource("p")
@@ -101,7 +85,11 @@ func TestResourceBusyConservation(t *testing.T) {
 			r.Acquire(0, Duration(s))
 			want += Duration(s)
 		}
-		return r.Busy() == want
+		var busy Duration
+		for _, iv := range r.intervals {
+			busy += iv.end - iv.start
+		}
+		return busy == want && nextFree(r) == want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -113,9 +101,6 @@ func TestPipeTransferTime(t *testing.T) {
 	start, end := p.Transfer(0, 1000)
 	if start != 0 || end != 1000 {
 		t.Fatalf("got [%d,%d], want [0,1000]", start, end)
-	}
-	if p.Bytes() != 1000 {
-		t.Fatalf("bytes=%d, want 1000", p.Bytes())
 	}
 }
 
@@ -184,8 +169,8 @@ func TestResourceGapFillingExactFit(t *testing.T) {
 		t.Fatalf("exact-fit gap: got [%d,%d], want [100,150]", start, end)
 	}
 	// Everything merged into one solid interval [0,250).
-	if r.NextFree() != 250 {
-		t.Fatalf("NextFree=%d, want 250", r.NextFree())
+	if got := nextFree(r); got != 250 {
+		t.Fatalf("next free instant %d, want 250", got)
 	}
 	start, _ = r.Acquire(0, 10)
 	if start != 250 {
@@ -202,9 +187,14 @@ func TestResourceCompaction(t *testing.T) {
 	if len(r.intervals) > maxIntervals {
 		t.Fatalf("interval list grew to %d, cap is %d", len(r.intervals), maxIntervals)
 	}
-	if r.Served() != int64(4*maxIntervals) {
-		t.Fatalf("served=%d", r.Served())
+}
+
+// nextFree reports the end of r's last busy span (0 when idle).
+func nextFree(r *Resource) Time {
+	if len(r.intervals) == 0 {
+		return 0
 	}
+	return r.intervals[len(r.intervals)-1].end
 }
 
 // Property: gap-filling placement agrees with a brute-force reference that
@@ -336,20 +326,20 @@ func TestResourceMatchesReferenceAcrossFolds(t *testing.T) {
 			n := len(ref.intervals)
 			switch c := rng.Intn(20); {
 			case n == 0 || c < 8: // past the tail: adjacent or after a gap
-				arrival = r.NextFree() + Time(rng.Intn(3)*rng.Intn(30))
+				arrival = nextFree(r) + Time(rng.Intn(3)*rng.Intn(30))
 				tails++
 			case c < 12: // inside the last span
 				last := ref.intervals[n-1]
 				arrival = last.start + Time(rng.Int63n(int64(last.end-last.start)))
 			case c < 17: // deep out of order, possibly before every span
 				first := ref.intervals[0].start
-				arrival = first - 50 + Time(rng.Int63n(int64(r.NextFree()-first)+50))
+				arrival = first - 50 + Time(rng.Int63n(int64(nextFree(r)-first)+50))
 				if arrival < 0 {
 					arrival = 0
 				}
 			default: // zero-length, anywhere up to just past the tail
 				service = 0
-				arrival = Time(rng.Int63n(int64(r.NextFree()) + 10))
+				arrival = Time(rng.Int63n(int64(nextFree(r)) + 10))
 			}
 			wantStart := ref.place(arrival, service)
 			start, end := r.Acquire(arrival, service)
@@ -380,15 +370,15 @@ func mixedArrival(r *Resource, kind, pos byte) (Time, Duration) {
 	n := len(r.intervals)
 	switch {
 	case n == 0 || kind%4 == 0: // past the tail: adjacent or after a gap
-		return r.NextFree() + Time(pos%4)*Time(pos), service
+		return nextFree(r) + Time(pos%4)*Time(pos), service
 	case kind%4 == 1: // inside the last span
 		last := r.intervals[n-1]
 		return last.start + frac(last.end-last.start), service
 	case kind%4 == 2: // deep out of order, possibly before every span
 		first := r.intervals[0].start
-		return max(first-50+frac(r.NextFree()-first+50), 0), service
+		return max(first-50+frac(nextFree(r)-first+50), 0), service
 	default: // zero-length, anywhere up to just past the tail
-		return frac(r.NextFree() + 10), 0
+		return frac(nextFree(r) + 10), 0
 	}
 }
 
@@ -425,7 +415,7 @@ func FuzzResourceMatchesReference(f *testing.F) {
 				// times the pass's most service (64 acquires of at most 64
 				// ns), so the decoded acquires close at most one such gap
 				// every eight passes and the list keeps growing.
-				arrival, service = r.NextFree()+1<<15, 3
+				arrival, service = nextFree(r)+1<<15, 3
 			} else {
 				arrival, service = mixedArrival(r, ops[j], ops[j+1])
 			}
@@ -505,5 +495,19 @@ func TestResourceAcquireSteadyStateAllocFree(t *testing.T) {
 	}
 	if fewest < 3 {
 		t.Fatalf("a stream of 10,000 acquires folded only %d times; want at least 3", fewest)
+	}
+}
+
+// TestResourceFootprint pins the host size of the two queueing primitives.
+// Every QP's send side holds a Resource by value and every link, PCIe
+// channel and QPI hop is a Pipe, so a per-placement tally added here is paid
+// once per simulated connection; the telemetry queue hooks already count
+// placements and service time for the runs that report them.
+func TestResourceFootprint(t *testing.T) {
+	if n := unsafe.Sizeof(Resource{}); n > 48 {
+		t.Errorf("Resource is %d bytes, want at most 48", n)
+	}
+	if n := unsafe.Sizeof(Pipe{}); n > 112 {
+		t.Errorf("Pipe is %d bytes, want at most 112", n)
 	}
 }

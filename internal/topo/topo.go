@@ -224,18 +224,8 @@ func New(p Params) (*Topology, error) {
 	return &Topology{Params: p}, nil
 }
 
-// Cross reports whether access from socket a to memory of socket b crosses
-// the interconnect.
-func (t *Topology) Cross(a, b SocketID) bool { return a != b }
-
 // NICSocket returns the socket hosting the RNIC's PCIe root port.
 func (t *Topology) NICSocket() SocketID { return t.Params.NICSocket }
 
 // Sockets returns the number of sockets.
 func (t *Topology) Sockets() int { return t.Params.Sockets }
-
-// PeerSocket returns a deterministic "other" socket (the next one, wrapping),
-// used by NUMA-affinity tests and the proxy-socket machinery.
-func (t *Topology) PeerSocket(s SocketID) SocketID {
-	return SocketID((int(s) + 1) % t.Params.Sockets)
-}

@@ -125,12 +125,6 @@ func TestTopologyHelpers(t *testing.T) {
 	if tp.Sockets() != 2 || tp.NICSocket() != 1 {
 		t.Fatalf("sockets=%d nic=%d, want 2/1", tp.Sockets(), tp.NICSocket())
 	}
-	if !tp.Cross(0, 1) || tp.Cross(1, 1) {
-		t.Fatal("Cross misclassifies")
-	}
-	if tp.PeerSocket(0) != 1 || tp.PeerSocket(1) != 0 {
-		t.Fatal("PeerSocket should wrap on two sockets")
-	}
 	if _, err := New(Params{}); err == nil {
 		t.Fatal("New should reject zero params")
 	}

@@ -97,8 +97,8 @@ func TestQPFootprint(t *testing.T) {
 	if n := unsafe.Sizeof(QP{}); n > maxQPBytes {
 		t.Errorf("QP is %d bytes, want at most %d", n, maxQPBytes)
 	}
-	if n := unsafe.Sizeof(qpSend{}); n > 96 {
-		t.Errorf("a QP's send side is %d bytes, want at most 96", n)
+	if n := unsafe.Sizeof(qpSend{}); n > 80 {
+		t.Errorf("a QP's send side is %d bytes, want at most 80", n)
 	}
 	if n := unsafe.Sizeof(qpRecv{}); n > 64 {
 		t.Errorf("a QP's receive side is %d bytes, want at most 64", n)

@@ -316,9 +316,6 @@ func (s *qpState) BindCore(sock topo.SocketID) {
 // side if it has none yet.
 func (s *qpState) RecvCQ() *CQ { return &s.receiver().cq }
 
-// Pipeline exposes the per-QP pipeline resource (ablation benchmarks).
-func (s *qpState) Pipeline() *sim.Resource { return &s.sender().pipeline }
-
 // PostRecv posts a receive buffer for incoming SEND/datagram traffic. On an
 // SRQ-attached QP receives must be posted to the SRQ instead.
 func (s *qpState) PostRecv(wr RecvWR) error {

@@ -66,7 +66,7 @@ var (
 // simulated concurrently stay fully hermetic.
 type Context struct {
 	machine *cluster.Machine
-	mrs     []*MR      // indexed by RKey-1; a deregistered slot is nil
+	mrs     []*MR      // indexed by RKey-1
 	routes  []*qpRoute // one per NIC port, shared by every QP bound to it
 }
 
@@ -122,21 +122,12 @@ func (c *Context) MustRegisterMR(r *mem.Region) *MR {
 	return mr
 }
 
-// DeregisterMR removes the region from the registry; outstanding RKeys stop
-// resolving. An MR of another context is ignored.
-func (c *Context) DeregisterMR(mr *MR) {
-	if mr.ctx == c {
-		c.mrs[mr.id-1] = nil
-	}
-}
-
 // LookupMR resolves an RKey on this context. RKeys are dense per context
-// (1, 2, 3, ... in registration order), so the lookup is a bounds check.
+// (1, 2, 3, ... in registration order) and a registration is never undone,
+// so the lookup is a bounds check; RKey 0 wraps past every slot.
 func (c *Context) LookupMR(key RKey) (*MR, error) {
 	if key-1 < RKey(len(c.mrs)) {
-		if mr := c.mrs[key-1]; mr != nil {
-			return mr, nil
-		}
+		return c.mrs[key-1], nil
 	}
 	return nil, fmt.Errorf("%w: %d", ErrBadRKey, key)
 }
