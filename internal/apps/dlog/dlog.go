@@ -8,9 +8,15 @@
 // With NUMA awareness (Section III-D), records living in the alternate
 // socket's data table are first staged into a NUMA-friendly buffer with a
 // CPU copy so the NIC's gather never crosses QPI.
+//
+// A data table spans 1 MiB of simulated memory, and every record has a home
+// slot in it at a real address, but the table holds only the batch in
+// flight: nothing reads a record after the append that gathers it, so the
+// host bytes behind the slots form a batch-sized ring (see NewEngine).
 package dlog
 
 import (
+	"errors"
 	"fmt"
 
 	"rdmasem/internal/cluster"
@@ -21,6 +27,16 @@ import (
 	"rdmasem/internal/verbs"
 	"rdmasem/internal/workload"
 )
+
+// tableBytes is the virtual span of each per-socket data table, and
+// stagingBytes the size of an engine's NUMA-friendly staging buffer.
+const (
+	tableBytes   = 1 << 20
+	stagingBytes = 1 << 16
+)
+
+// ErrBadConfig reports a configuration the log or an engine cannot run.
+var ErrBadConfig = errors.New("dlog: bad configuration")
 
 // Config describes a distributed-log deployment.
 type Config struct {
@@ -46,7 +62,12 @@ type Log struct {
 // NewLog places the global log on the machine's NIC socket.
 func NewLog(m *cluster.Machine, cfg Config) (*Log, error) {
 	if cfg.RecordSize <= 0 || cfg.Batch < 1 || cfg.LogBytes < cfg.RecordSize {
-		return nil, fmt.Errorf("dlog: bad record/batch/capacity configuration")
+		return nil, fmt.Errorf("%w: record size %d, batch %d, log %d bytes", ErrBadConfig, cfg.RecordSize, cfg.Batch, cfg.LogBytes)
+	}
+	// One append's records must have distinct slot homes (slotFor), or a
+	// later record overwrites an earlier one before the gather.
+	if slots := tableBytes / cfg.RecordSize; cfg.Batch > slots {
+		return nil, fmt.Errorf("%w: a batch of %d records of %d bytes overflows the %d-slot data table", ErrBadConfig, cfg.Batch, cfg.RecordSize, slots)
 	}
 	ctx := verbs.NewContext(m)
 	lr, err := m.Alloc(m.Topology().NICSocket(), cfg.LogBytes, 0)
@@ -101,7 +122,8 @@ type Engine struct {
 
 	// Data tables on both sockets of the engine's machine: committed
 	// transactions leave their records here, and the log append gathers
-	// them in place.
+	// them in place. A table holds only the batch in flight: its slot
+	// homes alias a ring of host bytes (NewEngine).
 	tables  []*verbs.MR
 	staging *verbs.MR // NUMA-friendly buffer on the engine's socket
 	scratch *verbs.MR
@@ -122,22 +144,51 @@ type Engine struct {
 func (e *Engine) SetRetryPolicy(p verbs.RetryPolicy) { e.qp.SetRetryPolicy(p) }
 
 // NewEngine creates a transaction engine on the machine's socket.
+//
+// Each data table is a sparse region: a full 1 MiB virtual span (so the
+// addresses, MR extents and pages the NIC sees are those of a dense table)
+// backed by (k+1)·RecordSize host bytes, where k = ringSlots(S, Batch) for
+// the table's S slots. An R-byte access at offset o lands on host offset
+// o mod (backing−R), so slot home s lands on (s mod k)·R, and two homes
+// share bytes only if their sequence numbers agree mod k. An append's Batch
+// consecutive sequence numbers never do, since k ≥ Batch and k divides S
+// (so slotFor's wrap keeps the residues). Every record is gathered into the
+// log by the append that wrote it, before any later append reuses its
+// bytes, so the log receives exactly what a dense table would send. When
+// no divisor below S qualifies, the table is dense.
 func NewEngine(id int, m *cluster.Machine, socket topo.SocketID, l *Log) (*Engine, error) {
+	cfg := l.cfg
+	sockets := m.Topology().Sockets()
+	if socket < 0 || int(socket) >= sockets {
+		return nil, fmt.Errorf("%w: socket %d out of range [0,%d)", ErrBadConfig, socket, sockets)
+	}
+	// Records alternate over the per-socket tables; with NUMA on, a batch's
+	// alternate-socket records are staged contiguously.
+	if own := (cfg.Batch + sockets - 1 - int(socket)) / sockets; cfg.NUMA && (cfg.Batch-own)*cfg.RecordSize > stagingBytes {
+		return nil, fmt.Errorf("%w: %d alternate-socket records of %d bytes overflow the %d-byte staging buffer", ErrBadConfig, cfg.Batch-own, cfg.RecordSize, stagingBytes)
+	}
 	ctx := verbs.NewContext(m)
 	port := m.SocketPort(socket)
 	qp, _, err := verbs.Connect(ctx, port, l.ctx, l.ctx.Machine().SocketPort(l.ctx.Machine().Topology().NICSocket()), verbs.RC)
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{id: id, log: l, cfg: l.cfg, socket: socket, qp: qp}
-	for s := 0; s < m.Topology().Sockets(); s++ {
-		r, err := m.Alloc(topo.SocketID(s), 1<<20, 0)
+	e := &Engine{id: id, log: l, cfg: cfg, socket: socket, qp: qp}
+	slots := tableBytes / cfg.RecordSize
+	k := ringSlots(slots, cfg.Batch)
+	for s := 0; s < sockets; s++ {
+		var r *mem.Region
+		if k < slots {
+			r, err = m.Space().AllocSparse(topo.SocketID(s), tableBytes, (k+1)*cfg.RecordSize)
+		} else {
+			r, err = m.Alloc(topo.SocketID(s), tableBytes, 0)
+		}
 		if err != nil {
 			return nil, err
 		}
 		e.tables = append(e.tables, ctx.MustRegisterMR(r))
 	}
-	stg, err := m.Alloc(socket, 1<<16, 0)
+	stg, err := m.Alloc(socket, stagingBytes, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -155,6 +206,17 @@ func NewEngine(id int, m *cluster.Machine, socket topo.SocketID, l *Log) (*Engin
 	}
 	e.seq = seq
 	return e, nil
+}
+
+// ringSlots returns the smallest divisor of slots that is at least batch and
+// below slots, or slots when there is none.
+func ringSlots(slots, batch int) int {
+	for k := batch; k <= slots/2; k++ {
+		if slots%k == 0 {
+			return k
+		}
+	}
+	return slots
 }
 
 // slotFor maps a sequence number to its record-aligned home slot in a data
@@ -193,7 +255,10 @@ func (e *Engine) AppendBatch(now sim.Time) (uint64, sim.Time, error) {
 		seqNo := first + uint64(i)
 		table := e.tables[i%len(e.tables)]
 		slot := e.slotFor(seqNo, table)
-		rec := table.Region().Bytes()[slot : slot+cfg.RecordSize]
+		rec, err := table.Region().Slice(table.Addr()+mem.Addr(slot), cfg.RecordSize)
+		if err != nil {
+			return 0, 0, fmt.Errorf("dlog: record %d: %w", seqNo, err)
+		}
 		workload.FillValue(rec, seqNo)
 		cross := table.Region().Socket() != e.socket
 		e.cpu += 100 // record finalization

@@ -2,9 +2,12 @@ package dlog
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"testing"
 
 	"rdmasem/internal/cluster"
+	"rdmasem/internal/mem"
 	"rdmasem/internal/sim"
 	"rdmasem/internal/topo"
 	"rdmasem/internal/workload"
@@ -30,11 +33,202 @@ func mustHead(t *testing.T, l *Log) uint64 {
 	return h
 }
 
-func TestValidation(t *testing.T) {
-	cl := newCluster(t, 1)
-	if _, err := NewLog(cl.Machine(0), Config{}); err == nil {
-		t.Fatal("empty config must fail")
+// newEngine builds a log on machine 0 and one engine on machine 1's socket,
+// returning the first error either constructor reports.
+func newEngine(cl *cluster.Cluster, cfg Config, socket topo.SocketID) (*Log, *Engine, error) {
+	l, err := NewLog(cl.Machine(0), cfg)
+	if err != nil {
+		return nil, nil, err
 	}
+	e, err := NewEngine(0, cl.Machine(1), socket, l)
+	return l, e, err
+}
+
+// presetHead sets the log's sequence counter, as if head records had been
+// reserved already.
+func presetHead(t *testing.T, l *Log, head uint64) {
+	t.Helper()
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], head)
+	if err := l.ctx.Machine().Space().WriteAt(l.seqMR.Addr(), b[:]); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkHome reports whether a record's home slot in the table holds the
+// record FillValue wrote for seq.
+func checkHome(t *testing.T, e *Engine, table int, seq uint64) bool {
+	t.Helper()
+	mr := e.tables[table]
+	home, err := mr.Region().Slice(mr.Addr()+mem.Addr(e.slotFor(seq, mr)), e.cfg.RecordSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return workload.CheckValue(home, seq)
+}
+
+// TestValidation: configurations the log or an engine cannot run are
+// rejected with ErrBadConfig, never by a panic in AppendBatch.
+func TestValidation(t *testing.T) {
+	cl := newCluster(t, 2)
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		socket topo.SocketID
+		ok     bool
+	}{
+		{"empty", Config{}, 0, false},
+		// slotFor's slot count would be 0.
+		{"record beyond the data table", Config{RecordSize: tableBytes + 1, Batch: 1, LogBytes: 2 * tableBytes}, 0, false},
+		{"record filling the data table", Config{RecordSize: tableBytes, Batch: 1, LogBytes: 2 * tableBytes}, 0, true},
+		// Two 512 KiB slots: the third record would overwrite the first.
+		{"batch beyond the table's slots", Config{RecordSize: tableBytes / 2, Batch: 3, LogBytes: 4 * tableBytes}, 0, false},
+		{"batch filling the table's slots", Config{RecordSize: tableBytes / 2, Batch: 2, LogBytes: 4 * tableBytes}, 0, true},
+		// 2048 alternate-socket records of 64 B: 128 KiB of staging.
+		{"staged records beyond the staging buffer", Config{RecordSize: 64, Batch: 4096, NUMA: true, LogBytes: 64 << 20}, 1, false},
+		{"staged records filling the staging buffer", Config{RecordSize: 64, Batch: 2048, NUMA: true, LogBytes: 64 << 20}, 1, true},
+		{"unstaged records beyond the staging buffer", Config{RecordSize: 64, Batch: 4096, LogBytes: 64 << 20}, 1, true},
+		{"socket out of range", DefaultConfig(), 2, false},
+	} {
+		l, e, err := newEngine(cl, tc.cfg, tc.socket)
+		if !tc.ok {
+			if !errors.Is(err, ErrBadConfig) {
+				t.Errorf("%s: err=%v, want ErrBadConfig", tc.name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		first, _, err := e.AppendBatch(0)
+		if err != nil {
+			t.Errorf("%s: append: %v", tc.name, err)
+			continue
+		}
+		for i := uint64(0); i < uint64(tc.cfg.Batch); i++ {
+			if rec, err := l.Record(first + i); err != nil || !workload.CheckValue(rec, first+i) {
+				t.Errorf("%s: log record %d corrupt (err=%v)", tc.name, first+i, err)
+				break
+			}
+		}
+	}
+}
+
+// TestDataTableFootprint: a fig19-shaped engine's tables keep their 1 MiB
+// span (addresses, MR extents and pages as before) but back it with only
+// the batch in flight, k+1 records for the ring of k = 32 slots.
+func TestDataTableFootprint(t *testing.T) {
+	cl := newCluster(t, 2)
+	cfg := DefaultConfig()
+	cfg.Batch = 32
+	_, e, err := newEngine(cl, cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, mr := range e.tables {
+		if got := mr.Region().Size(); got != tableBytes {
+			t.Errorf("table %d spans %d bytes, want %d", s, got, tableBytes)
+		}
+		if got, limit := len(mr.Region().Bytes()), 33*cfg.RecordSize; got > limit {
+			t.Errorf("table %d is backed by %d host bytes, want at most %d", s, got, limit)
+		}
+	}
+}
+
+// TestAppendStraddlingWrapIntact pins the ring's sizing rule. An append of 5
+// records from seq S-2 (S = 16384 slots of 64 B) puts seqs S-2, S and S+2
+// in table 0 at slot homes S-2, 0 and 2. A ring of k = Batch = 5 slots would
+// land homes S-2 and 2 on the same bytes (both 2 mod 5) before the gather;
+// the ring of k = 8, the smallest divisor of S not below 5, keeps them apart.
+// The engine is on socket 0, so table 0's records are gathered in place with
+// NUMA on as well as off.
+func TestAppendStraddlingWrapIntact(t *testing.T) {
+	for _, numa := range []bool{true, false} {
+		cl := newCluster(t, 2)
+		cfg := DefaultConfig()
+		cfg.Batch = 5
+		cfg.NUMA = numa
+		l, e, err := newEngine(cl, cfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slots := uint64(tableBytes / cfg.RecordSize)
+		presetHead(t, l, slots-2)
+		first, _, err := e.AppendBatch(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first != slots-2 {
+			t.Fatalf("numa=%v: first=%d, want %d", numa, first, slots-2)
+		}
+		for seq := first; seq < first+uint64(cfg.Batch); seq++ {
+			rec, err := l.Record(seq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !workload.CheckValue(rec, seq) {
+				t.Errorf("numa=%v: log record %d corrupt", numa, seq)
+			}
+		}
+	}
+}
+
+// FuzzAppendIntegrity: for any record size, batch, NUMA setting, engine
+// socket, starting sequence number and number of appends, either the
+// configuration is rejected with ErrBadConfig or every record the log holds
+// is intact, whatever its slot homes alias in the tables' rings. An append
+// may fail only because the 4 MiB log is full.
+func FuzzAppendIntegrity(f *testing.F) {
+	f.Add(uint32(64), uint16(32), true, uint8(0), uint32(0), uint8(4))
+	f.Add(uint32(64), uint16(5), true, uint8(0), uint32(16382), uint8(2))
+	f.Add(uint32(96), uint16(3), false, uint8(1), uint32(10920), uint8(3))
+	f.Add(uint32(64), uint16(4095), true, uint8(1), uint32(0), uint8(1))
+	f.Add(uint32(tableBytes+1), uint16(0), false, uint8(0), uint32(0), uint8(1))
+	// Two-slot tables: a batch of 2 fits; a batch of 4 would shear
+	// table-mates, so NewLog rejects it.
+	f.Add(uint32(tableBytes/2-1), uint16(1), false, uint8(0), uint32(0), uint8(2))
+	f.Add(uint32(tableBytes/2-1), uint16(3), false, uint8(0), uint32(0), uint8(2))
+	f.Fuzz(func(t *testing.T, recSize uint32, batch uint16, numa bool, socket uint8, preset uint32, appends uint8) {
+		const logBytes = 4 << 20
+		cfg := Config{
+			RecordSize: 1 + int(recSize%(tableBytes+4096)),
+			Batch:      1 + int(batch%4096),
+			NUMA:       numa,
+			LogBytes:   logBytes,
+		}
+		cl := newCluster(t, 2)
+		defer cl.Release()
+		l, e, err := newEngine(cl, cfg, topo.SocketID(socket%3))
+		if err != nil {
+			if !errors.Is(err, ErrBadConfig) {
+				t.Fatalf("config %+v socket %d: %v", cfg, socket%3, err)
+			}
+			return
+		}
+		head := uint64(preset) % uint64(logBytes/cfg.RecordSize+1)
+		presetHead(t, l, head)
+		now := sim.Time(0)
+		for i := 0; i <= int(appends%8); i++ {
+			first, done, err := e.AppendBatch(now)
+			if err != nil {
+				if head+uint64(cfg.Batch) <= uint64(logBytes/cfg.RecordSize) {
+					t.Fatalf("append %d at %d (config %+v): %v", i, head, cfg, err)
+				}
+				break
+			}
+			for seq := first; seq < first+uint64(cfg.Batch); seq++ {
+				rec, err := l.Record(seq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !workload.CheckValue(rec, seq) {
+					t.Fatalf("log record %d corrupt (config %+v, first %d)", seq, cfg, first)
+				}
+			}
+			head, now = first+uint64(cfg.Batch), done
+		}
+	})
 }
 
 // TestAppendAllocFree: once warm, a batch append (records from both
@@ -312,8 +506,8 @@ func TestSlotWraparoundRecordAligned(t *testing.T) {
 }
 
 // End-to-end wraparound at RecordSize 96: append past the table capacity and
-// verify both the log extent and the invariant that every slot home holds a
-// complete record for the last sequence number that owned it.
+// verify both the log extent and that each append's record reads back whole
+// through its slot home, with no shear into a neighbouring slot.
 func TestAppendWraparoundNonDefaultRecordSize(t *testing.T) {
 	cl := newCluster(t, 2)
 	cfg := DefaultConfig()
@@ -328,14 +522,17 @@ func TestAppendWraparoundNonDefaultRecordSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table := e.tables[0] // Batch 1 always materializes in table 0
-	slots := uint64(table.Region().Size() / cfg.RecordSize)
+	slots := uint64(tableBytes / cfg.RecordSize)
 	total := slots + 8 // a few records past the wrap
 	now := sim.Time(0)
 	for i := uint64(0); i < total; i++ {
-		_, d, err := e.AppendBatch(now)
+		first, d, err := e.AppendBatch(now)
 		if err != nil {
 			t.Fatal(err)
+		}
+		// Batch 1 always materializes in table 0.
+		if !checkHome(t, e, 0, first) {
+			t.Fatalf("slot home of seq %d sheared", first)
 		}
 		now = d
 	}
@@ -351,22 +548,6 @@ func TestAppendWraparoundNonDefaultRecordSize(t *testing.T) {
 		if !workload.CheckValue(rec, seq) {
 			t.Fatalf("log record %d corrupt across the wrap", seq)
 		}
-	}
-	// The wrapped records reclaimed the first slot homes whole: each home
-	// holds exactly its latest owner's record, with no shear into the
-	// neighbouring slot.
-	for i := uint64(0); i < 8; i++ {
-		seq := slots + i // latest owner of slot home i
-		home := table.Region().Bytes()[e.slotFor(seq, table) : e.slotFor(seq, table)+cfg.RecordSize]
-		if !workload.CheckValue(home, seq) {
-			t.Fatalf("slot home %d sheared after the wrap (owner seq %d)", i, seq)
-		}
-	}
-	// And the un-wrapped neighbour is untouched.
-	seq := uint64(8)
-	home := table.Region().Bytes()[e.slotFor(seq, table) : e.slotFor(seq, table)+cfg.RecordSize]
-	if !workload.CheckValue(home, seq) {
-		t.Fatalf("slot home 8 corrupted by the wrap")
 	}
 }
 

@@ -54,10 +54,11 @@ func (a Addr) Page() uint64 { return uint64(a) / PageSize }
 // Region is one contiguous allocation, pinned to a socket.
 //
 // A sparse region (AllocSparse) spans a large virtual extent backed by a
-// small physical buffer that accesses alias into. Sparse regions exist for
+// small physical buffer that accesses alias into. Sparse regions serve
 // timing-only benchmarks that need huge registered spans (the paper's 2 GB
-// Figure 6 region) without the host memory: addresses and page numbers are
-// real, the bytes wrap.
+// Figure 6 region) and tables whose bytes are read back only within a
+// bounded window (dlog's data tables), without the host memory: addresses
+// and page numbers are real, the bytes wrap.
 type Region struct {
 	addr   Addr
 	socket topo.SocketID
@@ -199,9 +200,10 @@ func (s *Space) Alloc(socket topo.SocketID, size int, align uint64) (*Region, er
 }
 
 // AllocSparse reserves a virtualSize-byte extent backed by only backing
-// bytes of physical storage (both page aligned). Use it for timing-only
-// benchmarks over huge registered regions; reads and writes alias into the
-// backing.
+// bytes of physical storage, starting on a page boundary. Use it for
+// timing-only benchmarks over huge registered regions, or where no byte is
+// read back after a bounded number of later writes; reads and writes alias
+// into the backing.
 //
 // Sparse regions are the one exception to demand-zero backing. A dense
 // mapped region pays a page fault for every page an op first touches, and
