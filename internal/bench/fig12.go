@@ -60,7 +60,10 @@ func hashtableMOPS(r *run, dist *workload.ZipfDist, level hashtable.Level, theta
 			return 0, err
 		}
 		keys := dist.New(int64(1000 + i))
-		rng := rand.New(rand.NewSource(int64(50 + i)))
+		var rng *rand.Rand // drawn from only when some ops are Gets
+		if readPct > 0 {
+			rng = rand.New(rand.NewSource(int64(50 + i)))
+		}
 		out := make([]byte, 64)
 		client := &sim.Client{PostCost: 200, Window: 4}
 		client.Op = func(post sim.Time) sim.Time {

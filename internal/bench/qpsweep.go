@@ -123,8 +123,17 @@ type connState struct {
 }
 
 // The server-side receive slab, shared by every mode: the interesting state
-// is requester-side, so receives land in one big reusable buffer.
+// is requester-side, so receives land in one big reusable registered span.
+// Pool mode's source slab has the same span.
 const slabBytes = 1 << 20
+
+// payloadBacking is the host backing of every qpsweep payload region: the
+// receive slab, pool mode's source slab and the per-connection page span.
+// Nothing reads those bytes back and no access exceeds 64 B, so the regions
+// are sparse (mem.AllocSparse): their addresses, MR extents and pages, and
+// so every number, are those of dense regions, while a 20,000-connection
+// point touches 64 KiB of host memory per region instead of up to 1 MiB.
+const payloadBacking = 64 << 10
 
 // slotOf is connection c's 64-byte slot in a slab.
 func slotOf(c int) mem.Addr { return mem.Addr((c % (slabBytes / 64)) * 64) }
@@ -172,7 +181,7 @@ func newConnSweep(r *run, mode string, conns int) (*connSweep, error) {
 		return nil, err
 	}
 	ctxA, ctxB := verbs.NewContext(cl.Machine(0)), verbs.NewContext(cl.Machine(1))
-	rb, err := cl.Machine(1).Alloc(1, slabBytes, 0)
+	rb, err := cl.Machine(1).Space().AllocSparse(1, slabBytes, payloadBacking)
 	if err != nil {
 		return nil, err
 	}
@@ -195,13 +204,7 @@ func newConnSweep(r *run, mode string, conns int) (*connSweep, error) {
 	// sparse client region: distinct MR records and distinct translations,
 	// the full per-connection metadata bill.
 	perConnMRs := func() error {
-		span := conns * mem.PageSize
-		var r *mem.Region
-		if span <= 1<<20 {
-			r, err = cl.Machine(0).Alloc(1, span, 0)
-		} else {
-			r, err = cl.Machine(0).Space().AllocSparse(1, span, 1<<20)
-		}
+		r, err := cl.Machine(0).Space().AllocSparse(1, conns*mem.PageSize, payloadBacking)
 		if err != nil {
 			return err
 		}
@@ -268,7 +271,7 @@ func newConnSweep(r *run, mode string, conns int) (*connSweep, error) {
 		if mode == "pool" {
 			// The table shares the pool, and the connections share one slab
 			// registration: the NIC serves p QP contexts and one MR.
-			la, err := cl.Machine(0).Alloc(1, slabBytes, 0)
+			la, err := cl.Machine(0).Space().AllocSparse(1, slabBytes, payloadBacking)
 			if err != nil {
 				return nil, err
 			}

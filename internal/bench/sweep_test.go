@@ -196,6 +196,41 @@ func TestRunReleasesEveryCluster(t *testing.T) {
 	}
 }
 
+// TestReportIgnoresRecycledMemory: released host mappings are reused by any
+// later region of their length in the process (internal/mem), so a run may
+// start on pages an earlier run wrote. They must reach it all-zero: fig12
+// renders the same bytes on a warm free list, right after a fig12 run
+// released its mappings, as on a cold one.
+func TestReportIgnoresRecycledMemory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs fig12 three times")
+	}
+	render := func() string {
+		report, err := Run("fig12", 0.02, Options{Parallel: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		report.Render(&buf)
+		return buf.String()
+	}
+	render()
+	warm := render()
+	// A mapped region of a length no experiment uses finds no kept mapping,
+	// and that miss unmaps every kept one.
+	s, err := mem.NewSpace(1, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Alloc(0, 1<<20+3*mem.PageSize+17, 0); err != nil {
+		t.Fatal(err)
+	}
+	s.Release()
+	if cold := render(); cold != warm {
+		t.Fatal("fig12 renders differently on a warm free list and a cold one")
+	}
+}
+
 // TestHarnessDeterminism is the harness-level determinism property: the
 // same experiments rendered twice sequentially and once on a 4-wide pool
 // must produce byte-identical reports.

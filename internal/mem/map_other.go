@@ -6,5 +6,5 @@ package mem
 // builds land here because the race detector does not watch mapped memory.
 func mapAnon(int) []byte { return nil }
 
-// unmap is never reached: nothing is mapped.
-func unmap([]byte) {}
+// freeAnon is never reached: nothing is mapped.
+func freeAnon([]byte) {}

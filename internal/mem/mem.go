@@ -23,6 +23,16 @@
 // dropped without it. After Release every access returns ErrReleased, in
 // every build. A slice from Bytes or Slice is valid only while its Region
 // is reachable and unreleased.
+//
+// On Linux a released mapping is not unmapped but kept for the next region
+// of exactly its length, in any Space of the process, and zeroed in place
+// when reused (resident pages cleared, the rest dropped with
+// MADV_DONTNEED). An allocation that finds no kept mapping of its length
+// unmaps all of them first, so only lengths that keep coming back are held.
+// Each region still starts all-zero at an address its own Space picks, so
+// reuse changes host cost, never a simulated value. It does change what a
+// stale slice does: a Bytes or Slice result kept past Release may alias the
+// next region of that length instead of faulting.
 package mem
 
 import (
@@ -130,12 +140,14 @@ func (r *Region) back(n int) {
 	r.buf = make([]byte, n)
 }
 
-// free returns the region's backing: unmaps it (and drops the finalizer
-// that would) if mapped, else leaves it to the garbage collector.
+// free returns the region's backing: hands the mapping back (and drops the
+// finalizer that would) if mapped, else leaves it to the garbage collector.
+// A freed region is no longer mapped, so freeing it again hands nothing
+// back: a mapping is never on the free list twice.
 func (r *Region) free() {
 	if r.mapped {
 		runtime.SetFinalizer(r, nil)
-		unmap(r.buf)
+		freeAnon(r.buf)
 		r.mapped = false
 	}
 	r.buf = nil
@@ -240,10 +252,12 @@ func (s *Space) insert(r *Region) {
 }
 
 // Release hands back the bytes of every region in the space: mapped
-// backings are unmapped, the rest are left to the garbage collector. Call it
-// once nothing simulates the space any more. Addresses still resolve, but
-// every later Slice, ReadAt or WriteAt returns ErrReleased and Bytes returns
-// nil. Releasing twice is harmless.
+// backings are unmapped, or on Linux kept for reuse by a later region of
+// the same length; the rest are left to the garbage collector. Call it once
+// nothing simulates the space any more. Addresses still resolve, but every
+// later Slice, ReadAt or WriteAt returns ErrReleased and Bytes returns nil;
+// a slice taken from Bytes or Slice before Release must not be used after
+// it. Releasing twice is harmless.
 func (s *Space) Release() {
 	for _, r := range s.regions {
 		r.free()

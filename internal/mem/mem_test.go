@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -160,6 +161,7 @@ func TestAllocNoOverlapProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		defer s.Release()
 		var regions []*Region
 		for i := 0; i < int(n%40)+1; i++ {
 			sock := topo.SocketID(rng.Intn(2))
@@ -199,6 +201,7 @@ func TestReadBackProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Release()
 	r, err := s.Alloc(0, 1<<16, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -252,6 +255,7 @@ func TestAllocSparse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Release()
 	r, err := s.AllocSparse(1, 1<<30, 1<<20)
 	if err != nil {
 		t.Fatal(err)
@@ -341,6 +345,7 @@ func TestSparseAccessBounds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			defer s.Release()
 			r, err := s.AllocSparse(0, 8<<20, 1<<20)
 			if err != nil {
 				t.Fatal(err)
@@ -363,7 +368,7 @@ func TestSparseAccessBounds(t *testing.T) {
 func mapsMemory() bool {
 	b := mapAnon(mapMin)
 	if b != nil {
-		unmap(b)
+		freeAnon(b)
 	}
 	return b != nil
 }
@@ -497,4 +502,205 @@ func TestReleaseContract(t *testing.T) {
 			}
 		}
 	}
+}
+
+// firstNonzero returns the index of b's first nonzero byte, or -1.
+func firstNonzero(b []byte) int {
+	for i, v := range b {
+		if v != 0 {
+			return i
+		}
+	}
+	return -1
+}
+
+// dirty writes val over the first and last page of b and over one byte of
+// every stride-th page in between.
+func dirty(b []byte, stride int, val byte) {
+	fill := func(p []byte) {
+		for i := range p {
+			p[i] = val
+		}
+	}
+	fill(b[:min(len(b), PageSize)])
+	fill(b[max(0, len(b)-PageSize):])
+	for p := 0; p*PageSize < len(b); p += stride {
+		b[p*PageSize+(p*131)%min(PageSize, len(b)-p*PageSize)] = val
+	}
+}
+
+// TestRecycledRegionReadsZero: a region allocated at the length of one just
+// released reads zero everywhere, dense or sparse-backed, at page multiples
+// and at other lengths, however the released one was dirtied.
+func TestRecycledRegionReadsZero(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		size, backing int // backing 0: a dense region
+	}{
+		{"dense at mapMin", mapMin, 0},
+		{"dense pages", 256 << 10, 0},
+		{"dense odd length", 256<<10 + 123, 0},
+		{"sparse pages", 16 << 20, 128 << 10},
+		{"sparse odd backing", 16 << 20, 96<<10 + 4001},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for round := 0; round < 4; round++ {
+				s := newSpace(t)
+				var r *Region
+				var err error
+				if tc.backing == 0 {
+					r, err = s.Alloc(0, tc.size, 0)
+				} else {
+					r, err = s.AllocSparse(1, tc.size, tc.backing)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				b := r.Bytes()
+				if i := firstNonzero(b); i >= 0 {
+					t.Fatalf("round %d: byte %d of %d reads %#x", round, i, len(b), b[i])
+				}
+				dirty(b, 1+round*3, byte(0xA0+round))
+				s.Release()
+			}
+		})
+	}
+}
+
+// TestDoubleReleaseDoesNotAlias: releasing a space twice hands its mappings
+// back once, so the next two regions of that length get distinct backings.
+func TestDoubleReleaseDoesNotAlias(t *testing.T) {
+	const size = 192 << 10
+	s := newSpace(t)
+	if _, err := s.Alloc(0, size, 0); err != nil {
+		t.Fatal(err)
+	}
+	s.Release()
+	s.Release()
+	s2 := newSpace(t)
+	defer s2.Release()
+	a, err := s2.Alloc(0, size, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := s2.Alloc(0, size, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &a.Bytes()[0] == &b.Bytes()[0] {
+		t.Fatal("two live regions share one backing")
+	}
+	dirty(a.Bytes(), 1, 0xEE)
+	if i := firstNonzero(b.Bytes()); i >= 0 {
+		t.Fatalf("writing one region changed byte %d of the other", i)
+	}
+}
+
+// TestRecycleConcurrent: goroutines that allocate, dirty and release regions
+// of shared lengths at once (as parallel sweep points and finalizers do)
+// always get a region that reads zero and that no one else writes.
+func TestRecycleConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				s, err := NewSpace(1, 1<<30)
+				if err != nil {
+					errs <- err
+					return
+				}
+				r, err := s.Alloc(0, mapMin<<((g+i)%3), 0)
+				if err != nil {
+					errs <- err
+					return
+				}
+				b := r.Bytes()
+				if j := firstNonzero(b); j >= 0 {
+					errs <- fmt.Errorf("goroutine %d, cycle %d: byte %d of a fresh region reads %#x", g, i, j, b[j])
+					return
+				}
+				val := byte(g + 1)
+				dirty(b, 1+i%5, val)
+				for _, v := range [...]byte{b[0], b[len(b)-1]} {
+					if v != val {
+						errs <- fmt.Errorf("goroutine %d, cycle %d: a live region changed under its owner", g, i)
+						return
+					}
+				}
+				s.Release()
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// FuzzRegionRecycle drives allocations of a few lengths, dense and sparse,
+// dirtied in varied patterns and released in varied orders. Every new region
+// must read zero, and every live region must keep what its owner wrote until
+// its own release.
+func FuzzRegionRecycle(f *testing.F) {
+	f.Add([]byte{0, 1, 3, 0, 0, 2})
+	f.Add([]byte{4, 7, 8, 200, 3, 1, 3, 0, 8, 9, 4, 1})
+	f.Add([]byte{2, 5, 6, 17, 10, 3, 3, 2, 3, 0, 6, 255, 2, 5})
+	sizes := []int{mapMin, mapMin + 1, 2*mapMin - 123, 3 * mapMin}
+	type live struct {
+		s    *Space
+		r    *Region
+		want []byte
+	}
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		var held []live
+		defer func() {
+			for _, l := range held {
+				l.s.Release()
+			}
+		}()
+		for i := 0; i+1 < len(prog) && i < 128; i += 2 {
+			op, arg := prog[i], int(prog[i+1])
+			if op&3 == 3 || len(held) == 16 {
+				if len(held) == 0 {
+					continue
+				}
+				j := arg % len(held)
+				if l := held[j]; !bytes.Equal(l.r.Bytes(), l.want) {
+					t.Fatalf("op %d: a live %d-byte backing lost its contents", i/2, len(l.want))
+				}
+				held[j].s.Release()
+				held = append(held[:j], held[j+1:]...)
+				continue
+			}
+			s, err := NewSpace(1, 1<<30)
+			if err != nil {
+				t.Fatal(err)
+			}
+			size := sizes[int(op>>2)%len(sizes)]
+			var r *Region
+			if op&3 == 2 {
+				r, err = s.AllocSparse(0, 4*size, size)
+			} else {
+				r, err = s.Alloc(0, size, 0)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := r.Bytes()
+			if j := firstNonzero(b); j >= 0 {
+				t.Fatalf("op %d: byte %d of a fresh %d-byte backing reads %#x", i/2, j, len(b), b[j])
+			}
+			dirty(b, 1+arg%16, byte(arg|1))
+			held = append(held, live{s, r, bytes.Clone(b)})
+		}
+		for _, l := range held {
+			if !bytes.Equal(l.r.Bytes(), l.want) {
+				t.Fatalf("a live %d-byte backing lost its contents", len(l.want))
+			}
+		}
+	})
 }
