@@ -39,6 +39,12 @@ func (p Params) Validate() error {
 	if p.FrameOverhead < 0 {
 		return fmt.Errorf("fabric: frame overhead must be nonnegative")
 	}
+	if p.Propagation < 0 {
+		return fmt.Errorf("fabric: propagation must be nonnegative, got %d", p.Propagation)
+	}
+	if p.SwitchLatency < 0 {
+		return fmt.Errorf("fabric: switch latency must be nonnegative, got %d", p.SwitchLatency)
+	}
 	return p.Faults.Validate()
 }
 

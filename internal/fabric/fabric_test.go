@@ -35,6 +35,25 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNegativeTiming: a negative latency would move every
+// delivery earlier than its send, so New refuses it.
+func TestValidateRejectsNegativeTiming(t *testing.T) {
+	cases := []struct {
+		mutate func(*Params)
+		want   string
+	}{
+		{func(p *Params) { p.Propagation = -1 }, "fabric: propagation must be nonnegative, got -1"},
+		{func(p *Params) { p.SwitchLatency = -30 }, "fabric: switch latency must be nonnegative, got -30"},
+	}
+	for _, c := range cases {
+		p := DefaultParams()
+		c.mutate(&p)
+		if _, err := New(p); err == nil || err.Error() != c.want {
+			t.Errorf("New() error = %v, want %q", err, c.want)
+		}
+	}
+}
+
 func TestSendLatencyComposition(t *testing.T) {
 	f := newFabric(t)
 	a, b := f.Register("a"), f.Register("b")

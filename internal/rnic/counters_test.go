@@ -153,6 +153,22 @@ func TestParamsValidateErrors(t *testing.T) {
 		{func(p *Params) { p.QPWrite = 0 }, "rnic: engine service times must be positive"},
 		{func(p *Params) { p.QPRead = 0 }, "rnic: engine service times must be positive"},
 		{func(p *Params) { p.AtomicUnit = 0 }, "rnic: engine service times must be positive"},
+		{func(p *Params) { p.ExecSend = 0 }, "rnic: engine service times must be positive"},
+		{func(p *Params) { p.RespWrite = -1 }, "rnic: engine service times must be positive"},
+		{func(p *Params) { p.RespRead = 0 }, "rnic: engine service times must be positive"},
+		{func(p *Params) { p.MMIOCost = -1 }, "rnic: MMIOCost must be nonnegative"},
+		{func(p *Params) { p.WQEFetch = -1 }, "rnic: WQEFetch must be nonnegative"},
+		{func(p *Params) { p.WQEFetchNext = -1 }, "rnic: WQEFetchNext must be nonnegative"},
+		{func(p *Params) { p.SGEFetch = -1 }, "rnic: SGEFetch must be nonnegative"},
+		{func(p *Params) { p.InlinePerByte = -1 }, "rnic: InlinePerByte must be nonnegative"},
+		{func(p *Params) { p.PCIeOverhead = -100 }, "rnic: PCIeOverhead must be nonnegative"},
+		{func(p *Params) { p.PCIeReadLatency = -1 }, "rnic: PCIeReadLatency must be nonnegative"},
+		{func(p *Params) { p.TranslationMissLat = -1 }, "rnic: TranslationMissLat must be nonnegative"},
+		{func(p *Params) { p.TranslationMissSvc = -1 }, "rnic: TranslationMissSvc must be nonnegative"},
+		{func(p *Params) { p.QPMissLat = -1 }, "rnic: QPMissLat must be nonnegative"},
+		{func(p *Params) { p.QPMissSvc = -1 }, "rnic: QPMissSvc must be nonnegative"},
+		{func(p *Params) { p.MRMissLat = -1 }, "rnic: MRMissLat must be nonnegative"},
+		{func(p *Params) { p.MRMissSvc = -1 }, "rnic: MRMissSvc must be nonnegative"},
 		{func(p *Params) { p.TranslationEntries = -1 }, "rnic: cache capacities must be nonnegative"},
 		{func(p *Params) { p.QPCacheEntries = -1 }, "rnic: cache capacities must be nonnegative"},
 		{func(p *Params) { p.MRCacheEntries = -1 }, "rnic: cache capacities must be nonnegative"},

@@ -94,8 +94,23 @@ func (p Params) Validate() error {
 	if p.PCIeBandwidth <= 0 {
 		return errBadParams("PCIe bandwidth must be positive")
 	}
-	if p.ExecWrite <= 0 || p.ExecRead <= 0 || p.QPWrite <= 0 || p.QPRead <= 0 || p.AtomicUnit <= 0 {
+	if p.ExecWrite <= 0 || p.ExecRead <= 0 || p.ExecSend <= 0 || p.QPWrite <= 0 || p.QPRead <= 0 ||
+		p.AtomicUnit <= 0 || p.RespWrite <= 0 || p.RespRead <= 0 {
 		return errBadParams("engine service times must be positive")
+	}
+	for _, f := range []struct {
+		name string
+		d    sim.Duration
+	}{
+		{"MMIOCost", p.MMIOCost}, {"WQEFetch", p.WQEFetch}, {"WQEFetchNext", p.WQEFetchNext},
+		{"SGEFetch", p.SGEFetch}, {"InlinePerByte", p.InlinePerByte}, {"PCIeOverhead", p.PCIeOverhead},
+		{"PCIeReadLatency", p.PCIeReadLatency}, {"TranslationMissLat", p.TranslationMissLat},
+		{"TranslationMissSvc", p.TranslationMissSvc}, {"QPMissLat", p.QPMissLat},
+		{"QPMissSvc", p.QPMissSvc}, {"MRMissLat", p.MRMissLat}, {"MRMissSvc", p.MRMissSvc},
+	} {
+		if f.d < 0 {
+			return errBadParams(f.name + " must be nonnegative")
+		}
 	}
 	if p.TranslationEntries < 0 || p.QPCacheEntries < 0 || p.MRCacheEntries < 0 {
 		return errBadParams("cache capacities must be nonnegative")

@@ -31,6 +31,21 @@ func BenchmarkPipeTransfer(b *testing.B) {
 	}
 }
 
+// BenchmarkPipeBurst: 4096 requesters arrive at one instant on a PCIe-like
+// read channel; each fetches a 64-B descriptor, then gathers 32 B of payload
+// 120 ns after its fetch ends. The gathers cut the channel's free time into
+// gaps too small for a fetch, so every later fetch is placed behind all of
+// them: the walk memo is what keeps this from being quadratic.
+func BenchmarkPipeBurst(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		p := NewPipe("pcie-rd", 7.9e9, 20)
+		for r := 0; r < 4096; r++ {
+			_, end := p.Transfer(0, 64)
+			p.Transfer(end+120, 32)
+		}
+	}
+}
+
 func BenchmarkClosedLoop(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -198,6 +198,7 @@ type Pipe struct {
 	bytesPerSecond float64
 	overhead       Duration
 	memo           [2]serviceMemo // most recent first
+	walk           walkMemo
 }
 
 // serviceMemo is one remembered (size, service time) pair of a Pipe. A pipe
@@ -210,11 +211,25 @@ type serviceMemo struct {
 	ok      bool // set once the pair holds a real answer
 }
 
+// walkMemo is the last early placement of a Pipe: a transfer of service svc
+// arriving at from, before the last busy span, started at to. So no start in
+// [from, to) fits svc. Placement only ever adds busy time (tail appends,
+// gap fills, merges and fold), so that stays true, and a longer service fits
+// no better: a later early arrival in [from, to] with at least svc of
+// service lands where a walk from to lands, and leaves the same span list.
+type walkMemo struct {
+	from, to Time
+	svc      Duration
+}
+
 // NewPipe returns a pipe with the given bandwidth in bytes per second and a
 // fixed per-transfer overhead (header/arbitration cost).
 func NewPipe(name string, bytesPerSecond float64, overhead Duration) *Pipe {
 	if bytesPerSecond <= 0 {
 		panic("sim: pipe bandwidth must be positive: " + name)
+	}
+	if overhead < 0 {
+		panic("sim: pipe overhead must be nonnegative: " + name)
 	}
 	return &Pipe{res: Resource{name: name}, bytesPerSecond: bytesPerSecond, overhead: overhead}
 }
@@ -223,9 +238,31 @@ func NewPipe(name string, bytesPerSecond float64, overhead Duration) *Pipe {
 func (p *Pipe) Name() string { return p.res.name }
 
 // Transfer schedules a transfer of size bytes arriving at the given time and
-// returns the start and completion of the transfer.
+// returns the start and completion of the transfer. An arrival before the
+// last busy span starts its walk past the gaps the walk memo already ruled
+// out; the observer still sees the real arrival. The service is never
+// negative (NewPipe rejects a negative overhead), so Acquire's check is not
+// repeated here.
 func (p *Pipe) Transfer(arrival Time, size int) (start, end Time) {
-	return p.res.Acquire(arrival, p.service(size))
+	svc := p.service(size)
+	r := &p.res
+	if n := len(r.intervals); n == 0 || arrival >= r.intervals[n-1].end {
+		start = r.place(arrival, svc)
+	} else {
+		from := arrival
+		if w := p.walk; svc >= w.svc && w.from <= arrival && arrival <= w.to {
+			from = w.to
+		}
+		start = r.place(from, svc)
+		if svc > 0 {
+			p.walk = walkMemo{arrival, start, svc}
+		}
+	}
+	end = start + svc
+	if r.onAcquire != nil {
+		r.onAcquire(arrival, start, end)
+	}
+	return start, end
 }
 
 // service returns overhead+TransferTime(size), from the memo when one of the

@@ -465,6 +465,108 @@ func TestPipeServiceMemo(t *testing.T) {
 	}
 }
 
+// burstTransfer draws the next transfer of a burst-heavy stream from two
+// bytes: kind picks the case (low two bits) and, for gathers and strays, the
+// size (the rest); pos gives a requester's size, a gather's delay or a
+// stray's place. Half the cases are requesters arriving together at the
+// pass's burst instant with mixed sizes, the pattern that breaks a shared
+// pipe's free time into gaps too small for later requesters.
+func burstTransfer(r *Resource, burst, last Time, kind, pos byte) (Time, int) {
+	switch {
+	case kind%4 < 2: // one more requester at the burst instant
+		return burst, int(pos % 64)
+	case kind%4 == 2: // a gather, some time after the previous transfer ends
+		return last + Time(pos%128), int(kind >> 2)
+	case len(r.intervals) == 0:
+		return burst, int(kind >> 2)
+	default: // a stray arrival anywhere from the first span to the tail
+		first := r.intervals[0].start
+		return first + (nextFree(r)-first)*Time(pos)/256, int(kind >> 2)
+	}
+}
+
+// FuzzPipeMatchesReference decodes up to 64 byte pairs into a cyclic stream
+// of burst transfers on one Pipe, with one wide gapped tail transfer per
+// pass that also sets the next pass's burst instant, so the span list grows
+// until it has folded at least three times. The Pipe skips gaps its walk
+// memo already ruled out; refResource walks every gap from the arrival.
+// After every transfer the start, the end, the whole span list and the
+// (arrival, start, end) the Pipe's observer saw must equal the reference's.
+func FuzzPipeMatchesReference(f *testing.F) {
+	f.Add([]byte{7, 20, 0, 64, 130, 120, 0, 64, 130, 120, 1, 48, 130, 120, 0, 16, 130, 120})
+	f.Add([]byte{3, 5, 0, 40, 0, 8, 2, 3, 1, 60, 66, 100, 3, 128, 0, 20, 130, 7})
+	f.Add([]byte{0, 0, 0, 0, 1, 63, 2, 127, 7, 255, 0, 1, 0, 62})
+	f.Add([]byte{5, 31, 1, 10, 254, 9, 0, 50, 0, 12, 2, 0, 3, 77, 1, 33, 98, 4})
+	// 1 B/ns, no overhead: a 20 ns gap, a 60 ns requester that walks past
+	// it, then a 10 ns one that must still take it.
+	f.Add([]byte{8, 32, 34, 20, 0, 60, 34, 0, 0, 10})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		ops := data[:min(len(data), 128)&^1]
+		pass := len(ops)/2 + 1 // the decoded transfers and the separator
+		bw, overhead := float64(1+data[0]%8)*1e9, Duration(data[1]%32)
+		p := NewPipe("p", bw, overhead)
+		var seen [3]Time
+		p.Observe(func(arrival, start, end Time) { seen = [3]Time{arrival, start, end} })
+		ref := &refResource{}
+		var burst, last Time
+		folds := 0
+		for i := 0; folds < 3; i++ {
+			if i > 4*(maxIntervals+1)*pass { // each pass adds a span
+				t.Fatalf("%d transfers and only %d folds", i, folds)
+			}
+			var arrival Time
+			var size int
+			j := 2 * (i % pass)
+			if j == len(ops) {
+				// The pass's separator: a tail transfer after a gap ten
+				// times the pass's most occupancy (64 transfers of at most
+				// 94 ns, each up to 127 ns after the last), so the list
+				// keeps growing. The next pass bursts at its start.
+				arrival, size = nextFree(&p.res)+1<<16, 8
+			} else {
+				arrival, size = burstTransfer(&p.res, burst, last, ops[j], ops[j+1])
+			}
+			n := len(ref.intervals)
+			service := overhead + TransferTime(size, bw)
+			want := ref.place(arrival, service)
+			seen = [3]Time{-1, -1, -1}
+			start, end := p.Transfer(arrival, size)
+			if start != want || end != want+service {
+				t.Fatalf("transfer %d (%d,%d B): got [%d,%d), reference [%d,%d)",
+					i, arrival, size, start, end, want, want+service)
+			}
+			if !slices.Equal(p.res.intervals, ref.intervals) {
+				t.Fatalf("transfer %d (%d,%d B): intervals diverge from the reference", i, arrival, size)
+			}
+			if seen != [3]Time{arrival, start, end} {
+				t.Fatalf("transfer %d: observer saw %v, want [%d %d %d]", i, seen, arrival, start, end)
+			}
+			if j == len(ops) {
+				burst = start
+			}
+			last = end
+			if len(ref.intervals) < n-1 {
+				folds++
+			}
+		}
+	})
+}
+
+// TestPipeNegativeOverheadPanics: a Pipe's walk memo relies on every
+// service being nonnegative, so NewPipe refuses a negative overhead as it
+// refuses a nonpositive bandwidth.
+func TestPipeNegativeOverheadPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on negative overhead")
+		}
+	}()
+	NewPipe("bad", 1e9, -1)
+}
+
 // TestResourceAcquireSteadyStateAllocFree: once a resource's interval list
 // has folded, a mixed stream of 10,000 acquires spanning at least three
 // more folds allocates nothing, and the list's capacity never exceeds
@@ -499,15 +601,16 @@ func TestResourceAcquireSteadyStateAllocFree(t *testing.T) {
 }
 
 // TestResourceFootprint pins the host size of the two queueing primitives.
-// Every QP's send side holds a Resource by value and every link, PCIe
-// channel and QPI hop is a Pipe, so a per-placement tally added here is paid
-// once per simulated connection; the telemetry queue hooks already count
-// placements and service time for the runs that report them.
+// Every QP's send side holds a Resource by value, so a per-placement tally
+// added there is paid once per simulated connection; the telemetry queue
+// hooks already count placements and service time for the runs that report
+// them. A Pipe (a link direction, a PCIe channel, a QPI hop) exists per
+// machine, never per connection, so the walk memo lives there.
 func TestResourceFootprint(t *testing.T) {
 	if n := unsafe.Sizeof(Resource{}); n > 48 {
 		t.Errorf("Resource is %d bytes, want at most 48", n)
 	}
-	if n := unsafe.Sizeof(Pipe{}); n > 112 {
-		t.Errorf("Pipe is %d bytes, want at most 112", n)
+	if n := unsafe.Sizeof(Pipe{}); n > 136 {
+		t.Errorf("Pipe is %d bytes, want at most 136", n)
 	}
 }

@@ -138,6 +138,20 @@ func (p Params) Validate() error {
 			return fmt.Errorf("topo: bandwidths must be positive")
 		}
 	}
+	for _, f := range []struct {
+		name string
+		d    sim.Duration
+	}{
+		{"DRAMLatencyOwn", p.DRAMLatencyOwn}, {"DRAMLatencyCross", p.DRAMLatencyCross},
+		{"SeqReadOpCost", p.SeqReadOpCost}, {"SeqWriteOpCost", p.SeqWriteOpCost},
+		{"RandWriteLatencyOwn", p.RandWriteLatencyOwn}, {"RandWriteLatencyCross", p.RandWriteLatencyCross},
+		{"AtomicHit", p.AtomicHit}, {"AtomicBounce", p.AtomicBounce}, {"QPILatency", p.QPILatency},
+		{"MemcpyOpCost", p.MemcpyOpCost}, {"SyscallCost", p.SyscallCost},
+	} {
+		if f.d < 0 {
+			return fmt.Errorf("topo: %s must be nonnegative, got %d", f.name, f.d)
+		}
+	}
 	return nil
 }
 

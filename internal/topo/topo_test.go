@@ -31,6 +31,39 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNegativeTiming: every latency and per-op cost field
+// must be nonnegative; one row per field.
+func TestValidateRejectsNegativeTiming(t *testing.T) {
+	cases := []struct {
+		name  string
+		field func(*Params) *sim.Duration
+	}{
+		{"DRAMLatencyOwn", func(p *Params) *sim.Duration { return &p.DRAMLatencyOwn }},
+		{"DRAMLatencyCross", func(p *Params) *sim.Duration { return &p.DRAMLatencyCross }},
+		{"SeqReadOpCost", func(p *Params) *sim.Duration { return &p.SeqReadOpCost }},
+		{"SeqWriteOpCost", func(p *Params) *sim.Duration { return &p.SeqWriteOpCost }},
+		{"RandWriteLatencyOwn", func(p *Params) *sim.Duration { return &p.RandWriteLatencyOwn }},
+		{"RandWriteLatencyCross", func(p *Params) *sim.Duration { return &p.RandWriteLatencyCross }},
+		{"AtomicHit", func(p *Params) *sim.Duration { return &p.AtomicHit }},
+		{"AtomicBounce", func(p *Params) *sim.Duration { return &p.AtomicBounce }},
+		{"QPILatency", func(p *Params) *sim.Duration { return &p.QPILatency }},
+		{"MemcpyOpCost", func(p *Params) *sim.Duration { return &p.MemcpyOpCost }},
+		{"SyscallCost", func(p *Params) *sim.Duration { return &p.SyscallCost }},
+	}
+	for _, c := range cases {
+		p := DefaultParams()
+		*c.field(&p) = -5
+		want := "topo: " + c.name + " must be nonnegative, got -5"
+		if err := p.Validate(); err == nil || err.Error() != want {
+			t.Errorf("%s = -5: Validate() = %v, want %q", c.name, err, want)
+		}
+		*c.field(&p) = 0
+		if err := p.Validate(); err != nil {
+			t.Errorf("%s = 0: Validate() = %v, want nil", c.name, err)
+		}
+	}
+}
+
 // The introduction claims local sequential write is ~2.92x faster than random
 // write and ~6.85x faster than inter-socket random write.
 func TestSequentialRandomWriteRatios(t *testing.T) {
