@@ -258,6 +258,55 @@ func TestNewRuntimeValidation(t *testing.T) {
 	}
 }
 
+// TestSmallWriteRejectsOutOfBlockOnEveryPath: SmallWrite takes the same
+// writes whichever path is switched in. Each bad write errors on the native
+// and the consolidated path alike, and leaves the controller (epoch, decision
+// log) and the consolidator's tallies exactly where they were.
+func TestSmallWriteRejectsOutOfBlockOnEveryPath(t *testing.T) {
+	bad := []struct {
+		name string
+		off  int
+		size int
+	}{
+		{"negative offset", -32, 32},
+		{"empty", 64, 0},
+		{"crosses a block boundary", 1000, 32},
+		{"larger than a block", 0, 1025},
+	}
+	for _, useCons := range []bool{false, true} {
+		for _, tc := range bad {
+			e := newTestEnv(t, nil)
+			rt := mkRuntime(t, e, Params{Epoch: 2 * sim.Microsecond, Shadow: true}, core.SGL, useCons)
+			c := rt.Controller()
+			data := make([]byte, 32)
+			now := sim.Time(0)
+			for i := 0; i < 200; i++ {
+				d, err := rt.SmallWrite(now, (i%32)*32, data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				now = d
+			}
+			recs := append([]Record(nil), c.Records()...)
+			dec := c.Decision()
+			w, f := rt.cons.Stats()
+
+			if _, err := rt.SmallWrite(now+100*sim.Microsecond, tc.off, make([]byte, tc.size)); err == nil {
+				t.Errorf("cons=%v %s: write [%d,+%d) accepted", useCons, tc.name, tc.off, tc.size)
+			}
+			if got := c.Decision(); got != dec {
+				t.Errorf("cons=%v %s: rejected write moved the controller: %+v -> %+v", useCons, tc.name, dec, got)
+			}
+			if got := c.Records(); len(got) != len(recs) {
+				t.Errorf("cons=%v %s: rejected write logged %d decisions", useCons, tc.name, len(got)-len(recs))
+			}
+			if w2, f2 := rt.cons.Stats(); w2 != w || f2 != f {
+				t.Errorf("cons=%v %s: rejected write moved consolidator stats %d/%d -> %d/%d", useCons, tc.name, w, f, w2, f2)
+			}
+		}
+	}
+}
+
 // --- shadow passivity ----------------------------------------------------
 
 // TestShadowRuntimeIsPassive pins the acceptance property golden #31 builds
@@ -407,46 +456,6 @@ func TestRuntimeSmallWritePathAdapts(t *testing.T) {
 	}
 	if d != now {
 		t.Fatalf("pending blocks survived the cons->direct drain (flush took %v)", d-now)
-	}
-	noDoubleMoves(t, c)
-}
-
-// TestRuntimeRetunesThetaOnLeaseDominance: bursts that park 6 modifications
-// per epoch against θ=16 drain by lease, never by threshold — the θ tuner
-// must walk θ down until threshold flushes resume (16 -> 8 -> 4, stable).
-func TestRuntimeRetunesThetaOnLeaseDominance(t *testing.T) {
-	e := newTestEnv(t, nil)
-	rt, err := NewRuntime(Config{
-		QP: e.qpA, LocalMR: e.mrA, Staging: e.staging,
-		RemoteMR: e.mrB, RemoteBase: e.mrB.Addr(),
-		BlockSize: 1024, Theta: 16, MaxBlocks: 8, Lease: 5 * sim.Microsecond,
-		Params: Params{Epoch: 10 * sim.Microsecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := rt.Controller()
-	data := []byte("0123456789abcdef0123456789abcdef")
-
-	now := sim.Time(0)
-	for burst := 0; burst < 40; burst++ {
-		for i := 0; i < 6; i++ {
-			d, err := rt.SmallWrite(now, i*32, data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			now = d
-		}
-		now += 8 * sim.Microsecond // idle past the lease: the epoch tick flushes
-	}
-	if !c.Decision().Cons {
-		t.Fatal("bursty absorbing workload should keep the consolidator")
-	}
-	if got := c.Decision().Theta; got != 4 {
-		t.Fatalf("theta=%d after lease-dominated epochs, want 4 (16 halved twice, then threshold flushes resume)", got)
-	}
-	if got := rt.cons.Theta(); got != 4 {
-		t.Fatalf("decision not applied to the live consolidator: Theta()=%d", got)
 	}
 	noDoubleMoves(t, c)
 }

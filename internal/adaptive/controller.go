@@ -1,13 +1,13 @@
 // Package adaptive applies the paper's Table I guidance online: per-QP
 // controllers that retune the paper's optimizations — batching strategy,
-// consolidation θ, doorbell list depth — from measured behavior instead of a
-// hand-written workload description (RDMAbox's adaptive IO merging is the
-// model).
+// native vs consolidated small writes, doorbell list depth — from measured
+// behavior instead of a hand-written workload description (RDMAbox's
+// adaptive IO merging is the model).
 //
 // The controller divides virtual time into fixed epochs. Every runtime
 // operation first advances the controller to the current epoch; an epoch
 // that closes feeds its tallies (op latencies, payload/fragment shapes,
-// consolidator flush breakdown, reliability-event deltas) into two
+// consolidator absorb and flush counts, reliability-event deltas) into two
 // probe-and-lock tuners:
 //
 //   - the batch tuner scores SP, Doorbell and SGL one epoch each and locks
@@ -183,9 +183,8 @@ type Controller struct {
 	collapseRun  int // consecutive epochs with a collapsed absorb ratio
 
 	// Baselines for delta readings at epoch close.
-	lastWrites, lastFlushes         int64
-	lastTheta, lastLease, lastEvict int64
-	lastBad                         uint64
+	lastWrites, lastFlushes int64
+	lastBad                 uint64
 
 	batch tuner
 	small tuner
@@ -193,7 +192,7 @@ type Controller struct {
 	depth      int // live doorbell list depth
 	depthClean int // consecutive trouble-free epochs since the last halving
 
-	theta int // live consolidation threshold
+	theta int // the consolidator's θ, reported in every Record
 
 	needDrain bool // cons->direct switch: flush pending blocks at next op
 
@@ -202,8 +201,9 @@ type Controller struct {
 }
 
 // NewController builds a controller bound to a QP (reliability deltas), a
-// batcher (strategy/depth knobs) and a consolidator (θ knob). Any of the
-// three may be nil; the corresponding knob is then decided but not applied.
+// batcher (strategy/depth knobs) and a consolidator (small-write path). Any
+// of the three may be nil; the corresponding knob is then decided but not
+// applied.
 // Unless params.Shadow is set, construction applies the initial probe
 // candidate so the first epoch measures it.
 func NewController(params Params, qp *verbs.QP, b *core.Batcher, cons *core.Consolidator) *Controller {
@@ -378,38 +378,6 @@ func (c *Controller) closeEpoch(at sim.Time) {
 		c.applyCons(act == candCons)
 	}
 
-	// Give the consolidator its lease tick at the epoch boundary before
-	// reading the flush breakdown: the lease flushes this tick performs are
-	// exactly the signal the θ tuner below thresholds on, and folding them
-	// straight into the baselines would hide them forever.
-	if c.cons != nil && c.usingCons() && c.cons.Lease() > 0 && !c.params.Shadow {
-		_, _ = c.cons.Tick(at)
-	}
-
-	// θ: lease/evict flushes outnumbering θ-triggered ones mean blocks drain
-	// before they fill — halve θ. All-θ flushing with no forced drains means
-	// θ is earning its keep — grow it back toward Figure 8's sweet spot.
-	if c.cons != nil && c.usingCons() && c.smallOps > 0 {
-		th, le, ev, _ := c.cons.FlushBreakdown()
-		dth, dle, dev := th-c.lastTheta, le-c.lastLease, ev-c.lastEvict
-		newTheta := c.theta
-		if dle+dev > dth {
-			newTheta = c.theta / 2
-			if newTheta < 2 {
-				newTheta = 2
-			}
-		} else if dth > 0 && dle+dev == 0 && c.theta < 16 {
-			newTheta = c.theta * 2
-		}
-		if newTheta != c.theta {
-			c.theta = newTheta
-			changed = true
-			if !c.params.Shadow {
-				_ = c.cons.Retune(at, newTheta, c.cons.Lease())
-			}
-		}
-	}
-
 	// Doorbell depth: reliability trouble (RNR NAKs, retransmits, timeouts)
 	// during an epoch that actually posted halves the list depth;
 	// DefaultConfirm consecutive calm epochs double it back toward the ceiling.
@@ -450,8 +418,7 @@ func (c *Controller) closeEpoch(at sim.Time) {
 }
 
 // posted reports whether the closing epoch put anything on the QP: a batch,
-// a native small write, or a consolidator flush (Tick's lease flushes in
-// this close included).
+// a native small write, or a consolidator flush.
 func (c *Controller) posted() bool {
 	if c.batchOps > 0 || c.directOps > 0 {
 		return true
@@ -471,7 +438,6 @@ func (c *Controller) refreshBaselines() {
 	}
 	if c.cons != nil {
 		c.lastWrites, c.lastFlushes = c.cons.Stats()
-		c.lastTheta, c.lastLease, c.lastEvict, _ = c.cons.FlushBreakdown()
 	}
 }
 

@@ -22,9 +22,8 @@ type Config struct {
 	RemoteMR   *verbs.MR
 	RemoteBase mem.Addr
 	BlockSize  int
-	Theta      int          // initial consolidation threshold
-	Lease      sim.Duration // consolidation lease (0 = none, FIFO eviction)
-	MaxBlocks  int          // consolidator shadow capacity
+	Theta      int // consolidation threshold
+	MaxBlocks  int // consolidator shadow capacity
 
 	// Params configures the controller. Params.Shadow pins the runtime to
 	// the static Strategy/UseCons below with the controller observing only
@@ -37,7 +36,7 @@ type Config struct {
 
 // Runtime routes one client's batched and small writes through the live
 // knobs an attached Controller retunes: batch strategy and doorbell depth
-// for WriteBatch, native-vs-consolidated (and θ) for SmallWrite. In shadow
+// for WriteBatch, native-vs-consolidated for SmallWrite. In shadow
 // mode it is exactly the static pipeline with a measuring controller along
 // for the ride.
 type Runtime struct {
@@ -76,7 +75,6 @@ func NewRuntime(cfg Config) (*Runtime, error) {
 		RemoteBase: cfg.RemoteBase,
 		BlockSize:  cfg.BlockSize,
 		Theta:      cfg.Theta,
-		Lease:      cfg.Lease,
 		MaxBlocks:  cfg.MaxBlocks,
 	})
 	if err != nil {
@@ -113,8 +111,12 @@ func (r *Runtime) WriteBatch(now sim.Time, frags []core.Fragment, remoteAddr mem
 
 // SmallWrite lands one sub-block write at remoteBase+off, through the
 // consolidator when the controller has it switched in and as a single native
-// RDMA write otherwise.
+// RDMA write otherwise. Either path takes only a non-empty write within one
+// block; any other write is rejected before the controller sees it.
 func (r *Runtime) SmallWrite(now sim.Time, off int, data []byte) (sim.Time, error) {
+	if bs := r.cfg.BlockSize; off < 0 || len(data) == 0 || off%bs+len(data) > bs {
+		return 0, fmt.Errorf("adaptive: small write [%d,+%d) not within one %d-byte block", off, len(data), bs)
+	}
 	now = r.ctrl.advance(now)
 	var done sim.Time
 	var err error
@@ -149,9 +151,6 @@ func (r *Runtime) useCons() bool {
 // one RDMA write. Its costs mirror the consolidator's absorb path (the same
 // CPU memcpy) plus the per-write network round trip consolidation saves.
 func (r *Runtime) directWrite(now sim.Time, off int, data []byte) (sim.Time, error) {
-	if len(data) == 0 || len(data) > r.cfg.BlockSize {
-		return 0, fmt.Errorf("adaptive: direct write of %d bytes outside (0,%d]", len(data), r.cfg.BlockSize)
-	}
 	slot := r.cfg.LocalMR.Region().Bytes()[r.directOff : r.directOff+len(data)]
 	copy(slot, data)
 	tp := r.cfg.QP.Context().Machine().Topology().Params

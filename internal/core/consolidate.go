@@ -11,8 +11,9 @@ import (
 // Consolidator is the remote burst buffer of Section III-C: writes smaller
 // than the aligned block size are absorbed into a local shadow of the block
 // and posted to the RNIC only when (1) θ writes have accumulated for that
-// block, or (2) the block's lease expires. θ writes then cost one network
-// round trip instead of θ.
+// block, or (2) the shadow is full and the block is the oldest one in it.
+// θ writes then cost one network round trip instead of θ. The paper's
+// timeout flush is not modelled: no experiment sets one.
 //
 // The shadow also answers reads (read-your-writes), which the paper's hot
 // entry area relies on.
@@ -23,7 +24,6 @@ type Consolidator struct {
 	remoteBase mem.Addr
 	blockSize  int
 	theta      int
-	lease      sim.Duration
 
 	blocks     map[int]*pendingBlock
 	nextSeq    int64 // creation-order stamp for pending blocks
@@ -32,33 +32,15 @@ type Consolidator struct {
 	preFlush   func(now sim.Time, block int) (sim.Time, error)
 	postFlush  func(now sim.Time, block int) (sim.Time, error)
 
-	writes int64 // logical writes absorbed
-
-	// Network writes issued, by the trigger that issued each one. The
-	// adaptive controller reads these to tell "θ is doing the work" from
-	// "leases and evictions are draining blocks before they fill".
-	thetaFlushes int64
-	leaseFlushes int64
-	evictFlushes int64
-	forceFlushes int64
+	writes  int64 // logical writes absorbed
+	flushes int64 // network writes issued
 }
 
-// flushReason labels which trigger retired a block.
-type flushReason int
-
-const (
-	flushTheta flushReason = iota // θ-th modification (Write or post-retune touch)
-	flushLease                    // lease deadline reached (Tick)
-	flushEvict                    // evicted to make room for a new block
-	flushForce                    // explicit Flush
-)
-
 type pendingBlock struct {
-	index    int   // block index within the remote region
-	slot     int   // shadow slot
-	seq      int64 // creation order, breaks eviction ties (true FIFO at Lease 0)
-	mods     int
-	deadline sim.Time
+	index int   // block index within the remote region
+	slot  int   // shadow slot
+	seq   int64 // creation order: eviction retires the lowest
+	mods  int
 }
 
 // ConsolidatorConfig configures a Consolidator.
@@ -67,10 +49,9 @@ type ConsolidatorConfig struct {
 	LocalMR    *verbs.MR // must hold (MaxBlocks+1) * BlockSize bytes
 	RemoteMR   *verbs.MR
 	RemoteBase mem.Addr
-	BlockSize  int          // aligned block granularity (e.g. 1 KB or a 4 KB page)
-	Theta      int          // modifications per block before flushing
-	Lease      sim.Duration // flush deadline for a pending block (0 = no lease)
-	MaxBlocks  int          // live (unflushed) blocks the shadow can hold
+	BlockSize  int // aligned block granularity (e.g. 1 KB or a 4 KB page)
+	Theta      int // modifications per block before flushing
+	MaxBlocks  int // live (unflushed) blocks the shadow can hold
 
 	// PreFlush/PostFlush run around each block flush (the hashtable uses
 	// them to take and drop the block's remote spinlock). Each receives the
@@ -100,7 +81,6 @@ func NewConsolidator(cfg ConsolidatorConfig) (*Consolidator, error) {
 		remoteBase: cfg.RemoteBase,
 		blockSize:  cfg.BlockSize,
 		theta:      cfg.Theta,
-		lease:      cfg.Lease,
 		blocks:     make(map[int]*pendingBlock),
 		scratchOff: cfg.BlockSize * cfg.MaxBlocks,
 		preFlush:   cfg.PreFlush,
@@ -128,12 +108,12 @@ func (c *Consolidator) Write(now sim.Time, off int, data []byte) (sim.Time, erro
 			return 0, err
 		}
 		if len(c.slots) == 0 {
-			// Evict the oldest-deadline block to make room. The write that
+			// Evict the oldest block to make room. The write that
 			// forces the eviction pays for the flush, exactly as the θ-th
 			// modification pays for a threshold flush — hiding it here would
 			// make a thrashing shadow look cheaper than the native path.
 			victim := c.oldest()
-			d, err := c.flushBlock(now, victim, flushEvict)
+			d, err := c.flushBlock(now, victim)
 			if err != nil {
 				return 0, err
 			}
@@ -141,7 +121,7 @@ func (c *Consolidator) Write(now sim.Time, off int, data []byte) (sim.Time, erro
 		}
 		slot := c.slots[len(c.slots)-1]
 		c.slots = c.slots[:len(c.slots)-1]
-		pb = &pendingBlock{index: blk, slot: slot, seq: c.nextSeq, deadline: now + c.lease}
+		pb = &pendingBlock{index: blk, slot: slot, seq: c.nextSeq}
 		c.nextSeq++
 		c.blocks[blk] = pb
 		// The slot starts as the block's remote image, so a flush writes
@@ -159,7 +139,7 @@ func (c *Consolidator) Write(now sim.Time, off int, data []byte) (sim.Time, erro
 	tp := c.qp.Context().Machine().Topology().Params
 	done := now + tp.MemcpyTime(len(data), false)
 	if pb.mods >= c.theta {
-		return c.flushBlock(done, pb, flushTheta)
+		return c.flushBlock(done, pb)
 	}
 	return done, nil
 }
@@ -173,16 +153,7 @@ func (c *Consolidator) Read(now sim.Time, off, size int, out []byte) (sim.Time, 
 	if pb := c.blocks[blk]; pb != nil {
 		copy(out[:size], c.shadow(pb)[off%c.blockSize:])
 		tp := c.qp.Context().Machine().Topology().Params
-		done := now + tp.MemcpyTime(size, false)
-		// A block already past θ flushes on this touch. Unreachable with a
-		// constant θ (Write flushes at the θ-th modification), but after a
-		// downward Retune a block can sit beyond the new threshold — it must
-		// not linger until its lease. The shadow was copied out first, so
-		// read-your-writes still holds.
-		if pb.mods >= c.theta {
-			return c.flushBlock(done, pb, flushTheta)
-		}
-		return done, nil
+		return now + tp.MemcpyTime(size, false), nil
 	}
 	// Miss: one RDMA read of the requested extent into the scratch slot.
 	scratchAddr := c.localMR.Addr() + mem.Addr(c.scratchOff)
@@ -202,32 +173,11 @@ func (c *Consolidator) Read(now sim.Time, off, size int, out []byte) (sim.Time, 
 	return comp.Done + tp.MemcpyTime(size, false), nil
 }
 
-// Tick flushes every block whose lease has expired by now, returning the
-// completion of the last flush (or now when nothing was due).
-func (c *Consolidator) Tick(now sim.Time) (sim.Time, error) {
-	if c.lease == 0 {
-		return now, nil
-	}
-	done := now
-	for _, pb := range c.snapshot() {
-		if pb.deadline <= now {
-			d, err := c.flushBlock(now, pb, flushLease)
-			if err != nil {
-				return 0, err
-			}
-			if d > done {
-				done = d
-			}
-		}
-	}
-	return done, nil
-}
-
 // Flush force-flushes every pending block.
 func (c *Consolidator) Flush(now sim.Time) (sim.Time, error) {
 	done := now
 	for _, pb := range c.snapshot() {
-		d, err := c.flushBlock(now, pb, flushForce)
+		d, err := c.flushBlock(now, pb)
 		if err != nil {
 			return 0, err
 		}
@@ -239,57 +189,13 @@ func (c *Consolidator) Flush(now sim.Time) (sim.Time, error) {
 }
 
 // Stats reports absorbed writes vs issued network flushes; the ratio is the
-// consolidation factor Figure 8 sweeps. flushes is FlushBreakdown's sum.
+// consolidation factor Figure 8 sweeps.
 func (c *Consolidator) Stats() (writes, flushes int64) {
-	return c.writes, c.thetaFlushes + c.leaseFlushes + c.evictFlushes + c.forceFlushes
+	return c.writes, c.flushes
 }
 
-// FlushBreakdown splits Stats' flush count by trigger: θ-threshold, lease
-// expiry, capacity eviction, and explicit Flush. θ-dominated flushing means
-// the threshold is earning its keep; lease/evict-dominated flushing means
-// blocks drain before they fill and θ should come down.
-func (c *Consolidator) FlushBreakdown() (theta, lease, evict, forced int64) {
-	return c.thetaFlushes, c.leaseFlushes, c.evictFlushes, c.forceFlushes
-}
-
-// Theta returns the live consolidation threshold.
+// Theta returns the consolidation threshold.
 func (c *Consolidator) Theta() int { return c.theta }
-
-// Lease returns the live flush deadline for pending blocks (0 = no lease).
-func (c *Consolidator) Lease() sim.Duration { return c.lease }
-
-// Retune changes θ and the lease mid-run. New blocks use the new settings;
-// pending blocks are reconciled rather than flushed wholesale:
-//
-//   - θ down: a block already at or past the new threshold flushes on its
-//     next touch (Write or Read) instead of waiting for its lease — the
-//     Write-path θ check alone would miss read-only touches.
-//   - θ up: pending blocks simply keep absorbing until the new, larger θ.
-//   - lease down: every pending deadline is clamped to now+lease (never
-//     extended past what the block was already promised).
-//   - lease up: pending deadlines stand — a retune must not retroactively
-//     weaken the durability bound older writes were absorbed under.
-//
-// Lease semantics are otherwise unchanged, including the Lease == 0 mode
-// where Tick is a no-op and eviction order is FIFO by creation.
-func (c *Consolidator) Retune(now sim.Time, theta int, lease sim.Duration) error {
-	if theta <= 0 {
-		return fmt.Errorf("core: retune theta must be positive, got %d", theta)
-	}
-	if lease < 0 {
-		return fmt.Errorf("core: retune lease must be non-negative, got %d", lease)
-	}
-	c.theta = theta
-	if lease < c.lease {
-		for _, pb := range c.blocks {
-			if pb.deadline > now+lease {
-				pb.deadline = now + lease
-			}
-		}
-	}
-	c.lease = lease
-	return nil
-}
 
 func (c *Consolidator) snapshot() []*pendingBlock {
 	out := make([]*pendingBlock, 0, len(c.blocks))
@@ -305,15 +211,12 @@ func (c *Consolidator) snapshot() []*pendingBlock {
 	return out
 }
 
-// oldest picks the eviction victim: earliest deadline, creation order as the
-// tie-break. With Lease == 0 every deadline equals its write time, so the
-// tie-break is what makes eviction FIFO in insertion order rather than
-// lowest-block-index-first.
+// oldest picks the eviction victim: the block created first (FIFO in
+// insertion order, not lowest block index first).
 func (c *Consolidator) oldest() *pendingBlock {
 	var victim *pendingBlock
-	for _, pb := range c.snapshot() {
-		if victim == nil || pb.deadline < victim.deadline ||
-			(pb.deadline == victim.deadline && pb.seq < victim.seq) {
+	for _, pb := range c.blocks {
+		if victim == nil || pb.seq < victim.seq {
 			victim = pb
 		}
 	}
@@ -327,7 +230,7 @@ func (c *Consolidator) shadow(pb *pendingBlock) []byte {
 
 // flushBlock posts the single RDMA write covering the whole block and
 // retires it from the pending set.
-func (c *Consolidator) flushBlock(now sim.Time, pb *pendingBlock, why flushReason) (sim.Time, error) {
+func (c *Consolidator) flushBlock(now sim.Time, pb *pendingBlock) (sim.Time, error) {
 	if c.preFlush != nil {
 		t, err := c.preFlush(now, pb.index)
 		if err != nil {
@@ -345,16 +248,7 @@ func (c *Consolidator) flushBlock(now sim.Time, pb *pendingBlock, why flushReaso
 	if err != nil {
 		return 0, err
 	}
-	switch why {
-	case flushTheta:
-		c.thetaFlushes++
-	case flushLease:
-		c.leaseFlushes++
-	case flushEvict:
-		c.evictFlushes++
-	case flushForce:
-		c.forceFlushes++
-	}
+	c.flushes++
 	delete(c.blocks, pb.index)
 	c.slots = append(c.slots, pb.slot)
 	done := comp.Done

@@ -20,8 +20,8 @@ const (
 )
 
 // FuzzConsolidatorWriteBack drives a consolidator with a sequence of in-block
-// writes, reads, lease ticks and retunes (θ and lease) and checks it against a
-// plain byte-slice model of the remote region: every Read returns the model's
+// writes, reads and flushes and checks it against a plain byte-slice model of
+// the remote region: every Read returns the model's
 // bytes, and after Flush the remote MR equals the model byte for byte. Each
 // input runs on a lossless fabric and under seed=1,drop=0.01,corrupt=0.001.
 //
@@ -36,13 +36,13 @@ func FuzzConsolidatorWriteBack(f *testing.F) {
 		1, 2, 0, 64, 0, // read block 2 from the shadow
 	})
 	f.Add([]byte{
-		4, 7, 3, 0, 0, // retune θ=8, lease 3us
-		0, 3, 10, 20, 'x',
-		0, 3, 20, 20, 'y',
-		3, 5, 0, 0, 0, // tick after 5us: the lease flushes block 3
-		4, 0, 0, 0, 0, // retune θ=1, no lease: the next touch flushes
-		1, 3, 0, 64, 0,
-		0, 4, 0, 1, 'z',
+		0, 3, 10, 20, 'x', // write block 3
+		2, 0, 0, 0, 0, // flush it
+		1, 3, 0, 64, 0, // read block 3 back from remote
+		0, 3, 40, 8, 'y', // re-enter block 3: its slot loads the remote image
+		0, 4, 0, 1, 'z', // write block 4
+		0, 5, 5, 5, 'w', // write block 5: evicts block 3
+		1, 3, 0, 64, 0, // read block 3 back from remote again
 	})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		checkWriteBack(t, nil, ops)
@@ -84,7 +84,7 @@ func checkWriteBack(t *testing.T, plan *fabric.FaultPlan, ops []byte) {
 	now := sim.Time(0)
 	out := make([]byte, fuzzBlockSize)
 	for len(ops) >= 5 {
-		kind, a, b, n, v := ops[0]%5, int(ops[1]), int(ops[2]), int(ops[3]), ops[4]
+		kind, a, b, n, v := ops[0]%3, int(ops[1]), int(ops[2]), int(ops[3]), ops[4]
 		ops = ops[5:]
 		// An in-block extent [off, off+size) from the operands.
 		blk := a % fuzzBlocks
@@ -106,10 +106,6 @@ func checkWriteBack(t *testing.T, plan *fabric.FaultPlan, ops []byte) {
 			}
 		case 2:
 			now, err = c.Flush(now)
-		case 3:
-			now, err = c.Tick(now + sim.Time(a)*sim.Microsecond)
-		case 4:
-			err = c.Retune(now, 1+a%8, sim.Duration(b%8)*sim.Microsecond)
 		}
 		if err != nil {
 			t.Fatalf("%v: op %d: %v", plan, kind, err)

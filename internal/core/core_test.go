@@ -228,35 +228,6 @@ func TestConsolidatorReadYourWrites(t *testing.T) {
 	}
 }
 
-func TestConsolidatorLeaseTick(t *testing.T) {
-	e := newEnv(t)
-	c, err := NewConsolidator(ConsolidatorConfig{
-		QP: e.qpA, LocalMR: e.staging, RemoteMR: e.mrB, RemoteBase: e.mrB.Addr(),
-		BlockSize: 1024, Theta: 100, Lease: 10 * sim.Microsecond, MaxBlocks: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Write(0, 0, []byte("leaseme!")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Tick(5 * sim.Microsecond); err != nil {
-		t.Fatal(err)
-	}
-	if _, fl := c.Stats(); fl != 0 {
-		t.Fatal("tick before lease expiry must not flush")
-	}
-	if _, err := c.Tick(11 * sim.Microsecond); err != nil {
-		t.Fatal(err)
-	}
-	if _, fl := c.Stats(); fl != 1 {
-		t.Fatal("expired lease must flush")
-	}
-	if !bytes.Equal(e.mrB.Region().Bytes()[:8], []byte("leaseme!")) {
-		t.Fatal("lease flush did not land remotely")
-	}
-}
-
 func TestConsolidatorEvictsWhenFull(t *testing.T) {
 	e := newEnv(t)
 	c, err := NewConsolidator(ConsolidatorConfig{
@@ -416,46 +387,57 @@ func TestConsolidatorReadMissChargesCopy(t *testing.T) {
 	}
 }
 
-// TestConsolidatorEvictionFIFOAtZeroLease pins the eviction order with no
-// lease: deadlines all equal their write times, so blocks written at the
-// same instant tie — and the tie must break by insertion age (FIFO), not by
-// block index. Block 5 is written before block 1; the third block must evict
-// 5, not 1.
-func TestConsolidatorEvictionFIFOAtZeroLease(t *testing.T) {
-	e := newEnv(t)
-	c, err := NewConsolidator(ConsolidatorConfig{
-		QP: e.qpA, LocalMR: e.staging, RemoteMR: e.mrB, RemoteBase: e.mrB.Addr(),
-		BlockSize: 1024, Theta: 100, MaxBlocks: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Write(0, 5*1024, []byte{'F'}); err != nil { // first in
-		t.Fatal(err)
-	}
-	if _, err := c.Write(0, 1*1024, []byte{'S'}); err != nil { // second in, lower index
-		t.Fatal(err)
-	}
-	if _, err := c.Write(0, 3*1024, []byte{'T'}); err != nil { // forces one eviction
-		t.Fatal(err)
-	}
-	if _, fl := c.Stats(); fl != 1 {
-		t.Fatalf("flushes=%d, want exactly 1 eviction", fl)
-	}
-	remote := e.mrB.Region().Bytes()
-	if remote[5*1024] != 'F' {
-		t.Fatal("block 5 (oldest) was not the eviction victim")
-	}
-	if remote[1*1024] == 'S' {
-		t.Fatal("block 1 (younger) was evicted despite its age")
-	}
-	// The younger block still answers from the shadow.
-	out := make([]byte, 1)
-	if _, err := c.Read(0, 1*1024, 1, out); err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != 'S' {
-		t.Fatalf("read-your-writes on surviving block got %q", out)
+// TestConsolidatorEvictionFIFO pins the eviction order: a full shadow
+// retires the block created first, not the lowest block index and not the
+// one created at the earliest virtual time. Block 5 enters before block 1;
+// the third block must evict 5, whether block 1 was written at the same
+// instant or at an earlier one.
+func TestConsolidatorEvictionFIFO(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		first, then sim.Time // virtual times of the writes to blocks 5 and 1
+	}{
+		{"same instant", 0, 0},
+		{"second created earlier", 10 * sim.Microsecond, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv(t)
+			c, err := NewConsolidator(ConsolidatorConfig{
+				QP: e.qpA, LocalMR: e.staging, RemoteMR: e.mrB, RemoteBase: e.mrB.Addr(),
+				BlockSize: 1024, Theta: 100, MaxBlocks: 2,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Write(tc.first, 5*1024, []byte{'F'}); err != nil { // first in
+				t.Fatal(err)
+			}
+			if _, err := c.Write(tc.then, 1*1024, []byte{'S'}); err != nil { // second in, lower index
+				t.Fatal(err)
+			}
+			now := 20 * sim.Microsecond
+			if _, err := c.Write(now, 3*1024, []byte{'T'}); err != nil { // forces one eviction
+				t.Fatal(err)
+			}
+			if _, fl := c.Stats(); fl != 1 {
+				t.Fatalf("flushes=%d, want exactly 1 eviction", fl)
+			}
+			remote := e.mrB.Region().Bytes()
+			if remote[5*1024] != 'F' {
+				t.Fatal("block 5 (first created) was not the eviction victim")
+			}
+			if remote[1*1024] == 'S' {
+				t.Fatal("block 1 (created second) was evicted")
+			}
+			// The younger block still answers from the shadow.
+			out := make([]byte, 1)
+			if _, err := c.Read(now, 1*1024, 1, out); err != nil {
+				t.Fatal(err)
+			}
+			if out[0] != 'S' {
+				t.Fatalf("read-your-writes on surviving block got %q", out)
+			}
+		})
 	}
 }
 

@@ -12,7 +12,8 @@
 //     QP at run time.
 //   - IO consolidation (Section III-C): Consolidator, a remote burst buffer
 //     that delays small writes to the same aligned block until θ requests
-//     accumulate or a lease expires, then issues one block write.
+//     accumulate or a full shadow evicts the block, then issues one block
+//     write.
 //   - NUMA-aware placement (Section III-D): Engine, which binds one QP per
 //     (local socket, remote socket) pair along matched ports and routes
 //     cross-socket requests through the proxy socket's queues instead of

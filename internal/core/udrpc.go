@@ -48,9 +48,6 @@ func NewUDRPCServer(ctx *verbs.Context, port int, mr *verbs.MR, service sim.Dura
 	}, nil
 }
 
-// CPU exposes the server CPU resource.
-func (s *UDRPCServer) CPU() *sim.Resource { return s.cpu }
-
 // UDRPCClient is one client's endpoint toward a UDRPCServer.
 type UDRPCClient struct {
 	server *UDRPCServer

@@ -87,15 +87,9 @@ func New(p Params) (*Fabric, error) {
 // Params returns the fabric configuration.
 func (f *Fabric) Params() Params { return f.params }
 
-// Register plugs a new port into the switch and returns its endpoint. The
-// port belongs to no machine: crash windows never cover it.
-func (f *Fabric) Register(name string) *Endpoint {
-	return f.RegisterAt(name, -1)
-}
-
 // RegisterAt plugs a new port into the switch as machine's port, so the
-// fault plan's machine-scoped crash windows apply to it. Machine -1 means
-// "no machine" (Register's behavior).
+// fault plan's machine-scoped crash windows apply to it, and returns its
+// endpoint. Machine -1 means "no machine": crash windows never cover it.
 func (f *Fabric) RegisterAt(name string, machine int) *Endpoint {
 	e := &Endpoint{
 		name:    name,

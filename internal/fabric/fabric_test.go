@@ -56,7 +56,7 @@ func TestValidateRejectsNegativeTiming(t *testing.T) {
 
 func TestSendLatencyComposition(t *testing.T) {
 	f := newFabric(t)
-	a, b := f.Register("a"), f.Register("b")
+	a, b := f.RegisterAt("a", -1), f.RegisterAt("b", -1)
 	p := f.Params()
 	end := f.Send(0, a, b, 0)
 	want := sim.TransferTime(p.FrameOverhead, p.LinkBandwidth) + p.Propagation + p.SwitchLatency
@@ -72,7 +72,7 @@ func TestSendLatencyComposition(t *testing.T) {
 
 func TestSendSerializesOnTx(t *testing.T) {
 	f := newFabric(t)
-	a, b := f.Register("a"), f.Register("b")
+	a, b := f.RegisterAt("a", -1), f.RegisterAt("b", -1)
 	t1 := f.Send(0, a, b, 4096)
 	t2 := f.Send(0, a, b, 4096)
 	if t2 <= t1 {
@@ -82,11 +82,11 @@ func TestSendSerializesOnTx(t *testing.T) {
 
 func TestIncastContention(t *testing.T) {
 	f := newFabric(t)
-	dst := f.Register("dst")
+	dst := f.RegisterAt("dst", -1)
 	var last sim.Time
 	// Eight senders converge on one receiver at t=0; rx link serializes.
 	for i := 0; i < 8; i++ {
-		src := f.Register("src")
+		src := f.RegisterAt("src", -1)
 		end := f.Send(0, src, dst, 4096)
 		if end <= last {
 			t.Fatal("incast completions must be strictly ordered by rx serialization")
@@ -102,7 +102,7 @@ func TestIncastContention(t *testing.T) {
 
 func TestLoopback(t *testing.T) {
 	f := newFabric(t)
-	a := f.Register("a")
+	a := f.RegisterAt("a", -1)
 	tx, rx := occupancy(a.Tx()), occupancy(a.Rx())
 	p := f.Params()
 	end := f.Send(100, a, a, 1<<20)
@@ -123,7 +123,7 @@ func TestLoopback(t *testing.T) {
 	if second <= end {
 		t.Fatal("second loopback must queue behind the first on rx")
 	}
-	b := f.Register("b")
+	b := f.RegisterAt("b", -1)
 	inbound := f.Send(100, b, a, 1<<20)
 	if inbound <= second {
 		t.Fatal("inbound traffic must contend with loopback on rx")
@@ -132,7 +132,7 @@ func TestLoopback(t *testing.T) {
 
 func TestSendPanics(t *testing.T) {
 	f := newFabric(t)
-	a := f.Register("a")
+	a := f.RegisterAt("a", -1)
 	for _, fn := range []func(){
 		func() { f.Send(0, nil, a, 1) },
 		func() { f.Send(0, a, a, -1) },
@@ -150,7 +150,7 @@ func TestSendPanics(t *testing.T) {
 
 func TestLinkUtilization(t *testing.T) {
 	f := newFabric(t)
-	a, b := f.Register("a"), f.Register("b")
+	a, b := f.RegisterAt("a", -1), f.RegisterAt("b", -1)
 	aTx, aRx, bTx, bRx := occupancy(a.Tx()), occupancy(a.Rx()), occupancy(b.Tx()), occupancy(b.Rx())
 	f.Send(0, a, b, 1<<20)
 	want := sim.TransferTime(1<<20+f.Params().FrameOverhead, f.Params().LinkBandwidth)
@@ -174,7 +174,7 @@ func TestSendMonotoneProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, b := fab.Register("a"), fab.Register("b")
+		a, b := fab.RegisterAt("a", -1), fab.RegisterAt("b", -1)
 		return fab.Send(0, a, b, size), fab.Params().Propagation + fab.Params().SwitchLatency
 	}
 	f := func(s1, s2 uint16) bool {

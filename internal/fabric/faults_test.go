@@ -99,9 +99,9 @@ func TestFaultPlanValidateViaParams(t *testing.T) {
 // bit-identical to Send.
 func TestDeliverLosslessMatchesSend(t *testing.T) {
 	plain := newFabric(t)
-	pa, pb := plain.Register("a"), plain.Register("b")
+	pa, pb := plain.RegisterAt("a", -1), plain.RegisterAt("b", -1)
 	faulty := lossy(t, nil)
-	fa, fb := faulty.Register("a"), faulty.Register("b")
+	fa, fb := faulty.RegisterAt("a", -1), faulty.RegisterAt("b", -1)
 	for i, size := range []int{0, 64, 4096, 1 << 20} {
 		now := sim.Time(i * 1000)
 		want := plain.Send(now, pa, pb, size)
@@ -118,7 +118,7 @@ func TestDeliverDeterminism(t *testing.T) {
 	plan := &FaultPlan{Seed: 42, Drop: 0.2, Corrupt: 0.1, DelayP: 0.3, Delay: 500}
 	run := func() ([]Verdict, []sim.Time) {
 		f := lossy(t, plan)
-		a, b := f.Register("a"), f.Register("b")
+		a, b := f.RegisterAt("a", -1), f.RegisterAt("b", -1)
 		var vs []Verdict
 		var ts []sim.Time
 		for i := 0; i < 200; i++ {
@@ -149,7 +149,7 @@ func TestDeliverDeterminism(t *testing.T) {
 // segments charge both sides, loopback never faults.
 func TestDeliverChargesPipes(t *testing.T) {
 	f := lossy(t, &FaultPlan{Seed: 1, Drop: 1})
-	a, b := f.Register("a"), f.Register("b")
+	a, b := f.RegisterAt("a", -1), f.RegisterAt("b", -1)
 	aTx, bRx := occupancy(a.Tx()), occupancy(b.Rx())
 	at, v := f.Deliver(0, a, b, 4096)
 	if v != Dropped {
@@ -172,7 +172,7 @@ func TestDeliverChargesPipes(t *testing.T) {
 	}
 
 	f2 := lossy(t, &FaultPlan{Seed: 1, Corrupt: 1})
-	a2, b2 := f2.Register("a"), f2.Register("b")
+	a2, b2 := f2.RegisterAt("a", -1), f2.RegisterAt("b", -1)
 	b2Rx := occupancy(b2.Rx())
 	if _, v := f2.Deliver(0, a2, b2, 4096); v != Corrupted {
 		t.Fatalf("corrupt=1 verdict %v", v)
@@ -188,13 +188,13 @@ func TestDeliverChargesPipes(t *testing.T) {
 func TestDeliverDelay(t *testing.T) {
 	plan := &FaultPlan{Seed: 3, DelayP: 1, Delay: 10 * sim.Microsecond}
 	f := lossy(t, plan)
-	a, b := f.Register("a"), f.Register("b")
+	a, b := f.RegisterAt("a", -1), f.RegisterAt("b", -1)
 	delayed, v := f.Deliver(0, a, b, 64)
 	if v != Delivered {
 		t.Fatalf("delayp=1 verdict %v", v)
 	}
 	clean := newFabric(t)
-	ca, cb := clean.Register("a"), clean.Register("b")
+	ca, cb := clean.RegisterAt("a", -1), clean.RegisterAt("b", -1)
 	base := clean.Send(0, ca, cb, 64)
 	if delayed < base {
 		t.Fatalf("delayed arrival %v before lossless %v", delayed, base)
@@ -203,7 +203,7 @@ func TestDeliverDelay(t *testing.T) {
 		t.Fatal("delay not tallied")
 	}
 	f2 := lossy(t, plan)
-	a2, b2 := f2.Register("a"), f2.Register("b")
+	a2, b2 := f2.RegisterAt("a", -1), f2.RegisterAt("b", -1)
 	replay, _ := f2.Deliver(0, a2, b2, 64)
 	if replay != delayed {
 		t.Fatalf("fresh-fabric replay %v != %v", replay, delayed)
@@ -217,7 +217,7 @@ func TestDeliverFlapDrops(t *testing.T) {
 	plan := &FaultPlan{Seed: 11, FlapDown: 400, FlapPeriod: 1000}
 	run := func() ([]Verdict, FaultStats) {
 		f := lossy(t, plan)
-		a, b := f.Register("a"), f.Register("b")
+		a, b := f.RegisterAt("a", -1), f.RegisterAt("b", -1)
 		var vs []Verdict
 		for i := 0; i < 50; i++ {
 			_, v := f.Deliver(sim.Time(i*100), a, b, 64)
@@ -252,7 +252,7 @@ func TestDeliverCrashDrops(t *testing.T) {
 	f := lossy(t, plan)
 	a := f.RegisterAt("a", 0)
 	b := f.RegisterAt("b", 1)
-	c := f.Register("c") // no machine: never crashes
+	c := f.RegisterAt("c", -1) // no machine: never crashes
 	if _, v := f.Deliver(0, a, b, 64); v != Delivered {
 		t.Fatalf("pre-crash verdict %v", v)
 	}
@@ -380,7 +380,7 @@ func TestPerEndpointFaultTallies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b, c := f.Register("a"), f.Register("b"), f.Register("c")
+	a, b, c := f.RegisterAt("a", -1), f.RegisterAt("b", -1), f.RegisterAt("c", -1)
 	for i := 0; i < 100; i++ {
 		f.Deliver(sim.Time(i)*sim.Microsecond, a, c, 64)
 	}

@@ -54,7 +54,7 @@ func TestPostSendListPartialBatch(t *testing.T) {
 	if got := e.mrB.Region().Bytes()[256]; got != 'b' {
 		t.Fatalf("second send payload = %q", got)
 	}
-	cqes := e.qpB.RecvCQ().Poll(sim.MaxTime, 10)
+	cqes := drainCQ(e.qpB.RecvCQ())
 	if len(cqes) != 2 || cqes[0].WRID != 100 || cqes[1].WRID != 101 {
 		t.Fatalf("recv CQEs %+v", cqes)
 	}

@@ -95,7 +95,7 @@ func TestSRQLosslessRNR(t *testing.T) {
 	if !bytes.Equal(e.mrB.Region().Bytes()[:len(msg)], msg) {
 		t.Fatal("payload missing at receiver")
 	}
-	cqes := peers[0].RecvCQ().Poll(sim.MaxTime, 8)
+	cqes := drainCQ(peers[0].RecvCQ())
 	if len(cqes) != 1 || cqes[0].WRID != 9 {
 		t.Fatalf("consuming QP's recv CQ got %+v", cqes)
 	}
@@ -134,8 +134,8 @@ func TestSRQFIFOHandout(t *testing.T) {
 		}
 		now = comp.Done
 	}
-	got0 := wrids(peers[0].RecvCQ().Poll(sim.MaxTime, 8))
-	got1 := wrids(peers[1].RecvCQ().Poll(sim.MaxTime, 8))
+	got0 := wrids(drainCQ(peers[0].RecvCQ()))
+	got1 := wrids(drainCQ(peers[1].RecvCQ()))
 	// Arrival order QP0, QP1, QP1, QP0 must consume entries 1, 2, 3, 4.
 	if len(got0) != 2 || got0[0] != 1 || got0[1] != 4 {
 		t.Fatalf("QP0 consumed %v, want [1 4]", got0)
@@ -232,7 +232,7 @@ func TestSRQUDSilentDrop(t *testing.T) {
 	if err != nil || dropped {
 		t.Fatalf("dropped=%v err=%v, want delivery from the SRQ", dropped, err)
 	}
-	if cqes := qb.RecvCQ().Poll(sim.MaxTime, 4); len(cqes) != 1 || cqes[0].WRID != 3 {
+	if cqes := drainCQ(qb.RecvCQ()); len(cqes) != 1 || cqes[0].WRID != 3 {
 		t.Fatalf("recv CQ got %+v", cqes)
 	}
 }

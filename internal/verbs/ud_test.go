@@ -38,7 +38,7 @@ func TestUDSendDelivers(t *testing.T) {
 	if !bytes.Equal(e.mrB.Region().Bytes()[:len(msg)], msg) {
 		t.Fatal("payload missing at receiver")
 	}
-	cqes := qb.RecvCQ().Poll(sim.MaxTime, 1)
+	cqes := drainCQ(qb.RecvCQ())
 	if len(cqes) != 1 || cqes[0].WRID != 5 || cqes[0].Bytes != len(msg) {
 		t.Fatalf("recv CQE %+v", cqes)
 	}
@@ -138,7 +138,7 @@ func TestUDOneToMany(t *testing.T) {
 		now = comp.Done
 	}
 	for i, p := range peers {
-		cqes := p.RecvCQ().Poll(sim.MaxTime, 1)
+		cqes := drainCQ(p.RecvCQ())
 		if len(cqes) != 1 {
 			t.Fatalf("peer %d received %d datagrams", i, len(cqes))
 		}

@@ -196,7 +196,7 @@ func TestSendRecv(t *testing.T) {
 		t.Fatal("payload did not land in receive buffer")
 	}
 	// The receiver's CQ must carry the recv completion.
-	cqes := e.qpB.RecvCQ().Poll(sim.MaxTime, 10)
+	cqes := drainCQ(e.qpB.RecvCQ())
 	if len(cqes) != 1 || cqes[0].WRID != 9 || cqes[0].Bytes != len(msg) {
 		t.Fatalf("recv CQEs %+v", cqes)
 	}
@@ -408,14 +408,26 @@ func TestCQPollRespectsTime(t *testing.T) {
 		t.Fatalf("receive CQ holds %d entries, want 1", cq.Len())
 	}
 	at := cq.entries[0].Time
-	if got := cq.Poll(at-1, 10); len(got) != 0 {
+	if _, ok := cq.PollOne(at - 1); ok {
 		t.Fatal("CQE visible before completion time")
 	}
-	if got := cq.Poll(at, 10); len(got) != 1 || got[0].WRID != 7 {
+	if got, ok := cq.PollOne(at); !ok || got.WRID != 7 {
 		t.Fatal("CQE not visible at completion time")
 	}
-	if got := cq.Poll(at, 10); len(got) != 0 {
+	if _, ok := cq.PollOne(at); ok {
 		t.Fatal("CQE polled twice")
+	}
+}
+
+// drainCQ polls every entry off q, oldest first.
+func drainCQ(q *CQ) []CQE {
+	var out []CQE
+	for {
+		e, ok := q.PollOne(sim.MaxTime)
+		if !ok {
+			return out
+		}
+		out = append(out, e)
 	}
 }
 

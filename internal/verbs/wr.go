@@ -87,7 +87,7 @@ type CQE struct {
 }
 
 // CQ is a receive completion queue: entries accumulate as inbound SENDs land
-// in virtual time and are drained with Poll. Hardware delivers CQEs in order
+// in virtual time and are drained with PollOne. Hardware delivers CQEs in order
 // within a queue, so push clamps each entry's visibility time to be no
 // earlier than its predecessor's. Send completions are not queued: PostSend
 // returns them, and each QP keeps only this in-order clamp for them.
@@ -103,22 +103,6 @@ func (q *CQ) push(e CQE) {
 	}
 	q.lastTime = e.Time
 	q.entries = append(q.entries, e)
-}
-
-// Poll removes and returns up to max entries whose completion time is at or
-// before now. Entries complete in time order within a QP (RC ordering).
-func (q *CQ) Poll(now sim.Time, max int) []CQE {
-	if max <= 0 {
-		return nil
-	}
-	n := 0
-	for n < len(q.entries) && n < max && q.entries[n].Time <= now {
-		n++
-	}
-	out := make([]CQE, n)
-	copy(out, q.entries[:n])
-	q.dequeue(n)
-	return out
 }
 
 // PollOne removes and returns the oldest entry if its completion time is at
