@@ -7,10 +7,10 @@ import (
 	"rdmasem/internal/sim"
 )
 
-// BenchmarkRuntimeWriteBatch measures the batch hot path with a live
-// controller attached: strategy dispatch, the note-calls, epoch
-// bookkeeping. The interesting number is allocs/op — the PR 4 zero-alloc
-// ceiling must survive the controller.
+// BenchmarkRuntimeWriteBatch measures the batch hot path with the tuners
+// live: strategy dispatch, the epoch tallies, epoch bookkeeping. The
+// interesting number is allocs/op — the PR 4 zero-alloc ceiling must
+// survive them.
 func BenchmarkRuntimeWriteBatch(b *testing.B) {
 	env := newTestEnv(b, nil)
 	rt := mkRuntime(b, env, Params{Epoch: 2 * sim.Microsecond}, core.SGL, false)
@@ -36,7 +36,7 @@ func BenchmarkRuntimeWriteBatch(b *testing.B) {
 }
 
 // BenchmarkRuntimeSmallWrite measures the small-write hot path: the
-// controller's block-locality tallies plus whichever of the native and
+// runtime's block-locality tallies plus whichever of the native and
 // consolidated paths the tuner has locked.
 func BenchmarkRuntimeSmallWrite(b *testing.B) {
 	env := newTestEnv(b, nil)

@@ -485,6 +485,3 @@ func (f *FrontEnd) Flush(now sim.Time) (sim.Time, error) {
 
 // Stats reports the hot/cold path split.
 func (f *FrontEnd) Stats() (hot, cold int64) { return f.hotHits, f.coldPaths }
-
-// Engine exposes the front-end's NUMA engine (benchmarks read proxy stats).
-func (f *FrontEnd) Engine() *core.Engine { return f.engine }

@@ -12,15 +12,19 @@ import (
 
 func init() { register("adaptive", adaptiveRuntime) }
 
-// adaptiveParams is the controller configuration for one cell: an epoch of
-// h/96, at least 500ns, so the probe burn-in stays a fixed fraction of the
-// horizon at every scale.
+// adaptiveTheta is every cell's consolidation threshold, printed in the
+// decisions table's "final theta" column: the runtime does not tune it.
+const adaptiveTheta = 16
+
+// adaptiveParams is the runtime's tuner configuration for one cell: an
+// epoch of h/96, at least 500ns, so the probe burn-in stays a fixed
+// fraction of the horizon at every scale.
 func adaptiveParams(h sim.Duration, shadow bool) adaptive.Params {
 	return adaptive.Params{Epoch: max(h/96, 500), Shadow: shadow}
 }
 
-// adaptiveCfg is one sweep line: a pinned static plan (shadow controller
-// riding along, applying nothing) or the live adaptive runtime.
+// adaptiveCfg is one sweep line: a pinned static plan (a shadow runtime,
+// measuring and applying nothing) or the live adaptive runtime.
 type adaptiveCfg struct {
 	name     string
 	strategy core.Strategy
@@ -40,14 +44,14 @@ const (
 
 var adaptiveWorkloads = []string{"smallbatch", "largeseq", "hotwrite", "phases"}
 
-// adaptiveRuntime compares the online per-QP controller against every
-// static plan on three steady workloads and one phase-changing workload
-// (ROADMAP item 4). Statics run the identical Runtime in shadow mode — the
-// controller measures but never touches a knob — so this experiment also
-// pins the hook's passivity.
+// adaptiveRuntime compares the online per-QP runtime against every static
+// plan on three steady workloads and one phase-changing workload (ROADMAP
+// item 4). Statics run the identical Runtime in shadow mode — its tuners
+// measure but never touch a knob — so this experiment also pins the hook's
+// passivity.
 func adaptiveRuntime(r *run) (*Report, error) {
 	h := r.horizon(10 * sim.Millisecond)
-	// The controller needs enough epochs to amortize its probe burn-in;
+	// The runtime needs enough epochs to amortize its probe burn-in;
 	// below ~2ms the phase-change win drowns in probe overhead at every
 	// sweep scale, so this experiment floors its horizon there.
 	if h < 2*sim.Millisecond {
@@ -76,7 +80,7 @@ func adaptiveRuntime(r *run) (*Report, error) {
 		rt, err := adaptive.NewRuntime(adaptive.Config{
 			QP: env.qpA, LocalMR: env.mrA, Staging: env.staging,
 			RemoteMR: env.mrB, RemoteBase: env.mrB.Addr(),
-			BlockSize: 1024, Theta: 16, MaxBlocks: 8,
+			BlockSize: 1024, Theta: adaptiveTheta, MaxBlocks: 8,
 			Params:   adaptiveParams(h, !cfg.live),
 			Strategy: cfg.strategy, UseCons: cfg.useCons,
 		})
@@ -89,11 +93,10 @@ func adaptiveRuntime(r *run) (*Report, error) {
 		if err != nil {
 			return cellOut{}, err
 		}
-		c := rt.Controller()
 		return cellOut{
 			mops:      res.MOPS(),
-			decisions: len(c.Records()) + c.DroppedRecords(),
-			final:     c.Decision(),
+			decisions: len(rt.Records()) + rt.DroppedRecords(),
+			final:     rt.Decision(),
 		}, nil
 	})
 	if err != nil {
@@ -119,7 +122,7 @@ func adaptiveRuntime(r *run) (*Report, error) {
 			small = "consolidate"
 		}
 		tbl.Row(name, fmt.Sprintf("%d", c.decisions), c.final.Batch.String(),
-			fmt.Sprintf("%d", c.final.Depth), small, fmt.Sprintf("%d", c.final.Theta))
+			fmt.Sprintf("%d", c.final.Depth), small, fmt.Sprintf("%d", adaptiveTheta))
 	}
 
 	return &Report{

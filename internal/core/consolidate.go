@@ -194,9 +194,6 @@ func (c *Consolidator) Stats() (writes, flushes int64) {
 	return c.writes, c.flushes
 }
 
-// Theta returns the consolidation threshold.
-func (c *Consolidator) Theta() int { return c.theta }
-
 func (c *Consolidator) snapshot() []*pendingBlock {
 	out := make([]*pendingBlock, 0, len(c.blocks))
 	for _, pb := range c.blocks {

@@ -51,7 +51,6 @@ func (p Params) Validate() error {
 // Endpoint is one registered switch port (one NIC port plugged into the
 // switch).
 type Endpoint struct {
-	name     string
 	id       int // registration index; keys the fault stream
 	machine  int // owning machine for crash windows; -1 = never crashes
 	tx       *sim.Pipe
@@ -59,9 +58,6 @@ type Endpoint struct {
 	faultSeq uint64     // segments offered to the fault model on this link
 	faults   FaultStats // this link's share of the fabric tallies (see Fabric.FaultStats)
 }
-
-// Name returns the endpoint's diagnostic name.
-func (e *Endpoint) Name() string { return e.name }
 
 // Tx exposes the endpoint's transmit pipe (telemetry attachment).
 func (e *Endpoint) Tx() *sim.Pipe { return e.tx }
@@ -92,7 +88,6 @@ func (f *Fabric) Params() Params { return f.params }
 // endpoint. Machine -1 means "no machine": crash windows never cover it.
 func (f *Fabric) RegisterAt(name string, machine int) *Endpoint {
 	e := &Endpoint{
-		name:    name,
 		id:      len(f.endpoints),
 		machine: machine,
 		tx:      sim.NewPipe(name+"/tx", f.params.LinkBandwidth, 0),

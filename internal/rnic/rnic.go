@@ -147,9 +147,6 @@ func New(name string, p Params) (*NIC, error) {
 	return n, nil
 }
 
-// Name returns the NIC's diagnostic name.
-func (n *NIC) Name() string { return n.name }
-
 // Params returns the NIC's configuration, read-only: the NIC never changes
 // it after construction, and callers must not either. It is a pointer so a
 // hot path can read a few fields per operation without copying the struct.

@@ -44,9 +44,6 @@ func NewResource(name string) *Resource {
 	return &Resource{name: name}
 }
 
-// Name returns the diagnostic name given at construction.
-func (r *Resource) Name() string { return r.name }
-
 // Acquire requests service of the given duration starting no earlier than
 // arrival, placing it at the earliest gap that fits. It returns the start
 // and end of the service window.
@@ -233,9 +230,6 @@ func NewPipe(name string, bytesPerSecond float64, overhead Duration) *Pipe {
 	}
 	return &Pipe{res: Resource{name: name}, bytesPerSecond: bytesPerSecond, overhead: overhead}
 }
-
-// Name returns the diagnostic name given at construction.
-func (p *Pipe) Name() string { return p.res.name }
 
 // Transfer schedules a transfer of size bytes arriving at the given time and
 // returns the start and completion of the transfer. An arrival before the

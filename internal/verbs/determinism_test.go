@@ -42,7 +42,7 @@ type observation struct {
 	ttrCount int64
 	ttrSum   sim.Duration
 
-	// the adaptive-runtime pair (machines 12/13): the controller's entire
+	// the adaptive-runtime pair (machines 12/13): the runtime's entire
 	// decision log plus its overflow count and final knob tuple
 	decisions []adaptive.Record
 	dropped   int
@@ -258,7 +258,7 @@ func runCrossLayerWorkload(t *testing.T) observation {
 	}
 
 	// Seventh pair: a live adaptive runtime on the same lossy, flapping
-	// fabric. The controller closes virtual-time epochs, probes batch
+	// fabric. The runtime closes virtual-time epochs, probes batch
 	// strategies, and retunes the doorbell depth off this pair's completion
 	// errors — its whole decision log must repeat identically.
 	mg, mh := cl.Machine(2*pairs+4), cl.Machine(2*pairs+5)
@@ -313,10 +313,9 @@ func runCrossLayerWorkload(t *testing.T) observation {
 	obs.daemonStaged, obs.daemonDirect = daemon.Stats()
 	obs.rec = rtable.RecoveryStats()
 	obs.ttrCount, obs.ttrSum, _, _ = rtable.RecoveryTTR().Stats()
-	ctrl := rt.Controller()
-	obs.decisions = ctrl.Records()
-	obs.dropped = ctrl.DroppedRecords()
-	obs.final = ctrl.Decision()
+	obs.decisions = rt.Records()
+	obs.dropped = rt.DroppedRecords()
+	obs.final = rt.Decision()
 	return obs
 }
 

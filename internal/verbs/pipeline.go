@@ -291,9 +291,6 @@ func (s *qpState) ID() uint64 { return s.id }
 // Context returns the owning context.
 func (s *qpState) Context() *Context { return s.ctx }
 
-// Transport returns the QP's transport type.
-func (s *qpState) Transport() Transport { return s.transport }
-
 // Port returns the local NIC port index the QP is bound to.
 func (s *qpState) Port() int { return s.route.port.Index() }
 
