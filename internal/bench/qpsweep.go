@@ -106,6 +106,7 @@ type connSweep struct {
 	srq    *verbs.SRQ    // srq/pool/proxy: the receives every SEND drains
 	table  *proxy.Table  // pool: the connection table over the shared pool
 	daemon *proxy.Daemon // proxy: the daemon that owns the table
+	slab   bool          // pool: payloads are slots of one shared slab MR
 
 	wr  verbs.SendWR
 	sgl [1]verbs.SGE
@@ -113,13 +114,31 @@ type connSweep struct {
 
 // connState is one logical connection: its closed-loop client, the QP it
 // posts on (per-conn/srq only; pool and proxy post through the table) and
-// its 32-byte SEND payload.
+// the MR its 32-byte SEND payload lies in (see sge).
 type connState struct {
 	sim.Client
-	sw  *connSweep
-	c   int
-	qp  *verbs.QP
-	sge verbs.SGE
+	sw *connSweep
+	c  int
+	qp *verbs.QP
+	mr *verbs.MR
+}
+
+// sge is the connection's 32-byte SEND payload: its own page of the
+// per-connection region its MR covers, or its slot of the shared slab.
+func (s *connState) sge() verbs.SGE {
+	off := mem.Addr(s.c * mem.PageSize)
+	if s.sw.slab {
+		off = slotOf(s.c)
+	}
+	return verbs.SGE{Addr: s.mr.Addr() + off, Length: 32, MR: s.mr}
+}
+
+// serverQP is the QP the connection's SENDs land on at the server.
+func (s *connState) serverQP() *verbs.QP {
+	if s.qp != nil {
+		return s.qp.Peer()
+	}
+	return s.sw.table.ConnQP(s.c).Peer()
 }
 
 // The server-side receive slab, shared by every mode: the interesting state
@@ -139,7 +158,10 @@ const payloadBacking = 64 << 10
 func slotOf(c int) mem.Addr { return mem.Addr((c % (slabBytes / 64)) * 64) }
 
 // op posts one receive ahead of the connection's SEND (the server keeps
-// exactly one receive ahead of each), then the SEND itself.
+// exactly one receive ahead of each), then the SEND itself, and the server
+// polls the receive CQE the SEND left, as an RPC server would: no CQ keeps
+// one entry per SEND for the rest of the point. The poll takes no virtual
+// time.
 func (s *connState) op(post sim.Time) sim.Time {
 	sw := s.sw
 	recv := verbs.RecvWR{SGE: verbs.SGE{Addr: sw.mrB.Addr() + slotOf(s.c), Length: 64, MR: sw.mrB}}
@@ -153,7 +175,7 @@ func (s *connState) op(post sim.Time) sim.Time {
 		s.Fail(err)
 		return post
 	}
-	sw.sgl[0] = s.sge
+	sw.sgl[0] = s.sge()
 	var comp verbs.Completion
 	switch {
 	case s.qp != nil:
@@ -163,7 +185,11 @@ func (s *connState) op(post sim.Time) sim.Time {
 	default:
 		comp, err = sw.table.Post(post, s.c, &sw.wr)
 	}
-	s.Fail(err)
+	if err != nil {
+		s.Fail(err)
+		return comp.Done
+	}
+	s.serverQP().RecvCQ().PollOne(sim.MaxTime)
 	return comp.Done
 }
 
@@ -209,7 +235,7 @@ func newConnSweep(r *run, mode string, conns int) (*connSweep, error) {
 			return err
 		}
 		for c := range sw.conns {
-			sw.conns[c].sge = verbs.SGE{Addr: r.Addr() + mem.Addr(c*mem.PageSize), Length: 32, MR: ctxA.MustRegisterMR(r)}
+			sw.conns[c].mr = ctxA.MustRegisterMR(r)
 		}
 		return nil
 	}
@@ -224,7 +250,8 @@ func newConnSweep(r *run, mode string, conns int) (*connSweep, error) {
 	}
 	warmSGEs := func() {
 		for c := range sw.conns {
-			sw.nicA.Translate(sw.conns[c].sge.Addr, sw.conns[c].sge.Length)
+			sge := sw.conns[c].sge()
+			sw.nicA.Translate(sge.Addr, sge.Length)
 		}
 	}
 
@@ -249,7 +276,7 @@ func newConnSweep(r *run, mode string, conns int) (*connSweep, error) {
 			warmQP(sw.conns[c].qp)
 		}
 		for c := range sw.conns {
-			sw.nicA.TouchMR(uint64(sw.conns[c].sge.MR.RKey()))
+			sw.nicA.TouchMR(uint64(sw.conns[c].mr.RKey()))
 		}
 		warmSGEs()
 		sw.pt.physQPs, sw.pt.mrs = conns, conns
@@ -276,8 +303,9 @@ func newConnSweep(r *run, mode string, conns int) (*connSweep, error) {
 				return nil, err
 			}
 			mrA := ctxA.MustRegisterMR(la)
+			sw.slab = true
 			for c := range sw.conns {
-				sw.conns[c].sge = verbs.SGE{Addr: mrA.Addr() + slotOf(c), Length: 32, MR: mrA}
+				sw.conns[c].mr = mrA
 			}
 			for _, qp := range pool {
 				warmQP(qp)

@@ -292,7 +292,8 @@ func (m *Machine) CrashedAt(t sim.Time) bool {
 
 // NextQPID hands out the next QP number, unique across the whole cluster.
 // The counter lives on the Cluster, not in package state, so concurrent
-// simulations of disjoint clusters never share an allocator.
+// simulations of disjoint clusters never share an allocator. It never
+// wraps; verbs refuses a number past its 24-bit MaxQPN.
 func (m *Machine) NextQPID() uint64 {
 	*m.qpSeq++
 	return *m.qpSeq

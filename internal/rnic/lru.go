@@ -11,8 +11,11 @@ package rnic
 // was carved out up front. Keys are found through an open-addressed index
 // owned by the cache: a power-of-two slot table of at least twice the
 // capacity, probed linearly from a fixed mixer and kept tombstone-free by
-// backward-shift deletion. Which keys hit depends only on the recency list,
-// never on where the index happens to place them.
+// backward-shift deletion. A slot is 8 bytes, the low 32 bits of the key's
+// mix and its node: a probe confirms a hash match against the node's key,
+// and the deletion reads each entry's home slot from its stored hash. Which
+// keys hit depends only on the recency list, never on where the index
+// happens to place them or on which keys share a hash.
 //
 // LRU is not safe for concurrent use; the simulation kernel is single
 // threaded over virtual time.
@@ -28,10 +31,11 @@ type LRU struct {
 	misses   int64
 }
 
-// lruSlot is one index entry: node is the node index + 1, so the zero slot
-// is empty.
+// lruSlot is one index entry: hash is the low 32 bits of lruMix of the
+// node's key (a table has at most 2^32 slots, so it holds the home slot),
+// and node is the node index + 1, so the zero slot is empty.
 type lruSlot struct {
-	key  uint64
+	hash uint32
 	node int32
 }
 
@@ -92,7 +96,8 @@ func (c *LRU) Access(key uint64) bool {
 		c.hits++
 		return true
 	}
-	s := c.probe(key)
+	mix := lruMix(key)
+	s := c.probe(key, mix)
 	if v := c.slots[s].node; v != 0 {
 		c.moveToFront(v - 1)
 		c.hits++
@@ -104,43 +109,50 @@ func (c *LRU) Access(key uint64) bool {
 	}
 	evict := c.free == lruNil
 	var i int32
+	var hole uint64
 	if evict {
-		// Full: reuse the coldest node in place.
+		// Full: reuse the coldest node in place. Its slot is found while
+		// the node still holds its key and no other slot points at it.
 		i = c.tail
 		c.unlink(i)
+		old := c.nodes[i].key
+		hole = c.probe(old, lruMix(old))
 	} else {
 		i = c.free
 		c.free = c.nodes[i].next
 	}
 	// Index the new key in the empty slot the probe ended on before the
-	// eviction: the table always has room for capacity+1 keys, and the
-	// backward shift keeps every remaining chain, the new one included,
-	// intact.
-	c.slots[s] = lruSlot{key: key, node: i + 1}
+	// eviction: the table always has room for capacity+1 keys, filling an
+	// empty slot moves no other entry, and the backward shift keeps every
+	// remaining chain, the new one included, intact.
+	c.slots[s] = lruSlot{hash: uint32(mix), node: i + 1}
 	if evict {
-		c.remove(c.nodes[i].key)
+		c.removeAt(hole)
 	}
 	c.nodes[i].key = key
 	c.pushFront(i)
 	return false
 }
 
-// probe returns the slot holding key, or the empty slot that ends its chain.
-func (c *LRU) probe(key uint64) uint64 {
-	s := lruMix(key) & c.mask
-	for c.slots[s].node != 0 && c.slots[s].key != key {
+// probe returns the slot holding key, whose mix is h, or the empty slot that
+// ends its chain. A slot whose hash matches holds key only if its node does.
+func (c *LRU) probe(key, h uint64) uint64 {
+	s := h & c.mask
+	for {
+		sl := c.slots[s]
+		if sl.node == 0 || sl.hash == uint32(h) && c.nodes[sl.node-1].key == key {
+			return s
+		}
 		s = (s + 1) & c.mask
 	}
-	return s
 }
 
-// remove deletes a resident key from the index by backward shift: each later
-// entry of the chain whose home lies at or before the hole moves into it, so
-// no tombstone is left behind.
-func (c *LRU) remove(key uint64) {
-	hole := c.probe(key)
+// removeAt empties slot hole by backward shift: each later entry of the
+// chain whose home lies at or before the hole moves into it, so no
+// tombstone is left behind.
+func (c *LRU) removeAt(hole uint64) {
 	for s := (hole + 1) & c.mask; c.slots[s].node != 0; s = (s + 1) & c.mask {
-		home := lruMix(c.slots[s].key) & c.mask
+		home := uint64(c.slots[s].hash) & c.mask
 		if (s-home)&c.mask >= (s-hole)&c.mask {
 			c.slots[hole] = c.slots[s]
 			hole = s
@@ -188,7 +200,7 @@ func (c *LRU) moveToFront(i int32) {
 
 // contains reports residency without touching recency or statistics.
 func (c *LRU) contains(key uint64) bool {
-	return c.slots[c.probe(key)].node != 0
+	return c.slots[c.probe(key, lruMix(key))].node != 0
 }
 
 // Hits returns the number of Access calls that hit.

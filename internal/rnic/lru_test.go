@@ -148,6 +148,74 @@ func TestLRUSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// hashTwins returns the pairs of keys below 2^18 whose mixes agree in their
+// low 32 bits, the part of the hash an index slot stores, in key order.
+func hashTwins() [][2]uint64 {
+	seen := make(map[uint32]uint64, 1<<18)
+	var pairs [][2]uint64
+	for k := uint64(0); k < 1<<18; k++ {
+		h := uint32(lruMix(k))
+		if j, ok := seen[h]; ok {
+			pairs = append(pairs, [2]uint64{j, k})
+		}
+		seen[h] = k
+	}
+	return pairs
+}
+
+// TestLRUHashCollision: two keys whose stored hashes are equal (and so whose
+// home slots are too) are still two keys. Both resident, both hit; evicting
+// either leaves the other hitting, and every access matches the reference
+// model, including a miss that evicts the new key's twin.
+func TestLRUHashCollision(t *testing.T) {
+	pairs := hashTwins()
+	if len(pairs) == 0 {
+		t.Fatal("no two keys below 2^18 share a 32-bit hash")
+	}
+	t.Logf("%d hash-twin pairs below 2^18", len(pairs))
+	for _, p := range pairs {
+		a, b := p[0], p[1]
+		for _, first := range []uint64{a, b} {
+			other := a ^ b ^ first
+			c := NewLRU(2)
+			c.Access(a)
+			c.Access(b)
+			if !c.Access(a) || !c.Access(b) || !c.Access(a) {
+				t.Fatalf("twins %#x and %#x: both resident, not both hitting", a, b)
+			}
+			// Touch other last, so first is the coldest; a fresh key
+			// evicts it.
+			c.Access(first)
+			c.Access(other)
+			if c.Access(1 << 20) {
+				t.Fatal("a fresh key hit")
+			}
+			if !c.Access(other) {
+				t.Fatalf("twins %#x and %#x: evicting %#x lost its twin", a, b, first)
+			}
+			if c.contains(first) {
+				t.Fatalf("twins %#x and %#x: %#x still indexed after its eviction", a, b, first)
+			}
+		}
+	}
+	var twins []uint64
+	for _, p := range pairs {
+		twins = append(twins, p[0], p[1])
+	}
+	for _, capacity := range []int{1, 2, 3, 8} {
+		rng := rand.New(rand.NewSource(int64(capacity)))
+		keys := make([]uint64, 4000)
+		for i := range keys {
+			if rng.Intn(4) == 0 {
+				keys[i] = uint64(rng.Intn(2*capacity + 3))
+			} else {
+				keys[i] = twins[rng.Intn(min(len(twins), 2*capacity+2))]
+			}
+		}
+		checkAgainstRef(t, NewLRU(capacity), capacity, keys)
+	}
+}
+
 // refLRU is the exact reference model: a slice with the most recent key at
 // the front.
 type refLRU struct {
@@ -231,8 +299,8 @@ func checkIndex(t *testing.T, c *LRU, resident []uint64) {
 	for _, s := range c.slots {
 		if s.node != 0 {
 			used++
-			if c.nodes[s.node-1].key != s.key {
-				t.Fatalf("slot key %#x points at node holding %#x", s.key, c.nodes[s.node-1].key)
+			if k := c.nodes[s.node-1].key; uint32(lruMix(k)) != s.hash {
+				t.Fatalf("slot hash %#x points at node holding %#x, whose hash is %#x", s.hash, k, uint32(lruMix(k)))
 			}
 		}
 	}

@@ -15,8 +15,9 @@ import (
 // maxQPBytes is the ceiling on one connected QP's heap object, its header:
 // qpsweep holds 20,000 pairs, so every field one side of a connection does
 // not touch is host memory the sweep pays for. The send side (qpSend) and
-// the receive side (qpRecv) are separate objects made on first use.
-const maxQPBytes = 80
+// the receive side (qpRecv) are separate objects made on first use, and so
+// is the send side's list completion buffer.
+const maxQPBytes = 64
 
 // registeredTallies is the number of QP tallies registered with n (its
 // unexported qpRel list): only reliability state registers.
@@ -89,16 +90,17 @@ func postBatch(t *testing.T, qps []*QP, mrA, mrB *MR) sim.Time {
 
 // TestQPFootprint pins what one QP costs the host: a heap object of at most
 // maxQPBytes, two allocations per lossless Connect (the two QP headers),
-// a send side only on a QP that posts, a receive side only on one that
-// receives, and no reliability state or NIC registration on a lossless
-// fabric. On a lossy one each QP's tally is registered at construction, so
+// a send side only on a QP that posts (the first single-WR post allocates
+// the send side and its pipeline's interval list, and no completion
+// buffer), a list completion buffer only on a QP that posts a list, a receive side only on one that receives, and no reliability state
+// or NIC registration on a lossless fabric. On a lossy one each QP's tally is registered at construction, so
 // the NIC's sum matches its QPs'.
 func TestQPFootprint(t *testing.T) {
 	if n := unsafe.Sizeof(QP{}); n > maxQPBytes {
 		t.Errorf("QP is %d bytes, want at most %d", n, maxQPBytes)
 	}
-	if n := unsafe.Sizeof(qpSend{}); n > 80 {
-		t.Errorf("a QP's send side is %d bytes, want at most 80", n)
+	if n := unsafe.Sizeof(qpSend{}); n > 64 {
+		t.Errorf("a QP's send side is %d bytes, want at most 64", n)
 	}
 	if n := unsafe.Sizeof(qpRecv{}); n > 64 {
 		t.Errorf("a QP's receive side is %d bytes, want at most 64", n)
@@ -112,6 +114,18 @@ func TestQPFootprint(t *testing.T) {
 		}
 	}); allocs != 2 {
 		t.Errorf("lossless Connect makes %.2f allocations, want 2", allocs)
+	}
+	write := &SendWR{Opcode: OpWrite, SGL: []SGE{{Addr: mrA.Addr(), Length: 64, MR: mrA}}, RemoteAddr: mrB.Addr(), RemoteKey: mrB.RKey()}
+	if allocs := testing.AllocsPerRun(100, func() {
+		qa, _, err := Connect(ctxA, 1, ctxB, 1, RC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := qa.PostSend(0, write); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 4 {
+		t.Errorf("lossless Connect and a first single-WR PostSend make %.2f allocations, want 4 (the headers, the send side and its pipeline's first busy interval)", allocs)
 	}
 	for _, q := range qps {
 		if q.send != nil || q.recv != nil {
@@ -127,9 +141,18 @@ func TestQPFootprint(t *testing.T) {
 		if posted := i%2 == 0; (q.send != nil) != posted {
 			t.Errorf("QP %d posted: %v, has a send side: %v", q.ID(), posted, q.send != nil)
 		}
+		if q.send != nil && q.send.comps != nil {
+			t.Errorf("QP %d posted single WRs only but holds a list completion buffer", q.ID())
+		}
 		if q.recv != nil {
 			t.Errorf("QP %d has a receive side after one-sided traffic only", q.ID())
 		}
+	}
+	if _, err := qps[0].PostSendList(0, []*SendWR{write, write}); err != nil {
+		t.Fatal(err)
+	}
+	if qps[0].send.comps == nil {
+		t.Error("a list post left the QP without a list completion buffer")
 	}
 	for i := 0; i < 2; i++ {
 		if n := registeredTallies(cl.Machine(i).NIC()); n != 0 {
@@ -307,5 +330,30 @@ func TestReceiveSideOnFirstUse(t *testing.T) {
 	}
 	if qa.recv != nil || qb.send != nil {
 		t.Fatal("the requester gained a receive side or the responder a send side")
+	}
+}
+
+// TestQPNExhausted: QP numbers are 24 bits, and a QP stores its number in
+// 32, so a cluster's allocator must not wrap into a number some QP already
+// holds. The allocator is started just below MaxQPN: the pair that takes
+// the last two numbers connects, and every QP after it, connected or UD,
+// fails with ErrQPNExhausted.
+func TestQPNExhausted(t *testing.T) {
+	e := newPair(t)
+	m := e.cl.Machine(0)
+	for m.NextQPID() < MaxQPN-2 {
+	}
+	qa, qb, err := Connect(e.ctxA, 1, e.ctxB, 1, RC)
+	if err != nil {
+		t.Fatalf("Connect on the last two QP numbers: %v", err)
+	}
+	if qa.ID() != MaxQPN-1 || qb.ID() != MaxQPN {
+		t.Fatalf("last pair got QP numbers %d and %d, want %d and %d", qa.ID(), qb.ID(), MaxQPN-1, MaxQPN)
+	}
+	if _, _, err := Connect(e.ctxA, 1, e.ctxB, 1, RC); !errors.Is(err, ErrQPNExhausted) {
+		t.Fatalf("Connect past MaxQPN: %v, want ErrQPNExhausted", err)
+	}
+	if _, err := NewUDQP(e.ctxB, 0); !errors.Is(err, ErrQPNExhausted) {
+		t.Fatalf("NewUDQP past MaxQPN: %v, want ErrQPNExhausted", err)
 	}
 }

@@ -32,6 +32,7 @@ import (
 // resolves one route per port, and every QP of that (Context, port) shares
 // it by pointer, together with the walk's reusable buffers (routeScratch).
 type qpRoute struct {
+	ctx        *Context // the owning context, read by every QP of the port
 	machine    *cluster.Machine
 	nic        *rnic.NIC
 	port       *rnic.Port
@@ -44,9 +45,11 @@ type qpRoute struct {
 	scratch    routeScratch
 }
 
-// newRoute resolves the route of one NIC port of m.
-func newRoute(m *cluster.Machine, port int) *qpRoute {
+// newRoute resolves the route of one NIC port of ctx's machine.
+func newRoute(ctx *Context, port int) *qpRoute {
+	m := ctx.machine
 	return &qpRoute{
+		ctx:        ctx,
 		machine:    m,
 		nic:        m.NIC(),
 		port:       m.NIC().Port(port),
@@ -63,43 +66,52 @@ func newRoute(m *cluster.Machine, port int) *qpRoute {
 // (UDQP) queue pairs: identity, port/core binding and the stage recorder.
 // Each side of a connection uses only one half of a QP, so the halves are
 // separate objects made on first use: the send side (qpSend) on the first
-// post, the receive side (qpRecv) on the first receive. The walk's staging
-// buffers belong to the route, and the reliability state (qpRel) exists once
-// something writes it.
+// post, the receive side (qpRecv) on the first receive. The owning Context
+// is the route's, the walk's staging buffers belong to the route too, and
+// the reliability state (qpRel) exists once something writes it.
 type qpState struct {
-	id    uint64
-	ctx   *Context
-	route *qpRoute       // the port's machine resources; the walk reads nothing else
-	send  *qpSend        // pipeline, CQE clamp and completions; nil until first used (see sender)
+	route *qpRoute       // the port's context and machine resources; the walk reads nothing else
+	send  *qpSend        // pipeline, CQE clamp and list completions; nil until first used (see sender)
 	recv  *qpRecv        // receive queue and CQ, nil until first used (see receiver)
 	srq   *SRQ           // shared receive queue; inbound SENDs drain it instead of recv.q
 	rec   *stageRecorder // the stage walk's one consumer, else nil (no telemetry, no trace)
 	rel   *qpRel         // reliability state, nil until first written (see reliability)
 
-	// One-byte header fields, packed into a single word.
+	// The header word: the QP number and the one-byte fields.
+	id        uint32 // QP number, at most MaxQPN (24 bits on the wire)
 	transport Transport
 	core      uint8 // socket of the posting core (a topo.SocketID)
 	state     State // READY until reliability retries exhaust (or ForceError)
-
-	// Fault-plan facts, read once at construction so the hot path pays one
-	// boolean test each. lossy decides the only three points where the
-	// reliability engine's no-loss case differs from a quiet plan: PathMTU
-	// segmentation, the reliability tallies, and RNR back-off (a lossless RC
-	// SEND into an empty receive queue returns ErrRNR instead).
-	lossy     bool // a fault plan is attached to the fabric
-	crashable bool // fault plan has crash windows: check at post
+	flags     qpFlags
 }
+
+// qpFlags are the fault-plan facts, read once at construction so the hot
+// path pays one bit test each. qpLossy decides the only three points where
+// the reliability engine's no-loss case differs from a quiet plan: PathMTU
+// segmentation, the reliability tallies, and RNR back-off (a lossless RC
+// SEND into an empty receive queue returns ErrRNR instead).
+type qpFlags uint8
+
+const (
+	qpLossy     qpFlags = 1 << iota // a fault plan is attached to the fabric
+	qpCrashable                     // the fault plan has crash windows: check at post
+)
+
+// lossy reports whether the QP's fabric has a fault plan attached.
+func (s *qpState) lossy() bool { return s.flags&qpLossy != 0 }
 
 // qpSend is a QP's send side: what only a posting QP touches.
 type qpSend struct {
 	pipeline sim.Resource // per-QP processing pipeline (Fig 1's 4.7 MOPS)
 	lastCQE  sim.Time     // in-order clamp: the latest send CQE time so far
 
-	// The completions of the in-flight doorbell list. Aliasing contract:
+	// The completions of the last doorbell list, made on the first
+	// PostSendList: a single-WR post completes into its caller's stack, so
+	// a QP that never posts a list holds no buffer. Aliasing contract:
 	// PostSendList hands them to its caller, and they stay valid only until
 	// the next post on the same QP; callers that retain completions across
 	// posts must copy them.
-	comps []Completion
+	comps *[]Completion
 }
 
 // sender returns the QP's send side, creating it on first use. It stays
@@ -121,8 +133,8 @@ func (s *qpState) newSender() *qpSend {
 		name = "udqp/pipeline"
 	}
 	snd := &qpSend{pipeline: *sim.NewResource(name)}
-	if reg := s.ctx.machine.Telemetry(); reg != nil {
-		snd.pipeline.Observe(reg.QueueHook(s.ctx.machine.Label(), name))
+	if reg := s.route.machine.Telemetry(); reg != nil {
+		snd.pipeline.Observe(reg.QueueHook(s.route.machine.Label(), name))
 	}
 	return snd
 }
@@ -235,33 +247,37 @@ func (s *routeScratch) respSegments(n int) []int {
 }
 
 // newQPState initialises the shared queue-pair state, drawing the QP number
-// from the machine's cluster-wide allocator. The QP's kind names it in
-// telemetry ("qp" or "udqp").
-func newQPState(ctx *Context, t Transport, port int) qpState {
+// from the machine's cluster-wide allocator; past MaxQPN it fails with
+// ErrQPNExhausted. The QP's kind names it in telemetry ("qp" or "udqp").
+func newQPState(ctx *Context, t Transport, port int) (qpState, error) {
 	kind := "qp"
 	if t == UD {
 		kind = "udqp"
 	}
 	id := ctx.machine.NextQPID()
+	if id > MaxQPN {
+		return qpState{}, fmt.Errorf("%w: QP number %d on %s", ErrQPNExhausted, id, ctx.machine.Label())
+	}
 	r := ctx.routes[port]
 	s := qpState{
-		id:        id,
-		ctx:       ctx,
+		id:        uint32(id),
 		route:     r,
 		transport: t,
 		core:      uint8(r.socket),
-		lossy:     r.fab.FaultsEnabled(),
-		crashable: r.fab.Params().Faults.HasCrashes(),
 	}
-	if s.lossy {
+	if r.fab.FaultsEnabled() {
+		s.flags |= qpLossy
 		s.reliability()
+	}
+	if r.fab.Params().Faults.HasCrashes() {
+		s.flags |= qpCrashable
 	}
 	if reg, tl := ctx.machine.Telemetry(), ctx.machine.Timeline(); reg != nil || tl != nil {
 		label := ctx.machine.Label()
 		s.rec = newStageRecorder(reg, tl, label, ctx.machine.TimelinePID(), id, kind)
 		s.sender()
 	}
-	return s
+	return s, nil
 }
 
 // observe hands a stage transition to the stage recorder, if any.
@@ -286,10 +302,10 @@ func (s *qpState) recEnd(at sim.Time) {
 }
 
 // ID returns the QP number.
-func (s *qpState) ID() uint64 { return s.id }
+func (s *qpState) ID() uint64 { return uint64(s.id) }
 
 // Context returns the owning context.
-func (s *qpState) Context() *Context { return s.ctx }
+func (s *qpState) Context() *Context { return s.route.ctx }
 
 // Port returns the local NIC port index the QP is bound to.
 func (s *qpState) Port() int { return s.route.port.Index() }
@@ -319,7 +335,7 @@ func (s *qpState) PostRecv(wr RecvWR) error {
 	if s.srq != nil {
 		return fmt.Errorf("%w: QP %d drains an SRQ; post receives there", ErrBadSGL, s.id)
 	}
-	if wr.SGE.MR == nil || wr.SGE.MR.ctx != s.ctx {
+	if wr.SGE.MR == nil || wr.SGE.MR.ctx != s.route.ctx {
 		return fmt.Errorf("%w: receive buffer must be a local MR", ErrBadSGL)
 	}
 	if err := wr.SGE.MR.contains(wr.SGE.Addr, wr.SGE.Length); err != nil {
@@ -340,9 +356,11 @@ func remoteSpan(wr *SendWR) int {
 // postList walks an already-validated doorbell list through the pipeline:
 // one MMIO for the whole batch (Kalia et al.'s Doorbell mechanism, Section
 // III-A), then each WR proceeds as an independent network operation against
-// dst. On a mid-list error the completions of the WRs that fully executed —
-// the completed prefix — are returned alongside the error; the failed WR
-// and everything after it have no data effects and no CQEs.
+// dst. It appends the completions to comps, which the caller hands in with
+// length 0, and returns the result. On a mid-list error the completions of
+// the WRs that fully executed — the completed prefix — are returned
+// alongside the error; the failed WR and everything after it have no data
+// effects and no CQEs.
 //
 // The returned dropped flag reports a UD datagram discarded on the wire or
 // because the receiver had no posted buffer (a UD list is the one datagram
@@ -354,23 +372,18 @@ func remoteSpan(wr *SendWR) int {
 // with a StatusFlushed completion and the post returns ErrQPError. A WR
 // whose retries exhaust mid-list completes with its error status and the
 // remainder of the list flushes behind it.
-//
-// The returned slice is backed by src's completion buffer: it remains valid
-// until the next post on the same QP (see qpSend.comps).
-func postList(src, dst *qpState, now sim.Time, wrs []*SendWR) ([]Completion, bool, error) {
-	if src.crashable && src.state != StateError && src.route.machine.CrashedAt(now) {
+func postList(src, dst *qpState, now sim.Time, wrs []*SendWR, comps []Completion) ([]Completion, bool, error) {
+	if src.flags&qpCrashable != 0 && src.state != StateError && src.route.machine.CrashedAt(now) {
 		// The posting machine is inside a crash window: its HCA is gone and
 		// every QP it owns is broken. The first post during the outage
 		// surfaces the crash as an error-state flush.
 		src.state = StateError
 	}
-	snd := src.sender()
+	src.sender()
 	if src.state == StateError {
-		comps := snd.comps[:0]
 		for _, wr := range wrs {
 			comps = append(comps, flushWR(src, now, wr))
 		}
-		snd.comps = comps
 		return comps, false, ErrQPError
 	}
 	nic := src.route.nic
@@ -396,10 +409,6 @@ func postList(src, dst *qpState, now sim.Time, wrs []*SendWR) ([]Completion, boo
 		src.observe(StageWQEFetched, t)
 	}
 
-	comps := snd.comps[:0]
-	// Keep the (possibly grown) backing array for the next post; the slice
-	// header above is re-derived from it after every append below.
-	defer func() { snd.comps = comps[:0] }()
 	dropped := false
 	for i, wr := range wrs {
 		if i > 0 {
@@ -462,7 +471,7 @@ func executeOne(src, dst *qpState, t sim.Time, wr *SendWR) (Completion, bool, er
 	// Requester-side metadata: QP context, per-SGE MR records + translations.
 	// A UD WQE carries no lkey references when the payload is inline, so its
 	// SGL metadata is only touched on the (non-inline) gather path below.
-	meta := nic.TouchQP(src.id)
+	meta := nic.TouchQP(uint64(src.id))
 	if !ud {
 		for _, s := range wr.SGL {
 			meta = meta.Add(nic.TouchMR(s.MR.id))
@@ -582,7 +591,7 @@ func executeOne(src, dst *qpState, t sim.Time, wr *SendWR) (Completion, bool, er
 // (receive-side DMA end) and the drop flag.
 func deliverDatagram(src, dst *qpState, arrive sim.Time, wr *SendWR, total int) (sim.Time, bool, error) {
 	r := dst.route
-	rmeta := r.nic.TouchQP(dst.id)
+	rmeta := r.nic.TouchQP(uint64(dst.id))
 	rt := r.port.Execute(arrive+rmeta.Latency, r.params.RespWrite, rmeta.Service)
 	if dst.recvEmpty() {
 		return rt, true, nil

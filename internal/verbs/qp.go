@@ -19,8 +19,9 @@ type QP struct {
 
 // Connect creates a connected QP pair between two contexts over the given
 // local NIC ports. The transport must be RC, the only connected one; any
-// other fails with ErrBadTransport. The cores default to each port's
-// affiliated socket; rebind with BindCore.
+// other fails with ErrBadTransport, and a cluster past MaxQPN QP numbers
+// with ErrQPNExhausted. The cores default to each port's affiliated socket;
+// rebind with BindCore.
 func Connect(a *Context, portA int, b *Context, portB int, t Transport) (*QP, *QP, error) {
 	if a == nil || b == nil {
 		return nil, nil, fmt.Errorf("verbs: nil context")
@@ -34,8 +35,16 @@ func Connect(a *Context, portA int, b *Context, portB int, t Transport) (*QP, *Q
 	if err := b.checkPort(portB); err != nil {
 		return nil, nil, err
 	}
-	qa := &QP{qpState: newQPState(a, t, portA)}
-	qb := &QP{qpState: newQPState(b, t, portB)}
+	sa, err := newQPState(a, t, portA)
+	if err != nil {
+		return nil, nil, err
+	}
+	sb, err := newQPState(b, t, portB)
+	if err != nil {
+		return nil, nil, err
+	}
+	qa := &QP{qpState: sa}
+	qb := &QP{qpState: sb}
 	qa.peer, qb.peer = qb, qa
 	return qa, qb, nil
 }
@@ -55,16 +64,24 @@ func (q *QP) Peer() *QP { return q.peer }
 // Machines returns the two hosts this QP's ops touch: the local (posting)
 // machine first, then the connected peer's.
 func (q *QP) Machines() (local, remote *cluster.Machine) {
-	return q.ctx.Machine(), q.peer.ctx.Machine()
+	return q.route.machine, q.peer.route.machine
 }
 
 // PostSend posts one work request at the given virtual time and returns its
-// completion. Equivalent to a one-entry PostSendList. When the QP fails (the
-// reliability layer exhausted its retries, or the QP was already in the
-// error state) the error is ErrQPError and the returned completion carries
-// the failure's status and time.
+// completion. Equivalent to a one-entry PostSendList, except that the
+// completion comes back by value, so it needs no completion buffer on the
+// QP. When the QP fails (the reliability layer exhausted its retries, or
+// the QP was already in the error state) the error is ErrQPError and the
+// returned completion carries the failure's status and time.
 func (q *QP) PostSend(now sim.Time, wr *SendWR) (Completion, error) {
-	comps, err := q.PostSendList(now, []*SendWR{wr})
+	if q.peer == nil {
+		return Completion{}, ErrNotConnected
+	}
+	if err := q.validate(wr); err != nil {
+		return Completion{}, err
+	}
+	var buf [1]Completion
+	comps, _, err := postList(&q.qpState, &q.peer.qpState, now, []*SendWR{wr}, buf[:0])
 	if len(comps) > 0 {
 		return comps[0], err
 	}
@@ -91,9 +108,10 @@ func (q *QP) PostSend(now sim.Time, wr *SendWR) (Completion, error) {
 // remainder flushed with StatusFlushed. Posting to a QP already in the
 // error state flushes the whole list the same way.
 //
-// Aliasing: the returned slice is backed by this QP's completion buffer and
-// is valid only until the next post on the same QP (posts on other QPs leave
-// it intact); callers that retain completions across posts must copy them.
+// Aliasing: the returned slice is backed by this QP's list completion
+// buffer, made on its first list post, and is valid only until the next
+// list post on the same QP (posts on other QPs leave it intact); callers
+// that retain completions across posts must copy them.
 func (q *QP) PostSendList(now sim.Time, wrs []*SendWR) ([]Completion, error) {
 	if q.peer == nil {
 		return nil, ErrNotConnected
@@ -106,7 +124,12 @@ func (q *QP) PostSendList(now sim.Time, wrs []*SendWR) ([]Completion, error) {
 			return nil, err
 		}
 	}
-	comps, _, err := postList(&q.qpState, &q.peer.qpState, now, wrs)
+	snd := q.sender()
+	if snd.comps == nil {
+		snd.comps = new([]Completion)
+	}
+	comps, _, err := postList(&q.qpState, &q.peer.qpState, now, wrs, (*snd.comps)[:0])
+	*snd.comps = comps[:0] // keep the (possibly grown) array for the next list
 	return comps, err
 }
 
@@ -120,7 +143,7 @@ func (q *QP) validate(wr *SendWR) error {
 		return fmt.Errorf("%w: no SGEs", ErrBadSGL)
 	}
 	for _, s := range wr.SGL {
-		if s.MR == nil || s.MR.ctx != q.ctx {
+		if s.MR == nil || s.MR.ctx != q.route.ctx {
 			return fmt.Errorf("%w: SGE must reference a local MR", ErrBadSGL)
 		}
 		if s.Length < 0 {
@@ -144,7 +167,7 @@ func (q *QP) validate(wr *SendWR) error {
 		}
 	}
 	if wr.Opcode.OneSided() {
-		rmr, err := q.peer.ctx.LookupMR(wr.RemoteKey)
+		rmr, err := q.peer.route.ctx.LookupMR(wr.RemoteKey)
 		if err != nil {
 			return err
 		}

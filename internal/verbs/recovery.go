@@ -59,7 +59,7 @@ func (q *QP) Reconnect(now sim.Time) (sim.Time, error) {
 	if q.peer == nil {
 		return now, ErrNotConnected
 	}
-	local, remote := q.ctx.machine, q.peer.ctx.machine
+	local, remote := q.route.machine, q.peer.route.machine
 	t := local.CM().Delay(now, 3*ModifyQPCost)
 	t = remote.CM().Delay(t, 3*ModifyQPCost)
 	st := &q.reliability().stats

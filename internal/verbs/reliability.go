@@ -171,7 +171,7 @@ func (s *qpState) ForceError() { s.state = StateError }
 // one route). A request segmentation also assigns the message's PSN window.
 func (s *qpState) segmentSizes(outbound int, resp bool) []int {
 	n := 1
-	if s.lossy && outbound > PathMTU {
+	if s.lossy() && outbound > PathMTU {
 		n = (outbound + PathMTU - 1) / PathMTU
 	}
 	var sizes []int
@@ -179,7 +179,7 @@ func (s *qpState) segmentSizes(outbound int, resp bool) []int {
 		sizes = s.route.scratch.respSegments(n)
 	} else {
 		sizes = s.route.scratch.segments(n)
-		if s.lossy {
+		if s.lossy() {
 			s.reliability().stats.SendPSN += uint64(n)
 		}
 	}
@@ -192,7 +192,7 @@ func (s *qpState) segmentSizes(outbound int, resp bool) []int {
 
 // noteSegment tallies one wire segment at the requester (lossy fabrics only).
 func (s *qpState) noteSegment(retransmit bool) {
-	if !s.lossy {
+	if !s.lossy() {
 		return
 	}
 	st := &s.reliability().stats
@@ -205,7 +205,7 @@ func (s *qpState) noteSegment(retransmit bool) {
 // noteSilentDrop tallies one UD datagram lost on the wire, which UD never
 // recovers (lossy fabrics only).
 func (s *qpState) noteSilentDrop() {
-	if s.lossy {
+	if s.lossy() {
 		s.reliability().stats.SilentDrops++
 	}
 }
@@ -307,7 +307,7 @@ func executeReliable(src, dst *qpState, emit sim.Time, wr *SendWR, total, outbou
 			// otherwise it executes the request.
 			resp := response{at: lastOK}
 			if !applied {
-				if src.lossy {
+				if src.lossy() {
 					// Lossless PSNs stay zero on both sides.
 					dst.reliability().stats.ExpectedPSN = src.rel.stats.SendPSN
 				}
@@ -345,7 +345,7 @@ func executeReliable(src, dst *qpState, emit sim.Time, wr *SendWR, total, outbou
 						// A replayed duplicate never ran the responder
 						// in this call: look its target MR up.
 						var err error
-						if rmr, err = dst.ctx.LookupMR(wr.RemoteKey); err != nil {
+						if rmr, err = dst.route.ctx.LookupMR(wr.RemoteKey); err != nil {
 							return 0, 0, StatusOK, err
 						}
 					}
@@ -450,12 +450,12 @@ func executeResponder(src, dst *qpState, arrive sim.Time, wr *SendWR, total int)
 	rnicDev, rport, rp := r.nic, r.port, r.params
 
 	// Responder metadata: the peer QP context plus the target MR/pages.
-	meta := rnicDev.TouchQP(dst.id)
+	meta := rnicDev.TouchQP(uint64(dst.id))
 	cross := 0 // 1 when a one-sided target sits across QPI from the port
 	var rmr *MR
 	if wr.Opcode.OneSided() {
 		var err error
-		if rmr, err = dst.ctx.LookupMR(wr.RemoteKey); err != nil {
+		if rmr, err = dst.route.ctx.LookupMR(wr.RemoteKey); err != nil {
 			return response{}, err
 		}
 		meta = meta.Add(rnicDev.TouchMR(rmr.id))
@@ -500,7 +500,7 @@ func executeResponder(src, dst *qpState, arrive sim.Time, wr *SendWR, total int)
 
 	case OpSend:
 		if dst.recvEmpty() {
-			if !src.lossy {
+			if !src.lossy() {
 				return response{}, ErrRNR
 			}
 			// The RNR NAK comes after the responder engine has looked at

@@ -81,9 +81,9 @@ func (s *qpState) AttachSRQ(srq *SRQ) error {
 	if srq == nil {
 		return fmt.Errorf("verbs: nil SRQ")
 	}
-	if srq.ctx.machine != s.ctx.machine {
+	if srq.ctx.machine != s.route.machine {
 		return fmt.Errorf("verbs: SRQ on %s cannot serve a QP on %s",
-			srq.ctx.machine.Label(), s.ctx.machine.Label())
+			srq.ctx.machine.Label(), s.route.machine.Label())
 	}
 	if s.recv != nil && s.recv.q.len() != 0 {
 		return fmt.Errorf("verbs: QP %d has %d posted receives; attach the SRQ first", s.id, s.recv.q.len())

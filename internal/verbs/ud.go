@@ -32,7 +32,8 @@ type AH struct {
 	QP *UDQP
 }
 
-// NewUDQP creates an unconnected UD queue pair on the given port.
+// NewUDQP creates an unconnected UD queue pair on the given port. Past
+// MaxQPN QP numbers on the cluster it fails with ErrQPNExhausted.
 func NewUDQP(ctx *Context, port int) (*UDQP, error) {
 	if ctx == nil {
 		return nil, fmt.Errorf("verbs: nil context")
@@ -40,7 +41,11 @@ func NewUDQP(ctx *Context, port int) (*UDQP, error) {
 	if err := ctx.checkPort(port); err != nil {
 		return nil, err
 	}
-	return &UDQP{qpState: newQPState(ctx, UD, port)}, nil
+	s, err := newQPState(ctx, UD, port)
+	if err != nil {
+		return nil, err
+	}
+	return &UDQP{qpState: s}, nil
 }
 
 // Handle returns the address handle peers use to reach this QP.
@@ -67,7 +72,8 @@ func (q *UDQP) Send(now sim.Time, dst AH, sgl []SGE, inline bool) (Completion, b
 	*wr = SendWR{Opcode: OpSend, SGL: q.sges[:len(sgl)], Inline: inline}
 	copy(wr.SGL, sgl)
 	q.wrList[0] = wr
-	comps, dropped, err := postList(&q.qpState, &dst.QP.qpState, now, q.wrList[:])
+	var buf [1]Completion
+	comps, dropped, err := postList(&q.qpState, &dst.QP.qpState, now, q.wrList[:], buf[:0])
 	if err != nil {
 		return Completion{}, false, err
 	}
@@ -82,7 +88,7 @@ func (q *UDQP) validate(sgl []SGE, inline bool) error {
 	}
 	total := 0
 	for _, s := range sgl {
-		if s.MR == nil || s.MR.ctx != q.ctx {
+		if s.MR == nil || s.MR.ctx != q.route.ctx {
 			return fmt.Errorf("%w: SGE must reference a local MR", ErrBadSGL)
 		}
 		if err := s.MR.contains(s.Addr, s.Length); err != nil {

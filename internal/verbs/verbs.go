@@ -58,7 +58,14 @@ var (
 	ErrQPError      = errors.New("verbs: queue pair is in error state")
 	ErrNilWR        = errors.New("verbs: nil work request")
 	ErrForeignMR    = errors.New("verbs: region is not in this context's machine memory")
+	ErrQPNExhausted = errors.New("verbs: QP numbers exhausted")
 )
+
+// MaxQPN is the largest QP number: QPNs are 24 bits on the wire, and a QP
+// stores its number in 32. Connect and NewUDQP fail with ErrQPNExhausted
+// once a cluster's allocator passes it, rather than let two QPs share a
+// number (and so a QP-context cache key).
+const MaxQPN = 1<<24 - 1
 
 // Context is an opened device on one machine: the registry of MRs and the
 // factory for QPs. QP numbers come from the machine's cluster-wide
@@ -74,7 +81,7 @@ type Context struct {
 func NewContext(m *cluster.Machine) *Context {
 	c := &Context{machine: m}
 	for p := 0; p < m.NIC().Ports(); p++ {
-		c.routes = append(c.routes, newRoute(m, p))
+		c.routes = append(c.routes, newRoute(c, p))
 	}
 	return c
 }

@@ -433,7 +433,7 @@ func drainCQ(q *CQ) []CQE {
 
 func TestPostOnDisconnectedQP(t *testing.T) {
 	e := newPair(t)
-	q := &QP{qpState: qpState{ctx: e.ctxA}}
+	q := &QP{qpState: qpState{route: e.ctxA.routes[1]}}
 	if _, err := q.PostSend(0, &SendWR{}); !errors.Is(err, ErrNotConnected) {
 		t.Fatalf("err=%v, want ErrNotConnected", err)
 	}
