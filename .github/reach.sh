@@ -3,8 +3,9 @@
 #
 # It builds rdmabench with coverage over every package, runs every
 # experiment at scale 0.02 three times (lossless, a drop plan, and a
-# drop/corrupt/delay plan with -timeline), and prints one line per function
-# whose coverage is 0.0%: "<file> <function>", sorted, without line numbers.
+# drop/corrupt/delay plan with -timeline and -metrics), and prints one line
+# per function whose coverage is 0.0%: "<file> <function>", sorted, without
+# line numbers.
 #
 #   bash .github/reach.sh > unreached.now
 #   comm -23 unreached.now .github/unreached.txt   # newly unreached functions
@@ -23,7 +24,7 @@ export GOCOVERDIR="$work/cov"
 "$work/rdmabench.cov" -exp all -scale 0.02 -faults seed=1,drop=0.01 >/dev/null
 "$work/rdmabench.cov" -exp all -scale 0.02 \
 	-faults seed=7,drop=0.01,corrupt=0.001,delayp=0.05,delay=2000 \
-	-timeline "$work/tl.json" >/dev/null
+	-timeline "$work/tl.json" -metrics >/dev/null
 unset GOCOVERDIR
 
 go tool covdata textfmt -i="$work/cov" -o "$work/cov.txt"

@@ -204,3 +204,29 @@ func TestDistributedBeatsSingleMachine(t *testing.T) {
 	}
 	t.Logf("single=%v dist=%v speedup=%.2fx", single.Elapsed, dist.Elapsed, speedup)
 }
+
+// TestResultsPinned pins every Result field of three distributed runs, so a
+// change to the partition phase (it runs on package shuffle's executors)
+// cannot move the phase split or the CPU tally unnoticed.
+func TestResultsPinned(t *testing.T) {
+	inner, outer := relations(4096, 29)
+	for _, tc := range []struct {
+		execs, batch int
+		numa         bool
+		want         Result
+	}{
+		{4, 4, true, Result{Matches: 16073, Elapsed: 800884, Partition: 221230, CPU: 3240317}},
+		{8, 16, false, Result{Matches: 16073, Elapsed: 385152, Partition: 93876, CPU: 2980187}},
+		{16, 1, true, Result{Matches: 16073, Elapsed: 383509, Partition: 228955, CPU: 4254157}},
+	} {
+		cfg := DefaultConfig()
+		cfg.Executors, cfg.Batch, cfg.NUMA = tc.execs, tc.batch, tc.numa
+		res, err := Run(newCluster(t), cfg, inner, outer)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res != tc.want {
+			t.Errorf("execs=%d batch=%d numa=%v: got %+v, want %+v", tc.execs, tc.batch, tc.numa, res, tc.want)
+		}
+	}
+}

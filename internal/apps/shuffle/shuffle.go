@@ -9,9 +9,18 @@
 // The batch strategies of Section III-A apply directly: SGL lets the RNIC
 // gather the arrival-order-scattered same-destination entries, SP gathers
 // them with a CPU memcpy; Basic (batch size 1) writes each entry separately.
+//
+// The exchange underneath Process (Send, FlushAll, Received) is also the
+// distributed join's partition phase (Section IV-D, package join): the
+// caller picks each entry's destination and serializes it, and every
+// (source, destination) pair lands in its own slice of the destination's
+// inbound ring, same-machine deliveries included. Process adds the shuffle's
+// own parts on top: the key hash, the memcpy cost of a same-machine
+// delivery, and the fetch-and-add stage sync after each flush.
 package shuffle
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"rdmasem/internal/cluster"
@@ -29,7 +38,7 @@ type Config struct {
 	ValueSize int           // value bytes per entry (key adds 8)
 	Batch     int           // entries per same-destination flush (1 = basic)
 	Strategy  core.Strategy // SP or SGL (ignored when Batch == 1)
-	NUMA      bool          // matched per-socket QPs vs one unmatched QP
+	NUMA      bool          // NUMA-aware placement + matched QPs vs oblivious + one QP
 	RingBytes int           // per (src,dst) receive ring slice
 	PerEntry  sim.Duration  // CPU cost to hash/dispatch one entry
 }
@@ -53,7 +62,6 @@ func (c Config) entrySize() int { return 8 + c.ValueSize }
 // Shuffle is a running deployment: executors spread over the cluster.
 type Shuffle struct {
 	cfg   Config
-	cl    *cluster.Cluster
 	execs []*Executor
 	ctxs  map[*cluster.Machine]*verbs.Context // one opened device per machine
 }
@@ -74,9 +82,10 @@ type Executor struct {
 	id      int
 	shuffle *Shuffle
 	ctx     *verbs.Context
-	socket  topo.SocketID
+	socket  topo.SocketID // socket holding the executor's buffers
+	thread  topo.SocketID // socket the executor's thread posts from
 	engine  *core.Engine
-	peerIdx []int // engine peer index per executor id (-1 = self)
+	peerIdx []int // engine peer index per executor id (-1 = same machine)
 
 	// Outgoing: an arrival ring that entries of all destinations share, so
 	// same-destination entries are genuinely scattered, plus per-dst
@@ -87,11 +96,13 @@ type Executor struct {
 	pending  [][]core.Fragment
 	batchers []*core.Batcher
 	proxy    []sim.Duration // per-dst proxy-IPC cost (matched mode)
+	wire     []byte         // Process's serialized entry
 
-	// Incoming: one ring slice per source, plus arrival counters.
-	inMR      *verbs.MR
-	counters  *verbs.MR
-	writeOffs []int // per-dst write offset into my slice of dst's ring
+	// Incoming: one ring slice per source, the entries landed in each, and
+	// the stage-sync arrival counters.
+	inMR     *verbs.MR
+	landed   []int
+	counters *verbs.MR
 
 	entries int64
 	flushes int64
@@ -99,7 +110,8 @@ type Executor struct {
 }
 
 // New builds a shuffle deployment on the cluster. Executor i runs on
-// machine i/socketsPerMachine (wrapping) socket i%sockets.
+// machine i%machines; the executor count must not exceed machines x
+// sockets.
 func New(cl *cluster.Cluster, cfg Config) (*Shuffle, error) {
 	if cfg.Executors < 2 {
 		return nil, fmt.Errorf("shuffle: need at least 2 executors")
@@ -107,39 +119,42 @@ func New(cl *cluster.Cluster, cfg Config) (*Shuffle, error) {
 	if cfg.Batch < 1 || cfg.RingBytes < cfg.Batch*cfg.entrySize() {
 		return nil, fmt.Errorf("shuffle: bad batch/ring sizing")
 	}
-	s := &Shuffle{cfg: cfg, cl: cl}
 	sockets := cl.Machine(0).Topology().Sockets()
+	if cfg.Executors > cl.Size()*sockets {
+		return nil, fmt.Errorf("shuffle: %d executors exceed cluster capacity %d", cfg.Executors, cl.Size()*sockets)
+	}
+	s := &Shuffle{cfg: cfg}
 	for i := 0; i < cfg.Executors; i++ {
-		// Spread executors across machines first, then sockets, as the
-		// paper's deployment does.
 		m := cl.Machine(i % cl.Size())
-		ex := &Executor{
-			id:      i,
-			shuffle: s,
-			ctx:     s.ctxFor(m),
-			socket:  topo.SocketID((i / cl.Size()) % sockets),
+		ex := &Executor{id: i, shuffle: s, ctx: s.ctxFor(m), wire: make([]byte, cfg.entrySize())}
+		if cfg.NUMA {
+			// Machines first, then sockets, as the paper's deployment
+			// does; thread, buffers and port agree.
+			ex.socket = topo.SocketID((i / cl.Size()) % sockets)
+			ex.thread = ex.socket
+		} else {
+			// NUMA-oblivious: buffers land on whichever socket the
+			// allocator picks while the thread stays wherever the scheduler
+			// put it, so about half the DMA traffic crosses QPI.
+			ex.socket = topo.SocketID(i % sockets)
 		}
-		// Inbound ring: one slice per source executor, on my socket.
-		in, err := m.Alloc(ex.socket, cfg.Executors*cfg.RingBytes, 0)
-		if err != nil {
-			return nil, err
+		regions := []struct {
+			mr   **verbs.MR
+			size int
+		}{
+			{&ex.inMR, cfg.Executors * cfg.RingBytes}, // one slice per source
+			{&ex.outMR, 1 << 20},
+			{&ex.staging, 1 << 16},
+			{&ex.counters, 4096},
 		}
-		ex.inMR = ex.ctx.MustRegisterMR(in)
-		cnt, err := m.Alloc(ex.socket, 4096, 0)
-		if err != nil {
-			return nil, err
+		for _, r := range regions {
+			reg, err := m.Alloc(ex.socket, r.size, 0)
+			if err != nil {
+				return nil, err
+			}
+			*r.mr = ex.ctx.MustRegisterMR(reg)
 		}
-		ex.counters = ex.ctx.MustRegisterMR(cnt)
-		out, err := m.Alloc(ex.socket, 1<<20, 0)
-		if err != nil {
-			return nil, err
-		}
-		ex.outMR = ex.ctx.MustRegisterMR(out)
-		stg, err := m.Alloc(ex.socket, 1<<16, 0)
-		if err != nil {
-			return nil, err
-		}
-		ex.staging = ex.ctx.MustRegisterMR(stg)
+		ex.landed = make([]int, cfg.Executors)
 		s.execs = append(s.execs, ex)
 	}
 	// Wire engines and batchers now that all executors exist.
@@ -152,7 +167,7 @@ func New(cl *cluster.Cluster, cfg Config) (*Shuffle, error) {
 }
 
 // connect builds the executor's engine toward every other executor's
-// machine and a batcher per destination.
+// machine and a batcher per remote destination.
 func (ex *Executor) connect() error {
 	s := ex.shuffle
 	mode := core.Basic
@@ -185,12 +200,11 @@ func (ex *Executor) connect() error {
 	ex.pending = make([][]core.Fragment, len(s.execs))
 	ex.batchers = make([]*core.Batcher, len(s.execs))
 	ex.proxy = make([]sim.Duration, len(s.execs))
-	ex.writeOffs = make([]int, len(s.execs))
 	for j, other := range s.execs {
-		if ex.peerIdx[j] < 0 || j == ex.id {
+		if ex.Local(j) {
 			continue
 		}
-		qp, extra := ex.engine.QP(ex.socket, ex.peerIdx[j], other.socket)
+		qp, extra := ex.engine.QP(ex.thread, ex.peerIdx[j], other.socket)
 		b, err := core.NewBatcher(s.cfg.Strategy, qp, ex.outMR, ex.staging, other.inMR)
 		if err != nil {
 			return err
@@ -206,95 +220,123 @@ func (s *Shuffle) destOf(key uint64) int {
 	return int((key * 0x9E3779B97F4A7C15 >> 17) % uint64(len(s.execs)))
 }
 
-// Process consumes one entry at the given virtual time: append it to the
-// arrival ring, and flush its destination's pending list when the batch
-// threshold is reached. It returns the entry's completion time. The value
-// is copied into the ring before Process returns, so the caller may reuse
-// its buffer (workload.Stream does).
+// Process consumes one entry at the given virtual time: route it by key
+// hash, Send it, and bump the destination's arrival counter after a flush.
+// It returns the entry's completion time. The value is copied before Process
+// returns, so the caller may reuse its buffer (workload.Stream does).
 func (ex *Executor) Process(now sim.Time, kv workload.KV) (sim.Time, error) {
 	cfg := ex.shuffle.cfg
-	es := cfg.entrySize()
 	if len(kv.Value) != cfg.ValueSize {
 		return 0, fmt.Errorf("shuffle: entry value %d bytes, want %d", len(kv.Value), cfg.ValueSize)
 	}
-	// Serialize into the arrival ring.
+	binary.LittleEndian.PutUint64(ex.wire, kv.Key)
+	copy(ex.wire[8:], kv.Value)
+	dst := ex.shuffle.destOf(kv.Key)
+	ex.cpu += cfg.PerEntry
+	now += cfg.PerEntry
+	if ex.Local(dst) {
+		tp := ex.ctx.Machine().Topology().Params
+		cost := tp.MemcpyTime(len(ex.wire), ex.socket != ex.shuffle.execs[dst].socket)
+		ex.cpu += cost
+		now += cost
+	}
+	t, n, err := ex.Send(now, dst, ex.wire)
+	if err != nil || n == 0 {
+		return t, err
+	}
+	// Stage sync: bump dst's per-source arrival counter.
+	dex := ex.shuffle.execs[dst]
+	scr := verbs.SGE{Addr: ex.staging.Addr() + mem.Addr(ex.staging.Region().Size()-8), Length: 8, MR: ex.staging}
+	_, t, err = ex.engine.FetchAdd(t, ex.thread, scr, ex.peerIdx[dst],
+		dex.counters.Addr()+mem.Addr(ex.id*8), dex.counters, uint64(n))
+	return t, err
+}
+
+// Local reports whether dst shares the executor's machine. Send delivers
+// to such a destination through memory at once; the caller charges that
+// handoff.
+func (ex *Executor) Local(dst int) bool { return ex.peerIdx[dst] < 0 }
+
+// Send pushes one serialized entry to executor dst at virtual time now. The
+// entry is copied into the arrival ring; a remote destination's entries wait
+// in its pending list and go out as one batched write once Batch of them
+// are pending. Send returns the completion time and the number of entries a
+// flush landed at dst (0 when none did). An entry that would overflow its
+// slice of dst's inbound ring returns an error and lands nothing.
+func (ex *Executor) Send(now sim.Time, dst int, entry []byte) (sim.Time, int, error) {
+	cfg := ex.shuffle.cfg
+	es := cfg.entrySize()
+	if len(entry) != es {
+		return 0, 0, fmt.Errorf("shuffle: entry is %d bytes, want %d", len(entry), es)
+	}
 	if ex.outHead+es > ex.outMR.Region().Size() {
 		ex.outHead = 0
 	}
-	buf := ex.outMR.Region().Bytes()[ex.outHead : ex.outHead+es]
-	putU64(buf, kv.Key)
-	copy(buf[8:], kv.Value)
+	copy(ex.outMR.Region().Bytes()[ex.outHead:], entry)
 	frag := core.Fragment{Addr: ex.outMR.Addr() + mem.Addr(ex.outHead), Length: es}
 	ex.outHead += es
-
-	dst := ex.shuffle.destOf(kv.Key)
 	ex.entries++
-	ex.cpu += cfg.PerEntry
-	now += cfg.PerEntry
 
-	if dst == ex.id || ex.peerIdx[dst] < 0 {
-		// Local destination: deliver through memory.
+	if ex.Local(dst) {
 		dex := ex.shuffle.execs[dst]
-		tp := ex.ctx.Machine().Topology().Params
-		cost := tp.MemcpyTime(es, ex.socket != dex.socket)
-		dex.deliverLocal(buf)
-		ex.cpu += cost
-		return now + cost, nil
+		off, err := dex.tail(ex.id, es)
+		if err != nil {
+			return 0, 0, err
+		}
+		copy(dex.inMR.Region().Bytes()[off:], entry)
+		dex.landed[ex.id]++
+		return now, 0, nil
 	}
-
 	ex.pending[dst] = append(ex.pending[dst], frag)
 	if len(ex.pending[dst]) < cfg.Batch {
-		return now, nil
+		return now, 0, nil
 	}
 	return ex.flush(now, dst)
 }
 
-// flush pushes the pending batch for dst as one batched RDMA write plus the
-// fetch-and-add stage-sync bump.
-func (ex *Executor) flush(now sim.Time, dst int) (sim.Time, error) {
+// tail returns the inbound-ring offset where src's next n bytes land, or an
+// error when they would overflow src's slice.
+func (ex *Executor) tail(src, n int) (int, error) {
 	cfg := ex.shuffle.cfg
-	frags := ex.pending[dst]
-	ex.pending[dst] = ex.pending[dst][:0]
-	bytes := 0
-	for _, f := range frags {
-		bytes += f.Length
+	used := ex.landed[src] * cfg.entrySize()
+	if used+n > cfg.RingBytes {
+		return 0, fmt.Errorf("shuffle: executor %d's slice for source %d overflows: %d + %d of %d bytes",
+			ex.id, src, used, n, cfg.RingBytes)
 	}
-	dex := ex.shuffle.execs[dst]
-	// My slice of dst's ring starts at srcID*RingBytes.
-	sliceBase := ex.id * cfg.RingBytes
-	if ex.writeOffs[dst]+bytes > cfg.RingBytes {
-		ex.writeOffs[dst] = 0
-	}
-	remote := dex.inMR.Addr() + mem.Addr(sliceBase+ex.writeOffs[dst])
-	ex.writeOffs[dst] += bytes
+	return src*cfg.RingBytes + used, nil
+}
 
-	res, err := ex.batchers[dst].WriteBatch(now+ex.proxy[dst], frags, remote)
+// flush pushes the pending batch for dst as one batched RDMA write and
+// returns its completion time and entry count.
+func (ex *Executor) flush(now sim.Time, dst int) (sim.Time, int, error) {
+	frags := ex.pending[dst]
+	ex.pending[dst] = frags[:0]
+	dex := ex.shuffle.execs[dst]
+	off, err := dex.tail(ex.id, len(frags)*ex.shuffle.cfg.entrySize())
 	if err != nil {
-		// The ring slot was never advanced, so the receiver cannot observe
+		return 0, 0, err
+	}
+	res, err := ex.batchers[dst].WriteBatch(now+ex.proxy[dst], frags, dex.inMR.Addr()+mem.Addr(off))
+	if err != nil {
+		// The landed count did not advance, so the receiver cannot observe
 		// a partial batch.
-		return 0, fmt.Errorf("shuffle: batch to executor %d: %w", dst, err)
+		return 0, 0, fmt.Errorf("shuffle: batch to executor %d: %w", dst, err)
 	}
 	ex.cpu += res.CPU
 	ex.flushes++
-
-	// Stage sync: bump dst's per-source arrival counter.
-	scr := verbs.SGE{Addr: ex.staging.Addr() + mem.Addr(ex.staging.Region().Size()-8), Length: 8, MR: ex.staging}
-	_, t, err := ex.engine.FetchAdd(res.Done, ex.socket, scr, ex.peerIdx[dst],
-		dex.counters.Addr()+mem.Addr(ex.id*8), dex.counters, uint64(len(frags)))
-	if err != nil {
-		return 0, err
-	}
-	return t, nil
+	dex.landed[ex.id] += len(frags)
+	return res.Done, len(frags), nil
 }
 
-// FlushAll drains every pending list (end of stream).
+// FlushAll drains every pending list (end of stream) without a stage-sync
+// bump; a reader after the drain consults Received.
 func (ex *Executor) FlushAll(now sim.Time) (sim.Time, error) {
 	done := now
 	for dst := range ex.pending {
 		if len(ex.pending[dst]) == 0 {
 			continue
 		}
-		t, err := ex.flush(now, dst)
+		t, _, err := ex.flush(now, dst)
 		if err != nil {
 			return 0, err
 		}
@@ -305,64 +347,26 @@ func (ex *Executor) FlushAll(now sim.Time) (sim.Time, error) {
 	return done, nil
 }
 
-// deliverLocal appends an entry arriving from a same-machine source.
-func (ex *Executor) deliverLocal(entry []byte) {
-	// Local deliveries reuse the self slice of the inbound ring.
-	base := ex.id * ex.shuffle.cfg.RingBytes
-	off := ex.writeOffs[ex.id]
-	if off+len(entry) > ex.shuffle.cfg.RingBytes {
-		off = 0
-	}
-	copy(ex.inMR.Region().Bytes()[base+off:], entry)
-	ex.writeOffs[ex.id] = off + len(entry)
-}
-
-// Executor accessors for the harness.
+// Executors returns the deployment's executors in id order.
 func (s *Shuffle) Executors() []*Executor { return s.execs }
-
-// Executor returns executor i.
-func (s *Shuffle) Executor(i int) *Executor { return s.execs[i] }
 
 // ID returns the executor's index.
 func (ex *Executor) ID() int { return ex.id }
-
-// Socket returns the executor's pinned socket.
-func (ex *Executor) Socket() topo.SocketID { return ex.socket }
 
 // Stats reports processed entries, issued flushes, and CPU time burned.
 func (ex *Executor) Stats() (entries, flushes int64, cpu sim.Duration) {
 	return ex.entries, ex.flushes, ex.cpu
 }
 
-// ReceivedCount reads the arrival counter for a given source (stage sync).
+// ReceivedCount reads the stage-sync arrival counter for a given source:
+// the entries its Process flushes announced.
 func (ex *Executor) ReceivedCount(src int) uint64 {
-	b := ex.counters.Region().Bytes()[src*8 : src*8+8]
-	return getU64(b)
+	return binary.LittleEndian.Uint64(ex.counters.Region().Bytes()[src*8:])
 }
 
-// ReceivedEntries parses the entries a source wrote into my ring slice.
-func (ex *Executor) ReceivedEntries(src, n int) []workload.KV {
-	es := ex.shuffle.cfg.entrySize()
+// Received returns the entries src has landed in my ring slice, in landing
+// order, as the ring's own bytes.
+func (ex *Executor) Received(src int) []byte {
 	base := src * ex.shuffle.cfg.RingBytes
-	out := make([]workload.KV, 0, n)
-	for i := 0; i < n; i++ {
-		b := ex.inMR.Region().Bytes()[base+i*es : base+(i+1)*es]
-		kv := workload.KV{Key: getU64(b), Value: append([]byte(nil), b[8:]...)}
-		out = append(out, kv)
-	}
-	return out
-}
-
-func putU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func getU64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
+	return ex.inMR.Region().Bytes()[base : base+ex.landed[src]*ex.shuffle.cfg.entrySize()]
 }

@@ -1,11 +1,16 @@
 package shuffle
 
 import (
+	"encoding/binary"
+	"errors"
+	"slices"
 	"testing"
 
 	"rdmasem/internal/cluster"
 	"rdmasem/internal/core"
+	"rdmasem/internal/fabric"
 	"rdmasem/internal/sim"
+	"rdmasem/internal/verbs"
 	"rdmasem/internal/workload"
 )
 
@@ -38,10 +43,18 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(cl, cfg); err == nil {
 		t.Error("ring smaller than a batch must fail")
 	}
+	cfg = DefaultConfig()
+	cfg.Executors = 5 // 2 machines x 2 sockets
+	if _, err := New(cl, cfg); err == nil {
+		t.Error("more executors than sockets must fail")
+	}
 }
 
-// All entries pushed by every executor must arrive at the destination chosen
-// by the shuffle rule, byte-exact, with matching arrival counters.
+// Every entry must land at the destination the shuffle rule chose, in its
+// source's slice, byte-exact and in send order: each destination's received
+// entries, same-machine deliveries included, are exactly what was sent to
+// it. Before the end-of-stream drain, each remote pair's stage-sync counter
+// equals its landed count.
 func TestShuffleDeliversEverything(t *testing.T) {
 	for _, strat := range []core.Strategy{core.SGL, core.SP} {
 		t.Run(strat.String(), func(t *testing.T) {
@@ -55,69 +68,145 @@ func TestShuffleDeliversEverything(t *testing.T) {
 				t.Fatal(err)
 			}
 			const perExec = 64
-			want := map[int]map[uint64]int{} // dst -> key -> count
+			execs := s.Executors()
+			want := make([][][]uint64, len(execs)) // [dst][src] keys in send order
+			for dst := range want {
+				want[dst] = make([][]uint64, len(execs))
+			}
 			now := sim.Time(0)
-			for _, ex := range s.Executors() {
+			for _, ex := range execs {
 				u, _ := workload.NewUniform(1<<30, int64(ex.ID()+1))
 				st := workload.NewStream(u, cfg.ValueSize)
 				for i := 0; i < perExec; i++ {
 					kv := st.Next()
 					dst := s.destOf(kv.Key)
-					if want[dst] == nil {
-						want[dst] = map[uint64]int{}
-					}
-					want[dst][kv.Key]++
+					want[dst][ex.ID()] = append(want[dst][ex.ID()], kv.Key)
 					d, err := ex.Process(now, kv)
 					if err != nil {
 						t.Fatal(err)
 					}
 					now = d
 				}
+			}
+			local := 0
+			for _, dst := range execs {
+				for src, ex := range execs {
+					n, counted := len(received(t, dst, src, cfg.ValueSize)), dst.ReceivedCount(src)
+					if ex.Local(dst.ID()) {
+						local += n
+						n = 0 // same-machine deliveries bump no counter
+					}
+					if counted != uint64(n) {
+						t.Fatalf("dst %d src %d: counter %d, landed %d", dst.ID(), src, counted, n)
+					}
+				}
+			}
+			if local == 0 {
+				t.Fatal("no same-machine deliveries observed")
+			}
+			for _, ex := range execs {
 				if _, err := ex.FlushAll(now); err != nil {
 					t.Fatal(err)
 				}
 			}
-			// Verify deliveries per (src,dst) pair using the counters.
-			got := map[int]map[uint64]int{}
-			for _, dst := range s.Executors() {
-				got[dst.ID()] = map[uint64]int{}
-				for src := range s.Executors() {
-					if src == dst.ID() {
-						continue
-					}
-					if s.Executor(src).ctx.Machine() == dst.ctx.Machine() {
-						continue // local deliveries don't use the counter
-					}
-					n := int(dst.ReceivedCount(src))
-					for _, kv := range dst.ReceivedEntries(src, n) {
-						if !workload.CheckValue(kv.Value, kv.Key) {
-							t.Fatalf("corrupt entry for key %d at dst %d", kv.Key, dst.ID())
-						}
-						got[dst.ID()][kv.Key]++
+			for _, dst := range execs {
+				for src := range execs {
+					if got := received(t, dst, src, cfg.ValueSize); !slices.Equal(got, want[dst.ID()][src]) {
+						t.Fatalf("dst %d src %d: received %d entries %v, sent %d %v",
+							dst.ID(), src, len(got), got, len(want[dst.ID()][src]), want[dst.ID()][src])
 					}
 				}
-			}
-			for dstID, keys := range want {
-				for k, n := range keys {
-					// Skip keys whose source shares the destination machine
-					// (delivered locally, not counted here).
-					gotN := got[dstID][k]
-					if gotN > n {
-						t.Fatalf("dst %d key %d: got %d > want %d", dstID, k, gotN, n)
-					}
-				}
-			}
-			// At least some remote deliveries must have happened.
-			total := 0
-			for _, keys := range got {
-				for _, n := range keys {
-					total += n
-				}
-			}
-			if total == 0 {
-				t.Fatal("no remote deliveries observed")
 			}
 		})
+	}
+}
+
+// received parses the entries src landed at dst, checking each value.
+func received(t *testing.T, dst *Executor, src, valueSize int) []uint64 {
+	t.Helper()
+	var keys []uint64
+	for b := dst.Received(src); len(b) > 0; b = b[8+valueSize:] {
+		key := binary.LittleEndian.Uint64(b)
+		if !workload.CheckValue(b[8:8+valueSize], key) {
+			t.Fatalf("corrupt entry for key %d at dst %d from src %d", key, dst.ID(), src)
+		}
+		keys = append(keys, key)
+	}
+	return keys
+}
+
+// An entry that would overflow its slice of the destination's inbound ring
+// is an error and lands nothing, on the RDMA path and on the same-machine
+// path alike: the entries already delivered stay intact.
+func TestOverflowIsAnError(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		dst  int // executor 0 runs on machine 0, as does executor 4
+	}{{"remote", 1}, {"local", 4}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Executors = 8
+			cfg.RingBytes = 2 * cfg.entrySize() // two entries per slice
+			s, err := New(newCluster(t, 4), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex := s.Executors()[0]
+			var keys []uint64
+			for k := uint64(0); len(keys) < 3; k++ {
+				if s.destOf(k) == tc.dst {
+					keys = append(keys, k)
+				}
+			}
+			value := make([]byte, cfg.ValueSize)
+			now := sim.Time(0)
+			for i, k := range keys {
+				workload.FillValue(value, k)
+				d, err := ex.Process(now, workload.KV{Key: k, Value: value})
+				if i < 2 && err != nil {
+					t.Fatalf("entry %d: %v", i, err)
+				}
+				if i == 2 && err == nil {
+					t.Fatal("third entry overflowed the slice without an error")
+				}
+				now = d
+			}
+			dst := s.Executors()[tc.dst]
+			if got := received(t, dst, 0, cfg.ValueSize); !slices.Equal(got, keys[:2]) {
+				t.Fatalf("slice holds %v, want the first two entries %v", got, keys[:2])
+			}
+		})
+	}
+}
+
+// A batch whose write fails lands nothing: the receiver's landed count, and
+// with it the slice tail, stays where it was.
+func TestFailedWriteLandsNothing(t *testing.T) {
+	ccfg := cluster.DefaultConfig()
+	ccfg.Machines = 4
+	ccfg.Faults = &fabric.FaultPlan{Seed: 1, Drop: 1}
+	cl, err := cluster.New(ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Executors = 8
+	s, err := New(cl, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, dst := s.Executors()[0], s.Executors()[1]
+	k := uint64(0)
+	for s.destOf(k) != dst.ID() {
+		k++
+	}
+	value := make([]byte, cfg.ValueSize)
+	workload.FillValue(value, k)
+	if _, err := ex.Process(0, workload.KV{Key: k, Value: value}); !errors.Is(err, verbs.ErrQPError) {
+		t.Fatalf("want a QP error on a fabric that drops everything, got %v", err)
+	}
+	if n := len(dst.Received(0)); n != 0 {
+		t.Fatalf("a failed write landed %d bytes", n)
 	}
 }
 
@@ -131,7 +220,7 @@ func TestBatchingReducesFlushes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex := s.Executor(0)
+		ex := s.Executors()[0]
 		u, _ := workload.NewUniform(1<<30, 7)
 		st := workload.NewStream(u, cfg.ValueSize)
 		now := sim.Time(0)
@@ -167,7 +256,7 @@ func TestSPBurnsMoreCPUThanSGL(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex := s.Executor(0)
+		ex := s.Executors()[0]
 		u, _ := workload.NewUniform(1<<30, 7)
 		st := workload.NewStream(u, cfg.ValueSize)
 		now := sim.Time(0)
@@ -249,7 +338,7 @@ func TestDoorbellStrategyDelivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := s.Executor(0)
+	ex := s.Executors()[0]
 	u, _ := workload.NewUniform(1<<30, 3)
 	st := workload.NewStream(u, cfg.ValueSize)
 	now := sim.Time(0)
@@ -263,21 +352,12 @@ func TestDoorbellStrategyDelivers(t *testing.T) {
 	if _, err := ex.FlushAll(now); err != nil {
 		t.Fatal(err)
 	}
-	// Everything that arrived at any destination parses and verifies.
+	// Every entry lands at some destination, parses and verifies.
 	total := 0
 	for _, dst := range s.Executors() {
-		if dst.ID() == 0 || dst.ctx.Machine() == ex.ctx.Machine() {
-			continue
-		}
-		n := int(dst.ReceivedCount(0))
-		for _, kv := range dst.ReceivedEntries(0, n) {
-			if !workload.CheckValue(kv.Value, kv.Key) {
-				t.Fatalf("corrupt entry under Doorbell at dst %d", dst.ID())
-			}
-			total++
-		}
+		total += len(received(t, dst, 0, cfg.ValueSize))
 	}
-	if total == 0 {
-		t.Fatal("no deliveries observed")
+	if total != 64 {
+		t.Fatalf("%d of 64 entries landed under Doorbell", total)
 	}
 }

@@ -91,7 +91,7 @@ func TestFourApplicationsOnOneCluster(t *testing.T) {
 			return d
 		}},
 		{PostCost: 100, Window: 2, MaxOps: 500, Op: func(post sim.Time) sim.Time {
-			d, err := sh.Executor(0).Process(post, stream.Next())
+			d, err := sh.Executors()[0].Process(post, stream.Next())
 			if err != nil {
 				t.Fatal(err)
 			}
