@@ -3,15 +3,15 @@
 #
 # It builds rdmabench with coverage over every package, runs every
 # experiment at scale 0.02 three times (lossless, a drop plan, and a
-# drop/corrupt/delay plan with -timeline and -metrics), and prints one line
-# per function whose coverage is 0.0%: "<file> <function>", sorted, without
-# line numbers.
+# drop/corrupt/delay plan with -timeline and -metrics), renders fig1 and
+# table2 as CSV and fig1 as a chart, and prints one line per function whose
+# coverage is 0.0%: "<file> <function>", sorted, without line numbers.
 #
 #   bash .github/reach.sh > unreached.now
 #   comm -23 unreached.now .github/unreached.txt   # newly unreached functions
 #
-# Run it from the repository root. The three runs take about 30 s on a
-# 2-CPU host.
+# Run it from the repository root. The runs take about 30 s on a 2-CPU
+# host.
 set -euo pipefail
 
 work=$(mktemp -d)
@@ -25,6 +25,9 @@ export GOCOVERDIR="$work/cov"
 "$work/rdmabench.cov" -exp all -scale 0.02 \
 	-faults seed=7,drop=0.01,corrupt=0.001,delayp=0.05,delay=2000 \
 	-timeline "$work/tl.json" -metrics >/dev/null
+"$work/rdmabench.cov" -exp fig1 -scale 0.02 -format csv >/dev/null
+"$work/rdmabench.cov" -exp table2 -scale 0.02 -format csv >/dev/null
+"$work/rdmabench.cov" -exp fig1 -scale 0.02 -format chart >/dev/null
 unset GOCOVERDIR
 
 go tool covdata textfmt -i="$work/cov" -o "$work/cov.txt"

@@ -45,7 +45,7 @@ func run(w io.Writer, tuples int) error {
 		label string
 		c     join.Config
 	}{
-		{"single machine", join.Config{Executors: 1, Batch: 1, PartitionCost: 45, BuildCost: 210, ProbeCost: 150}},
+		{"single machine", join.Config{Executors: 1, Batch: 1}},
 		{"4 executors, no batching", mk(4, 1, false)},
 		{"4 executors, batch 16", mk(4, 16, true)},
 		{"16 executors, batch 16", mk(16, 16, true)},

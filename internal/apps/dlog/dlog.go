@@ -16,6 +16,7 @@
 package dlog
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -104,11 +105,7 @@ func (l *Log) Head() (uint64, error) {
 	if err := l.ctx.Machine().Space().ReadAt(l.seqMR.Addr(), b[:]); err != nil {
 		return 0, fmt.Errorf("dlog: reading sequence counter: %w", err)
 	}
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v, nil
+	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
 // Engine is one transaction engine appending records to the global log.

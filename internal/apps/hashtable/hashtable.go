@@ -15,6 +15,7 @@
 package hashtable
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -70,7 +71,7 @@ type Backend struct {
 	version *verbs.MR   // per-entry version words (cold path FAA targets)
 	locks   *verbs.MR   // per-hot-block lock words
 
-	hotIndex  map[uint64]hotSlot // key -> hot block/slot
+	hotIndex  map[uint64]hotSlot // key mod KeySpace -> hot block/slot
 	hotBlocks int
 	lockState []*core.LockState
 }
@@ -141,7 +142,7 @@ func NewBackend(m *cluster.Machine, cfg Config) (*Backend, error) {
 	sorted := append([]uint64(nil), cfg.HotKeys...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	for i, k := range sorted {
-		b.hotIndex[k] = hotSlot{block: i / entriesPerBlock, slot: i % entriesPerBlock}
+		b.hotIndex[k%cfg.KeySpace] = hotSlot{block: i / entriesPerBlock, slot: i % entriesPerBlock}
 	}
 	return b, nil
 }
@@ -195,7 +196,7 @@ func (b *Backend) ReadCold(key uint64, out []byte) error {
 // ReadHot reads a hot entry's stored value directly from backend memory
 // (test helper).
 func (b *Backend) ReadHot(key uint64, out []byte) error {
-	hs, ok := b.hotIndex[key]
+	hs, ok := b.hotIndex[key%b.cfg.KeySpace]
 	if !ok {
 		return fmt.Errorf("hashtable: key %d is not hot", key)
 	}
@@ -364,23 +365,19 @@ func (f *FrontEnd) subMR(ctx *verbs.Context, m *cluster.Machine, size int) (*ver
 // buildEntry assembles the wire layout of an entry into entryTmp.
 func (f *FrontEnd) buildEntry(key uint64, version uint64, value []byte) []byte {
 	e := f.entryTmp
-	putU64(e[0:], key)
-	putU64(e[8:], version)
+	binary.LittleEndian.PutUint64(e[0:], key)
+	binary.LittleEndian.PutUint64(e[8:], version)
 	copy(e[16:], value)
 	return e[:16+len(value)]
 }
 
-func putU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-// Put stores value under key, returning the completion time.
+// Put stores value under key, returning the completion time. Keys reduce
+// mod KeySpace: key and key+KeySpace name one entry.
 func (f *FrontEnd) Put(now sim.Time, key uint64, value []byte) (sim.Time, error) {
 	if len(value) != f.cfg.ValueSize {
 		return 0, fmt.Errorf("hashtable: value size %d, want %d", len(value), f.cfg.ValueSize)
 	}
+	key %= f.cfg.KeySpace
 	if f.cfg.Level >= Reorder {
 		if hs, ok := f.backend.hotIndex[key]; ok {
 			return f.putHot(now, hs, key, value)
@@ -438,11 +435,13 @@ func (f *FrontEnd) putCold(now sim.Time, key uint64, value []byte) (sim.Time, er
 	return f.engine.Write(t, f.core, f.coldSGL, 0, dst, mr)
 }
 
-// Get fetches the value under key into out, returning the completion time.
+// Get fetches the value under key (mod KeySpace, as Put) into out, returning
+// the completion time.
 func (f *FrontEnd) Get(now sim.Time, key uint64, out []byte) (sim.Time, error) {
 	if len(out) != f.cfg.ValueSize {
 		return 0, fmt.Errorf("hashtable: out size %d, want %d", len(out), f.cfg.ValueSize)
 	}
+	key %= f.cfg.KeySpace
 	b := f.backend
 	if f.cfg.Level >= Reorder {
 		if hs, ok := b.hotIndex[key]; ok {

@@ -226,6 +226,40 @@ func TestHotGetReadYourWrites(t *testing.T) {
 	}
 }
 
+// Regression: keys reduce mod KeySpace before the hot-index lookup, so a
+// key past KeySpace that aliases a hot key takes the hot path. Before,
+// Put(10+KeySpace) wrote the cold slot and Get(10) read zeros from the hot
+// area.
+func TestHotKeyReducesModKeySpace(t *testing.T) {
+	cl := newCluster(t, 2)
+	cfg := defaultConfig(Reorder, []uint64{10})
+	cfg.Theta = 100 // never flush during the test
+	b, err := NewBackend(cl.Machine(0), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe, err := NewFrontEnd(1, cl.Machine(1), 0, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := make([]byte, 64)
+	workload.FillValue(val, 10)
+	d, err := fe.Put(0, 10+cfg.KeySpace, val)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]byte, 64)
+	if _, err := fe.Get(d, 10, out); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out, val) {
+		t.Fatal("Get(10) missed the value Put under 10+KeySpace")
+	}
+	if hot, cold := fe.Stats(); hot != 1 || cold != 0 {
+		t.Fatalf("stats hot=%d cold=%d, want the aliased put on the hot path", hot, cold)
+	}
+}
+
 func TestValueSizeValidation(t *testing.T) {
 	cl := newCluster(t, 2)
 	b, err := NewBackend(cl.Machine(0), defaultConfig(Basic, nil))

@@ -32,30 +32,30 @@ import (
 	"rdmasem/internal/workload"
 )
 
-// Config describes a distributed join run.
+// Config describes a distributed join run: its shape only. The per-tuple
+// CPU costs are the constants below, the same for every run.
 type Config struct {
 	Executors int  // θ in Figure 16/17 (1 = single-machine baseline)
 	Batch     int  // λ: SGL batch size of the partition phase
 	NUMA      bool // NUMA-aware executor/port placement
-
-	// Per-tuple local costs, calibrated so the single-machine baseline on
-	// 16M tuples lands near the paper's 6.46 s.
-	PartitionCost sim.Duration // hash + dispatch per tuple
-	BuildCost     sim.Duration // hash map insert per tuple
-	ProbeCost     sim.Duration // hash map lookup per tuple
 }
 
-// DefaultConfig returns the Figure 16 calibration.
+// DefaultConfig returns the Figure 16 setup.
 func DefaultConfig() Config {
 	return Config{
-		Executors:     4,
-		Batch:         4,
-		NUMA:          true,
-		PartitionCost: 45,
-		BuildCost:     210,
-		ProbeCost:     150,
+		Executors: 4,
+		Batch:     4,
+		NUMA:      true,
 	}
 }
+
+// Per-tuple local costs, calibrated so the single-machine baseline on 16M
+// tuples lands near the paper's 6.46 s.
+const (
+	partitionCost sim.Duration = 45  // hash + dispatch per tuple
+	insertCost    sim.Duration = 210 // hash map insert per tuple
+	lookupCost    sim.Duration = 150 // hash map lookup per tuple
+)
 
 // tupleBytes is the wire size of one tuple (key + payload).
 const tupleBytes = 16
@@ -76,17 +76,17 @@ func Run(cl *cluster.Cluster, cfg Config, inner, outer []workload.Tuple) (Result
 		return Result{}, fmt.Errorf("join: need at least one executor")
 	}
 	if cfg.Executors == 1 {
-		return runSingle(cl, cfg, inner, outer), nil
+		return runSingle(cl, inner, outer), nil
 	}
 	return runDistributed(cl, cfg, inner, outer)
 }
 
 // runSingle is the native single-machine baseline: one thread partitions,
 // builds and probes locally.
-func runSingle(cl *cluster.Cluster, cfg Config, inner, outer []workload.Tuple) Result {
+func runSingle(cl *cluster.Cluster, inner, outer []workload.Tuple) Result {
 	tp := cl.Machine(0).Topology().Params
 	// Partitioning degenerates to a scan, but the hash map work stands.
-	elapsed := sim.Duration(len(inner)+len(outer)) * cfg.PartitionCost
+	elapsed := sim.Duration(len(inner)+len(outer)) * partitionCost
 	counts := make(map[uint64]int32, len(inner))
 	for _, t := range inner {
 		counts[t.Key]++
@@ -95,18 +95,18 @@ func runSingle(cl *cluster.Cluster, cfg Config, inner, outer []workload.Tuple) R
 	for _, t := range outer {
 		matches += int64(counts[t.Key])
 	}
-	elapsed += sim.Duration(len(inner))*buildCost(cfg, tp) + sim.Duration(len(outer))*probeCost(cfg, tp)
+	elapsed += sim.Duration(len(inner))*buildCost(tp) + sim.Duration(len(outer))*probeCost(tp)
 	return Result{Matches: matches, Elapsed: elapsed, CPU: elapsed}
 }
 
 // buildCost is the virtual cost of inserting one tuple into the hash table.
-func buildCost(cfg Config, tp topo.Params) sim.Duration {
-	return cfg.BuildCost + tp.LocalAccessTime(topo.Write, topo.Rand, tupleBytes, false)
+func buildCost(tp topo.Params) sim.Duration {
+	return insertCost + tp.LocalAccessTime(topo.Write, topo.Rand, tupleBytes, false)
 }
 
 // probeCost is the virtual cost of probing the hash table with one tuple.
-func probeCost(cfg Config, tp topo.Params) sim.Duration {
-	return cfg.ProbeCost + tp.LocalAccessTime(topo.Read, topo.Rand, tupleBytes, false)
+func probeCost(tp topo.Params) sim.Duration {
+	return lookupCost + tp.LocalAccessTime(topo.Read, topo.Rand, tupleBytes, false)
 }
 
 // ownerOf routes a key to its owning executor.
@@ -166,8 +166,8 @@ func runDistributed(cl *cluster.Cluster, cfg Config, inner, outer []workload.Tup
 				t = outerPart[pos-len(innerPart)]
 			}
 			pos++
-			cpu[i] += cfg.PartitionCost
-			now := post + cfg.PartitionCost
+			cpu[i] += partitionCost
+			now := post + partitionCost
 			dst := ownerOf(t.Key, len(execs))
 			if ex.Local(dst) {
 				cpu[i] += handoff
@@ -207,7 +207,7 @@ func runDistributed(cl *cluster.Cluster, cfg Config, inner, outer []workload.Tup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			times[i], matches[i] = buildProbe(ex, len(execs), cfg, tp)
+			times[i], matches[i] = buildProbe(ex, len(execs), tp)
 		}()
 	}
 	wg.Wait()
@@ -247,7 +247,7 @@ func encode(t workload.Tuple, inner bool) [tupleBytes]byte {
 // buildProbe builds executor ex's private key -> count table from the inner
 // tuples its n sources landed and probes it with the outer keys, returning
 // the phase's virtual duration and match count.
-func buildProbe(ex *shuffle.Executor, n int, cfg Config, tp topo.Params) (sim.Duration, int64) {
+func buildProbe(ex *shuffle.Executor, n int, tp topo.Params) (sim.Duration, int64) {
 	received := 0
 	for src := 0; src < n; src++ {
 		received += len(ex.Received(src)) / tupleBytes
@@ -269,6 +269,6 @@ func buildProbe(ex *shuffle.Executor, n int, cfg Config, tp topo.Params) (sim.Du
 		matches += int64(counts[key])
 	}
 	inners := received - len(outers)
-	elapsed := sim.Duration(inners)*buildCost(cfg, tp) + sim.Duration(len(outers))*probeCost(cfg, tp)
+	elapsed := sim.Duration(inners)*buildCost(tp) + sim.Duration(len(outers))*probeCost(tp)
 	return elapsed, matches
 }

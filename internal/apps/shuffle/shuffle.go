@@ -32,7 +32,8 @@ import (
 	"rdmasem/internal/workload"
 )
 
-// Config describes a shuffle deployment.
+// Config describes a shuffle deployment: its shape and batching. The
+// per-entry CPU cost of Process is the constant perEntry.
 type Config struct {
 	Executors int           // executors, placed round-robin over machines x sockets
 	ValueSize int           // value bytes per entry (key adds 8)
@@ -40,7 +41,6 @@ type Config struct {
 	Strategy  core.Strategy // SP or SGL (ignored when Batch == 1)
 	NUMA      bool          // NUMA-aware placement + matched QPs vs oblivious + one QP
 	RingBytes int           // per (src,dst) receive ring slice
-	PerEntry  sim.Duration  // CPU cost to hash/dispatch one entry
 }
 
 // DefaultConfig mirrors the paper's Figure 15 setup.
@@ -52,9 +52,11 @@ func DefaultConfig() Config {
 		Strategy:  core.SGL,
 		NUMA:      true,
 		RingBytes: 1 << 20,
-		PerEntry:  60,
 	}
 }
+
+// perEntry is Process's CPU cost to hash and dispatch one entry.
+const perEntry sim.Duration = 60
 
 // entrySize is the wire size of one entry.
 func (c Config) entrySize() int { return 8 + c.ValueSize }
@@ -232,8 +234,8 @@ func (ex *Executor) Process(now sim.Time, kv workload.KV) (sim.Time, error) {
 	binary.LittleEndian.PutUint64(ex.wire, kv.Key)
 	copy(ex.wire[8:], kv.Value)
 	dst := ex.shuffle.destOf(kv.Key)
-	ex.cpu += cfg.PerEntry
-	now += cfg.PerEntry
+	ex.cpu += perEntry
+	now += perEntry
 	if ex.Local(dst) {
 		tp := ex.ctx.Machine().Topology().Params
 		cost := tp.MemcpyTime(len(ex.wire), ex.socket != ex.shuffle.execs[dst].socket)

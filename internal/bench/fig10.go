@@ -5,7 +5,6 @@ import (
 	"rdmasem/internal/core"
 	"rdmasem/internal/sim"
 	"rdmasem/internal/stats"
-	"rdmasem/internal/topo"
 	"rdmasem/internal/verbs"
 )
 
@@ -89,12 +88,11 @@ func remoteLockMOPS(r *run, n int, backoff *sim.Backoff, h sim.Duration) (float6
 
 // localLockMOPS measures the GCC-builtin local spinlock baseline.
 func localLockMOPS(n int, h sim.Duration) (float64, error) {
-	tp := topo.DefaultParams()
 	state := core.NewLockState()
 	line := core.NewLocalLockLine()
 	var clients []*sim.Client
 	for i := 0; i < n; i++ {
-		lock := core.NewLocalLock(state, line, tp, i, nil)
+		lock := core.NewLocalLock(state, line, i, nil)
 		clients = append(clients, &sim.Client{
 			PostCost: 4,
 			Window:   1,
@@ -183,8 +181,7 @@ func fig10aSpinlock(r *run) (*Report, error) {
 
 // localSequencerMOPS: all threads FAA one cache line.
 func localSequencerMOPS(n int, h sim.Duration) (float64, error) {
-	tp := topo.DefaultParams()
-	seqLocal := core.NewLocalSequencer(tp)
+	seqLocal := core.NewLocalSequencer()
 	var locals []*sim.Client
 	for i := 0; i < n; i++ {
 		i := i

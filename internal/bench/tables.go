@@ -23,8 +23,8 @@ func table02LocalSockets(r *run) (*Report, error) {
 	tb.Row("Type", "Latency (ns)", "Bandwidth (GB/s)")
 	own := tp.LocalAccessTime(topo.Read, topo.Rand, 0, false)
 	cross := tp.LocalAccessTime(topo.Read, topo.Rand, 0, true)
-	tb.Row("local socket", fmt.Sprintf("%d", int64(own)), fmt.Sprintf("%.2f", tp.DRAMBandwidthOwn/1e9))
-	tb.Row("remote socket", fmt.Sprintf("%d", int64(cross)), fmt.Sprintf("%.2f", tp.DRAMBandwidthX/1e9))
+	tb.Row("local socket", fmt.Sprintf("%d", int64(own)), fmt.Sprintf("%.2f", topo.DRAMBandwidthOwn/1e9))
+	tb.Row("remote socket", fmt.Sprintf("%d", int64(cross)), fmt.Sprintf("%.2f", topo.DRAMBandwidthX/1e9))
 	return &Report{
 		ID:     "table2",
 		Tables: []*stats.Table{tb},

@@ -115,7 +115,7 @@ func New(cfg Config) (*Cluster, error) {
 			topology: t,
 			space:    space,
 			nic:      nic,
-			qpi:      sim.NewPipe(fmt.Sprintf("m%d/qpi", i), cfg.Topo.QPIBandwidth, 0),
+			qpi:      sim.NewPipe(fmt.Sprintf("m%d/qpi", i), topo.QPIBandwidth, 0),
 			fab:      fab,
 			qpSeq:    &c.qpSeq,
 			reg:      cfg.Telemetry,

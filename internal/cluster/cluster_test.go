@@ -53,7 +53,7 @@ func TestNewPropagatesBadSubConfigs(t *testing.T) {
 		t.Fatal("expected NIC validation error")
 	}
 	cfg = DefaultConfig()
-	cfg.Fabric.LinkBandwidth = 0
+	cfg.Fabric.Faults = &fabric.FaultPlan{Drop: 1.5}
 	if _, err := New(cfg); err == nil {
 		t.Fatal("expected fabric validation error")
 	}
@@ -65,20 +65,14 @@ func TestNewPropagatesBadSubConfigs(t *testing.T) {
 }
 
 // TestNewRejectsNegativeTiming: a negative timing parameter in any layer is
-// an error from New, not a panic at the first post (a negative PCIe
-// overhead) or a run that completes ops at shifted times (a negative MMIO
-// cost, responder write or SEND execution).
+// an error from New, not a run that completes ops at shifted times.
 func TestNewRejectsNegativeTiming(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(*Config)
 		want   string
 	}{
-		{"pcie overhead", func(c *Config) { c.NIC.PCIeOverhead = -100 }, "rnic: PCIeOverhead must be nonnegative"},
 		{"mmio cost", func(c *Config) { c.NIC.MMIOCost = -1 }, "rnic: MMIOCost must be nonnegative"},
-		{"responder write", func(c *Config) { c.NIC.RespWrite = -1 }, "rnic: engine service times must be positive"},
-		{"send execution", func(c *Config) { c.NIC.ExecSend = -1 }, "rnic: engine service times must be positive"},
-		{"propagation", func(c *Config) { c.Fabric.Propagation = -1 }, "fabric: propagation must be nonnegative, got -1"},
 		{"qpi latency", func(c *Config) { c.Topo.QPILatency = -35 }, "topo: QPILatency must be nonnegative, got -35"},
 	}
 	for _, c := range cases {

@@ -158,11 +158,10 @@ func TestRemoteLockBackoffReducesCASFlood(t *testing.T) {
 }
 
 func TestLocalLockBasics(t *testing.T) {
-	tp := topo.DefaultParams()
 	state := NewLockState()
 	line := NewLocalLockLine()
-	l0 := NewLocalLock(state, line, tp, 0, nil)
-	l1 := NewLocalLock(state, line, tp, 1, nil)
+	l0 := NewLocalLock(state, line, 0, nil)
+	l1 := NewLocalLock(state, line, 1, nil)
 	at := l0.Acquire(0)
 	if at <= 0 {
 		t.Fatal("acquire must advance time")
@@ -176,11 +175,10 @@ func TestLocalLockBasics(t *testing.T) {
 }
 
 func TestLocalLockReleaseByNonHolderPanics(t *testing.T) {
-	tp := topo.DefaultParams()
 	state := NewLockState()
 	line := NewLocalLockLine()
-	l0 := NewLocalLock(state, line, tp, 0, nil)
-	l1 := NewLocalLock(state, line, tp, 1, nil)
+	l0 := NewLocalLock(state, line, 0, nil)
+	l1 := NewLocalLock(state, line, 1, nil)
 	at := l0.Acquire(0)
 	defer func() {
 		if recover() == nil {
@@ -258,7 +256,7 @@ func TestRemoteSequencerBlockReservation(t *testing.T) {
 }
 
 func TestLocalSequencer(t *testing.T) {
-	s := NewLocalSequencer(topo.DefaultParams())
+	s := NewLocalSequencer()
 	v0, t0 := s.Next(0, 0)
 	v1, t1 := s.Next(t0, 1)
 	v2, t2 := s.Next(t1, 1)
@@ -349,12 +347,11 @@ func TestLocalLockBackoffNeverExceedsMax(t *testing.T) {
 	// Drive a contended LocalLock with a non-power-of-two cap and check the
 	// spin gaps: each failed probe waits at most Max on top of the probe
 	// cost, so consecutive probe starts are separated by <= probeCost + Max.
-	tp := topo.DefaultParams()
 	state := NewLockState()
 	line := NewLocalLockLine()
 	backoff := &sim.Backoff{Base: 500, Max: 3 * sim.Duration(1000)}
-	holder := NewLocalLock(state, line, tp, 0, nil)
-	spinner := NewLocalLock(state, line, tp, 1, backoff)
+	holder := NewLocalLock(state, line, 0, nil)
+	spinner := NewLocalLock(state, line, 1, backoff)
 
 	at := holder.Acquire(0)
 	var probes []sim.Time
@@ -373,7 +370,7 @@ func TestLocalLockBackoffNeverExceedsMax(t *testing.T) {
 	if len(probes) < 3 {
 		t.Fatalf("expected several backed-off probes, saw %d", len(probes))
 	}
-	probeCost := 2 * tp.AtomicBounce * sim.Duration(state.participants)
+	probeCost := 2 * topo.AtomicBounce * sim.Duration(state.participants)
 	for i := 1; i < len(probes); i++ {
 		gap := probes[i] - probes[i-1]
 		if gap > probeCost+backoff.Max {

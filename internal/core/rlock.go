@@ -149,7 +149,6 @@ func (l *RemoteLock) Release(now sim.Time) (sim.Time, error) {
 type LocalLock struct {
 	state   *LockState
 	line    *sim.Resource // the contended cache line
-	tp      topo.Params
 	id      int
 	backoff *sim.Backoff
 }
@@ -161,9 +160,9 @@ func NewLocalLockLine() *sim.Resource { return sim.NewResource("local-lock/line"
 // handle registers as a participant: every spinning thread's failed CAS
 // invalidates the line in all others, so the line-transfer cost under
 // contention grows with the number of spinners.
-func NewLocalLock(state *LockState, line *sim.Resource, tp topo.Params, threadID int, backoff *sim.Backoff) *LocalLock {
+func NewLocalLock(state *LockState, line *sim.Resource, threadID int, backoff *sim.Backoff) *LocalLock {
 	state.participants++
-	return &LocalLock{state: state, line: line, tp: tp, id: threadID, backoff: backoff}
+	return &LocalLock{state: state, line: line, id: threadID, backoff: backoff}
 }
 
 // Acquire spins on the cache line until the lock is held. Each probe's cost
@@ -181,9 +180,9 @@ func (l *LocalLock) Acquire(now sim.Time) sim.Time {
 		// invalidation storms on top of the raw line transfer; 2x the
 		// per-participant bounce matches the paper's local convergence
 		// (~0.33 MOPS at 8 threads).
-		cost := 2 * l.tp.AtomicBounce * sim.Duration(l.state.participants)
+		cost := 2 * topo.AtomicBounce * sim.Duration(l.state.participants)
 		if l.state.lastHolder == l.id && l.state.participants == 1 {
-			cost = l.tp.AtomicHit
+			cost = topo.AtomicHit
 		}
 		t := l.line.Delay(now, cost)
 		if l.state.tryAt(t, l.id) {
@@ -200,9 +199,9 @@ func (l *LocalLock) Acquire(now sim.Time) sim.Time {
 // Release clears the lock word; the store must win the line against the
 // spinners, so it pays the same storm-scaled cost.
 func (l *LocalLock) Release(now sim.Time) sim.Time {
-	cost := l.tp.AtomicHit
+	cost := topo.AtomicHit
 	if l.state.participants > 1 {
-		cost = 2 * l.tp.AtomicBounce * sim.Duration(l.state.participants)
+		cost = 2 * topo.AtomicBounce * sim.Duration(l.state.participants)
 	}
 	t := l.line.Delay(now, cost)
 	if err := l.state.releaseAt(t, l.id); err != nil {

@@ -63,7 +63,6 @@ func (s *RemoteSequencer) Next(now sim.Time, n uint64) (uint64, sim.Time, error)
 // one cache line.
 type LocalSequencer struct {
 	line         *sim.Resource
-	tp           topo.Params
 	value        uint64
 	last         int
 	participants int
@@ -72,8 +71,8 @@ type LocalSequencer struct {
 // NewLocalSequencer creates a process-local sequencer; share the returned
 // value among the threads that contend on it and register each thread with
 // Register so the coherence-storm cost scales with contention.
-func NewLocalSequencer(tp topo.Params) *LocalSequencer {
-	return &LocalSequencer{line: sim.NewResource("local-seq/line"), tp: tp, last: -1}
+func NewLocalSequencer() *LocalSequencer {
+	return &LocalSequencer{line: sim.NewResource("local-seq/line"), last: -1}
 }
 
 // Register adds one contending thread.
@@ -87,9 +86,9 @@ func (s *LocalSequencer) Next(now sim.Time, threadID int) (uint64, sim.Time) {
 	if n < 1 {
 		n = 1
 	}
-	cost := s.tp.AtomicBounce * sim.Duration(n)
+	cost := topo.AtomicBounce * sim.Duration(n)
 	if s.last == threadID && n == 1 {
-		cost = s.tp.AtomicHit
+		cost = topo.AtomicHit
 	}
 	t := s.line.Delay(now, cost)
 	s.last = threadID

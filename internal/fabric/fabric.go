@@ -5,48 +5,27 @@
 // naturally.
 package fabric
 
-import (
-	"fmt"
+import "rdmasem/internal/sim"
 
-	"rdmasem/internal/sim"
+// The interconnect's costs mirror the paper's testbed: 40 Gbps InfiniBand
+// links and an 18-port Mellanox InfiniScale-IV switch.
+const (
+	linkBandwidth              = 5.0e9 // bytes/s per direction per port (40 Gbps)
+	propagation   sim.Duration = 60    // cable + SerDes latency, one way
+	switchLatency sim.Duration = 30    // cut-through forwarding latency
+	frameOverhead              = 30    // per-message wire overhead bytes (LRH+BTH+RETH+ICRC-ish)
 )
 
-// Params configures the interconnect. Defaults mirror the paper's testbed:
-// 40 Gbps links and an 18-port Mellanox InfiniScale-IV switch.
+// Params configures the interconnect: only its optional fault plan varies.
 type Params struct {
-	LinkBandwidth float64      // bytes/s per direction per port
-	Propagation   sim.Duration // cable + SerDes latency, one way
-	SwitchLatency sim.Duration // cut-through forwarding latency
-	FrameOverhead int          // per-message wire overhead bytes (headers/CRC)
-	Faults        *FaultPlan   // optional lossy-fabric model; nil = lossless
+	Faults *FaultPlan // optional lossy-fabric model; nil = lossless
 }
 
-// DefaultParams returns the 40 Gbps InfiniBand calibration.
-func DefaultParams() Params {
-	return Params{
-		LinkBandwidth: 5.0e9, // 40 Gbps
-		Propagation:   60,
-		SwitchLatency: 30,
-		FrameOverhead: 30, // LRH+BTH+RETH+ICRC-ish
-	}
-}
+// DefaultParams returns the lossless testbed fabric.
+func DefaultParams() Params { return Params{} }
 
 // Validate checks the parameters.
-func (p Params) Validate() error {
-	if p.LinkBandwidth <= 0 {
-		return fmt.Errorf("fabric: link bandwidth must be positive")
-	}
-	if p.FrameOverhead < 0 {
-		return fmt.Errorf("fabric: frame overhead must be nonnegative")
-	}
-	if p.Propagation < 0 {
-		return fmt.Errorf("fabric: propagation must be nonnegative, got %d", p.Propagation)
-	}
-	if p.SwitchLatency < 0 {
-		return fmt.Errorf("fabric: switch latency must be nonnegative, got %d", p.SwitchLatency)
-	}
-	return p.Faults.Validate()
-}
+func (p Params) Validate() error { return p.Faults.Validate() }
 
 // Endpoint is one registered switch port (one NIC port plugged into the
 // switch).
@@ -90,8 +69,8 @@ func (f *Fabric) RegisterAt(name string, machine int) *Endpoint {
 	e := &Endpoint{
 		id:      len(f.endpoints),
 		machine: machine,
-		tx:      sim.NewPipe(name+"/tx", f.params.LinkBandwidth, 0),
-		rx:      sim.NewPipe(name+"/rx", f.params.LinkBandwidth, 0),
+		tx:      sim.NewPipe(name+"/tx", linkBandwidth, 0),
+		rx:      sim.NewPipe(name+"/rx", linkBandwidth, 0),
 	}
 	f.endpoints = append(f.endpoints, e)
 	return e
@@ -111,13 +90,13 @@ func (f *Fabric) Send(now sim.Time, from, to *Endpoint, payload int) sim.Time {
 	if payload < 0 {
 		panic("fabric: negative payload")
 	}
-	wire := payload + f.params.FrameOverhead
+	wire := payload + frameOverhead
 	if from == to {
-		_, rxEnd := to.rx.Transfer(now+f.params.SwitchLatency, wire)
+		_, rxEnd := to.rx.Transfer(now+switchLatency, wire)
 		return rxEnd
 	}
 	txStart, _ := from.tx.Transfer(now, wire)
-	rxArrival := txStart + f.params.Propagation + f.params.SwitchLatency
+	rxArrival := txStart + propagation + switchLatency
 	_, rxEnd := to.rx.Transfer(rxArrival, wire)
 	return rxEnd
 }

@@ -363,9 +363,9 @@ func (f *Fabric) Deliver(now sim.Time, from, to *Endpoint, payload int) (sim.Tim
 		panic("fabric: negative payload")
 	}
 	from.faults.Segments++
-	wire := payload + f.params.FrameOverhead
+	wire := payload + frameOverhead
 	txStart, _ := from.tx.Transfer(now, wire)
-	arrival := txStart + f.params.Propagation + f.params.SwitchLatency
+	arrival := txStart + propagation + switchLatency
 	if plan.HasOutages() {
 		// Outage losses are decided by the wall clock, not the fate stream:
 		// a down link or a crashed machine loses the segment no matter what

@@ -142,7 +142,7 @@ func (d *Daemon) Post(now sim.Time, conn int, wr *verbs.SendWR) (verbs.Completio
 		d.failovers++
 		return d.standby.Post(at, conn, wr)
 	}
-	svc := d.tp.AtomicBounce // dequeue + validate: one shared line touched
+	svc := topo.AtomicBounce // dequeue + validate: one shared line touched
 	post := wr
 	if wr.Opcode == verbs.OpSend || wr.Opcode == verbs.OpWrite {
 		if total, ok := Stage(d.bounce, wr.SGL); ok {

@@ -34,5 +34,5 @@ const MaxPayload = 1024
 // interconnect crossing. internal/core's NUMA proxy charges the same hop
 // per-socket; the Daemon charges it per-node.
 func HopCost(p topo.Params) sim.Duration {
-	return 2 * (p.AtomicBounce + p.QPILatency)
+	return 2 * (topo.AtomicBounce + p.QPILatency)
 }

@@ -21,11 +21,10 @@ func occupancy(p *sim.Pipe) *sim.Duration {
 // buffer lives across QPI and a QPI pipe is supplied.
 func TestScatterDMA(t *testing.T) {
 	n := newNIC(t)
-	p := n.Params()
 	up, down := occupancy(n.PCIeUp()), occupancy(n.PCIeDown())
 	sizes := []int{64, 128}
 	plain := n.ScatterDMA(0, sizes, 0, nil, 0)
-	want := sim.Time(2*p.SGEFetch) + p.PCIeOverhead + sim.TransferTime(192, p.PCIeBandwidth)
+	want := sim.Time(2*sgeFetch) + pcieOverhead + sim.TransferTime(192, pcieBandwidth)
 	if plain != want {
 		t.Fatalf("scatter completes at %v, want %v (SGE fetches + one PCIe transfer)", plain, want)
 	}
@@ -36,7 +35,7 @@ func TestScatterDMA(t *testing.T) {
 	if c.GatherOps != 0 || c.GatherFrags != 0 || c.GatherBytes != 0 {
 		t.Fatalf("a scatter bumped gather counters: %+v", c)
 	}
-	if want := p.PCIeOverhead + sim.TransferTime(192, p.PCIeBandwidth); *up != want || *down != 0 {
+	if want := pcieOverhead + sim.TransferTime(192, pcieBandwidth); *up != want || *down != 0 {
 		t.Fatalf("scatter occupied PCIe up for %v and down for %v; want %v up only", *up, *down, want)
 	}
 
@@ -147,28 +146,7 @@ func TestParamsValidateErrors(t *testing.T) {
 		want   string
 	}{
 		{func(p *Params) { p.Ports = 0 }, "rnic: ports must be >= 1"},
-		{func(p *Params) { p.PCIeBandwidth = 0 }, "rnic: PCIe bandwidth must be positive"},
-		{func(p *Params) { p.ExecWrite = 0 }, "rnic: engine service times must be positive"},
-		{func(p *Params) { p.ExecRead = -1 }, "rnic: engine service times must be positive"},
-		{func(p *Params) { p.QPWrite = 0 }, "rnic: engine service times must be positive"},
-		{func(p *Params) { p.QPRead = 0 }, "rnic: engine service times must be positive"},
-		{func(p *Params) { p.AtomicUnit = 0 }, "rnic: engine service times must be positive"},
-		{func(p *Params) { p.ExecSend = 0 }, "rnic: engine service times must be positive"},
-		{func(p *Params) { p.RespWrite = -1 }, "rnic: engine service times must be positive"},
-		{func(p *Params) { p.RespRead = 0 }, "rnic: engine service times must be positive"},
 		{func(p *Params) { p.MMIOCost = -1 }, "rnic: MMIOCost must be nonnegative"},
-		{func(p *Params) { p.WQEFetch = -1 }, "rnic: WQEFetch must be nonnegative"},
-		{func(p *Params) { p.WQEFetchNext = -1 }, "rnic: WQEFetchNext must be nonnegative"},
-		{func(p *Params) { p.SGEFetch = -1 }, "rnic: SGEFetch must be nonnegative"},
-		{func(p *Params) { p.InlinePerByte = -1 }, "rnic: InlinePerByte must be nonnegative"},
-		{func(p *Params) { p.PCIeOverhead = -100 }, "rnic: PCIeOverhead must be nonnegative"},
-		{func(p *Params) { p.PCIeReadLatency = -1 }, "rnic: PCIeReadLatency must be nonnegative"},
-		{func(p *Params) { p.TranslationMissLat = -1 }, "rnic: TranslationMissLat must be nonnegative"},
-		{func(p *Params) { p.TranslationMissSvc = -1 }, "rnic: TranslationMissSvc must be nonnegative"},
-		{func(p *Params) { p.QPMissLat = -1 }, "rnic: QPMissLat must be nonnegative"},
-		{func(p *Params) { p.QPMissSvc = -1 }, "rnic: QPMissSvc must be nonnegative"},
-		{func(p *Params) { p.MRMissLat = -1 }, "rnic: MRMissLat must be nonnegative"},
-		{func(p *Params) { p.MRMissSvc = -1 }, "rnic: MRMissSvc must be nonnegative"},
 		{func(p *Params) { p.TranslationEntries = -1 }, "rnic: cache capacities must be nonnegative"},
 		{func(p *Params) { p.QPCacheEntries = -1 }, "rnic: cache capacities must be nonnegative"},
 		{func(p *Params) { p.MRCacheEntries = -1 }, "rnic: cache capacities must be nonnegative"},

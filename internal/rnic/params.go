@@ -2,9 +2,8 @@ package rnic
 
 import "rdmasem/internal/sim"
 
-// Params captures every tunable of the RNIC model. The defaults are
-// calibrated against the paper's ConnectX-3 (MT27500, dual-port 40 Gbps)
-// observations:
+// The RNIC model's costs are constants, calibrated against the paper's
+// ConnectX-3 (MT27500, dual-port 40 Gbps) observations:
 //
 //   - Figure 1: WRITE/READ base latency 1.16/2.00 us, small-payload
 //     throughput ~4.7/4.2 MOPS on one QP, latency knee past 2 KB;
@@ -13,76 +12,74 @@ import "rdmasem/internal/sim"
 //     fits in SRAM (<= 4 MB);
 //   - Section II-B2: ~60% degradation with 10x MRs, ~50% with 3x clients;
 //   - Section III-E: atomic verbs at 2.2-2.5 MOPS per port.
+//
+// The few values an experiment varies are Params fields instead.
+
+// CPU <-> RNIC PCIe path.
+const (
+	wqeFetch      sim.Duration = 120   // DMA fetch of the first WQE of a doorbell
+	wqeFetchNext  sim.Duration = 40    // each additional WQE in a doorbell list
+	sgeFetch      sim.Duration = 60    // per-SGE gather/scatter DMA descriptor cost
+	inlinePerByte sim.Duration = 1     // extra MMIO cost per inlined payload byte
+	pcieBandwidth              = 7.9e9 // bytes/s of the host PCIe link (PCIe 3.0 x8 effective)
+	pcieOverhead  sim.Duration = 20    // per-DMA-transaction TLP overhead
+
+	// PCIeReadLatency is the host-DRAM DMA read latency a responder pays
+	// for READ and atomic verbs.
+	PCIeReadLatency sim.Duration = 800
+)
+
+// Port engine service times per work request. The verbs layer charges them
+// to the per-QP pipeline and the port execution unit.
+const (
+	ExecWrite  sim.Duration = 125 // execution unit, WRITE: 8 MOPS per port
+	ExecRead   sim.Duration = 140 // execution unit, READ and atomics
+	ExecSend   sim.Duration = 160 // execution unit, SEND
+	QPWrite    sim.Duration = 210 // per-QP pipeline, WRITE/SEND/atomics: 4.76 MOPS per QP (Fig 1)
+	QPRead     sim.Duration = 238 // per-QP pipeline, READ: 4.2 MOPS per QP (Fig 1)
+	atomicUnit sim.Duration = 410 // per-port atomic unit: 2.44 MOPS per port
+
+	// RespWrite is the responder's in-bound WRITE (and SEND) handling: a
+	// small-write cap of ~8 MOPS per port, like the outbound side.
+	RespWrite sim.Duration = 125
+	// RespRead is the responder's in-bound READ handling (DMA read and
+	// response).
+	RespRead sim.Duration = 170
+)
+
+// SRAM metadata cache miss costs: the added wire-visible latency and the
+// added execution-unit occupancy of one miss.
+const (
+	translationMissLat sim.Duration = 350 // per missing page
+	translationMissSvc sim.Duration = 300
+	qpMissLat          sim.Duration = 400
+	qpMissSvc          sim.Duration = 110
+	mrMissLat          sim.Duration = 700
+	mrMissSvc          sim.Duration = 90
+)
+
+// Params holds what a cluster may set on the RNIC: its port count, and the
+// MMIO cost and SRAM cache capacities the ablation and qpsweep experiments
+// vary.
 type Params struct {
 	Ports int // physical ports (paper NIC: dual port)
 
-	// CPU <-> RNIC PCIe path.
-	MMIOCost        sim.Duration // one CPU-generated MMIO doorbell write
-	WQEFetch        sim.Duration // DMA fetch of the first WQE of a doorbell
-	WQEFetchNext    sim.Duration // each additional WQE in a doorbell list
-	SGEFetch        sim.Duration // per-SGE gather/scatter DMA descriptor cost
-	InlinePerByte   sim.Duration // extra MMIO cost per inlined payload byte
-	PCIeBandwidth   float64      // bytes/s of the host PCIe link
-	PCIeOverhead    sim.Duration // per-DMA-transaction TLP overhead
-	PCIeReadLatency sim.Duration // host-DRAM DMA read latency (READ/atomics)
+	MMIOCost sim.Duration // one CPU-generated MMIO doorbell write
 
-	// Port engines.
-	ExecWrite  sim.Duration // per-WR execution-unit service, WRITE (per port)
-	ExecRead   sim.Duration // per-WR execution-unit service, READ (per port)
-	ExecSend   sim.Duration // per-WR execution-unit service, SEND (per port)
-	QPWrite    sim.Duration // per-QP pipeline service, WRITE (Fig 1: 4.7 MOPS)
-	QPRead     sim.Duration // per-QP pipeline service, READ (Fig 1: 4.2 MOPS)
-	AtomicUnit sim.Duration // per-port atomic unit service (2.2-2.5 MOPS)
-
-	// Responder-side processing.
-	RespWrite sim.Duration // in-bound WRITE handling
-	RespRead  sim.Duration // in-bound READ handling (DMA read + response)
-
-	// SRAM metadata caches.
-	TranslationEntries int          // page-translation entries (4 KB pages)
-	TranslationMissLat sim.Duration // added latency per missing page
-	TranslationMissSvc sim.Duration // added execution-unit occupancy per miss
-	QPCacheEntries     int          // QP contexts resident in SRAM
-	QPMissLat          sim.Duration
-	QPMissSvc          sim.Duration
+	// SRAM metadata cache capacities.
+	TranslationEntries int // page-translation entries (4 KB pages)
+	QPCacheEntries     int // QP contexts resident in SRAM
 	MRCacheEntries     int // MR records resident in SRAM
-	MRMissLat          sim.Duration
-	MRMissSvc          sim.Duration
 }
 
 // DefaultParams returns the ConnectX-3 calibration described above.
 func DefaultParams() Params {
 	return Params{
-		Ports: 2,
-
-		MMIOCost:        250,
-		WQEFetch:        120,
-		WQEFetchNext:    40,
-		SGEFetch:        60,
-		InlinePerByte:   1,
-		PCIeBandwidth:   7.9e9, // PCIe 3.0 x8 effective
-		PCIeOverhead:    20,
-		PCIeReadLatency: 800,
-
-		ExecWrite:  125, // 8 MOPS per port
-		ExecRead:   140,
-		ExecSend:   160,
-		QPWrite:    210, // 4.76 MOPS per QP
-		QPRead:     238, // 4.2 MOPS per QP
-		AtomicUnit: 410, // 2.44 MOPS per port
-
-		RespWrite: 125, // inbound small-write cap ~8 MOPS/port, like outbound
-		RespRead:  170,
-
+		Ports:              2,
+		MMIOCost:           250,
 		TranslationEntries: 1024, // 4 MB of 4 KB pages (Fig 6d crossover)
-		TranslationMissLat: 350,
-		TranslationMissSvc: 300,
 		QPCacheEntries:     96,
-		QPMissLat:          400,
-		QPMissSvc:          110,
 		MRCacheEntries:     24,
-		MRMissLat:          700,
-		MRMissSvc:          90,
 	}
 }
 
@@ -91,26 +88,8 @@ func (p Params) Validate() error {
 	if p.Ports < 1 {
 		return errBadParams("ports must be >= 1")
 	}
-	if p.PCIeBandwidth <= 0 {
-		return errBadParams("PCIe bandwidth must be positive")
-	}
-	if p.ExecWrite <= 0 || p.ExecRead <= 0 || p.ExecSend <= 0 || p.QPWrite <= 0 || p.QPRead <= 0 ||
-		p.AtomicUnit <= 0 || p.RespWrite <= 0 || p.RespRead <= 0 {
-		return errBadParams("engine service times must be positive")
-	}
-	for _, f := range []struct {
-		name string
-		d    sim.Duration
-	}{
-		{"MMIOCost", p.MMIOCost}, {"WQEFetch", p.WQEFetch}, {"WQEFetchNext", p.WQEFetchNext},
-		{"SGEFetch", p.SGEFetch}, {"InlinePerByte", p.InlinePerByte}, {"PCIeOverhead", p.PCIeOverhead},
-		{"PCIeReadLatency", p.PCIeReadLatency}, {"TranslationMissLat", p.TranslationMissLat},
-		{"TranslationMissSvc", p.TranslationMissSvc}, {"QPMissLat", p.QPMissLat},
-		{"QPMissSvc", p.QPMissSvc}, {"MRMissLat", p.MRMissLat}, {"MRMissSvc", p.MRMissSvc},
-	} {
-		if f.d < 0 {
-			return errBadParams(f.name + " must be nonnegative")
-		}
+	if p.MMIOCost < 0 {
+		return errBadParams("MMIOCost must be nonnegative")
 	}
 	if p.TranslationEntries < 0 || p.QPCacheEntries < 0 || p.MRCacheEntries < 0 {
 		return errBadParams("cache capacities must be nonnegative")

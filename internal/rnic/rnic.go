@@ -22,7 +22,7 @@ import (
 // SRAM metadata cache complex.
 type NIC struct {
 	name     string
-	params   Params
+	mmioCost sim.Duration // one doorbell MMIO write (Params.MMIOCost)
 	ports    []*Port
 	pcieDown *sim.Pipe // DMA reads: host DRAM -> device (WQE fetch, gathers)
 	pcieUp   *sim.Pipe // DMA writes: device -> host DRAM (scatters, CQEs)
@@ -129,9 +129,9 @@ func New(name string, p Params) (*NIC, error) {
 	}
 	n := &NIC{
 		name:     name,
-		params:   p,
-		pcieDown: sim.NewPipe(name+"/pcie-rd", p.PCIeBandwidth, p.PCIeOverhead),
-		pcieUp:   sim.NewPipe(name+"/pcie-wr", p.PCIeBandwidth, p.PCIeOverhead),
+		mmioCost: p.MMIOCost,
+		pcieDown: sim.NewPipe(name+"/pcie-rd", pcieBandwidth, pcieOverhead),
+		pcieUp:   sim.NewPipe(name+"/pcie-wr", pcieBandwidth, pcieOverhead),
 		xlate:    NewLRU(p.TranslationEntries),
 		qpCache:  NewLRU(p.QPCacheEntries),
 		mrCache:  NewLRU(p.MRCacheEntries),
@@ -146,11 +146,6 @@ func New(name string, p Params) (*NIC, error) {
 	}
 	return n, nil
 }
-
-// Params returns the NIC's configuration, read-only: the NIC never changes
-// it after construction, and callers must not either. It is a pointer so a
-// hot path can read a few fields per operation without copying the struct.
-func (n *NIC) Params() *Params { return &n.params }
 
 // Port returns port i.
 func (n *NIC) Port(i int) *Port {
@@ -174,7 +169,7 @@ func (n *NIC) Doorbell(now sim.Time, nWQE, inlineBytes int) sim.Time {
 	}
 	n.counters.Doorbells++
 	n.counters.DoorbellWQEs += uint64(nWQE)
-	cost := n.params.MMIOCost + sim.Duration(inlineBytes)*n.params.InlinePerByte
+	cost := n.mmioCost + sim.Duration(inlineBytes)*inlinePerByte
 	return now + cost
 }
 
@@ -186,10 +181,10 @@ func (n *NIC) FetchWQEs(now sim.Time, nWQE int) sim.Time {
 	}
 	n.counters.WQEFetches += uint64(nWQE)
 	t := n.pcieDown.Delay(now, 64) // first WQE
-	t += n.params.WQEFetch
+	t += wqeFetch
 	if nWQE > 1 {
 		t = n.pcieDown.Delay(t, 64*(nWQE-1))
-		t += sim.Duration(nWQE-1) * n.params.WQEFetchNext
+		t += sim.Duration(nWQE-1) * wqeFetchNext
 	}
 	return t
 }
@@ -215,7 +210,7 @@ func (n *NIC) sgDMA(pipe *sim.Pipe, now sim.Time, sizes []int, qpiCross int, qpi
 	total := 0
 	for _, s := range sizes {
 		total += s
-		t += n.params.SGEFetch
+		t += sgeFetch
 	}
 	if pipe == n.pcieDown {
 		n.counters.GatherOps++
@@ -262,8 +257,8 @@ func (n *NIC) Translate(addr mem.Addr, size int) MetaCost {
 			mc.Misses++
 		}
 	}
-	mc.Latency = sim.Duration(mc.Misses) * n.params.TranslationMissLat
-	mc.Service = sim.Duration(mc.Misses) * n.params.TranslationMissSvc
+	mc.Latency = sim.Duration(mc.Misses) * translationMissLat
+	mc.Service = sim.Duration(mc.Misses) * translationMissSvc
 	return mc
 }
 
@@ -272,7 +267,7 @@ func (n *NIC) TouchQP(qpID uint64) MetaCost {
 	if n.qpCache.Access(qpID) {
 		return MetaCost{}
 	}
-	return MetaCost{Latency: n.params.QPMissLat, Service: n.params.QPMissSvc, Misses: 1}
+	return MetaCost{Latency: qpMissLat, Service: qpMissSvc, Misses: 1}
 }
 
 // TouchMR touches the MR-record cache entry for the given MR.
@@ -280,7 +275,7 @@ func (n *NIC) TouchMR(mrID uint64) MetaCost {
 	if n.mrCache.Access(mrID) {
 		return MetaCost{}
 	}
-	return MetaCost{Latency: n.params.MRMissLat, Service: n.params.MRMissSvc, Misses: 1}
+	return MetaCost{Latency: mrMissLat, Service: mrMissSvc, Misses: 1}
 }
 
 // Add combines two metadata costs.
@@ -307,7 +302,7 @@ func (p *Port) Execute(now sim.Time, base, inflation sim.Duration) sim.Time {
 // ExecuteAtomic occupies the port's atomic unit (atomics serialize against
 // each other on the responder, which is what bounds them to ~2.4 MOPS).
 func (p *Port) ExecuteAtomic(now sim.Time) sim.Time {
-	return p.atomic.Delay(now, p.nic.params.AtomicUnit)
+	return p.atomic.Delay(now, atomicUnit)
 }
 
 // Exec exposes the execution-unit resource for utilization reporting.

@@ -21,11 +21,6 @@ func TestNewValidates(t *testing.T) {
 		t.Fatal("expected validation error")
 	}
 	p := DefaultParams()
-	p.AtomicUnit = 0
-	if _, err := New("bad", p); err == nil {
-		t.Fatal("expected error for zero atomic service")
-	}
-	p = DefaultParams()
 	p.TranslationEntries = -1
 	if _, err := New("bad", p); err == nil {
 		t.Fatal("expected error for negative cache capacity")
@@ -53,10 +48,10 @@ func TestPortAccess(t *testing.T) {
 
 func TestDoorbellCost(t *testing.T) {
 	n := newNIC(t)
-	p := n.Params()
+	mmio := DefaultParams().MMIOCost
 	one := n.Doorbell(0, 1, 0)
-	if one != sim.Time(p.MMIOCost) {
-		t.Fatalf("doorbell=%v, want %v", one, p.MMIOCost)
+	if one != sim.Time(mmio) {
+		t.Fatalf("doorbell=%v, want %v", one, mmio)
 	}
 	// A doorbell list costs the same single MMIO regardless of list length.
 	many := n.Doorbell(0, 16, 0)
@@ -64,7 +59,7 @@ func TestDoorbellCost(t *testing.T) {
 		t.Fatalf("doorbell list=%v, want single MMIO %v", many, one)
 	}
 	inline := n.Doorbell(0, 1, 32)
-	if inline != one+32*sim.Time(p.InlinePerByte) {
+	if inline != one+32*sim.Time(inlinePerByte) {
 		t.Fatalf("inline doorbell=%v", inline)
 	}
 }
@@ -99,9 +94,8 @@ func TestGatherDMA(t *testing.T) {
 
 func TestTranslateHitsAndMisses(t *testing.T) {
 	n := newNIC(t)
-	p := n.Params()
 	mc := n.Translate(mem.Addr(0), 32)
-	if mc.Misses != 1 || mc.Latency != p.TranslationMissLat {
+	if mc.Misses != 1 || mc.Latency != translationMissLat {
 		t.Fatalf("cold access: %+v", mc)
 	}
 	mc = n.Translate(mem.Addr(0), 32)
@@ -146,7 +140,7 @@ func TestTouchQPAndMR(t *testing.T) {
 	if mc := n.TouchQP(7); mc.Misses != 0 {
 		t.Fatalf("warm QP: %+v", mc)
 	}
-	if mc := n.TouchMR(3); mc.Misses != 1 || mc.Latency != n.Params().MRMissLat {
+	if mc := n.TouchMR(3); mc.Misses != 1 || mc.Latency != mrMissLat {
 		t.Fatalf("cold MR: %+v", mc)
 	}
 	if mc := n.TouchMR(3); mc.Misses != 0 {
@@ -166,15 +160,14 @@ func TestMetaCostAdd(t *testing.T) {
 func TestExecuteSerializes(t *testing.T) {
 	n := newNIC(t)
 	port := n.Port(0)
-	p := n.Params()
-	t1 := port.Execute(0, p.ExecWrite, 0)
-	t2 := port.Execute(0, p.ExecWrite, 0)
-	if t2 != t1+sim.Time(p.ExecWrite) {
+	t1 := port.Execute(0, ExecWrite, 0)
+	t2 := port.Execute(0, ExecWrite, 0)
+	if t2 != t1+sim.Time(ExecWrite) {
 		t.Fatalf("execution unit must serialize: %v then %v", t1, t2)
 	}
 	// Ports are independent.
-	t3 := n.Port(1).Execute(0, p.ExecWrite, 0)
-	if t3 != sim.Time(p.ExecWrite) {
+	t3 := n.Port(1).Execute(0, ExecWrite, 0)
+	if t3 != sim.Time(ExecWrite) {
 		t.Fatalf("other port should be idle: %v", t3)
 	}
 }

@@ -50,75 +50,59 @@ func (p Pattern) String() string {
 	return "rand"
 }
 
-// Params holds every tunable of the machine model. Zero values are invalid;
-// construct with DefaultParams and override fields as needed.
-type Params struct {
-	Sockets   int      // CPU sockets per machine
-	NICSocket SocketID // socket whose PCIe root hosts the RNIC
-
-	// Local DRAM (Table II, measured with an MLC-style probe).
-	DRAMLatencyOwn   sim.Duration // idle load-to-use latency, own socket
-	DRAMLatencyCross sim.Duration // idle load-to-use latency, cross socket
-	DRAMBandwidthOwn float64      // single-stream bytes/s, own socket
-	DRAMBandwidthX   float64      // single-stream bytes/s, cross socket
+// Local memory costs of the paper testbed.
+const (
+	// Local DRAM (Table II, measured with an MLC-style probe): idle
+	// load-to-use latency and single-stream bytes/s, own and cross socket.
+	dramLatencyOwn   sim.Duration = 92
+	dramLatencyCross sim.Duration = 162
+	DRAMBandwidthOwn              = 3.70e9
+	DRAMBandwidthX                = 2.27e9
 
 	// Sequential-stream engine (prefetchers + cache line reuse): per-op cost
 	// floor for sequential access, and streaming bandwidths.
-	SeqReadOpCost    sim.Duration
-	SeqWriteOpCost   sim.Duration
-	SeqReadStreamBW  float64
-	SeqWriteStreamBW float64
+	seqReadOpCost    sim.Duration = 12 // ~80 MOPS small sequential reads (Fig 6c)
+	seqWriteOpCost   sim.Duration = 31 // 2.92x faster than 92ns random write (Intro)
+	seqReadStreamBW               = 10.0e9
+	seqWriteStreamBW              = 6.0e9
 
 	// Random write costs (RFO makes stores costlier than Table II loads).
-	RandWriteLatencyOwn   sim.Duration
-	RandWriteLatencyCross sim.Duration
+	randWriteLatencyOwn   sim.Duration = 92
+	randWriteLatencyCross sim.Duration = 215 // ~6.85x the 31ns sequential write (Intro)
 
 	// Local atomic operations (GCC __sync builtins).
-	AtomicHit    sim.Duration // uncontended, line already owned
-	AtomicBounce sim.Duration // cache line transfer from another core
+	AtomicHit    sim.Duration = 8  // uncontended, line already owned: ~125 MOPS spinlock (Fig 10a)
+	AtomicBounce sim.Duration = 60 // cache line transfer from another core
 
-	// QPI interconnect between sockets.
-	QPIBandwidth float64      // bytes/s per direction
-	QPILatency   sim.Duration // per-crossing latency adder
+	// QPIBandwidth is the inter-socket interconnect's bytes/s per
+	// direction; Params.QPILatency is its per-crossing latency.
+	QPIBandwidth = 12.8e9
 
-	// Per-core memcpy bandwidth, used by the SP gather and log staging.
-	MemcpyBandwidth float64
-	MemcpyOpCost    sim.Duration // fixed per-memcpy call overhead
+	// Per-core memcpy, used by the SP gather and log staging.
+	memcpyBandwidth              = 8.0e9
+	memcpyOpCost    sim.Duration = 15 // fixed per-memcpy call overhead
 
 	// readv/writev batching of local memory ops (Figure 4 "Local" series):
 	// fixed syscall cost amortized over the batch.
-	SyscallCost sim.Duration
+	syscallCost sim.Duration = 250
+)
+
+// Params holds what a cluster may set on a machine: its shape, and the QPI
+// latency the ablation experiment varies. Every other cost of the model is
+// a constant above. Zero values are invalid; construct with DefaultParams
+// and override fields as needed.
+type Params struct {
+	Sockets    int          // CPU sockets per machine
+	NICSocket  SocketID     // socket whose PCIe root hosts the RNIC
+	QPILatency sim.Duration // per-crossing latency adder of the QPI interconnect
 }
 
 // DefaultParams returns the paper-testbed calibration.
 func DefaultParams() Params {
 	return Params{
-		Sockets:   2,
-		NICSocket: 1,
-
-		DRAMLatencyOwn:   92,  // ns (Table II)
-		DRAMLatencyCross: 162, // ns (Table II)
-		DRAMBandwidthOwn: 3.70e9,
-		DRAMBandwidthX:   2.27e9,
-
-		SeqReadOpCost:    12, // ~80 MOPS small sequential reads (Fig 6c)
-		SeqWriteOpCost:   31, // 2.92x faster than 92ns random write (Intro)
-		SeqReadStreamBW:  10.0e9,
-		SeqWriteStreamBW: 6.0e9,
-
-		RandWriteLatencyOwn:   92,
-		RandWriteLatencyCross: 215, // ~6.85x the 31ns sequential write (Intro)
-
-		AtomicHit:    8,  // ~125 MOPS single-thread spinlock (Fig 10a)
-		AtomicBounce: 60, // cross-core line transfer
-
-		QPIBandwidth: 12.8e9,
-		QPILatency:   70,
-
-		MemcpyBandwidth: 8.0e9,
-		MemcpyOpCost:    15,
-
-		SyscallCost: 250,
+		Sockets:    2,
+		NICSocket:  1,
+		QPILatency: 70,
 	}
 }
 
@@ -130,27 +114,8 @@ func (p Params) Validate() error {
 	if p.NICSocket < 0 || int(p.NICSocket) >= p.Sockets {
 		return fmt.Errorf("topo: NIC socket %d out of range [0,%d)", p.NICSocket, p.Sockets)
 	}
-	for _, bw := range []float64{
-		p.DRAMBandwidthOwn, p.DRAMBandwidthX, p.SeqReadStreamBW,
-		p.SeqWriteStreamBW, p.QPIBandwidth, p.MemcpyBandwidth,
-	} {
-		if bw <= 0 {
-			return fmt.Errorf("topo: bandwidths must be positive")
-		}
-	}
-	for _, f := range []struct {
-		name string
-		d    sim.Duration
-	}{
-		{"DRAMLatencyOwn", p.DRAMLatencyOwn}, {"DRAMLatencyCross", p.DRAMLatencyCross},
-		{"SeqReadOpCost", p.SeqReadOpCost}, {"SeqWriteOpCost", p.SeqWriteOpCost},
-		{"RandWriteLatencyOwn", p.RandWriteLatencyOwn}, {"RandWriteLatencyCross", p.RandWriteLatencyCross},
-		{"AtomicHit", p.AtomicHit}, {"AtomicBounce", p.AtomicBounce}, {"QPILatency", p.QPILatency},
-		{"MemcpyOpCost", p.MemcpyOpCost}, {"SyscallCost", p.SyscallCost},
-	} {
-		if f.d < 0 {
-			return fmt.Errorf("topo: %s must be nonnegative, got %d", f.name, f.d)
-		}
+	if p.QPILatency < 0 {
+		return fmt.Errorf("topo: QPILatency must be nonnegative, got %d", p.QPILatency)
 	}
 	return nil
 }
@@ -168,13 +133,14 @@ func (p Params) LocalAccessTime(op AccessOp, pat Pattern, size int, cross bool) 
 		var base sim.Duration
 		var bw float64
 		if op == Read {
-			base, bw = p.SeqReadOpCost, p.SeqReadStreamBW
+			base, bw = seqReadOpCost, seqReadStreamBW
 		} else {
-			base, bw = p.SeqWriteOpCost, p.SeqWriteStreamBW
+			base, bw = seqWriteOpCost, seqWriteStreamBW
 		}
+		// Both streams run below QPIBandwidth, so crossing sockets adds
+		// latency only, and prefetchers hide most of the hop.
 		if cross {
-			bw = minf(bw, p.QPIBandwidth)
-			base += p.QPILatency / 4 // prefetchers hide most of the hop
+			base += p.QPILatency / 4
 		}
 		return sim.Max(base, sim.TransferTime(size, bw))
 	default: // Rand
@@ -182,13 +148,13 @@ func (p Params) LocalAccessTime(op AccessOp, pat Pattern, size int, cross bool) 
 		var bw float64
 		switch {
 		case op == Read && !cross:
-			lat, bw = p.DRAMLatencyOwn, p.DRAMBandwidthOwn
+			lat, bw = dramLatencyOwn, DRAMBandwidthOwn
 		case op == Read && cross:
-			lat, bw = p.DRAMLatencyCross, p.DRAMBandwidthX
+			lat, bw = dramLatencyCross, DRAMBandwidthX
 		case op == Write && !cross:
-			lat, bw = p.RandWriteLatencyOwn, p.DRAMBandwidthOwn
+			lat, bw = randWriteLatencyOwn, DRAMBandwidthOwn
 		default:
-			lat, bw = p.RandWriteLatencyCross, p.DRAMBandwidthX
+			lat, bw = randWriteLatencyCross, DRAMBandwidthX
 		}
 		return lat + sim.TransferTime(size, bw)
 	}
@@ -197,11 +163,11 @@ func (p Params) LocalAccessTime(op AccessOp, pat Pattern, size int, cross bool) 
 // MemcpyTime returns the CPU cost of copying size bytes, charged to the
 // calling core (used by the SP gather and the log's NUMA staging copy).
 func (p Params) MemcpyTime(size int, cross bool) sim.Duration {
-	bw := p.MemcpyBandwidth
+	bw := float64(memcpyBandwidth)
 	if cross {
-		bw = minf(bw, p.QPIBandwidth/2)
+		bw = min(memcpyBandwidth, QPIBandwidth/2)
 	}
-	d := p.MemcpyOpCost + sim.TransferTime(size, bw)
+	d := memcpyOpCost + sim.TransferTime(size, bw)
 	if cross {
 		d += p.QPILatency
 	}
@@ -215,14 +181,7 @@ func (p Params) VectorIOTime(op AccessOp, n, size int) sim.Duration {
 		return 0
 	}
 	per := p.LocalAccessTime(op, Seq, size, false)
-	return p.SyscallCost + sim.Duration(n)*per
-}
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
+	return syscallCost + sim.Duration(n)*per
 }
 
 // Topology is the realized layout of one machine.

@@ -24,43 +24,20 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	if p.Validate() == nil {
 		t.Error("expected error for NIC socket out of range")
 	}
-	p = DefaultParams()
-	p.QPIBandwidth = 0
-	if p.Validate() == nil {
-		t.Error("expected error for zero bandwidth")
-	}
 }
 
-// TestValidateRejectsNegativeTiming: every latency and per-op cost field
-// must be nonnegative; one row per field.
+// TestValidateRejectsNegativeTiming: the QPI latency, the one timing
+// field, must be nonnegative.
 func TestValidateRejectsNegativeTiming(t *testing.T) {
-	cases := []struct {
-		name  string
-		field func(*Params) *sim.Duration
-	}{
-		{"DRAMLatencyOwn", func(p *Params) *sim.Duration { return &p.DRAMLatencyOwn }},
-		{"DRAMLatencyCross", func(p *Params) *sim.Duration { return &p.DRAMLatencyCross }},
-		{"SeqReadOpCost", func(p *Params) *sim.Duration { return &p.SeqReadOpCost }},
-		{"SeqWriteOpCost", func(p *Params) *sim.Duration { return &p.SeqWriteOpCost }},
-		{"RandWriteLatencyOwn", func(p *Params) *sim.Duration { return &p.RandWriteLatencyOwn }},
-		{"RandWriteLatencyCross", func(p *Params) *sim.Duration { return &p.RandWriteLatencyCross }},
-		{"AtomicHit", func(p *Params) *sim.Duration { return &p.AtomicHit }},
-		{"AtomicBounce", func(p *Params) *sim.Duration { return &p.AtomicBounce }},
-		{"QPILatency", func(p *Params) *sim.Duration { return &p.QPILatency }},
-		{"MemcpyOpCost", func(p *Params) *sim.Duration { return &p.MemcpyOpCost }},
-		{"SyscallCost", func(p *Params) *sim.Duration { return &p.SyscallCost }},
+	p := DefaultParams()
+	p.QPILatency = -5
+	want := "topo: QPILatency must be nonnegative, got -5"
+	if err := p.Validate(); err == nil || err.Error() != want {
+		t.Errorf("QPILatency = -5: Validate() = %v, want %q", err, want)
 	}
-	for _, c := range cases {
-		p := DefaultParams()
-		*c.field(&p) = -5
-		want := "topo: " + c.name + " must be nonnegative, got -5"
-		if err := p.Validate(); err == nil || err.Error() != want {
-			t.Errorf("%s = -5: Validate() = %v, want %q", c.name, err, want)
-		}
-		*c.field(&p) = 0
-		if err := p.Validate(); err != nil {
-			t.Errorf("%s = 0: Validate() = %v, want nil", c.name, err)
-		}
+	p.QPILatency = 0
+	if err := p.Validate(); err != nil {
+		t.Errorf("QPILatency = 0: Validate() = %v, want nil", err)
 	}
 }
 
@@ -84,8 +61,8 @@ func TestSequentialRandomWriteRatios(t *testing.T) {
 // Table II: cross-socket latency ~162ns vs 92ns, bandwidth 2.27 vs 3.70 GB/s.
 func TestTableIINumbers(t *testing.T) {
 	p := DefaultParams()
-	if p.DRAMLatencyOwn != 92 || p.DRAMLatencyCross != 162 {
-		t.Errorf("latencies %d/%d, want 92/162", p.DRAMLatencyOwn, p.DRAMLatencyCross)
+	if dramLatencyOwn != 92 || dramLatencyCross != 162 {
+		t.Errorf("latencies %d/%d, want 92/162", dramLatencyOwn, dramLatencyCross)
 	}
 	own := p.LocalAccessTime(Read, Rand, 0, false)
 	cross := p.LocalAccessTime(Read, Rand, 0, true)
@@ -101,26 +78,31 @@ func TestSequentialIsBandwidthBoundAtLargeSizes(t *testing.T) {
 	if large <= small {
 		t.Errorf("8KB seq read (%v) should cost more than 8B (%v)", large, small)
 	}
-	want := sim.TransferTime(8192, p.SeqReadStreamBW)
+	want := sim.TransferTime(8192, seqReadStreamBW)
 	if large != want {
 		t.Errorf("8KB seq read = %v, want bandwidth-bound %v", large, want)
 	}
 }
 
+// LocalAccessTime charges no QPI transfer to a cross-socket stream, which is
+// exact only while both streams run below QPIBandwidth.
 func TestCrossSocketSequentialCapsAtQPI(t *testing.T) {
+	if seqReadStreamBW >= QPIBandwidth || seqWriteStreamBW >= QPIBandwidth {
+		t.Fatalf("sequential streams %.3g/%.3g B/s reach QPI's %.3g B/s", seqReadStreamBW, seqWriteStreamBW, QPIBandwidth)
+	}
 	p := DefaultParams()
-	p.SeqReadStreamBW = 100e9 // faster than QPI
-	cross := p.LocalAccessTime(Read, Seq, 1<<20, true)
-	want := sim.TransferTime(1<<20, p.QPIBandwidth)
-	if cross != want {
-		t.Errorf("cross seq read = %v, want QPI-bound %v", cross, want)
+	for _, op := range []AccessOp{Read, Write} {
+		cross := p.LocalAccessTime(op, Seq, 1<<20, true)
+		if floor := sim.TransferTime(1<<20, QPIBandwidth); cross <= floor {
+			t.Errorf("cross seq %v = %v, faster than QPI's %v", op, cross, floor)
+		}
 	}
 }
 
 func TestNegativeSizeTreatedAsZero(t *testing.T) {
 	p := DefaultParams()
-	if got := p.LocalAccessTime(Read, Rand, -5, false); got != p.DRAMLatencyOwn {
-		t.Errorf("negative size: got %v, want %v", got, p.DRAMLatencyOwn)
+	if got := p.LocalAccessTime(Read, Rand, -5, false); got != dramLatencyOwn {
+		t.Errorf("negative size: got %v, want %v", got, dramLatencyOwn)
 	}
 }
 
@@ -131,8 +113,8 @@ func TestMemcpyTime(t *testing.T) {
 	if cross <= same {
 		t.Errorf("cross-socket memcpy (%v) should exceed same-socket (%v)", cross, same)
 	}
-	if got := p.MemcpyTime(0, false); got != p.MemcpyOpCost {
-		t.Errorf("zero-byte memcpy = %v, want op cost %v", got, p.MemcpyOpCost)
+	if got := p.MemcpyTime(0, false); got != memcpyOpCost {
+		t.Errorf("zero-byte memcpy = %v, want op cost %v", got, memcpyOpCost)
 	}
 }
 

@@ -35,6 +35,7 @@
 package txn
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -132,9 +133,9 @@ func NewStore(m *cluster.Machine, cfg Config) (*Store, error) {
 	zero := make([]byte, cfg.ValueSize)
 	buf := make([]byte, cfg.entrySize())
 	for k := uint64(0); k < cfg.KeySpace; k++ {
-		putU64(buf[0:], k)
-		putU64(buf[8:], 0)
-		putU64(buf[16:], checksum(k, 0, zero))
+		binary.LittleEndian.PutUint64(buf[0:], k)
+		binary.LittleEndian.PutUint64(buf[8:], 0)
+		binary.LittleEndian.PutUint64(buf[16:], checksum(k, 0, zero))
 		copy(buf[24:], zero)
 		mr, addr := s.entryLocation(k)
 		copy(mr.Region().Bytes()[addr-mr.Addr():], buf)
@@ -171,11 +172,11 @@ func (s *Store) Entry(key uint64) (version uint64, value []byte, consistent bool
 	if err := s.Machine().Space().ReadAt(addr, buf); err != nil {
 		return 0, nil, false, err
 	}
-	version = getU64(buf[8:])
+	version = binary.LittleEndian.Uint64(buf[8:])
 	value = buf[24:]
-	consistent = getU64(buf[0:]) == key%s.cfg.KeySpace &&
+	consistent = binary.LittleEndian.Uint64(buf[0:]) == key%s.cfg.KeySpace &&
 		version%2 == 0 &&
-		getU64(buf[16:]) == checksum(key%s.cfg.KeySpace, version, value)
+		binary.LittleEndian.Uint64(buf[16:]) == checksum(key%s.cfg.KeySpace, version, value)
 	return version, value, consistent, nil
 }
 
@@ -389,14 +390,14 @@ func (t *Txn) Get(key uint64, out []byte) error {
 	if len(out) != c.cfg.ValueSize {
 		return fmt.Errorf("txn: out size %d, want %d", len(out), c.cfg.ValueSize)
 	}
+	k := key % c.cfg.KeySpace
 	// Read-your-own-writes: a staged intent wins over the remote entry.
 	for i := range t.writes {
-		if t.writes[i].key == key {
+		if t.writes[i].key == k {
 			copy(out, c.scratch.Region().Bytes()[t.writes[i].off+24:t.writes[i].off+24+c.cfg.ValueSize])
 			return nil
 		}
 	}
-	k := key % c.cfg.KeySpace
 	mr, addr := c.store.entryLocation(k)
 	qp := c.qps[int(k%uint64(len(c.store.tables)))]
 	es := c.cfg.entrySize()
@@ -418,8 +419,8 @@ func (t *Txn) Get(key uint64, out []byte) error {
 			return fmt.Errorf("txn: optimistic read of key %d: %w", key, err)
 		}
 		t.now = comp.Done
-		ver := getU64(buf[8:])
-		if getU64(buf[0:]) == k && ver%2 == 0 && getU64(buf[16:]) == checksum(k, ver, buf[24:]) {
+		ver := binary.LittleEndian.Uint64(buf[8:])
+		if binary.LittleEndian.Uint64(buf[0:]) == k && ver%2 == 0 && binary.LittleEndian.Uint64(buf[16:]) == checksum(k, ver, buf[24:]) {
 			copy(out, buf[24:])
 			if len(t.reads) < cap(t.reads) {
 				t.reads = append(t.reads, readRec{key: k, ver: ver})
@@ -457,7 +458,7 @@ func (t *Txn) Put(key uint64, value []byte) error {
 			copy(c.scratch.Region().Bytes()[t.writes[i].off+24:], value)
 			off := t.writes[i].off
 			buf := c.scratch.Region().Bytes()[off : off+es]
-			putU64(buf[16:], checksum(k, t.writes[i].ver+2, value))
+			binary.LittleEndian.PutUint64(buf[16:], checksum(k, t.writes[i].ver+2, value))
 			return nil
 		}
 	}
@@ -477,9 +478,9 @@ func (t *Txn) Put(key uint64, value []byte) error {
 	}
 	off := readOff + c.cfg.entrySize() + len(t.writes)*es
 	buf := c.scratch.Region().Bytes()[off : off+es]
-	putU64(buf[0:], k)
-	putU64(buf[8:], ver+2)
-	putU64(buf[16:], checksum(k, ver+2, value))
+	binary.LittleEndian.PutUint64(buf[0:], k)
+	binary.LittleEndian.PutUint64(buf[8:], ver+2)
+	binary.LittleEndian.PutUint64(buf[16:], checksum(k, ver+2, value))
 	copy(buf[24:], value)
 	t.writes = append(t.writes, writeIntent{key: k, ver: ver, off: off})
 	return nil
@@ -528,9 +529,9 @@ func (t *Txn) Commit() (sim.Time, error) {
 	for i := range t.writes {
 		w := &t.writes[i]
 		rb := bufs[i]
-		putU64(rb[0:], uint64(c.id))
-		putU64(rb[8:], w.key)
-		putU64(rb[16:], w.ver+2)
+		binary.LittleEndian.PutUint64(rb[0:], uint64(c.id))
+		binary.LittleEndian.PutUint64(rb[8:], w.key)
+		binary.LittleEndian.PutUint64(rb[16:], w.ver+2)
 		copy(rb[24:], c.scratch.Region().Bytes()[w.off+24:w.off+24+c.cfg.ValueSize])
 	}
 	_, done, err := c.redo.AppendPayload(t.now, bufs)
@@ -671,18 +672,4 @@ func checksum(key, version uint64, value []byte) uint64 {
 		h *= prime64
 	}
 	return h
-}
-
-func putU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func getU64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
 }

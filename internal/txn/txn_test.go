@@ -7,6 +7,7 @@ package txn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strings"
@@ -64,9 +65,9 @@ func bumpVersion(s *Store, key uint64, by uint64, scratch []byte) error {
 	if err := sp.ReadAt(addr, scratch); err != nil {
 		return err
 	}
-	ver := getU64(scratch[8:]) + by
-	putU64(scratch[8:], ver)
-	putU64(scratch[16:], checksum(key%s.cfg.KeySpace, ver, scratch[24:]))
+	ver := binary.LittleEndian.Uint64(scratch[8:]) + by
+	binary.LittleEndian.PutUint64(scratch[8:], ver)
+	binary.LittleEndian.PutUint64(scratch[16:], checksum(key%s.cfg.KeySpace, ver, scratch[24:]))
 	return sp.WriteAt(addr, scratch)
 }
 
@@ -112,7 +113,7 @@ func TestCommitRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if getU64(rec[8:]) != 5 || getU64(rec[16:]) != 2 || !bytes.Equal(rec[24:24+32], val) {
+	if binary.LittleEndian.Uint64(rec[8:]) != 5 || binary.LittleEndian.Uint64(rec[16:]) != 2 || !bytes.Equal(rec[24:24+32], val) {
 		t.Fatal("redo record does not describe the committed write")
 	}
 	if st := c.Stats(); st.Commits != 1 || st.Aborts != 0 || st.Retries != 0 {
@@ -182,6 +183,38 @@ func TestMultiKeyAndReadYourOwnWrites(t *testing.T) {
 	}
 }
 
+// Regression: Get reduces the key mod KeySpace before the
+// read-your-own-writes check, as Put does when it stages the intent. Before,
+// Get, Put, Get of 5+KeySpace missed the staged write and re-read the
+// remote entry.
+func TestReadYourOwnWritesReducesModKeySpace(t *testing.T) {
+	cl := testCluster(t, 0, nil, nil)
+	s := mustStore(t, cl, 0, Config{KeySpace: 64, ValueSize: 16})
+	c := mustClient(t, 0, cl, 1, s)
+	val := make([]byte, 16)
+	workload.FillValue(val, 5)
+	buf := make([]byte, 16)
+	key := 5 + s.Config().KeySpace
+	_, err := c.Run(0, func(tx *Txn) error {
+		if err := tx.Get(key, buf); err != nil {
+			return err
+		}
+		if err := tx.Put(key, val); err != nil {
+			return err
+		}
+		if err := tx.Get(key, buf); err != nil {
+			return err
+		}
+		if !bytes.Equal(buf, val) {
+			return fmt.Errorf("Get(5+KeySpace) missed the staged write")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestValidationErrors(t *testing.T) {
 	cl := testCluster(t, 0, nil, nil)
 	if _, err := NewStore(cl.Machine(0), Config{KeySpace: 0, ValueSize: 8}); err == nil {
@@ -235,7 +268,7 @@ func TestTornReadRetriesThenFails(t *testing.T) {
 	// that never finishes would.
 	_, addr := s.entryLocation(4)
 	lock := make([]byte, 8)
-	putU64(lock, 1)
+	binary.LittleEndian.PutUint64(lock, 1)
 	if err := s.Machine().Space().WriteAt(addr+8, lock); err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +287,7 @@ func TestTornReadRetriesThenFails(t *testing.T) {
 	}
 
 	// Release the lock: the next read validates immediately.
-	putU64(lock, 0)
+	binary.LittleEndian.PutUint64(lock, 0)
 	if err := s.Machine().Space().WriteAt(addr+8, lock); err != nil {
 		t.Fatal(err)
 	}

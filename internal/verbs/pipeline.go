@@ -36,7 +36,6 @@ type qpRoute struct {
 	machine    *cluster.Machine
 	nic        *rnic.NIC
 	port       *rnic.Port
-	params     *rnic.Params // the NIC's configuration, read in place
 	fab        *fabric.Fabric
 	ep         *fabric.Endpoint // the port's fabric endpoint
 	qpi        *sim.Pipe
@@ -53,7 +52,6 @@ func newRoute(ctx *Context, port int) *qpRoute {
 		machine:    m,
 		nic:        m.NIC(),
 		port:       m.NIC().Port(port),
-		params:     m.NIC().Params(),
 		fab:        m.Fabric(),
 		ep:         m.Endpoint(port),
 		qpi:        m.QPI(),
@@ -464,7 +462,6 @@ func flushWR(src *qpState, at sim.Time, wr *SendWR) Completion {
 func executeOne(src, dst *qpState, t sim.Time, wr *SendWR) (Completion, bool, error) {
 	r := src.route
 	nic := r.nic
-	p := r.params
 	total := wr.TotalLength()
 	ud := src.transport == UD
 
@@ -526,15 +523,15 @@ func executeOne(src, dst *qpState, t sim.Time, wr *SendWR) (Completion, bool, er
 	var qpSvc, exSvc sim.Duration
 	switch {
 	case ud:
-		qpSvc, exSvc = p.QPWrite*3/4, p.ExecSend
+		qpSvc, exSvc = rnic.QPWrite*3/4, rnic.ExecSend
 	case wr.Opcode == OpWrite:
-		qpSvc, exSvc = p.QPWrite, p.ExecWrite
+		qpSvc, exSvc = rnic.QPWrite, rnic.ExecWrite
 	case wr.Opcode == OpRead:
-		qpSvc, exSvc = p.QPRead, p.ExecRead
+		qpSvc, exSvc = rnic.QPRead, rnic.ExecRead
 	case wr.Opcode == OpSend:
-		qpSvc, exSvc = p.QPWrite, p.ExecSend
+		qpSvc, exSvc = rnic.QPWrite, rnic.ExecSend
 	default: // atomics share the read-style request pipeline
-		qpSvc, exSvc = p.QPWrite, p.ExecRead
+		qpSvc, exSvc = rnic.QPWrite, rnic.ExecRead
 	}
 	t = src.send.pipeline.Delay(t+meta.Latency, qpSvc+numaSvc)
 	src.observe(StagePipelined, t)
@@ -592,7 +589,7 @@ func executeOne(src, dst *qpState, t sim.Time, wr *SendWR) (Completion, bool, er
 func deliverDatagram(src, dst *qpState, arrive sim.Time, wr *SendWR, total int) (sim.Time, bool, error) {
 	r := dst.route
 	rmeta := r.nic.TouchQP(uint64(dst.id))
-	rt := r.port.Execute(arrive+rmeta.Latency, r.params.RespWrite, rmeta.Service)
+	rt := r.port.Execute(arrive+rmeta.Latency, rnic.RespWrite, rmeta.Service)
 	if dst.recvEmpty() {
 		return rt, true, nil
 	}

@@ -447,7 +447,7 @@ type response struct {
 // the caller, because it can be lost.
 func executeResponder(src, dst *qpState, arrive sim.Time, wr *SendWR, total int) (response, error) {
 	r := dst.route
-	rnicDev, rport, rp := r.nic, r.port, r.params
+	rnicDev, rport := r.nic, r.port
 
 	// Responder metadata: the peer QP context plus the target MR/pages.
 	meta := rnicDev.TouchQP(uint64(dst.id))
@@ -473,7 +473,7 @@ func executeResponder(src, dst *qpState, arrive sim.Time, wr *SendWR, total int)
 
 	switch wr.Opcode {
 	case OpWrite:
-		t := rport.Execute(arrive+meta.Latency, rp.RespWrite, meta.Service)
+		t := rport.Execute(arrive+meta.Latency, rnic.RespWrite, meta.Service)
 		// The ACK leaves once the NIC has accepted the payload; the DMA to
 		// host memory still occupies the PCIe/QPI pipes (contention) but
 		// completes asynchronously with respect to the requester. A
@@ -485,15 +485,15 @@ func executeResponder(src, dst *qpState, arrive sim.Time, wr *SendWR, total int)
 	case OpRead:
 		// Translation-miss handling overlaps the long host DMA read on the
 		// response path, so only half the miss occupancy hits the engine.
-		t := rport.Execute(arrive+meta.Latency, rp.RespRead, meta.Service/2)
+		t := rport.Execute(arrive+meta.Latency, rnic.RespRead, meta.Service/2)
 		// DMA read from host DRAM: high latency, pipelined occupancy.
-		t = rnicDev.GatherDMA(t, []int{total}, cross, r.qpi, r.qpiLatency) + rp.PCIeReadLatency
+		t = rnicDev.GatherDMA(t, []int{total}, cross, r.qpi, r.qpiLatency) + rnic.PCIeReadLatency
 		return response{at: t, mr: rmr}, nil
 
 	case OpCompSwap, OpFetchAdd:
 		t := rport.ExecuteAtomic(arrive + meta.Latency)
 		// Locked PCIe read-modify-write against host memory.
-		t = rnicDev.GatherDMA(t, []int{8}, cross, r.qpi, r.qpiLatency) + rp.PCIeReadLatency
+		t = rnicDev.GatherDMA(t, []int{8}, cross, r.qpi, r.qpiLatency) + rnic.PCIeReadLatency
 		rnicDev.ScatterDMA(t, []int{8}, cross, r.qpi, r.qpiLatency)
 		old, err := applyAtomic(rmr, wr)
 		return response{at: t, old: old}, err
@@ -507,7 +507,7 @@ func executeResponder(src, dst *qpState, arrive sim.Time, wr *SendWR, total int)
 			// the request. An exhausted SRQ is the same receiver-not-ready
 			// condition as an empty per-QP receive queue: RC backs off and
 			// retries, it never drops.
-			t := rport.Execute(arrive+meta.Latency, rp.RespWrite, meta.Service)
+			t := rport.Execute(arrive+meta.Latency, rnic.RespWrite, meta.Service)
 			return response{at: t, rnr: true}, nil
 		}
 		recv := dst.frontRecv()
@@ -515,7 +515,7 @@ func executeResponder(src, dst *qpState, arrive sim.Time, wr *SendWR, total int)
 			return response{}, fmt.Errorf("%w: receive buffer %d < payload %d", ErrBadSGL, recv.SGE.Length, total)
 		}
 		dst.popRecv()
-		t := rport.Execute(arrive+meta.Latency, rp.RespWrite, meta.Service)
+		t := rport.Execute(arrive+meta.Latency, rnic.RespWrite, meta.Service)
 		rcross := 0
 		if recv.SGE.MR.region.Socket() != r.socket {
 			rcross = 1
