@@ -29,7 +29,7 @@ func BenchmarkExperiments(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				report.Render(io.Discard)
+				report.RenderFormat(io.Discard, "text")
 			}
 		})
 	}

@@ -16,6 +16,7 @@ package hashtable
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -53,10 +54,17 @@ type Config struct {
 	Level     Level
 	KeySpace  uint64 // number of key slots
 	ValueSize int    // bytes per value
-	Theta     int    // consolidation threshold for hot blocks (Reorder)
-	BlockBits uint   // log2 entries per hot block (paper: 2^t entries)
+	Theta     int    // consolidation threshold for hot blocks (Reorder); 0 means 1
+	BlockBits uint   // log2 entries per hot block (paper: 2^t entries); 0 means 4, at most maxBlockBits
 	HotKeys   []uint64
 }
+
+// ErrBadConfig reports a Config the back-end cannot lay out.
+var ErrBadConfig = errors.New("hashtable: bad configuration")
+
+// maxBlockBits caps a hot block at 2^30 entries, so a block's entry count
+// and byte size stay positive ints.
+const maxBlockBits = 30
 
 // entrySize is the on-table layout: 8B key, 8B version, then the value.
 func (c Config) entrySize() int { return 16 + c.ValueSize }
@@ -84,9 +92,13 @@ type hotSlot struct {
 // NewBackend lays the table out on the given machine.
 func NewBackend(m *cluster.Machine, cfg Config) (*Backend, error) {
 	if cfg.KeySpace == 0 || cfg.ValueSize <= 0 {
-		return nil, fmt.Errorf("hashtable: key space and value size must be positive")
+		return nil, fmt.Errorf("%w: key space and value size must be positive", ErrBadConfig)
 	}
-	if cfg.Theta <= 0 {
+	if cfg.Theta < 0 || cfg.BlockBits > maxBlockBits {
+		return nil, fmt.Errorf("%w: theta %d must not be negative and block bits %d at most %d",
+			ErrBadConfig, cfg.Theta, cfg.BlockBits, maxBlockBits)
+	}
+	if cfg.Theta == 0 {
 		cfg.Theta = 1
 	}
 	if cfg.BlockBits == 0 {
@@ -146,9 +158,6 @@ func NewBackend(m *cluster.Machine, cfg Config) (*Backend, error) {
 	}
 	return b, nil
 }
-
-// Context returns the back-end's verbs context.
-func (b *Backend) Context() *verbs.Context { return b.ctx }
 
 // Machine returns the back-end host.
 func (b *Backend) Machine() *cluster.Machine { return b.ctx.Machine() }
@@ -217,14 +226,12 @@ type FrontEnd struct {
 
 	// Reorder-level state: one consolidator per backend socket (hot blocks
 	// are distributed round-robin over the backend's per-socket hot MRs).
-	cons      []*core.Consolidator
-	consMRs   []*verbs.MR
-	locks     []*core.RemoteLock
-	entryTmp  []byte
-	readTmp   []byte      // Get staging: reused so the hot path stays alloc-free
-	coldSGL   []verbs.SGE // the cold Get or Put SGE, reused per op
-	hotHits   int64
-	coldPaths int64
+	cons     []*core.Consolidator
+	consMRs  []*verbs.MR
+	locks    []*core.RemoteLock
+	entryTmp []byte
+	readTmp  []byte      // Get staging: reused so the hot path stays alloc-free
+	coldSGL  []verbs.SGE // the cold Get or Put SGE, reused per op
 
 	// Cold-path versioning: a per-front-end epoch reserved in bulk with one
 	// remote fetch-and-add per epochSpan writes. A per-entry FAA (the
@@ -389,7 +396,6 @@ func (f *FrontEnd) Put(now sim.Time, key uint64, value []byte) (sim.Time, error)
 // putHot buffers the entry in the block shadow; every θ-th modification of a
 // block flushes it under the block's remote lock.
 func (f *FrontEnd) putHot(now sim.Time, hs hotSlot, key uint64, value []byte) (sim.Time, error) {
-	f.hotHits++
 	entry := f.buildEntry(key, 0, value)
 	s, off := f.hotOffset(hs)
 	return f.cons[s].Write(now, off, entry)
@@ -409,7 +415,6 @@ func (f *FrontEnd) hotOffset(hs hotSlot) (int, int) {
 // fetch-and-add amortized over epochSpan writes), then write the versioned
 // entry.
 func (f *FrontEnd) putCold(now sim.Time, key uint64, value []byte) (sim.Time, error) {
-	f.coldPaths++
 	b := f.backend
 	t := now
 	if f.epochLeft == 0 {
@@ -481,6 +486,3 @@ func (f *FrontEnd) Flush(now sim.Time) (sim.Time, error) {
 	}
 	return done, nil
 }
-
-// Stats reports the hot/cold path split.
-func (f *FrontEnd) Stats() (hot, cold int64) { return f.hotHits, f.coldPaths }

@@ -127,9 +127,18 @@ func TestColdPutVersioning(t *testing.T) {
 	if vb[0] != 1 {
 		t.Fatalf("epoch counter=%d, want 1 (amortized FAA)", vb[0])
 	}
-	_, cold := fe.Stats()
-	if cold != 3 {
-		t.Fatalf("cold paths=%d, want 3", cold)
+}
+
+// coldSlotEmpty fails the test if a put of key reached its cold slot: a key
+// on the hot path leaves the slot's value zero.
+func coldSlotEmpty(t *testing.T, b *Backend, key uint64) {
+	t.Helper()
+	out := make([]byte, 64)
+	if err := b.ReadCold(key, out); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out, make([]byte, 64)) {
+		t.Fatalf("key %d took the cold path", key)
 	}
 }
 
@@ -177,9 +186,8 @@ func TestHotPutConsolidates(t *testing.T) {
 			t.Fatalf("hot key %d not durable after flush", k)
 		}
 	}
-	hotHits, cold := fe.Stats()
-	if hotHits != 4 || cold != 0 {
-		t.Fatalf("stats hot=%d cold=%d", hotHits, cold)
+	for _, k := range hot[:4] {
+		coldSlotEmpty(t, b, k)
 	}
 }
 
@@ -255,9 +263,7 @@ func TestHotKeyReducesModKeySpace(t *testing.T) {
 	if !bytes.Equal(out, val) {
 		t.Fatal("Get(10) missed the value Put under 10+KeySpace")
 	}
-	if hot, cold := fe.Stats(); hot != 1 || cold != 0 {
-		t.Fatalf("stats hot=%d cold=%d, want the aliased put on the hot path", hot, cold)
-	}
+	coldSlotEmpty(t, b, 10)
 }
 
 func TestValueSizeValidation(t *testing.T) {
@@ -278,6 +284,35 @@ func TestValueSizeValidation(t *testing.T) {
 	}
 	if err := b.ReadHot(999, make([]byte, 64)); err == nil {
 		t.Fatal("ReadHot of a cold key must fail")
+	}
+}
+
+// Regression: a BlockBits past 30 used to panic with an integer divide by
+// zero (64) or fail inside the allocator (63), and a negative Theta silently
+// became 1. Both are configuration errors now; 0 still picks the default.
+func TestNewBackendRejectsBadConfig(t *testing.T) {
+	cl := newCluster(t, 2)
+	for name, mut := range map[string]func(*Config){
+		"block bits 64": func(c *Config) { c.BlockBits = 64 },
+		"block bits 63": func(c *Config) { c.BlockBits = 63 },
+		"block bits 31": func(c *Config) { c.BlockBits = 31 },
+		"theta -1":      func(c *Config) { c.Theta = -1 },
+		"key space 0":   func(c *Config) { c.KeySpace = 0 },
+	} {
+		cfg := defaultConfig(Reorder, []uint64{1, 2, 3})
+		mut(&cfg)
+		if _, err := NewBackend(cl.Machine(0), cfg); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("%s: %v, want ErrBadConfig", name, err)
+		}
+	}
+	cfg := defaultConfig(Reorder, []uint64{1, 2, 3})
+	cfg.Theta, cfg.BlockBits = 0, 0
+	b, err := NewBackend(cl.Machine(0), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.cfg.Theta != 1 || b.cfg.BlockBits != 4 {
+		t.Fatalf("defaults theta %d, block bits %d; want 1 and 4", b.cfg.Theta, b.cfg.BlockBits)
 	}
 }
 

@@ -360,12 +360,6 @@ func (ex *Executor) Stats() (entries, flushes int64, cpu sim.Duration) {
 	return ex.entries, ex.flushes, ex.cpu
 }
 
-// ReceivedCount reads the stage-sync arrival counter for a given source:
-// the entries its Process flushes announced.
-func (ex *Executor) ReceivedCount(src int) uint64 {
-	return binary.LittleEndian.Uint64(ex.counters.Region().Bytes()[src*8:])
-}
-
 // Received returns the entries src has landed in my ring slice, in landing
 // order, as the ring's own bytes.
 func (ex *Executor) Received(src int) []byte {

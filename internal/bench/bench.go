@@ -41,9 +41,6 @@ type Report struct {
 	Metrics telemetry.Snapshot
 }
 
-// Render prints all figures and tables of the report as aligned text.
-func (r *Report) Render(w io.Writer) { r.RenderFormat(w, "text") }
-
 // RenderFormat prints the report in the given format: "text" (aligned
 // columns), "csv", or "chart" (ASCII scatter for a quick shape check).
 func (r *Report) RenderFormat(w io.Writer, format string) {

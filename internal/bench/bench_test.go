@@ -93,7 +93,7 @@ func TestFastExperimentsSmoke(t *testing.T) {
 			t.Fatalf("%s: %v", id, err)
 		}
 		var b strings.Builder
-		r.Render(&b)
+		r.RenderFormat(&b, "text")
 		if len(b.String()) < 100 {
 			t.Errorf("%s: suspiciously short output", id)
 		}

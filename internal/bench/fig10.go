@@ -92,7 +92,7 @@ func localLockMOPS(n int, h sim.Duration) (float64, error) {
 	line := core.NewLocalLockLine()
 	var clients []*sim.Client
 	for i := 0; i < n; i++ {
-		lock := core.NewLocalLock(state, line, i, nil)
+		lock := core.NewLocalLock(state, line, i)
 		clients = append(clients, &sim.Client{
 			PostCost: 4,
 			Window:   1,
@@ -112,7 +112,7 @@ func rpcLockMOPS(r *run, n int, h sim.Duration) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	srv, err := core.NewRPCServer(lc.home, lc.homeMR, 750)
+	srv, err := core.NewRPCServer(lc.home, lc.homeMR)
 	if err != nil {
 		return 0, err
 	}
@@ -234,13 +234,13 @@ func rpcSequencerMOPS(r *run, n int, ud bool, h sim.Duration) (float64, error) {
 	}
 	var newCaller func(i int) (core.Caller, error)
 	if ud {
-		srv, err := core.NewUDRPCServer(lc.home, 1, lc.homeMR, 750)
+		srv, err := core.NewUDRPCServer(lc.home, 1, lc.homeMR)
 		if err != nil {
 			return 0, err
 		}
 		newCaller = func(i int) (core.Caller, error) { return srv.NewUDRPCClient(lc.ctxs[i], 1, lc.scrs[i]) }
 	} else {
-		srv, err := core.NewRPCServer(lc.home, lc.homeMR, 750)
+		srv, err := core.NewRPCServer(lc.home, lc.homeMR)
 		if err != nil {
 			return 0, err
 		}

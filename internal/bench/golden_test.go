@@ -88,7 +88,7 @@ func TestGoldenOutputs(t *testing.T) {
 			t.Parallel()
 			rep := goldenReport(t, id)
 			var buf bytes.Buffer
-			rep.Render(&buf)
+			rep.RenderFormat(&buf, "text")
 			if buf.Len() == 0 {
 				t.Fatal("experiment rendered nothing")
 			}

@@ -211,7 +211,7 @@ func TestReportIgnoresRecycledMemory(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		report.Render(&buf)
+		report.RenderFormat(&buf, "text")
 		return buf.String()
 	}
 	render()
@@ -244,7 +244,7 @@ func TestHarnessDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		report.Render(&buf)
+		report.RenderFormat(&buf, "text")
 		return buf.String()
 	}
 	for _, id := range []string{"fig3", "fig12"} {

@@ -44,7 +44,7 @@ func TestTelemetryPassiveAcrossAllExperiments(t *testing.T) {
 				fed.Store(true)
 			}
 			var buf bytes.Buffer
-			rep.Render(&buf)
+			rep.RenderFormat(&buf, "text")
 			want, err := os.ReadFile(filepath.Join("testdata", "golden", id+".txt"))
 			if err != nil {
 				t.Fatalf("missing golden: %v", err)
@@ -143,7 +143,7 @@ func TestConcurrentRunsAreIsolated(t *testing.T) {
 		t.Fatal(lossyErr, plainErr)
 	}
 	var buf bytes.Buffer
-	plain.Render(&buf)
+	plain.RenderFormat(&buf, "text")
 	want, err := os.ReadFile(filepath.Join("testdata", "golden", "fig3.txt"))
 	if err != nil {
 		t.Fatal(err)

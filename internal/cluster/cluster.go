@@ -73,7 +73,6 @@ type Machine struct {
 
 // Cluster is a set of machines sharing one switch.
 type Cluster struct {
-	cfg      Config
 	machines []*Machine
 	fab      *fabric.Fabric
 	qpSeq    uint64 // last QP number handed out on this cluster
@@ -91,7 +90,7 @@ func New(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{cfg: cfg, fab: fab}
+	c := &Cluster{fab: fab}
 	var tlPID int64
 	if cfg.Timeline != nil {
 		tlPID = cfg.Timeline.NewGroup("cluster")
@@ -223,9 +222,6 @@ func (c *Cluster) Release() {
 	}
 }
 
-// Config returns the cluster configuration.
-func (c *Cluster) Config() Config { return c.cfg }
-
 // Size returns the number of machines.
 func (c *Cluster) Size() int { return len(c.machines) }
 
@@ -236,12 +232,6 @@ func (c *Cluster) Machine(i int) *Machine {
 	}
 	return c.machines[i]
 }
-
-// Fabric returns the shared switch fabric.
-func (c *Cluster) Fabric() *fabric.Fabric { return c.fab }
-
-// ID returns the machine's index within its cluster.
-func (m *Machine) ID() int { return m.id }
 
 // Label returns the machine's telemetry label, e.g. "m0".
 func (m *Machine) Label() string { return fmt.Sprintf("m%d", m.id) }

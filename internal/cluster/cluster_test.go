@@ -103,13 +103,13 @@ func TestMachineAccessorsAndPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Machine(3).ID() != 3 {
-		t.Fatal("machine id mismatch")
+	if c.Machine(3).Label() != "m3" {
+		t.Fatal("machine label mismatch")
 	}
 	if c.Size() != 8 {
 		t.Fatal("cluster size")
 	}
-	if c.Machine(0).Fabric() != c.Fabric() {
+	if c.Machine(0).Fabric() != c.Machine(7).Fabric() {
 		t.Fatal("machine must reference the shared fabric")
 	}
 	for _, fn := range []func(){

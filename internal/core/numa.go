@@ -26,13 +26,6 @@ const (
 	Matched
 )
 
-func (m Mode) String() string {
-	if m == Basic {
-		return "basic"
-	}
-	return "matched+proxy"
-}
-
 // Engine is the NUMA-aware connection manager of one machine: it owns the
 // QPs toward every peer and routes each request over the QP whose port
 // matches the remote memory's socket, inserting the proxy-socket hop when

@@ -72,8 +72,8 @@ func TestEngineQPCounts(t *testing.T) {
 }
 
 func TestEngineWriteMovesDataAllModes(t *testing.T) {
-	for _, m := range []Mode{Basic, Matched} {
-		t.Run(m.String(), func(t *testing.T) {
+	for name, m := range map[string]Mode{"basic": Basic, "matched+proxy": Matched} {
+		t.Run(name, func(t *testing.T) {
 			e := newNumaEnv(t)
 			eng := e.get(t, m)
 			copy(e.scrMR.Region().Bytes(), "numa-routed")

@@ -18,25 +18,18 @@ type LockState struct {
 	holder       int
 	lastHolder   int // most recent holder (cache-line residency)
 	participants int // registered local handles (coherence-storm scaling)
-	acquires     int64
-	conflicts    int64
 }
 
 // NewLockState returns an unlocked lock.
 func NewLockState() *LockState { return &LockState{holder: -1, lastHolder: -1} }
-
-// Contention reports failed-over-total CAS attempts.
-func (s *LockState) Contention() (acquires, conflicts int64) { return s.acquires, s.conflicts }
 
 // tryAt attempts to take the lock at virtual time t.
 func (s *LockState) tryAt(t sim.Time, who int) bool {
 	if s.freeAt <= t {
 		s.freeAt = sim.MaxTime
 		s.holder = who
-		s.acquires++
 		return true
 	}
-	s.conflicts++
 	return false
 }
 
@@ -147,10 +140,9 @@ func (l *RemoteLock) Release(now sim.Time) (sim.Time, error) {
 // LocalLock is the GCC __sync_compare_and_swap baseline: all threads bounce
 // one cache line.
 type LocalLock struct {
-	state   *LockState
-	line    *sim.Resource // the contended cache line
-	id      int
-	backoff *sim.Backoff
+	state *LockState
+	line  *sim.Resource // the contended cache line
+	id    int
 }
 
 // NewLocalLockLine creates the shared cache-line resource for a lock word.
@@ -160,9 +152,9 @@ func NewLocalLockLine() *sim.Resource { return sim.NewResource("local-lock/line"
 // handle registers as a participant: every spinning thread's failed CAS
 // invalidates the line in all others, so the line-transfer cost under
 // contention grows with the number of spinners.
-func NewLocalLock(state *LockState, line *sim.Resource, threadID int, backoff *sim.Backoff) *LocalLock {
+func NewLocalLock(state *LockState, line *sim.Resource, threadID int) *LocalLock {
 	state.participants++
-	return &LocalLock{state: state, line: line, id: threadID, backoff: backoff}
+	return &LocalLock{state: state, line: line, id: threadID}
 }
 
 // Acquire spins on the cache line until the lock is held. Each probe's cost
@@ -171,10 +163,6 @@ func NewLocalLock(state *LockState, line *sim.Resource, threadID int, backoff *s
 // grows with contention — the mechanism behind the local spinlock's
 // collapse to ~1% in Figure 10(a).
 func (l *LocalLock) Acquire(now sim.Time) sim.Time {
-	delay := sim.Duration(0)
-	if l.backoff != nil {
-		delay = l.backoff.Base
-	}
 	for {
 		// Under contention every probe triggers failed speculation and
 		// invalidation storms on top of the raw line transfer; 2x the
@@ -189,10 +177,6 @@ func (l *LocalLock) Acquire(now sim.Time) sim.Time {
 			return t
 		}
 		now = t
-		if l.backoff != nil {
-			now += delay
-			delay = l.backoff.Next(delay)
-		}
 	}
 }
 

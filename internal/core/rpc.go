@@ -7,29 +7,28 @@ import (
 	"rdmasem/internal/verbs"
 )
 
+// RPCService is the server CPU's time to parse one request and run its
+// handler, on the RC and the UD server alike.
+const RPCService sim.Duration = 750
+
 // RPCServer is the shared server side of the paper's channel-semantic (RPC)
 // baselines: one CPU core that processes one request at a time.
 type RPCServer struct {
-	cpu     *sim.Resource
-	service sim.Duration
-	ctx     *verbs.Context
-	mr      *verbs.MR
+	cpu *sim.Resource
+	ctx *verbs.Context
+	mr  *verbs.MR
 }
 
-// NewRPCServer creates an RPC server on the given context with the given
-// per-request CPU service time. The MR provides its receive buffers.
-func NewRPCServer(ctx *verbs.Context, mr *verbs.MR, service sim.Duration) (*RPCServer, error) {
+// NewRPCServer creates an RPC server on the given context. The MR provides
+// its receive buffers.
+func NewRPCServer(ctx *verbs.Context, mr *verbs.MR) (*RPCServer, error) {
 	if ctx == nil || mr == nil {
 		return nil, fmt.Errorf("core: rpc server needs a context and MR")
 	}
-	if service <= 0 {
-		return nil, fmt.Errorf("core: rpc service time must be positive")
-	}
 	return &RPCServer{
-		cpu:     sim.NewResource("rpc-server/cpu"),
-		service: service,
-		ctx:     ctx,
-		mr:      mr,
+		cpu: sim.NewResource("rpc-server/cpu"),
+		ctx: ctx,
+		mr:  mr,
 	}, nil
 }
 
@@ -93,7 +92,7 @@ func (c *RPCClient) Call(now sim.Time, reqSize, respSize int, handler func(at si
 		return 0, 0, fmt.Errorf("core: rpc request did not arrive")
 	}
 	// Server CPU: request parsing + handler logic.
-	t := s.cpu.Delay(cqe.Time, s.service)
+	t := s.cpu.Delay(cqe.Time, RPCService)
 	var result uint64
 	if handler != nil {
 		result = handler(t)

@@ -20,31 +20,26 @@ type Caller interface {
 // constant no matter how many clients connect — the scalability property
 // Section II-B2 attributes to UD designs.
 type UDRPCServer struct {
-	cpu     *sim.Resource
-	service sim.Duration
-	ctx     *verbs.Context
-	qp      *verbs.UDQP
-	mr      *verbs.MR
+	cpu *sim.Resource
+	ctx *verbs.Context
+	qp  *verbs.UDQP
+	mr  *verbs.MR
 }
 
 // NewUDRPCServer creates a UD RPC server on the given port.
-func NewUDRPCServer(ctx *verbs.Context, port int, mr *verbs.MR, service sim.Duration) (*UDRPCServer, error) {
+func NewUDRPCServer(ctx *verbs.Context, port int, mr *verbs.MR) (*UDRPCServer, error) {
 	if ctx == nil || mr == nil {
 		return nil, fmt.Errorf("core: ud rpc server needs a context and MR")
-	}
-	if service <= 0 {
-		return nil, fmt.Errorf("core: ud rpc service time must be positive")
 	}
 	qp, err := verbs.NewUDQP(ctx, port)
 	if err != nil {
 		return nil, err
 	}
 	return &UDRPCServer{
-		cpu:     sim.NewResource("udrpc-server/cpu"),
-		service: service,
-		ctx:     ctx,
-		qp:      qp,
-		mr:      mr,
+		cpu: sim.NewResource("udrpc-server/cpu"),
+		ctx: ctx,
+		qp:  qp,
+		mr:  mr,
 	}, nil
 }
 
@@ -78,8 +73,8 @@ const UDRPCRetries = 7
 var ErrUDRPCRetries = errors.New("core: ud rpc retry budget exhausted")
 
 // Call performs one datagram request/response exchange. Both directions are
-// single UD sends; the handler runs under the server CPU at its service
-// time. The exchange pre-posts both receive buffers, so a datagram is lost
+// single inline UD sends, so each payload is at most verbs.MaxInline bytes;
+// the handler runs under the server CPU at RPCService. The exchange pre-posts both receive buffers, so a datagram is lost
 // only to a lossy fabric. The client then re-sends the request every
 // UDRPCTimeout, up to UDRPCRetries times. The server runs the handler once
 // per call and answers a repeated request with the result it already has.
@@ -97,11 +92,11 @@ func (c *UDRPCClient) Call(now sim.Time, reqSize, respSize int, handler func(at 
 	var result uint64
 	handled := false
 	for attempt := 0; attempt <= UDRPCRetries; attempt++ {
-		// Request datagram (inline when small: the fast path Herd uses). A
-		// lost request leaves the server's receive buffer posted.
+		// Request datagram (inline: the fast path Herd uses). A lost
+		// request leaves the server's receive buffer posted.
 		sent := now + sim.Duration(attempt)*UDRPCTimeout
 		if _, dropped, err := c.qp.Send(sent, s.qp.Handle(),
-			[]verbs.SGE{{Addr: c.mr.Addr(), Length: reqSize, MR: c.mr}}, reqSize <= verbs.MaxInline); err != nil {
+			[]verbs.SGE{{Addr: c.mr.Addr(), Length: reqSize, MR: c.mr}}); err != nil {
 			return 0, 0, err
 		} else if dropped {
 			continue
@@ -110,7 +105,7 @@ func (c *UDRPCClient) Call(now sim.Time, reqSize, respSize int, handler func(at 
 		if !ok {
 			return 0, 0, fmt.Errorf("core: ud rpc request did not arrive")
 		}
-		t := s.cpu.Delay(cqe.Time, s.service)
+		t := s.cpu.Delay(cqe.Time, RPCService)
 		if !handled {
 			if handler != nil {
 				result = handler(t)
@@ -120,7 +115,7 @@ func (c *UDRPCClient) Call(now sim.Time, reqSize, respSize int, handler func(at 
 		// Response datagram. A lost response leaves the client's receive
 		// buffer posted; the server re-arms its own for the repeat request.
 		if _, dropped, err := s.qp.Send(t, c.qp.Handle(),
-			[]verbs.SGE{{Addr: s.mr.Addr(), Length: respSize, MR: s.mr}}, respSize <= verbs.MaxInline); err != nil {
+			[]verbs.SGE{{Addr: s.mr.Addr(), Length: respSize, MR: s.mr}}); err != nil {
 			return 0, 0, err
 		} else if dropped {
 			if err := s.qp.PostRecv(req); err != nil {

@@ -97,9 +97,6 @@ func NewBatcher(s Strategy, qp *verbs.QP, localMR *verbs.MR, staging *verbs.MR, 
 	return &Batcher{strategy: s, qp: qp, localMR: localMR, staging: staging, remoteMR: remoteMR}, nil
 }
 
-// Strategy returns the batcher's configured strategy.
-func (b *Batcher) Strategy() Strategy { return b.strategy }
-
 // SetStrategy switches the batching mechanism mid-run; the next WriteBatch
 // uses it. Switching to SP requires the staging buffer the batcher was built
 // with — without one the call fails and the strategy is unchanged.

@@ -414,7 +414,3 @@ func (f *Fabric) FaultStats() FaultStats {
 	}
 	return s
 }
-
-// FaultStats returns this endpoint's share of the fabric fault tallies
-// (faults drawn on segments this port sent).
-func (e *Endpoint) FaultStats() FaultStats { return e.faults }

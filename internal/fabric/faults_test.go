@@ -387,7 +387,7 @@ func TestPerEndpointFaultTallies(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		f.Deliver(sim.Time(i)*sim.Microsecond, b, c, 64)
 	}
-	sa, sb, sc := a.FaultStats(), b.FaultStats(), c.FaultStats()
+	sa, sb, sc := a.faults, b.faults, c.faults
 	if sa.Segments != 100 || sb.Segments != 50 {
 		t.Fatalf("sender tallies %d/%d, want 100/50", sa.Segments, sb.Segments)
 	}

@@ -180,9 +180,6 @@ func NewSpace(sockets int, perSocket uint64) (*Space, error) {
 	return &Space{sockets: sockets, capacity: perSocket, next: next}, nil
 }
 
-// Sockets returns the number of sockets in the space.
-func (s *Space) Sockets() int { return s.sockets }
-
 // Alloc reserves size bytes on the given socket with the given alignment
 // (which must be a power of two; 0 means page alignment, matching the
 // paper's posix_memalign usage).

@@ -28,9 +28,6 @@ type Daemon struct {
 	bounce  *verbs.MR
 	tp      topo.Params
 
-	staged int64 // requests whose payload rode the IPC message into the bounce MR
-	direct int64 // requests that kept their own SGL (too large, or not a payload op)
-
 	// standby failover (see SetStandby / FailAt): when the daemon process is
 	// modeled as dead, requests redirect to the standby daemon on the same
 	// table; the first request to find the primary unresponsive pays the
@@ -106,13 +103,6 @@ func (d *Daemon) FailAt(t sim.Time) { d.failAt, d.armed = t, true }
 // Failovers reports how many requests were redirected to the standby.
 func (d *Daemon) Failovers() uint64 { return d.failovers }
 
-// IPC exposes the daemon's serving queue (for utilization reporting).
-func (d *Daemon) IPC() *sim.Resource { return d.ipc }
-
-// Stats reports how many requests were staged through the bounce buffer vs
-// gathered directly from the client's own registration.
-func (d *Daemon) Stats() (staged, direct int64) { return d.staged, d.direct }
-
 // Post hands one logical connection's work request to the daemon and waits
 // for the result. The timeline it charges:
 //
@@ -151,12 +141,7 @@ func (d *Daemon) Post(now sim.Time, conn int, wr *verbs.SendWR) (verbs.Completio
 			d.sgl[0] = verbs.SGE{Addr: d.bounce.Addr(), Length: total, MR: d.bounce}
 			d.scratch.SGL = d.sgl[:]
 			post = &d.scratch
-			d.staged++
-		} else {
-			d.direct++
 		}
-	} else {
-		d.direct++
 	}
 	start := d.ipc.Delay(now+d.hopHalf, svc)
 	comp, err := d.table.Post(start, conn, post)

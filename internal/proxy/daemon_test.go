@@ -6,7 +6,6 @@ import (
 
 	"rdmasem/internal/cluster"
 	"rdmasem/internal/proxy"
-	"rdmasem/internal/sim"
 	"rdmasem/internal/telemetry"
 	"rdmasem/internal/verbs"
 )
@@ -24,6 +23,8 @@ func TestDaemonStagesSmallPayloads(t *testing.T) {
 	msg := []byte("proxied through the daemon")
 	copy(e.mrA.Region().Bytes(), msg)
 	wr := e.sendWR(21, len(msg))
+	nic := e.cl.Machine(0).NIC()
+	base := nic.Counters()
 	comp, err := d.Post(0, 1, wr)
 	if err != nil {
 		t.Fatal(err)
@@ -38,6 +39,13 @@ func TestDaemonStagesSmallPayloads(t *testing.T) {
 	if wr.SGL[0].MR != e.mrA {
 		t.Fatal("caller's WR was mutated by staging")
 	}
+	// The requester NIC looked up one registration it had not seen: the
+	// daemon's bounce MR.
+	staged := nic.Counters()
+	if staged.MRMisses != base.MRMisses+1 || staged.MRHits != base.MRHits {
+		t.Fatalf("staged post: MR misses %d -> %d, hits %d -> %d, want one miss",
+			base.MRMisses, staged.MRMisses, base.MRHits, staged.MRHits)
+	}
 	// An over-MaxPayload payload bypasses the bounce buffer and gathers
 	// from the client's own registration.
 	big := &verbs.SendWR{
@@ -50,9 +58,11 @@ func TestDaemonStagesSmallPayloads(t *testing.T) {
 	if _, err := d.Post(comp.Done, 1, big); err != nil {
 		t.Fatal(err)
 	}
-	staged, direct := d.Stats()
-	if staged != 1 || direct != 1 {
-		t.Fatalf("staged=%d direct=%d, want 1/1", staged, direct)
+	// A second new registration: the client's own MR, not the cached
+	// bounce MR a staged post would hit.
+	if c := nic.Counters(); c.MRMisses != staged.MRMisses+1 || c.MRHits != staged.MRHits {
+		t.Fatalf("direct post: MR misses %d -> %d, hits %d -> %d, want one miss",
+			staged.MRMisses, c.MRMisses, staged.MRHits, c.MRHits)
 	}
 }
 
@@ -60,15 +70,15 @@ func TestDaemonStagesSmallPayloads(t *testing.T) {
 // IPC round trip on top of the table path, and concurrent requests queue on
 // the daemon's serving core.
 func TestDaemonChargesHopAndQueue(t *testing.T) {
-	e := newTableEnv(t, 2, 2)
+	cfg := cluster.DefaultConfig()
+	cfg.Telemetry = telemetry.NewRegistry()
+	e := newTableEnvOn(t, cfg, 2, 2)
 	e.stock(t, 8)
 	d, err := proxy.NewDaemon(e.table)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hop := proxy.HopCost(e.cl.Machine(0).Topology().Params)
-	served := 0
-	d.IPC().Observe(func(_, _, _ sim.Time) { served++ })
 	direct, err := e.table.Post(0, 0, e.sendWR(1, 64))
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +91,7 @@ func TestDaemonChargesHopAndQueue(t *testing.T) {
 		t.Fatalf("proxied %v vs direct %v: missing the %v IPC round trip",
 			proxied.Done, direct.Done, hop)
 	}
-	if served != 1 {
+	if served, _, _, _ := cfg.Telemetry.Hist("m0", "proxyd/ipc", "service").Stats(); served != 1 {
 		t.Fatalf("daemon served %d, want 1", served)
 	}
 }

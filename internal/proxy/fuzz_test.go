@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"rdmasem/internal/sim"
 	"rdmasem/internal/verbs"
 )
 
@@ -12,8 +13,8 @@ import (
 // that make QP sharing safe:
 //
 //   - exactly-once: every Post returns exactly one completion, carrying the
-//     caller's WR ID, and leaves the caller's WR untouched; the server's SRQ
-//     hands out exactly one receive per completed SEND and none per flushed
+//     caller's WR ID, and leaves the caller's WR untouched; the server
+//     polls exactly one receive CQE per completed SEND and none per flushed
 //     one;
 //   - blast radius: a connection mapped to a dead pooled QP sees
 //     StatusFlushed with verbs.ErrQPError, every other connection StatusOK.
@@ -68,8 +69,17 @@ func FuzzConnTableDemux(f *testing.F) {
 				completed++
 			}
 		}
-		if got := e.srq.Handed(); got != completed {
-			t.Fatalf("SRQ handed %d receives for %d completed SENDs", got, completed)
+		var polled uint64
+		for _, qp := range e.pool {
+			for {
+				if _, ok := qp.Peer().RecvCQ().PollOne(sim.MaxTime); !ok {
+					break
+				}
+				polled++
+			}
+		}
+		if polled != completed {
+			t.Fatalf("server polled %d receive CQEs for %d completed SENDs", polled, completed)
 		}
 	})
 }

@@ -179,7 +179,7 @@ func TestRecoveryReplaysAppliedAtomic(t *testing.T) {
 			if st.Episodes != 1 || st.Replayed != 1 || st.ReplayFailures != 0 {
 				t.Fatalf("recovery stats %+v", st)
 			}
-			if !e.pool[0].FailedApplied() || e.cl.Fabric().FaultStats().CrashDrops == 0 {
+			if !e.pool[0].FailedApplied() || e.cl.Machine(0).Fabric().FaultStats().CrashDrops == 0 {
 				t.Fatal("the failure was not a lost response to an executed request")
 			}
 		})
@@ -305,6 +305,8 @@ func TestDaemonFailover(t *testing.T) {
 	if err != nil || before.Status != verbs.StatusOK {
 		t.Fatalf("pre-failure post %+v err=%v", before, err)
 	}
+	nic := e.cl.Machine(0).NIC()
+	base := nic.Counters()
 	primary.FailAt(before.Done)
 
 	first, err := primary.Post(before.Done, 1, e.sendWR(51, 64))
@@ -325,8 +327,11 @@ func TestDaemonFailover(t *testing.T) {
 	if primary.Failovers() != 2 {
 		t.Fatalf("%d failovers, want 2", primary.Failovers())
 	}
-	if staged, _ := standby.Stats(); staged != 2 {
-		t.Fatalf("standby staged %d requests, want 2", staged)
+	// Both failover posts staged through the standby's bounce MR: one
+	// lookup miss, then a hit. The primary's bounce MR would hit twice.
+	if c := nic.Counters(); c.MRMisses != base.MRMisses+1 || c.MRHits != base.MRHits+1 {
+		t.Fatalf("failover posts: MR misses %d -> %d, hits %d -> %d, want one miss and one hit",
+			base.MRMisses, c.MRMisses, base.MRHits, c.MRHits)
 	}
 
 	lone, err := proxy.NewDaemon(e.table)

@@ -116,8 +116,6 @@ func (n *NIC) Counters() StageCounters {
 // Port is one physical port with its own execution engine, atomic unit and
 // wire (the wire itself lives in the fabric package).
 type Port struct {
-	nic    *NIC
-	index  int
 	exec   *sim.Resource
 	atomic *sim.Resource
 }
@@ -138,8 +136,6 @@ func New(name string, p Params) (*NIC, error) {
 	}
 	for i := 0; i < p.Ports; i++ {
 		n.ports = append(n.ports, &Port{
-			nic:    n,
-			index:  i,
 			exec:   sim.NewResource(fmt.Sprintf("%s/port%d/exec", name, i)),
 			atomic: sim.NewResource(fmt.Sprintf("%s/port%d/atomic", name, i)),
 		})
@@ -286,12 +282,6 @@ func (a MetaCost) Add(b MetaCost) MetaCost {
 		Misses:  a.Misses + b.Misses,
 	}
 }
-
-// Index returns the port's index on its NIC.
-func (p *Port) Index() int { return p.index }
-
-// NIC returns the owning device.
-func (p *Port) NIC() *NIC { return p.nic }
 
 // Execute occupies the port's execution unit for the base service time of
 // the verb plus any metadata-induced inflation, returning completion.

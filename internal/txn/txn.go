@@ -149,9 +149,6 @@ func (s *Store) Machine() *cluster.Machine { return s.ctx.Machine() }
 // Redo returns the store's redo log (recovery replays read it).
 func (s *Store) Redo() *dlog.Log { return s.redo }
 
-// Config returns the deployment shape.
-func (s *Store) Config() Config { return s.cfg }
-
 // entryLocation maps a key to the MR and address of its entry. Keys reduce
 // mod KeySpace and interleave over sockets: socket k%sockets, index
 // k/sockets — the same derivation for the slot and (at +8) its version
@@ -368,18 +365,6 @@ func (t *Txn) AdvanceTo(now sim.Time) {
 	if now > t.now {
 		t.now = now
 	}
-}
-
-// ReadVersion reports the version the transaction observed for key, if the
-// key was read in this transaction.
-func (t *Txn) ReadVersion(key uint64) (uint64, bool) {
-	k := key % t.c.cfg.KeySpace
-	for i := range t.reads {
-		if t.reads[i].key == k {
-			return t.reads[i].ver, true
-		}
-	}
-	return 0, false
 }
 
 // Get optimistically reads the entry under key into out: one one-sided

@@ -83,8 +83,8 @@ func TestCommitRoundTrip(t *testing.T) {
 		if err := tx.Get(5, buf); err != nil {
 			return err
 		}
-		if v, ok := tx.ReadVersion(5); !ok || v != 0 {
-			return fmt.Errorf("read version %d/%v, want 0/true", v, ok)
+		if v, _, ok, err := s.Entry(5); err != nil || !ok || v != 0 {
+			return fmt.Errorf("version %d/%v before the commit, want 0/true (%v)", v, ok, err)
 		}
 		return tx.Put(5, val)
 	})
@@ -194,7 +194,7 @@ func TestReadYourOwnWritesReducesModKeySpace(t *testing.T) {
 	val := make([]byte, 16)
 	workload.FillValue(val, 5)
 	buf := make([]byte, 16)
-	key := 5 + s.Config().KeySpace
+	key := 5 + s.cfg.KeySpace
 	_, err := c.Run(0, func(tx *Txn) error {
 		if err := tx.Get(key, buf); err != nil {
 			return err
@@ -224,9 +224,6 @@ func TestValidationErrors(t *testing.T) {
 		t.Fatal("NewStore accepted a zero value size")
 	}
 	s := mustStore(t, cl, 0, Config{KeySpace: 16, ValueSize: 8, MaxWrites: 2})
-	if got := s.Config().MaxWrites; got != 2 {
-		t.Fatalf("config MaxWrites %d, want 2", got)
-	}
 	c := mustClient(t, 0, cl, 1, s)
 
 	buf := make([]byte, 8)
@@ -253,9 +250,6 @@ func TestValidationErrors(t *testing.T) {
 	}
 	if err := tx.Put(3, buf); !errors.Is(err, ErrWriteSetFull) {
 		t.Fatalf("third Put: %v, want ErrWriteSetFull", err)
-	}
-	if _, ok := tx.ReadVersion(7); ok {
-		t.Fatal("ReadVersion reported a key the transaction never read")
 	}
 }
 
@@ -424,7 +418,13 @@ func TestNoDoubleCommitProperty(t *testing.T) {
 							t.Error(err)
 							return post
 						}
-						ver, _ := tx.ReadVersion(k)
+						// The version the Get observed: no other client
+						// runs inside this step.
+						ver, _, _, err := s.Entry(k)
+						if err != nil {
+							t.Error(err)
+							return post
+						}
 						seed := id<<32 | op<<8 | uint64(slot)
 						workload.FillValue(val, seed)
 						if err := tx.Put(k, val); err != nil {

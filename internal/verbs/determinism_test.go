@@ -24,7 +24,7 @@ import (
 // observation is everything a run exposes: the closed-loop result, the
 // per-op latencies of the recorded clients, the rendered telemetry
 // snapshot, per-NIC stage and reliability counters, the fabric fault
-// tallies, and the connection-serving layer's outcome/SRQ/daemon tallies.
+// tallies, and the connection-serving layer's outcomes and SRQ traffic.
 type observation struct {
 	res     sim.Result
 	lats    [][]sim.Duration
@@ -32,9 +32,9 @@ type observation struct {
 	nics    []rnic.StageCounters
 	faults  fabric.FaultStats
 
-	table                      outcomes // the fifth pair's clients' post outcomes
-	srqPosted, srqHanded       uint64
-	daemonStaged, daemonDirect int64
+	table                outcomes // the fifth pair's clients' post outcomes
+	srqPosted, srqPolled uint64   // SRQ receives posted; receive CQEs the server polled
+	poolMRMisses         uint64   // MR lookups the fifth pair's requester NIC missed
 
 	// the flapping-link recovering pair (machines 10/11)
 	rtable   outcomes
@@ -177,6 +177,7 @@ func runCrossLayerWorkload(t *testing.T) observation {
 				client.Fail(err)
 				return post
 			}
+			obs.srqPosted++
 			var comp verbs.Completion
 			var err error
 			if cli == 2 {
@@ -308,9 +309,16 @@ func runCrossLayerWorkload(t *testing.T) observation {
 	for i := 0; i < cl.Size(); i++ {
 		obs.nics = append(obs.nics, cl.Machine(i).NIC().Counters())
 	}
-	obs.faults = cl.Fabric().FaultStats()
-	obs.srqPosted, obs.srqHanded = srq.Posted(), srq.Handed()
-	obs.daemonStaged, obs.daemonDirect = daemon.Stats()
+	obs.faults = cl.Machine(0).Fabric().FaultStats()
+	for _, qp := range pool {
+		for {
+			if _, ok := qp.Peer().RecvCQ().PollOne(sim.MaxTime); !ok {
+				break
+			}
+			obs.srqPolled++
+		}
+	}
+	obs.poolMRMisses = mc.NIC().Counters().MRMisses
 	obs.rec = rtable.RecoveryStats()
 	obs.ttrCount, obs.ttrSum, _, _ = rtable.RecoveryTTR().Stats()
 	obs.decisions = rt.Records()
@@ -353,11 +361,13 @@ func TestCrossLayerDeterminism(t *testing.T) {
 	if want.table[verbs.StatusOK] == 0 || want.rtable[verbs.StatusOK] == 0 {
 		t.Fatalf("a connection table completed nothing: %v / %v", want.table, want.rtable)
 	}
-	if want.srqHanded == 0 || want.srqHanded > want.srqPosted {
-		t.Fatalf("SRQ not exercised or over-drained: posted=%d handed=%d", want.srqPosted, want.srqHanded)
+	if want.srqPolled == 0 || want.srqPolled > want.srqPosted {
+		t.Fatalf("SRQ not exercised or over-drained: posted=%d polled=%d", want.srqPosted, want.srqPolled)
 	}
-	if want.daemonStaged == 0 {
-		t.Fatal("proxy daemon staged nothing")
+	// The fifth pair's requester NIC looks up two registrations: the
+	// clients' MR and, once the daemon stages a payload, its bounce MR.
+	if n := want.poolMRMisses; n < 2 {
+		t.Fatalf("fifth pair's NIC missed %d MR lookups: the proxy daemon staged nothing", n)
 	}
 	if want.faults.FlapDrops == 0 {
 		t.Fatal("no flap drops: the link-flap model not exercised")
@@ -388,8 +398,7 @@ func TestCrossLayerDeterminism(t *testing.T) {
 		t.Fatalf("second run: fault stats diverged: %+v vs %+v", want.faults, got.faults)
 	}
 	if !reflect.DeepEqual(want.table, got.table) ||
-		want.srqPosted != got.srqPosted || want.srqHanded != got.srqHanded ||
-		want.daemonStaged != got.daemonStaged || want.daemonDirect != got.daemonDirect {
+		want.srqPosted != got.srqPosted || want.srqPolled != got.srqPolled {
 		t.Fatal("second run: connection-serving tallies diverged")
 	}
 	if !reflect.DeepEqual(want.rtable, got.rtable) || want.rec != got.rec ||

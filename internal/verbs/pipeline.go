@@ -305,9 +305,6 @@ func (s *qpState) ID() uint64 { return uint64(s.id) }
 // Context returns the owning context.
 func (s *qpState) Context() *Context { return s.route.ctx }
 
-// Port returns the local NIC port index the QP is bound to.
-func (s *qpState) Port() int { return s.route.port.Index() }
-
 // PortSocket returns the socket affiliated with the QP's port.
 func (s *qpState) PortSocket() topo.SocketID { return s.route.socket }
 
@@ -385,14 +382,13 @@ func postList(src, dst *qpState, now sim.Time, wrs []*SendWR, comps []Completion
 		return comps, false, ErrQPError
 	}
 	nic := src.route.nic
+	// A UD datagram rides inside its WQE (UDQP.Send caps it at MaxInline),
+	// so the doorbell's MMIO carries it and there is nothing to fetch.
+	// Connected QPs never post inline: they fetch the whole doorbell list.
+	ud := src.transport == UD
 	inlineBytes := 0
-	allInline := true
-	for _, wr := range wrs {
-		if wr.Inline {
-			inlineBytes += wr.TotalLength()
-		} else {
-			allInline = false
-		}
+	if ud {
+		inlineBytes = wrs[0].TotalLength()
 	}
 	// The first WR of the list owns the list-shared stages (doorbell MMIO,
 	// batched WQE fetch) in the stage decomposition; later WRs open their
@@ -400,9 +396,7 @@ func postList(src, dst *qpState, now sim.Time, wrs []*SendWR, comps []Completion
 	src.recBegin(wrs[0].Opcode, now)
 	t := nic.Doorbell(now, len(wrs), inlineBytes)
 	src.observe(StagePosted, t)
-	if src.transport != UD && !allInline {
-		// Connected QPs fetch the whole doorbell list up front; UD fetches
-		// its single WQE inside executeOne, after the posting-core penalty.
+	if !ud {
 		t = nic.FetchWQEs(t, len(wrs))
 		src.observe(StageWQEFetched, t)
 	}
@@ -466,8 +460,7 @@ func executeOne(src, dst *qpState, t sim.Time, wr *SendWR) (Completion, bool, er
 	ud := src.transport == UD
 
 	// Requester-side metadata: QP context, per-SGE MR records + translations.
-	// A UD WQE carries no lkey references when the payload is inline, so its
-	// SGL metadata is only touched on the (non-inline) gather path below.
+	// A UD WQE carries its payload inline and so no lkey references.
 	meta := nic.TouchQP(uint64(src.id))
 	if !ud {
 		for _, s := range wr.SGL {
@@ -489,28 +482,18 @@ func executeOne(src, dst *qpState, t sim.Time, wr *SendWR) (Completion, bool, er
 		}
 	}
 
-	if ud && !wr.Inline {
-		t = nic.FetchWQEs(t, 1)
-		src.observe(StageWQEFetched, t)
-	}
-
-	// Payload gather (skipped for inline and for verbs with no outbound
-	// payload).
-	needGather := !wr.Inline && (wr.Opcode == OpWrite || wr.Opcode == OpSend)
-	if needGather {
+	// Payload gather (skipped for UD's inline datagrams and for verbs with
+	// no outbound payload).
+	if !ud && (wr.Opcode == OpWrite || wr.Opcode == OpSend) {
 		sizes := r.scratch.ints(len(wr.SGL))
 		cross := 0
 		for i, s := range wr.SGL {
 			sizes[i] = s.Length
-			if ud {
-				meta = meta.Add(nic.TouchMR(s.MR.id))
-				meta = meta.Add(nic.Translate(s.Addr, s.Length))
-			}
 			if s.MR.region.Socket() != r.socket {
 				cross++
 			}
 		}
-		if !ud && cross > 0 {
+		if cross > 0 {
 			numaSvc += r.qpiLatency
 		}
 		t = nic.GatherDMA(t, sizes, cross, r.qpi, r.qpiLatency)

@@ -75,7 +75,7 @@ func TestPostSendListPartialBatch(t *testing.T) {
 }
 
 // randomWR builds a deterministic random RC work request. The spread covers
-// every opcode, single and multi-SGE gathers, and the inline path.
+// every opcode and single and multi-SGE gathers.
 func randomWR(rng *rand.Rand, e *pairEnv) *SendWR {
 	ops := []Opcode{OpWrite, OpRead, OpSend, OpCompSwap, OpFetchAdd}
 	op := ops[rng.Intn(len(ops))]
@@ -89,14 +89,9 @@ func randomWR(rng *rand.Rand, e *pairEnv) *SendWR {
 		return wr
 	}
 	nSGE := 1 + rng.Intn(3)
-	total := 0
 	for i := 0; i < nSGE; i++ {
 		l := 1 + rng.Intn(512)
 		wr.SGL = append(wr.SGL, SGE{Addr: e.mrA.Addr() + mem.Addr(rng.Intn(1<<19)), Length: l, MR: e.mrA})
-		total += l
-	}
-	if (op == OpWrite || op == OpSend) && total <= MaxInline && rng.Intn(2) == 0 {
-		wr.Inline = true
 	}
 	if op.OneSided() {
 		wr.RemoteAddr = e.mrB.Addr() + mem.Addr(rng.Intn(1<<19))
@@ -212,8 +207,7 @@ func TestUDTracedMatchesUntraced(t *testing.T) {
 	now := sim.Time(0)
 	for step := 0; step < 40; step++ {
 		rng := rand.New(rand.NewSource(int64(step)))
-		size := 1 + rng.Intn(UDMTU/2)
-		inline := size <= MaxInline && rng.Intn(2) == 0
+		size := 1 + rng.Intn(MaxInline)
 		post := rng.Intn(3) > 0 // sometimes leave no buffer: datagram drops
 		if post {
 			if err := r1.PostRecv(RecvWR{SGE: SGE{Addr: e1.mrB.Addr(), Length: 1 << 20, MR: e1.mrB}}); err != nil {
@@ -223,14 +217,14 @@ func TestUDTracedMatchesUntraced(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		c1, d1, err := s1.Send(now, r1.Handle(), []SGE{{Addr: e1.mrA.Addr(), Length: size, MR: e1.mrA}}, inline)
+		c1, d1, err := s1.Send(now, r1.Handle(), []SGE{{Addr: e1.mrA.Addr(), Length: size, MR: e1.mrA}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if d1 == post {
 			t.Fatalf("step %d: drop=%v with recv posted=%v", step, d1, post)
 		}
-		c3, d3, err := s3.Send(now, r3.Handle(), []SGE{{Addr: e3.mrA.Addr(), Length: size, MR: e3.mrA}}, inline)
+		c3, d3, err := s3.Send(now, r3.Handle(), []SGE{{Addr: e3.mrA.Addr(), Length: size, MR: e3.mrA}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,20 +244,14 @@ func TestUDTracedMatchesUntraced(t *testing.T) {
 	}
 }
 
-// TestStageCounters checks the per-device counters the engine feeds: an
-// inline write rings one doorbell and fetches no payload by DMA; a
-// non-inline write costs a WQE fetch and one gather DMA spanning the SGL.
+// TestStageCounters checks the per-device counters the engine feeds: a UD
+// datagram rides inline, so it rings one doorbell and fetches nothing by
+// DMA; an RC write costs a WQE fetch and one gather DMA spanning the SGL.
 func TestStageCounters(t *testing.T) {
-	e := newPair(t)
+	e, ua, ub := udPair(t)
 	nic := e.cl.Machine(0).NIC()
 	base := nic.Counters()
-	if _, err := e.qpA.PostSend(0, &SendWR{
-		Opcode:     OpWrite,
-		Inline:     true,
-		SGL:        []SGE{{Addr: e.mrA.Addr(), Length: 32, MR: e.mrA}},
-		RemoteAddr: e.mrB.Addr(),
-		RemoteKey:  e.mrB.RKey(),
-	}); err != nil {
+	if _, _, err := ua.Send(0, ub.Handle(), []SGE{{Addr: e.mrA.Addr(), Length: 32, MR: e.mrA}}); err != nil {
 		t.Fatal(err)
 	}
 	c := nic.Counters()
@@ -271,7 +259,7 @@ func TestStageCounters(t *testing.T) {
 		t.Fatalf("doorbells %d -> %d", base.Doorbells, c.Doorbells)
 	}
 	if c.WQEFetches != base.WQEFetches || c.GatherOps != base.GatherOps {
-		t.Fatalf("inline write should not DMA: %+v -> %+v", base, c)
+		t.Fatalf("inline datagram should not DMA: %+v -> %+v", base, c)
 	}
 
 	base = nic.Counters()
@@ -288,7 +276,7 @@ func TestStageCounters(t *testing.T) {
 	}
 	c = nic.Counters()
 	if c.Doorbells != base.Doorbells+1 || c.WQEFetches != base.WQEFetches+1 {
-		t.Fatalf("non-inline write doorbell/WQE: %+v -> %+v", base, c)
+		t.Fatalf("RC write doorbell/WQE: %+v -> %+v", base, c)
 	}
 	if c.GatherOps != base.GatherOps+1 || c.GatherFrags != base.GatherFrags+2 || c.GatherBytes != base.GatherBytes+2048 {
 		t.Fatalf("gather accounting: %+v -> %+v", base, c)

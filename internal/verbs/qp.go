@@ -158,14 +158,6 @@ func (q *QP) validate(wr *SendWR) error {
 			return ErrAtomicSize
 		}
 	}
-	if wr.Inline {
-		if wr.Opcode != OpWrite && wr.Opcode != OpSend {
-			return fmt.Errorf("%w: inline only applies to WRITE/SEND", ErrBadSGL)
-		}
-		if wr.TotalLength() > MaxInline {
-			return fmt.Errorf("%w: inline payload %d exceeds %d", ErrBadSGL, wr.TotalLength(), MaxInline)
-		}
-	}
 	if wr.Opcode.OneSided() {
 		rmr, err := q.peer.route.ctx.LookupMR(wr.RemoteKey)
 		if err != nil {

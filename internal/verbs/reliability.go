@@ -40,8 +40,7 @@ import (
 
 // PathMTU is the wire segment size of connected transports on a lossy
 // fabric: messages larger than this are split into multiple packets, each
-// drawing its own fate from the fault plan. It matches UDMTU, the datagram
-// limit.
+// drawing its own fate from the fault plan.
 const PathMTU = 4096
 
 // CompletionStatus reports how a work request finished. The zero value is

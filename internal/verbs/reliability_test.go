@@ -132,7 +132,7 @@ func TestNICRelSumsQPStats(t *testing.T) {
 		if err := ub.PostRecv(RecvWR{ID: uint64(i), SGE: SGE{Addr: e.mrB.Addr(), Length: 256, MR: e.mrB}}); err != nil {
 			t.Fatal(err)
 		}
-		comp, _, err := ua.Send(at, ub.Handle(), []SGE{{Addr: e.mrA.Addr(), Length: 64, MR: e.mrA}}, false)
+		comp, _, err := ua.Send(at, ub.Handle(), []SGE{{Addr: e.mrA.Addr(), Length: 64, MR: e.mrA}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -532,7 +532,7 @@ func TestUDNeverDuplicates(t *testing.T) {
 	for i := 0; i < n; i++ {
 		// Stamp each datagram with a distinct payload.
 		copy(mrA.Region().Bytes()[:8], fmt.Sprintf("%08d", i))
-		_, dropped, err := qa.Send(sim.Time(i)*1000000, qb.Handle(), []SGE{{Addr: mrA.Addr(), Length: 8, MR: mrA}}, false)
+		_, dropped, err := qa.Send(sim.Time(i)*1000000, qb.Handle(), []SGE{{Addr: mrA.Addr(), Length: 8, MR: mrA}})
 		if err != nil {
 			t.Fatal(err)
 		}

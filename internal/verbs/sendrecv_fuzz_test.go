@@ -221,7 +221,6 @@ func fuzzSendRecv(t *testing.T, data []byte, plan *fabric.FaultPlan, eager bool)
 			}
 			copy(lmr.Region().Bytes()[laddr-lmr.Addr():], payload)
 			sgl := []SGE{{Addr: laddr, Length: n, MR: lmr}}
-			inline := op[3]&1 == 1 && n <= MaxInline
 			queue := &r.own
 			if r.attached {
 				queue = &srqBufs
@@ -231,9 +230,9 @@ func fuzzSendRecv(t *testing.T, data []byte, plan *fabric.FaultPlan, eager bool)
 			var dropped bool
 			var err error
 			if ud {
-				c, dropped, err = udA.Send(post, AH{QP: udB[j-3]}, sgl, inline)
+				c, dropped, err = udA.Send(post, AH{QP: udB[j-3]}, sgl)
 			} else {
-				c, err = senders[j].PostSend(post, &SendWR{ID: uint64(step), Opcode: OpSend, SGL: sgl, Inline: inline})
+				c, err = senders[j].PostSend(post, &SendWR{ID: uint64(step), Opcode: OpSend, SGL: sgl})
 			}
 			out = append(out, fmt.Sprintf("send %d %d: %+v dropped=%v err=%v", j, n, c, dropped, err))
 			if err == nil && c.Done < post {
@@ -305,8 +304,8 @@ func fuzzSendRecv(t *testing.T, data []byte, plan *fabric.FaultPlan, eager bool)
 			}
 		}
 
-		if srq.Len() != len(srqBufs) {
-			fail("SRQ holds %d receives, model %d", srq.Len(), len(srqBufs))
+		if srq.q.len() != len(srqBufs) {
+			fail("SRQ holds %d receives, model %d", srq.q.len(), len(srqBufs))
 		}
 		for i, r := range rcv {
 			if (r.q.srq != nil) != r.attached {

@@ -28,10 +28,8 @@ import "fmt"
 // PostRecv, and attach it to any number of QPs (or UDQPs) on the same
 // machine with AttachSRQ.
 type SRQ struct {
-	ctx    *Context
-	q      recvQueue
-	posted uint64
-	handed uint64
+	ctx *Context
+	q   recvQueue
 }
 
 // NewSRQ creates an empty shared receive queue on the given context.
@@ -41,9 +39,6 @@ func NewSRQ(ctx *Context) *SRQ {
 	}
 	return &SRQ{ctx: ctx}
 }
-
-// Context returns the owning context.
-func (s *SRQ) Context() *Context { return s.ctx }
 
 // PostRecv appends one receive buffer to the shared queue. Validation
 // matches the per-QP PostRecv: the buffer must be a local MR of the SRQ's
@@ -56,18 +51,8 @@ func (s *SRQ) PostRecv(wr RecvWR) error {
 		return err
 	}
 	s.q.push(wr)
-	s.posted++
 	return nil
 }
-
-// Len returns the number of receive buffers currently queued.
-func (s *SRQ) Len() int { return s.q.len() }
-
-// Posted returns the total number of receive WRs ever posted.
-func (s *SRQ) Posted() uint64 { return s.posted }
-
-// Handed returns the total number of receive WRs consumed by attached QPs.
-func (s *SRQ) Handed() uint64 { return s.handed }
 
 // AttachSRQ redirects this queue pair's inbound SENDs to the shared receive
 // queue: from now on arriving messages consume srq entries instead of the
@@ -91,9 +76,6 @@ func (s *qpState) AttachSRQ(srq *SRQ) error {
 	s.srq = srq
 	return nil
 }
-
-// SRQ returns the attached shared receive queue, or nil.
-func (s *qpState) SRQ() *SRQ { return s.srq }
 
 // recvQueue is a FIFO of receive WRs that reuses its backing array, so a
 // steady post/consume cycle never allocates. Pops advance a head index; a
@@ -156,9 +138,4 @@ func (s *qpState) recvEmpty() bool {
 func (s *qpState) frontRecv() RecvWR { return s.recvSource().front() }
 
 // popRecv consumes the head receive buffer.
-func (s *qpState) popRecv() {
-	s.recvSource().pop()
-	if s.srq != nil {
-		s.srq.handed++
-	}
-}
+func (s *qpState) popRecv() { s.recvSource().pop() }

@@ -57,8 +57,8 @@ func TestSRQAttachValidation(t *testing.T) {
 	if err := peer2.AttachSRQ(srqB); err != nil {
 		t.Fatal(err)
 	}
-	if peer2.SRQ() != srqB {
-		t.Fatal("SRQ accessor lost the attachment")
+	if peer2.srq != srqB {
+		t.Fatal("the QP lost the attachment")
 	}
 	if err := peer2.PostRecv(RecvWR{SGE: SGE{Addr: e.mrB.Addr(), Length: 64, MR: e.mrB}}); err == nil {
 		t.Fatal("per-QP PostRecv on an SRQ-attached QP must fail")
@@ -99,8 +99,8 @@ func TestSRQLosslessRNR(t *testing.T) {
 	if len(cqes) != 1 || cqes[0].WRID != 9 {
 		t.Fatalf("consuming QP's recv CQ got %+v", cqes)
 	}
-	if srq.Handed() != 1 || srq.Len() != 0 {
-		t.Fatalf("handed=%d len=%d, want 1/0", srq.Handed(), srq.Len())
+	if srq.q.len() != 0 {
+		t.Fatalf("SRQ still holds %d receives after one SEND, want 0", srq.q.len())
 	}
 	// The oversized-payload check must not consume the entry.
 	if err := srq.PostRecv(RecvWR{ID: 10, SGE: SGE{Addr: e.mrB.Addr(), Length: 16, MR: e.mrB}}); err != nil {
@@ -109,8 +109,8 @@ func TestSRQLosslessRNR(t *testing.T) {
 	if _, err := qps[0].PostSend(comp.Done, srqSendWR(e, 0, 64)); err == nil {
 		t.Fatal("payload larger than the head buffer must fail")
 	}
-	if srq.Len() != 1 {
-		t.Fatalf("failed size check consumed the head entry (len=%d)", srq.Len())
+	if srq.q.len() != 1 {
+		t.Fatalf("failed size check consumed the head entry (len=%d)", srq.q.len())
 	}
 }
 
@@ -143,8 +143,8 @@ func TestSRQFIFOHandout(t *testing.T) {
 	if len(got1) != 2 || got1[0] != 2 || got1[1] != 3 {
 		t.Fatalf("QP1 consumed %v, want [2 3]", got1)
 	}
-	if srq.Posted() != 4 || srq.Handed() != 4 {
-		t.Fatalf("posted=%d handed=%d, want 4/4", srq.Posted(), srq.Handed())
+	if srq.q.len() != 0 {
+		t.Fatalf("SRQ still holds %d receives after four SENDs, want 0", srq.q.len())
 	}
 }
 
@@ -215,7 +215,7 @@ func TestSRQUDSilentDrop(t *testing.T) {
 	if err := qb.AttachSRQ(srq); err != nil {
 		t.Fatal(err)
 	}
-	comp, dropped, err := qa.Send(0, qb.Handle(), []SGE{{Addr: e.mrA.Addr(), Length: 32, MR: e.mrA}}, false)
+	comp, dropped, err := qa.Send(0, qb.Handle(), []SGE{{Addr: e.mrA.Addr(), Length: 32, MR: e.mrA}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestSRQUDSilentDrop(t *testing.T) {
 	if err := srq.PostRecv(RecvWR{ID: 3, SGE: SGE{Addr: e.mrB.Addr(), Length: 64, MR: e.mrB}}); err != nil {
 		t.Fatal(err)
 	}
-	_, dropped, err = qa.Send(comp.Done, qb.Handle(), []SGE{{Addr: e.mrA.Addr(), Length: 32, MR: e.mrA}}, false)
+	_, dropped, err = qa.Send(comp.Done, qb.Handle(), []SGE{{Addr: e.mrA.Addr(), Length: 32, MR: e.mrA}})
 	if err != nil || dropped {
 		t.Fatalf("dropped=%v err=%v, want delivery from the SRQ", dropped, err)
 	}

@@ -36,7 +36,7 @@ func opSpans(tl *telemetry.Timeline, qp uint64, op int64) []telemetry.Span {
 }
 
 // stageEnd returns when the given stage of an op ended, or false if the op
-// never ran it (e.g. no gather on an inline write).
+// never ran it (e.g. no gather on a READ).
 func stageEnd(spans []telemetry.Span, st Stage) (sim.Time, bool) {
 	for _, sp := range spans {
 		if sp.Name == st.String() {
@@ -80,14 +80,13 @@ func checkTiles(t *testing.T, spans []telemetry.Span, start, end sim.Time) {
 
 // tracedWrite posts one WRITE on an observed pair and returns the spans of
 // that op, the QP's op-th.
-func tracedWrite(t *testing.T, e *pairEnv, tl *telemetry.Timeline, op int64, now sim.Time, size int, inline bool) ([]telemetry.Span, Completion) {
+func tracedWrite(t *testing.T, e *pairEnv, tl *telemetry.Timeline, op int64, now sim.Time, size int) ([]telemetry.Span, Completion) {
 	t.Helper()
 	comp, err := e.qpA.PostSend(now, &SendWR{
 		Opcode:     OpWrite,
 		SGL:        []SGE{{Addr: e.mrA.Addr(), Length: size, MR: e.mrA}},
 		RemoteAddr: e.mrB.Addr(),
 		RemoteKey:  e.mrB.RKey(),
-		Inline:     inline,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -97,21 +96,37 @@ func tracedWrite(t *testing.T, e *pairEnv, tl *telemetry.Timeline, op int64, now
 
 func TestTraceStagesMonotone(t *testing.T) {
 	e, tl := observedPair(t, nil)
-	spans, comp := tracedWrite(t, e, tl, 1, 0, 64, false)
+	spans, comp := tracedWrite(t, e, tl, 1, 0, 64)
 	if len(spans) < 6 {
 		t.Fatalf("only %d stages recorded", len(spans))
 	}
 	checkTiles(t, spans, 0, comp.Done)
 }
 
+// TestTraceInlineSkipsFetchAndGather: a UD datagram rides inside its WQE,
+// so its walk records neither a WQE fetch nor a payload gather.
 func TestTraceInlineSkipsFetchAndGather(t *testing.T) {
 	e, tl := observedPair(t, nil)
-	spans, _ := tracedWrite(t, e, tl, 1, 0, 32, true)
+	ua, err := NewUDQP(e.ctxA, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ub, err := NewUDQP(e.ctxB, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ub.PostRecv(RecvWR{SGE: SGE{Addr: e.mrB.Addr(), Length: 64, MR: e.mrB}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ua.Send(0, ub.Handle(), []SGE{{Addr: e.mrA.Addr(), Length: 32, MR: e.mrA}}); err != nil {
+		t.Fatal(err)
+	}
+	spans := opSpans(tl, ua.ID(), 1)
 	if _, ok := stageEnd(spans, StageWQEFetched); ok {
-		t.Error("inline write must not fetch a WQE")
+		t.Error("an inline datagram must not fetch a WQE")
 	}
 	if _, ok := stageEnd(spans, StageGathered); ok {
-		t.Error("inline write must not gather")
+		t.Error("an inline datagram must not gather")
 	}
 	if _, ok := stageEnd(spans, StagePosted); !ok {
 		t.Error("posted stage missing")
@@ -121,9 +136,9 @@ func TestTraceInlineSkipsFetchAndGather(t *testing.T) {
 func TestTraceDecomposeSumsToTotal(t *testing.T) {
 	e, tl := observedPair(t, nil)
 	// Warm caches so the decomposition reflects steady state.
-	tracedWrite(t, e, tl, 1, 0, 64, false)
+	tracedWrite(t, e, tl, 1, 0, 64)
 	const start = 100 * sim.Microsecond
-	spans, comp := tracedWrite(t, e, tl, 2, start, 64, false)
+	spans, comp := tracedWrite(t, e, tl, 2, start, 64)
 	b := decompose(spans)
 	sum := b.RNICToSocket + b.Network + b.SocketToMemory + b.Completion
 	if sum != comp.Done-start {
@@ -141,13 +156,13 @@ func TestTraceShowsNUMAPenalty(t *testing.T) {
 	// A cross-socket posting core inflates the T(RNIC->Socket) term,
 	// exactly the paper's III-D claim.
 	own, ownTL := observedPair(t, nil)
-	tracedWrite(t, own, ownTL, 1, 0, 64, false)
-	spOwn, _ := tracedWrite(t, own, ownTL, 2, 100*sim.Microsecond, 64, false)
+	tracedWrite(t, own, ownTL, 1, 0, 64)
+	spOwn, _ := tracedWrite(t, own, ownTL, 2, 100*sim.Microsecond, 64)
 
 	alt, altTL := observedPair(t, nil)
 	alt.qpA.BindCore(0) // port is on socket 1
-	tracedWrite(t, alt, altTL, 1, 0, 64, false)
-	spAlt, _ := tracedWrite(t, alt, altTL, 2, 100*sim.Microsecond, 64, false)
+	tracedWrite(t, alt, altTL, 1, 0, 64)
+	spAlt, _ := tracedWrite(t, alt, altTL, 2, 100*sim.Microsecond, 64)
 
 	if a, o := decompose(spAlt).RNICToSocket, decompose(spOwn).RNICToSocket; a <= o {
 		t.Fatalf("alt-core RNIC->Socket (%v) should exceed own-core (%v)", a, o)

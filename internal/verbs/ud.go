@@ -6,9 +6,6 @@ import (
 	"rdmasem/internal/sim"
 )
 
-// UDMTU is the largest payload one unreliable datagram can carry.
-const UDMTU = 4096
-
 // UDQP is an unreliable-datagram queue pair. Unlike RC queue pairs it is not
 // connected: each send names its destination with an address handle, one QP
 // can talk to any number of peers, and there are no acknowledgements — the
@@ -51,16 +48,17 @@ func NewUDQP(ctx *Context, port int) (*UDQP, error) {
 // Handle returns the address handle peers use to reach this QP.
 func (q *UDQP) Handle() AH { return AH{QP: q} }
 
-// Send transmits the gathered SGL to the destination QP. It returns the
-// local send completion; whether the datagram is consumed depends on the
-// receiver having a posted buffer — with none, the datagram is dropped
-// (unreliable!), which the returned drop flag reports for the benefit of
-// tests and RPC layers.
-func (q *UDQP) Send(now sim.Time, dst AH, sgl []SGE, inline bool) (Completion, bool, error) {
+// Send transmits the SGL's bytes to the destination QP as one inline
+// datagram: the payload rides in the WQE, so it may be at most MaxInline
+// bytes. It returns the local send completion; whether the datagram is
+// consumed depends on the receiver having a posted buffer — with none, the
+// datagram is dropped (unreliable!), which the returned drop flag reports
+// for the benefit of tests and RPC layers.
+func (q *UDQP) Send(now sim.Time, dst AH, sgl []SGE) (Completion, bool, error) {
 	if dst.QP == nil {
 		return Completion{}, false, fmt.Errorf("%w: nil address handle", ErrBadSGL)
 	}
-	if err := q.validate(sgl, inline); err != nil {
+	if err := q.validate(sgl); err != nil {
 		return Completion{}, false, err
 	}
 	// Build the datagram WR in the QP's own buffers; copying the SGL keeps
@@ -69,7 +67,7 @@ func (q *UDQP) Send(now sim.Time, dst AH, sgl []SGE, inline bool) (Completion, b
 		q.sges = make([]SGE, len(sgl))
 	}
 	wr := &q.sendWR
-	*wr = SendWR{Opcode: OpSend, SGL: q.sges[:len(sgl)], Inline: inline}
+	*wr = SendWR{Opcode: OpSend, SGL: q.sges[:len(sgl)]}
 	copy(wr.SGL, sgl)
 	q.wrList[0] = wr
 	var buf [1]Completion
@@ -81,8 +79,8 @@ func (q *UDQP) Send(now sim.Time, dst AH, sgl []SGE, inline bool) (Completion, b
 }
 
 // validate checks the datagram's SGL against the UD rules (local MRs only,
-// MTU, inline threshold) before any timing or data effects happen.
-func (q *UDQP) validate(sgl []SGE, inline bool) error {
+// inline threshold) before any timing or data effects happen.
+func (q *UDQP) validate(sgl []SGE) error {
 	if len(sgl) == 0 {
 		return fmt.Errorf("%w: no SGEs", ErrBadSGL)
 	}
@@ -96,10 +94,7 @@ func (q *UDQP) validate(sgl []SGE, inline bool) error {
 		}
 		total += s.Length
 	}
-	if total > UDMTU {
-		return fmt.Errorf("%w: datagram %d exceeds MTU %d", ErrBadSGL, total, UDMTU)
-	}
-	if inline && total > MaxInline {
+	if total > MaxInline {
 		return fmt.Errorf("%w: inline payload %d exceeds %d", ErrBadSGL, total, MaxInline)
 	}
 	return nil

@@ -2,6 +2,7 @@ package verbs
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"rdmasem/internal/sim"
@@ -28,7 +29,7 @@ func TestUDSendDelivers(t *testing.T) {
 	}
 	msg := []byte("unreliable datagram")
 	copy(e.mrA.Region().Bytes(), msg)
-	comp, dropped, err := qa.Send(0, qb.Handle(), []SGE{{Addr: e.mrA.Addr(), Length: len(msg), MR: e.mrA}}, false)
+	comp, dropped, err := qa.Send(0, qb.Handle(), []SGE{{Addr: e.mrA.Addr(), Length: len(msg), MR: e.mrA}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestUDSendDelivers(t *testing.T) {
 
 func TestUDSendWithoutRecvDrops(t *testing.T) {
 	e, qa, qb := udPair(t)
-	comp, dropped, err := qa.Send(0, qb.Handle(), []SGE{{Addr: e.mrA.Addr(), Length: 8, MR: e.mrA}}, false)
+	comp, dropped, err := qa.Send(0, qb.Handle(), []SGE{{Addr: e.mrA.Addr(), Length: 8, MR: e.mrA}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,10 +72,10 @@ func TestUDCompletesLocally(t *testing.T) {
 	e, qa, qb := udPair(t)
 	qb.PostRecv(RecvWR{SGE: SGE{Addr: e.mrB.Addr(), Length: 256, MR: e.mrB}})
 	// Warm.
-	qa.Send(0, qb.Handle(), []SGE{{Addr: e.mrA.Addr(), Length: 32, MR: e.mrA}}, false)
+	qa.Send(0, qb.Handle(), []SGE{{Addr: e.mrA.Addr(), Length: 32, MR: e.mrA}})
 	base := sim.Time(100 * sim.Microsecond)
 	qb.PostRecv(RecvWR{SGE: SGE{Addr: e.mrB.Addr(), Length: 256, MR: e.mrB}})
-	comp, _, err := qa.Send(base, qb.Handle(), []SGE{{Addr: e.mrA.Addr(), Length: 32, MR: e.mrA}}, false)
+	comp, _, err := qa.Send(base, qb.Handle(), []SGE{{Addr: e.mrA.Addr(), Length: 32, MR: e.mrA}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,20 +92,23 @@ func TestUDValidation(t *testing.T) {
 	if _, err := NewUDQP(e.ctxA, 7); err == nil {
 		t.Error("bad port must fail")
 	}
-	if _, _, err := qa.Send(0, AH{}, []SGE{{Addr: e.mrA.Addr(), Length: 8, MR: e.mrA}}, false); err == nil {
+	if _, _, err := qa.Send(0, AH{}, []SGE{{Addr: e.mrA.Addr(), Length: 8, MR: e.mrA}}); err == nil {
 		t.Error("nil AH must fail")
 	}
-	if _, _, err := qa.Send(0, qb.Handle(), nil, false); err == nil {
+	if _, _, err := qa.Send(0, qb.Handle(), nil); err == nil {
 		t.Error("empty SGL must fail")
 	}
-	if _, _, err := qa.Send(0, qb.Handle(), []SGE{{Addr: e.mrA.Addr(), Length: UDMTU + 1, MR: e.mrA}}, false); err == nil {
-		t.Error("above-MTU datagram must fail")
-	}
-	if _, _, err := qa.Send(0, qb.Handle(), []SGE{{Addr: e.mrA.Addr(), Length: 8, MR: e.mrB}}, false); err == nil {
+	if _, _, err := qa.Send(0, qb.Handle(), []SGE{{Addr: e.mrA.Addr(), Length: 8, MR: e.mrB}}); err == nil {
 		t.Error("foreign MR must fail")
 	}
-	if _, _, err := qa.Send(0, qb.Handle(), []SGE{{Addr: e.mrA.Addr(), Length: MaxInline + 1, MR: e.mrA}}, true); err == nil {
-		t.Error("oversized inline must fail")
+	// A datagram is inline by construction: one byte past MaxInline fails
+	// before any timing.
+	base := e.cl.Machine(0).NIC().Counters()
+	if _, _, err := qa.Send(0, qb.Handle(), []SGE{{Addr: e.mrA.Addr(), Length: MaxInline + 1, MR: e.mrA}}); !errors.Is(err, ErrBadSGL) {
+		t.Errorf("oversized datagram: %v, want ErrBadSGL", err)
+	}
+	if c := e.cl.Machine(0).NIC().Counters(); c.Doorbells != base.Doorbells {
+		t.Errorf("a rejected datagram rang %d doorbells", c.Doorbells-base.Doorbells)
 	}
 	if err := qb.PostRecv(RecvWR{SGE: SGE{Addr: e.mrA.Addr(), Length: 8, MR: e.mrA}}); err == nil {
 		t.Error("recv buffer from foreign MR must fail")
@@ -131,7 +135,7 @@ func TestUDOneToMany(t *testing.T) {
 	now := sim.Time(0)
 	for i, p := range peers {
 		copy(e.mrA.Region().Bytes(), []byte{byte(i + 1)})
-		comp, dropped, err := qa.Send(now, p.Handle(), []SGE{{Addr: e.mrA.Addr(), Length: 8, MR: e.mrA}}, false)
+		comp, dropped, err := qa.Send(now, p.Handle(), []SGE{{Addr: e.mrA.Addr(), Length: 8, MR: e.mrA}})
 		if err != nil || dropped {
 			t.Fatalf("send %d: err=%v dropped=%v", i, err, dropped)
 		}

@@ -258,20 +258,6 @@ func TestValidationErrors(t *testing.T) {
 		t.Errorf("atomic size: %v", err)
 	}
 
-	wr = good()
-	wr.Inline = true
-	wr.SGL[0].Length = MaxInline + 1
-	if _, err := e.qpA.PostSend(0, wr); !errors.Is(err, ErrBadSGL) {
-		t.Errorf("inline too large: %v", err)
-	}
-
-	wr = good()
-	wr.Opcode = OpRead
-	wr.Inline = true
-	if _, err := e.qpA.PostSend(0, wr); !errors.Is(err, ErrBadSGL) {
-		t.Errorf("inline read: %v", err)
-	}
-
 	// A foreign MR in the SGL is rejected.
 	wr = good()
 	wr.SGL[0].MR = e.mrB
@@ -329,35 +315,6 @@ func TestDoorbellListBeatsIndividualPosts(t *testing.T) {
 	}
 	if listDone >= seqDone {
 		t.Fatalf("doorbell list (%v) should finish before %d individual posts (%v)", listDone, k, seqDone)
-	}
-}
-
-func TestInlineWriteIsFaster(t *testing.T) {
-	e := newPair(t)
-	wr := &SendWR{
-		Opcode:     OpWrite,
-		SGL:        []SGE{{Addr: e.mrA.Addr(), Length: 32, MR: e.mrA}},
-		RemoteAddr: e.mrB.Addr(),
-		RemoteKey:  e.mrB.RKey(),
-	}
-	// Warm caches.
-	if _, err := e.qpA.PostSend(0, wr); err != nil {
-		t.Fatal(err)
-	}
-	base := sim.Time(100 * sim.Microsecond)
-	plain, err := e.qpA.PostSend(base, wr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inlineWR := *wr
-	inlineWR.Inline = true
-	base2 := plain.Done + 100*sim.Microsecond
-	inl, err := e.qpA.PostSend(base2, &inlineWR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inl.Done-base2 >= plain.Done-base {
-		t.Fatalf("inline write latency %v should beat non-inline %v", inl.Done-base2, plain.Done-base)
 	}
 }
 

@@ -103,13 +103,13 @@ func runWalkCell(t *testing.T, c walkCell) string {
 		qa.BindCore(core)
 		now := sim.Time(0)
 		for i, off := range walkOffsets {
-			msg := pattern(200, byte(i+1))
+			msg := pattern(MaxInline, byte(i+1)) // a datagram rides inline
 			copy(lmr.Region().Bytes(), msg)
 			dst := tr.Addr() + mem.Addr(base+off)
 			if err := qb.PostRecv(RecvWR{ID: uint64(i), SGE: SGE{Addr: dst, Length: 256, MR: rmr}}); err != nil {
 				t.Fatal(err)
 			}
-			comp, dropped, err := qa.Send(now, qb.Handle(), []SGE{{Addr: lmr.Addr(), Length: len(msg), MR: lmr}}, false)
+			comp, dropped, err := qa.Send(now, qb.Handle(), []SGE{{Addr: lmr.Addr(), Length: len(msg), MR: lmr}})
 			if err != nil || dropped {
 				t.Fatalf("%v: post %d: dropped=%v err=%v", c, i, dropped, err)
 			}
@@ -261,101 +261,102 @@ func TestWalkCharacterization(t *testing.T) {
 
 // walkWant is the table's pinned facts, recorded before the walk resolved
 // its per-QP route once and landed one-sided data through the target MR.
+// The UD cells send MaxInline-byte datagrams, which ride in the WQE.
 var walkWant = map[string]string{
 	"p0/other/s0/dense/CAS":    "6105/old=1000 9160/old=1001 12215/old=1002",
 	"p0/other/s0/dense/FAA":    "6103/old=1000 9156/old=1001 12209/old=1002",
 	"p0/other/s0/dense/READ":   "6333 9516 12699",
 	"p0/other/s0/dense/SEND":   "4160/4169 5860/5869 7560/7569",
-	"p0/other/s0/dense/UD":     "3100/3976 4250/4616 5400/5766",
+	"p0/other/s0/dense/UD":     "1595/2466 2680/3041 3765/4126",
 	"p0/other/s0/dense/WRITE":  "5565 7880 10195",
 	"p0/other/s0/sparse/CAS":   "6105/old=1000 9160/old=1001 12215/old=1002",
 	"p0/other/s0/sparse/FAA":   "6103/old=1000 9156/old=1001 12209/old=1002",
 	"p0/other/s0/sparse/READ":  "6333 9516 12699",
 	"p0/other/s0/sparse/SEND":  "4160/4169 5860/5869 7560/7569",
-	"p0/other/s0/sparse/UD":    "3100/3976 4250/4616 5400/5766",
+	"p0/other/s0/sparse/UD":    "1595/2466 2680/3041 3765/4126",
 	"p0/other/s0/sparse/WRITE": "5565 7880 10195",
 	"p0/other/s1/dense/CAS":    "6175/old=1000 9300/old=1001 12425/old=1002",
 	"p0/other/s1/dense/FAA":    "6173/old=1000 9296/old=1001 12419/old=1002",
 	"p0/other/s1/dense/READ":   "6528 9906 13284",
 	"p0/other/s1/dense/SEND":   "4160/4254 5860/5954 7560/7654",
-	"p0/other/s1/dense/UD":     "3100/4061 4250/4701 5400/5851",
+	"p0/other/s1/dense/UD":     "1595/2550 2680/3125 3765/4210",
 	"p0/other/s1/dense/WRITE":  "5845 8440 11035",
 	"p0/other/s1/sparse/CAS":   "6175/old=1000 9300/old=1001 12425/old=1002",
 	"p0/other/s1/sparse/FAA":   "6173/old=1000 9296/old=1001 12419/old=1002",
 	"p0/other/s1/sparse/READ":  "6528 9906 13284",
 	"p0/other/s1/sparse/SEND":  "4160/4254 5860/5954 7560/7654",
-	"p0/other/s1/sparse/UD":    "3100/4061 4250/4701 5400/5851",
+	"p0/other/s1/sparse/UD":    "1595/2550 2680/3125 3765/4210",
 	"p0/other/s1/sparse/WRITE": "5845 8440 11035",
 	"p0/same/s0/dense/CAS":     "5685/old=1000 8320/old=1001 10955/old=1002",
 	"p0/same/s0/dense/FAA":     "5683/old=1000 8316/old=1001 10949/old=1002",
 	"p0/same/s0/dense/READ":    "5913 8676 11439",
 	"p0/same/s0/dense/SEND":    "3740/3749 5020/5029 6300/6309",
-	"p0/same/s0/dense/UD":      "2820/3696 3690/4056 4560/4926",
+	"p0/same/s0/dense/UD":      "1315/2186 2120/2481 2925/3286",
 	"p0/same/s0/dense/WRITE":   "5145 7040 8935",
 	"p0/same/s0/sparse/CAS":    "5685/old=1000 8320/old=1001 10955/old=1002",
 	"p0/same/s0/sparse/FAA":    "5683/old=1000 8316/old=1001 10949/old=1002",
 	"p0/same/s0/sparse/READ":   "5913 8676 11439",
 	"p0/same/s0/sparse/SEND":   "3740/3749 5020/5029 6300/6309",
-	"p0/same/s0/sparse/UD":     "2820/3696 3690/4056 4560/4926",
+	"p0/same/s0/sparse/UD":     "1315/2186 2120/2481 2925/3286",
 	"p0/same/s0/sparse/WRITE":  "5145 7040 8935",
 	"p0/same/s1/dense/CAS":     "5755/old=1000 8460/old=1001 11165/old=1002",
 	"p0/same/s1/dense/FAA":     "5753/old=1000 8456/old=1001 11159/old=1002",
 	"p0/same/s1/dense/READ":    "6108 9066 12024",
 	"p0/same/s1/dense/SEND":    "3740/3834 5020/5114 6300/6394",
-	"p0/same/s1/dense/UD":      "2820/3781 3690/4141 4560/5011",
+	"p0/same/s1/dense/UD":      "1315/2270 2120/2565 2925/3370",
 	"p0/same/s1/dense/WRITE":   "5425 7600 9775",
 	"p0/same/s1/sparse/CAS":    "5755/old=1000 8460/old=1001 11165/old=1002",
 	"p0/same/s1/sparse/FAA":    "5753/old=1000 8456/old=1001 11159/old=1002",
 	"p0/same/s1/sparse/READ":   "6108 9066 12024",
 	"p0/same/s1/sparse/SEND":   "3740/3834 5020/5114 6300/6394",
-	"p0/same/s1/sparse/UD":     "2820/3781 3690/4141 4560/5011",
+	"p0/same/s1/sparse/UD":     "1315/2270 2120/2565 2925/3370",
 	"p0/same/s1/sparse/WRITE":  "5425 7600 9775",
 	"p1/other/s0/dense/CAS":    "6175/old=1000 9300/old=1001 12425/old=1002",
 	"p1/other/s0/dense/FAA":    "6173/old=1000 9296/old=1001 12419/old=1002",
 	"p1/other/s0/dense/READ":   "6618 10086 13554",
 	"p1/other/s0/dense/SEND":   "4315/4409 6170/6264 8025/8119",
-	"p1/other/s0/dense/UD":     "3185/4146 4420/4871 5655/6106",
+	"p1/other/s0/dense/UD":     "1595/2550 2680/3125 3765/4210",
 	"p1/other/s0/dense/WRITE":  "6000 8750 11500",
 	"p1/other/s0/sparse/CAS":   "6175/old=1000 9300/old=1001 12425/old=1002",
 	"p1/other/s0/sparse/FAA":   "6173/old=1000 9296/old=1001 12419/old=1002",
 	"p1/other/s0/sparse/READ":  "6618 10086 13554",
 	"p1/other/s0/sparse/SEND":  "4315/4409 6170/6264 8025/8119",
-	"p1/other/s0/sparse/UD":    "3185/4146 4420/4871 5655/6106",
+	"p1/other/s0/sparse/UD":    "1595/2550 2680/3125 3765/4210",
 	"p1/other/s0/sparse/WRITE": "6000 8750 11500",
 	"p1/other/s1/dense/CAS":    "6105/old=1000 9160/old=1001 12215/old=1002",
 	"p1/other/s1/dense/FAA":    "6103/old=1000 9156/old=1001 12209/old=1002",
 	"p1/other/s1/dense/READ":   "6423 9696 12969",
 	"p1/other/s1/dense/SEND":   "4315/4324 6170/6179 8025/8034",
-	"p1/other/s1/dense/UD":     "3185/4061 4420/4786 5655/6021",
+	"p1/other/s1/dense/UD":     "1595/2466 2680/3041 3765/4126",
 	"p1/other/s1/dense/WRITE":  "5720 8190 10660",
 	"p1/other/s1/sparse/CAS":   "6105/old=1000 9160/old=1001 12215/old=1002",
 	"p1/other/s1/sparse/FAA":   "6103/old=1000 9156/old=1001 12209/old=1002",
 	"p1/other/s1/sparse/READ":  "6423 9696 12969",
 	"p1/other/s1/sparse/SEND":  "4315/4324 6170/6179 8025/8034",
-	"p1/other/s1/sparse/UD":    "3185/4061 4420/4786 5655/6021",
+	"p1/other/s1/sparse/UD":    "1595/2466 2680/3041 3765/4126",
 	"p1/other/s1/sparse/WRITE": "5720 8190 10660",
 	"p1/same/s0/dense/CAS":     "5755/old=1000 8460/old=1001 11165/old=1002",
 	"p1/same/s0/dense/FAA":     "5753/old=1000 8456/old=1001 11159/old=1002",
 	"p1/same/s0/dense/READ":    "6198 9246 12294",
 	"p1/same/s0/dense/SEND":    "3895/3989 5330/5424 6765/6859",
-	"p1/same/s0/dense/UD":      "2905/3866 3860/4311 4815/5266",
+	"p1/same/s0/dense/UD":      "1315/2270 2120/2565 2925/3370",
 	"p1/same/s0/dense/WRITE":   "5580 7910 10240",
 	"p1/same/s0/sparse/CAS":    "5755/old=1000 8460/old=1001 11165/old=1002",
 	"p1/same/s0/sparse/FAA":    "5753/old=1000 8456/old=1001 11159/old=1002",
 	"p1/same/s0/sparse/READ":   "6198 9246 12294",
 	"p1/same/s0/sparse/SEND":   "3895/3989 5330/5424 6765/6859",
-	"p1/same/s0/sparse/UD":     "2905/3866 3860/4311 4815/5266",
+	"p1/same/s0/sparse/UD":     "1315/2270 2120/2565 2925/3370",
 	"p1/same/s0/sparse/WRITE":  "5580 7910 10240",
 	"p1/same/s1/dense/CAS":     "5685/old=1000 8320/old=1001 10955/old=1002",
 	"p1/same/s1/dense/FAA":     "5683/old=1000 8316/old=1001 10949/old=1002",
 	"p1/same/s1/dense/READ":    "6003 8856 11709",
 	"p1/same/s1/dense/SEND":    "3895/3904 5330/5339 6765/6774",
-	"p1/same/s1/dense/UD":      "2905/3781 3860/4226 4815/5181",
+	"p1/same/s1/dense/UD":      "1315/2186 2120/2481 2925/3286",
 	"p1/same/s1/dense/WRITE":   "5300 7350 9400",
 	"p1/same/s1/sparse/CAS":    "5685/old=1000 8320/old=1001 10955/old=1002",
 	"p1/same/s1/sparse/FAA":    "5683/old=1000 8316/old=1001 10949/old=1002",
 	"p1/same/s1/sparse/READ":   "6003 8856 11709",
 	"p1/same/s1/sparse/SEND":   "3895/3904 5330/5339 6765/6774",
-	"p1/same/s1/sparse/UD":     "2905/3781 3860/4226 4815/5181",
+	"p1/same/s1/sparse/UD":     "1315/2186 2120/2481 2925/3286",
 	"p1/same/s1/sparse/WRITE":  "5300 7350 9400",
 }

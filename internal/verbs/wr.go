@@ -56,7 +56,6 @@ type SendWR struct {
 	SGL        []SGE
 	RemoteAddr mem.Addr
 	RemoteKey  RKey
-	Inline     bool // payload carried in the WQE (WRITE/SEND, <= MaxInline)
 
 	// Atomic operands.
 	CompareAdd uint64 // compare value (CAS) or addend (FAA)
