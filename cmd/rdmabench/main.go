@@ -181,7 +181,7 @@ func printFaultSummary(w io.Writer, m telemetry.Snapshot) {
 	fmt.Fprintf(w, "faults: segments=%d drops=%d corrupts=%d delays=%d flap_drops=%d crash_drops=%d\n",
 		sum["fabric segments"], sum["fabric drops"], sum["fabric corrupts"], sum["fabric delays"],
 		sum["fabric flap-drops"], sum["fabric crash-drops"])
-	fmt.Fprintf(w, "reliability: segments=%d retransmits=%d timeouts=%d naks=%d rnr_naks=%d retries_exhausted=%d silent_drops=%d reconnects=%d\n",
+	fmt.Fprintf(w, "reliability: segments=%d retransmits=%d timeouts=%d naks=%d retries_exhausted=%d silent_drops=%d reconnects=%d\n",
 		sum["nic/rel segments"], sum["nic/rel retransmits"], sum["nic/rel ack-timeouts"], sum["nic/rel naks"],
-		sum["nic/rel rnr-naks"], sum["nic/rel retries-exhausted"], sum["nic/rel silent-drops"], sum["nic/rel reconnects"])
+		sum["nic/rel retries-exhausted"], sum["nic/rel silent-drops"], sum["nic/rel reconnects"])
 }

@@ -31,8 +31,8 @@ import (
 	"math/bits"
 
 	"rdmasem/internal/core"
+	"rdmasem/internal/rnic"
 	"rdmasem/internal/sim"
-	"rdmasem/internal/verbs"
 )
 
 // Params tunes the adaptive runtime.
@@ -150,10 +150,10 @@ func (t *tuner) close(ops, lat int64, fpA, fpB int) (int, bool) {
 	}
 }
 
-// badEvents folds a QPStats snapshot into the single reliability-trouble
-// tally the depth tuner thresholds on.
-func badEvents(s verbs.QPStats) uint64 {
-	return s.Retransmits + s.AckTimeouts + s.NaksReceived + s.RNRNaks
+// badEvents folds a QP's reliability tally into the single
+// reliability-trouble count the depth tuner thresholds on.
+func badEvents(s rnic.RelCounters) uint64 {
+	return s.Retransmits + s.AckTimeouts + s.NaksReceived
 }
 
 // lg is the log2 bucket of a non-negative value (bits.Len), the fingerprint

@@ -310,7 +310,7 @@ func (r *Runtime) closeEpoch(at sim.Time) {
 		}
 	}
 
-	// Doorbell depth: reliability trouble (RNR NAKs, retransmits, timeouts)
+	// Doorbell depth: reliability trouble (retransmits, timeouts, NAKs)
 	// during an epoch that actually posted halves the list depth;
 	// DefaultConfirm consecutive calm epochs double it back toward the ceiling.
 	if r.posted() {

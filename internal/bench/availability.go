@@ -159,10 +159,7 @@ func newAvailEnv(r *run, plan *fabric.FaultPlan, mode string) (*availEnv, error)
 		qp, _ := verbs.MustConnect(ctxA, 1, ctxB, 1, verbs.RC)
 		// A tight retry budget: two transmit attempts 4us apart, so a WR
 		// whose attempts both land in one down window kills its QP.
-		qp.SetRetryPolicy(verbs.RetryPolicy{
-			RetryCount: 1, RNRRetryCount: 1,
-			AckTimeout: 4 * sim.Microsecond, RNRTimer: 4 * sim.Microsecond,
-		})
+		qp.SetRetryPolicy(verbs.RetryPolicy{RetryCount: 1, AckTimeout: 4 * sim.Microsecond})
 		pool[i] = qp
 	}
 	table, err := proxy.NewTable(pool, availConns)

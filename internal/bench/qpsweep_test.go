@@ -123,8 +123,8 @@ func TestQPSweepDrainsServerCQs(t *testing.T) {
 				t.Fatal("the point completed no SEND")
 			}
 			for c := range sw.conns {
-				if n := sw.conns[c].serverQP().RecvCQ().Len(); n != 0 {
-					t.Fatalf("connection %d's receiving QP holds %d CQEs after the point", c, n)
+				if cqe, ok := sw.conns[c].serverQP().RecvCQ().PollOne(sim.MaxTime); ok {
+					t.Fatalf("connection %d's receiving QP holds CQE %+v after the point", c, cqe)
 				}
 			}
 		})

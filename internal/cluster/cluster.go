@@ -191,7 +191,6 @@ func (c *Cluster) FoldTelemetry(reg *telemetry.Registry) {
 		rel("retransmits", sc.Rel.Retransmits)
 		rel("ack-timeouts", sc.Rel.AckTimeouts)
 		rel("naks", sc.Rel.NaksReceived)
-		rel("rnr-naks", sc.Rel.RNRNaks)
 		rel("retries-exhausted", sc.Rel.RetriesExhausted)
 		rel("flushed-wrs", sc.Rel.FlushedWRs)
 		rel("silent-drops", sc.Rel.SilentDrops)

@@ -9,8 +9,6 @@
 package proxy
 
 import (
-	"errors"
-
 	"rdmasem/internal/sim"
 	"rdmasem/internal/telemetry"
 	"rdmasem/internal/verbs"
@@ -22,14 +20,10 @@ const MaxReconnectAttempts = 8
 
 // RecoveryStats tallies the table's recovery activity.
 type RecoveryStats struct {
-	Episodes          uint64 // pooled-QP failures the table reacted to
-	Reconnects        uint64 // reconnect walks that restored a QP
-	ReconnectFailures uint64 // individual reconnect attempts that failed
-	GiveUps           uint64 // episodes whose reconnect budget exhausted
-	Remaps            uint64 // logical connections moved to a survivor
-	Rehomes           uint64 // displaced connections re-pinned to their home QP
-	Replayed          uint64 // failed WRs reposted
-	ReplayFailures    uint64 // of those, replays that failed again
+	Episodes   uint64 // pooled-QP failures the table reacted to
+	Reconnects uint64 // reconnect walks that restored a QP
+	GiveUps    uint64 // episodes whose reconnect budget exhausted
+	Remaps     uint64 // logical connections moved to a survivor
 }
 
 // poolRecState is the table's per-pool-member recovery bookkeeping.
@@ -61,18 +55,15 @@ func (t *Table) EnableRecovery(remap bool) {
 }
 
 // RecoveryStats returns the recovery tallies (zero value when disabled).
-// Reconnects, ReconnectFailures and Replayed are the pool QPs' own tallies,
-// summed: only the table reconnects its pool members and replays onto them.
+// Reconnects is the pool QPs' own tally, summed: only the table reconnects
+// its pool members.
 func (t *Table) RecoveryStats() RecoveryStats {
 	st := t.recStats
 	if !t.recovering {
 		return st
 	}
 	for _, qp := range t.pool {
-		qs := qp.Stats()
-		st.Reconnects += qs.Reconnects
-		st.ReconnectFailures += qs.ReconnectFailures
-		st.Replayed += qs.Replayed
+		st.Reconnects += qp.Stats().Reconnects
 	}
 	return st
 }
@@ -95,7 +86,6 @@ func (t *Table) connQP(now sim.Time, conn int) int {
 		st := &t.recQP[home]
 		if st.reconnected && now >= st.backAt && t.pool[home].State() == verbs.StateReady {
 			t.conns[conn] = home
-			t.recStats.Rehomes++
 			return home
 		}
 	}
@@ -187,13 +177,10 @@ func (t *Table) recover(qi, conn int, wr *verbs.SendWR, failed verbs.Completion)
 	}
 	comp, err := t.pool[target].PostReplay(at, wr, applied, failed.OldValue)
 	if err != nil {
-		if errors.Is(err, verbs.ErrQPError) {
-			// The replay failed too (the survivor died under us, or the
-			// reconnected member broke again): the WR completes now, with
-			// the replay's authoritative error status, and the target's
-			// next post will open its own episode.
-			t.recStats.ReplayFailures++
-		}
+		// The replay failed too (the survivor died under us, or the
+		// reconnected member broke again): the WR completes now, with the
+		// replay's authoritative error status, and the target's next post
+		// will open its own episode.
 		return comp, err
 	}
 	t.ttr.Observe(comp.Done - fail)

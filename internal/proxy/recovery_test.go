@@ -59,11 +59,11 @@ func TestRecoveryRemapAndRehome(t *testing.T) {
 		t.Fatalf("recovered completion %+v", comp)
 	}
 	st := e.table.RecoveryStats()
-	if st.Episodes != 1 || st.Remaps != 2 || st.Replayed != 1 || st.Reconnects != 1 {
+	if st.Episodes != 1 || st.Remaps != 2 || st.Reconnects != 1 {
 		t.Fatalf("recovery stats %+v", st)
 	}
 	if count, _, _, _ := e.table.RecoveryTTR().Stats(); count != 1 {
-		t.Fatalf("TTR histogram holds %d samples, want 1", count)
+		t.Fatalf("TTR histogram holds %d samples, want the one replay", count)
 	}
 	// Both of the dead member's connections moved to the survivor.
 	if e.table.ConnQP(0) != e.pool[1] || e.table.ConnQP(2) != e.pool[1] {
@@ -77,9 +77,6 @@ func TestRecoveryRemapAndRehome(t *testing.T) {
 	}
 	if e.table.ConnQP(0) != e.pool[0] {
 		t.Fatal("connection not re-pinned to its home QP after the reconnect landed")
-	}
-	if st := e.table.RecoveryStats(); st.Rehomes == 0 {
-		t.Fatalf("no rehome tallied: %+v", st)
 	}
 }
 
@@ -98,8 +95,11 @@ func TestRecoveryReconnectOnly(t *testing.T) {
 		t.Fatalf("recovered completion at %v precedes the reconnect walk", comp.Done)
 	}
 	st := e.table.RecoveryStats()
-	if st.Remaps != 0 || st.Reconnects != 1 || st.Replayed != 1 {
+	if st.Remaps != 0 || st.Reconnects != 1 {
 		t.Fatalf("recovery stats %+v", st)
+	}
+	if count, _, _, _ := e.table.RecoveryTTR().Stats(); count != 1 {
+		t.Fatalf("TTR histogram holds %d samples, want the one replay", count)
 	}
 	if e.table.ConnQP(0) != e.pool[0] {
 		t.Fatal("reconnect-only recovery must not move the connection")
@@ -145,10 +145,7 @@ func TestRecoveryReplaysAppliedAtomic(t *testing.T) {
 			responded = sp.Start + sp.Dur
 		}
 	}
-	policy := verbs.RetryPolicy{
-		RetryCount: 1, RNRRetryCount: 1,
-		AckTimeout: 2 * sim.Microsecond, RNRTimer: 2 * sim.Microsecond,
-	}
+	policy := verbs.RetryPolicy{RetryCount: 1, AckTimeout: 2 * sim.Microsecond}
 	// The retransmission leaves one AckTimeout after the lost response; the
 	// failure surfaces two AckTimeouts after that.
 	retransmit := responded + policy.AckTimeout
@@ -175,9 +172,11 @@ func TestRecoveryReplaysAppliedAtomic(t *testing.T) {
 			if comp.OldValue != before {
 				t.Fatalf("replayed OldValue %d, want the pre-failure %d", comp.OldValue, before)
 			}
-			st := e.table.RecoveryStats()
-			if st.Episodes != 1 || st.Replayed != 1 || st.ReplayFailures != 0 {
+			if st := e.table.RecoveryStats(); st.Episodes != 1 {
 				t.Fatalf("recovery stats %+v", st)
+			}
+			if count, _, _, _ := e.table.RecoveryTTR().Stats(); count != 1 {
+				t.Fatalf("TTR histogram holds %d samples, want the one replay", count)
 			}
 			if !e.pool[0].FailedApplied() || e.cl.Machine(0).Fabric().FaultStats().CrashDrops == 0 {
 				t.Fatal("the failure was not a lost response to an executed request")
@@ -188,12 +187,15 @@ func TestRecoveryReplaysAppliedAtomic(t *testing.T) {
 
 // TestRecoveryGiveUp: with no survivor to remap onto and the peer machine
 // crashed across the whole reconnect budget, recovery delivers the original
-// failure — exactly once, with the caller's WR ID — and tallies the give-up.
+// failure — exactly once, with the caller's WR ID — and tallies the give-up
+// after walking the whole budget on the connection managers.
 func TestRecoveryGiveUp(t *testing.T) {
-	plan := &fabric.FaultPlan{Seed: 3, Crashes: []fabric.CrashEvent{
+	cfg := cluster.DefaultConfig()
+	cfg.Faults = &fabric.FaultPlan{Seed: 3, Crashes: []fabric.CrashEvent{
 		{Machine: 1, At: 0, Down: 100 * sim.Millisecond},
 	}}
-	e := newFaultyTableEnv(t, 1, 2, plan)
+	cfg.Telemetry = telemetry.NewRegistry()
+	e := newTableEnvOn(t, cfg, 1, 2)
 	e.table.EnableRecovery(true)
 	e.pool[0].ForceError()
 	comp, err := e.table.Post(0, 1, e.writeWR(920, 64))
@@ -204,11 +206,16 @@ func TestRecoveryGiveUp(t *testing.T) {
 		t.Fatalf("gave-up completion %+v", comp)
 	}
 	st := e.table.RecoveryStats()
-	if st.GiveUps != 1 || st.Reconnects != 0 || st.Replayed != 0 {
+	if st.GiveUps != 1 || st.Reconnects != 0 {
 		t.Fatalf("recovery stats %+v", st)
 	}
-	if st.ReconnectFailures != proxy.MaxReconnectAttempts {
-		t.Fatalf("%d reconnect failures, want the full budget", st.ReconnectFailures)
+	// Each reconnect attempt is one walk on the local connection manager.
+	local := e.cl.Machine(0).Label()
+	if walks, _, _, _ := cfg.Telemetry.Hist(local, "cm", "service").Stats(); walks != proxy.MaxReconnectAttempts {
+		t.Fatalf("%d reconnect walks, want the full budget of %d", walks, proxy.MaxReconnectAttempts)
+	}
+	if e.pool[0].State() != verbs.StateError {
+		t.Fatalf("pool QP %v after the give-up, want ERROR", e.pool[0].State())
 	}
 	if count, _, _, _ := e.table.RecoveryTTR().Stats(); count != 0 {
 		t.Fatal("a gave-up WR must not count as recovered in the TTR histogram")
@@ -233,31 +240,27 @@ func TestRecoveryBatch(t *testing.T) {
 		}
 	}
 	st := e.table.RecoveryStats()
-	if st.Episodes != 1 || st.Replayed != 1 || st.Remaps != 2 {
+	if st.Episodes != 1 || st.Remaps != 2 {
 		t.Fatalf("recovery stats %+v", st)
+	}
+	if count, _, _, _ := e.table.RecoveryTTR().Stats(); count != 1 {
+		t.Fatalf("TTR histogram holds %d samples, want the one replay", count)
 	}
 }
 
 // TestDeliverErrorStatuses pins the error completions a table returns
-// without recovery: an RNR-exhausted WR and a flushed WR come back with the
+// without recovery: a retry-exhausted WR and a flushed WR come back with the
 // caller's ID, their authoritative status and verbs.ErrQPError.
 func TestDeliverErrorStatuses(t *testing.T) {
-	// A quiet-but-active fault plan engages the reliability layer (which
-	// turns an empty receive queue into RNR NAK + retry) without dropping
-	// anything itself.
-	e := newFaultyTableEnv(t, 1, 2, &fabric.FaultPlan{Seed: 1, Drop: 1e-300})
-	// No SRQ stocking: the SEND hits receiver-not-ready until the tiny RNR
-	// budget exhausts.
-	e.pool[0].SetRetryPolicy(verbs.RetryPolicy{
-		RetryCount: 1, RNRRetryCount: 1,
-		AckTimeout: 2 * sim.Microsecond, RNRTimer: 2 * sim.Microsecond,
-	})
+	// A fabric that drops every frame: the SEND burns its tiny retry budget.
+	e := newFaultyTableEnv(t, 1, 2, &fabric.FaultPlan{Seed: 1, Drop: 1})
+	e.pool[0].SetRetryPolicy(verbs.RetryPolicy{RetryCount: 1, AckTimeout: 2 * sim.Microsecond})
 	comp, err := e.table.Post(0, 1, e.sendWR(777, 64))
 	if !errors.Is(err, verbs.ErrQPError) {
-		t.Fatalf("RNR-exhausted post returned %v", err)
+		t.Fatalf("retry-exhausted post returned %v", err)
 	}
-	if comp.WRID != 777 || comp.Status != verbs.StatusRNRRetryExceeded {
-		t.Fatalf("RNR completion %+v", comp)
+	if comp.WRID != 777 || comp.Status != verbs.StatusRetryExceeded {
+		t.Fatalf("retry-exhausted completion %+v", comp)
 	}
 	// The QP is now in the error state: the next connection's WR flushes.
 	comp, err = e.table.Post(comp.Done, 0, e.sendWR(778, 64))

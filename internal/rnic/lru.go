@@ -198,11 +198,6 @@ func (c *LRU) moveToFront(i int32) {
 	c.pushFront(i)
 }
 
-// contains reports residency without touching recency or statistics.
-func (c *LRU) contains(key uint64) bool {
-	return c.slots[c.probe(key, lruMix(key))].node != 0
-}
-
 // Hits returns the number of Access calls that hit.
 func (c *LRU) Hits() int64 { return c.hits }
 

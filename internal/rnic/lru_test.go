@@ -26,9 +26,12 @@ func TestLRUEviction(t *testing.T) {
 	c.Access(2)
 	c.Access(1) // 1 is now MRU; 2 is LRU
 	c.Access(3) // evicts 2
-	if !c.contains(1) || c.contains(2) || !c.contains(3) {
-		t.Fatalf("residency after eviction wrong: 1=%v 2=%v 3=%v",
-			c.contains(1), c.contains(2), c.contains(3))
+	// 1 and 3 are resident, so they hit (and keep each other); 2 was evicted.
+	if hit1, hit3, hit2 := c.Access(1), c.Access(3), c.Access(2); !hit1 || !hit3 || hit2 {
+		t.Fatalf("residency after eviction wrong: 1=%v 3=%v 2=%v", hit1, hit3, hit2)
+	}
+	if c.Hits() != 3 || c.Misses() != 4 {
+		t.Fatalf("hits=%d misses=%d, want 3/4", c.Hits(), c.Misses())
 	}
 }
 
@@ -86,11 +89,11 @@ func TestLRUInvariantsProperty(t *testing.T) {
 			if c.size() > capacity {
 				return false
 			}
-			if !c.contains(k) {
+			if !c.Access(k) {
 				return false
 			}
 		}
-		return c.Hits()+c.Misses() == int64(n)
+		return c.Hits()+c.Misses() == 2*int64(n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -119,12 +122,15 @@ func TestLRURetainsMostRecentProperty(t *testing.T) {
 				expect = append(expect, trace[i])
 			}
 		}
-		for _, k := range expect {
-			if !c.contains(k) {
+		// Re-access them least recent first: each must hit, and a hit
+		// evicts nothing.
+		hits := c.Hits()
+		for i := len(expect) - 1; i >= 0; i-- {
+			if !c.Access(expect[i]) {
 				return false
 			}
 		}
-		return c.size() == len(expect)
+		return c.size() == len(expect) && c.Hits() == hits+int64(len(expect))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -193,7 +199,7 @@ func TestLRUHashCollision(t *testing.T) {
 			if !c.Access(other) {
 				t.Fatalf("twins %#x and %#x: evicting %#x lost its twin", a, b, first)
 			}
-			if c.contains(first) {
+			if c.Access(first) {
 				t.Fatalf("twins %#x and %#x: %#x still indexed after its eviction", a, b, first)
 			}
 		}
@@ -249,6 +255,7 @@ func (r *refLRU) access(key uint64) bool {
 func checkAgainstRef(t *testing.T, c *LRU, capacity int, keys []uint64) {
 	t.Helper()
 	ref := &refLRU{capacity: capacity}
+	accesses := len(keys)
 	for i, k := range keys {
 		got, want := c.Access(k), ref.access(k)
 		if got != want {
@@ -258,11 +265,11 @@ func checkAgainstRef(t *testing.T, c *LRU, capacity int, keys []uint64) {
 			t.Fatalf("access %d key %#x: size=%d, reference %d", i, k, c.size(), len(ref.keys))
 		}
 		if i%97 == 0 || i == len(keys)-1 {
-			checkIndex(t, c, ref.keys)
+			accesses += checkIndex(t, c, ref.keys)
 		}
 	}
-	if c.Hits()+c.Misses() != int64(len(keys)) {
-		t.Fatalf("hits+misses=%d, want %d", c.Hits()+c.Misses(), len(keys))
+	if c.Hits()+c.Misses() != int64(accesses) {
+		t.Fatalf("hits+misses=%d, want %d", c.Hits()+c.Misses(), accesses)
 	}
 }
 
@@ -287,12 +294,14 @@ func (c *LRU) size() int {
 }
 
 // checkIndex asserts that every resident key is reachable through the slot
-// index and that the index holds nothing else.
-func checkIndex(t *testing.T, c *LRU, resident []uint64) {
+// index and that the index holds nothing else. It re-accesses the resident
+// keys, given most recent first, from the least recent on: each must hit,
+// and the recency order ends as it began. It returns the accesses it made.
+func checkIndex(t *testing.T, c *LRU, resident []uint64) int {
 	t.Helper()
-	for _, k := range resident {
-		if !c.contains(k) {
-			t.Fatalf("resident key %#x not found through the index", k)
+	for i := len(resident) - 1; i >= 0; i-- {
+		if !c.Access(resident[i]) {
+			t.Fatalf("resident key %#x not found through the index", resident[i])
 		}
 	}
 	used := 0
@@ -307,6 +316,7 @@ func checkIndex(t *testing.T, c *LRU, resident []uint64) {
 	if used != len(resident) {
 		t.Fatalf("index holds %d keys, want %d", used, len(resident))
 	}
+	return len(resident)
 }
 
 // collidingKeys brute-forces n keys whose home slot in a table of mask+1

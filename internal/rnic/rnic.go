@@ -80,7 +80,6 @@ type RelCounters struct {
 	Retransmits      uint64 // segments re-sent by go-back-N recovery
 	AckTimeouts      uint64 // recovery rounds entered via ACK timeout
 	NaksReceived     uint64 // go-back-N sequence NAKs received
-	RNRNaks          uint64 // receiver-not-ready NAKs received
 	RetriesExhausted uint64 // WRs that errored out after the retry budget
 	FlushedWRs       uint64 // WRs flushed on an error-state QP
 	SilentDrops      uint64 // UD datagrams lost on the wire (UD has no recovery)
@@ -101,7 +100,6 @@ func (n *NIC) Counters() StageCounters {
 		c.Rel.Retransmits += q.Retransmits
 		c.Rel.AckTimeouts += q.AckTimeouts
 		c.Rel.NaksReceived += q.NaksReceived
-		c.Rel.RNRNaks += q.RNRNaks
 		c.Rel.RetriesExhausted += q.RetriesExhausted
 		c.Rel.FlushedWRs += q.FlushedWRs
 		c.Rel.SilentDrops += q.SilentDrops

@@ -616,10 +616,7 @@ func TestFailureAtomicityUnderCrash(t *testing.T) {
 	cl := testCluster(t, 0, crash, reg)
 	s := mustStore(t, cl, 0, Config{KeySpace: 32, ValueSize: 16})
 	c := mustClient(t, 0, cl, 1, s)
-	c.SetRetryPolicy(verbs.RetryPolicy{
-		RetryCount: 1, RNRRetryCount: 1,
-		AckTimeout: 4 * sim.Microsecond, RNRTimer: 4 * sim.Microsecond,
-	})
+	c.SetRetryPolicy(verbs.RetryPolicy{RetryCount: 1, AckTimeout: 4 * sim.Microsecond})
 
 	val := make([]byte, 16)
 	buf := make([]byte, 16)

@@ -84,10 +84,9 @@ type qpState struct {
 }
 
 // qpFlags are the fault-plan facts, read once at construction so the hot
-// path pays one bit test each. qpLossy decides the only three points where
+// path pays one bit test each. qpLossy decides the only two points where
 // the reliability engine's no-loss case differs from a quiet plan: PathMTU
-// segmentation, the reliability tallies, and RNR back-off (a lossless RC
-// SEND into an empty receive queue returns ErrRNR instead).
+// segmentation and the reliability tallies.
 type qpFlags uint8
 
 const (
@@ -157,13 +156,13 @@ func (s *qpState) receiver() *qpRecv {
 // qpRel is a QP's reliability state: its knobs, its tally, and what
 // connection recovery remembers (see recovery.go). On a lossless fabric all
 // of it is inert or zero, so a QP there carries none until something writes
-// it: SetRetryPolicy, a flush, Reconnect or PostReplay. A QP on a lossy
-// fabric gets one at construction.
+// it: SetRetryPolicy, a flush, a successful Reconnect or PostReplay. A QP on
+// a lossy fabric gets one at construction.
 type qpRel struct {
-	policy        RetryPolicy // reliability knobs
-	stats         QPStats     // reliability tally, registered with the NIC
-	replay        replaySeed  // transient: what the WR PostReplay reposts already did
-	failedApplied bool        // the last failed WR had executed at the responder
+	policy        RetryPolicy      // reliability knobs
+	stats         rnic.RelCounters // reliability tally, registered with the NIC
+	replay        replaySeed       // transient: what the WR PostReplay reposts already did
+	failedApplied bool             // the last failed WR had executed at the responder
 }
 
 // replaySeed is what a replayed WR carries over from its failure: whether
@@ -179,7 +178,7 @@ type replaySeed struct {
 func (s *qpState) reliability() *qpRel {
 	if s.rel == nil {
 		s.rel = &qpRel{policy: DefaultRetryPolicy()}
-		s.route.nic.AddQP(&s.rel.stats.RelCounters)
+		s.route.nic.AddQP(&s.rel.stats)
 	}
 	return s.rel
 }
@@ -566,9 +565,9 @@ func executeOne(src, dst *qpState, t sim.Time, wr *SendWR) (Completion, bool, er
 }
 
 // deliverDatagram models the receiver of a UD send: there is no
-// acknowledgement and no RNR back-pressure — with no posted buffer the
-// datagram is silently dropped (unreliable!). It returns the delivery time
-// (receive-side DMA end) and the drop flag.
+// acknowledgement, so with no posted buffer the datagram is silently
+// dropped (unreliable!) where RC would return ErrRNR. It returns the
+// delivery time (receive-side DMA end) and the drop flag.
 func deliverDatagram(src, dst *qpState, arrive sim.Time, wr *SendWR, total int) (sim.Time, bool, error) {
 	r := dst.route
 	rmeta := r.nic.TouchQP(uint64(dst.id))

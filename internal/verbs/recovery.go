@@ -2,8 +2,8 @@
 // broken connection back. A QP that entered StateError — retry budget
 // exhausted, machine crash, or ForceError — is terminal for the reliability
 // layer; Reconnect cycles both ends through RESET→INIT→RTR→RTS on their
-// machines' connection managers, resynchronizes PSNs and re-arms the retry
-// budgets, exactly as a host CM would re-establish an RC connection.
+// machines' connection managers and re-arms the retry budgets, as a host CM
+// would re-establish an RC connection.
 //
 // A WR the broken QP failed can be reposted after the reconnect, by whoever
 // still holds it (proxy.Table does). Replay is exactly-once with respect to
@@ -12,9 +12,9 @@
 // failure means only the acknowledgement or response was lost), and a
 // replayed applied WR takes the reliability layer's duplicate path — the
 // responder regenerates its response, with the atomic's original old value,
-// without re-touching memory. That is the same PSN-based duplicate
-// suppression that makes retransmitted atomics exactly-once, extended across
-// a connection teardown.
+// without re-touching memory. That is the same duplicate suppression that
+// makes retransmitted atomics exactly-once, extended across a connection
+// teardown.
 package verbs
 
 import (
@@ -33,28 +33,17 @@ const ModifyQPCost = 2 * sim.Microsecond
 // responder, unless it was itself the replay of an applied failure.
 func (q *QP) FailedApplied() bool { return q.rel != nil && q.rel.failedApplied }
 
-// resync is the state both sides agree on when the connection is
-// re-established: READY, fresh PSN windows, retry budgets re-armed (the
-// budgets are per-WR locals, so READY is all the re-arming they need). A QP
-// without reliability state has zero PSNs already.
-func (s *qpState) resync() {
-	s.state = StateReady
-	if s.rel != nil {
-		s.rel.stats.SendPSN = 0
-		s.rel.stats.ExpectedPSN = 0
-	}
-}
-
 // Reconnect cycles the connection back to READY: both machines' connection
 // managers execute the RESET→INIT→RTR→RTS walk (three ModifyQPCost
 // transitions each, serialized on the per-machine CM resource, so
-// simultaneous recoveries on one host queue up), PSNs resynchronize and the
-// retry budgets re-arm. It returns the time the QP pair is usable again.
+// simultaneous recoveries on one host queue up) and both ends return to
+// READY, which is all the re-arming the retry budgets need (they are per-WR
+// locals). It returns the time the QP pair is usable again.
 //
 // The walk needs both hosts alive: if either end's machine is still inside
 // a crash window when the transitions complete, the handshake fails with
-// ErrQPError, the QP stays in the error state, and the failure is tallied —
-// callers retry on a back-off walk (see proxy.Table).
+// ErrQPError and the QP stays in the error state — callers retry on a
+// back-off walk (see proxy.Table).
 func (q *QP) Reconnect(now sim.Time) (sim.Time, error) {
 	if q.peer == nil {
 		return now, ErrNotConnected
@@ -62,14 +51,12 @@ func (q *QP) Reconnect(now sim.Time) (sim.Time, error) {
 	local, remote := q.route.machine, q.peer.route.machine
 	t := local.CM().Delay(now, 3*ModifyQPCost)
 	t = remote.CM().Delay(t, 3*ModifyQPCost)
-	st := &q.reliability().stats
 	if local.CrashedAt(t) || remote.CrashedAt(t) {
-		st.ReconnectFailures++
 		return t, ErrQPError
 	}
-	q.resync()
-	q.peer.resync()
-	st.Reconnects++
+	q.state = StateReady
+	q.peer.state = StateReady
+	q.reliability().stats.Reconnects++
 	return t, nil
 }
 
@@ -78,13 +65,12 @@ func (q *QP) Reconnect(now sim.Time) (sim.Time, error) {
 // completion carried: a WR whose effects already landed is recovered as a
 // duplicate (acknowledged with that old value, never re-executed — see
 // executeReliable). The target may be any QP connected to the same remote
-// machine; PSN duplicate suppression is a property of the responder's
-// memory, not of the broken connection.
+// machine; duplicate suppression is a property of the responder's memory,
+// not of the broken connection.
 func (q *QP) PostReplay(now sim.Time, wr *SendWR, applied bool, old uint64) (Completion, error) {
 	rel := q.reliability()
 	rel.replay = replaySeed{applied: applied, old: old}
 	comp, err := q.PostSend(now, wr)
 	rel.replay = replaySeed{}
-	rel.stats.Replayed++
 	return comp, err
 }

@@ -20,16 +20,13 @@ func fetchAddWR(e *pairEnv, id uint64) *SendWR {
 }
 
 // TestReconnectRestoresQP: after ForceError, Reconnect cycles the pair back
-// to READY with fresh PSNs, charges the connection managers, and the QP
-// carries traffic again.
+// to READY, charges the connection managers, and the QP carries traffic
+// again.
 func TestReconnectRestoresQP(t *testing.T) {
 	e := newLossyPair(t, quietPlan())
 	fillPattern(e.mrA.Region().Bytes()[:64], 3)
 	if _, err := e.qpA.PostSend(0, writeWR(e, 64)); err != nil {
 		t.Fatal(err)
-	}
-	if e.qpA.Stats().SendPSN == 0 {
-		t.Fatal("probe did not advance the PSN window")
 	}
 	e.qpA.ForceError()
 	if _, err := e.qpA.PostSend(0, writeWR(e, 64)); !errors.Is(err, ErrQPError) {
@@ -46,7 +43,7 @@ func TestReconnectRestoresQP(t *testing.T) {
 		t.Fatalf("states after reconnect: %v / %v", e.qpA.State(), e.qpB.State())
 	}
 	st := e.qpA.Stats()
-	if st.Reconnects != 1 || st.SendPSN != 0 {
+	if st.Reconnects != 1 {
 		t.Fatalf("reconnect stats %+v", st)
 	}
 	if got := e.cl.Machine(0).NIC().Counters().Rel.Reconnects; got != 1 {
@@ -76,8 +73,8 @@ func TestCrashWindowFlushesAndReconnects(t *testing.T) {
 	if _, err := e.qpA.Reconnect(25 * sim.Microsecond); !errors.Is(err, ErrQPError) {
 		t.Fatalf("reconnect during the crash window returned %v", err)
 	}
-	if e.qpA.Stats().ReconnectFailures != 1 {
-		t.Fatalf("stats %+v", e.qpA.Stats())
+	if e.qpA.State() != StateError || e.qpA.Stats().Reconnects != 0 {
+		t.Fatalf("failed reconnect left state %v, stats %+v", e.qpA.State(), e.qpA.Stats())
 	}
 	up, err := e.qpA.Reconnect(60 * sim.Microsecond)
 	if err != nil {
@@ -96,7 +93,7 @@ func TestReplayExactlyOnceUnapplied(t *testing.T) {
 		{Machine: 1, At: 0, Down: 50 * sim.Microsecond},
 	}}
 	e := newLossyPair(t, plan)
-	e.qpA.SetRetryPolicy(RetryPolicy{RetryCount: 1, RNRRetryCount: 1, AckTimeout: 2 * sim.Microsecond, RNRTimer: 2 * sim.Microsecond})
+	e.qpA.SetRetryPolicy(RetryPolicy{RetryCount: 1, AckTimeout: 2 * sim.Microsecond})
 
 	// Two fetch-adds: the first burns its retry budget against the crashed
 	// responder, the second flushes behind it.
@@ -149,9 +146,6 @@ func TestReplayExactlyOnceUnapplied(t *testing.T) {
 	if comps[0].OldValue != 0 || comps[1].OldValue != 1 {
 		t.Fatalf("replayed old values %d, %d", comps[0].OldValue, comps[1].OldValue)
 	}
-	if st := e.qpA.Stats(); st.Replayed != 2 {
-		t.Fatalf("replay accounting %+v", st)
-	}
 }
 
 // TestReplayAppliedIsDuplicate: a FETCH_ADD whose effects landed before its
@@ -162,7 +156,7 @@ func TestReplayExactlyOnceUnapplied(t *testing.T) {
 // the responder's duplicate path: the response regenerates with the
 // original old value, and memory is not touched again.
 func TestReplayAppliedIsDuplicate(t *testing.T) {
-	policy := RetryPolicy{RetryCount: 1, RNRRetryCount: 1, AckTimeout: 2 * sim.Microsecond, RNRTimer: 2 * sim.Microsecond}
+	policy := RetryPolicy{RetryCount: 1, AckTimeout: 2 * sim.Microsecond}
 	// A probe moves the counter off zero, so a lost old value shows.
 	probe := func(e *pairEnv) sim.Time {
 		comp, err := e.qpA.PostSend(0, fetchAddWR(e, 1))

@@ -2,28 +2,31 @@
 // phase of every RC work request, on every fabric. It is what makes
 // the R in "Reliable Connection" real when the fabric is lossy:
 //
-//   - messages are segmented at PathMTU and stamped with per-QP packet
-//     sequence numbers (PSNs);
-//   - the responder detects PSN gaps and answers with a go-back-N NAK for
-//     the first missing PSN; the requester retransmits from there;
+//   - messages are segmented at PathMTU; a segment's packet sequence
+//     number (PSN) is its position in the message, so no per-QP counter is
+//     kept;
+//   - the responder detects a gap and answers with a go-back-N NAK for
+//     the first missing segment; the requester retransmits from there;
 //   - lost tails (or lost ACKs/NAKs) are recovered by an ACK timeout with
 //     exponential backoff, driven entirely by the sim clock;
-//   - a SEND arriving with no posted receive WR draws an RNR NAK and is
-//     retried after the RNR timer;
 //   - when the retry budget is exhausted the QP transitions to the error
 //     state and the WR completes with an error status — every later WR on
 //     the QP is flushed (StatusFlushed) without touching the wire;
-//   - duplicate segments from a retransmission round are detected by PSN
-//     and never re-apply data effects (acks are regenerated instead), so a
-//     successful completion always implies exactly-once memory effects.
+//   - duplicate segments from a retransmission round never re-apply data
+//     effects (the applied flag marks a request the responder executed, and
+//     acks are regenerated instead), so a successful completion always
+//     implies exactly-once memory effects.
+//
+// A SEND that finds no posted receive WR returns ErrRNR to the poster on
+// every fabric: every experiment posts each receive before the SEND that
+// consumes it, so the receiver-not-ready back-off of real RC is not modeled.
 //
 // A lossless fabric (no FaultPlan attached) is the engine's no-loss case:
 // every frame arrives, so one round runs and no recovery path is taken. The
-// QP's lossy flag, read once at construction, decides the only three points
+// QP's lossy flag, read once at construction, decides the only two points
 // where that case differs from an attached plan that never fires: each
-// message is one frame (no PathMTU segmentation), the reliability tallies
-// stay zero, and a SEND into an empty receive queue returns ErrRNR to the
-// poster instead of backing off.
+// message is one frame (no PathMTU segmentation), and the reliability
+// tallies stay zero.
 //
 // UD has no reliability machinery, as the spec requires: a datagram draws
 // the same fault stream, but a lost one vanishes silently without consuming
@@ -50,10 +53,9 @@ type CompletionStatus int
 // Completion statuses, mirroring the ibverbs wc_status values the paper's
 // testbed would surface.
 const (
-	StatusOK               CompletionStatus = iota
-	StatusRetryExceeded                     // transport retry budget exhausted (lost data or acks)
-	StatusRNRRetryExceeded                  // receiver-not-ready retry budget exhausted
-	StatusFlushed                           // WR flushed: the QP was already in the error state
+	StatusOK            CompletionStatus = iota
+	StatusRetryExceeded                  // transport retry budget exhausted (lost data or acks)
+	StatusFlushed                        // WR flushed: the QP was already in the error state
 )
 
 func (s CompletionStatus) String() string {
@@ -62,8 +64,6 @@ func (s CompletionStatus) String() string {
 		return "OK"
 	case StatusRetryExceeded:
 		return "RETRY_EXC"
-	case StatusRNRRetryExceeded:
-		return "RNR_RETRY_EXC"
 	default:
 		return "FLUSH"
 	}
@@ -90,43 +90,28 @@ func (s State) String() string {
 // RetryPolicy is the per-QP reliability configuration, the knobs ibv_modify_qp
 // sets on real hardware.
 type RetryPolicy struct {
-	RetryCount    int          // recovery rounds (NAK or timeout) before the QP errors out
-	RNRRetryCount int          // receiver-not-ready retries before the QP errors out
-	AckTimeout    sim.Duration // base ACK timeout; doubles per consecutive timeout
-	RNRTimer      sim.Duration // wait after an RNR NAK before retrying
+	RetryCount int          // recovery rounds (NAK or timeout) before the QP errors out
+	AckTimeout sim.Duration // base ACK timeout; doubles per consecutive timeout
 }
 
-// DefaultRetryPolicy mirrors common ConnectX defaults: retry_cnt=7,
-// rnr_retry=7, a 16us base timeout and a 64us RNR timer.
+// DefaultRetryPolicy mirrors common ConnectX defaults: retry_cnt=7 and a
+// 16us base timeout.
 func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{
-		RetryCount:    7,
-		RNRRetryCount: 7,
-		AckTimeout:    16 * sim.Microsecond,
-		RNRTimer:      64 * sim.Microsecond,
+		RetryCount: 7,
+		AckTimeout: 16 * sim.Microsecond,
 	}
 }
 
 // maxBackoffShift caps the exponential ACK-timeout backoff at 2^6 = 64x.
 const maxBackoffShift = 6
 
-// QPStats is the per-QP reliability tally. All fields are zero on a
-// lossless fabric. The embedded RelCounters is the only tally of each wire
-// and recovery event: the QP's NIC sums its QPs' blocks into
-// rnic.StageCounters.Rel.
-type QPStats struct {
-	SendPSN           uint64 // next packet sequence number to assign
-	ExpectedPSN       uint64 // next PSN the responder side expects
-	rnic.RelCounters         // wire and recovery events, summed by the NIC
-	ReconnectFailures uint64 // Reconnect walks that found a host still down
-	Replayed          uint64 // failed WRs reposted through PostReplay
-}
-
 // Stats returns the QP's reliability tally: zero until the QP has
-// reliability state.
-func (s *qpState) Stats() QPStats {
+// reliability state. It is the only tally of each wire and recovery event;
+// the QP's NIC sums its QPs' tallies into rnic.StageCounters.Rel.
+func (s *qpState) Stats() rnic.RelCounters {
 	if s.rel == nil {
-		return QPStats{}
+		return rnic.RelCounters{}
 	}
 	return s.rel.stats
 }
@@ -144,14 +129,14 @@ func (s *qpState) RetryPolicy() RetryPolicy {
 }
 
 // SetRetryPolicy replaces the QP's reliability configuration (the model's
-// ibv_modify_qp). Negative budgets and non-positive timers panic: they make
-// the recovery loop meaningless.
+// ibv_modify_qp). A negative budget or a non-positive timeout panics: either
+// makes the recovery loop meaningless.
 func (s *qpState) SetRetryPolicy(p RetryPolicy) {
-	if p.RetryCount < 0 || p.RNRRetryCount < 0 {
+	if p.RetryCount < 0 {
 		panic("verbs: negative retry budget")
 	}
-	if p.AckTimeout <= 0 || p.RNRTimer <= 0 {
-		panic("verbs: retry timers must be positive")
+	if p.AckTimeout <= 0 {
+		panic("verbs: retry timer must be positive")
 	}
 	s.reliability().policy = p
 }
@@ -167,7 +152,7 @@ func (s *qpState) ForceError() { s.state = StateError }
 // the request buffer normally, the response buffer when resp is set, because
 // the requester holds its request segmentation across recovery rounds while
 // response legs come and go (and on a loopback pair the two directions share
-// one route). A request segmentation also assigns the message's PSN window.
+// one route).
 func (s *qpState) segmentSizes(outbound int, resp bool) []int {
 	n := 1
 	if s.lossy() && outbound > PathMTU {
@@ -178,9 +163,6 @@ func (s *qpState) segmentSizes(outbound int, resp bool) []int {
 		sizes = s.route.scratch.respSegments(n)
 	} else {
 		sizes = s.route.scratch.segments(n)
-		if s.lossy() {
-			s.reliability().stats.SendPSN += uint64(n)
-		}
 	}
 	for i := 0; i < n-1; i++ {
 		sizes[i] = PathMTU
@@ -218,7 +200,7 @@ func (s *qpState) noteSilentDrop() {
 // responded stage when its ACK or response lands.
 //
 // A returned error is a hard modelling failure (e.g. an undersized receive
-// buffer, or ErrRNR on a lossless fabric).
+// buffer, or ErrRNR).
 func executeReliable(src, dst *qpState, emit sim.Time, wr *SendWR, total, outbound int) (sim.Time, uint64, CompletionStatus, error) {
 	fab, srcEP, dstEP := src.route.fab, src.route.ep, dst.route.ep
 	pol := src.RetryPolicy()
@@ -227,7 +209,6 @@ func executeReliable(src, dst *qpState, emit sim.Time, wr *SendWR, total, outbou
 	nseg := len(sizes)
 
 	attempts := 0       // recovery rounds consumed (NAK + timeout)
-	rnrAttempts := 0    // RNR recovery rounds consumed
 	consecTimeouts := 0 // consecutive timeout recoveries, drives backoff
 	firstUnacked := 0   // go-back-N resend point
 	round := 0          // transmission rounds completed
@@ -245,25 +226,6 @@ func executeReliable(src, dst *qpState, emit sim.Time, wr *SendWR, total, outbou
 	var rmr *MR // the target MR, once the responder has executed the request
 
 	t := emit
-	fail := func(at sim.Time, status CompletionStatus) (sim.Time, uint64, CompletionStatus, error) {
-		src.state = StateError
-		rel := src.reliability()
-		rel.stats.RetriesExhausted++
-		// Remember whether the effects landed, for exactly-once replay;
-		// the error completion carries old.
-		rel.failedApplied = applied
-		return at, old, status, nil
-	}
-	timeout := func(last sim.Time) sim.Time {
-		shift := consecTimeouts
-		if shift > maxBackoffShift {
-			shift = maxBackoffShift
-		}
-		consecTimeouts++
-		src.reliability().stats.AckTimeouts++
-		return last + pol.AckTimeout<<shift
-	}
-
 	for {
 		// Transmission round: segments firstUnacked..nseg-1, back to back.
 		// The tx pipe serializes them; each draws its own fate.
@@ -285,7 +247,7 @@ func executeReliable(src, dst *qpState, emit sim.Time, wr *SendWR, total, outbou
 				continue
 			}
 			// Out-of-order arrival behind a gap: the responder NAKs the
-			// first missing PSN, once per round. The NAK itself can drop.
+			// first missing segment, once per round. The NAK itself can drop.
 			if !nakDelivered {
 				nArr, nv := fab.Deliver(arr, dstEP, srcEP, 0)
 				if nv == fabric.Delivered {
@@ -301,35 +263,14 @@ func executeReliable(src, dst *qpState, emit sim.Time, wr *SendWR, total, outbou
 				src.observe(StageArrived, lastOK)
 				arrived = true
 			}
-			// In a pure duplicate round the responder recognises the PSNs,
-			// discards the payload and regenerates its response at once;
-			// otherwise it executes the request.
+			// In a pure duplicate round the responder recognises a request
+			// it already executed, discards the payload and regenerates its
+			// response at once; otherwise it executes the request.
 			resp := response{at: lastOK}
 			if !applied {
-				if src.lossy() {
-					// Lossless PSNs stay zero on both sides.
-					dst.reliability().stats.ExpectedPSN = src.rel.stats.SendPSN
-				}
-				r, err := executeResponder(src, dst, lastOK, wr, total)
+				r, err := executeResponder(dst, lastOK, wr, total)
 				if err != nil {
 					return 0, 0, StatusOK, err
-				}
-				if r.rnr {
-					// Receiver not ready: RNR NAK back to the requester.
-					rnrAttempts++
-					if rnrAttempts > pol.RNRRetryCount {
-						return fail(r.at, StatusRNRRetryExceeded)
-					}
-					nArr, nv := fab.Deliver(r.at, dstEP, srcEP, 0)
-					if nv == fabric.Delivered {
-						src.reliability().stats.RNRNaks++
-						t = nArr + pol.RNRTimer
-					} else {
-						// Lost RNR NAK: recover by timeout like a lost ACK.
-						t = timeout(lastOK)
-					}
-					firstUnacked = 0 // the whole message is retried
-					continue
 				}
 				applied = true
 				resp, old, rmr = r, r.old, r.mr
@@ -356,7 +297,7 @@ func executeReliable(src, dst *qpState, emit sim.Time, wr *SendWR, total, outbou
 				return done, old, StatusOK, nil
 			}
 			// Lost ACK/response: fall through to timeout recovery; the
-			// requester resends from the first unacked PSN and the
+			// requester resends from the first unacked segment and the
 			// responder will see duplicates.
 			lastOK = done
 		}
@@ -365,7 +306,7 @@ func executeReliable(src, dst *qpState, emit sim.Time, wr *SendWR, total, outbou
 		// restarts, then charge it against the retry budget. The final
 		// failing round still pays its timeout, so the error completion
 		// lands when the requester actually gave up. Forward progress —
-		// the resend point advancing past PSNs the responder has now
+		// the resend point advancing past segments the responder has now
 		// accepted — restores the retry budget, as real NICs do: the
 		// counter bounds retries *without* progress, not total recoveries
 		// on a large message.
@@ -378,14 +319,23 @@ func executeReliable(src, dst *qpState, emit sim.Time, wr *SendWR, total, outbou
 			t = nakTime
 			firstUnacked = lost
 		} else {
-			t = timeout(lastOK)
+			shift := min(consecTimeouts, maxBackoffShift)
+			consecTimeouts++
+			src.reliability().stats.AckTimeouts++
+			t = lastOK + pol.AckTimeout<<shift
 			if lost >= 0 {
 				firstUnacked = lost
 			}
 		}
 		attempts++
 		if attempts > pol.RetryCount {
-			return fail(t, StatusRetryExceeded)
+			src.state = StateError
+			rel := src.reliability()
+			rel.stats.RetriesExhausted++
+			// Remember whether the effects landed, for exactly-once replay;
+			// the error completion carries old.
+			rel.failedApplied = applied
+			return t, old, StatusRetryExceeded, nil
 		}
 	}
 }
@@ -437,14 +387,13 @@ type response struct {
 	lag sim.Duration // wait after the ACK lands: a cross-socket WRITE's QPI hop
 	old uint64       // the atomic's old value
 	mr  *MR          // a one-sided request's target MR (READ lands its data later)
-	rnr bool         // a SEND found no posted receive WR
 }
 
 // executeResponder is the responder NIC's execution of one request whose
 // total payload bytes all arrived: its costs and its data effects, which
 // happen exactly once, on this call. The ACK/response wire leg belongs to
 // the caller, because it can be lost.
-func executeResponder(src, dst *qpState, arrive sim.Time, wr *SendWR, total int) (response, error) {
+func executeResponder(dst *qpState, arrive sim.Time, wr *SendWR, total int) (response, error) {
 	r := dst.route
 	rnicDev, rport := r.nic, r.port
 
@@ -499,15 +448,9 @@ func executeResponder(src, dst *qpState, arrive sim.Time, wr *SendWR, total int)
 
 	case OpSend:
 		if dst.recvEmpty() {
-			if !src.lossy() {
-				return response{}, ErrRNR
-			}
-			// The RNR NAK comes after the responder engine has looked at
-			// the request. An exhausted SRQ is the same receiver-not-ready
-			// condition as an empty per-QP receive queue: RC backs off and
-			// retries, it never drops.
-			t := rport.Execute(arrive+meta.Latency, rnic.RespWrite, meta.Service)
-			return response{at: t, rnr: true}, nil
+			// An exhausted SRQ is the same receiver-not-ready condition as
+			// an empty per-QP receive queue.
+			return response{}, ErrRNR
 		}
 		recv := dst.frontRecv()
 		if recv.SGE.Length < total {

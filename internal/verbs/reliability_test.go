@@ -73,8 +73,8 @@ func TestReliableWriteRecoversDrops(t *testing.T) {
 	if st.Segments < 16 || st.Retransmits == 0 {
 		t.Fatalf("expected retransmissions at 10%% drop: %+v", st)
 	}
-	if st.SendPSN < 16 {
-		t.Fatalf("PSN window not advanced: %+v", st)
+	if st.Segments-st.Retransmits != 16 {
+		t.Fatalf("first round sent %d segments, want 16: %+v", st.Segments-st.Retransmits, st)
 	}
 	if got := e.cl.Machine(0).NIC().Counters().Rel.Retransmits; got != st.Retransmits {
 		t.Fatalf("NIC counters (%d) disagree with QP stats (%d)", got, st.Retransmits)
@@ -86,11 +86,11 @@ func TestReliableWriteRecoversDrops(t *testing.T) {
 
 // sumRel adds the reliability tallies field by field, so a counter added to
 // rnic.RelCounters is summed here without a matching edit.
-func sumRel(stats ...QPStats) rnic.RelCounters {
+func sumRel(stats ...rnic.RelCounters) rnic.RelCounters {
 	var sum rnic.RelCounters
 	out := reflect.ValueOf(&sum).Elem()
 	for _, st := range stats {
-		in := reflect.ValueOf(st.RelCounters)
+		in := reflect.ValueOf(st)
 		for i := 0; i < in.NumField(); i++ {
 			out.Field(i).SetUint(out.Field(i).Uint() + in.Field(i).Uint())
 		}
@@ -147,7 +147,7 @@ func TestNICRelSumsQPStats(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stats := []QPStats{ua.Stats()}
+	stats := []rnic.RelCounters{ua.Stats()}
 	for _, q := range qps {
 		stats = append(stats, q.Stats())
 	}
@@ -158,7 +158,7 @@ func TestNICRelSumsQPStats(t *testing.T) {
 	if want.Retransmits == 0 || want.SilentDrops == 0 || want.FlushedWRs != 1 || want.Reconnects != 1 {
 		t.Fatalf("workload missed an event kind: %+v", want)
 	}
-	peers := []QPStats{ub.Stats()}
+	peers := []rnic.RelCounters{ub.Stats()}
 	for _, q := range qps {
 		peers = append(peers, q.Peer().Stats())
 	}
@@ -280,7 +280,7 @@ func TestQuietPlanMatchesLossless(t *testing.T) {
 		}
 		now = cl.Done + sim.Time(sim.Microsecond)
 	}
-	if st := lossless.qpA.Stats(); st != (QPStats{}) {
+	if st := lossless.qpA.Stats(); st != (rnic.RelCounters{}) {
 		t.Fatalf("lossless fabric drew reliability tallies: %+v", st)
 	}
 	if st := quietEnv.qpA.Stats(); st.Segments != uint64(len(cases)) {
@@ -395,13 +395,15 @@ func TestPostSendListFlushOnError(t *testing.T) {
 }
 
 // TestPostSendListMidListFailureInOrder: a doorbell list whose third WR
-// exhausts its RNR retries returns the successful prefix, the error
-// completion and the flushed tail, and their completion times never
-// decrease: the send clamp orders them as a completion queue would.
+// exhausts its retries returns the successful prefix, the error completion
+// and the flushed tail, and their completion times never decrease: the send
+// clamp orders them as a completion queue would. With no retry budget, the
+// plan's seed loses a frame of the third WR and none of the first two's.
 func TestPostSendListMidListFailureInOrder(t *testing.T) {
-	e := newLossyPair(t, quietPlan())
+	e := newLossyPair(t, &fabric.FaultPlan{Seed: 5, Drop: 0.2})
+	e.qpA.SetRetryPolicy(RetryPolicy{RetryCount: 0, AckTimeout: 2 * sim.Microsecond})
 	wrs := []*SendWR{writeWR(e, 8192), writeWR(e, 64), // succeed
-		{Opcode: OpSend, SGL: []SGE{{Addr: e.mrA.Addr(), Length: 64, MR: e.mrA}}}, // no receive posted
+		writeWR(e, 64),                   // fails
 		writeWR(e, 64), writeWR(e, 8192)} // flushed
 	for i, wr := range wrs {
 		wr.ID = uint64(i + 1)
@@ -410,7 +412,7 @@ func TestPostSendListMidListFailureInOrder(t *testing.T) {
 	if !errors.Is(err, ErrQPError) {
 		t.Fatalf("err = %v, want ErrQPError", err)
 	}
-	want := []CompletionStatus{StatusOK, StatusOK, StatusRNRRetryExceeded, StatusFlushed, StatusFlushed}
+	want := []CompletionStatus{StatusOK, StatusOK, StatusRetryExceeded, StatusFlushed, StatusFlushed}
 	if len(comps) != len(want) {
 		t.Fatalf("got %d completions for %d WRs", len(comps), len(want))
 	}
@@ -424,62 +426,6 @@ func TestPostSendListMidListFailureInOrder(t *testing.T) {
 	}
 	if e.qpA.send.lastCQE != comps[len(comps)-1].Done {
 		t.Fatalf("send clamp at %v, want the last CQE time %v", e.qpA.send.lastCQE, comps[len(comps)-1].Done)
-	}
-}
-
-// TestRNRRetry: an RC SEND with no posted receive draws RNR NAKs and
-// retries on the RNR timer; with the budget exhausted the WR completes with
-// RNR_RETRY_EXC. Posting the receive beforehand avoids the whole dance.
-func TestRNRRetry(t *testing.T) {
-	e := newLossyPair(t, quietPlan())
-	sendWR := &SendWR{Opcode: OpSend, SGL: []SGE{{Addr: e.mrA.Addr(), Length: 256, MR: e.mrA}}}
-
-	comp, err := e.qpA.PostSend(0, sendWR)
-	if !errors.Is(err, ErrQPError) {
-		t.Fatalf("err = %v, want ErrQPError", err)
-	}
-	if comp.Status != StatusRNRRetryExceeded {
-		t.Fatalf("status %v, want RNR_RETRY_EXC", comp.Status)
-	}
-	pol := e.qpA.RetryPolicy()
-	st := e.qpA.Stats()
-	if st.RNRNaks != uint64(pol.RNRRetryCount) {
-		t.Fatalf("RNR NAKs %d, want %d", st.RNRNaks, pol.RNRRetryCount)
-	}
-	if comp.Done < sim.Time(pol.RNRTimer)*sim.Time(pol.RNRRetryCount) {
-		t.Fatalf("error completion at %v arrived before %d RNR timers could have elapsed", comp.Done, pol.RNRRetryCount)
-	}
-
-	// With the receive posted, the same SEND lands and consumes it.
-	e2 := newLossyPair(t, quietPlan())
-	if err := e2.qpB.PostRecv(RecvWR{ID: 9, SGE: SGE{Addr: e2.mrB.Addr(), Length: 512, MR: e2.mrB}}); err != nil {
-		t.Fatal(err)
-	}
-	fillPattern(e2.mrA.Region().Bytes()[:256], 2)
-	c2, err := e2.qpA.PostSend(0, &SendWR{Opcode: OpSend, SGL: []SGE{{Addr: e2.mrA.Addr(), Length: 256, MR: e2.mrA}}})
-	if err != nil || c2.Status != StatusOK {
-		t.Fatalf("send with recv posted: %v status %v", err, c2.Status)
-	}
-	if !bytes.Equal(e2.mrB.Region().Bytes()[:256], e2.mrA.Region().Bytes()[:256]) {
-		t.Fatal("SEND payload mismatch")
-	}
-	if rq := drainCQ(e2.qpB.RecvCQ()); len(rq) != 1 || rq[0].WRID != 9 {
-		t.Fatalf("receive CQ %v", rq)
-	}
-}
-
-// TestRNRImmediateFailure: rnr_retry=0 fails on the first RNR NAK.
-func TestRNRImmediateFailure(t *testing.T) {
-	e := newLossyPair(t, quietPlan())
-	pol := e.qpA.RetryPolicy()
-	pol.RNRRetryCount = 0
-	e.qpA.SetRetryPolicy(pol)
-	comp, err := e.qpA.PostSend(0, &SendWR{Opcode: OpSend, SGL: []SGE{{Addr: e.mrA.Addr(), Length: 64, MR: e.mrA}}})
-	if !errors.Is(err, ErrQPError) || comp.Status != StatusRNRRetryExceeded {
-		t.Fatalf("err %v status %v", err, comp.Status)
-	}
-	if st := e.qpA.Stats(); st.RNRNaks != 0 {
-		t.Fatalf("no NAK should have been counted before the immediate failure: %+v", st)
 	}
 }
 
@@ -564,7 +510,7 @@ func TestUDNeverDuplicates(t *testing.T) {
 // TestReliabilityDeterminism: the same plan and traffic reproduce the same
 // completion times and stats, and corruption is recovered like loss.
 func TestReliabilityDeterminism(t *testing.T) {
-	run := func() (sim.Time, QPStats) {
+	run := func() (sim.Time, rnic.RelCounters) {
 		e, err := buildLossyPair(&fabric.FaultPlan{Seed: 17, Drop: 0.05, Corrupt: 0.05, DelayP: 0.2, Delay: 3 * sim.Microsecond})
 		if err != nil {
 			t.Fatal(err)
@@ -628,10 +574,8 @@ func TestRCPropertyNoSilentCorruption(t *testing.T) {
 func TestSetRetryPolicyValidation(t *testing.T) {
 	e := newLossyPair(t, quietPlan())
 	for _, bad := range []RetryPolicy{
-		{RetryCount: -1, RNRRetryCount: 1, AckTimeout: 1, RNRTimer: 1},
-		{RetryCount: 1, RNRRetryCount: -1, AckTimeout: 1, RNRTimer: 1},
-		{RetryCount: 1, RNRRetryCount: 1, AckTimeout: 0, RNRTimer: 1},
-		{RetryCount: 1, RNRRetryCount: 1, AckTimeout: 1, RNRTimer: 0},
+		{RetryCount: -1, AckTimeout: 1},
+		{RetryCount: 1, AckTimeout: 0},
 	} {
 		func() {
 			defer func() {
@@ -648,12 +592,11 @@ func TestSetRetryPolicyValidation(t *testing.T) {
 // and CLI output.
 func TestStatusAndStateStrings(t *testing.T) {
 	for want, s := range map[string]fmt.Stringer{
-		"OK":            StatusOK,
-		"RETRY_EXC":     StatusRetryExceeded,
-		"RNR_RETRY_EXC": StatusRNRRetryExceeded,
-		"FLUSH":         StatusFlushed,
-		"READY":         StateReady,
-		"ERROR":         StateError,
+		"OK":        StatusOK,
+		"RETRY_EXC": StatusRetryExceeded,
+		"FLUSH":     StatusFlushed,
+		"READY":     StateReady,
+		"ERROR":     StateError,
 	} {
 		if s.String() != want {
 			t.Errorf("%v renders %q, want %q", s, s.String(), want)
@@ -664,7 +607,7 @@ func TestStatusAndStateStrings(t *testing.T) {
 // FuzzPostSendListErrorState drives the doorbell-list flush machinery with
 // arbitrary batch shapes, fault seeds and pre-error states. The invariants:
 // exactly one completion per WR whenever ErrQPError is reported, statuses
-// form the pattern OK* (RETRY_EXC|RNR_RETRY_EXC)? FLUSH*, flushed WRs have
+// form the pattern OK* RETRY_EXC? FLUSH*, flushed WRs have
 // no data effects, and every completion (all signaled) passes the send
 // clamp, so completion times never decrease.
 // The f.Add corpus runs as a regression suite under plain `go test`.
@@ -716,7 +659,7 @@ func FuzzPostSendListErrorState(f *testing.F) {
 				if phase != 0 {
 					t.Fatalf("WR %d OK after a failure", i)
 				}
-			case StatusRetryExceeded, StatusRNRRetryExceeded:
+			case StatusRetryExceeded:
 				if phase != 0 || err == nil {
 					t.Fatalf("WR %d failure status %v in phase %d err %v", i, c.Status, phase, err)
 				}

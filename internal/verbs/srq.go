@@ -9,17 +9,16 @@
 //
 //   - hand-out is deterministic FIFO in responder arrival order (the event
 //     kernel dispatches every op of a run in one order — see AttachSRQ);
-//   - an empty SRQ is "receiver not ready", never a drop, on RC: ErrRNR on a
-//     lossless fabric, an RNR NAK + RNR-timer retry on a lossy one
-//     (reliability.go), exactly as when a QP's own receive queue underflows.
-//     UD, which has no acknowledgements, drops the datagram silently;
+//   - an empty SRQ is "receiver not ready", never a drop, on RC: ErrRNR on
+//     every fabric (reliability.go), exactly as when a QP's own receive
+//     queue underflows. UD, which has no acknowledgements, drops the
+//     datagram silently;
 //   - the receive completion still lands on the *consuming* QP's receive CQ,
 //     as on real hardware, so pollers learn which connection the message
 //     arrived on.
 //
 // A QP with no SRQ attached drains its own receive queue through the same
-// accessors below, so the 28 pre-SRQ goldens are byte-identical with this
-// file compiled in.
+// accessors below.
 package verbs
 
 import "fmt"

@@ -156,56 +156,6 @@ func wrids(cqes []CQE) []uint64 {
 	return out
 }
 
-// TestSRQExhaustionIsRNRNotDrop: under the reliability layer an exhausted
-// SRQ draws RNR NAKs and RNR-timer retries — never a silent drop — exactly
-// like an empty per-QP receive queue; exhausting the retry budget errors
-// the WR with RNR_RETRY_EXC.
-func TestSRQExhaustionIsRNRNotDrop(t *testing.T) {
-	e := newLossyPair(t, quietPlan())
-	srq := NewSRQ(e.ctxB)
-	if err := e.qpB.AttachSRQ(srq); err != nil {
-		t.Fatal(err)
-	}
-	pol := e.qpA.RetryPolicy()
-	pol.RNRRetryCount = 3
-	e.qpA.SetRetryPolicy(pol)
-	comp, err := e.qpA.PostSend(0, &SendWR{
-		Opcode: OpSend,
-		SGL:    []SGE{{Addr: e.mrA.Addr(), Length: 64, MR: e.mrA}},
-	})
-	if !errors.Is(err, ErrQPError) || comp.Status != StatusRNRRetryExceeded {
-		t.Fatalf("comp=%+v err=%v, want RNR_RETRY_EXC + ErrQPError", comp, err)
-	}
-	st := e.qpA.Stats()
-	if st.RNRNaks != uint64(pol.RNRRetryCount) {
-		t.Fatalf("RNR NAKs %d, want %d", st.RNRNaks, pol.RNRRetryCount)
-	}
-	if st.SilentDrops != 0 {
-		t.Fatalf("%d silent drops; RC must never drop on an exhausted SRQ", st.SilentDrops)
-	}
-	if comp.Done < sim.Time(pol.RNRTimer)*sim.Time(pol.RNRRetryCount) {
-		t.Fatalf("error completion at %v arrived before %d RNR timers could have elapsed", comp.Done, pol.RNRRetryCount)
-	}
-	// A stocked SRQ clears the condition entirely on a fresh QP.
-	qp2, peer2 := MustConnect(e.ctxA, 1, e.ctxB, 1, RC)
-	if err := peer2.AttachSRQ(srq); err != nil {
-		t.Fatal(err)
-	}
-	if err := srq.PostRecv(RecvWR{ID: 1, SGE: SGE{Addr: e.mrB.Addr(), Length: 128, MR: e.mrB}}); err != nil {
-		t.Fatal(err)
-	}
-	comp2, err := qp2.PostSend(0, &SendWR{
-		Opcode: OpSend,
-		SGL:    []SGE{{Addr: e.mrA.Addr(), Length: 64, MR: e.mrA}},
-	})
-	if err != nil || comp2.Status != StatusOK {
-		t.Fatalf("comp=%+v err=%v, want OK", comp2, err)
-	}
-	if st := qp2.Stats(); st.RNRNaks != 0 {
-		t.Fatalf("stocked SRQ still drew %d RNR NAKs", st.RNRNaks)
-	}
-}
-
 // TestSRQUDSilentDrop: UD keeps its unreliable-datagram semantics with an
 // SRQ attached — an empty queue drops the datagram silently instead of
 // raising RNR.

@@ -61,8 +61,8 @@ func TestUDSendWithoutRecvDrops(t *testing.T) {
 	if comp.Done <= 0 {
 		t.Fatal("local send completion missing")
 	}
-	if qb.RecvCQ().Len() != 0 {
-		t.Fatal("receiver must see nothing")
+	if cqe, ok := qb.RecvCQ().PollOne(sim.MaxTime); ok {
+		t.Fatalf("receiver must see nothing, polled %+v", cqe)
 	}
 }
 

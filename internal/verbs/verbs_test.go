@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"rdmasem/internal/cluster"
+	"rdmasem/internal/fabric"
 	"rdmasem/internal/mem"
 	"rdmasem/internal/sim"
 )
@@ -205,14 +206,56 @@ func TestSendRecv(t *testing.T) {
 	}
 }
 
+// TestSendWithoutRecvIsRNR: an RC SEND that finds no posted receive, in its
+// peer's own queue or in the peer's SRQ, returns ErrRNR on every fabric. It
+// draws no retransmit, no timeout and no error completion, and the QP stays
+// READY: once a receive is posted, the same SEND lands.
 func TestSendWithoutRecvIsRNR(t *testing.T) {
-	e := newPair(t)
-	_, err := e.qpA.PostSend(0, &SendWR{
-		Opcode: OpSend,
-		SGL:    []SGE{{Addr: e.mrA.Addr(), Length: 8, MR: e.mrA}},
-	})
-	if !errors.Is(err, ErrRNR) {
-		t.Fatalf("err=%v, want ErrRNR", err)
+	for _, c := range []struct {
+		name string
+		srq  bool
+		plan *fabric.FaultPlan
+	}{
+		{"per-QP lossless", false, nil},
+		{"per-QP lossy", false, &fabric.FaultPlan{Seed: 1, Drop: 0.01}},
+		{"SRQ lossless", true, nil},
+		{"SRQ lossy", true, &fabric.FaultPlan{Seed: 1, Drop: 0.01}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := newLossyPair(t, c.plan)
+			post := e.qpB.PostRecv
+			if c.srq {
+				srq := NewSRQ(e.ctxB)
+				if err := e.qpB.AttachSRQ(srq); err != nil {
+					t.Fatal(err)
+				}
+				post = srq.PostRecv
+			}
+			send := &SendWR{ID: 5, Opcode: OpSend, SGL: []SGE{{Addr: e.mrA.Addr(), Length: 8, MR: e.mrA}}}
+			if _, err := e.qpA.PostSend(0, send); !errors.Is(err, ErrRNR) {
+				t.Fatalf("err=%v, want ErrRNR", err)
+			}
+			if st := e.qpA.Stats(); st.Retransmits != 0 || st.AckTimeouts != 0 || st.RetriesExhausted != 0 {
+				t.Fatalf("SEND into an empty receive queue drew recovery: %+v", st)
+			}
+			if e.qpA.State() != StateReady {
+				t.Fatalf("QP state %v after ErrRNR, want READY", e.qpA.State())
+			}
+			if err := post(RecvWR{ID: 9, SGE: SGE{Addr: e.mrB.Addr(), Length: 64, MR: e.mrB}}); err != nil {
+				t.Fatal(err)
+			}
+			copy(e.mrA.Region().Bytes(), "payload!")
+			comp, err := e.qpA.PostSend(0, send)
+			if err != nil || comp.Status != StatusOK {
+				t.Fatalf("SEND with a receive posted: %v status %v", err, comp.Status)
+			}
+			if got := string(e.mrB.Region().Bytes()[:8]); got != "payload!" {
+				t.Fatalf("receive buffer holds %q", got)
+			}
+			if cqes := drainCQ(e.qpB.RecvCQ()); len(cqes) != 1 || cqes[0].WRID != 9 {
+				t.Fatalf("receive CQEs %+v, want the one posted receive", cqes)
+			}
+		})
 	}
 }
 
@@ -361,8 +404,8 @@ func TestCQPollRespectsTime(t *testing.T) {
 		t.Fatal(err)
 	}
 	cq := e.qpB.RecvCQ()
-	if cq.Len() != 1 {
-		t.Fatalf("receive CQ holds %d entries, want 1", cq.Len())
+	if len(cq.entries) != 1 {
+		t.Fatalf("receive CQ holds %d entries, want 1", len(cq.entries))
 	}
 	at := cq.entries[0].Time
 	if _, ok := cq.PollOne(at - 1); ok {

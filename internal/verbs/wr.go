@@ -127,9 +127,6 @@ func (q *CQ) dequeue(n int) {
 	q.entries = q.entries[:m]
 }
 
-// Len reports the number of pending entries (including future ones).
-func (q *CQ) Len() int { return len(q.entries) }
-
 // Completion describes the outcome of one posted work request.
 type Completion struct {
 	WRID     uint64
