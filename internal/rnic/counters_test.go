@@ -22,8 +22,8 @@ func occupancy(p *sim.Pipe) *sim.Duration {
 func TestScatterDMA(t *testing.T) {
 	n := newNIC(t)
 	up, down := occupancy(n.PCIeUp()), occupancy(n.PCIeDown())
-	sizes := []int{64, 128}
-	plain := n.ScatterDMA(0, sizes, 0, nil, 0)
+	const frags, bytes = 2, 64 + 128
+	plain := n.ScatterDMA(0, frags, bytes, 0, nil, 0)
 	want := sim.Time(2*sgeFetch) + pcieOverhead + sim.TransferTime(192, pcieBandwidth)
 	if plain != want {
 		t.Fatalf("scatter completes at %v, want %v (SGE fetches + one PCIe transfer)", plain, want)
@@ -44,7 +44,7 @@ func TestScatterDMA(t *testing.T) {
 	const hop = 70
 	qpi := sim.NewPipe("qpi", 12.8e9, 0)
 	qpiBusy := occupancy(qpi)
-	crossed := newNIC(t).ScatterDMA(0, sizes, 2, qpi, hop)
+	crossed := newNIC(t).ScatterDMA(0, frags, bytes, 2, qpi, hop)
 	if got := crossed - plain; got != sim.TransferTime(192, 12.8e9)+2*hop {
 		t.Fatalf("QPI hop added %v, want transfer + 2 hops", got)
 	}
@@ -52,7 +52,7 @@ func TestScatterDMA(t *testing.T) {
 		t.Fatalf("QPI pipe busy for %v, want %v (one 192-byte transfer)", *qpiBusy, want)
 	}
 	// A crossing count without a QPI pipe has no hop to charge.
-	if got := newNIC(t).ScatterDMA(0, sizes, 2, nil, hop); got != plain {
+	if got := newNIC(t).ScatterDMA(0, frags, bytes, 2, nil, hop); got != plain {
 		t.Fatalf("nil QPI pipe charged a hop: %v vs %v", got, plain)
 	}
 }
@@ -64,7 +64,7 @@ func TestCountersSnapshot(t *testing.T) {
 	n := newNIC(t)
 	n.Doorbell(0, 4, 0)
 	n.FetchWQEs(0, 4)
-	n.GatherDMA(0, []int{32}, 0, nil, 0)
+	n.GatherDMA(0, 1, 32, 0, nil, 0)
 	n.Translate(mem.Addr(0), 32) // miss
 	n.Translate(mem.Addr(0), 32) // hit
 	n.TouchQP(7)                 // miss

@@ -183,41 +183,35 @@ func (n *NIC) FetchWQEs(now sim.Time, nWQE int) sim.Time {
 	return t
 }
 
-// GatherDMA charges the scatter/gather DMA that pulls the payload described
-// by sizes from host memory into the NIC (the PCIe read channel). qpiCross
-// counts how many of the buffers live on a socket other than the NIC's,
-// adding the interconnect hop. It returns the completion time of the last
-// fragment.
-func (n *NIC) GatherDMA(now sim.Time, sizes []int, qpiCross int, qpi *sim.Pipe, qpiLatency sim.Duration) sim.Time {
-	return n.sgDMA(n.pcieDown, now, sizes, qpiCross, qpi, qpiLatency)
+// GatherDMA charges the scatter/gather DMA that pulls a payload of bytes,
+// spread over frags host buffers, from host memory into the NIC (the PCIe
+// read channel). qpiCross counts how many of the buffers live on a socket
+// other than the NIC's, adding the interconnect hop. It returns the
+// completion time of the transfer.
+func (n *NIC) GatherDMA(now sim.Time, frags, bytes, qpiCross int, qpi *sim.Pipe, qpiLatency sim.Duration) sim.Time {
+	n.counters.GatherOps++
+	n.counters.GatherFrags += uint64(frags)
+	n.counters.GatherBytes += uint64(bytes)
+	return sgDMA(n.pcieDown, now, frags, bytes, qpiCross, qpi, qpiLatency)
 }
 
 // ScatterDMA charges the DMA that pushes payload from the NIC into host
 // memory (the PCIe write channel): responder-side WRITE landing, READ
 // response scatter at the requester, and receive-buffer fills.
-func (n *NIC) ScatterDMA(now sim.Time, sizes []int, qpiCross int, qpi *sim.Pipe, qpiLatency sim.Duration) sim.Time {
-	return n.sgDMA(n.pcieUp, now, sizes, qpiCross, qpi, qpiLatency)
+func (n *NIC) ScatterDMA(now sim.Time, frags, bytes, qpiCross int, qpi *sim.Pipe, qpiLatency sim.Duration) sim.Time {
+	n.counters.ScatterOps++
+	n.counters.ScatterFrags += uint64(frags)
+	n.counters.ScatterBytes += uint64(bytes)
+	return sgDMA(n.pcieUp, now, frags, bytes, qpiCross, qpi, qpiLatency)
 }
 
-func (n *NIC) sgDMA(pipe *sim.Pipe, now sim.Time, sizes []int, qpiCross int, qpi *sim.Pipe, qpiLatency sim.Duration) sim.Time {
-	t := now
-	total := 0
-	for _, s := range sizes {
-		total += s
-		t += sgeFetch
-	}
-	if pipe == n.pcieDown {
-		n.counters.GatherOps++
-		n.counters.GatherFrags += uint64(len(sizes))
-		n.counters.GatherBytes += uint64(total)
-	} else {
-		n.counters.ScatterOps++
-		n.counters.ScatterFrags += uint64(len(sizes))
-		n.counters.ScatterBytes += uint64(total)
-	}
-	t = pipe.Delay(t, total)
+// sgDMA fetches one SGE descriptor per fragment, then moves the whole
+// payload in one transfer on pipe and, if any buffer is remote, one on the
+// interconnect.
+func sgDMA(pipe *sim.Pipe, now sim.Time, frags, bytes, qpiCross int, qpi *sim.Pipe, qpiLatency sim.Duration) sim.Time {
+	t := pipe.Delay(now+sim.Duration(frags)*sgeFetch, bytes)
 	if qpiCross > 0 && qpi != nil {
-		t = qpi.Delay(t, total)
+		t = qpi.Delay(t, bytes)
 		t += sim.Duration(qpiCross) * qpiLatency
 	}
 	return t

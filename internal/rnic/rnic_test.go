@@ -76,14 +76,14 @@ func TestFetchWQEsScalesWithList(t *testing.T) {
 
 func TestGatherDMA(t *testing.T) {
 	n := newNIC(t)
-	base := n.GatherDMA(0, []int{64}, 0, nil, 0)
-	multi := n.GatherDMA(base, []int{64, 64, 64, 64}, 0, nil, 0) - base
+	base := n.GatherDMA(0, 1, 64, 0, nil, 0)
+	multi := n.GatherDMA(base, 4, 256, 0, nil, 0) - base
 	if multi <= base {
 		t.Fatal("4-SGE gather should cost more than 1-SGE")
 	}
 	qpi := sim.NewPipe("qpi", 12.8e9, 0)
-	crossed := n.GatherDMA(0, []int{64}, 1, qpi, 70)
-	plain := n.GatherDMA(crossed, []int{64}, 0, qpi, 70) - crossed
+	crossed := n.GatherDMA(0, 1, 64, 1, qpi, 70)
+	plain := n.GatherDMA(crossed, 1, 64, 0, qpi, 70) - crossed
 	if crossed <= plain {
 		t.Fatal("QPI crossing must add cost")
 	}

@@ -10,7 +10,7 @@ import (
 
 // CI-enforced allocation budgets for the pooled op-pipeline hot path. These
 // fail if a change re-introduces per-op heap traffic that the reusable
-// buffers (each QP's completions, each route's routeScratch), the
+// buffers (each QP's completions, each route's payload staging), the
 // send-completion clamp, or the interned telemetry streams were added to
 // eliminate.
 

@@ -230,7 +230,7 @@ func TestLazyReliabilityStateLossless(t *testing.T) {
 
 // TestCompletionsSurviveRoutePost: the completions PostSendList returns are
 // the posting QP's own; a post on another QP of the same route, which reuses
-// the route's walk buffers, leaves them intact.
+// the route's payload staging, leaves them intact.
 func TestCompletionsSurviveRoutePost(t *testing.T) {
 	e := newPair(t)
 	qpC, _, err := Connect(e.ctxA, 1, e.ctxB, 1, RC)

@@ -97,9 +97,9 @@ func (sm *spaceModel) equal(t *testing.T, m *cluster.Machine, step int) {
 // machines' regions, and each atomic's old value, against a reference model
 // that applies the same effect through Space.ReadAt and Space.WriteAt. The
 // posting QP is one of three pairs sharing the requester's routes (two on
-// port 1, one on port 0), so the routes' walk buffers pass between QPs, and
-// each input runs on a lossless fabric and under seed=1,drop=0.01, where
-// messages above PathMTU are segmented.
+// port 1, one on port 0), so the routes' payload staging passes between
+// QPs, and each input runs on a lossless fabric and under
+// seed=1,drop=0.01, where messages above PathMTU are segmented.
 func FuzzOneSidedMatchesSpace(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 64, 0, 0, 0})
 	f.Add([]byte{1, 1, 0xff, 0xff, 0xff, 0x0f, 3, 1, 2, 0, 8, 0, 0, 0, 0, 0})

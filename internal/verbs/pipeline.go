@@ -30,7 +30,7 @@ import (
 // resolved once: a real RNIC binds this state when the QP is created and
 // caches it, rather than looking it up on every doorbell. NewContext
 // resolves one route per port, and every QP of that (Context, port) shares
-// it by pointer, together with the walk's reusable buffers (routeScratch).
+// it by pointer, together with the walk's payload staging (routeScratch).
 type qpRoute struct {
 	ctx        *Context // the owning context, read by every QP of the port
 	machine    *cluster.Machine
@@ -65,7 +65,7 @@ func newRoute(ctx *Context, port int) *qpRoute {
 // Each side of a connection uses only one half of a QP, so the halves are
 // separate objects made on first use: the send side (qpSend) on the first
 // post, the receive side (qpRecv) on the first receive. The owning Context
-// is the route's, the walk's staging buffers belong to the route too, and
+// is the route's, the walk's payload staging belongs to the route too, and
 // the reliability state (qpRel) exists once something writes it.
 type qpState struct {
 	route *qpRoute       // the port's context and machine resources; the walk reads nothing else
@@ -183,64 +183,34 @@ func (s *qpState) reliability() *qpRel {
 	return s.rel
 }
 
-// routeScratch holds the stage walk's reusable buffers, one set per route.
+// routeScratch is the stage walk's payload staging, one buffer per route.
 // The simulation kernel posts one WR at a time per cluster, and no walk
-// posts again before it returns, so every buffer is free at the start of a
-// walk and is reset (re-sliced) by its next user. Within one walk the four
-// never alias each other, even when requester and responder share a route
-// (a loopback pair): the requester holds segs across recovery rounds while
-// the response leg takes respSegs, the DMA size vectors take sizes, and the
-// responder stages data movement in payload. None of them reaches a caller.
+// posts again before it returns, so the buffer is free at the start of a
+// walk. Within one walk only the responder stages data movement in it
+// (apply{Write,Read,Send}), even when requester and responder share a route
+// (a loopback pair). It never reaches a caller.
 type routeScratch struct {
-	sizes    []int  // per-SGE size vectors for gather/scatter DMA
-	payload  []byte // staging for apply{Write,Read,Send} data movement
-	segs     []int  // reliability-layer request segmentation
-	respSegs []int  // reliability-layer response segmentation
+	payload []byte
 }
 
-// ints returns a reusable length-n int slice (contents undefined).
-func (s *routeScratch) ints(n int) []int {
-	if cap(s.sizes) < n {
-		s.sizes = make([]int, n)
-	}
-	return s.sizes[:n]
-}
-
-// bytes returns a reusable byte slice with length 0 and capacity >= n.
+// bytes returns a reusable byte slice of length n (contents undefined).
 func (s *routeScratch) bytes(n int) []byte {
 	if cap(s.payload) < n {
-		s.payload = make([]byte, 0, n)
-	}
-	return s.payload[:0]
-}
-
-// bytesN returns a reusable byte slice of length n (contents undefined).
-func (s *routeScratch) bytesN(n int) []byte {
-	if cap(s.payload) < n {
-		s.payload = make([]byte, 0, n)
+		s.payload = make([]byte, n)
 	}
 	return s.payload[:n]
 }
 
-// segments returns a reusable length-n int slice for request wire
-// segmentation, distinct from sizes because the reliability engine holds its
-// request segmentation across recovery rounds while DMA size vectors come
-// and go.
-func (s *routeScratch) segments(n int) []int {
-	if cap(s.segs) < n {
-		s.segs = make([]int, n)
+// crossSGEs counts the SGL's buffers that live on a socket other than the
+// route's port: each adds an interconnect hop to the gather or scatter DMA.
+func (r *qpRoute) crossSGEs(sgl []SGE) int {
+	n := 0
+	for _, s := range sgl {
+		if s.MR.region.Socket() != r.socket {
+			n++
+		}
 	}
-	return s.segs[:n]
-}
-
-// respSegments is the response-leg counterpart of segments: the ACK/response
-// segmentation must not alias the request segmentation, which the requester
-// still holds for possible retransmission rounds.
-func (s *routeScratch) respSegments(n int) []int {
-	if cap(s.respSegs) < n {
-		s.respSegs = make([]int, n)
-	}
-	return s.respSegs[:n]
+	return n
 }
 
 // newQPState initialises the shared queue-pair state, drawing the QP number
@@ -484,18 +454,11 @@ func executeOne(src, dst *qpState, t sim.Time, wr *SendWR) (Completion, bool, er
 	// Payload gather (skipped for UD's inline datagrams and for verbs with
 	// no outbound payload).
 	if !ud && (wr.Opcode == OpWrite || wr.Opcode == OpSend) {
-		sizes := r.scratch.ints(len(wr.SGL))
-		cross := 0
-		for i, s := range wr.SGL {
-			sizes[i] = s.Length
-			if s.MR.region.Socket() != r.socket {
-				cross++
-			}
-		}
+		cross := r.crossSGEs(wr.SGL)
 		if cross > 0 {
 			numaSvc += r.qpiLatency
 		}
-		t = nic.GatherDMA(t, sizes, cross, r.qpi, r.qpiLatency)
+		t = nic.GatherDMA(t, len(wr.SGL), total, cross, r.qpi, r.qpiLatency)
 		src.observe(StageGathered, t)
 	}
 
@@ -584,7 +547,7 @@ func deliverDatagram(src, dst *qpState, arrive sim.Time, wr *SendWR, total int) 
 	if recv.SGE.MR.region.Socket() != r.socket {
 		rcross = 1
 	}
-	dmaEnd := r.nic.ScatterDMA(rt, []int{total}, rcross, r.qpi, r.qpiLatency)
+	dmaEnd := r.nic.ScatterDMA(rt, 1, total, rcross, r.qpi, r.qpiLatency)
 	if err := applySend(dst, wr, recv); err != nil {
 		return 0, false, err
 	}
@@ -610,7 +573,7 @@ func applyWrite(dst *qpState, rmr *MR, wr *SendWR) error {
 // applyRead loads the remote bytes from the target MR's region and scatters
 // them into the SGL, staging through the responder route's scratch.
 func applyRead(dst *qpState, rmr *MR, wr *SendWR) error {
-	buf := dst.route.scratch.bytesN(wr.TotalLength())
+	buf := dst.route.scratch.bytes(wr.TotalLength())
 	remote, err := rmr.region.Slice(wr.RemoteAddr, len(buf))
 	if err != nil {
 		return err
@@ -673,7 +636,7 @@ func applySend(dst *qpState, wr *SendWR, recv RecvWR) error {
 // gather concatenates the SGL's bytes, staging them in the responder route's
 // scratch.
 func gather(dst *qpState, wr *SendWR) ([]byte, error) {
-	buf := dst.route.scratch.bytes(wr.TotalLength())
+	buf := dst.route.scratch.bytes(wr.TotalLength())[:0]
 	for _, s := range wr.SGL {
 		b, err := s.MR.region.Slice(s.Addr, s.Length)
 		if err != nil {

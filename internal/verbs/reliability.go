@@ -145,30 +145,25 @@ func (s *qpState) SetRetryPolicy(p RetryPolicy) {
 // IBV_QPS_ERR, used to drain a connection). Subsequent posts flush.
 func (s *qpState) ForceError() { s.state = StateError }
 
-// segmentSizes splits outbound payload bytes into the message's wire frames:
-// PathMTU segments on a lossy fabric, a single frame on a lossless one. Every
-// message is at least one frame (READ requests and 0-byte ACK-only wires
-// still put a frame on the wire). The result lives in the route's scratch —
-// the request buffer normally, the response buffer when resp is set, because
-// the requester holds its request segmentation across recovery rounds while
-// response legs come and go (and on a loopback pair the two directions share
-// one route).
-func (s *qpState) segmentSizes(outbound int, resp bool) []int {
-	n := 1
+// segments is the number of wire frames a message of outbound payload bytes
+// takes: PathMTU segments on a lossy fabric, a single frame on a lossless
+// one. Every message is at least one frame (READ requests and 0-byte
+// ACK-only wires still put a frame on the wire).
+func (s *qpState) segments(outbound int) int {
 	if s.lossy() && outbound > PathMTU {
-		n = (outbound + PathMTU - 1) / PathMTU
+		return (outbound + PathMTU - 1) / PathMTU
 	}
-	var sizes []int
-	if resp {
-		sizes = s.route.scratch.respSegments(n)
-	} else {
-		sizes = s.route.scratch.segments(n)
+	return 1
+}
+
+// segmentSize is the size of frame i of a message of outbound bytes cut
+// into n frames: PathMTU for every frame but the last, which carries the
+// rest.
+func segmentSize(i, n, outbound int) int {
+	if i < n-1 {
+		return PathMTU
 	}
-	for i := 0; i < n-1; i++ {
-		sizes[i] = PathMTU
-	}
-	sizes[n-1] = outbound - (n-1)*PathMTU
-	return sizes
+	return outbound - (n-1)*PathMTU
 }
 
 // noteSegment tallies one wire segment at the requester (lossy fabrics only).
@@ -205,8 +200,7 @@ func executeReliable(src, dst *qpState, emit sim.Time, wr *SendWR, total, outbou
 	fab, srcEP, dstEP := src.route.fab, src.route.ep, dst.route.ep
 	pol := src.RetryPolicy()
 
-	sizes := src.segmentSizes(outbound, false)
-	nseg := len(sizes)
+	nseg := src.segments(outbound)
 
 	attempts := 0       // recovery rounds consumed (NAK + timeout)
 	consecTimeouts := 0 // consecutive timeout recoveries, drives backoff
@@ -235,7 +229,7 @@ func executeReliable(src, dst *qpState, emit sim.Time, wr *SendWR, total, outbou
 		nakDelivered := false
 		for i := firstUnacked; i < nseg; i++ {
 			src.noteSegment(round > 0)
-			arr, v := fab.Deliver(t, srcEP, dstEP, sizes[i])
+			arr, v := fab.Deliver(t, srcEP, dstEP, segmentSize(i, nseg, outbound))
 			if v != fabric.Delivered {
 				if lost < 0 {
 					lost = i
@@ -358,25 +352,16 @@ func deliverResponse(src, dst *qpState, resp response, wr *SendWR, total int) (s
 		respBytes = 8
 	}
 	t := resp.at
-	for _, size := range src.segmentSizes(respBytes, true) {
-		arr, v := r.fab.Deliver(t, dstEP, r.ep, size)
+	nseg := src.segments(respBytes)
+	for i := 0; i < nseg; i++ {
+		arr, v := r.fab.Deliver(t, dstEP, r.ep, segmentSize(i, nseg, respBytes))
 		if v != fabric.Delivered {
 			return arr + resp.lag, false
 		}
 		t = arr
 	}
 	if wr.Opcode == OpRead {
-		// Scatter into the local SGL buffers. READ has no gather phase, so
-		// the route's size-vector scratch is free.
-		sizes := r.scratch.ints(len(wr.SGL))
-		cross := 0
-		for i, s := range wr.SGL {
-			sizes[i] = s.Length
-			if s.MR.region.Socket() != r.socket {
-				cross++
-			}
-		}
-		t = r.nic.ScatterDMA(t, sizes, cross, r.qpi, r.qpiLatency)
+		t = r.nic.ScatterDMA(t, len(wr.SGL), total, r.crossSGEs(wr.SGL), r.qpi, r.qpiLatency)
 	}
 	return t + resp.lag, true
 }
@@ -427,7 +412,7 @@ func executeResponder(dst *qpState, arrive sim.Time, wr *SendWR, total int) (res
 		// completes asynchronously with respect to the requester. A
 		// cross-socket target holds the completion one QPI hop after the
 		// ACK lands.
-		rnicDev.ScatterDMA(t, []int{total}, cross, r.qpi, r.qpiLatency)
+		rnicDev.ScatterDMA(t, 1, total, cross, r.qpi, r.qpiLatency)
 		return response{at: t, lag: sim.Duration(cross) * r.qpiLatency}, applyWrite(dst, rmr, wr)
 
 	case OpRead:
@@ -435,14 +420,14 @@ func executeResponder(dst *qpState, arrive sim.Time, wr *SendWR, total int) (res
 		// response path, so only half the miss occupancy hits the engine.
 		t := rport.Execute(arrive+meta.Latency, rnic.RespRead, meta.Service/2)
 		// DMA read from host DRAM: high latency, pipelined occupancy.
-		t = rnicDev.GatherDMA(t, []int{total}, cross, r.qpi, r.qpiLatency) + rnic.PCIeReadLatency
+		t = rnicDev.GatherDMA(t, 1, total, cross, r.qpi, r.qpiLatency) + rnic.PCIeReadLatency
 		return response{at: t, mr: rmr}, nil
 
 	case OpCompSwap, OpFetchAdd:
 		t := rport.ExecuteAtomic(arrive + meta.Latency)
 		// Locked PCIe read-modify-write against host memory.
-		t = rnicDev.GatherDMA(t, []int{8}, cross, r.qpi, r.qpiLatency) + rnic.PCIeReadLatency
-		rnicDev.ScatterDMA(t, []int{8}, cross, r.qpi, r.qpiLatency)
+		t = rnicDev.GatherDMA(t, 1, 8, cross, r.qpi, r.qpiLatency) + rnic.PCIeReadLatency
+		rnicDev.ScatterDMA(t, 1, 8, cross, r.qpi, r.qpiLatency)
 		old, err := applyAtomic(rmr, wr)
 		return response{at: t, old: old}, err
 
@@ -462,7 +447,7 @@ func executeResponder(dst *qpState, arrive sim.Time, wr *SendWR, total int) (res
 		if recv.SGE.MR.region.Socket() != r.socket {
 			rcross = 1
 		}
-		dmaEnd := rnicDev.ScatterDMA(t, []int{total}, rcross, r.qpi, r.qpiLatency)
+		dmaEnd := rnicDev.ScatterDMA(t, 1, total, rcross, r.qpi, r.qpiLatency)
 		if err := applySend(dst, wr, recv); err != nil {
 			return response{}, err
 		}

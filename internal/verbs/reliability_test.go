@@ -213,6 +213,103 @@ func TestReliableReadAndAtomics(t *testing.T) {
 	}
 }
 
+// TestSegmentation: a message is PathMTU frames on a lossy fabric, the last
+// carrying the rest, and one frame of any size on a lossless one.
+func TestSegmentation(t *testing.T) {
+	lossy, lossless := &qpState{flags: qpLossy}, &qpState{}
+	for _, tc := range []struct {
+		name     string
+		s        *qpState
+		outbound int
+		frames   int
+		last     int
+	}{
+		{"empty", lossy, 0, 1, 0},
+		{"one byte", lossy, 1, 1, 1},
+		{"exact multiple", lossy, 3 * PathMTU, 3, PathMTU},
+		{"multiple plus one", lossy, 3*PathMTU + 1, 4, 1},
+		{"large lossless", lossless, 16*PathMTU + 5, 1, 16*PathMTU + 5},
+	} {
+		n := tc.s.segments(tc.outbound)
+		if n != tc.frames {
+			t.Fatalf("%s: %d frames, want %d", tc.name, n, tc.frames)
+		}
+		sum := 0
+		for i := 0; i < n-1; i++ {
+			if got := segmentSize(i, n, tc.outbound); got != PathMTU {
+				t.Fatalf("%s: frame %d is %d bytes, want PathMTU", tc.name, i, got)
+			}
+			sum += PathMTU
+		}
+		if got := segmentSize(n-1, n, tc.outbound); got != tc.last {
+			t.Fatalf("%s: last frame is %d bytes, want %d", tc.name, got, tc.last)
+		}
+		if sum+tc.last != tc.outbound {
+			t.Fatalf("%s: frames sum to %d, want %d", tc.name, sum+tc.last, tc.outbound)
+		}
+	}
+}
+
+// TestLoopbackPairSegments: a QP connected to its own context's port shares
+// one route between requester and responder. Under a lossy plan a
+// 4×PathMTU WRITE and its READ back land every byte and tally 4 + 1 request
+// segments in their first rounds, as on a two-machine pair.
+func TestLoopbackPairSegments(t *testing.T) {
+	const size = 4 * PathMTU
+	plan := &fabric.FaultPlan{Seed: 1, Drop: 0.01}
+	run := func(name string, qp *QP, local, remote *MR) {
+		t.Helper()
+		src, back := local.Region().Bytes()[:size], local.Region().Bytes()[size:2*size]
+		fillPattern(src, 5)
+		c, err := qp.PostSend(0, &SendWR{
+			Opcode:     OpWrite,
+			SGL:        []SGE{{Addr: local.Addr(), Length: size, MR: local}},
+			RemoteAddr: remote.Addr(),
+			RemoteKey:  remote.RKey(),
+		})
+		if err != nil || c.Status != StatusOK {
+			t.Fatalf("%s: write: %v status %v", name, err, c.Status)
+		}
+		c, err = qp.PostSend(c.Done, &SendWR{
+			Opcode:     OpRead,
+			SGL:        []SGE{{Addr: local.Addr() + size, Length: size, MR: local}},
+			RemoteAddr: remote.Addr(),
+			RemoteKey:  remote.RKey(),
+		})
+		if err != nil || c.Status != StatusOK {
+			t.Fatalf("%s: read: %v status %v", name, err, c.Status)
+		}
+		if !bytes.Equal(remote.Region().Bytes()[:size], src) {
+			t.Fatalf("%s: WRITE landed wrong bytes", name)
+		}
+		if !bytes.Equal(back, src) {
+			t.Fatalf("%s: READ scattered wrong bytes", name)
+		}
+		if st := qp.Stats(); st.Segments-st.Retransmits != 4+1 {
+			t.Fatalf("%s: first rounds sent %d request segments, want 4 + 1: %+v", name, st.Segments-st.Retransmits, st)
+		}
+	}
+
+	e := newLossyPair(t, plan)
+	run("two-machine", e.qpA, e.mrA, e.mrB)
+
+	cfg := cluster.DefaultConfig()
+	cfg.Machines = 1
+	cfg.Faults = plan
+	cl, err := cluster.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := NewContext(cl.Machine(0))
+	qp, _, err := Connect(ctx, 1, ctx, 1, RC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := ctx.MustRegisterMR(cl.Machine(0).MustAlloc(1, 1<<20, 0))
+	remote := ctx.MustRegisterMR(cl.Machine(0).MustAlloc(1, 1<<20, 0))
+	run("loopback", qp, local, remote)
+}
+
 // TestQuietPlanMatchesLossless: a lossless fabric is the reliability
 // engine's no-loss case. For every RC opcode at up to PathMTU, plus a
 // cross-socket WRITE (its ACK lands one QPI hop before the completion), an
