@@ -18,7 +18,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"rdmasem/internal/cluster"
 	"rdmasem/internal/core"
@@ -56,7 +57,8 @@ type Config struct {
 	ValueSize int    // bytes per value
 	Theta     int    // consolidation threshold for hot blocks (Reorder); 0 means 1
 	BlockBits uint   // log2 entries per hot block (paper: 2^t entries); 0 means 4, at most maxBlockBits
-	HotKeys   []uint64
+	// HotKeys is only read: the points of a sweep share one hot set.
+	HotKeys []uint64
 }
 
 // ErrBadConfig reports a Config the back-end cannot lay out.
@@ -79,7 +81,9 @@ type Backend struct {
 	version *verbs.MR   // per-entry version words (cold path FAA targets)
 	locks   *verbs.MR   // per-hot-block lock words
 
-	hotIndex  map[uint64]hotSlot // key mod KeySpace -> hot block/slot
+	// hotPos[k] is 1 + key k's position in the sorted hot set, 0 for a
+	// cold key (k < KeySpace); nil without hot keys.
+	hotPos    []int32
 	hotBlocks int
 	lockState []*core.LockState
 }
@@ -94,6 +98,9 @@ func NewBackend(m *cluster.Machine, cfg Config) (*Backend, error) {
 	if cfg.KeySpace == 0 || cfg.ValueSize <= 0 {
 		return nil, fmt.Errorf("%w: key space and value size must be positive", ErrBadConfig)
 	}
+	if len(cfg.HotKeys) >= math.MaxInt32 {
+		return nil, fmt.Errorf("%w: %d hot keys, at most %d", ErrBadConfig, len(cfg.HotKeys), math.MaxInt32-1)
+	}
 	if cfg.Theta < 0 || cfg.BlockBits > maxBlockBits {
 		return nil, fmt.Errorf("%w: theta %d must not be negative and block bits %d at most %d",
 			ErrBadConfig, cfg.Theta, cfg.BlockBits, maxBlockBits)
@@ -104,7 +111,7 @@ func NewBackend(m *cluster.Machine, cfg Config) (*Backend, error) {
 	if cfg.BlockBits == 0 {
 		cfg.BlockBits = 4 // 16 entries per block
 	}
-	b := &Backend{cfg: cfg, ctx: verbs.NewContext(m), hotIndex: make(map[uint64]hotSlot, len(cfg.HotKeys))}
+	b := &Backend{cfg: cfg, ctx: verbs.NewContext(m)}
 	sockets := m.Topology().Sockets()
 	// Round up so every reduced key has a slot even when the key space does
 	// not divide evenly over the sockets (keys interleave: socket k%sockets,
@@ -150,13 +157,28 @@ func NewBackend(m *cluster.Machine, cfg Config) (*Backend, error) {
 	// "According to the value of an entry's key, we organize these hot
 	// entries as several blocks": sorting by key value scatters the very
 	// hottest keys across blocks, so block locks don't all converge on the
-	// block holding the top ranks.
-	sorted := append([]uint64(nil), cfg.HotKeys...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	// block holding the top ranks. The sort runs on a copy: a sweep's
+	// points share one hot set, sorted once per experiment, which makes
+	// this sort linear.
+	sorted := slices.Clone(cfg.HotKeys)
+	slices.Sort(sorted)
+	if len(sorted) > 0 {
+		b.hotPos = make([]int32, cfg.KeySpace)
+	}
 	for i, k := range sorted {
-		b.hotIndex[k%cfg.KeySpace] = hotSlot{block: i / entriesPerBlock, slot: i % entriesPerBlock}
+		b.hotPos[k%cfg.KeySpace] = int32(i + 1)
 	}
 	return b, nil
+}
+
+// hotSlot returns where a reduced key (< KeySpace) lives in the hot area,
+// and false for a cold key.
+func (b *Backend) hotSlot(key uint64) (hotSlot, bool) {
+	if key >= uint64(len(b.hotPos)) || b.hotPos[key] == 0 {
+		return hotSlot{}, false
+	}
+	i := int(b.hotPos[key]) - 1
+	return hotSlot{block: i >> b.cfg.BlockBits, slot: i & (1<<b.cfg.BlockBits - 1)}, true
 }
 
 // Machine returns the back-end host.
@@ -205,7 +227,7 @@ func (b *Backend) ReadCold(key uint64, out []byte) error {
 // ReadHot reads a hot entry's stored value directly from backend memory
 // (test helper).
 func (b *Backend) ReadHot(key uint64, out []byte) error {
-	hs, ok := b.hotIndex[key%b.cfg.KeySpace]
+	hs, ok := b.hotSlot(key % b.cfg.KeySpace)
 	if !ok {
 		return fmt.Errorf("hashtable: key %d is not hot", key)
 	}
@@ -228,7 +250,8 @@ type FrontEnd struct {
 	// are distributed round-robin over the backend's per-socket hot MRs).
 	cons     []*core.Consolidator
 	consMRs  []*verbs.MR
-	locks    []*core.RemoteLock
+	locks    []*core.RemoteLock // per hot block, built by lock on first flush
+	backoff  sim.Backoff        // shared by every block lock
 	entryTmp []byte
 	readTmp  []byte      // Get staging: reused so the hot path stays alloc-free
 	coldSGL  []verbs.SGE // the cold Get or Put SGE, reused per op
@@ -238,7 +261,10 @@ type FrontEnd struct {
 	// paper's literal description) would cap the whole table at the NIC's
 	// ~2.4 MOPS/port atomic rate — far below the paper's own Figure 12
 	// numbers — so version numbers combine the coarse remote epoch with a
-	// local sequence, preserving global uniqueness and monotonicity.
+	// local sequence. The epoch is claimed on the version word of the key
+	// being written, not on one shared counter, so front-ends that claim
+	// from different keys' words reuse epochs: versions are unique and
+	// increasing only within one front-end's epoch, not across front-ends.
 	epoch     uint64
 	epochSeq  uint64
 	epochLeft int
@@ -303,14 +329,14 @@ func NewFrontEnd(id int, m *cluster.Machine, coreSocket topo.SocketID, b *Backen
 	return f, nil
 }
 
-// initReorder wires one hot-area consolidator per backend socket plus the
-// per-block remote spinlocks. Global hot block g lives on backend socket
-// g%sockets at local index g/sockets.
+// initReorder wires one hot-area consolidator per backend socket. Global hot
+// block g lives on backend socket g%sockets at local index g/sockets; its
+// remote spinlock is built on the block's first flush.
 func (f *FrontEnd) initReorder(ctx *verbs.Context, m *cluster.Machine, coreSocket topo.SocketID, blockBytes int) error {
 	b := f.backend
 	sockets := b.Machine().Topology().Sockets()
 	f.locks = make([]*core.RemoteLock, b.hotBlocks)
-	bo := sim.DefaultBackoff()
+	f.backoff = sim.DefaultBackoff()
 	// The shadow caches the whole hot area ("front-end will buffer hot
 	// entries"), so blocks are never evicted mid-stream.
 	blocksPerSocket := (b.hotBlocks + sockets - 1) / sockets
@@ -335,10 +361,18 @@ func (f *FrontEnd) initReorder(ctx *verbs.Context, m *cluster.Machine, coreSocke
 			Theta:      b.cfg.Theta,
 			MaxBlocks:  blocksPerSocket,
 			PreFlush: func(now sim.Time, local int) (sim.Time, error) {
-				return f.locks[local*sockets+s].Acquire(now)
+				lk, err := f.lock(local*sockets+s, qp)
+				if err != nil {
+					return 0, err
+				}
+				return lk.Acquire(now)
 			},
 			PostFlush: func(now sim.Time, local int) (sim.Time, error) {
-				return f.locks[local*sockets+s].Release(now)
+				lk, err := f.lock(local*sockets+s, qp)
+				if err != nil {
+					return 0, err
+				}
+				return lk.Release(now)
 			},
 		})
 		if err != nil {
@@ -346,17 +380,25 @@ func (f *FrontEnd) initReorder(ctx *verbs.Context, m *cluster.Machine, coreSocke
 		}
 		f.cons = append(f.cons, cons)
 		f.consMRs = append(f.consMRs, shadowMR)
-		// Locks for the blocks on this socket ride this QP.
-		for g := s; g < b.hotBlocks; g += sockets {
-			scr := verbs.SGE{Addr: f.scratch.Addr() + 512, Length: 8, MR: f.scratch}
-			lk, err := core.NewRemoteLock(b.lockState[g], qp, scr, b.locks, b.lockAddr(g), f.id, &bo)
-			if err != nil {
-				return err
-			}
-			f.locks[g] = lk
-		}
 	}
 	return nil
+}
+
+// lock returns hot block g's remote spinlock, building it on first use over
+// qp, the QP of the block's backend socket. Most points of a sweep never
+// flush most blocks, so a front-end builds only the locks it takes.
+func (f *FrontEnd) lock(g int, qp *verbs.QP) (*core.RemoteLock, error) {
+	if lk := f.locks[g]; lk != nil {
+		return lk, nil
+	}
+	b := f.backend
+	scr := verbs.SGE{Addr: f.scratch.Addr() + 512, Length: 8, MR: f.scratch}
+	lk, err := core.NewRemoteLock(b.lockState[g], qp, scr, b.locks, b.lockAddr(g), f.id, &f.backoff)
+	if err != nil {
+		return nil, err
+	}
+	f.locks[g] = lk
+	return lk, nil
 }
 
 // subMR allocates and registers a dedicated shadow MR on the front-end's
@@ -386,7 +428,7 @@ func (f *FrontEnd) Put(now sim.Time, key uint64, value []byte) (sim.Time, error)
 	}
 	key %= f.cfg.KeySpace
 	if f.cfg.Level >= Reorder {
-		if hs, ok := f.backend.hotIndex[key]; ok {
+		if hs, ok := f.backend.hotSlot(key); ok {
 			return f.putHot(now, hs, key, value)
 		}
 	}
@@ -449,7 +491,7 @@ func (f *FrontEnd) Get(now sim.Time, key uint64, out []byte) (sim.Time, error) {
 	key %= f.cfg.KeySpace
 	b := f.backend
 	if f.cfg.Level >= Reorder {
-		if hs, ok := b.hotIndex[key]; ok {
+		if hs, ok := b.hotSlot(key); ok {
 			s, off := f.hotOffset(hs)
 			buf := f.readTmp
 			t, err := f.cons[s].Read(now, off, len(buf), buf)

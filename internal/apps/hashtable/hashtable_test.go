@@ -3,6 +3,7 @@ package hashtable
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"rdmasem/internal/cluster"
@@ -523,4 +524,89 @@ func TestOptimizationLevelsOrdering(t *testing.T) {
 		t.Errorf("Reorder (%.2f) should beat NUMA (%.2f) clearly", reorder, numa)
 	}
 	t.Logf("basic=%.2f numa=%.2f reorder=%.2f MOPS", basic, numa, reorder)
+}
+
+// The points of a sweep share one hot set, so NewBackend must sort a copy
+// and leave the caller's slice exactly as it was.
+func TestNewBackendLeavesHotKeys(t *testing.T) {
+	cl := newCluster(t, 1)
+	hot := []uint64{900, 17, 4000, 3, 256, 255, 1024, 42}
+	want := slices.Clone(hot)
+	if _, err := NewBackend(cl.Machine(0), defaultConfig(Reorder, hot)); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(hot, want) {
+		t.Fatalf("NewBackend rewrote HotKeys: %v, was %v", hot, want)
+	}
+}
+
+// The hot layout depends on the hot set, not on its order: a backend built
+// from a hot set and one built from its reverse give every hot key the same
+// block and slot.
+func TestHotLayoutIgnoresKeyOrder(t *testing.T) {
+	dist, err := workload.NewZipfDist(1<<12, 0.99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot := dist.HotSet(200)
+	rev := slices.Clone(hot)
+	slices.Reverse(rev)
+	cl := newCluster(t, 2)
+	a, err := NewBackend(cl.Machine(0), defaultConfig(Reorder, hot))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewBackend(cl.Machine(1), defaultConfig(Reorder, rev))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range hot {
+		sa, oka := a.hotSlot(k)
+		sb, okb := b.hotSlot(k)
+		if !oka || !okb || sa != sb {
+			t.Fatalf("key %d: slot %+v (%v) from the set, %+v (%v) from its reverse", k, sa, oka, sb, okb)
+		}
+	}
+}
+
+// A Reorder front-end builds a block's lock on the block's first flush:
+// after θ puts to one hot block it holds exactly one lock.
+func TestReorderBuildsLockOnFirstFlush(t *testing.T) {
+	cl := newCluster(t, 2)
+	hot := make([]uint64, 64) // four 16-entry blocks
+	for i := range hot {
+		hot[i] = uint64(100 + i)
+	}
+	cfg := defaultConfig(Reorder, hot)
+	b, err := NewBackend(cl.Machine(0), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fe, err := NewFrontEnd(1, cl.Machine(1), 0, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := func() int {
+		n := 0
+		for _, lk := range fe.locks {
+			if lk != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if len(fe.locks) != 4 || held() != 0 {
+		t.Fatalf("new front-end holds %d of %d locks, want 0 of 4", held(), len(fe.locks))
+	}
+	val := make([]byte, 64)
+	now := sim.Time(0)
+	for _, k := range hot[:cfg.Theta] { // all in block 0: the θ-th put flushes
+		workload.FillValue(val, k)
+		if now, err = fe.Put(now, k, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := held(); got != 1 || fe.locks[0] == nil {
+		t.Fatalf("after one block's flush the front-end holds %d locks (block 0: %v), want exactly block 0's", got, fe.locks[0] != nil)
+	}
 }

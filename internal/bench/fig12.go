@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"rdmasem/internal/apps/hashtable"
 	"rdmasem/internal/cluster"
@@ -19,23 +20,33 @@ func init() {
 
 // hashtableKeySpace is the key space of every hashtable experiment; the
 // experiments build their zipf(0.99) distribution over it once, with
-// hashtableDist, and share it read-only across their points.
+// hashtableDist, and share it across their points: its key streams are
+// memoized per seed, so a front-end seed is drawn once per experiment.
 const hashtableKeySpace = 1 << 14
 
 func hashtableDist() (*workload.ZipfDist, error) {
 	return workload.NewZipfDist(hashtableKeySpace, 0.99)
 }
 
+// hashtableHotSet returns dist's hottest hotFrac of the key space, sorted.
+// An experiment computes it once per hot fraction and shares it read-only
+// across its points, so no point re-derives or re-sorts it.
+func hashtableHotSet(dist *workload.ZipfDist, hotFrac float64) []uint64 {
+	hot := dist.HotSet(int(float64(hashtableKeySpace) * hotFrac))
+	slices.Sort(hot)
+	return hot
+}
+
 // hashtableMOPS runs the disaggregated hashtable under a zipf(0.99)
 // workload drawn from dist with the given number of front-ends (spread over
-// 7 client machines x 2 sockets, as on the paper's 8-machine testbed).
-// readPct of the ops are Gets, the rest Puts; the paper's figures use 0.
-func hashtableMOPS(r *run, dist *workload.ZipfDist, level hashtable.Level, theta, frontEnds int, hotFrac float64, readPct int, h sim.Duration) (float64, error) {
+// 7 client machines x 2 sockets, as on the paper's 8-machine testbed), hot
+// the hot set from hashtableHotSet. readPct of the ops are Gets, the rest
+// Puts; the paper's figures use 0.
+func hashtableMOPS(r *run, dist *workload.ZipfDist, level hashtable.Level, theta, frontEnds int, hot []uint64, readPct int, h sim.Duration) (float64, error) {
 	cl, err := r.newCluster(cluster.DefaultConfig())
 	if err != nil {
 		return 0, err
 	}
-	hot := dist.HotSet(int(float64(hashtableKeySpace) * hotFrac))
 	cfg := hashtable.Config{
 		Level:     level,
 		KeySpace:  hashtableKeySpace,
@@ -95,6 +106,7 @@ func fig12HashtableBreakdown(r *run) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	hot := hashtableHotSet(dist, hotFrac)
 	levels := []struct {
 		label string
 		level hashtable.Level
@@ -107,7 +119,7 @@ func fig12HashtableBreakdown(r *run) (*Report, error) {
 	}
 	ms, err := points(r, maxFE*len(levels), func(r *run, i int) (float64, error) {
 		l := levels[i%len(levels)]
-		return hashtableMOPS(r, dist, l.level, l.theta, i/len(levels)+1, hotFrac, 0, h)
+		return hashtableMOPS(r, dist, l.level, l.theta, i/len(levels)+1, hot, 0, h)
 	})
 	if err != nil {
 		return nil, err
@@ -139,11 +151,16 @@ func fig13HashtableConsolidation(r *run) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	hots := make([][]uint64, len(denoms))
+	for i, denom := range denoms {
+		hots[i] = hashtableHotSet(dist, 1.0/float64(denom))
+	}
+	hot8 := hots[slices.Index(denoms, 8)] // fig 13b's hot fraction
 	ms, err := points(r, len(denoms)+len(thetas), func(r *run, i int) (float64, error) {
 		if i < len(denoms) {
-			return hashtableMOPS(r, dist, hashtable.Reorder, 16, frontEnds, 1.0/float64(denoms[i]), 0, h)
+			return hashtableMOPS(r, dist, hashtable.Reorder, 16, frontEnds, hots[i], 0, h)
 		}
-		return hashtableMOPS(r, dist, hashtable.Reorder, thetas[i-len(denoms)], frontEnds, 1.0/8, 0, h)
+		return hashtableMOPS(r, dist, hashtable.Reorder, thetas[i-len(denoms)], frontEnds, hot8, 0, h)
 	})
 	if err != nil {
 		return nil, err

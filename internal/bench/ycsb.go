@@ -20,8 +20,9 @@ func ycsbMixed(r *run) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	hot := hashtableHotSet(dist, 1.0/8)
 	ms, err := points(r, len(levels)*len(readPcts), func(r *run, i int) (float64, error) {
-		return hashtableMOPS(r, dist, levels[i/len(readPcts)], 16, 8, 1.0/8, readPcts[i%len(readPcts)], h)
+		return hashtableMOPS(r, dist, levels[i/len(readPcts)], 16, 8, hot, readPcts[i%len(readPcts)], h)
 	})
 	if err != nil {
 		return nil, err

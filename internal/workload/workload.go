@@ -10,13 +10,17 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"sync"
 )
 
 // ZipfDist is the YCSB zipfian distribution over [0, n)
 // (theta-parameterized, matching "Zipf distribution with parameter 0.99" in
 // Section IV-B), scattered over the key space so that hot keys are not
-// clustered at low indices. It is immutable once built: one distribution
-// serves every generator of an experiment, from any number of goroutines.
+// clustered at low indices. Its parameters are fixed once built, and it
+// memoizes each seed's draws under a mutex: one distribution serves every
+// generator of an experiment, from any number of goroutines, and every
+// generator of a seed after the first replays that seed's keys instead of
+// drawing them again. The memo lives as long as the distribution.
 type ZipfDist struct {
 	n     uint64
 	alpha float64
@@ -27,7 +31,23 @@ type ZipfDist struct {
 	// mul scrambles rank r to key r*mul mod n; it is coprime to n, so the
 	// scramble is a bijection on [0, n).
 	mul uint64
+
+	mu    sync.Mutex
+	seeds map[int64]*zipfSeq // guarded by mu
 }
+
+// zipfSeq is one seed's memoized key sequence: keys holds the draws so far
+// and rng the seed's source, positioned after the last of them. Both are
+// guarded by the distribution's mutex; a key once drawn is never rewritten,
+// so a prefix of keys handed out under the mutex stays readable without it.
+type zipfSeq struct {
+	rng  *rand.Rand
+	keys []uint64
+}
+
+// zipfChunk is how many keys a generator past the end of its seed's memo
+// draws at once.
+const zipfChunk = 256
 
 // fibonacci is the 64-bit Fibonacci hashing constant the key scramble
 // starts from.
@@ -43,7 +63,7 @@ func NewZipfDist(n uint64, theta float64) (*ZipfDist, error) {
 	if theta <= 0 || theta >= 1 {
 		return nil, fmt.Errorf("workload: zipf theta must be in (0,1), got %v", theta)
 	}
-	d := &ZipfDist{n: n}
+	d := &ZipfDist{n: n, seeds: make(map[int64]*zipfSeq)}
 	d.zetan = zeta(n, theta)
 	zeta2 := zeta(2, theta)
 	d.alpha = 1.0 / (1.0 - theta)
@@ -79,9 +99,52 @@ func (d *ZipfDist) scramble(rank uint64) uint64 {
 	return bits.Rem64(hi, lo, d.n)
 }
 
-// New returns a generator drawing from d with its own seeded source.
+// New returns a generator over seed's key sequence, starting at its first
+// draw. The sequence is a pure function of the seed: every generator of one
+// seed yields the same keys, however many there are and however their draws
+// interleave.
 func (d *ZipfDist) New(seed int64) *Zipf {
-	return &Zipf{dist: d, rng: rand.New(rand.NewSource(seed))}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	seq := d.seeds[seed]
+	if seq == nil {
+		seq = &zipfSeq{rng: rand.New(rand.NewSource(seed))}
+		d.seeds[seed] = seq
+	}
+	return &Zipf{dist: d, seq: seq, keys: seq.keys}
+}
+
+// extend returns seq's keys, drawn past index i: i is the length of the
+// prefix the caller holds, so one chunk suffices when no other generator
+// has drawn further already.
+func (d *ZipfDist) extend(seq *zipfSeq, i int) []uint64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if len(seq.keys) == i {
+		for range zipfChunk {
+			seq.keys = append(seq.keys, d.draw(seq.rng))
+		}
+	}
+	return seq.keys
+}
+
+// draw draws one key from rng.
+func (d *ZipfDist) draw(rng *rand.Rand) uint64 {
+	u := rng.Float64()
+	uz := u * d.zetan
+	var rank uint64
+	switch {
+	case uz < 1.0:
+		rank = 0
+	case uz < d.rank1:
+		rank = 1
+	default:
+		rank = uint64(float64(d.n) * math.Pow(d.eta*u-d.eta+1, d.alpha))
+	}
+	if rank >= d.n {
+		rank = d.n - 1
+	}
+	return d.scramble(rank)
 }
 
 // HotSet returns the m hottest keys (after scrambling), which the hashtable
@@ -100,32 +163,25 @@ func (d *ZipfDist) HotSet(m int) []uint64 {
 	return out
 }
 
-// Zipf draws keys from a shared ZipfDist with its own random source; it is
-// not safe for concurrent use, but generators of one distribution are
-// independent of each other.
+// Zipf is a cursor over one seed's key sequence of a shared ZipfDist; it is
+// not safe for concurrent use, but generators of one distribution, of the
+// same seed or not, are independent of each other.
 type Zipf struct {
 	dist *ZipfDist
-	rng  *rand.Rand
+	seq  *zipfSeq
+	keys []uint64 // the prefix of seq.keys this cursor last saw
+	i    int      // index of the next key
 }
 
-// Next draws the next key.
+// Next returns the next key, drawing a chunk of the sequence only when no
+// generator of this seed has drawn that far yet.
 func (z *Zipf) Next() uint64 {
-	d := z.dist
-	u := z.rng.Float64()
-	uz := u * d.zetan
-	var rank uint64
-	switch {
-	case uz < 1.0:
-		rank = 0
-	case uz < d.rank1:
-		rank = 1
-	default:
-		rank = uint64(float64(d.n) * math.Pow(d.eta*u-d.eta+1, d.alpha))
+	if z.i == len(z.keys) {
+		z.keys = z.dist.extend(z.seq, z.i)
 	}
-	if rank >= d.n {
-		rank = d.n - 1
-	}
-	return d.scramble(rank)
+	k := z.keys[z.i]
+	z.i++
+	return k
 }
 
 // Uniform generates uniformly distributed keys in [0, n).

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -95,6 +96,59 @@ func TestZipfSharedDistConcurrent(t *testing.T) {
 				t.Fatalf("worker %d draw %d = %d, serial %d", w, i, got[w][i], serial[w][i])
 			}
 		}
+	}
+}
+
+// Generators of one seed on one shared distribution replay a single
+// memoized sequence: eight cursors drawing concurrently, their draws
+// interleaved, each see exactly the keys a fresh distribution draws
+// serially, and a cursor made after the memo has grown starts at draw 0.
+func TestZipfSameSeedConcurrent(t *testing.T) {
+	const workers, draws = 8, 5000
+	serial := make([]uint64, draws)
+	z := mustDist(t, 1<<14, 0.99).New(1000)
+	for i := range serial {
+		serial[i] = z.Next()
+	}
+	d := mustDist(t, 1<<14, 0.99)
+	got := make([][]uint64, workers)
+	seqs := make([]*zipfSeq, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			z := d.New(1000)
+			seqs[w] = z.seq
+			for i := 0; i < draws; i++ {
+				got[w] = append(got[w], z.Next())
+				if i%(w+1) == 0 {
+					runtime.Gosched()
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := range got {
+		for i := range got[w] {
+			if got[w][i] != serial[i] {
+				t.Fatalf("worker %d draw %d = %d, serial %d", w, i, got[w][i], serial[i])
+			}
+		}
+	}
+	late := d.New(1000)
+	for i, want := range serial {
+		if k := late.Next(); k != want {
+			t.Fatalf("late cursor draw %d = %d, serial %d", i, k, want)
+		}
+	}
+	for w, seq := range seqs {
+		if seq != late.seq {
+			t.Fatalf("worker %d's cursor does not replay the seed's one memoized sequence", w)
+		}
+	}
+	if n := len(late.seq.keys); n > draws+zipfChunk {
+		t.Fatalf("seed 1000 memoized %d keys for %d draws", n, draws)
 	}
 }
 
@@ -330,11 +384,14 @@ func BenchmarkNewZipfDist(b *testing.B) {
 	}
 }
 
+// BenchmarkZipfNew makes a generator over an already memoized seed and
+// draws its first key. The seeds cycle: a distribution keeps every seed it
+// has drawn, so a fresh seed per iteration would grow the memo with b.N.
 func BenchmarkZipfNew(b *testing.B) {
 	d := mustDist(b, 1<<14, 0.99)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		d.New(int64(i)).Next()
+		d.New(int64(i % 16)).Next()
 	}
 }
 
