@@ -31,7 +31,6 @@ func measure(dist *workload.ZipfDist, level hashtable.Level, theta int, horizon 
 		KeySpace:  keySpace,
 		ValueSize: 64,
 		Theta:     theta,
-		BlockBits: 4,
 		HotKeys:   dist.HotSet(keySpace / 8),
 	})
 	if err != nil {

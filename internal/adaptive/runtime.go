@@ -214,7 +214,7 @@ func (r *Runtime) useCons() bool {
 func (r *Runtime) directWrite(now sim.Time, off int, data []byte) (sim.Time, error) {
 	slot := r.cfg.LocalMR.Region().Bytes()[r.directOff : r.directOff+len(data)]
 	copy(slot, data)
-	tp := r.cfg.QP.Context().Machine().Topology().Params
+	tp := r.cfg.QP.Context().Machine().Topology()
 	now += tp.MemcpyTime(len(data), false)
 	r.sge[0] = verbs.SGE{
 		Addr:   r.cfg.LocalMR.Addr() + mem.Addr(r.directOff),

@@ -71,11 +71,11 @@ func NewLog(m *cluster.Machine, cfg Config) (*Log, error) {
 		return nil, fmt.Errorf("%w: a batch of %d records of %d bytes overflows the %d-slot data table", ErrBadConfig, cfg.Batch, cfg.RecordSize, slots)
 	}
 	ctx := verbs.NewContext(m)
-	lr, err := m.Alloc(m.Topology().NICSocket(), cfg.LogBytes, 0)
+	lr, err := m.Alloc(topo.NICSocket, cfg.LogBytes, 0)
 	if err != nil {
 		return nil, err
 	}
-	sr, err := m.Alloc(m.Topology().NICSocket(), 4096, 0)
+	sr, err := m.Alloc(topo.NICSocket, 4096, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -149,25 +149,24 @@ func (e *Engine) SetRetryPolicy(p verbs.RetryPolicy) { e.qp.SetRetryPolicy(p) }
 // no divisor below S qualifies, the table is dense.
 func NewEngine(id int, m *cluster.Machine, socket topo.SocketID, l *Log) (*Engine, error) {
 	cfg := l.cfg
-	sockets := m.Topology().Sockets()
-	if socket < 0 || int(socket) >= sockets {
-		return nil, fmt.Errorf("%w: socket %d out of range [0,%d)", ErrBadConfig, socket, sockets)
+	if socket < 0 || int(socket) >= topo.Sockets {
+		return nil, fmt.Errorf("%w: socket %d out of range [0,%d)", ErrBadConfig, socket, topo.Sockets)
 	}
 	// Records alternate over the per-socket tables; with NUMA on, a batch's
 	// alternate-socket records are staged contiguously.
-	if own := (cfg.Batch + sockets - 1 - int(socket)) / sockets; cfg.NUMA && (cfg.Batch-own)*cfg.RecordSize > stagingBytes {
+	if own := (cfg.Batch + topo.Sockets - 1 - int(socket)) / topo.Sockets; cfg.NUMA && (cfg.Batch-own)*cfg.RecordSize > stagingBytes {
 		return nil, fmt.Errorf("%w: %d alternate-socket records of %d bytes overflow the %d-byte staging buffer", ErrBadConfig, cfg.Batch-own, cfg.RecordSize, stagingBytes)
 	}
 	ctx := verbs.NewContext(m)
 	port := m.SocketPort(socket)
-	qp, _, err := verbs.Connect(ctx, port, l.ctx, l.ctx.Machine().SocketPort(l.ctx.Machine().Topology().NICSocket()), verbs.RC)
+	qp, _, err := verbs.Connect(ctx, port, l.ctx, l.ctx.Machine().SocketPort(topo.NICSocket), verbs.RC)
 	if err != nil {
 		return nil, err
 	}
 	e := &Engine{id: id, log: l, cfg: cfg, socket: socket, qp: qp}
 	slots := tableBytes / cfg.RecordSize
 	k := ringSlots(slots, cfg.Batch)
-	for s := 0; s < sockets; s++ {
+	for s := 0; s < topo.Sockets; s++ {
 		var r *mem.Region
 		if k < slots {
 			r, err = m.Space().AllocSparse(topo.SocketID(s), tableBytes, (k+1)*cfg.RecordSize)
@@ -228,7 +227,7 @@ func (e *Engine) slotFor(seqNo uint64, table *verbs.MR) int {
 // reserved sequence number and the completion time.
 func (e *Engine) AppendBatch(now sim.Time) (uint64, sim.Time, error) {
 	cfg := e.cfg
-	tp := e.qp.Context().Machine().Topology().Params
+	tp := e.qp.Context().Machine().Topology()
 
 	// Stage 1: reserve space (remote sequencer).
 	first, t, err := e.seq.Next(now, uint64(cfg.Batch))
@@ -303,7 +302,7 @@ func (e *Engine) AppendPayload(now sim.Time, payloads [][]byte) (uint64, sim.Tim
 	if n*cfg.RecordSize > e.staging.Region().Size() {
 		return 0, 0, fmt.Errorf("dlog: payload batch of %d records exceeds the staging buffer", n)
 	}
-	tp := e.qp.Context().Machine().Topology().Params
+	tp := e.qp.Context().Machine().Topology()
 
 	// Stage 1: reserve space (remote sequencer).
 	first, t, err := e.seq.Next(now, uint64(n))

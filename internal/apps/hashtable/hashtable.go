@@ -56,7 +56,6 @@ type Config struct {
 	KeySpace  uint64 // number of key slots
 	ValueSize int    // bytes per value
 	Theta     int    // consolidation threshold for hot blocks (Reorder); 0 means 1
-	BlockBits uint   // log2 entries per hot block (paper: 2^t entries); 0 means 4, at most maxBlockBits
 	// HotKeys is only read: the points of a sweep share one hot set.
 	HotKeys []uint64
 }
@@ -64,9 +63,8 @@ type Config struct {
 // ErrBadConfig reports a Config the back-end cannot lay out.
 var ErrBadConfig = errors.New("hashtable: bad configuration")
 
-// maxBlockBits caps a hot block at 2^30 entries, so a block's entry count
-// and byte size stay positive ints.
-const maxBlockBits = 30
+// blockBits is log2 of the entries per hot block: 16, the paper's 2^t.
+const blockBits = 4
 
 // entrySize is the on-table layout: 8B key, 8B version, then the value.
 func (c Config) entrySize() int { return 16 + c.ValueSize }
@@ -101,51 +99,46 @@ func NewBackend(m *cluster.Machine, cfg Config) (*Backend, error) {
 	if len(cfg.HotKeys) >= math.MaxInt32 {
 		return nil, fmt.Errorf("%w: %d hot keys, at most %d", ErrBadConfig, len(cfg.HotKeys), math.MaxInt32-1)
 	}
-	if cfg.Theta < 0 || cfg.BlockBits > maxBlockBits {
-		return nil, fmt.Errorf("%w: theta %d must not be negative and block bits %d at most %d",
-			ErrBadConfig, cfg.Theta, cfg.BlockBits, maxBlockBits)
+	if cfg.Theta < 0 {
+		return nil, fmt.Errorf("%w: theta %d must not be negative", ErrBadConfig, cfg.Theta)
 	}
 	if cfg.Theta == 0 {
 		cfg.Theta = 1
 	}
-	if cfg.BlockBits == 0 {
-		cfg.BlockBits = 4 // 16 entries per block
-	}
 	b := &Backend{cfg: cfg, ctx: verbs.NewContext(m)}
-	sockets := m.Topology().Sockets()
 	// Round up so every reduced key has a slot even when the key space does
 	// not divide evenly over the sockets (keys interleave: socket k%sockets,
 	// index k/sockets, so the last socket may hold one entry fewer).
-	perSocket := (int(cfg.KeySpace) + sockets - 1) / sockets
-	for s := 0; s < sockets; s++ {
+	perSocket := (int(cfg.KeySpace) + topo.Sockets - 1) / topo.Sockets
+	for s := 0; s < topo.Sockets; s++ {
 		r, err := m.Alloc(topo.SocketID(s), perSocket*cfg.entrySize(), 0)
 		if err != nil {
 			return nil, err
 		}
 		b.tables = append(b.tables, b.ctx.MustRegisterMR(r))
 	}
-	vr, err := m.Alloc(m.Topology().NICSocket(), int(cfg.KeySpace)*8, 0)
+	vr, err := m.Alloc(topo.NICSocket, int(cfg.KeySpace)*8, 0)
 	if err != nil {
 		return nil, err
 	}
 	b.version = b.ctx.MustRegisterMR(vr)
 
-	// Hot area: blocks of 2^BlockBits entries, distributed round-robin over
+	// Hot area: blocks of 2^blockBits entries, distributed round-robin over
 	// sockets.
-	entriesPerBlock := 1 << cfg.BlockBits
+	entriesPerBlock := 1 << blockBits
 	b.hotBlocks = (len(cfg.HotKeys) + entriesPerBlock - 1) / entriesPerBlock
 	if b.hotBlocks == 0 {
 		b.hotBlocks = 1
 	}
-	blocksPerSocket := (b.hotBlocks + sockets - 1) / sockets
-	for s := 0; s < sockets; s++ {
+	blocksPerSocket := (b.hotBlocks + topo.Sockets - 1) / topo.Sockets
+	for s := 0; s < topo.Sockets; s++ {
 		r, err := m.Alloc(topo.SocketID(s), blocksPerSocket*entriesPerBlock*cfg.entrySize(), 0)
 		if err != nil {
 			return nil, err
 		}
 		b.hot = append(b.hot, b.ctx.MustRegisterMR(r))
 	}
-	lr, err := m.Alloc(m.Topology().NICSocket(), b.hotBlocks*8, 0)
+	lr, err := m.Alloc(topo.NICSocket, b.hotBlocks*8, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -178,7 +171,7 @@ func (b *Backend) hotSlot(key uint64) (hotSlot, bool) {
 		return hotSlot{}, false
 	}
 	i := int(b.hotPos[key]) - 1
-	return hotSlot{block: i >> b.cfg.BlockBits, slot: i & (1<<b.cfg.BlockBits - 1)}, true
+	return hotSlot{block: i >> blockBits, slot: i & (1<<blockBits - 1)}, true
 }
 
 // Machine returns the back-end host.
@@ -201,7 +194,7 @@ func (b *Backend) coldLocation(key uint64) (*verbs.MR, mem.Addr) {
 // block.
 func (b *Backend) hotLocation(block int) (*verbs.MR, mem.Addr, int) {
 	sockets := len(b.hot)
-	blockBytes := (1 << b.cfg.BlockBits) * b.cfg.entrySize()
+	blockBytes := (1 << blockBits) * b.cfg.entrySize()
 	mr := b.hot[block%sockets]
 	idx := block / sockets
 	return mr, mr.Addr() + mem.Addr(idx*blockBytes), blockBytes
@@ -304,7 +297,7 @@ func NewFrontEnd(id int, m *cluster.Machine, coreSocket topo.SocketID, b *Backen
 	if err != nil {
 		return nil, err
 	}
-	blockBytes := (1 << b.cfg.BlockBits) * b.cfg.entrySize()
+	blockBytes := (1 << blockBits) * b.cfg.entrySize()
 	// Scratch: atomic results, entry assembly, read staging.
 	sr, err := m.Alloc(coreSocket, scratchSize, 0)
 	if err != nil {
@@ -334,16 +327,15 @@ func NewFrontEnd(id int, m *cluster.Machine, coreSocket topo.SocketID, b *Backen
 // remote spinlock is built on the block's first flush.
 func (f *FrontEnd) initReorder(ctx *verbs.Context, m *cluster.Machine, coreSocket topo.SocketID, blockBytes int) error {
 	b := f.backend
-	sockets := b.Machine().Topology().Sockets()
 	f.locks = make([]*core.RemoteLock, b.hotBlocks)
 	f.backoff = sim.DefaultBackoff()
 	// The shadow caches the whole hot area ("front-end will buffer hot
 	// entries"), so blocks are never evicted mid-stream.
-	blocksPerSocket := (b.hotBlocks + sockets - 1) / sockets
+	blocksPerSocket := (b.hotBlocks + topo.Sockets - 1) / topo.Sockets
 	// One matched QP per backend socket carries that socket's lock CAS
 	// traffic and block flushes.
-	for s := 0; s < sockets; s++ {
-		qp, _, err := verbs.Connect(ctx, s%m.NIC().Ports(), b.ctx, s%b.Machine().NIC().Ports(), verbs.RC)
+	for s := 0; s < topo.Sockets; s++ {
+		qp, _, err := verbs.Connect(ctx, m.SocketPort(topo.SocketID(s)), b.ctx, b.Machine().SocketPort(topo.SocketID(s)), verbs.RC)
 		if err != nil {
 			return err
 		}
@@ -361,14 +353,14 @@ func (f *FrontEnd) initReorder(ctx *verbs.Context, m *cluster.Machine, coreSocke
 			Theta:      b.cfg.Theta,
 			MaxBlocks:  blocksPerSocket,
 			PreFlush: func(now sim.Time, local int) (sim.Time, error) {
-				lk, err := f.lock(local*sockets+s, qp)
+				lk, err := f.lock(local*topo.Sockets+s, qp)
 				if err != nil {
 					return 0, err
 				}
 				return lk.Acquire(now)
 			},
 			PostFlush: func(now sim.Time, local int) (sim.Time, error) {
-				lk, err := f.lock(local*sockets+s, qp)
+				lk, err := f.lock(local*topo.Sockets+s, qp)
 				if err != nil {
 					return 0, err
 				}
@@ -447,7 +439,7 @@ func (f *FrontEnd) putHot(now sim.Time, hs hotSlot, key uint64, value []byte) (s
 // socket's hot extent).
 func (f *FrontEnd) hotOffset(hs hotSlot) (int, int) {
 	sockets := len(f.cons)
-	blockBytes := (1 << f.cfg.BlockBits) * f.cfg.entrySize()
+	blockBytes := (1 << blockBits) * f.cfg.entrySize()
 	s := hs.block % sockets
 	local := hs.block / sockets
 	return s, local*blockBytes + hs.slot*f.cfg.entrySize()

@@ -29,7 +29,6 @@ func defaultConfig(level Level, hot []uint64) Config {
 		KeySpace:  1 << 12,
 		ValueSize: 64,
 		Theta:     4,
-		BlockBits: 4,
 		HotKeys:   hot,
 	}
 }
@@ -288,17 +287,13 @@ func TestValueSizeValidation(t *testing.T) {
 	}
 }
 
-// Regression: a BlockBits past 30 used to panic with an integer divide by
-// zero (64) or fail inside the allocator (63), and a negative Theta silently
-// became 1. Both are configuration errors now; 0 still picks the default.
+// Regression: a negative Theta silently became 1. It is a configuration
+// error now; 0 still picks the default.
 func TestNewBackendRejectsBadConfig(t *testing.T) {
 	cl := newCluster(t, 2)
 	for name, mut := range map[string]func(*Config){
-		"block bits 64": func(c *Config) { c.BlockBits = 64 },
-		"block bits 63": func(c *Config) { c.BlockBits = 63 },
-		"block bits 31": func(c *Config) { c.BlockBits = 31 },
-		"theta -1":      func(c *Config) { c.Theta = -1 },
-		"key space 0":   func(c *Config) { c.KeySpace = 0 },
+		"theta -1":    func(c *Config) { c.Theta = -1 },
+		"key space 0": func(c *Config) { c.KeySpace = 0 },
 	} {
 		cfg := defaultConfig(Reorder, []uint64{1, 2, 3})
 		mut(&cfg)
@@ -307,13 +302,13 @@ func TestNewBackendRejectsBadConfig(t *testing.T) {
 		}
 	}
 	cfg := defaultConfig(Reorder, []uint64{1, 2, 3})
-	cfg.Theta, cfg.BlockBits = 0, 0
+	cfg.Theta = 0
 	b, err := NewBackend(cl.Machine(0), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.cfg.Theta != 1 || b.cfg.BlockBits != 4 {
-		t.Fatalf("defaults theta %d, block bits %d; want 1 and 4", b.cfg.Theta, b.cfg.BlockBits)
+	if b.cfg.Theta != 1 {
+		t.Fatalf("default theta %d, want 1", b.cfg.Theta)
 	}
 }
 

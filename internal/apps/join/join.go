@@ -84,7 +84,7 @@ func Run(cl *cluster.Cluster, cfg Config, inner, outer []workload.Tuple) (Result
 // runSingle is the native single-machine baseline: one thread partitions,
 // builds and probes locally.
 func runSingle(cl *cluster.Cluster, inner, outer []workload.Tuple) Result {
-	tp := cl.Machine(0).Topology().Params
+	tp := cl.Machine(0).Topology()
 	// Partitioning degenerates to a scan, but the hash map work stands.
 	elapsed := sim.Duration(len(inner)+len(outer)) * partitionCost
 	counts := make(map[uint64]int32, len(inner))
@@ -199,7 +199,7 @@ func runDistributed(cl *cluster.Cluster, cfg Config, inner, outer []workload.Tup
 
 	// Build-probe phase: parallel across executors; the phase ends when the
 	// slowest executor finishes (Figure 16b's scalability view).
-	tp := cl.Machine(0).Topology().Params
+	tp := cl.Machine(0).Topology()
 	var wg sync.WaitGroup
 	times := make([]sim.Duration, len(execs))
 	matches := make([]int64, len(execs))

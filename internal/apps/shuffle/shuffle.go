@@ -121,9 +121,8 @@ func New(cl *cluster.Cluster, cfg Config) (*Shuffle, error) {
 	if cfg.Batch < 1 || cfg.RingBytes < cfg.Batch*cfg.entrySize() {
 		return nil, fmt.Errorf("shuffle: bad batch/ring sizing")
 	}
-	sockets := cl.Machine(0).Topology().Sockets()
-	if cfg.Executors > cl.Size()*sockets {
-		return nil, fmt.Errorf("shuffle: %d executors exceed cluster capacity %d", cfg.Executors, cl.Size()*sockets)
+	if cfg.Executors > cl.Size()*topo.Sockets {
+		return nil, fmt.Errorf("shuffle: %d executors exceed cluster capacity %d", cfg.Executors, cl.Size()*topo.Sockets)
 	}
 	s := &Shuffle{cfg: cfg}
 	for i := 0; i < cfg.Executors; i++ {
@@ -132,13 +131,13 @@ func New(cl *cluster.Cluster, cfg Config) (*Shuffle, error) {
 		if cfg.NUMA {
 			// Machines first, then sockets, as the paper's deployment
 			// does; thread, buffers and port agree.
-			ex.socket = topo.SocketID((i / cl.Size()) % sockets)
+			ex.socket = topo.SocketID((i / cl.Size()) % topo.Sockets)
 			ex.thread = ex.socket
 		} else {
 			// NUMA-oblivious: buffers land on whichever socket the
 			// allocator picks while the thread stays wherever the scheduler
 			// put it, so about half the DMA traffic crosses QPI.
-			ex.socket = topo.SocketID(i % sockets)
+			ex.socket = topo.SocketID(i % topo.Sockets)
 		}
 		regions := []struct {
 			mr   **verbs.MR
@@ -237,7 +236,7 @@ func (ex *Executor) Process(now sim.Time, kv workload.KV) (sim.Time, error) {
 	ex.cpu += perEntry
 	now += perEntry
 	if ex.Local(dst) {
-		tp := ex.ctx.Machine().Topology().Params
+		tp := ex.ctx.Machine().Topology()
 		cost := tp.MemcpyTime(len(ex.wire), ex.socket != ex.shuffle.execs[dst].socket)
 		ex.cpu += cost
 		now += cost

@@ -52,7 +52,6 @@ func hashtableMOPS(r *run, dist *workload.ZipfDist, level hashtable.Level, theta
 		KeySpace:  hashtableKeySpace,
 		ValueSize: 64,
 		Theta:     theta,
-		BlockBits: 4,
 		HotKeys:   hot,
 	}
 	backend, err := hashtable.NewBackend(cl.Machine(0), cfg)

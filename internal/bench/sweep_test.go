@@ -218,7 +218,7 @@ func TestReportIgnoresRecycledMemory(t *testing.T) {
 	warm := render()
 	// A mapped region of a length no experiment uses finds no kept mapping,
 	// and that miss unmaps every kept one.
-	s, err := mem.NewSpace(1, 1<<30)
+	s, err := mem.NewSpace(1 << 30)
 	if err != nil {
 		t.Fatal(err)
 	}

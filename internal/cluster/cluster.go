@@ -58,7 +58,7 @@ func DefaultConfig() Config {
 // Machine is one simulated host.
 type Machine struct {
 	id        int
-	topology  *topo.Topology
+	topology  topo.Params
 	space     *mem.Space
 	nic       *rnic.NIC
 	qpi       *sim.Pipe
@@ -90,17 +90,16 @@ func New(cfg Config) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := cfg.Topo.Validate(); err != nil {
+		return nil, err
+	}
 	c := &Cluster{fab: fab}
 	var tlPID int64
 	if cfg.Timeline != nil {
 		tlPID = cfg.Timeline.NewGroup("cluster")
 	}
 	for i := 0; i < cfg.Machines; i++ {
-		t, err := topo.New(cfg.Topo)
-		if err != nil {
-			return nil, err
-		}
-		space, err := mem.NewSpace(t.Sockets(), cfg.PerSocketMem)
+		space, err := mem.NewSpace(cfg.PerSocketMem)
 		if err != nil {
 			return nil, err
 		}
@@ -111,7 +110,7 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		m := &Machine{
 			id:       i,
-			topology: t,
+			topology: cfg.Topo,
 			space:    space,
 			nic:      nic,
 			qpi:      sim.NewPipe(fmt.Sprintf("m%d/qpi", i), topo.QPIBandwidth, 0),
@@ -121,7 +120,7 @@ func New(cfg Config) (*Cluster, error) {
 			tl:       cfg.Timeline,
 			tlPID:    tlPID,
 		}
-		for p := 0; p < nic.Ports(); p++ {
+		for p := 0; p < rnic.Ports; p++ {
 			m.endpoints = append(m.endpoints, fab.RegisterAt(fmt.Sprintf("m%d/p%d", i, p), i))
 		}
 		if cfg.Telemetry != nil {
@@ -142,7 +141,7 @@ func (m *Machine) attachTelemetry(reg *telemetry.Registry) {
 	m.qpi.Observe(reg.QueueHook(label, "qpi"))
 	m.nic.PCIeDown().Observe(reg.QueueHook(label, "nic/pcie-rd"))
 	m.nic.PCIeUp().Observe(reg.QueueHook(label, "nic/pcie-wr"))
-	for p := 0; p < m.nic.Ports(); p++ {
+	for p := 0; p < rnic.Ports; p++ {
 		m.nic.Port(p).Exec().Observe(reg.QueueHook(label, fmt.Sprintf("nic/port%d/exec", p)))
 		m.nic.Port(p).Atomic().Observe(reg.QueueHook(label, fmt.Sprintf("nic/port%d/atomic", p)))
 	}
@@ -245,8 +244,8 @@ func (m *Machine) Timeline() *telemetry.Timeline { return m.tl }
 // (meaningful only when Timeline is non-nil).
 func (m *Machine) TimelinePID() int64 { return m.tlPID }
 
-// Topology returns the machine's NUMA layout.
-func (m *Machine) Topology() *topo.Topology { return m.topology }
+// Topology returns the machine's local-memory cost parameters.
+func (m *Machine) Topology() topo.Params { return m.topology }
 
 // Space returns the machine's memory.
 func (m *Machine) Space() *mem.Space { return m.space }
@@ -300,13 +299,13 @@ func (m *Machine) Endpoint(p int) *fabric.Endpoint {
 // bound round-robin to sockets, mirroring the paper's Figure 9 where each
 // port of the dual-port NIC serves a distinct socket.
 func (m *Machine) PortSocket(p int) topo.SocketID {
-	return topo.SocketID(p % m.topology.Sockets())
+	return topo.SocketID(p % topo.Sockets)
 }
 
 // SocketPort returns the NIC port affiliated with the given socket (the
-// inverse of PortSocket for the default dual-socket/dual-port shape).
+// inverse of PortSocket).
 func (m *Machine) SocketPort(s topo.SocketID) int {
-	return int(s) % m.nic.Ports()
+	return int(s) % rnic.Ports
 }
 
 // Alloc reserves memory on the given socket (page aligned by default).

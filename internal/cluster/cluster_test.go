@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"rdmasem/internal/fabric"
+	"rdmasem/internal/rnic"
 )
 
 func TestDefaultConfigBuildsPaperTestbed(t *testing.T) {
@@ -14,17 +15,10 @@ func TestDefaultConfigBuildsPaperTestbed(t *testing.T) {
 	if c.Size() != 8 {
 		t.Fatalf("machines=%d, want 8", c.Size())
 	}
-	m := c.Machine(0)
-	if m.Topology().Sockets() != 2 {
-		t.Fatalf("sockets=%d, want 2", m.Topology().Sockets())
-	}
-	if m.NIC().Ports() != 2 {
-		t.Fatalf("ports=%d, want 2", m.NIC().Ports())
-	}
 	// 16 ports total on the switch, one distinct endpoint per machine port.
 	seen := map[*fabric.Endpoint]bool{}
 	for i := 0; i < c.Size(); i++ {
-		for p := 0; p < c.Machine(i).NIC().Ports(); p++ {
+		for p := 0; p < rnic.Ports; p++ {
 			seen[c.Machine(i).Endpoint(p)] = true
 		}
 	}
@@ -43,16 +37,6 @@ func TestNewRejectsEmptyCluster(t *testing.T) {
 
 func TestNewPropagatesBadSubConfigs(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Topo.Sockets = 0
-	if _, err := New(cfg); err == nil {
-		t.Fatal("expected topo validation error")
-	}
-	cfg = DefaultConfig()
-	cfg.NIC.Ports = 0
-	if _, err := New(cfg); err == nil {
-		t.Fatal("expected NIC validation error")
-	}
-	cfg = DefaultConfig()
 	cfg.Fabric.Faults = &fabric.FaultPlan{Drop: 1.5}
 	if _, err := New(cfg); err == nil {
 		t.Fatal("expected fabric validation error")

@@ -136,7 +136,7 @@ func (c *Consolidator) Write(now sim.Time, off int, data []byte) (sim.Time, erro
 	pb.mods++
 	c.writes++
 	// CPU copy into the shadow is the only cost of an absorbed write.
-	tp := c.qp.Context().Machine().Topology().Params
+	tp := c.qp.Context().Machine().Topology()
 	done := now + tp.MemcpyTime(len(data), false)
 	if pb.mods >= c.theta {
 		return c.flushBlock(done, pb)
@@ -152,7 +152,7 @@ func (c *Consolidator) Read(now sim.Time, off, size int, out []byte) (sim.Time, 
 	blk := off / c.blockSize
 	if pb := c.blocks[blk]; pb != nil {
 		copy(out[:size], c.shadow(pb)[off%c.blockSize:])
-		tp := c.qp.Context().Machine().Topology().Params
+		tp := c.qp.Context().Machine().Topology()
 		return now + tp.MemcpyTime(size, false), nil
 	}
 	// Miss: one RDMA read of the requested extent into the scratch slot.
@@ -169,7 +169,7 @@ func (c *Consolidator) Read(now sim.Time, off, size int, out []byte) (sim.Time, 
 	copy(out[:size], c.localMR.Region().Bytes()[c.scratchOff:c.scratchOff+size])
 	// The caller's bytes live in out, not the scratch slot: the CPU copy out
 	// of the landing buffer costs the same memcpy a shadow hit pays.
-	tp := c.qp.Context().Machine().Topology().Params
+	tp := c.qp.Context().Machine().Topology()
 	return comp.Done + tp.MemcpyTime(size, false), nil
 }
 

@@ -363,7 +363,7 @@ func TestConsolidatorReadMissChargesCopy(t *testing.T) {
 	}
 	miss := d - now
 
-	tp := e.cl.Machine(0).Topology().Params
+	tp := e.cl.Machine(0).Topology()
 	wantCopy := tp.MemcpyTime(size, false)
 	if wantCopy <= 0 {
 		t.Fatal("test needs a nonzero memcpy cost")

@@ -55,7 +55,7 @@ func NewEngine(local *verbs.Context, peers []*verbs.Context, mode Mode) (*Engine
 	if local == nil || len(peers) == 0 {
 		return nil, fmt.Errorf("core: engine needs a local context and peers")
 	}
-	tp := local.Machine().Topology().Params
+	tp := local.Machine().Topology()
 	e := &Engine{
 		local: local,
 		peers: peers,
@@ -66,10 +66,9 @@ func NewEngine(local *verbs.Context, peers []*verbs.Context, mode Mode) (*Engine
 		// per-node daemon charges (internal/proxy).
 		proxyIPC: proxy.HopCost(tp),
 	}
-	sockets := local.Machine().Topology().Sockets()
 	if mode == Matched {
-		e.bounce = make([]*verbs.MR, sockets)
-		for s := 0; s < sockets; s++ {
+		e.bounce = make([]*verbs.MR, topo.Sockets)
+		for s := 0; s < topo.Sockets; s++ {
 			r, err := local.Machine().Alloc(topo.SocketID(s), 2*maxProxyPayload, 0)
 			if err != nil {
 				return nil, err
@@ -84,7 +83,7 @@ func NewEngine(local *verbs.Context, peers []*verbs.Context, mode Mode) (*Engine
 	for pi, peer := range peers {
 		// One QP per socket along matched ports; the modes differ only in
 		// how QP picks among them.
-		e.qps[pi] = make([]*verbs.QP, sockets)
+		e.qps[pi] = make([]*verbs.QP, topo.Sockets)
 		for s := range e.qps[pi] {
 			ls := topo.SocketID(s)
 			qp, _, err := verbs.Connect(local, local.Machine().SocketPort(ls), peer, peer.Machine().SocketPort(ls), verbs.RC)
@@ -128,7 +127,7 @@ func (e *Engine) Write(now sim.Time, core topo.SocketID, sgl []verbs.SGE, peer i
 		if total, ok := proxy.Stage(b, sgl); ok {
 			e.asgl[0] = verbs.SGE{Addr: b.Addr(), Length: total, MR: b}
 			sgl = e.asgl[:]
-			extra += e.local.Machine().Topology().Params.MemcpyTime(total, true)
+			extra += e.local.Machine().Topology().MemcpyTime(total, true)
 		}
 	}
 	e.wr = verbs.SendWR{

@@ -145,7 +145,7 @@ func (b *Batcher) WriteBatch(now sim.Time, frags []Fragment, remoteAddr mem.Addr
 
 // writeSP gathers with the CPU into the staging buffer, then posts one WR.
 func (b *Batcher) writeSP(now sim.Time, frags []Fragment, remoteAddr mem.Addr) (BatchResult, error) {
-	tp := b.qp.Context().Machine().Topology().Params
+	tp := b.qp.Context().Machine().Topology()
 	stage := b.staging.Region()
 	dst := stage.Bytes()
 	var cpu sim.Duration

@@ -37,7 +37,7 @@ func TestFourApplicationsOnOneCluster(t *testing.T) {
 	dist := mustZipfDist(t, 1<<10)
 	backend, err := hashtable.NewBackend(cl.Machine(0), hashtable.Config{
 		Level: hashtable.Reorder, KeySpace: 1 << 10, ValueSize: 64,
-		Theta: 4, BlockBits: 4, HotKeys: dist.HotSet(128),
+		Theta: 4, HotKeys: dist.HotSet(128),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +157,7 @@ func TestWholeStackDeterminism(t *testing.T) {
 		}
 		backend, err := hashtable.NewBackend(cl.Machine(0), hashtable.Config{
 			Level: hashtable.Reorder, KeySpace: 1 << 12, ValueSize: 64,
-			Theta: 8, BlockBits: 4, HotKeys: dist.HotSet(512),
+			Theta: 8, HotKeys: dist.HotSet(512),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -156,36 +156,32 @@ func (r *Region) free() {
 // Space is one machine's memory: a bump allocator per socket plus an index of
 // live regions for address resolution.
 type Space struct {
-	sockets  int
 	capacity uint64 // per-socket capacity in bytes
 	next     []uint64
 	regions  []*Region // sorted by base address
 }
 
-// NewSpace creates a memory space with the given number of sockets, each
-// backed by perSocket bytes of address space. Backing storage is allocated
-// lazily per region, so large address spaces are cheap.
-func NewSpace(sockets int, perSocket uint64) (*Space, error) {
-	if sockets < 1 {
-		return nil, fmt.Errorf("mem: sockets must be >= 1, got %d", sockets)
-	}
+// NewSpace creates a memory space of topo.Sockets sockets, each backed by
+// perSocket bytes of address space. Backing storage is allocated lazily per
+// region, so large address spaces are cheap.
+func NewSpace(perSocket uint64) (*Space, error) {
 	if perSocket == 0 || perSocket%PageSize != 0 {
 		return nil, fmt.Errorf("mem: per-socket capacity must be a positive multiple of %d", PageSize)
 	}
-	next := make([]uint64, sockets)
+	next := make([]uint64, topo.Sockets)
 	for s := range next {
 		// Leave the zero page unmapped so Addr(0) is never valid.
 		next[s] = uint64(s)*perSocket + PageSize
 	}
-	return &Space{sockets: sockets, capacity: perSocket, next: next}, nil
+	return &Space{capacity: perSocket, next: next}, nil
 }
 
 // Alloc reserves size bytes on the given socket with the given alignment
 // (which must be a power of two; 0 means page alignment, matching the
 // paper's posix_memalign usage).
 func (s *Space) Alloc(socket topo.SocketID, size int, align uint64) (*Region, error) {
-	if socket < 0 || int(socket) >= s.sockets {
-		return nil, fmt.Errorf("mem: socket %d out of range [0,%d)", socket, s.sockets)
+	if socket < 0 || int(socket) >= topo.Sockets {
+		return nil, fmt.Errorf("mem: socket %d out of range [0,%d)", socket, topo.Sockets)
 	}
 	if size <= 0 {
 		return nil, fmt.Errorf("mem: allocation size must be positive, got %d", size)
@@ -222,8 +218,8 @@ func (s *Space) Alloc(socket topo.SocketID, size int, align uint64) (*Region, er
 // 0.07 s, nearly all page faults) and raised its peak RSS from 9.9 to
 // 20.7 MB. A sparse region touches at most its backing.
 func (s *Space) AllocSparse(socket topo.SocketID, virtualSize, backing int) (*Region, error) {
-	if socket < 0 || int(socket) >= s.sockets {
-		return nil, fmt.Errorf("mem: socket %d out of range [0,%d)", socket, s.sockets)
+	if socket < 0 || int(socket) >= topo.Sockets {
+		return nil, fmt.Errorf("mem: socket %d out of range [0,%d)", socket, topo.Sockets)
 	}
 	if virtualSize <= 0 || backing <= 0 || backing > virtualSize {
 		return nil, fmt.Errorf("mem: bad sparse sizing %d/%d", virtualSize, backing)

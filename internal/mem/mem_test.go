@@ -15,7 +15,7 @@ import (
 
 func newSpace(t *testing.T) *Space {
 	t.Helper()
-	s, err := NewSpace(2, 1<<30)
+	s, err := NewSpace(1 << 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,13 +23,10 @@ func newSpace(t *testing.T) *Space {
 }
 
 func TestNewSpaceValidation(t *testing.T) {
-	if _, err := NewSpace(0, 1<<20); err == nil {
-		t.Error("expected error for zero sockets")
-	}
-	if _, err := NewSpace(2, 0); err == nil {
+	if _, err := NewSpace(0); err == nil {
 		t.Error("expected error for zero capacity")
 	}
-	if _, err := NewSpace(2, PageSize+1); err == nil {
+	if _, err := NewSpace(PageSize + 1); err == nil {
 		t.Error("expected error for unaligned capacity")
 	}
 }
@@ -83,7 +80,7 @@ func TestAllocErrors(t *testing.T) {
 }
 
 func TestAllocExhaustion(t *testing.T) {
-	s, err := NewSpace(1, 4*PageSize)
+	s, err := NewSpace(4 * PageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +154,7 @@ func TestPageNumber(t *testing.T) {
 func TestAllocNoOverlapProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		s, err := NewSpace(2, 1<<24)
+		s, err := NewSpace(1 << 24)
 		if err != nil {
 			return false
 		}
@@ -197,7 +194,7 @@ func TestAllocNoOverlapProperty(t *testing.T) {
 
 // Property: data written at random offsets reads back intact.
 func TestReadBackProperty(t *testing.T) {
-	s, err := NewSpace(1, 1<<24)
+	s, err := NewSpace(1 << 24)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +248,7 @@ func TestResolveSortedIndex(t *testing.T) {
 }
 
 func TestAllocSparse(t *testing.T) {
-	s, err := NewSpace(2, 1<<40)
+	s, err := NewSpace(1 << 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +290,7 @@ func TestAllocSparse(t *testing.T) {
 }
 
 func TestAllocSparseValidation(t *testing.T) {
-	s, _ := NewSpace(1, 1<<30)
+	s, _ := NewSpace(1 << 30)
 	if _, err := s.AllocSparse(5, 1<<20, 4096); err == nil {
 		t.Error("bad socket must fail")
 	}
@@ -311,7 +308,7 @@ func TestAllocSparseValidation(t *testing.T) {
 // TestDenseRegionNotSparse: a dense region's backing spans its whole extent,
 // so an access at its end lands at its end rather than wrapping.
 func TestDenseRegionNotSparse(t *testing.T) {
-	s, _ := NewSpace(1, 1<<20)
+	s, _ := NewSpace(1 << 20)
 	r, _ := s.Alloc(0, 4096, 0)
 	if len(r.Bytes()) != r.Size() {
 		t.Fatalf("dense backing %d bytes for a %d-byte region", len(r.Bytes()), r.Size())
@@ -341,7 +338,7 @@ func TestSparseAccessBounds(t *testing.T) {
 		{"past the virtual end", 8<<20 - 4, 8, "escapes region [0x1000,+8388608)"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := NewSpace(1, 1<<30)
+			s, err := NewSpace(1 << 30)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -430,7 +427,7 @@ func TestLargeAllocReadsZero(t *testing.T) {
 // TestRoundTripAtRegionEnds: bytes written at both ends of a large dense
 // region and of a sparse region read back intact.
 func TestRoundTripAtRegionEnds(t *testing.T) {
-	s, err := NewSpace(2, 1<<32)
+	s, err := NewSpace(1 << 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -607,7 +604,7 @@ func TestRecycleConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
-				s, err := NewSpace(1, 1<<30)
+				s, err := NewSpace(1 << 30)
 				if err != nil {
 					errs <- err
 					return
@@ -676,7 +673,7 @@ func FuzzRegionRecycle(f *testing.F) {
 				held = append(held[:j], held[j+1:]...)
 				continue
 			}
-			s, err := NewSpace(1, 1<<30)
+			s, err := NewSpace(1 << 30)
 			if err != nil {
 				t.Fatal(err)
 			}

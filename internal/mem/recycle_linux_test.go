@@ -71,7 +71,7 @@ func BenchmarkRegionCycle(b *testing.B) {
 	syscall.Getrusage(syscall.RUSAGE_SELF, &before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s, err := NewSpace(1, 1<<30)
+		s, err := NewSpace(1 << 30)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -68,7 +68,7 @@ func NewDaemon(table *Table) (*Daemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	tp := local.Topology().Params
+	tp := local.Topology()
 	d := &Daemon{
 		table:   table,
 		ipc:     sim.NewResource(local.Label() + "/proxyd"),

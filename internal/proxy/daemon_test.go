@@ -78,7 +78,7 @@ func TestDaemonChargesHopAndQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hop := proxy.HopCost(e.cl.Machine(0).Topology().Params)
+	hop := proxy.HopCost(e.cl.Machine(0).Topology())
 	direct, err := e.table.Post(0, 0, e.sendWR(1, 64))
 	if err != nil {
 		t.Fatal(err)

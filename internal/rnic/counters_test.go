@@ -145,7 +145,6 @@ func TestParamsValidateErrors(t *testing.T) {
 		mutate func(*Params)
 		want   string
 	}{
-		{func(p *Params) { p.Ports = 0 }, "rnic: ports must be >= 1"},
 		{func(p *Params) { p.MMIOCost = -1 }, "rnic: MMIOCost must be nonnegative"},
 		{func(p *Params) { p.TranslationEntries = -1 }, "rnic: cache capacities must be nonnegative"},
 		{func(p *Params) { p.QPCacheEntries = -1 }, "rnic: cache capacities must be nonnegative"},

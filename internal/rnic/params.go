@@ -58,12 +58,12 @@ const (
 	mrMissSvc          sim.Duration = 90
 )
 
-// Params holds what a cluster may set on the RNIC: its port count, and the
-// MMIO cost and SRAM cache capacities the ablation and qpsweep experiments
-// vary.
-type Params struct {
-	Ports int // physical ports (paper NIC: dual port)
+// Ports is the RNIC's physical port count (the paper's dual-port NIC).
+const Ports = 2
 
+// Params holds what a cluster may set on the RNIC: the MMIO cost and SRAM
+// cache capacities the ablation and qpsweep experiments vary.
+type Params struct {
 	MMIOCost sim.Duration // one CPU-generated MMIO doorbell write
 
 	// SRAM metadata cache capacities.
@@ -75,7 +75,6 @@ type Params struct {
 // DefaultParams returns the ConnectX-3 calibration described above.
 func DefaultParams() Params {
 	return Params{
-		Ports:              2,
 		MMIOCost:           250,
 		TranslationEntries: 1024, // 4 MB of 4 KB pages (Fig 6d crossover)
 		QPCacheEntries:     96,
@@ -85,9 +84,6 @@ func DefaultParams() Params {
 
 // Validate checks the parameters for usability.
 func (p Params) Validate() error {
-	if p.Ports < 1 {
-		return errBadParams("ports must be >= 1")
-	}
 	if p.MMIOCost < 0 {
 		return errBadParams("MMIOCost must be nonnegative")
 	}

@@ -132,7 +132,7 @@ func New(name string, p Params) (*NIC, error) {
 		qpCache:  NewLRU(p.QPCacheEntries),
 		mrCache:  NewLRU(p.MRCacheEntries),
 	}
-	for i := 0; i < p.Ports; i++ {
+	for i := 0; i < Ports; i++ {
 		n.ports = append(n.ports, &Port{
 			exec:   sim.NewResource(fmt.Sprintf("%s/port%d/exec", name, i)),
 			atomic: sim.NewResource(fmt.Sprintf("%s/port%d/atomic", name, i)),
@@ -148,9 +148,6 @@ func (n *NIC) Port(i int) *Port {
 	}
 	return n.ports[i]
 }
-
-// Ports returns the number of ports.
-func (n *NIC) Ports() int { return len(n.ports) }
 
 // Doorbell charges the CPU-side MMIO that hands nWQE work-queue entries to
 // the NIC, plus inlineBytes of payload carried inside the MMIO write. It

@@ -17,9 +17,6 @@ func newNIC(t *testing.T) *NIC {
 }
 
 func TestNewValidates(t *testing.T) {
-	if _, err := New("bad", Params{}); err == nil {
-		t.Fatal("expected validation error")
-	}
 	p := DefaultParams()
 	p.TranslationEntries = -1
 	if _, err := New("bad", p); err == nil {
@@ -29,9 +26,6 @@ func TestNewValidates(t *testing.T) {
 
 func TestPortAccess(t *testing.T) {
 	n := newNIC(t)
-	if n.Ports() != 2 {
-		t.Fatalf("ports=%d, want 2", n.Ports())
-	}
 	if n.Port(0) == n.Port(1) {
 		t.Fatal("ports must be distinct")
 	}

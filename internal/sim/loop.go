@@ -70,7 +70,7 @@ func (c *Client) nextAction() Time {
 	if c.outstanding.len() < c.Window {
 		return c.nextPost
 	}
-	return Max(c.nextPost, c.outstanding.min())
+	return max(c.nextPost, c.outstanding.min())
 }
 
 // RunClosedLoop drives the clients in global virtual-time order until the

@@ -154,12 +154,6 @@ func TestTimeString(t *testing.T) {
 	}
 }
 
-func TestMax(t *testing.T) {
-	if Max(1, 2) != 2 || Max(2, 1) != 2 || Max(3, 3) != 3 {
-		t.Fatal("Max broken")
-	}
-}
-
 func TestResourceGapFillingExactFit(t *testing.T) {
 	r := NewResource("r")
 	r.Acquire(0, 100)

@@ -47,14 +47,6 @@ func (t Time) String() string {
 // MaxTime is the largest representable virtual time.
 const MaxTime Time = 1<<63 - 1
 
-// Max returns the later of two times.
-func Max(a, b Time) Time {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // TransferTime returns the serialization delay of size bytes over a link of
 // the given bandwidth in bytes per second.
 func TransferTime(size int, bytesPerSecond float64) Duration {

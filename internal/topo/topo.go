@@ -87,33 +87,27 @@ const (
 	syscallCost sim.Duration = 250
 )
 
-// Params holds what a cluster may set on a machine: its shape, and the QPI
-// latency the ablation experiment varies. Every other cost of the model is
-// a constant above. Zero values are invalid; construct with DefaultParams
-// and override fields as needed.
+// The machine's shape: every host of the testbed has two CPU sockets, and the
+// RNIC's PCIe root port sits on socket 1.
+const (
+	Sockets            = 2
+	NICSocket SocketID = 1
+)
+
+// Params holds what a cluster may set on a machine: the QPI latency the
+// ablation experiment varies. Every other cost of the model is a constant
+// above; construct with DefaultParams and override the field as needed.
 type Params struct {
-	Sockets    int          // CPU sockets per machine
-	NICSocket  SocketID     // socket whose PCIe root hosts the RNIC
 	QPILatency sim.Duration // per-crossing latency adder of the QPI interconnect
 }
 
 // DefaultParams returns the paper-testbed calibration.
 func DefaultParams() Params {
-	return Params{
-		Sockets:    2,
-		NICSocket:  1,
-		QPILatency: 70,
-	}
+	return Params{QPILatency: 70}
 }
 
 // Validate reports whether the parameters describe a usable machine.
 func (p Params) Validate() error {
-	if p.Sockets < 1 {
-		return fmt.Errorf("topo: sockets must be >= 1, got %d", p.Sockets)
-	}
-	if p.NICSocket < 0 || int(p.NICSocket) >= p.Sockets {
-		return fmt.Errorf("topo: NIC socket %d out of range [0,%d)", p.NICSocket, p.Sockets)
-	}
 	if p.QPILatency < 0 {
 		return fmt.Errorf("topo: QPILatency must be nonnegative, got %d", p.QPILatency)
 	}
@@ -142,7 +136,7 @@ func (p Params) LocalAccessTime(op AccessOp, pat Pattern, size int, cross bool) 
 		if cross {
 			base += p.QPILatency / 4
 		}
-		return sim.Max(base, sim.TransferTime(size, bw))
+		return max(base, sim.TransferTime(size, bw))
 	default: // Rand
 		var lat sim.Duration
 		var bw float64
@@ -183,22 +177,3 @@ func (p Params) VectorIOTime(op AccessOp, n, size int) sim.Duration {
 	per := p.LocalAccessTime(op, Seq, size, false)
 	return syscallCost + sim.Duration(n)*per
 }
-
-// Topology is the realized layout of one machine.
-type Topology struct {
-	Params Params
-}
-
-// New validates params and returns the machine topology.
-func New(p Params) (*Topology, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return &Topology{Params: p}, nil
-}
-
-// NICSocket returns the socket hosting the RNIC's PCIe root port.
-func (t *Topology) NICSocket() SocketID { return t.Params.NICSocket }
-
-// Sockets returns the number of sockets.
-func (t *Topology) Sockets() int { return t.Params.Sockets }

@@ -52,7 +52,7 @@ import (
 type Config struct {
 	KeySpace  uint64 // number of entries
 	ValueSize int    // bytes per value
-	MaxWrites int    // write-set capacity per transaction (default 4)
+	MaxWrites int    // write-set capacity per transaction; 0 means 4
 	LogBytes  int    // redo-log capacity (default 16 MiB)
 }
 
@@ -69,6 +69,8 @@ func (c Config) redoSize() int { return 24 + c.ValueSize }
 
 // Typed failures of the transaction protocol.
 var (
+	// ErrBadConfig reports a Config NewStore cannot lay out.
+	ErrBadConfig = errors.New("txn: bad configuration")
 	// ErrConflict reports a lock CAS that observed a version other than
 	// the one read optimistically: a conflicting transaction committed (or
 	// holds the lock). The transaction aborted cleanly; retry it.
@@ -104,18 +106,20 @@ type Store struct {
 // first optimistic read validates.
 func NewStore(m *cluster.Machine, cfg Config) (*Store, error) {
 	if cfg.KeySpace == 0 || cfg.ValueSize <= 0 {
-		return nil, fmt.Errorf("txn: key space and value size must be positive")
+		return nil, fmt.Errorf("%w: key space and value size must be positive", ErrBadConfig)
 	}
-	if cfg.MaxWrites <= 0 {
+	if cfg.MaxWrites < 0 {
+		return nil, fmt.Errorf("%w: max writes %d must not be negative", ErrBadConfig, cfg.MaxWrites)
+	}
+	if cfg.MaxWrites == 0 {
 		cfg.MaxWrites = 4
 	}
 	if cfg.LogBytes == 0 {
 		cfg.LogBytes = 16 << 20
 	}
 	s := &Store{cfg: cfg, ctx: verbs.NewContext(m)}
-	sockets := m.Topology().Sockets()
-	perSocket := (int(cfg.KeySpace) + sockets - 1) / sockets
-	for so := 0; so < sockets; so++ {
+	perSocket := (int(cfg.KeySpace) + topo.Sockets - 1) / topo.Sockets
+	for so := 0; so < topo.Sockets; so++ {
 		r, err := m.Alloc(topo.SocketID(so), perSocket*cfg.entrySize(), 0)
 		if err != nil {
 			return nil, err
@@ -249,7 +253,7 @@ func NewClient(id int, m *cluster.Machine, socket topo.SocketID, s *Store) (*Cli
 		label:   m.Label(),
 	}
 	for so := range s.tables {
-		qp, _, err := verbs.Connect(ctx, so%m.NIC().Ports(), s.ctx, so%s.Machine().NIC().Ports(), verbs.RC)
+		qp, _, err := verbs.Connect(ctx, m.SocketPort(topo.SocketID(so)), s.ctx, s.Machine().SocketPort(topo.SocketID(so)), verbs.RC)
 		if err != nil {
 			return nil, err
 		}

@@ -215,6 +215,25 @@ func TestReadYourOwnWritesReducesModKeySpace(t *testing.T) {
 	}
 }
 
+// Regression: a negative MaxWrites silently became 4. It is a configuration
+// error now, like a zero key space or value size; 0 still picks the default.
+func TestNewStoreRejectsBadConfig(t *testing.T) {
+	cl := testCluster(t, 0, nil, nil)
+	for name, cfg := range map[string]Config{
+		"max writes -1": {KeySpace: 16, ValueSize: 8, MaxWrites: -1},
+		"key space 0":   {KeySpace: 0, ValueSize: 8},
+		"value size 0":  {KeySpace: 16, ValueSize: 0},
+	} {
+		if _, err := NewStore(cl.Machine(0), cfg); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("%s: %v, want ErrBadConfig", name, err)
+		}
+	}
+	s := mustStore(t, cl, 0, Config{KeySpace: 16, ValueSize: 8})
+	if s.cfg.MaxWrites != 4 {
+		t.Fatalf("default max writes %d, want 4", s.cfg.MaxWrites)
+	}
+}
+
 func TestValidationErrors(t *testing.T) {
 	cl := testCluster(t, 0, nil, nil)
 	if _, err := NewStore(cl.Machine(0), Config{KeySpace: 0, ValueSize: 8}); err == nil {

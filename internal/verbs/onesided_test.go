@@ -35,7 +35,7 @@ type spaceModel struct {
 
 func newSpaceModel(t *testing.T, m *cluster.Machine) *spaceModel {
 	t.Helper()
-	s, err := mem.NewSpace(m.Topology().Sockets(), cluster.DefaultConfig().PerSocketMem)
+	s, err := mem.NewSpace(cluster.DefaultConfig().PerSocketMem)
 	if err != nil {
 		t.Fatal(err)
 	}

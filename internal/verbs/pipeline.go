@@ -55,7 +55,7 @@ func newRoute(ctx *Context, port int) *qpRoute {
 		fab:        m.Fabric(),
 		ep:         m.Endpoint(port),
 		qpi:        m.QPI(),
-		qpiLatency: m.Topology().Params.QPILatency,
+		qpiLatency: m.Topology().QPILatency,
 		socket:     m.PortSocket(port),
 	}
 }

@@ -19,6 +19,7 @@ import (
 
 	"rdmasem/internal/cluster"
 	"rdmasem/internal/mem"
+	"rdmasem/internal/rnic"
 	"rdmasem/internal/sim"
 )
 
@@ -80,7 +81,7 @@ type Context struct {
 // NewContext opens the (single) RNIC of a machine.
 func NewContext(m *cluster.Machine) *Context {
 	c := &Context{machine: m}
-	for p := 0; p < m.NIC().Ports(); p++ {
+	for p := 0; p < rnic.Ports; p++ {
 		c.routes = append(c.routes, newRoute(c, p))
 	}
 	return c

@@ -495,7 +495,7 @@ func TestRegisterMRRejectsForeignRegion(t *testing.T) {
 	}
 	// A region of the same shape at the same address in a fresh space is
 	// still not the region this machine's memory holds.
-	space, err := mem.NewSpace(2, 48<<30)
+	space, err := mem.NewSpace(48 << 30)
 	if err != nil {
 		t.Fatal(err)
 	}
